@@ -1,19 +1,19 @@
 //! Batch lint front-end: fan whole pipeline runs over the worker pool.
 //!
 //! The unit of traffic for a lint service is the *program*, not the
-//! word-shard: [`lint_batch`] queues one job per source on the
-//! work-stealing [`gnt_dataflow::WorkerPool`] (the process-wide
-//! [`gnt_dataflow::global_pool`] by default), each job checks a warm
+//! word-shard: [`lint_batch`] maps one job per source over a
+//! [`gnt_dataflow::WorkerPool`] (the process-wide
+//! [`gnt_dataflow::global_pool`] by default). Each job checks a warm
 //! [`gnt_core::SolverScratch`] out of [`gnt_core::ScratchPool::global`]
 //! and runs the complete pipeline — parse → CFG/intervals → analyze →
-//! solve → generate → lint — so steady-state batches reuse both the
-//! pool's parked threads and the scratches' arenas and cached schedule
-//! tapes.
+//! solve → generate → lint — so steady-state batches reuse the
+//! scratches' arenas and cached schedule tapes whichever thread runs
+//! the job.
 //!
-//! Results come back **in input order** regardless of scheduling: every
-//! job writes its own slot, so the diagnostic stream for a batch is
-//! byte-identical at any thread count (the determinism tests pin 1, 2,
-//! and 8 workers against each other).
+//! Results come back **in input order** regardless of scheduling:
+//! [`gnt_dataflow::WorkerPool::map`] returns them by input index, so the
+//! diagnostic stream for a batch is byte-identical at any thread count
+//! (the determinism tests pin 1, 2, and 8 workers against each other).
 //!
 //! # Examples
 //!
@@ -138,37 +138,26 @@ pub fn lint_batch_on_cached(
     opts: &LintOptions,
     cache: Option<&PipelineCache>,
 ) -> Vec<LintOutcome> {
-    let mut results: Vec<Option<LintOutcome>> = (0..sources.len()).map(|_| None).collect();
-    pool.scope(|s| {
-        for (slot, source) in results.iter_mut().zip(sources.iter()) {
-            s.spawn(move || {
-                let result = match cache.and_then(|c| c.get(&source.text, opts)) {
-                    Some(report) => Ok(report),
-                    None => {
-                        let mut scratch = ScratchPool::global().checkout();
-                        let fresh = gnt_ir::parse(&source.text)
-                            .map_err(LintError::Parse)
-                            .and_then(|program| {
-                                lint_program_with_scratch(&program, opts, &mut scratch)
-                            })
-                            .map(Arc::new);
-                        if let (Some(c), Ok(report)) = (cache, &fresh) {
-                            c.insert(&source.text, opts, Arc::clone(report));
-                        }
-                        fresh
-                    }
-                };
-                *slot = Some(LintOutcome {
-                    name: source.name.clone(),
-                    result,
-                });
-            });
+    pool.map(sources, |source| {
+        let result = match cache.and_then(|c| c.get(&source.text, opts)) {
+            Some(report) => Ok(report),
+            None => {
+                let mut scratch = ScratchPool::global().checkout();
+                let fresh = gnt_ir::parse(&source.text)
+                    .map_err(LintError::Parse)
+                    .and_then(|program| lint_program_with_scratch(&program, opts, &mut scratch))
+                    .map(Arc::new);
+                if let (Some(c), Ok(report)) = (cache, &fresh) {
+                    c.insert(&source.text, opts, Arc::clone(report));
+                }
+                fresh
+            }
+        };
+        LintOutcome {
+            name: source.name.clone(),
+            result,
         }
-    });
-    results
-        .into_iter()
-        .map(|o| o.expect("pool scope joins all jobs"))
-        .collect()
+    })
 }
 
 #[cfg(test)]

@@ -31,7 +31,12 @@
 //!   protocol: a corpus of generated programs linted end to end via
 //!   [`gnt_analyze::lint_batch_on`] on fixed-size worker pools,
 //!   normalized to total CFG nodes (items is 0 for pipeline rows: the
-//!   work unit is the program, not the set-universe item);
+//!   work unit is the program, not the set-universe item). The corpora
+//!   are `random_program` outputs whose communication analysis finds no
+//!   items, so these rows time parse, CFG and lint over empty universes
+//!   and say little about the solve and generate stages; a claim about
+//!   the lint pipeline belongs to the end-to-end benchmark's
+//!   `corpus_lint` workload (`gnt_benchmark/`);
 //! * `lint_batch_warm/1threads` — the same corpus served out of a warm
 //!   [`gnt_analyze::PipelineCache`]: fingerprint, text-equality guard,
 //!   and `Arc` clone per program instead of a pipeline run.

@@ -3,10 +3,12 @@
 //! One [`SolverScratch`] is cheap to reuse and expensive to rebuild: it
 //! holds the `20·n+2`-row bitset arena *and* the per-direction compiled
 //! [`crate::ScheduleTape`]s plus the delta-basis token. A batch pipeline
-//! that fans whole solver runs out over a worker pool wants each job to
-//! pick up whichever scratch is warm — same allocation, and when the
-//! graph shape repeats, the same compiled tapes — instead of paying a
-//! cold arena + tape compile per job.
+//! that fans whole solver runs out with [`gnt_dataflow::WorkerPool::map`]
+//! wants each job to pick up whichever scratch is warm — same
+//! allocation, and when the graph shape repeats, the same compiled tapes
+//! — instead of paying a cold arena + tape compile per job. The fan-out
+//! spawns its threads per call, so the warm state lives here, in a
+//! process-wide free-list, rather than with any thread.
 //!
 //! [`ScratchPool::checkout`] pops a warm scratch (or creates one when
 //! the pool is empty); the returned [`PooledScratch`] guard derefs to
@@ -66,7 +68,7 @@ impl ScratchPool {
 
     /// The process-wide pool shared by the sharded tape executor and the
     /// batch lint front-end. Its population converges on the maximum
-    /// number of concurrently checked-out scratches (≈ pool workers).
+    /// number of concurrently checked-out scratches (≈ fan-out width).
     pub fn global() -> &'static ScratchPool {
         static POOL: OnceLock<ScratchPool> = OnceLock::new();
         POOL.get_or_init(ScratchPool::new)

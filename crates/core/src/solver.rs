@@ -456,26 +456,15 @@ fn solve_sharded(
     let cap = problem.universe_size;
     let windows = windows_for(cap, shards);
 
-    let results: Vec<(SolverScratch, usize)> = std::thread::scope(|s| {
-        let handles: Vec<_> = windows
-            .iter()
-            .map(|&win| {
-                s.spawn(move || {
-                    let mut scratch = SolverScratch::new();
-                    solve_core(graph, problem, opts, &mut scratch, win);
-                    (scratch, win.word0)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("solver shard panicked"))
-            .collect()
+    let scratches = gnt_dataflow::global_pool().map(&windows, |&win| {
+        let mut scratch = SolverScratch::new();
+        solve_core(graph, problem, opts, &mut scratch, win);
+        scratch
     });
 
     let mut solution = Solution::empty(graph.num_nodes(), cap);
-    for (scratch, word0) in &results {
-        scratch.write_into(&mut solution, *word0);
+    for (scratch, win) in scratches.iter().zip(&windows) {
+        scratch.write_into(&mut solution, win.word0);
     }
     solution
 }

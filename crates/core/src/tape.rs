@@ -935,12 +935,13 @@ pub(crate) fn solve_batch_with_scratch_dir(
     scratch.export()
 }
 
-/// Replays `tape` over `shards` word windows in parallel (one pooled
-/// scratch per shard job — [`crate::ScratchPool::global`] — run on the
-/// persistent [`gnt_dataflow::global_pool`] rather than per-call spawned
-/// threads) and stitches the windows into `out`, which must already be
-/// shaped for the full universe. Steady-state sharded traffic therefore
-/// allocates nothing: the threads are parked, the arenas warm.
+/// Replays `tape` over `shards` word windows in parallel — one
+/// [`gnt_dataflow::global_pool`] job per window, each on a warm scratch
+/// checked out of [`crate::ScratchPool::global`] — and stitches the
+/// windows into `out`, which must already be shaped for the full
+/// universe. The fan-out spawns its threads per call; steady-state
+/// sharded traffic reuses the pooled arenas and allocates no solver
+/// rows.
 pub(crate) fn execute_sharded(
     tape: &ScheduleTape,
     problem: &PlacementProblem,
@@ -948,20 +949,13 @@ pub(crate) fn execute_sharded(
     out: &mut Solution,
 ) {
     let windows = windows_for(problem.universe_size, shards);
-    let mut results: Vec<Option<(crate::PooledScratch<'static>, usize)>> =
-        (0..windows.len()).map(|_| None).collect();
-    gnt_dataflow::global_pool().scope(|s| {
-        for (slot, &win) in results.iter_mut().zip(windows.iter()) {
-            s.spawn(move || {
-                let mut scratch = crate::ScratchPool::global().checkout();
-                tape.execute_window(problem, &mut scratch, win);
-                *slot = Some((scratch, win.word0));
-            });
-        }
+    let scratches = gnt_dataflow::global_pool().map(&windows, |&win| {
+        let mut scratch = crate::ScratchPool::global().checkout();
+        tape.execute_window(problem, &mut scratch, win);
+        scratch
     });
-    for entry in &results {
-        let (scratch, word0) = entry.as_ref().expect("pool scope joins all shards");
-        scratch.write_into(out, *word0);
+    for (scratch, win) in scratches.iter().zip(&windows) {
+        scratch.write_into(out, win.word0);
     }
 }
 

@@ -7,8 +7,9 @@
 //! * [`BitSet`] — dense bit vectors over a finite universe,
 //! * [`BitSlab`] — a flat arena of bit rows with fused word-level kernels,
 //!   the zero-allocation data plane of the GIVE-N-TAKE solver,
-//! * [`WorkerPool`] — persistent worker threads with a scoped-spawn API,
-//!   so repeated sharded solves stop paying per-call thread spawns,
+//! * [`WorkerPool`] — a scoped, input-ordered fan-out
+//!   ([`WorkerPool::map`]), the one parallel primitive the sharded
+//!   solvers and the batch lint front-end share,
 //! * [`Universe`] — interning of domain items ([`ItemId`]) into bitset
 //!   indices,
 //! * [`GenKillProblem`] — a generic iterative (worklist) solver for classic
@@ -44,7 +45,7 @@ mod solver;
 mod universe;
 
 pub use bitset::{BitSet, Iter};
-pub use pool::{default_workers, global_pool, PoolScope, WorkerPool};
+pub use pool::{default_workers, global_pool, WorkerPool};
 pub use slab::{BitMut, BitRef, BitSlab};
 pub use solver::{Direction, FlowGraph, GenKillProblem, Meet, SimpleGraph, Solution};
 pub use universe::{ItemId, Universe};

@@ -1,145 +1,40 @@
-//! A persistent work-stealing worker pool for heterogeneous tasks.
+//! A scoped, input-ordered fan-out over a fixed worker width.
 //!
-//! The item-sharded solve paths used to spawn OS threads through
-//! [`std::thread::scope`] on every call — acceptable for one cold solve,
-//! but the repeated-query traffic this crate is built for (pressure
-//! re-solve rounds, batch lint pipelines, plan regeneration) pays the
-//! spawn and teardown cost on every round. A [`WorkerPool`] keeps its
-//! threads parked on a condvar between calls; [`WorkerPool::scope`]
-//! hands out a [`PoolScope`] whose [`PoolScope::spawn`] accepts
-//! non-`'static` closures exactly like `std::thread::scope`, and joins
-//! every job before returning (also on unwind), which is what makes the
-//! lifetime erasure inside sound.
+//! Every parallel caller in the workspace is a flat fan-out: one job per
+//! input (a source file to lint, a word window of the universe to solve)
+//! whose result lands in that input's slot. [`WorkerPool::map`] is that
+//! shape and nothing more. It runs on [`std::thread::scope`]: the
+//! calling thread plus `min(workers, items.len()) − 1` scoped threads
+//! pull the next input index from one shared counter until the inputs
+//! run out, and the results come back in input order whatever order the
+//! jobs finished in. Jobs may borrow from the caller, a job may itself
+//! call `map` (it only spawns more scoped threads), and a panicking job
+//! propagates its panic to the caller once the other threads have
+//! joined.
 //!
-//! Scheduling is work-stealing: every worker owns a local deque and
-//! there is one shared injector queue. A job spawned from *outside* the
-//! pool lands on the injector; a job spawned from *inside* a pool job
-//! (nested [`PoolScope::spawn`]) lands on the spawning worker's local
-//! deque, where the owner pops newest-first for locality and idle
-//! workers steal oldest-first. This is what lets one pool serve
-//! heterogeneous tasks — whole lint-pipeline runs next to word-shard
-//! closures — without a head-of-line queue.
+//! Threads are spawned per call and joined before `map` returns. No
+//! queue, parked thread or cross-call state exists, so there is nothing
+//! to shut down and nothing for a panic to poison. The warm state a job
+//! wants (solver arenas, compiled tapes, CFG scratch) lives in the
+//! process-wide check-out pools of `gnt-core` and `gnt-cfg`, which do
+//! not depend on which thread checks them out.
 //!
-//! Two properties matter for callers that nest scopes (a batch-lint job
-//! whose solve itself shards over the pool):
-//!
-//! * [`WorkerPool::scope`] *helps*: while waiting for its jobs it runs
-//!   queued jobs (its own or any other scope's) instead of sleeping, so
-//!   a scope entered from a worker thread cannot deadlock the pool even
-//!   when every worker is inside such a scope;
-//! * a panicking job is caught at the job boundary and re-raised by its
-//!   own scope only — the pool's locks are never poisoned and the
-//!   workers survive for subsequent batches.
-//!
-//! [`global_pool`] is the process-wide lazily-created instance sized to
-//! the available parallelism; the sharded tape executor in `gnt-core`
-//! and the batch lint front-end in `gnt-analyze` draw from it instead
-//! of spawning.
+//! [`global_pool`] is the process-wide width, sized to the available
+//! parallelism; the sharded solvers in `gnt-core` and the batch lint
+//! front-end in `gnt-analyze` fan out through it.
 
-use std::cell::Cell;
-use std::collections::VecDeque;
-use std::marker::PhantomData;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::thread;
-use std::time::Duration;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Total pool worker threads ever spawned in this process, across all
-/// pools — the regression counter behind
+/// Fan-out threads spawned by [`WorkerPool::map`] in this process,
+/// across all pools — the statistic behind
 /// [`WorkerPool::threads_spawned`].
 static THREADS_SPAWNED: AtomicUsize = AtomicUsize::new(0);
 
-thread_local! {
-    /// `(pool identity, worker index)` when the current thread is a pool
-    /// worker; spawns from inside a job use it to reach the local deque.
-    static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
-}
-
-/// Wakeup bookkeeping: `generation` ticks on every enqueue so a worker
-/// that scanned empty queues re-scans instead of sleeping through a job
-/// pushed between its scan and its wait (the classic lost-wakeup race).
-struct SleepState {
-    generation: u64,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    injector: Mutex<VecDeque<Job>>,
-    locals: Vec<Mutex<VecDeque<Job>>>,
-    sleep: Mutex<SleepState>,
-    job_ready: Condvar,
-}
-
-impl PoolShared {
-    /// Pool identity for the worker thread-local: stable for the pool's
-    /// lifetime, distinct between live pools.
-    fn id(self: &Arc<Self>) -> usize {
-        Arc::as_ptr(self) as usize
-    }
-
-    fn push(self: &Arc<Self>, job: Job) {
-        let here = WORKER.with(Cell::get);
-        match here {
-            // Nested spawn: newest work goes on the spawning worker's own
-            // deque (popped LIFO by the owner, stolen FIFO by thieves).
-            Some((pool, k)) if pool == self.id() => {
-                self.locals[k].lock().expect("pool deque").push_back(job);
-            }
-            _ => self.injector.lock().expect("pool injector").push_back(job),
-        }
-        let mut sleep = self.sleep.lock().expect("pool sleep state");
-        sleep.generation = sleep.generation.wrapping_add(1);
-        drop(sleep);
-        self.job_ready.notify_one();
-    }
-
-    /// One scheduling round for worker `k`: own deque newest-first, then
-    /// the injector, then steal oldest-first from the siblings.
-    fn find_job(&self, k: usize) -> Option<Job> {
-        if let Some(job) = self.locals[k].lock().expect("pool deque").pop_back() {
-            return Some(job);
-        }
-        if let Some(job) = self.injector.lock().expect("pool injector").pop_front() {
-            return Some(job);
-        }
-        let n = self.locals.len();
-        for step in 1..n {
-            let victim = (k + step) % n;
-            if let Some(job) = self.locals[victim].lock().expect("pool deque").pop_front() {
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// A scheduling round for a thread with no deque of its own (a scope
-    /// caller helping out): injector first, then steal from every worker.
-    fn steal_any(&self) -> Option<Job> {
-        if let Some(job) = self.injector.lock().expect("pool injector").pop_front() {
-            return Some(job);
-        }
-        for local in &self.locals {
-            if let Some(job) = local.lock().expect("pool deque").pop_front() {
-                return Some(job);
-            }
-        }
-        None
-    }
-}
-
-struct ScopeState {
-    pending: Mutex<usize>,
-    all_done: Condvar,
-    panicked: AtomicBool,
-}
-
-/// A fixed-size pool of persistent worker threads with a scoped-spawn
-/// API and work-stealing scheduling. Threads are spawned once in
-/// [`WorkerPool::new`] and parked between jobs; dropping the pool shuts
-/// them down.
+/// A fan-out width: how many threads, the caller's included, one
+/// [`WorkerPool::map`] call runs its jobs on.
 ///
 /// # Examples
 ///
@@ -147,214 +42,86 @@ struct ScopeState {
 /// use gnt_dataflow::WorkerPool;
 ///
 /// let pool = WorkerPool::new(4);
-/// let mut parts = vec![0u64; 8];
-/// pool.scope(|s| {
-///     for (i, slot) in parts.iter_mut().enumerate() {
-///         s.spawn(move || *slot = i as u64 * 10);
-///     }
-/// });
-/// assert_eq!(parts.iter().sum::<u64>(), 280);
+/// let squares = pool.map(&[1u64, 2, 3, 4, 5, 6, 7, 8], |&x| x * x);
+/// assert_eq!(squares, [1, 4, 9, 16, 25, 36, 49, 64]);
 /// ```
+#[derive(Debug)]
 pub struct WorkerPool {
-    shared: Arc<PoolShared>,
     workers: usize,
-    handles: Vec<thread::JoinHandle<()>>,
 }
 
 impl WorkerPool {
-    /// Creates a pool of `workers` parked threads (at least one).
+    /// Creates a pool `workers` threads wide (at least one).
     pub fn new(workers: usize) -> WorkerPool {
-        let workers = workers.max(1);
-        let shared = Arc::new(PoolShared {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            sleep: Mutex::new(SleepState {
-                generation: 0,
-                shutdown: false,
-            }),
-            job_ready: Condvar::new(),
-        });
-        let handles = (0..workers)
-            .map(|k| {
-                let shared = Arc::clone(&shared);
-                THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
-                thread::Builder::new()
-                    .name(format!("gnt-pool-{k}"))
-                    .spawn(move || {
-                        WORKER.with(|w| w.set(Some((shared.id(), k))));
-                        worker_loop(&shared, k);
-                    })
-                    .expect("spawn pool worker")
-            })
-            .collect();
         WorkerPool {
-            shared,
-            workers,
-            handles,
+            workers: workers.max(1),
         }
     }
 
-    /// Number of worker threads.
+    /// The pool's width: the most jobs one [`WorkerPool::map`] call runs
+    /// at once.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Total pool worker threads ever spawned in this process, across
-    /// every [`WorkerPool`]. A steady-state batch workload must not grow
-    /// this between batches — the hardening tests pin exactly that.
+    /// Fan-out threads spawned by [`WorkerPool::map`] so far in this
+    /// process, across every [`WorkerPool`]. A call over `k` items on a
+    /// `w`-wide pool adds `min(w, k) − 1`, so the count grows with every
+    /// parallel call.
     pub fn threads_spawned() -> usize {
         THREADS_SPAWNED.load(Ordering::Relaxed)
     }
 
-    /// Runs `f` with a [`PoolScope`] and blocks until every job spawned
-    /// through it has finished — the pool-backed equivalent of
-    /// [`std::thread::scope`]. The wait happens even if `f` unwinds, so
-    /// borrows captured by the jobs can never dangle. While waiting, the
-    /// calling thread helps drain the pool's queues, which keeps nested
-    /// scopes (a pool job that itself opens a scope) deadlock-free.
+    /// Applies `f` to every item on up to [`WorkerPool::workers`]
+    /// threads — the caller's and `min(workers, items.len()) − 1` scoped
+    /// ones — and returns the results in input order. Each thread takes
+    /// the next unclaimed index until none is left, so uneven jobs
+    /// balance themselves. With one worker or at most one item, `f` runs
+    /// on the calling thread alone and nothing is spawned.
     ///
     /// # Panics
     ///
-    /// Panics if any spawned job panicked.
-    pub fn scope<'env, R>(
-        &self,
-        f: impl for<'scope> FnOnce(&'scope PoolScope<'scope, 'env>) -> R,
-    ) -> R {
-        let scope = PoolScope {
-            shared: Arc::clone(&self.shared),
-            state: Arc::new(ScopeState {
-                pending: Mutex::new(0),
-                all_done: Condvar::new(),
-                panicked: AtomicBool::new(false),
-            }),
-            _scope: PhantomData,
-            _env: PhantomData,
-        };
-        /// Joins the scope's jobs on drop, so the wait also runs when the
-        /// closure unwinds. Helping (running queued jobs while waiting)
-        /// is what makes scopes-from-within-jobs safe on a fixed pool.
-        struct WaitGuard<'a>(&'a ScopeState, &'a PoolShared);
-        impl Drop for WaitGuard<'_> {
-            fn drop(&mut self) {
-                loop {
-                    if *self.0.pending.lock().expect("pool scope") == 0 {
-                        return;
-                    }
-                    if let Some(job) = self.1.steal_any() {
-                        job();
-                        continue;
-                    }
-                    // Nothing runnable right now: sleep until our jobs
-                    // finish, with a short timeout so jobs queued later
-                    // (by still-running jobs of any scope) get picked up.
-                    let pending = self.0.pending.lock().expect("pool scope");
-                    if *pending == 0 {
-                        return;
-                    }
-                    let _ = self
-                        .0
-                        .all_done
-                        .wait_timeout(pending, Duration::from_micros(200))
-                        .expect("pool scope");
-                }
-            }
+    /// Re-raises the panic of a job that panicked, after every thread
+    /// has joined. Items not yet claimed when a job panics may or may
+    /// not run.
+    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        let helpers = self.workers.min(items.len()).saturating_sub(1);
+        if helpers == 0 {
+            return items.iter().map(f).collect();
         }
-        let result = {
-            let _guard = WaitGuard(&scope.state, &scope.shared);
-            f(&scope)
-        };
-        assert!(
-            !scope.state.panicked.load(Ordering::Acquire),
-            "worker pool job panicked"
-        );
-        result
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut sleep = self.shared.sleep.lock().expect("pool sleep state");
-            sleep.shutdown = true;
-        }
-        self.shared.job_ready.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "WorkerPool({} workers)", self.workers)
-    }
-}
-
-/// The spawn handle passed to the closure of [`WorkerPool::scope`]:
-/// jobs may borrow from the enclosing environment (`'env`) and may
-/// themselves spawn onto the same scope (`&'scope self`), because the
-/// scope joins them all before it returns.
-pub struct PoolScope<'scope, 'env: 'scope> {
-    shared: Arc<PoolShared>,
-    state: Arc<ScopeState>,
-    _scope: PhantomData<&'scope mut &'scope ()>,
-    _env: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'scope, 'env> PoolScope<'scope, 'env> {
-    /// Queues `job` on the pool. Jobs spawned from inside another pool
-    /// job go to that worker's local deque (work-stealing); jobs spawned
-    /// from outside go to the shared injector. Panics inside the job are
-    /// caught at the job boundary and re-raised by the enclosing
-    /// [`WorkerPool::scope`] call after all jobs finish.
-    pub fn spawn(&'scope self, job: impl FnOnce() + Send + 'scope) {
-        *self.state.pending.lock().expect("pool scope") += 1;
-        let state = Arc::clone(&self.state);
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(job);
-        // SAFETY: the job queue requires 'static, but `scope` (via its
-        // drop guard, which runs even on unwind) blocks until `pending`
-        // reaches zero — i.e. until this job has run to completion — so
-        // nothing borrowed for 'scope is ever used after 'scope ends.
-        let job: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(job)
-        };
-        let wrapped: Job = Box::new(move || {
-            if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                state.panicked.store(true, Ordering::Release);
+        // The counter hands out indices only; the results travel back
+        // through the joins, which order every job before the merge.
+        let next = AtomicUsize::new(0);
+        let run = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    return done;
+                };
+                done.push((i, f(item)));
             }
-            let mut pending = state.pending.lock().expect("pool scope");
-            *pending -= 1;
-            if *pending == 0 {
-                state.all_done.notify_all();
+        };
+        let mut done = thread::scope(|s| {
+            let handles: Vec<_> = (0..helpers)
+                .map(|_| {
+                    THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
+                    s.spawn(run)
+                })
+                .collect();
+            let mut done = run();
+            for handle in handles {
+                done.extend(handle.join().unwrap_or_else(|panic| resume_unwind(panic)));
             }
+            done
         });
-        self.shared.push(wrapped);
-    }
-}
-
-fn worker_loop(shared: &Arc<PoolShared>, k: usize) {
-    loop {
-        // Read the wakeup generation *before* scanning, so an enqueue
-        // between the scan and the wait below flips the comparison and
-        // forces a re-scan instead of a sleep.
-        let seen = {
-            let sleep = shared.sleep.lock().expect("pool sleep state");
-            if sleep.shutdown {
-                return;
-            }
-            sleep.generation
-        };
-        if let Some(job) = shared.find_job(k) {
-            job();
-            continue;
-        }
-        let mut sleep = shared.sleep.lock().expect("pool sleep state");
-        while !sleep.shutdown && sleep.generation == seen {
-            sleep = shared.job_ready.wait(sleep).expect("pool sleep state");
-        }
-        if sleep.shutdown {
-            return;
-        }
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 }
 
@@ -371,8 +138,7 @@ pub fn default_workers() -> usize {
 
 /// The process-wide pool, created on first use and sized to
 /// [`default_workers`]. Solver shards and batch lint jobs across the
-/// whole process share these threads instead of each call spawning its
-/// own.
+/// whole process fan out to this width.
 pub fn global_pool() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(|| WorkerPool::new(default_workers()))
@@ -381,146 +147,122 @@ pub fn global_pool() -> &'static WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
+
+    /// Counts jobs running at once and keeps the highest count seen.
+    #[derive(Default)]
+    struct Gauge {
+        now: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    impl Gauge {
+        fn run<R>(&self, job: impl FnOnce() -> R) -> R {
+            let now = self.now.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+            let r = job();
+            self.now.fetch_sub(1, Ordering::SeqCst);
+            r
+        }
+    }
 
     #[test]
-    fn scope_joins_all_jobs_and_allows_borrows() {
+    fn map_returns_results_in_input_order_and_allows_borrows() {
         let pool = WorkerPool::new(3);
-        let mut slots = vec![0usize; 40];
-        pool.scope(|s| {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                s.spawn(move || *slot = i + 1);
-            }
-        });
-        assert_eq!(slots.iter().sum::<usize>(), 40 * 41 / 2);
+        let offset = 7usize;
+        let items: Vec<usize> = (0..40).collect();
+        let out = pool.map(&items, |&i| i + offset);
+        assert_eq!(out, (7..47).collect::<Vec<_>>());
     }
 
     #[test]
-    fn scopes_are_reusable_and_pool_outlives_many_rounds() {
+    fn input_order_survives_scrambled_completion() {
+        // Item 0 is held until every later item has finished, so it
+        // completes last; its result must still come back first.
         let pool = WorkerPool::new(2);
-        let counter = AtomicUsize::new(0);
-        for _ in 0..50 {
-            pool.scope(|s| {
-                for _ in 0..4 {
-                    s.spawn(|| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    });
+        let items: Vec<usize> = (0..16).collect();
+        let finished = AtomicUsize::new(0);
+        let out = pool.map(&items, |&i| {
+            if i == 0 {
+                while finished.load(Ordering::SeqCst) < items.len() - 1 {
+                    thread::yield_now();
                 }
+            }
+            finished.fetch_add(1, Ordering::SeqCst);
+            i * i
+        });
+        assert_eq!(out, items.iter().map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn in_flight_jobs_never_exceed_the_width() {
+        for workers in [1usize, 2, 3] {
+            let pool = WorkerPool::new(workers);
+            let gauge = Gauge::default();
+            let items: Vec<usize> = (0..64).collect();
+            let out = pool.map(&items, |&i| {
+                gauge.run(|| {
+                    thread::yield_now();
+                    i
+                })
             });
+            assert_eq!(out, items);
+            let peak = gauge.peak.load(Ordering::SeqCst);
+            assert!(
+                (1..=workers).contains(&peak),
+                "{peak} jobs at once on {workers} workers"
+            );
         }
-        assert_eq!(counter.load(Ordering::Relaxed), 200);
     }
 
     #[test]
-    fn more_jobs_than_workers_all_run() {
-        let pool = WorkerPool::new(1);
-        let counter = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..64 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn jobs_can_spawn_jobs_onto_the_same_scope() {
-        let pool = WorkerPool::new(2);
-        let counter = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    // Nested spawn lands on this worker's local deque.
-                    s.spawn(|| {
-                        counter.fetch_add(10, Ordering::Relaxed);
-                    });
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 44);
-    }
-
-    #[test]
-    fn nested_scopes_from_within_jobs_do_not_deadlock() {
-        // Every worker enters a job that itself opens a scope on the
-        // same pool; the helping wait keeps this from deadlocking even
-        // though the pool has a single worker.
-        let pool = WorkerPool::new(1);
-        let counter = AtomicUsize::new(0);
-        pool.scope(|outer| {
-            for _ in 0..3 {
-                let pool = &pool;
-                let counter = &counter;
-                outer.spawn(move || {
-                    pool.scope(|inner| {
-                        for _ in 0..4 {
-                            inner.spawn(|| {
-                                counter.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 12);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker pool job panicked")]
-    fn job_panics_propagate_to_the_scope_caller() {
-        let pool = WorkerPool::new(2);
-        pool.scope(|s| {
-            s.spawn(|| panic!("boom"));
-            s.spawn(|| {});
-        });
-    }
-
-    #[test]
-    fn a_panicked_job_does_not_poison_the_pool_for_later_scopes() {
-        let pool = WorkerPool::new(2);
-        let panicked = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|| panic!("boom"));
-            });
-        }));
-        assert!(panicked.is_err());
-        // The same pool keeps serving whole batches afterwards.
-        let counter = AtomicUsize::new(0);
-        for _ in 0..5 {
-            pool.scope(|s| {
-                for _ in 0..8 {
-                    s.spawn(|| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 40);
-    }
-
-    #[test]
-    fn repeated_batches_do_not_spawn_new_threads() {
+    fn the_width_is_reached_when_jobs_overlap() {
+        // Every job waits at a barrier sized to the width, so the call
+        // completes only if `workers` jobs really run at once.
         let pool = WorkerPool::new(3);
-        let before = WorkerPool::threads_spawned();
-        let counter = AtomicUsize::new(0);
-        for _ in 0..20 {
-            pool.scope(|s| {
-                for _ in 0..6 {
-                    s.spawn(|| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 120);
-        assert_eq!(
-            WorkerPool::threads_spawned(),
-            before,
-            "steady-state batches must reuse the pool's threads"
-        );
+        let barrier = Barrier::new(3);
+        let gauge = Gauge::default();
+        pool.map(&[(); 3], |_| gauge.run(|| barrier.wait()));
+        assert_eq!(gauge.peak.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn a_single_worker_runs_everything_on_the_caller() {
+        let pool = WorkerPool::new(1);
+        let caller = thread::current().id();
+        let items: Vec<usize> = (0..8).collect();
+        let threads = pool.map(&items, |_| thread::current().id());
+        assert!(threads.iter().all(|&t| t == caller));
+    }
+
+    #[test]
+    fn empty_input_gives_empty_output() {
+        let out: Vec<u8> = WorkerPool::new(4).map(&[] as &[u8], |&x| x);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn nested_maps_inside_jobs_complete() {
+        let pool = WorkerPool::new(2);
+        let outer: Vec<usize> = (0..6).collect();
+        let inner: Vec<usize> = (0..4).collect();
+        let sums = pool.map(&outer, |&o| {
+            pool.map(&inner, |&i| o * 10 + i).iter().sum::<usize>()
+        });
+        assert_eq!(sums, outer.iter().map(|o| 40 * o + 6).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "boom at 5")]
+    fn a_job_panic_reaches_the_caller() {
+        let pool = WorkerPool::new(2);
+        let items: Vec<usize> = (0..8).collect();
+        pool.map(&items, |&i| {
+            if i == 5 {
+                panic!("boom at {i}");
+            }
+            i
+        });
     }
 
     #[test]
@@ -536,14 +278,7 @@ mod tests {
         let p1 = global_pool() as *const WorkerPool;
         let p2 = global_pool() as *const WorkerPool;
         assert_eq!(p1, p2);
-        let counter = AtomicUsize::new(0);
-        global_pool().scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 8);
+        let out = global_pool().map(&[1, 2, 3, 4, 5, 6, 7, 8], |&x| x + 1);
+        assert_eq!(out, [2, 3, 4, 5, 6, 7, 8, 9]);
     }
 }
