@@ -23,7 +23,7 @@ use crate::provenance::chain_trail;
 use gnt_cfg::{IntervalGraph, NodeId};
 use gnt_comm::CommPlan;
 use gnt_core::{
-    shift_off_synthetic, solve_with_scratch, BlameEngine, Flavor, FlavorSolution, PlacementProblem,
+    shift_off_synthetic, solve_into, BlameEngine, Flavor, FlavorSolution, PlacementProblem,
     SolverOptions, SolverScratch, Var,
 };
 use gnt_sections::DataRef;
@@ -103,7 +103,8 @@ pub fn audit_placement(
     // scratch keeps every Figure-13 variable for the engine, the export
     // is shifted for program-order comparison.
     let mut scratch = SolverScratch::new();
-    let opt = solve_with_scratch(graph, problem, &opts.solver_options, &mut scratch);
+    solve_into(graph, problem, &opts.solver_options, &mut scratch);
+    let opt = scratch.export();
     let engine = BlameEngine::new(graph, problem, &opts.solver_options, &scratch);
     let mut opt_eager = opt.eager.clone();
     let mut opt_lazy = opt.lazy.clone();

@@ -1,7 +1,7 @@
 //! Batch lint front-end: fan whole pipeline runs over the worker pool.
 //!
-//! The unit of traffic for a lint service is the *program*, not the
-//! word-shard: [`lint_batch`] maps one job per source over a
+//! The unit of traffic for a lint service is the *program*:
+//! [`lint_batch`] maps one job per source over a
 //! [`gnt_dataflow::WorkerPool`] (the process-wide
 //! [`gnt_dataflow::global_pool`] by default). Each job checks a warm
 //! [`gnt_core::SolverScratch`] out of [`gnt_core::ScratchPool::global`]

@@ -5,23 +5,30 @@
 //! Records:
 //! * `solve/16items` — the EXP-C1 protocol (end-to-end [`solve`] at
 //!   universe 16, sequential) at several program sizes;
-//! * `solve_into/16items` — the zero-allocation scratch-reuse path at the
-//!   same sizes;
+//! * `solve_into/16items` — the direct backend on a warm scratch, no
+//!   export, at the same sizes;
 //! * `solve_batch/16items` — the schedule-tape replay
 //!   ([`gnt_core::solve_batch`], cached tape + reused output buffer) at
 //!   the same sizes;
+//! * `solve_batch_into/16items` — the cached-tape replay without the
+//!   export, like-for-like with `solve_into/16items` (ungated);
+//! * `tape_compile/16items` — one [`gnt_core::ScheduleTape::compile`]
+//!   (recording walk, fusion, delta partition), the cost a cached replay
+//!   amortises (ungated);
 //! * `pressure_resolve/full` and `pressure_resolve/delta` — one
 //!   pressure-loop round (toggle a `STEAL_init` bit, re-solve) served by
 //!   a full tape replay vs the incremental delta engine
 //!   ([`gnt_core::solve_delta`], the EXP-C4 protocol);
 //! * `delta_1row/16items` — a single `TAKE_init` bit toggled and
 //!   re-solved incrementally, the engine's best case;
-//! * `solve/256items`, `solve_par/256items`, and `solve_batch/256items` —
-//!   a 4-word universe solved interpreted-sequentially, item-sharded, and
-//!   by cached-tape replay (the EXP-C2 protocol);
-//! * `solve/2048items` and `solve_par/2048items` — a 32-word universe,
-//!   wide enough that the shard planner actually engages (the 256-item
-//!   rows exist to pin the planner's *refusal*; these pin its grant);
+//! * `solve/256items` and `solve_batch/256items` — a 4-word universe
+//!   solved by the direct backend with export and by cached-tape replay
+//!   into a reused buffer (the EXP-C2 protocol), plus
+//!   `solve_into/256items` and `solve_batch_into/256items`, the two
+//!   backends like-for-like on a warm scratch without export (ungated);
+//! * `solve/2048items` — a 32-word universe on the same graph, with the
+//!   same two ungated like-for-like rows `solve_into/2048items` and
+//!   `solve_batch_into/2048items`;
 //! * `pipeline/ns_per_node` — one complete lint pipeline run (parse →
 //!   CFG/intervals → analyze → solve → generate → lint) over a sized
 //!   program, warm scratch pool;
@@ -55,7 +62,9 @@
 //! fewer runs and smaller sizes, so full-run baselines would not
 //! compare). New records with no baseline row are ignored; a baseline
 //! row with no measurement in the run fails the gate, so silently
-//! dropping or renaming a benchmark cannot slip through.
+//! dropping or renaming a benchmark cannot slip through. The ungated
+//! rows are kept out of the committed baselines, which come from a
+//! different host shape.
 
 use gnt_analyze::driver::{lint_source, LintOptions};
 use gnt_analyze::{lint_batch_on, lint_batch_on_cached, PipelineCache, Source};
@@ -65,8 +74,8 @@ use gnt_bench::{
 };
 use gnt_cfg::IntervalGraph;
 use gnt_core::{
-    planned_shards, random_problem, random_program, sized_program, solve, solve_batch,
-    solve_batch_into, solve_delta, solve_into, solve_par, DeltaSet, GenConfig, Solution,
+    random_problem, random_program, sized_program, solve, solve_batch, solve_batch_into,
+    solve_delta, solve_into, DeltaSet, GenConfig, PlacementProblem, ScheduleTape, Solution,
     SolverOptions, SolverScratch,
 };
 use gnt_dataflow::WorkerPool;
@@ -108,6 +117,48 @@ fn flag_value(flag: &str) -> Option<String> {
     None
 }
 
+/// `solve_into/{items}items`: the direct backend on a warm scratch,
+/// without export.
+fn like_for_like_direct(
+    runs: usize,
+    graph: &IntervalGraph,
+    problem: &PlacementProblem,
+) -> BenchRecord {
+    let opts = SolverOptions::default();
+    let mut scratch = SolverScratch::new();
+    let ns = median_ns(runs, || solve_into(graph, problem, &opts, &mut scratch));
+    let nodes = graph.num_nodes();
+    BenchRecord {
+        bench: format!("solve_into/{}items", problem.universe_size),
+        nodes,
+        items: problem.universe_size,
+        ns_per_node: ns / nodes as f64,
+        threads: 1,
+    }
+}
+
+/// `solve_batch_into/{items}items`: the cached-tape replay on a warm
+/// scratch, without export (the untimed first call compiles the tape).
+fn like_for_like_tape(
+    runs: usize,
+    graph: &IntervalGraph,
+    problem: &PlacementProblem,
+) -> BenchRecord {
+    let opts = SolverOptions::default();
+    let mut scratch = SolverScratch::new();
+    let ns = median_ns(runs, || {
+        solve_batch_into(graph, problem, &opts, &mut scratch)
+    });
+    let nodes = graph.num_nodes();
+    BenchRecord {
+        bench: format!("solve_batch_into/{}items", problem.universe_size),
+        nodes,
+        items: problem.universe_size,
+        ns_per_node: ns / nodes as f64,
+        threads: 1,
+    }
+}
+
 fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let path = json_flag_from_args().unwrap_or_else(|| PathBuf::from("BENCH_solver.json"));
@@ -141,15 +192,7 @@ fn main() -> ExitCode {
             threads: 1,
         });
 
-        let mut scratch = SolverScratch::new();
-        let ns = median_ns(runs, || solve_into(&graph, &problem, &opts, &mut scratch));
-        records.push(BenchRecord {
-            bench: "solve_into/16items".to_string(),
-            nodes,
-            items: 16,
-            ns_per_node: ns / nodes as f64,
-            threads: 1,
-        });
+        records.push(like_for_like_direct(runs, &graph, &problem));
 
         // The schedule-tape replay: compile once (the warm-up call inside
         // median_ns), then every timed call replays the cached tape into
@@ -161,6 +204,16 @@ fn main() -> ExitCode {
         });
         records.push(BenchRecord {
             bench: "solve_batch/16items".to_string(),
+            nodes,
+            items: 16,
+            ns_per_node: ns / nodes as f64,
+            threads: 1,
+        });
+        records.push(like_for_like_tape(runs, &graph, &problem));
+
+        let ns = median_ns(runs, || ScheduleTape::compile(&graph, &opts));
+        records.push(BenchRecord {
+            bench: "tape_compile/16items".to_string(),
             nodes,
             items: 16,
             ns_per_node: ns / nodes as f64,
@@ -227,14 +280,14 @@ fn main() -> ExitCode {
         });
     }
 
-    // Multi-word universe: sequential vs item-sharded on the largest size.
+    // Multi-word universes on the largest size.
     let target = if smoke { 400 } else { 6400 };
     let program = sized_program(target);
     let graph = IntervalGraph::from_program(&program).expect("reducible");
     let nodes = graph.num_nodes();
     let problem = random_problem(43, &graph, 256, 0.3);
-    let seq_opts = SolverOptions::default();
-    let ns = median_ns(runs, || solve(&graph, &problem, &seq_opts));
+    let opts = SolverOptions::default();
+    let ns = median_ns(runs, || solve(&graph, &problem, &opts));
     records.push(BenchRecord {
         bench: "solve/256items".to_string(),
         nodes,
@@ -245,41 +298,20 @@ fn main() -> ExitCode {
     let mut scratch = SolverScratch::new();
     let mut out = Solution::default();
     let ns = median_ns(runs, || {
-        solve_batch(&graph, &problem, &seq_opts, &mut scratch, &mut out);
+        solve_batch(&graph, &problem, &opts, &mut scratch, &mut out);
     });
     records.push(BenchRecord {
         bench: "solve_batch/256items".to_string(),
         nodes,
         items: 256,
         ns_per_node: ns / nodes as f64,
-        // Auto shard policy: a 4-word universe is far below the sharding
-        // threshold, so the cached tape replays sequentially.
         threads: 1,
     });
-    let par_opts = SolverOptions {
-        parallelism: 4,
-        ..Default::default()
-    };
-    let ns = median_ns(runs, || solve_par(&graph, &problem, &par_opts));
-    records.push(BenchRecord {
-        bench: "solve_par/256items".to_string(),
-        nodes,
-        items: 256,
-        ns_per_node: ns / nodes as f64,
-        // Shards the planner actually grants, not the request: at 256
-        // items (4 words) the planner refuses to starve threads and runs
-        // sequentially — recording the request here is what hid the
-        // 1936.9-vs-1077.6 ns/node regression this planner fix removed.
-        threads: planned_shards(&par_opts, problem.universe_size),
-    });
+    records.push(like_for_like_direct(runs, &graph, &problem));
+    records.push(like_for_like_tape(runs, &graph, &problem));
 
-    // A universe wide enough that the planner grants shards (32 words /
-    // 8-word minimum = 4), on the same graph. On a multi-core host the
-    // shards run concurrently; on a single-core host they serialize and
-    // the row records the true cost of that choice — the gate pins it
-    // either way so the planner's grant threshold can't silently drift.
     let problem = random_problem(44, &graph, 2048, 0.3);
-    let ns = median_ns(runs, || solve(&graph, &problem, &seq_opts));
+    let ns = median_ns(runs, || solve(&graph, &problem, &opts));
     records.push(BenchRecord {
         bench: "solve/2048items".to_string(),
         nodes,
@@ -287,14 +319,8 @@ fn main() -> ExitCode {
         ns_per_node: ns / nodes as f64,
         threads: 1,
     });
-    let ns = median_ns(runs, || solve_par(&graph, &problem, &par_opts));
-    records.push(BenchRecord {
-        bench: "solve_par/2048items".to_string(),
-        nodes,
-        items: 2048,
-        ns_per_node: ns / nodes as f64,
-        threads: planned_shards(&par_opts, problem.universe_size),
-    });
+    records.push(like_for_like_direct(runs, &graph, &problem));
+    records.push(like_for_like_tape(runs, &graph, &problem));
 
     // End-to-end pipeline cost for a single program: parse → CFG →
     // analyze → solve → generate → lint, scratch checked out of the

@@ -16,7 +16,7 @@ use gnt_bench::{plan_for, rule, KERNELS};
 use gnt_cfg::IntervalGraph;
 use gnt_core::{
     measure_pressure, random_problem, random_program, shift_off_synthetic, solve,
-    solve_with_pressure_limit, GenConfig, SolverOptions,
+    solve_with_pressure_limit_in_place, GenConfig, SolverOptions, SolverScratch,
 };
 use gnt_sim::{simulate, Mode, SimConfig};
 
@@ -157,13 +157,16 @@ fn ablation_pressure() {
         "limit", "max pending", "productions", "steals added"
     );
     rule(48);
+    let mut problem = analysis.read_problem.clone();
+    let mut scratch = SolverScratch::new();
     for limit in [usize::MAX, 4, 2, 1] {
-        let (solution, report) = solve_with_pressure_limit(
+        let (solution, report) = solve_with_pressure_limit_in_place(
             &analysis.graph,
-            &analysis.read_problem,
+            &mut problem,
             &SolverOptions::default(),
             limit,
             64,
+            &mut scratch,
         );
         let max = measure_pressure(&analysis.graph, &solution)
             .into_iter()

@@ -88,7 +88,7 @@ pub fn rule(width: usize) {
 /// the `bench_json` harness emit these).
 #[derive(Clone, Debug)]
 pub struct BenchRecord {
-    /// Benchmark identifier, e.g. `"scaling"` or `"solve_par/256items"`.
+    /// Benchmark identifier, e.g. `"scaling"` or `"solve_batch/256items"`.
     pub bench: String,
     /// Graph size the measurement was taken at.
     pub nodes: usize,
@@ -213,10 +213,9 @@ pub fn read_records_json(path: &Path) -> std::io::Result<Vec<BenchRecord>> {
 /// * duplicates are checked against *all* matches, not the first — a
 ///   stray duplicate row in a hand-edited baseline cannot shadow the
 ///   strict one and let a regression through;
-/// * `threads` is **not** part of the key — the recorded thread count is
-///   whatever the shard planner granted, so a planner change that grants
-///   a different count would otherwise unmatch the record and skip the
-///   gate exactly when it most needs to fire.
+/// * `threads` is **not** part of the key — a change to the recorded
+///   thread count would otherwise unmatch the record and skip the gate
+///   exactly when it most needs to fire.
 pub fn check_against_baseline(
     new: &[BenchRecord],
     baseline: &[BenchRecord],
@@ -308,7 +307,7 @@ mod tests {
                 threads: 1,
             },
             BenchRecord {
-                bench: "solve_par/256items".to_string(),
+                bench: "solve_batch/256items".to_string(),
                 nodes: 9605,
                 items: 256,
                 ns_per_node: 1936.9,

@@ -107,60 +107,6 @@ impl std::ops::BitOr for EdgeMask {
     }
 }
 
-/// A pre-resolved typed-neighbor table: for one edge-class selection,
-/// every node's matching neighbors packed CSR-style (one offsets array,
-/// one flat data array). Built once by [`IntervalGraph::succs_table`] /
-/// [`IntervalGraph::preds_table`], then indexed without any per-visit
-/// edge filtering — the schedule compiler in `gnt-core` lowers the
-/// Figure-15 traversals against these tables so the hot path never
-/// touches an edge-class match again.
-///
-/// Neighbor order is the graph's own edge order, so iterating a table row
-/// visits exactly the nodes `IntervalGraph::succs`/`preds` would yield.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NeighborTable {
-    /// `offsets[n]..offsets[n + 1]` indexes `data` for node `n`.
-    offsets: Vec<u32>,
-    data: Vec<NodeId>,
-}
-
-impl NeighborTable {
-    fn build(edges: &[Vec<(NodeId, EdgeClass)>], mask: EdgeMask) -> NeighborTable {
-        let mut offsets = Vec::with_capacity(edges.len() + 1);
-        let mut data = Vec::new();
-        offsets.push(0);
-        for row in edges {
-            data.extend(
-                row.iter()
-                    .filter(|(_, c)| mask.matches(*c))
-                    .map(|&(m, _)| m),
-            );
-            offsets.push(u32::try_from(data.len()).expect("edge count fits u32"));
-        }
-        NeighborTable { offsets, data }
-    }
-
-    /// The pre-resolved neighbors of `n`.
-    #[inline]
-    pub fn of(&self, n: NodeId) -> &[NodeId] {
-        let (lo, hi) = (
-            self.offsets[n.index()] as usize,
-            self.offsets[n.index() + 1] as usize,
-        );
-        &self.data[lo..hi]
-    }
-
-    /// Number of nodes covered by the table.
-    pub fn num_nodes(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total number of selected edges across all nodes.
-    pub fn num_edges(&self) -> usize {
-        self.data.len()
-    }
-}
-
 /// Errors produced while building an [`IntervalGraph`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GraphError {
@@ -650,20 +596,6 @@ impl IntervalGraph {
             .map(|&(p, _)| p)
     }
 
-    /// Pre-resolves `SUCCS^mask(·)` for every node into a [`NeighborTable`]
-    /// — the one-time edge-class filtering step that lets schedule
-    /// compilers and other repeated traversals index neighbor lists
-    /// without per-visit class dispatch.
-    pub fn succs_table(&self, mask: EdgeMask) -> NeighborTable {
-        NeighborTable::build(&self.succs, mask)
-    }
-
-    /// Pre-resolves `PREDS^mask(·)` for every node (see
-    /// [`IntervalGraph::succs_table`]).
-    pub fn preds_table(&self, mask: EdgeMask) -> NeighborTable {
-        NeighborTable::build(&self.preds, mask)
-    }
-
     /// Nodes in PREORDER (FORWARD ∧ DOWNWARD, §3.4).
     pub fn preorder(&self) -> &[NodeId] {
         &self.preorder
@@ -1031,46 +963,5 @@ mod tests {
         );
         let max_level = g.nodes().map(|n| g.level(n)).max().unwrap();
         assert_eq!(max_level, 4); // innermost body
-    }
-
-    #[test]
-    fn neighbor_tables_match_the_filtering_iterators() {
-        // A shape with every edge class: loops, a branch, a goto out of a
-        // loop (synthetic edge at the header).
-        let g = graph(
-            "do i = 1, N\n  a = 1\n  if t(i) goto 7\n  b = 2\nenddo\n\
-             if test then\n  c = 3\nelse\n  d = 4\nendif\n7 e = 5",
-        );
-        let masks = [
-            EdgeMask::E,
-            EdgeMask::C,
-            EdgeMask::F,
-            EdgeMask::S,
-            EdgeMask::FJ,
-            EdgeMask::FJS,
-            EdgeMask::EF,
-            EdgeMask::CEFJ,
-        ];
-        for mask in masks {
-            let st = g.succs_table(mask);
-            let pt = g.preds_table(mask);
-            assert_eq!(st.num_nodes(), g.num_nodes());
-            for n in g.nodes() {
-                assert_eq!(
-                    st.of(n),
-                    g.succs(n, mask).collect::<Vec<_>>(),
-                    "succs {mask:?} at {n}"
-                );
-                assert_eq!(
-                    pt.of(n),
-                    g.preds(n, mask).collect::<Vec<_>>(),
-                    "preds {mask:?} at {n}"
-                );
-            }
-            assert_eq!(
-                st.num_edges(),
-                g.nodes().map(|n| g.succs(n, mask).count()).sum::<usize>()
-            );
-        }
     }
 }

@@ -46,7 +46,7 @@ pub use dom::{
 };
 pub use dot::{to_dot, DotOverlay};
 pub use graph::{Cfg, NodeId, NodeKind, SynthKind};
-pub use interval::{EdgeClass, EdgeMask, GraphError, IntervalGraph, NeighborTable};
+pub use interval::{EdgeClass, EdgeMask, GraphError, IntervalGraph};
 pub use reverse::reversed_graph;
 pub use scratch::{CfgScratch, CfgScratchPool, PooledCfgScratch};
 

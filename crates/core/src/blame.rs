@@ -342,7 +342,7 @@ impl<'a> BlameEngine<'a> {
     /// # Panics
     ///
     /// Panics if the scratch shape does not match `graph`/`problem`
-    /// (wrong node count or a shard-window solve).
+    /// (wrong node count or universe width).
     pub fn new(
         graph: &'a IntervalGraph,
         problem: &'a PlacementProblem,
@@ -357,7 +357,7 @@ impl<'a> BlameEngine<'a> {
         assert_eq!(
             scratch.universe_bits(),
             problem.universe_size,
-            "scratch must hold a full-universe solve (not a shard window)"
+            "scratch must hold a solve over this universe"
         );
         BlameEngine {
             graph,

@@ -43,9 +43,8 @@
 //! Correct-by-construction fallbacks, all reported via
 //! [`DeltaReport::full_replay`]:
 //!
-//! * the scratch does not hold a prior full-universe replay of the same
-//!   tape (cold scratch, interpreted solve in between, shard-window
-//!   replay, changed universe width);
+//! * the scratch does not hold a prior replay of the same tape (cold
+//!   scratch, a direct solve in between, changed universe width);
 //! * the graph or options changed shape (fingerprint mismatch — this is
 //!   how CFG edits and poison changes are handled: the tape recompiles
 //!   and the first solve is a full replay);
@@ -62,7 +61,7 @@
 
 use crate::problem::{Direction, PlacementProblem, SolverOptions};
 use crate::scratch::{SolverScratch, NUM_FAMILIES, NUM_TEMPS};
-use crate::solver::{check_coverage, window_of, Solution, Window};
+use crate::solver::check_coverage;
 use crate::tape::{ScheduleTape, TapeOp};
 use gnt_cfg::{IntervalGraph, NodeId};
 use std::cmp::Reverse;
@@ -436,12 +435,11 @@ fn push_block(heap: &mut BinaryHeap<Reverse<u32>>, queued: &mut [u64], blk: u32)
 /// Replays only the blocks transitively reachable from the dirty rows,
 /// in tape order, stopping each branch of the propagation as soon as a
 /// block's outputs reproduce their previous bits.
-pub(crate) fn execute_delta_window(
+fn execute_delta(
     tape: &ScheduleTape,
     problem: &PlacementProblem,
     scratch: &mut SolverScratch,
     delta: &DeltaSet,
-    win: Window,
     report: &mut DeltaReport,
 ) {
     let index = tape.delta_index();
@@ -495,18 +493,15 @@ pub(crate) fn execute_delta_window(
                 TapeOp::CopyOrAndNot { dst, a, b, c } => {
                     slab.copy_or_andnot_changed(dst as usize, a as usize, b as usize, c as usize)
                 }
-                TapeOp::LoadTake { dst, node } => slab.load_changed(
-                    dst as usize,
-                    window_of(&problem.take_init[node as usize], &win),
-                ),
-                TapeOp::LoadSteal { dst, node } => slab.load_changed(
-                    dst as usize,
-                    window_of(&problem.steal_init[node as usize], &win),
-                ),
-                TapeOp::LoadGive { dst, node } => slab.load_changed(
-                    dst as usize,
-                    window_of(&problem.give_init[node as usize], &win),
-                ),
+                TapeOp::LoadTake { dst, node } => {
+                    slab.load_changed(dst as usize, problem.take_init[node as usize].words())
+                }
+                TapeOp::LoadSteal { dst, node } => {
+                    slab.load_changed(dst as usize, problem.steal_init[node as usize].words())
+                }
+                TapeOp::LoadGive { dst, node } => {
+                    slab.load_changed(dst as usize, problem.give_init[node as usize].words())
+                }
             };
             if changed {
                 let dst = op_dst(op);
@@ -530,9 +525,8 @@ pub(crate) fn execute_delta_window(
 ///
 /// Requirements for the incremental path (checked at run time; any miss
 /// falls back to a full replay, reported via
-/// [`DeltaReport::full_replay`]): `scratch` must hold a prior
-/// full-universe solve of the same `(graph, opts)` shape and universe
-/// width — i.e. a preceding [`crate::solve_batch_into`] or `solve_delta`
+/// [`DeltaReport::full_replay`]): `scratch` must hold a prior tape
+/// solve of the same `(graph, opts)` shape and universe width — i.e. a preceding [`crate::solve_batch_into`] or `solve_delta`
 /// call — and `problem` may differ from the problem of that solve only
 /// in the rows marked in `delta`. Results are bit-identical to a fresh
 /// [`crate::solve_batch_into`] either way.
@@ -595,40 +589,15 @@ pub(crate) fn solve_delta_dir(
         && scratch.num_nodes() == graph.num_nodes()
         && scratch.universe_bits() == problem.universe_size;
     if incremental {
-        execute_delta_window(
-            &tape,
-            problem,
-            scratch,
-            delta,
-            Window::full(problem.universe_size),
-            &mut report,
-        );
+        execute_delta(&tape, problem, scratch, delta, &mut report);
     } else {
         report.full_replay = true;
         report.blocks_run = report.blocks_total;
         report.ops_run = report.ops_total;
-        tape.execute_window(problem, scratch, Window::full(problem.universe_size));
+        tape.execute_into(problem, scratch);
     }
     scratch.tapes.put(dir, tape);
     report
-}
-
-/// [`solve_delta`] followed by [`SolverScratch::export`]: the
-/// change-driven drop-in for [`crate::solve_batch_with_scratch`].
-///
-/// # Panics
-///
-/// Panics if `problem` does not cover all nodes of `graph`, or a delta
-/// entry names a node outside the graph.
-pub fn solve_delta_with_scratch(
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    scratch: &mut SolverScratch,
-    delta: &DeltaSet,
-) -> (Solution, DeltaReport) {
-    let report = solve_delta(graph, problem, opts, scratch, delta);
-    (scratch.export(), report)
 }
 
 #[cfg(test)]

@@ -74,19 +74,14 @@ pub use after::{solve_after, solve_after_with_scratch, AfterSolution};
 pub use blame::{
     check_chain, Absence, BlameChain, BlameEngine, BlameStep, Reason, Root, Var, WhyNot, WhyNotStep,
 };
-pub use delta::{solve_delta, solve_delta_with_scratch, DeltaKind, DeltaReport, DeltaSet};
+pub use delta::{solve_delta, DeltaKind, DeltaReport, DeltaSet};
 pub use generator::{random_problem, random_program, sized_program, GenConfig};
-pub use pressure::{
-    measure_pressure, solve_with_pressure_limit, solve_with_pressure_limit_in_place, PressureReport,
-};
+pub use pressure::{measure_pressure, solve_with_pressure_limit_in_place, PressureReport};
 pub use problem::{Direction, Flavor, PlacementProblem, SolverOptions};
 pub use scratch::SolverScratch;
 pub use scratch_pool::{PooledScratch, ScratchPool};
 pub use shift::{shift_off_synthetic, ShiftReport};
-pub use solver::{
-    planned_shards, solve, solve_into, solve_par, solve_with_scratch, ConsumptionVars,
-    FlavorSolution, Solution,
-};
+pub use solver::{solve, solve_into, ConsumptionVars, FlavorSolution, Solution};
 pub use tape::{solve_batch, solve_batch_into, solve_batch_with_scratch, ScheduleTape, TapeOp};
 pub use verify::{
     check_balance, check_path, check_sufficiency, enumerate_paths, path_has_zero_trip, Path,

@@ -8,11 +8,11 @@
 //! An item is *in flight* at a program point when the EAGER solution has
 //! produced it but the LAZY one has not yet (a sent-but-unreceived
 //! message, a live temporary). [`measure_pressure`] reports the in-flight
-//! count per node; [`solve_with_pressure_limit`] iteratively inserts
-//! `STEAL_init` at the hottest points to force shorter production regions
-//! until the limit holds — trading hiding (and possibly extra
-//! productions) for bounded buffers, exactly the conflict the paper
-//! describes.
+//! count per node; [`solve_with_pressure_limit_in_place`] iteratively
+//! inserts `STEAL_init` at the hottest points to force shorter
+//! production regions until the limit holds — trading hiding (and
+//! possibly extra productions) for bounded buffers, exactly the conflict
+//! the paper describes.
 //!
 //! The re-solve loop runs entirely inside one [`SolverScratch`] arena:
 //! [`solve_with_pressure_limit_in_place`] mutates `steal_init` in place,
@@ -68,33 +68,11 @@ pub struct PressureReport {
 /// that node, shortening the item's region (and possibly splitting it,
 /// at the cost of extra productions — the paper's stated trade).
 ///
-/// This is a convenience wrapper: it clones `problem` once and delegates
-/// to [`solve_with_pressure_limit_in_place`].
-pub fn solve_with_pressure_limit(
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    max_pending: usize,
-    max_rounds: usize,
-) -> (Solution, PressureReport) {
-    let mut working = problem.clone();
-    let mut scratch = SolverScratch::new();
-    solve_with_pressure_limit_in_place(
-        graph,
-        &mut working,
-        opts,
-        max_pending,
-        max_rounds,
-        &mut scratch,
-    )
-}
-
-/// The allocation-thrifty core of [`solve_with_pressure_limit`]: mutates
-/// `problem.steal_init` in place across the re-solve rounds (reusing
-/// `scratch` so rounds after the first allocate nothing) and rolls every
-/// inserted steal back before returning, leaving `problem` exactly as it
-/// was. The returned [`Solution`] is the one exported from the final
-/// round, i.e. it reflects the inserted steals.
+/// The rounds mutate `problem.steal_init` in place (reusing `scratch`,
+/// so rounds after the first allocate nothing) and every inserted steal
+/// is rolled back before returning, leaving `problem` exactly as it was.
+/// The returned [`Solution`] is the one exported from the final round,
+/// i.e. it reflects the inserted steals.
 pub fn solve_with_pressure_limit_in_place(
     graph: &IntervalGraph,
     problem: &mut PlacementProblem,
@@ -192,6 +170,25 @@ mod tests {
         (g, problem)
     }
 
+    /// The pressure loop on a fresh scratch and a copy of `p`.
+    fn limit(
+        g: &IntervalGraph,
+        p: &PlacementProblem,
+        max_pending: usize,
+        max_rounds: usize,
+    ) -> (Solution, PressureReport) {
+        let mut working = p.clone();
+        let mut scratch = SolverScratch::new();
+        solve_with_pressure_limit_in_place(
+            g,
+            &mut working,
+            &SolverOptions::default(),
+            max_pending,
+            max_rounds,
+            &mut scratch,
+        )
+    }
+
     #[test]
     fn unlimited_solve_pipelines_everything() {
         let (g, p) = chain(6);
@@ -203,7 +200,7 @@ mod tests {
     #[test]
     fn pressure_limit_is_enforced_and_solution_stays_correct() {
         let (g, p) = chain(6);
-        let (s, report) = solve_with_pressure_limit(&g, &p, &SolverOptions::default(), 2, 32);
+        let (s, report) = limit(&g, &p, 2, 32);
         assert!(report.final_max <= 2, "{report:?}");
         assert!(report.steals_inserted > 0);
         assert!(check_sufficiency(&g, &p, &s.eager, true).is_empty());
@@ -214,7 +211,7 @@ mod tests {
     #[test]
     fn generous_limit_changes_nothing() {
         let (g, p) = chain(4);
-        let (s, report) = solve_with_pressure_limit(&g, &p, &SolverOptions::default(), 10, 32);
+        let (s, report) = limit(&g, &p, 10, 32);
         assert_eq!(report.steals_inserted, 0);
         assert_eq!(report.rounds, 0);
         assert_eq!(s.eager.num_productions(), 4);
@@ -237,7 +234,7 @@ mod tests {
         for i in 0..3 {
             p.take(consumer, i);
         }
-        let (s, report) = solve_with_pressure_limit(&g, &p, &SolverOptions::default(), 0, 8);
+        let (s, report) = limit(&g, &p, 0, 8);
         assert!(report.rounds <= 8);
         assert!(check_sufficiency(&g, &p, &s.eager, true).is_empty());
     }
@@ -245,7 +242,7 @@ mod tests {
     #[test]
     fn pressure_rounds_are_served_incrementally() {
         let (g, p) = chain(6);
-        let (_, report) = solve_with_pressure_limit(&g, &p, &SolverOptions::default(), 2, 32);
+        let (_, report) = limit(&g, &p, 2, 32);
         assert!(report.rounds > 0);
         assert_eq!(
             report.delta_rounds, report.rounds,
@@ -270,8 +267,8 @@ mod tests {
         // The problem is restored bit-for-bit despite the in-place rounds.
         assert_eq!(working, p);
         assert!(report.final_max <= 2);
-        // And the reused-scratch result matches the wrapper's.
-        let (s2, _) = solve_with_pressure_limit(&g, &p, &SolverOptions::default(), 2, 32);
+        // And the reused-scratch result matches a fresh scratch's.
+        let (s2, _) = limit(&g, &p, 2, 32);
         assert_eq!(s, s2);
     }
 }

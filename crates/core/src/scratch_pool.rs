@@ -20,9 +20,8 @@
 //! only costs a recompile.
 //!
 //! [`ScratchPool::global`] is the process-wide instance used by the
-//! sharded tape executor and the batch lint front-end in `gnt-analyze`;
-//! steady-state batch runs allocate nothing once every worker has warmed
-//! a scratch.
+//! batch lint front-end in `gnt-analyze`; steady-state batch runs
+//! allocate nothing once every worker has warmed a scratch.
 
 use crate::scratch::SolverScratch;
 use std::ops::{Deref, DerefMut};
@@ -66,9 +65,9 @@ impl ScratchPool {
         ScratchPool::default()
     }
 
-    /// The process-wide pool shared by the sharded tape executor and the
-    /// batch lint front-end. Its population converges on the maximum
-    /// number of concurrently checked-out scratches (≈ fan-out width).
+    /// The process-wide pool used by the batch lint front-end. Its
+    /// population converges on the maximum number of concurrently
+    /// checked-out scratches (≈ fan-out width).
     pub fn global() -> &'static ScratchPool {
         static POOL: OnceLock<ScratchPool> = OnceLock::new();
         POOL.get_or_init(ScratchPool::new)
@@ -190,7 +189,7 @@ mod tests {
             let mut warm = pool.checkout();
             let mut warm_out = Solution::default();
             solve_batch(&graph, &problem, &opts, &mut warm, &mut warm_out);
-            assert_eq!(warm_out, expected, "seed {seed}: warm vs interpreted");
+            assert_eq!(warm_out, expected, "seed {seed}: warm vs direct");
             assert_eq!(warm_out, cold_out, "seed {seed}: warm vs cold tape");
         }
         assert_eq!(pool.created(), 1, "one worker's traffic needs one scratch");

@@ -1,7 +1,7 @@
 //! The GIVE-N-TAKE equations (Figure 13) and the four-pass elimination
 //! schedule that solves them (Figure 15).
 //!
-//! The solver evaluates every equation exactly once per node:
+//! [`schedule`] evaluates every equation exactly once per node:
 //!
 //! 1. walking the graph in REVERSEPREORDER, it evaluates Equations 9–10
 //!    for the children of each interval header (in FORWARD order) and then
@@ -16,13 +16,14 @@
 //! # Data plane
 //!
 //! All variables live in a [`SolverScratch`] arena (one contiguous word
-//! vector, one strided row per `(family, node)` pair) and every equation
-//! is evaluated by fused word-level kernels — no per-equation temporaries,
-//! no allocation inside the passes. Because every kernel is word-wise
-//! (bit `i` of any output depends only on bit `i` of the inputs) and the
-//! schedule never branches on set *contents*, the item universe can be
-//! partitioned into word-aligned shards and each shard solved completely
-//! independently with bit-identical results — see [`solve_par`].
+//! vector, one strided row per `(family, node)` pair). The schedule never
+//! branches on set *contents*, only on the graph and the hoisting
+//! options, so it is written once against the [`Kernels`] trait and run
+//! by two backends: the direct backend here applies fused word-level
+//! kernels as it walks ([`solve`], [`solve_into`]), and the recording
+//! backend of [`crate::ScheduleTape::compile`] records the same calls as
+//! a replayable op stream (the `solve_batch*`, AFTER, delta and pressure
+//! paths). No per-equation temporaries, no allocation inside the passes.
 
 use crate::problem::{Flavor, PlacementProblem, SolverOptions};
 use crate::scratch::{
@@ -31,7 +32,7 @@ use crate::scratch::{
     F_TAKE_LOC, NUM_FAMILIES,
 };
 use gnt_cfg::{EdgeMask, IntervalGraph, NodeId};
-use gnt_dataflow::BitSet;
+use gnt_dataflow::{BitSet, BitSlab};
 
 /// The consumption-analysis variables of §4.2–4.3 (identical for both
 /// flavors), exposed for inspection, verification, and the golden tests
@@ -135,10 +136,9 @@ impl Solution {
 
     /// Re-shapes `self` for `n` nodes × `cap` items *without zeroing* rows
     /// whose capacity already matches: callers guarantee every word of
-    /// every row is about to be overwritten (shard windows partition the
-    /// universe), so stale contents never survive. This is the reuse fast
-    /// path of [`crate::solve_batch`] — a warm output buffer costs no
-    /// allocation and no clearing.
+    /// every row is about to be overwritten, so stale contents never
+    /// survive. This is the reuse fast path of [`crate::solve_batch`] — a
+    /// warm output buffer costs no allocation and no clearing.
     pub(crate) fn reshape_for_overwrite(&mut self, n: usize, cap: usize) {
         let shape = |sets: &mut Vec<BitSet>| {
             sets.resize_with(n, || BitSet::new(cap));
@@ -186,97 +186,135 @@ impl Default for Solution {
     }
 }
 
-const WORD_BITS: usize = 64;
-
-/// In auto mode (`parallelism == 0`), [`solve`] only shards when every
-/// shard gets at least this many words — below that, thread spawn costs
-/// dominate and the sequential arena path wins.
-const AUTO_WORDS_PER_SHARD: usize = 16;
-
-/// Words-per-shard floor for *forced* parallelism ([`solve_par`], or an
-/// explicit `parallelism ≥ 2`). Shards below this width do too little
-/// kernel work to amortise their thread spawn and stitch: the committed
-/// BENCH_solver.json once recorded `solve_par` at 256 items / 4 threads
-/// (4 shards × 1 word) running 1.8× *slower* than sequential
-/// (1936.9 vs 1077.6 ns/node at 9605 nodes). With an 8-word floor that
-/// configuration falls back to the sequential path and forced parallelism
-/// can never lose to it; the floor is half [`AUTO_WORDS_PER_SHARD`]
-/// because an explicit request tolerates a smaller win margin than the
-/// automatic heuristic should.
-const MIN_WORDS_PER_SHARD: usize = 8;
-
-/// A word window of the item universe: one shard solves columns
-/// `[64·word0, 64·word0 + bits)` of every variable.
+/// Which initial variable a [`Kernels::load`] reads.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Window {
-    pub(crate) word0: usize,
-    pub(crate) words: usize,
-    pub(crate) bits: usize,
+pub(crate) enum Init {
+    /// `TAKE_init`.
+    Take,
+    /// `STEAL_init`.
+    Steal,
+    /// `GIVE_init`.
+    Give,
 }
 
-impl Window {
-    pub(crate) fn full(cap: usize) -> Window {
-        Window {
-            word0: 0,
-            words: cap.div_ceil(WORD_BITS),
-            bits: cap,
-        }
+/// The set algebra the schedule is written against, over arena row ids
+/// (`family · n + node`, or one of the two temporaries). The direct
+/// backend applies each call to a [`BitSlab`] at once; the recording
+/// backend of [`crate::ScheduleTape::compile`] pushes it as a
+/// [`crate::TapeOp`]. The three fused operations default to their
+/// unfused expansion, which is what the recorder emits ahead of its
+/// peephole fuser.
+pub(crate) trait Kernels {
+    /// `dst ← ∅`.
+    fn clear(&mut self, dst: usize);
+    /// `dst ← ⊤`.
+    fn fill(&mut self, dst: usize);
+    /// `dst ← a`.
+    fn copy(&mut self, dst: usize, a: usize);
+    /// `dst ← dst ∪ a`.
+    fn or(&mut self, dst: usize, a: usize);
+    /// `dst ← dst ∩ a`.
+    fn and(&mut self, dst: usize, a: usize);
+    /// `dst ← dst ∖ a`.
+    fn andnot(&mut self, dst: usize, a: usize);
+    /// `dst ← dst ∪ (a ∖ b)`.
+    fn or_andnot(&mut self, dst: usize, a: usize, b: usize);
+    /// `dst ← init(node)`, the problem's initial variable.
+    fn load(&mut self, dst: usize, init: Init, node: usize);
+
+    /// `dst ← a ∪ b`.
+    fn copy_or(&mut self, dst: usize, a: usize, b: usize) {
+        self.copy(dst, a);
+        self.or(dst, b);
+    }
+
+    /// `dst ← a ∖ b`.
+    fn copy_andnot(&mut self, dst: usize, a: usize, b: usize) {
+        self.copy(dst, a);
+        self.andnot(dst, b);
+    }
+
+    /// `dst ← (a ∪ b) ∖ c`.
+    fn copy_or_andnot(&mut self, dst: usize, a: usize, b: usize, c: usize) {
+        self.copy(dst, a);
+        self.or(dst, b);
+        self.andnot(dst, c);
     }
 }
 
-fn threads_available() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+/// The direct backend: fused slab kernels over the scratch arena, with
+/// the problem's initial variables loaded as the walk reaches them.
+struct Direct<'a> {
+    slab: &'a mut BitSlab,
+    problem: &'a PlacementProblem,
 }
 
-/// How many word shards to use. `force` is the [`solve_par`] entry; the
-/// pure planning rule lives in [`plan_shards`].
-pub(crate) fn shard_count(opts: &SolverOptions, words: usize, force: bool) -> usize {
-    let avail = threads_available();
-    let requested = match opts.parallelism {
-        0 => avail,
-        p => p,
-    };
-    plan_shards(requested, avail, words, force || opts.parallelism >= 2)
-}
+impl Kernels for Direct<'_> {
+    #[inline]
+    fn clear(&mut self, dst: usize) {
+        self.slab.clear(dst);
+    }
 
-/// The shard planner: how many word-aligned shards `requested` threads
-/// get over a `words`-wide universe with `avail` hardware threads.
-/// Forced parallelism applies the [`MIN_WORDS_PER_SHARD`] floor, auto
-/// mode the stricter [`AUTO_WORDS_PER_SHARD`] threshold; either way a
-/// plan of `1` means the sequential path runs.
-///
-/// The plan never exceeds `avail`, explicit request or not: shards run
-/// on spawned threads, so planning past the hardware serializes them
-/// and adds spawn/stitch overhead for nothing. The committed benchmark
-/// caught exactly this — `solve_par` at 2048 items (32 words, clearing
-/// the word floor at 4 shards) ran 18% slower than sequential on a
-/// single-core host (9294 vs 7904 ns/node) until the plan was gated on
-/// [`threads_available`].
-fn plan_shards(requested: usize, avail: usize, words: usize, force: bool) -> usize {
-    let per_shard = if force {
-        MIN_WORDS_PER_SHARD
-    } else {
-        AUTO_WORDS_PER_SHARD
-    };
-    requested.min(avail).min(words / per_shard).max(1)
-}
+    #[inline]
+    fn fill(&mut self, dst: usize) {
+        self.slab.fill(dst);
+    }
 
-/// The number of shards [`solve_par`] would actually run for this options
-/// and universe size — `1` means it falls back to the sequential path.
-/// Benchmarks and tests use this to report or pin the planner's decision.
-pub fn planned_shards(opts: &SolverOptions, universe_size: usize) -> usize {
-    shard_count(opts, universe_size.div_ceil(WORD_BITS), true)
+    #[inline]
+    fn copy(&mut self, dst: usize, a: usize) {
+        self.slab.copy(dst, a);
+    }
+
+    #[inline]
+    fn or(&mut self, dst: usize, a: usize) {
+        self.slab.or(dst, a);
+    }
+
+    #[inline]
+    fn and(&mut self, dst: usize, a: usize) {
+        self.slab.and(dst, a);
+    }
+
+    #[inline]
+    fn andnot(&mut self, dst: usize, a: usize) {
+        self.slab.andnot(dst, a);
+    }
+
+    #[inline]
+    fn or_andnot(&mut self, dst: usize, a: usize, b: usize) {
+        self.slab.or_andnot(dst, a, b);
+    }
+
+    #[inline]
+    fn load(&mut self, dst: usize, init: Init, node: usize) {
+        let sets = match init {
+            Init::Take => &self.problem.take_init,
+            Init::Steal => &self.problem.steal_init,
+            Init::Give => &self.problem.give_init,
+        };
+        self.slab.load(dst, sets[node].words());
+    }
+
+    #[inline]
+    fn copy_or(&mut self, dst: usize, a: usize, b: usize) {
+        self.slab.copy_or(dst, a, b);
+    }
+
+    #[inline]
+    fn copy_andnot(&mut self, dst: usize, a: usize, b: usize) {
+        self.slab.copy_andnot(dst, a, b);
+    }
+
+    #[inline]
+    fn copy_or_andnot(&mut self, dst: usize, a: usize, b: usize, c: usize) {
+        self.slab.copy_or_andnot(dst, a, b, c);
+    }
 }
 
 /// Solves a BEFORE problem over `graph`.
 ///
 /// For AFTER problems use [`crate::solve_after`], which runs this solver
 /// on the reversed graph.
-///
-/// Honors [`SolverOptions::parallelism`]: with an explicit knob ≥ 2 (or
-/// in auto mode on a universe large enough to amortise thread spawns) the
-/// solve is item-sharded exactly like [`solve_par`], with bit-identical
-/// results.
 ///
 /// # Panics
 ///
@@ -299,26 +337,14 @@ pub fn planned_shards(opts: &SolverOptions, universe_size: usize) -> usize {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn solve(graph: &IntervalGraph, problem: &PlacementProblem, opts: &SolverOptions) -> Solution {
-    check_coverage(graph, problem);
-    let words = problem.universe_size.div_ceil(WORD_BITS);
-    let shards = shard_count(opts, words, false);
-    if shards > 1 {
-        return solve_sharded(graph, problem, opts, shards);
-    }
     let mut scratch = SolverScratch::new();
-    solve_core(
-        graph,
-        problem,
-        opts,
-        &mut scratch,
-        Window::full(problem.universe_size),
-    );
+    solve_into(graph, problem, opts, &mut scratch);
     scratch.export()
 }
 
-/// Solves sequentially into a caller-provided [`SolverScratch`], leaving
-/// every Figure-13 variable readable in place (zero-copy views, no
-/// allocation after warm-up). Use this for re-solve loops; call
+/// Solves into a caller-provided [`SolverScratch`], leaving every
+/// Figure-13 variable readable in place (zero-copy views, no allocation
+/// after warm-up). Use this for re-solve loops; call
 /// [`SolverScratch::export`] when an owned [`Solution`] is needed.
 ///
 /// # Panics
@@ -331,88 +357,12 @@ pub fn solve_into(
     scratch: &mut SolverScratch,
 ) {
     check_coverage(graph, problem);
-    solve_core(
-        graph,
+    scratch.prepare(graph.num_nodes(), problem.universe_size);
+    let mut direct = Direct {
+        slab: &mut scratch.slab,
         problem,
-        opts,
-        scratch,
-        Window::full(problem.universe_size),
-    );
-}
-
-/// [`solve_into`] followed by [`SolverScratch::export`]: the drop-in
-/// replacement for [`solve`] when a scratch is being reused across calls.
-///
-/// # Panics
-///
-/// Panics if `problem` does not cover all nodes of `graph`.
-pub fn solve_with_scratch(
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    scratch: &mut SolverScratch,
-) -> Solution {
-    solve_into(graph, problem, opts, scratch);
-    scratch.export()
-}
-
-/// Item-sharded parallel solve: compiles the schedule tape for `graph`
-/// ([`crate::ScheduleTape`]), partitions the universe into word-aligned
-/// chunks, replays the tape per chunk on its own thread, and stitches the
-/// windows back together. Sharding is thus a tape-execution *policy*; the
-/// per-shard work is the same compiled op sequence the sequential batched
-/// solver replays. Callers that solve repeatedly should prefer
-/// [`crate::solve_batch`], which additionally caches the tape and the
-/// output buffer across calls.
-///
-/// Because every kernel is word-parallel and the schedule is
-/// data-independent, the result is **bit-identical** to the sequential
-/// [`solve`] (the differential proptests lock this). The shard count
-/// comes from [`SolverOptions::parallelism`] (`0` = one shard per
-/// available core) clamped to the host's hardware threads and so that
-/// every shard covers at least [`MIN_WORDS_PER_SHARD`] words of the
-/// universe; universes too narrow to give each thread that much kernel
-/// work (≤ 1023 items for two shards) fall back to the sequential path,
-/// which is faster there — see [`planned_shards`] for the decision.
-///
-/// # Panics
-///
-/// Panics if `problem` does not cover all nodes of `graph`.
-pub fn solve_par(
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-) -> Solution {
-    check_coverage(graph, problem);
-    let words = problem.universe_size.div_ceil(WORD_BITS);
-    let shards = shard_count(opts, words, true);
-    if shards > 1 {
-        // Compile once, replay per shard: the compile cost is amortised
-        // over `shards` windows of kernel work.
-        let tape = crate::tape::ScheduleTape::compile(graph, opts);
-        let mut out = Solution::empty(graph.num_nodes(), problem.universe_size);
-        crate::tape::execute_sharded(&tape, problem, shards, &mut out);
-        out
-    } else {
-        // Universe too narrow to shard: the planner declines rather than
-        // starve every thread below MIN_WORDS_PER_SHARD of kernel work.
-        // The fallback engine is the interpreter, measured, not assumed:
-        // at a 4-word universe a one-shot tape compile+replay costs ≈3×
-        // an interpreted solve (the compile is per-op work that only pays
-        // off cached across calls — `solve_batch` — or amortised over
-        // shards), so `solve_par` on a narrow universe is deliberately
-        // the same cost as `solve`, and the bench JSON records the
-        // granted shard count (1) rather than the request.
-        let mut scratch = SolverScratch::new();
-        solve_core(
-            graph,
-            problem,
-            opts,
-            &mut scratch,
-            Window::full(problem.universe_size),
-        );
-        scratch.export()
-    }
+    };
+    schedule(graph, opts, &mut direct);
 }
 
 pub(crate) fn check_coverage(graph: &IntervalGraph, problem: &PlacementProblem) {
@@ -423,85 +373,34 @@ pub(crate) fn check_coverage(graph: &IntervalGraph, problem: &PlacementProblem) 
     );
 }
 
-/// Partitions a `cap`-bit universe into `shards` word-aligned windows:
-/// an even word split where the first `total_words % shards` shards get
-/// one extra word. Shared by the interpreted sharded solve and the tape
-/// executor ([`crate::tape`]), so both stitch identical windows.
-pub(crate) fn windows_for(cap: usize, shards: usize) -> Vec<Window> {
-    let total_words = cap.div_ceil(WORD_BITS);
-    debug_assert!(shards >= 2 && shards <= total_words);
-    let base = total_words / shards;
-    let rem = total_words % shards;
-    let mut windows = Vec::with_capacity(shards);
-    let mut word0 = 0usize;
-    for k in 0..shards {
-        let words = base + usize::from(k < rem);
-        let bits = if word0 + words == total_words {
-            cap - word0 * WORD_BITS
-        } else {
-            words * WORD_BITS
-        };
-        windows.push(Window { word0, words, bits });
-        word0 += words;
-    }
-    windows
+/// Whether `h`'s `STEAL` is forced to ⊤: poisoned on the graph, or
+/// hoisting disabled by the solver options.
+///
+/// Headers where the *user* disabled hoisting (zero-trip safety, §3.2 C2
+/// / §4.1) follow the paper's suggested mechanism and get
+/// `STEAL_init = ⊤`: nothing is hoisted out of the loop, nothing
+/// survives across it, so both placement flavors stay inside the loop
+/// and remain balanced, and downstream consumers get their own
+/// production even on zero-trip paths. Headers poisoned on the graph
+/// get the same treatment.
+pub(crate) fn effective_poison(graph: &IntervalGraph, opts: &SolverOptions, h: NodeId) -> bool {
+    graph.is_poisoned(h)
+        || opts.no_hoist_headers.contains(&h)
+        || (opts.no_zero_trip_hoist && graph.is_loop_header(h))
 }
 
-fn solve_sharded(
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    shards: usize,
-) -> Solution {
-    let cap = problem.universe_size;
-    let windows = windows_for(cap, shards);
-
-    let scratches = gnt_dataflow::global_pool().map(&windows, |&win| {
-        let mut scratch = SolverScratch::new();
-        solve_core(graph, problem, opts, &mut scratch, win);
-        scratch
-    });
-
-    let mut solution = Solution::empty(graph.num_nodes(), cap);
-    for (scratch, win) in scratches.iter().zip(&windows) {
-        scratch.write_into(&mut solution, win.word0);
-    }
-    solution
-}
-
-#[inline]
-pub(crate) fn window_of<'a>(set: &'a BitSet, win: &Window) -> &'a [u64] {
-    &set.words()[win.word0..win.word0 + win.words]
-}
-
-/// Runs the four-pass schedule over one word window of the universe,
-/// leaving every variable in `scratch`. This is the entire data plane:
-/// all set algebra below is fused slab kernels over arena rows.
-fn solve_core(
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    scratch: &mut SolverScratch,
-    win: Window,
-) {
+/// The four-pass schedule of Figure 15 over arena rows, issued to `k`.
+/// Both backends run exactly this walk, so the direct solve and every
+/// compiled tape evaluate the same equations in the same order.
+///
+/// Kept out of line: inlined into [`solve_into`], the direct backend
+/// measured about 4 % slower at 16 items.
+#[inline(never)]
+pub(crate) fn schedule<K: Kernels>(graph: &IntervalGraph, opts: &SolverOptions, k: &mut K) {
     let n = graph.num_nodes();
-    scratch.prepare(n, win.bits);
-    let slab = &mut scratch.slab;
     let fam = |f: usize, i: usize| f * n + i;
     let tmp0 = NUM_FAMILIES * n;
     let tmp1 = tmp0 + 1;
-
-    // Headers where the *user* disabled hoisting (zero-trip safety, §3.2
-    // C2 / §4.1). Following the paper's suggested mechanism, these get
-    // STEAL_init = ⊤: nothing is hoisted out of the loop, nothing
-    // survives across it, so both placement flavors stay inside the loop
-    // and remain balanced, and downstream consumers get their own
-    // production even on zero-trip paths.
-    let user_no_hoist = |h: NodeId| -> bool {
-        opts.no_hoist_headers.contains(&h) || (opts.no_zero_trip_hoist && graph.is_loop_header(h))
-    };
-    // Headers explicitly poisoned on the graph get the same treatment.
-    let poisoned = |h: NodeId| -> bool { graph.is_poisoned(h) || user_no_hoist(h) };
 
     // ---- Pass 1: S2 (Eqs. 9–10) per header's children, then S1
     // (Eqs. 1–8), in REVERSEPREORDER. -------------------------------------
@@ -511,127 +410,125 @@ fn solve_core(
             let ci = c.index();
             // Eq. 9: GIVE_loc(c) =
             //   (GIVE(c) ∪ TAKE(c) ∪ ∩_{p ∈ PREDS^FJ} GIVE_loc(p)) − STEAL(c)
-            slab.copy_or(tmp0, fam(F_GIVE, ci), fam(F_TAKE, ci));
+            k.copy_or(tmp0, fam(F_GIVE, ci), fam(F_TAKE, ci));
             let mut first = true;
             for p in graph.preds(c, EdgeMask::FJ) {
                 if first {
-                    slab.copy(tmp1, fam(F_GIVE_LOC, p.index()));
+                    k.copy(tmp1, fam(F_GIVE_LOC, p.index()));
                     first = false;
                 } else {
-                    slab.and(tmp1, fam(F_GIVE_LOC, p.index()));
+                    k.and(tmp1, fam(F_GIVE_LOC, p.index()));
                 }
             }
             if !first {
-                slab.or(tmp0, tmp1);
+                k.or(tmp0, tmp1);
             }
-            slab.copy_andnot(fam(F_GIVE_LOC, ci), tmp0, fam(F_STEAL, ci));
+            k.copy_andnot(fam(F_GIVE_LOC, ci), tmp0, fam(F_STEAL, ci));
 
             // Eq. 10: STEAL_loc(c) = STEAL(c)
             //   ∪ ⋃_{p ∈ PREDS^FJ} (STEAL_loc(p) − GIVE_loc(p))
             //   ∪ ⋃_{p ∈ PREDS^S} STEAL_loc(p)
-            slab.copy(tmp0, fam(F_STEAL, ci));
+            k.copy(tmp0, fam(F_STEAL, ci));
             for p in graph.preds(c, EdgeMask::FJ) {
-                slab.or_andnot(
+                k.or_andnot(
                     tmp0,
                     fam(F_STEAL_LOC, p.index()),
                     fam(F_GIVE_LOC, p.index()),
                 );
             }
             for p in graph.preds(c, EdgeMask::S) {
-                slab.or(tmp0, fam(F_STEAL_LOC, p.index()));
+                k.or(tmp0, fam(F_STEAL_LOC, p.index()));
             }
-            slab.copy(fam(F_STEAL_LOC, ci), tmp0);
+            k.copy(fam(F_STEAL_LOC, ci), tmp0);
         }
 
         // Eq. 1 / Eq. 2: fold in the interval summary via LASTCHILD.
-        if poisoned(node) {
-            slab.fill(fam(F_STEAL, ni));
+        let poisoned = effective_poison(graph, opts, node);
+        if poisoned {
+            k.fill(fam(F_STEAL, ni));
         } else {
-            slab.load(fam(F_STEAL, ni), window_of(&problem.steal_init[ni], &win));
+            k.load(fam(F_STEAL, ni), Init::Steal, ni);
         }
-        slab.load(fam(F_GIVE, ni), window_of(&problem.give_init[ni], &win));
+        k.load(fam(F_GIVE, ni), Init::Give, ni);
         if let Some(lc) = graph.last_child(node) {
-            slab.or(fam(F_STEAL, ni), fam(F_STEAL_LOC, lc.index()));
-            slab.or(fam(F_GIVE, ni), fam(F_GIVE_LOC, lc.index()));
+            k.or(fam(F_STEAL, ni), fam(F_STEAL_LOC, lc.index()));
+            k.or(fam(F_GIVE, ni), fam(F_GIVE_LOC, lc.index()));
         }
 
         // Eq. 3: BLOCK(n) = STEAL ∪ GIVE ∪ ⋃_{s ∈ SUCCS^E} BLOCK_loc(s)
-        slab.copy_or(fam(F_BLOCK, ni), fam(F_STEAL, ni), fam(F_GIVE, ni));
+        k.copy_or(fam(F_BLOCK, ni), fam(F_STEAL, ni), fam(F_GIVE, ni));
         for s in graph.succs(node, EdgeMask::E) {
-            slab.or(fam(F_BLOCK, ni), fam(F_BLOCK_LOC, s.index()));
+            k.or(fam(F_BLOCK, ni), fam(F_BLOCK_LOC, s.index()));
         }
 
         // Eq. 4: TAKEN_out(n) = ∩_{s ∈ SUCCS^FJS} TAKEN_in(s)
         let mut first = true;
         for s in graph.succs(node, EdgeMask::FJS) {
             if first {
-                slab.copy(fam(F_TAKEN_OUT, ni), fam(F_TAKEN_IN, s.index()));
+                k.copy(fam(F_TAKEN_OUT, ni), fam(F_TAKEN_IN, s.index()));
                 first = false;
             } else {
-                slab.and(fam(F_TAKEN_OUT, ni), fam(F_TAKEN_IN, s.index()));
+                k.and(fam(F_TAKEN_OUT, ni), fam(F_TAKEN_IN, s.index()));
             }
         }
         if first {
-            slab.clear(fam(F_TAKEN_OUT, ni));
+            k.clear(fam(F_TAKEN_OUT, ni));
         }
 
         // Eq. 5: TAKE(n) = TAKE_init
         //   ∪ (⋃_{s ∈ SUCCS^E} TAKEN_in(s) − STEAL(n))
         //   ∪ ((TAKEN_out(n) ∩ ⋃_{s ∈ SUCCS^E} TAKE_loc(s)) − BLOCK(n))
-        slab.load(fam(F_TAKE, ni), window_of(&problem.take_init[ni], &win));
-        if !poisoned(node) {
-            slab.clear(tmp0);
+        k.load(fam(F_TAKE, ni), Init::Take, ni);
+        if !poisoned {
+            k.clear(tmp0);
             for s in graph.succs(node, EdgeMask::E) {
-                slab.or(tmp0, fam(F_TAKEN_IN, s.index()));
+                k.or(tmp0, fam(F_TAKEN_IN, s.index()));
             }
-            slab.or_andnot(fam(F_TAKE, ni), tmp0, fam(F_STEAL, ni));
+            k.or_andnot(fam(F_TAKE, ni), tmp0, fam(F_STEAL, ni));
 
-            slab.clear(tmp0);
+            k.clear(tmp0);
             for s in graph.succs(node, EdgeMask::E) {
-                slab.or(tmp0, fam(F_TAKE_LOC, s.index()));
+                k.or(tmp0, fam(F_TAKE_LOC, s.index()));
             }
-            slab.and(tmp0, fam(F_TAKEN_OUT, ni));
-            slab.andnot(tmp0, fam(F_BLOCK, ni));
-            slab.or(fam(F_TAKE, ni), tmp0);
+            k.and(tmp0, fam(F_TAKEN_OUT, ni));
+            k.andnot(tmp0, fam(F_BLOCK, ni));
+            k.or(fam(F_TAKE, ni), tmp0);
         }
 
         // Eq. 6: TAKEN_in(n) = TAKE(n) ∪ (TAKEN_out(n) − BLOCK(n))
-        slab.copy_andnot(fam(F_TAKEN_IN, ni), fam(F_TAKEN_OUT, ni), fam(F_BLOCK, ni));
-        slab.or(fam(F_TAKEN_IN, ni), fam(F_TAKE, ni));
+        k.copy_andnot(fam(F_TAKEN_IN, ni), fam(F_TAKEN_OUT, ni), fam(F_BLOCK, ni));
+        k.or(fam(F_TAKEN_IN, ni), fam(F_TAKE, ni));
 
         // Eq. 7: BLOCK_loc(n) = (BLOCK(n) ∪ ⋃_{s ∈ SUCCS^F} BLOCK_loc(s))
         //                        − TAKE(n)
-        slab.copy(fam(F_BLOCK_LOC, ni), fam(F_BLOCK, ni));
+        k.copy(fam(F_BLOCK_LOC, ni), fam(F_BLOCK, ni));
         for s in graph.succs(node, EdgeMask::F) {
-            slab.or(fam(F_BLOCK_LOC, ni), fam(F_BLOCK_LOC, s.index()));
+            k.or(fam(F_BLOCK_LOC, ni), fam(F_BLOCK_LOC, s.index()));
         }
-        slab.andnot(fam(F_BLOCK_LOC, ni), fam(F_TAKE, ni));
+        k.andnot(fam(F_BLOCK_LOC, ni), fam(F_TAKE, ni));
 
         // Eq. 8: TAKE_loc(n) = TAKE(n)
         //   ∪ (⋃_{s ∈ SUCCS^EF} TAKE_loc(s) − BLOCK(n))
-        slab.clear(fam(F_TAKE_LOC, ni));
+        k.clear(fam(F_TAKE_LOC, ni));
         for s in graph.succs(node, EdgeMask::EF) {
-            slab.or(fam(F_TAKE_LOC, ni), fam(F_TAKE_LOC, s.index()));
+            k.or(fam(F_TAKE_LOC, ni), fam(F_TAKE_LOC, s.index()));
         }
-        slab.andnot(fam(F_TAKE_LOC, ni), fam(F_BLOCK, ni));
-        slab.or(fam(F_TAKE_LOC, ni), fam(F_TAKE, ni));
+        k.andnot(fam(F_TAKE_LOC, ni), fam(F_BLOCK, ni));
+        k.or(fam(F_TAKE_LOC, ni), fam(F_TAKE, ni));
     }
 
     // ---- Passes 2–3: S3 (Eqs. 11–13) in PREORDER, then S4 (Eqs. 14–15),
     // once per flavor. -----------------------------------------------------
-    place_pass(graph, slab, n, tmp0, Flavor::Eager);
-    place_pass(graph, slab, n, tmp0, Flavor::Lazy);
+    place(graph, k, Flavor::Eager);
+    place(graph, k, Flavor::Lazy);
 }
 
-fn place_pass(
-    graph: &IntervalGraph,
-    slab: &mut gnt_dataflow::BitSlab,
-    n: usize,
-    tmp0: usize,
-    flavor: Flavor,
-) {
-    let off = flavor_offset(flavor);
+/// Passes 2–3 of [`schedule`] for one flavor.
+fn place<K: Kernels>(graph: &IntervalGraph, k: &mut K, flavor: Flavor) {
+    let n = graph.num_nodes();
     let fam = |f: usize, i: usize| f * n + i;
+    let tmp0 = NUM_FAMILIES * n;
+    let off = flavor_offset(flavor);
     let (f_gin, f_given, f_gout) = (F_GIVEN_IN + off, F_GIVEN + off, F_GIVEN_OUT + off);
 
     for &node in graph.preorder() {
@@ -641,31 +538,32 @@ fn place_pass(
         //   ∪ (TAKEN_in(n) ∩ ⋃_{q ∈ PREDS^FJ} GIVEN_out(q))
         //
         // Deviation from the paper, which writes just GIVEN(HEADER(n)):
-        // the header's availability only describes *loop entry*. An item
-        // stolen inside the loop without resupply (∈ STEAL(h)) is gone on
-        // iteration 2+, so propagating it into the body lets a JUMP out
-        // of the loop escape with stale availability and breaks C3
-        // (counterexample: take x; do { if t goto 99; steal x }; 99 take
-        // x — the jump path on iteration 2 has x destroyed). Subtracting
-        // STEAL(h) restores must-availability over all iterations and is
-        // consistent with every §4 example value.
+        // the header's availability only describes *loop entry*. An
+        // item stolen inside the loop without resupply (∈ STEAL(h)) is
+        // gone on iteration 2+, so propagating it into the body lets a
+        // JUMP out of the loop escape with stale availability and
+        // breaks C3 (counterexample: take x; do { if t goto 99; steal
+        // x }; 99 take x — the jump path on iteration 2 has x
+        // destroyed). Subtracting STEAL(h) restores must-availability
+        // over all iterations and is consistent with every §4 example
+        // value.
         match graph.header_of(node) {
             Some(h) => {
-                slab.copy_andnot(
+                k.copy_andnot(
                     fam(f_gin, ni),
                     fam(f_given, h.index()),
                     fam(F_STEAL, h.index()),
                 );
             }
-            None => slab.clear(fam(f_gin, ni)),
+            None => k.clear(fam(f_gin, ni)),
         }
         // On reversed graphs a jump may enter this node's interval
         // *bypassing* it (§5.3). Availability at the header must then
-        // also hold along those entries, so the jump-in sources join the
-        // predecessor set for both the must-intersection and the
+        // also hold along those entries, so the jump-in sources join
+        // the predecessor set for both the must-intersection and the
         // partial-availability term — the RES_out mechanism (Eq. 15)
-        // then places production on the deficient jump path, exactly the
-        // pad placements of Figure 14.
+        // then places production on the deficient jump path, exactly
+        // the pad placements of Figure 14.
         let eq11_preds = || {
             graph
                 .preds(node, EdgeMask::FJ)
@@ -674,21 +572,21 @@ fn place_pass(
         let mut first = true;
         for p in eq11_preds() {
             if first {
-                slab.copy(tmp0, fam(f_gout, p.index()));
+                k.copy(tmp0, fam(f_gout, p.index()));
                 first = false;
             } else {
-                slab.and(tmp0, fam(f_gout, p.index()));
+                k.and(tmp0, fam(f_gout, p.index()));
             }
         }
         if !first {
-            slab.or(fam(f_gin, ni), tmp0);
+            k.or(fam(f_gin, ni), tmp0);
         }
-        slab.clear(tmp0);
+        k.clear(tmp0);
         for q in eq11_preds() {
-            slab.or(tmp0, fam(f_gout, q.index()));
+            k.or(tmp0, fam(f_gout, q.index()));
         }
-        slab.and(tmp0, fam(F_TAKEN_IN, ni));
-        slab.or(fam(f_gin, ni), tmp0);
+        k.and(tmp0, fam(F_TAKEN_IN, ni));
+        k.or(fam(f_gin, ni), tmp0);
 
         // Eq. 12: GIVEN(n) = GIVEN_in(n) ∪ TAKEN_in(n)   (EAGER)
         //                  = GIVEN_in(n) ∪ TAKE(n)       (LAZY)
@@ -696,10 +594,10 @@ fn place_pass(
             Flavor::Eager => F_TAKEN_IN,
             Flavor::Lazy => F_TAKE,
         };
-        slab.copy_or(fam(f_given, ni), fam(f_gin, ni), fam(consumed, ni));
+        k.copy_or(fam(f_given, ni), fam(f_gin, ni), fam(consumed, ni));
 
         // Eq. 13: GIVEN_out(n) = (GIVE(n) ∪ GIVEN(n)) − STEAL(n)
-        slab.copy_or_andnot(
+        k.copy_or_andnot(
             fam(f_gout, ni),
             fam(F_GIVE, ni),
             fam(f_given, ni),
@@ -712,14 +610,14 @@ fn place_pass(
     for node in graph.nodes() {
         let ni = node.index();
         // Eq. 14: RES_in(n) = GIVEN(n) − GIVEN_in(n)
-        slab.copy_andnot(fam(f_rin, ni), fam(f_given, ni), fam(f_gin, ni));
+        k.copy_andnot(fam(f_rin, ni), fam(f_given, ni), fam(f_gin, ni));
 
         // Eq. 15: RES_out(n) = ⋃_{s ∈ SUCCS^FJ} GIVEN_in(s) − GIVEN_out(n)
-        slab.clear(fam(f_rout, ni));
+        k.clear(fam(f_rout, ni));
         for s in graph.succs(node, EdgeMask::FJ) {
-            slab.or(fam(f_rout, ni), fam(f_gin, s.index()));
+            k.or(fam(f_rout, ni), fam(f_gin, s.index()));
         }
-        slab.andnot(fam(f_rout, ni), fam(f_gout, ni));
+        k.andnot(fam(f_rout, ni), fam(f_gout, ni));
     }
 }
 
@@ -986,104 +884,13 @@ mod tests {
             let mut prob = PlacementProblem::new(g.num_nodes(), items);
             prob.take(consumer, items - 1);
             let fresh = solve(&g, &prob, &SolverOptions::default());
-            let reused = solve_with_scratch(&g, &prob, &SolverOptions::default(), &mut scratch);
+            solve_into(&g, &prob, &SolverOptions::default(), &mut scratch);
+            let reused = scratch.export();
             assert_eq!(fresh, reused, "items = {items}");
             assert_eq!(
                 scratch.num_productions(Flavor::Eager),
                 fresh.eager.num_productions()
             );
         }
-    }
-
-    #[test]
-    fn solve_par_is_bit_identical_on_multiword_universe() {
-        let src = "do i = 1, N\n  ... = x(a(i))\n  z = 0\nenddo\n... = x(1)";
-        let p = parse(src).unwrap();
-        let g = graph(src);
-        let consumer = stmt_node(&g, &p, "x(a(i))");
-        let killer = stmt_node(&g, &p, "z = 0");
-        let cap = 300; // 5 words
-        let mut prob = PlacementProblem::new(g.num_nodes(), cap);
-        for item in [0, 63, 64, 65, 128, 255, 299] {
-            prob.take(consumer, item);
-            prob.steal(killer, item);
-        }
-        let seq = solve(&g, &prob, &SolverOptions::default());
-        // The sharded data plane itself, at every legal split of the
-        // 5-word universe (the planner would refuse these narrow shards,
-        // so call it directly to keep the stitching covered).
-        for shards in [2usize, 3, 4, 5] {
-            assert_eq!(
-                seq,
-                solve_sharded(&g, &prob, &SolverOptions::default(), shards),
-                "shards = {shards}"
-            );
-        }
-        // Through the public dispatch the planner falls back to the
-        // sequential path on a universe this narrow — still identical.
-        for requested in [2usize, 4, 8] {
-            let opts = SolverOptions {
-                parallelism: requested,
-                ..Default::default()
-            };
-            assert_eq!(seq, solve_par(&g, &prob, &opts), "requested = {requested}");
-            assert_eq!(
-                seq,
-                solve(&g, &prob, &opts),
-                "solve, requested = {requested}"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_planner_never_starves_a_thread() {
-        // The decision behind MIN_WORDS_PER_SHARD, pinned: the committed
-        // benchmark once showed solve_par at 256 items (4 words) / 4
-        // threads running 1.8× slower than sequential because each shard
-        // got a single word. Forced parallelism must fall back to the
-        // sequential path until every shard clears the floor.
-        assert_eq!(plan_shards(4, 4, 4, true), 1, "the regression shape");
-        assert_eq!(plan_shards(4, 4, 15, true), 1);
-        assert_eq!(plan_shards(4, 4, 16, true), 2);
-        assert_eq!(plan_shards(4, 4, 64, true), 4);
-        assert_eq!(plan_shards(2, 4, 64, true), 2, "request stays a cap");
-        // Auto mode keeps its stricter threshold.
-        assert_eq!(plan_shards(4, 4, 31, false), 1);
-        assert_eq!(plan_shards(4, 4, 32, false), 2);
-        assert_eq!(plan_shards(8, 8, 1024, false), 8);
-        // Hardware gates the plan even for explicit requests: on a
-        // single-core host a forced 4-way request serializes, so the
-        // planner refuses it (the solve_par/2048items regression shape).
-        assert_eq!(plan_shards(4, 1, 64, true), 1);
-        assert_eq!(plan_shards(4, 2, 64, true), 2);
-        assert_eq!(plan_shards(8, 4, 1024, false), 4);
-        // And the public probe agrees (256 items = 4 words), however
-        // many cores the host running this test has.
-        let opts = SolverOptions {
-            parallelism: 4,
-            ..Default::default()
-        };
-        assert_eq!(planned_shards(&opts, 256), 1);
-        assert_eq!(planned_shards(&opts, 4096), 4.min(threads_available()));
-    }
-
-    #[test]
-    fn solve_par_falls_back_below_one_word() {
-        let g = graph("... = x(1)");
-        let mut prob = PlacementProblem::new(g.num_nodes(), 8);
-        let consumer = g
-            .nodes()
-            .find(|&n| matches!(g.kind(n), NodeKind::Stmt(_)))
-            .unwrap();
-        prob.take(consumer, 3);
-        let opts = SolverOptions {
-            parallelism: 4,
-            ..Default::default()
-        };
-        // 8 items = 1 word: must not shard, must still be correct.
-        assert_eq!(
-            solve(&g, &prob, &SolverOptions::default()),
-            solve_par(&g, &prob, &opts)
-        );
     }
 }

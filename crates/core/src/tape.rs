@@ -1,23 +1,23 @@
-//! Schedule compilation: the Figure-15 elimination schedule lowered to a
-//! flat tape of fused kernel ops, compiled once per `(graph, direction)`
+//! Schedule compilation: the Figure-15 elimination schedule recorded as
+//! a flat tape of fused kernel ops, compiled once per `(graph, direction)`
 //! and replayed for every solve.
 //!
-//! The interpreted solver ([`crate::solve_into`]) re-derives the schedule
-//! on every call: per-node edge-class filtering, interval lookups, and
+//! The direct solver ([`crate::solve_into`]) re-derives the schedule on
+//! every call: per-node edge-class filtering, interval lookups, and
 //! per-equation branching. None of that depends on the *problem* — only
 //! on the graph and the hoisting options — so [`ScheduleTape::compile`]
-//! runs the four passes once against pre-resolved
-//! [`gnt_cfg::NeighborTable`]s and records the exact kernel-call sequence
-//! as [`TapeOp`]s over arena row ids. Executing a tape is then a single
-//! linear sweep: load the problem's initial variables, replay the ops.
+//! runs the same schedule walker with a recording backend that pushes
+//! every kernel call as a [`TapeOp`] over arena row ids. Executing a
+//! tape is then a single linear sweep: load the problem's initial
+//! variables, replay the ops.
 //!
 //! A peephole pass fuses adjacent ops on the same destination row into
 //! the multi-word kernels of `gnt-dataflow` (`copy`+`or` → `copy_or`,
 //! `copy_or`+`andnot` → `copy_or_andnot`, …). Every rule is an exact set
-//! identity guarded against operand aliasing, so the fused tape is
-//! bit-identical to the interpreter — the differential suite
+//! identity guarded against operand aliasing, so a replay is
+//! bit-identical to the direct solve — the differential suite
 //! (`tests/tape_differential.rs`) locks this on hundreds of random
-//! programs in both directions.
+//! programs in both directions and pins the compiled tapes themselves.
 //!
 //! Tapes are cached per direction inside the [`SolverScratch`] that
 //! executes them: BEFORE and AFTER problems, the pressure re-solve loop,
@@ -27,14 +27,10 @@
 //! poisoning a header (the AFTER fallback of [`crate::solve_after`]) or
 //! changing a hoisting knob recompiles, anything else replays.
 
-use crate::problem::{Direction, Flavor, PlacementProblem, SolverOptions};
-use crate::scratch::{
-    flavor_offset, SolverScratch, F_BLOCK, F_BLOCK_LOC, F_GIVE, F_GIVEN, F_GIVEN_IN, F_GIVEN_OUT,
-    F_GIVE_LOC, F_RES_IN, F_RES_OUT, F_STEAL, F_STEAL_LOC, F_TAKE, F_TAKEN_IN, F_TAKEN_OUT,
-    F_TAKE_LOC, NUM_FAMILIES,
-};
-use crate::solver::{check_coverage, shard_count, window_of, windows_for, Solution, Window};
-use gnt_cfg::{EdgeClass, EdgeMask, IntervalGraph, NodeId};
+use crate::problem::{Direction, PlacementProblem, SolverOptions};
+use crate::scratch::SolverScratch;
+use crate::solver::{check_coverage, effective_poison, schedule, Init, Kernels, Solution};
+use gnt_cfg::{EdgeClass, IntervalGraph};
 
 /// One instruction of a compiled schedule: a fused `gnt-dataflow` kernel
 /// applied to solver-arena rows resolved at compile time. `dst`, `a`,
@@ -128,7 +124,7 @@ pub enum TapeOp {
         /// Subtrahend row.
         c: u32,
     },
-    /// `dst ← TAKE_init(node)` (the solved window of it).
+    /// `dst ← TAKE_init(node)`.
     LoadTake {
         /// Destination row.
         dst: u32,
@@ -158,7 +154,7 @@ pub enum TapeOp {
 /// Compile once ([`ScheduleTape::compile`]), execute many times
 /// ([`ScheduleTape::execute_into`], or the cache-managed entry points
 /// [`crate::solve_batch`] / [`crate::solve_batch_into`]). Execution is
-/// bit-identical to the interpreted solver on the same inputs.
+/// bit-identical to the direct solver on the same inputs.
 #[derive(Clone, Debug)]
 pub struct ScheduleTape {
     ops: Vec<TapeOp>,
@@ -169,378 +165,15 @@ pub struct ScheduleTape {
 }
 
 impl ScheduleTape {
-    /// Compiles the four-pass schedule for `graph` under `opts`.
-    ///
-    /// The walk mirrors the interpreted solver exactly — REVERSEPREORDER
-    /// for Eqs. 9–10 (per header's children, forward order) and Eqs. 1–8,
-    /// PREORDER for Eqs. 11–13 per flavor, then Eqs. 14–15 — but emits
-    /// ops against pre-resolved neighbor tables instead of calling
-    /// kernels, and runs the peephole fuser over the result.
+    /// Compiles the four-pass schedule for `graph` under `opts`: runs the
+    /// schedule walker with the recording backend, then the peephole
+    /// fuser and the delta partition over the result.
     pub fn compile(graph: &IntervalGraph, opts: &SolverOptions) -> ScheduleTape {
         let n = graph.num_nodes();
-        let fam = |f: usize, i: usize| u32::try_from(f * n + i).expect("arena row fits u32");
-        let tmp0 = u32::try_from(NUM_FAMILIES * n).expect("arena row fits u32");
-        let tmp1 = tmp0 + 1;
-
-        // The typed-neighbor tables: every mask the schedule consults,
-        // filtered once.
-        let preds_fj = graph.preds_table(EdgeMask::FJ);
-        let preds_s = graph.preds_table(EdgeMask::S);
-        let succs_e = graph.succs_table(EdgeMask::E);
-        let succs_f = graph.succs_table(EdgeMask::F);
-        let succs_ef = graph.succs_table(EdgeMask::EF);
-        let succs_fj = graph.succs_table(EdgeMask::FJ);
-        let succs_fjs = graph.succs_table(EdgeMask::FJS);
-
-        let mut ops: Vec<TapeOp> = Vec::new();
-
-        // ---- Pass 1: S2 (Eqs. 9–10) per header's children, then S1
-        // (Eqs. 1–8), in REVERSEPREORDER. ---------------------------------
-        for &node in graph.preorder().iter().rev() {
-            let ni = node.index();
-            for &c in graph.children(node) {
-                let ci = c.index();
-                // Eq. 9: GIVE_loc(c) =
-                //   (GIVE(c) ∪ TAKE(c) ∪ ∩_{p ∈ PREDS^FJ} GIVE_loc(p)) − STEAL(c)
-                ops.push(TapeOp::Copy {
-                    dst: tmp0,
-                    a: fam(F_GIVE, ci),
-                });
-                ops.push(TapeOp::Or {
-                    dst: tmp0,
-                    a: fam(F_TAKE, ci),
-                });
-                let mut first = true;
-                for &p in preds_fj.of(c) {
-                    let a = fam(F_GIVE_LOC, p.index());
-                    ops.push(if first {
-                        TapeOp::Copy { dst: tmp1, a }
-                    } else {
-                        TapeOp::And { dst: tmp1, a }
-                    });
-                    first = false;
-                }
-                if !first {
-                    ops.push(TapeOp::Or { dst: tmp0, a: tmp1 });
-                }
-                ops.push(TapeOp::Copy {
-                    dst: fam(F_GIVE_LOC, ci),
-                    a: tmp0,
-                });
-                ops.push(TapeOp::AndNot {
-                    dst: fam(F_GIVE_LOC, ci),
-                    a: fam(F_STEAL, ci),
-                });
-
-                // Eq. 10: STEAL_loc(c) = STEAL(c)
-                //   ∪ ⋃_{p ∈ PREDS^FJ} (STEAL_loc(p) − GIVE_loc(p))
-                //   ∪ ⋃_{p ∈ PREDS^S} STEAL_loc(p)
-                ops.push(TapeOp::Copy {
-                    dst: tmp0,
-                    a: fam(F_STEAL, ci),
-                });
-                for &p in preds_fj.of(c) {
-                    ops.push(TapeOp::OrAndNot {
-                        dst: tmp0,
-                        a: fam(F_STEAL_LOC, p.index()),
-                        b: fam(F_GIVE_LOC, p.index()),
-                    });
-                }
-                for &p in preds_s.of(c) {
-                    ops.push(TapeOp::Or {
-                        dst: tmp0,
-                        a: fam(F_STEAL_LOC, p.index()),
-                    });
-                }
-                ops.push(TapeOp::Copy {
-                    dst: fam(F_STEAL_LOC, ci),
-                    a: tmp0,
-                });
-            }
-
-            // Eq. 1 / Eq. 2: fold in the interval summary via LASTCHILD.
-            let node_u32 = u32::try_from(ni).expect("node id fits u32");
-            if effective_poison(graph, opts, node) {
-                ops.push(TapeOp::Fill {
-                    dst: fam(F_STEAL, ni),
-                });
-            } else {
-                ops.push(TapeOp::LoadSteal {
-                    dst: fam(F_STEAL, ni),
-                    node: node_u32,
-                });
-            }
-            ops.push(TapeOp::LoadGive {
-                dst: fam(F_GIVE, ni),
-                node: node_u32,
-            });
-            if let Some(lc) = graph.last_child(node) {
-                ops.push(TapeOp::Or {
-                    dst: fam(F_STEAL, ni),
-                    a: fam(F_STEAL_LOC, lc.index()),
-                });
-                ops.push(TapeOp::Or {
-                    dst: fam(F_GIVE, ni),
-                    a: fam(F_GIVE_LOC, lc.index()),
-                });
-            }
-
-            // Eq. 3: BLOCK(n) = STEAL ∪ GIVE ∪ ⋃_{s ∈ SUCCS^E} BLOCK_loc(s)
-            ops.push(TapeOp::Copy {
-                dst: fam(F_BLOCK, ni),
-                a: fam(F_STEAL, ni),
-            });
-            ops.push(TapeOp::Or {
-                dst: fam(F_BLOCK, ni),
-                a: fam(F_GIVE, ni),
-            });
-            for &s in succs_e.of(node) {
-                ops.push(TapeOp::Or {
-                    dst: fam(F_BLOCK, ni),
-                    a: fam(F_BLOCK_LOC, s.index()),
-                });
-            }
-
-            // Eq. 4: TAKEN_out(n) = ∩_{s ∈ SUCCS^FJS} TAKEN_in(s)
-            let mut first = true;
-            for &s in succs_fjs.of(node) {
-                let a = fam(F_TAKEN_IN, s.index());
-                let dst = fam(F_TAKEN_OUT, ni);
-                ops.push(if first {
-                    TapeOp::Copy { dst, a }
-                } else {
-                    TapeOp::And { dst, a }
-                });
-                first = false;
-            }
-            if first {
-                ops.push(TapeOp::Clear {
-                    dst: fam(F_TAKEN_OUT, ni),
-                });
-            }
-
-            // Eq. 5: TAKE(n) = TAKE_init
-            //   ∪ (⋃_{s ∈ SUCCS^E} TAKEN_in(s) − STEAL(n))
-            //   ∪ ((TAKEN_out(n) ∩ ⋃_{s ∈ SUCCS^E} TAKE_loc(s)) − BLOCK(n))
-            ops.push(TapeOp::LoadTake {
-                dst: fam(F_TAKE, ni),
-                node: node_u32,
-            });
-            if !effective_poison(graph, opts, node) {
-                ops.push(TapeOp::Clear { dst: tmp0 });
-                for &s in succs_e.of(node) {
-                    ops.push(TapeOp::Or {
-                        dst: tmp0,
-                        a: fam(F_TAKEN_IN, s.index()),
-                    });
-                }
-                ops.push(TapeOp::OrAndNot {
-                    dst: fam(F_TAKE, ni),
-                    a: tmp0,
-                    b: fam(F_STEAL, ni),
-                });
-
-                ops.push(TapeOp::Clear { dst: tmp0 });
-                for &s in succs_e.of(node) {
-                    ops.push(TapeOp::Or {
-                        dst: tmp0,
-                        a: fam(F_TAKE_LOC, s.index()),
-                    });
-                }
-                ops.push(TapeOp::And {
-                    dst: tmp0,
-                    a: fam(F_TAKEN_OUT, ni),
-                });
-                ops.push(TapeOp::AndNot {
-                    dst: tmp0,
-                    a: fam(F_BLOCK, ni),
-                });
-                ops.push(TapeOp::Or {
-                    dst: fam(F_TAKE, ni),
-                    a: tmp0,
-                });
-            }
-
-            // Eq. 6: TAKEN_in(n) = TAKE(n) ∪ (TAKEN_out(n) − BLOCK(n))
-            ops.push(TapeOp::Copy {
-                dst: fam(F_TAKEN_IN, ni),
-                a: fam(F_TAKEN_OUT, ni),
-            });
-            ops.push(TapeOp::AndNot {
-                dst: fam(F_TAKEN_IN, ni),
-                a: fam(F_BLOCK, ni),
-            });
-            ops.push(TapeOp::Or {
-                dst: fam(F_TAKEN_IN, ni),
-                a: fam(F_TAKE, ni),
-            });
-
-            // Eq. 7: BLOCK_loc(n) = (BLOCK(n) ∪ ⋃_{s ∈ SUCCS^F} BLOCK_loc(s))
-            //                        − TAKE(n)
-            ops.push(TapeOp::Copy {
-                dst: fam(F_BLOCK_LOC, ni),
-                a: fam(F_BLOCK, ni),
-            });
-            for &s in succs_f.of(node) {
-                ops.push(TapeOp::Or {
-                    dst: fam(F_BLOCK_LOC, ni),
-                    a: fam(F_BLOCK_LOC, s.index()),
-                });
-            }
-            ops.push(TapeOp::AndNot {
-                dst: fam(F_BLOCK_LOC, ni),
-                a: fam(F_TAKE, ni),
-            });
-
-            // Eq. 8: TAKE_loc(n) = TAKE(n)
-            //   ∪ (⋃_{s ∈ SUCCS^EF} TAKE_loc(s) − BLOCK(n))
-            ops.push(TapeOp::Clear {
-                dst: fam(F_TAKE_LOC, ni),
-            });
-            for &s in succs_ef.of(node) {
-                ops.push(TapeOp::Or {
-                    dst: fam(F_TAKE_LOC, ni),
-                    a: fam(F_TAKE_LOC, s.index()),
-                });
-            }
-            ops.push(TapeOp::AndNot {
-                dst: fam(F_TAKE_LOC, ni),
-                a: fam(F_BLOCK, ni),
-            });
-            ops.push(TapeOp::Or {
-                dst: fam(F_TAKE_LOC, ni),
-                a: fam(F_TAKE, ni),
-            });
-        }
-
-        // ---- Passes 2–3: S3 (Eqs. 11–13) in PREORDER, then S4
-        // (Eqs. 14–15), once per flavor. -----------------------------------
-        for flavor in [Flavor::Eager, Flavor::Lazy] {
-            let off = flavor_offset(flavor);
-            let (f_gin, f_given, f_gout) = (F_GIVEN_IN + off, F_GIVEN + off, F_GIVEN_OUT + off);
-            for &node in graph.preorder() {
-                let ni = node.index();
-                // Eq. 11 (with the STEAL(HEADER) deviation, see the
-                // interpreted solver for the rationale).
-                match graph.header_of(node) {
-                    Some(h) => {
-                        ops.push(TapeOp::Copy {
-                            dst: fam(f_gin, ni),
-                            a: fam(f_given, h.index()),
-                        });
-                        ops.push(TapeOp::AndNot {
-                            dst: fam(f_gin, ni),
-                            a: fam(F_STEAL, h.index()),
-                        });
-                    }
-                    None => ops.push(TapeOp::Clear {
-                        dst: fam(f_gin, ni),
-                    }),
-                }
-                // Jump-in sources join the predecessor set on reversed
-                // graphs (§5.3).
-                let eq11_preds = || {
-                    preds_fj
-                        .of(node)
-                        .iter()
-                        .chain(graph.jump_in_sources(node))
-                        .copied()
-                };
-                let mut first = true;
-                for p in eq11_preds() {
-                    let a = fam(f_gout, p.index());
-                    ops.push(if first {
-                        TapeOp::Copy { dst: tmp0, a }
-                    } else {
-                        TapeOp::And { dst: tmp0, a }
-                    });
-                    first = false;
-                }
-                if !first {
-                    ops.push(TapeOp::Or {
-                        dst: fam(f_gin, ni),
-                        a: tmp0,
-                    });
-                }
-                ops.push(TapeOp::Clear { dst: tmp0 });
-                for q in eq11_preds() {
-                    ops.push(TapeOp::Or {
-                        dst: tmp0,
-                        a: fam(f_gout, q.index()),
-                    });
-                }
-                ops.push(TapeOp::And {
-                    dst: tmp0,
-                    a: fam(F_TAKEN_IN, ni),
-                });
-                ops.push(TapeOp::Or {
-                    dst: fam(f_gin, ni),
-                    a: tmp0,
-                });
-
-                // Eq. 12: GIVEN(n) = GIVEN_in(n) ∪ TAKEN_in(n)   (EAGER)
-                //                  = GIVEN_in(n) ∪ TAKE(n)       (LAZY)
-                let consumed = match flavor {
-                    Flavor::Eager => F_TAKEN_IN,
-                    Flavor::Lazy => F_TAKE,
-                };
-                ops.push(TapeOp::Copy {
-                    dst: fam(f_given, ni),
-                    a: fam(f_gin, ni),
-                });
-                ops.push(TapeOp::Or {
-                    dst: fam(f_given, ni),
-                    a: fam(consumed, ni),
-                });
-
-                // Eq. 13: GIVEN_out(n) = (GIVE(n) ∪ GIVEN(n)) − STEAL(n)
-                ops.push(TapeOp::Copy {
-                    dst: fam(f_gout, ni),
-                    a: fam(F_GIVE, ni),
-                });
-                ops.push(TapeOp::Or {
-                    dst: fam(f_gout, ni),
-                    a: fam(f_given, ni),
-                });
-                ops.push(TapeOp::AndNot {
-                    dst: fam(f_gout, ni),
-                    a: fam(F_STEAL, ni),
-                });
-            }
-
-            // S4: Eqs. 14–15.
-            let (f_rin, f_rout) = (F_RES_IN + off, F_RES_OUT + off);
-            for ni in 0..n {
-                // Eq. 14: RES_in(n) = GIVEN(n) − GIVEN_in(n)
-                ops.push(TapeOp::Copy {
-                    dst: fam(f_rin, ni),
-                    a: fam(f_given, ni),
-                });
-                ops.push(TapeOp::AndNot {
-                    dst: fam(f_rin, ni),
-                    a: fam(f_gin, ni),
-                });
-
-                // Eq. 15: RES_out(n) = ⋃_{s ∈ SUCCS^FJ} GIVEN_in(s)
-                //                       − GIVEN_out(n)
-                ops.push(TapeOp::Clear {
-                    dst: fam(f_rout, ni),
-                });
-                for &s in succs_fj.of(NodeId(u32::try_from(ni).expect("node id fits u32"))) {
-                    ops.push(TapeOp::Or {
-                        dst: fam(f_rout, ni),
-                        a: fam(f_gin, s.index()),
-                    });
-                }
-                ops.push(TapeOp::AndNot {
-                    dst: fam(f_rout, ni),
-                    a: fam(f_gout, ni),
-                });
-            }
-        }
-
-        let unfused_ops = ops.len();
-        let ops = fuse(ops);
+        let mut recorder = Recorder(Vec::new());
+        schedule(graph, opts, &mut recorder);
+        let unfused_ops = recorder.0.len();
+        let ops = fuse(recorder.0);
         let delta = crate::delta::DeltaIndex::build(&ops, n);
         ScheduleTape {
             ops,
@@ -603,22 +236,12 @@ impl ScheduleTape {
     /// Panics if `problem` does not cover the graph this tape was
     /// compiled for.
     pub fn execute_into(&self, problem: &PlacementProblem, scratch: &mut SolverScratch) {
-        self.execute_window(problem, scratch, Window::full(problem.universe_size));
-    }
-
-    /// Replays the tape over one word window of the universe.
-    pub(crate) fn execute_window(
-        &self,
-        problem: &PlacementProblem,
-        scratch: &mut SolverScratch,
-        win: Window,
-    ) {
         assert_eq!(
             problem.num_nodes(),
             self.nodes,
             "problem must cover the compiled graph"
         );
-        scratch.prepare(self.nodes, win.bits);
+        scratch.prepare(self.nodes, problem.universe_size);
         let slab = &mut scratch.slab;
         for &op in &self.ops {
             match op {
@@ -641,26 +264,84 @@ impl ScheduleTape {
                 TapeOp::CopyOrAndNot { dst, a, b, c } => {
                     slab.copy_or_andnot(dst as usize, a as usize, b as usize, c as usize);
                 }
-                TapeOp::LoadTake { dst, node } => slab.load(
-                    dst as usize,
-                    window_of(&problem.take_init[node as usize], &win),
-                ),
-                TapeOp::LoadSteal { dst, node } => slab.load(
-                    dst as usize,
-                    window_of(&problem.steal_init[node as usize], &win),
-                ),
-                TapeOp::LoadGive { dst, node } => slab.load(
-                    dst as usize,
-                    window_of(&problem.give_init[node as usize], &win),
-                ),
+                TapeOp::LoadTake { dst, node } => {
+                    slab.load(dst as usize, problem.take_init[node as usize].words());
+                }
+                TapeOp::LoadSteal { dst, node } => {
+                    slab.load(dst as usize, problem.steal_init[node as usize].words());
+                }
+                TapeOp::LoadGive { dst, node } => {
+                    slab.load(dst as usize, problem.give_init[node as usize].words());
+                }
             }
         }
-        // A full-universe replay establishes the basis the incremental
-        // engine (`solve_delta`) re-solves against; shard windows leave
-        // the scratch holding only a slice and must not.
-        if win.word0 == 0 && win.bits == problem.universe_size {
-            scratch.set_delta_basis(Some(self.fingerprint));
-        }
+        // A replay establishes the basis the incremental engine
+        // (`solve_delta`) re-solves against.
+        scratch.set_delta_basis(Some(self.fingerprint));
+    }
+}
+
+/// The recording backend: every kernel call of the schedule becomes one
+/// unfused [`TapeOp`]; the fused calls expand through the [`Kernels`]
+/// defaults, and [`fuse`] folds them back.
+struct Recorder(Vec<TapeOp>);
+
+fn row(r: usize) -> u32 {
+    u32::try_from(r).expect("arena row fits u32")
+}
+
+impl Kernels for Recorder {
+    fn clear(&mut self, dst: usize) {
+        self.0.push(TapeOp::Clear { dst: row(dst) });
+    }
+
+    fn fill(&mut self, dst: usize) {
+        self.0.push(TapeOp::Fill { dst: row(dst) });
+    }
+
+    fn copy(&mut self, dst: usize, a: usize) {
+        self.0.push(TapeOp::Copy {
+            dst: row(dst),
+            a: row(a),
+        });
+    }
+
+    fn or(&mut self, dst: usize, a: usize) {
+        self.0.push(TapeOp::Or {
+            dst: row(dst),
+            a: row(a),
+        });
+    }
+
+    fn and(&mut self, dst: usize, a: usize) {
+        self.0.push(TapeOp::And {
+            dst: row(dst),
+            a: row(a),
+        });
+    }
+
+    fn andnot(&mut self, dst: usize, a: usize) {
+        self.0.push(TapeOp::AndNot {
+            dst: row(dst),
+            a: row(a),
+        });
+    }
+
+    fn or_andnot(&mut self, dst: usize, a: usize, b: usize) {
+        self.0.push(TapeOp::OrAndNot {
+            dst: row(dst),
+            a: row(a),
+            b: row(b),
+        });
+    }
+
+    fn load(&mut self, dst: usize, init: Init, node: usize) {
+        let (dst, node) = (row(dst), u32::try_from(node).expect("node id fits u32"));
+        self.0.push(match init {
+            Init::Take => TapeOp::LoadTake { dst, node },
+            Init::Steal => TapeOp::LoadSteal { dst, node },
+            Init::Give => TapeOp::LoadGive { dst, node },
+        });
     }
 }
 
@@ -719,14 +400,6 @@ fn fuse(ops: Vec<TapeOp>) -> Vec<TapeOp> {
         }
     }
     out
-}
-
-/// Whether `h`'s `STEAL` is forced to ⊤: poisoned on the graph, or
-/// hoisting disabled by the solver options (§4.1 zero-trip safety).
-fn effective_poison(graph: &IntervalGraph, opts: &SolverOptions, h: NodeId) -> bool {
-    graph.is_poisoned(h)
-        || opts.no_hoist_headers.contains(&h)
-        || (opts.no_zero_trip_hoist && graph.is_loop_header(h))
 }
 
 /// FNV-1a over everything the compiled tape depends on: node count,
@@ -816,11 +489,7 @@ impl SolverScratch {
 /// Batched tape solve: replays the scratch-cached schedule tape for
 /// `(graph, BEFORE)` across the item universe and writes the result into
 /// the caller-reused `out`, allocating nothing once `scratch` and `out`
-/// are warm. Universes wide enough to amortise thread spawns (per
-/// [`SolverOptions::parallelism`], auto by default) are split into
-/// word-granular shards, each replaying the same tape over its window —
-/// the sharding policy of [`crate::solve_par`], applied to tape
-/// execution. Results are bit-identical to [`crate::solve`].
+/// are warm. Results are bit-identical to [`crate::solve`].
 ///
 /// # Panics
 ///
@@ -864,18 +533,12 @@ pub(crate) fn solve_batch_dir(
 ) {
     check_coverage(graph, problem);
     let tape = scratch.tapes.take_or_compile(dir, graph, opts);
-    let words = problem.universe_size.div_ceil(64);
-    let shards = shard_count(opts, words, false);
-    // Every word of every row of `out` is overwritten below (the shard
-    // windows partition the universe), so re-shaping skips the zeroing.
-    out.reshape_for_overwrite(graph.num_nodes(), problem.universe_size);
-    if shards > 1 {
-        execute_sharded(&tape, problem, shards, out);
-    } else {
-        tape.execute_window(problem, scratch, Window::full(problem.universe_size));
-        scratch.write_into(out, 0);
-    }
+    tape.execute_into(problem, scratch);
     scratch.tapes.put(dir, tape);
+    // Every word of every row of `out` is overwritten below, so
+    // re-shaping skips the zeroing.
+    out.reshape_for_overwrite(graph.num_nodes(), problem.universe_size);
+    scratch.write_into(out);
 }
 
 /// [`solve_batch`] without the export: replays the cached BEFORE tape and
@@ -904,12 +567,12 @@ pub(crate) fn solve_batch_into_dir(
 ) {
     check_coverage(graph, problem);
     let tape = scratch.tapes.take_or_compile(dir, graph, opts);
-    tape.execute_window(problem, scratch, Window::full(problem.universe_size));
+    tape.execute_into(problem, scratch);
     scratch.tapes.put(dir, tape);
 }
 
 /// [`solve_batch_into`] followed by [`SolverScratch::export`]: the
-/// tape-cached drop-in for [`crate::solve_with_scratch`].
+/// tape-cached counterpart of [`crate::solve`] for a reused scratch.
 ///
 /// # Panics
 ///
@@ -935,34 +598,10 @@ pub(crate) fn solve_batch_with_scratch_dir(
     scratch.export()
 }
 
-/// Replays `tape` over `shards` word windows in parallel — one
-/// [`gnt_dataflow::global_pool`] job per window, each on a warm scratch
-/// checked out of [`crate::ScratchPool::global`] — and stitches the
-/// windows into `out`, which must already be shaped for the full
-/// universe. The fan-out spawns its threads per call; steady-state
-/// sharded traffic reuses the pooled arenas and allocates no solver
-/// rows.
-pub(crate) fn execute_sharded(
-    tape: &ScheduleTape,
-    problem: &PlacementProblem,
-    shards: usize,
-    out: &mut Solution,
-) {
-    let windows = windows_for(problem.universe_size, shards);
-    let scratches = gnt_dataflow::global_pool().map(&windows, |&win| {
-        let mut scratch = crate::ScratchPool::global().checkout();
-        tape.execute_window(problem, &mut scratch, win);
-        scratch
-    });
-    for (scratch, win) in scratches.iter().zip(&windows) {
-        scratch.write_into(out, win.word0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{solve, solve_into};
+    use crate::solver::solve;
     use gnt_cfg::NodeKind;
     use gnt_ir::parse;
 
@@ -1024,22 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_execution_stitches_bit_identically() {
-        let g = graph(BRANCHY);
-        let prob = take_everywhere(&g, 300); // 5 words
-        let opts = SolverOptions::default();
-        let tape = ScheduleTape::compile(&g, &opts);
-        let mut scratch = SolverScratch::new();
-        solve_into(&g, &prob, &opts, &mut scratch);
-        let expected = scratch.export();
-        for shards in [2usize, 3, 5] {
-            let mut out = Solution::empty(g.num_nodes(), 300);
-            execute_sharded(&tape, &prob, shards, &mut out);
-            assert_eq!(out, expected, "shards = {shards}");
-        }
-    }
-
-    #[test]
     fn option_changes_invalidate_the_cached_tape() {
         let g = graph("do i = 1, N\n  ... = x(a(i))\nenddo");
         let prob = take_everywhere(&g, 4);
@@ -1051,7 +674,7 @@ mod tests {
             ..Default::default()
         };
         // Solve, flip the hoisting knob, solve, flip back: each result
-        // must match the interpreted solver under the *current* options,
+        // must match the direct solver under the *current* options,
         // i.e. the fingerprint mismatch forces a recompile every time.
         solve_batch(&g, &prob, &plain, &mut scratch, &mut out);
         assert_eq!(out, solve(&g, &prob, &plain));

@@ -11,8 +11,8 @@
 
 use gnt_cfg::{reversed_graph, IntervalGraph, NodeId, NodeKind};
 use gnt_core::{
-    random_problem, random_program, solve, solve_batch_into, solve_delta, solve_delta_with_scratch,
-    DeltaKind, DeltaSet, GenConfig, PlacementProblem, SolverOptions, SolverScratch,
+    random_problem, random_program, solve, solve_batch_into, solve_delta, solve_into, DeltaKind,
+    DeltaSet, Direction, GenConfig, PlacementProblem, SolverOptions, SolverScratch,
 };
 use gnt_ir::parse;
 use proptest::prelude::*;
@@ -61,7 +61,7 @@ fn mutate(problem: &mut PlacementProblem, delta: &mut DeltaSet, rng: &mut Lcg, u
 }
 
 /// Warm `scratch` on `problem`, apply `mutations` toggles, re-solve
-/// incrementally, and compare against a fresh interpreted solve of the
+/// incrementally, and compare against a fresh direct solve of the
 /// mutated problem. Returns whether the incremental path served the call.
 #[allow(clippy::too_many_arguments)]
 fn run_mutation_case(
@@ -79,8 +79,8 @@ fn run_mutation_case(
     for _ in 0..mutations {
         mutate(problem, &mut delta, rng, universe);
     }
-    let (solution, report) = solve_delta_with_scratch(graph, problem, opts, scratch, &delta);
-    assert_eq!(solution, solve(graph, problem, opts), "{label}");
+    let report = solve_delta(graph, problem, opts, scratch, &delta);
+    assert_eq!(scratch.export(), solve(graph, problem, opts), "{label}");
     assert!(report.ops_run <= report.ops_total, "{label}: {report:?}");
     !report.full_replay
 }
@@ -238,6 +238,36 @@ fn figure_programs_resolve_incrementally() {
             );
         }
     }
+}
+
+/// Both backends run one schedule walker but only the tape sets the
+/// delta basis: a direct solve of a different graph with the same node
+/// count through the same scratch must invalidate it, so the next delta
+/// on the first graph replays in full instead of patching the other
+/// graph's bits.
+#[test]
+fn direct_solve_in_between_invalidates_the_delta_basis() {
+    let src = "do i = 1, N\n  ... = x(a(i))\n  z = 0\nenddo\nif t then\n  b = x(1)\nendif";
+    let graph = IntervalGraph::from_program(&parse(src).unwrap()).unwrap();
+    let other = reversed_graph(&graph).unwrap();
+    assert_eq!(other.num_nodes(), graph.num_nodes());
+    let mut problem = random_problem(7, &graph, 70, 0.3);
+    let opts = SolverOptions::default();
+    let mut scratch = SolverScratch::new();
+    solve_batch_into(&graph, &problem, &opts, &mut scratch);
+    assert!(scratch
+        .cached_tape(Direction::Before)
+        .is_some_and(|tape| tape.delta_supported()));
+    solve_into(&other, &problem, &opts, &mut scratch);
+    assert_ne!(scratch.export(), solve(&graph, &problem, &opts));
+
+    let node = graph.nodes().nth(2).unwrap();
+    problem.take(node, 3);
+    let mut delta = DeltaSet::new();
+    delta.mark_take(node);
+    let report = solve_delta(&graph, &problem, &opts, &mut scratch, &delta);
+    assert!(report.full_replay, "{report:?}");
+    assert_eq!(scratch.export(), solve(&graph, &problem, &opts));
 }
 
 /// An *unmarked* mutation after an intervening marked solve must still be

@@ -1,6 +1,5 @@
-//! Differential tests: the arena/kernel solver — sequential, with a
-//! reused [`SolverScratch`], and item-sharded ([`solve_par`]) — is
-//! bit-identical to a straightforward clone-per-equation reference
+//! Differential tests: the arena/kernel solver — fresh and with a
+//! reused [`SolverScratch`] — is bit-identical to a straightforward clone-per-equation reference
 //! implementation of Figure 13, on hundreds of random programs, BEFORE
 //! and AFTER.
 //!
@@ -11,8 +10,8 @@
 
 use gnt_cfg::{reversed_graph, IntervalGraph};
 use gnt_core::{
-    random_problem, random_program, solve, solve_after, solve_par, solve_with_scratch, GenConfig,
-    PlacementProblem, Solution, SolverOptions, SolverScratch,
+    random_problem, random_program, solve, solve_after, solve_after_with_scratch, solve_batch,
+    solve_into, GenConfig, PlacementProblem, Solution, SolverOptions, SolverScratch,
 };
 use proptest::prelude::*;
 
@@ -318,8 +317,8 @@ fn assert_matches_reference(sol: &Solution, oracle: &reference::RefSolution, lab
     }
 }
 
-/// One differential case: reference vs `solve` vs `solve_with_scratch`
-/// (reused arena) vs `solve_par` (forced sharding), all 20 families.
+/// One differential case: reference vs `solve` vs `solve_into` on a
+/// reused arena, all 20 families.
 fn run_case(seed: u64, universe: usize, density: f64, scratch: &mut SolverScratch) {
     let config = GenConfig {
         goto_prob: 0.1,
@@ -335,15 +334,8 @@ fn run_case(seed: u64, universe: usize, density: f64, scratch: &mut SolverScratc
     let sol = solve(&graph, &problem, &opts);
     assert_matches_reference(&sol, &oracle, &label);
 
-    let reused = solve_with_scratch(&graph, &problem, &opts, scratch);
-    assert_eq!(sol, reused, "{label}: scratch reuse");
-
-    let par_opts = SolverOptions {
-        parallelism: 4,
-        ..Default::default()
-    };
-    let par = solve_par(&graph, &problem, &par_opts);
-    assert_eq!(sol, par, "{label}: solve_par");
+    solve_into(&graph, &problem, &opts, scratch);
+    assert_eq!(sol, scratch.export(), "{label}: scratch reuse");
 }
 
 /// The headline differential sweep: 500 random programs across universe
@@ -358,38 +350,40 @@ fn new_solver_matches_reference_on_500_random_programs() {
     }
 }
 
-/// AFTER problems: `solve_after` with sharding matches `solve_after`
-/// sequentially, and the reversed-graph BEFORE solve matches the
-/// reference on the reversed graph.
+/// AFTER problems: `solve_after` on a fresh scratch matches
+/// `solve_after_with_scratch` on one shared across seeds, and the
+/// reversed-graph BEFORE solve matches the reference on the reversed
+/// graph.
 #[test]
 fn after_and_reversed_solves_match() {
     let mut scratch = SolverScratch::new();
+    let mut after_scratch = SolverScratch::new();
     for seed in 0..60u64 {
         let program = random_program(seed, &GenConfig::default());
         let graph = IntervalGraph::from_program(&program).unwrap();
         let problem = random_problem(seed + 7, &graph, 130, 0.3);
         let seq_opts = SolverOptions::default();
-        let par_opts = SolverOptions {
-            parallelism: 3,
-            ..Default::default()
-        };
-        let seq = solve_after(&graph, &problem, &seq_opts).unwrap();
-        let par = solve_after(&graph, &problem, &par_opts).unwrap();
-        assert_eq!(seq.solution, par.solution, "seed {seed}: after flavors");
+        let fresh = solve_after(&graph, &problem, &seq_opts).unwrap();
+        let shared =
+            solve_after_with_scratch(&graph, &problem, &seq_opts, &mut after_scratch).unwrap();
+        assert_eq!(
+            fresh.solution, shared.solution,
+            "seed {seed}: after flavors"
+        );
 
         // Reference comparison on the reversed graph directly.
         let rg = reversed_graph(&graph).unwrap();
         let mut rp = problem.clone();
         rp.resize_nodes(rg.num_nodes());
         let oracle = reference::solve(&rg, &rp, &seq_opts);
-        let sol = solve_with_scratch(&rg, &rp, &seq_opts, &mut scratch);
+        solve_into(&rg, &rp, &seq_opts, &mut scratch);
+        let sol = scratch.export();
         assert_matches_reference(&sol, &oracle, &format!("reversed, seed {seed}"));
     }
 }
 
 /// Solver options that alter control decisions (poisoning) still agree
-/// with the reference and stay shard-invariant: the schedule is
-/// data-independent, so sharding commutes with poisoning.
+/// with the reference.
 #[test]
 fn no_hoist_options_stay_bit_identical() {
     for seed in 0..60u64 {
@@ -403,30 +397,19 @@ fn no_hoist_options_stay_bit_identical() {
         let oracle = reference::solve(&graph, &problem, &opts);
         let sol = solve(&graph, &problem, &opts);
         assert_matches_reference(&sol, &oracle, &format!("no-hoist, seed {seed}"));
-        let par = solve_par(
-            &graph,
-            &problem,
-            &SolverOptions {
-                no_zero_trip_hoist: true,
-                parallelism: 2,
-                ..Default::default()
-            },
-        );
-        assert_eq!(sol, par, "no-hoist seed {seed}: solve_par");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Randomized shapes and densities beyond the fixed sweep: reference,
-    /// sequential, scratch-reusing, and sharded solves all agree.
+    /// Randomized shapes and densities beyond the fixed sweep: the
+    /// reference and the solver agree.
     #[test]
     fn differential_holds_on_arbitrary_cases(
         pseed in 0u64..50_000,
         universe in 1usize..200,
         density in 0u32..100,
-        shards in 2usize..6,
     ) {
         let program = random_program(pseed, &GenConfig { goto_prob: 0.05, ..Default::default() });
         let graph = IntervalGraph::from_program(&program).unwrap();
@@ -435,8 +418,6 @@ proptest! {
         let oracle = reference::solve(&graph, &problem, &opts);
         let sol = solve(&graph, &problem, &opts);
         assert_matches_reference(&sol, &oracle, &format!("prop seed {pseed}"));
-        let par = solve_par(&graph, &problem, &SolverOptions { parallelism: shards, ..Default::default() });
-        prop_assert!(sol == par, "prop seed {pseed}: shards {shards}");
     }
 }
 
@@ -448,13 +429,14 @@ fn solve_does_not_mutate_the_problem() {
     let problem: PlacementProblem = random_problem(13, &graph, 100, 0.4);
     let snapshot = problem.clone();
     let _ = solve(&graph, &problem, &SolverOptions::default());
-    let _ = solve_par(
+    let mut scratch = SolverScratch::new();
+    let mut out = Solution::default();
+    solve_batch(
         &graph,
         &problem,
-        &SolverOptions {
-            parallelism: 2,
-            ..Default::default()
-        },
+        &SolverOptions::default(),
+        &mut scratch,
+        &mut out,
     );
     assert_eq!(problem, snapshot);
 }

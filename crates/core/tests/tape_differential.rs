@@ -1,5 +1,5 @@
 //! Differential suite for the schedule-compiled solver: replaying a
-//! [`ScheduleTape`] (`solve_batch*`) is bit-identical to the interpreted
+//! [`ScheduleTape`] (`solve_batch*`) is bit-identical to the direct
 //! four-pass solver (`solve`/`solve_into`) — on 500+ random programs
 //! across universe sizes straddling every word boundary, on the reversed
 //! graphs of the AFTER direction (jump-in edges, synthetic pads,
@@ -18,7 +18,7 @@ use gnt_core::{
 };
 use gnt_ir::parse;
 
-/// One BEFORE-direction case: interpreted `solve` vs cached-tape
+/// One BEFORE-direction case: direct `solve` vs cached-tape
 /// `solve_batch` (shared warm scratch + output buffer) vs
 /// `solve_batch_with_scratch` (export path), all 20 variable families.
 fn run_case(
@@ -61,10 +61,10 @@ fn tape_matches_interpreter_on_500_random_programs() {
     }
 }
 
-/// The AFTER direction's graphs: the tape must agree with the interpreter
+/// The AFTER direction's graphs: the tape must agree with the direct solver
 /// on reversed graphs — jump-in edges extending Eq. 11, synthetic landing
 /// pads, and the §5.3 poisoned fallback — and the full `solve_after`
-/// pipeline (tape-cached both attempts) must match an interpreted replay
+/// pipeline (tape-cached both attempts) must match a direct solve
 /// of the same reversal.
 #[test]
 fn tape_matches_interpreter_on_reversed_graphs() {
@@ -137,7 +137,7 @@ fn batch_into_leaves_identical_scratch_state() {
 
 /// The paper's figure programs, BEFORE and AFTER: golden shapes the rest
 /// of the test suite pins in detail, here checked bit-for-bit between the
-/// tape and the interpreter (and through the tape-cached `solve_after`).
+/// tape and the direct solver (and through the tape-cached `solve_after`).
 #[test]
 fn figure_programs_solve_identically_before_and_after() {
     // Figures 1/2 (branch consumers), 4–10 (straight-line and branch
@@ -187,7 +187,7 @@ fn figure_programs_solve_identically_before_and_after() {
             );
             // AFTER through the public pipeline: both its attempts replay
             // the scratch-cached tape; the result must equal a fresh
-            // interpreted comparison on its own reversed graph.
+            // direct comparison on its own reversed graph.
             let after = solve_after(&graph, &problem, &opts).unwrap();
             let mut rp = problem.clone();
             rp.resize_nodes(after.reversed.num_nodes());
@@ -219,4 +219,99 @@ fn compilation_is_deterministic_and_poison_sensitive() {
     };
     let c = ScheduleTape::compile(&graph, &no_hoist);
     assert_ne!(a.ops(), c.ops(), "poisoning must change the emitted ops");
+}
+
+/// FNV-1a over the `Debug` rendering of every fused op: a digest that
+/// moves whenever any op, operand or op order moves.
+fn tape_digest(tape: &ScheduleTape) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for op in tape.ops() {
+        for byte in format!("{op:?};").bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The compiled tapes are pinned: for the paper's figure programs, a
+/// 400-statement generated program and 8 random programs, forward and
+/// reversed, the fused op stream, the unfused op count and the delta
+/// block partition all equal the values recorded before the schedule
+/// walker was shared between the direct and the recording backends.
+#[test]
+fn compiled_tapes_are_pinned() {
+    let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+    let mut programs: Vec<(String, gnt_ir::Program)> = ["fig1", "fig3", "fig11"]
+        .iter()
+        .map(|name| {
+            let src = std::fs::read_to_string(format!("{examples}/{name}.minif")).unwrap();
+            ((*name).to_string(), parse(&src).unwrap())
+        })
+        .collect();
+    programs.push(("sized400".to_string(), gnt_core::sized_program(400)));
+    let config = GenConfig {
+        goto_prob: 0.1,
+        ..Default::default()
+    };
+    for seed in 0..8u64 {
+        programs.push((format!("random{seed}"), random_program(seed, &config)));
+    }
+
+    let opts = SolverOptions::default();
+    let mut got = Vec::new();
+    for (name, program) in &programs {
+        let forward = IntervalGraph::from_program(program).unwrap();
+        let reversed = reversed_graph(&forward).unwrap();
+        for (dir, graph) in [("fwd", &forward), ("rev", &reversed)] {
+            let tape = ScheduleTape::compile(graph, &opts);
+            // A cold scratch replays in full and reports the partition.
+            let problem = PlacementProblem::new(graph.num_nodes(), 1);
+            let mut scratch = SolverScratch::new();
+            let report = gnt_core::solve_delta(
+                graph,
+                &problem,
+                &opts,
+                &mut scratch,
+                &gnt_core::DeltaSet::new(),
+            );
+            got.push((
+                format!("{name}/{dir}"),
+                tape_digest(&tape),
+                tape.num_unfused_ops(),
+                report.blocks_total,
+            ));
+        }
+    }
+    // (tape, fused-op digest, unfused ops, delta blocks; 0 = declined)
+    let expected: &[(&str, u64, usize, usize)] = &[
+        ("fig1/fwd", 18294894129410154566, 822, 255),
+        ("fig1/rev", 4711853848677644402, 822, 255),
+        ("fig3/fwd", 6936269261855549726, 822, 255),
+        ("fig3/rev", 16379764817350567042, 822, 255),
+        ("fig11/fwd", 9932858663078336092, 822, 255),
+        ("fig11/rev", 9777761389023931117, 824, 0),
+        ("sized400/fwd", 15233699370645591438, 39373, 11964),
+        ("sized400/rev", 5556746930040925415, 39373, 11964),
+        ("random0/fwd", 10932864537999298761, 1868, 574),
+        ("random0/rev", 2629337199239781383, 1868, 574),
+        ("random1/fwd", 16847354050234946452, 10813, 3264),
+        ("random1/rev", 2973436858681277862, 10815, 0),
+        ("random2/fwd", 9504735206088035554, 236, 77),
+        ("random2/rev", 599025950055734982, 236, 77),
+        ("random3/fwd", 15251355541958558175, 3515, 1056),
+        ("random3/rev", 8299702841349453384, 3517, 0),
+        ("random4/fwd", 18142960519690680101, 8767, 2662),
+        ("random4/rev", 13070054208711409014, 8771, 0),
+        ("random5/fwd", 1754568315608834753, 7887, 2402),
+        ("random5/rev", 13427661674915826139, 7889, 0),
+        ("random6/fwd", 9668535673424829943, 3787, 1152),
+        ("random6/rev", 5131900476899740977, 3787, 1152),
+        ("random7/fwd", 14850246735056683766, 9197, 2768),
+        ("random7/rev", 7984509501947202549, 9199, 0),
+    ];
+    assert_eq!(got.len(), expected.len());
+    for (g, e) in got.iter().zip(expected) {
+        assert_eq!((g.0.as_str(), g.1, g.2, g.3), *e);
+    }
 }

@@ -129,7 +129,7 @@ impl BitSet {
     }
 
     /// Mutable access to the backing words, for bulk writes (e.g.
-    /// stitching sharded solver results back together). The caller must
+    /// exporting solver arenas). The caller must
     /// keep bits beyond `capacity` zero; the bulk set operations
     /// debug-assert this invariant.
     #[inline]

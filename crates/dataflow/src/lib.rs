@@ -8,8 +8,8 @@
 //! * [`BitSlab`] — a flat arena of bit rows with fused word-level kernels,
 //!   the zero-allocation data plane of the GIVE-N-TAKE solver,
 //! * [`WorkerPool`] — a scoped, input-ordered fan-out
-//!   ([`WorkerPool::map`]), the one parallel primitive the sharded
-//!   solvers and the batch lint front-end share,
+//!   ([`WorkerPool::map`]), the parallel primitive of the batch lint
+//!   front-end,
 //! * [`Universe`] — interning of domain items ([`ItemId`]) into bitset
 //!   indices,
 //! * [`GenKillProblem`] — a generic iterative (worklist) solver for classic

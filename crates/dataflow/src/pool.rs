@@ -1,8 +1,8 @@
 //! A scoped, input-ordered fan-out over a fixed worker width.
 //!
 //! Every parallel caller in the workspace is a flat fan-out: one job per
-//! input (a source file to lint, a word window of the universe to solve)
-//! whose result lands in that input's slot. [`WorkerPool::map`] is that
+//! input (a source file to lint) whose result lands in that input's
+//! slot. [`WorkerPool::map`] is that
 //! shape and nothing more. It runs on [`std::thread::scope`]: the
 //! calling thread plus `min(workers, items.len()) − 1` scoped threads
 //! pull the next input index from one shared counter until the inputs
@@ -20,8 +20,8 @@
 //! not depend on which thread checks them out.
 //!
 //! [`global_pool`] is the process-wide width, sized to the available
-//! parallelism; the sharded solvers in `gnt-core` and the batch lint
-//! front-end in `gnt-analyze` fan out through it.
+//! parallelism; the batch lint front-end in `gnt-analyze` fans out
+//! through it.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -137,8 +137,8 @@ pub fn default_workers() -> usize {
 }
 
 /// The process-wide pool, created on first use and sized to
-/// [`default_workers`]. Solver shards and batch lint jobs across the
-/// whole process fan out to this width.
+/// [`default_workers`]. Batch lint jobs across the whole process fan
+/// out to this width.
 pub fn global_pool() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(|| WorkerPool::new(default_workers()))

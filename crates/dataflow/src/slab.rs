@@ -15,9 +15,7 @@
 //! read/write API.
 //!
 //! All kernels are word-wise: bit `i` of the output depends only on bit
-//! `i` of the inputs. This is what makes *item-sharded* solving bit-exact:
-//! a solve over the word window `[w0, w1)` of every row computes exactly
-//! the bits `[64·w0, 64·w1)` of the full solve.
+//! `i` of the inputs.
 
 use crate::bitset::BitSet;
 use std::fmt;

@@ -91,8 +91,7 @@ fn panic_storm_reaches_every_caller() {
 
 #[test]
 fn nested_maps_on_the_global_pool_complete() {
-    // A fan-out from inside a fan-out job (a lint job whose solve shards)
-    // only spawns more scoped threads, so it completes however wide the
+    // A fan-out from inside a fan-out job only spawns more scoped threads, so it completes however wide the
     // tree is.
     let outer: Vec<usize> = (0..8).collect();
     let inner: Vec<usize> = (0..4).collect();

@@ -13,7 +13,9 @@
 
 use give_n_take::cfg::IntervalGraph;
 use give_n_take::comm::{analyze, CommConfig};
-use give_n_take::core::{measure_pressure, solve_with_pressure_limit, SolverOptions};
+use give_n_take::core::{
+    measure_pressure, solve_with_pressure_limit_in_place, SolverOptions, SolverScratch,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let source = (0..6)
@@ -31,13 +33,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>8} {:>12} {:>14}",
         "budget", "max pending", "steals added"
     );
+    // The pressure loop rolls its inserted steals back, so one working
+    // copy of the problem and one scratch serve every budget.
+    let mut problem = analysis.read_problem.clone();
+    let mut scratch = SolverScratch::new();
     for budget in [usize::MAX, 3, 1] {
-        let (solution, report) = solve_with_pressure_limit(
+        let (solution, report) = solve_with_pressure_limit_in_place(
             &analysis.graph,
-            &analysis.read_problem,
+            &mut problem,
             &SolverOptions::default(),
             budget,
             64,
+            &mut scratch,
         );
         let max = measure_pressure(&analysis.graph, &solution)
             .into_iter()
