@@ -4,11 +4,11 @@
 //! The driver is what the CLI binary wraps; it is equally usable as a
 //! library (see `examples/lint_report.rs` at the workspace root).
 
-use crate::audit::{audit_placement, audit_plan, AuditOptions};
-use crate::comm_lint::{lint_plan, CommLintOptions};
+use crate::audit::audit_plan;
+use crate::comm_lint::{lint_plan_counted, CommLintOptions};
 use crate::diag::{attach_spans, Diagnostic, Severity};
 use crate::invariants::lint_graph;
-use crate::placement::{lint_placement_with_scratch, PlacementLintOptions};
+use crate::placement::{lint_placement_counted, PlacementLintOptions};
 use crate::provenance::{chain_trail, why_not_trail};
 use gnt_cfg::{node_spans, reversed_graph, DotOverlay};
 use gnt_comm::{analyze, generate_with_options, CommConfig, CommPlan, GenerateOptions};
@@ -186,7 +186,8 @@ fn enrich(d: &mut Diagnostic, engine: &BlameEngine<'_>, item_names: &[String]) {
 /// [`lint_source_timed`] for `gnt-lint --profile`. "cfg" covers lowering
 /// and interval-graph assembly plus the communication analysis that
 /// walks them; "lint" is everything not attributed to another stage
-/// (invariant layers, audits, blame enrichment, span attachment).
+/// (invariant layers, audits, blame enrichment, span attachment). The
+/// run's bounded-path replay counts ride along.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Source → AST.
@@ -199,6 +200,12 @@ pub struct StageTimings {
     pub generate_ns: u64,
     /// Lint layers, audits, blame, span attachment.
     pub lint_ns: u64,
+    /// Paths the lint layers replayed (placement zero-trip pass and
+    /// plan replay together).
+    pub paths_replayed: u64,
+    /// Path enumerations cut short by their `max_paths` bound (more
+    /// paths existed).
+    pub enumerations_truncated: u64,
 }
 
 impl StageTimings {
@@ -211,7 +218,8 @@ impl StageTimings {
     pub fn to_json(&self, file: &str) -> String {
         format!(
             "{{\"file\":\"{}\",\"parse_ns\":{},\"cfg_ns\":{},\"solve_ns\":{},\
-             \"generate_ns\":{},\"lint_ns\":{},\"total_ns\":{}}}",
+             \"generate_ns\":{},\"lint_ns\":{},\"total_ns\":{},\
+             \"paths_replayed\":{},\"enumerations_truncated\":{}}}",
             crate::diag::json_escape(file),
             self.parse_ns,
             self.cfg_ns,
@@ -219,6 +227,8 @@ impl StageTimings {
             self.generate_ns,
             self.lint_ns,
             self.total_ns(),
+            self.paths_replayed,
+            self.enumerations_truncated,
         )
     }
 }
@@ -326,27 +336,18 @@ fn lint_program_inner(
             item_names: item_names.clone(),
             ..Default::default()
         };
-        let mut found = lint_placement_with_scratch(
+        // The placement audits (`audit_placement`) are not run here: they
+        // are silent on the solver's own placement by construction
+        // (pinned by `tests/solver_clean.rs`).
+        let mut found = lint_placement_counted(
             graph,
             &plan.analysis.read_problem,
             &sol.eager,
             &sol.lazy,
             &popts,
             scratch,
+            timings,
         );
-        // Audits: silent on the solver's own placement by construction,
-        // but the pass is wired so library callers auditing hand-made
-        // placements share one pipeline with the CLI.
-        found.extend(audit_placement(
-            graph,
-            &plan.analysis.read_problem,
-            &sol.eager,
-            &sol.lazy,
-            &AuditOptions {
-                item_names: item_names.clone(),
-                ..Default::default()
-            },
-        ));
         // Blame enrichment: the scratch still holds the full READ solve
         // (this must precede the WRITE solve, which reuses the arena).
         let engine = BlameEngine::new(graph, &plan.analysis.read_problem, &solver_opts, scratch);
@@ -408,7 +409,7 @@ fn lint_program_inner(
         zero_trip: opts.zero_trip,
         ..Default::default()
     };
-    diagnostics.extend(lint_plan(&plan, &copts));
+    diagnostics.extend(lint_plan_counted(&plan, &copts, timings));
     // GNT030: mergeable same-slot transfers (message aggregation, §6).
     diagnostics.extend(audit_plan(&plan, &item_names));
 

@@ -11,11 +11,12 @@
 //! problem: one stable code per failure shape of Figures 4–10.
 
 use crate::diag::Diagnostic;
+use crate::driver::StageTimings;
 use gnt_cfg::{CfgFlow, IntervalGraph, NodeId};
 use gnt_core::{
-    check_balance, check_path, check_sufficiency, enumerate_paths, path_has_zero_trip,
-    shift_off_synthetic, solve_batch_with_scratch, FlavorSolution, PlacementProblem, ScratchPool,
-    SolverOptions, SolverScratch, Violation,
+    check_balance, check_sufficiency, enumerate_paths_capped, path_has_zero_trip,
+    shift_off_synthetic, solve_batch_with_scratch, FlavorSolution, PathChecker, PlacementProblem,
+    ScratchPool, SolverOptions, SolverScratch, Violation,
 };
 use gnt_dataflow::{BitSet, Direction, FlowGraph, GenKillProblem, Meet};
 use std::collections::BTreeSet;
@@ -174,6 +175,28 @@ pub fn lint_placement_with_scratch(
     opts: &PlacementLintOptions,
     scratch: &mut SolverScratch,
 ) -> Vec<Diagnostic> {
+    lint_placement_counted(
+        graph,
+        problem,
+        eager,
+        lazy,
+        opts,
+        scratch,
+        &mut StageTimings::default(),
+    )
+}
+
+/// [`lint_placement_with_scratch`], adding the zero-trip pass's path
+/// replay counts to `profile`.
+pub(crate) fn lint_placement_counted(
+    graph: &IntervalGraph,
+    problem: &PlacementProblem,
+    eager: &FlavorSolution,
+    lazy: &FlavorSolution,
+    opts: &PlacementLintOptions,
+    scratch: &mut SolverScratch,
+    profile: &mut StageTimings,
+) -> Vec<Diagnostic> {
     let mut out: Vec<Diagnostic> = Vec::new();
     let mut seen = BTreeSet::new();
     let mut push = |out: &mut Vec<Diagnostic>, d: Diagnostic, item: usize| {
@@ -261,7 +284,7 @@ pub fn lint_placement_with_scratch(
     }
 
     // O1: no production start while the item is must-available. This
-    // replays the edge-aware slot semantics of [`check_path`] as a
+    // replays the edge-aware slot semantics of [`gnt_core::check_path`] as a
     // forward must-dataflow over the interval-graph *edges*: `avail` is
     // set by completed (lazy) productions and GIVEs, killed only by
     // STEALs, a header's `RES_in` does not re-fire on its CYCLE edge,
@@ -336,6 +359,9 @@ pub fn lint_placement_with_scratch(
             }
         }
         for i in 0..n {
+            let out_mid = (!eager.res_out[i].is_empty()
+                && out_edges[i].iter().any(|&e| exits(edges[e].2)))
+            .then(|| mid_meet(i, &state));
             for item in eager.res_in[i].iter() {
                 // RES_in fires on every non-CYCLE entry; redundant only
                 // if the item is available on all of them.
@@ -359,9 +385,7 @@ pub fn lint_placement_with_scratch(
             for item in eager.res_out[i].iter() {
                 // RES_out fires toward FORWARD/JUMP successors, over the
                 // post-statement state of whichever entry was taken.
-                if out_edges[i].iter().any(|&e| exits(edges[e].2))
-                    && mid_meet(i, &state).contains(item)
-                {
+                if out_mid.as_ref().is_some_and(|m| m.contains(item)) {
                     let d = Diagnostic::warning(
                         "GNT004",
                         format!(
@@ -380,11 +404,19 @@ pub fn lint_placement_with_scratch(
     // paper's ≥1-trip assumption (§2) makes these legal; report them as
     // warnings so `gnt-lint --zero-trip` can surface the reliance.
     if opts.zero_trip {
-        for path in enumerate_paths(graph, opts.max_edge_visits, opts.max_paths) {
+        let (paths, truncated) =
+            enumerate_paths_capped(graph, opts.max_edge_visits, opts.max_paths);
+        profile.enumerations_truncated += u64::from(truncated);
+        let mut checker = PathChecker::new(graph, problem, eager, lazy, true);
+        // Keys this pass has handed to `push`: the same finding recurs on
+        // many paths, and is formatted only the first time.
+        let mut tried = BTreeSet::new();
+        for path in paths {
             if !path_has_zero_trip(graph, &path) {
                 continue;
             }
-            for v in check_path(graph, &path, problem, eager, lazy, true) {
+            profile.paths_replayed += 1;
+            for v in checker.check(&path) {
                 let (code, node, item, what) = match v {
                     Violation::Unsafe { node, item } => {
                         ("GNT003", node, item, "produced but never consumed")
@@ -394,6 +426,9 @@ pub fn lint_placement_with_scratch(
                     }
                     _ => continue,
                 };
+                if !tried.insert((code, node, item)) {
+                    continue;
+                }
                 let d = Diagnostic::warning(
                     code,
                     format!("{} is {what} when a loop runs zero iterations", opts.name(item)),

@@ -424,3 +424,41 @@ fn explain_prints_the_family() {
         "stdout: {stdout}"
     );
 }
+
+/// `--profile` counts the bounded paths the lint layers replayed and the
+/// enumerations cut short at `max_paths` (256). Figure 1 has 18 paths
+/// (three loops run 0, 1 or 2 times, two of them on exclusive branches),
+/// 8 of them without a zero trip: the plan replay takes those 8 by
+/// default; with `--zero-trip` it takes all 18 and the placement pass the
+/// other 10. Six sequential loops have 3^6 = 729 paths, so every
+/// enumeration is truncated.
+#[test]
+fn profile_line_counts_replayed_and_truncated_paths() {
+    let fig1 = write_fixture("fig1.minif", FIG1);
+    let six_loops: String = ["i", "j", "k", "l", "m", "n"]
+        .iter()
+        .map(|v| format!("do {v} = 1, N\n  y({v}) = x({v})\nenddo\n"))
+        .collect();
+    let six = write_fixture("six_loops.minif", &six_loops);
+    for (file, zero_trip, replayed, truncated) in [
+        (&fig1, false, 8, 0),
+        (&fig1, true, 28, 0),
+        (&six, false, 39, 1),
+        (&six, true, 473, 2),
+    ] {
+        let mut args = vec![file.to_str().unwrap(), "--profile"];
+        if zero_trip {
+            args.push("--zero-trip");
+        }
+        let out = gnt_lint(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let line = stderr.lines().next().unwrap_or_default();
+        let expected =
+            format!("\"paths_replayed\":{replayed},\"enumerations_truncated\":{truncated}}}");
+        assert!(
+            line.ends_with(&expected),
+            "{} (zero-trip {zero_trip}): {line}",
+            file.display()
+        );
+    }
+}

@@ -3,13 +3,63 @@
 //! through the `gnt-lint` driver pipeline.
 
 use gnt_analyze::audit::{audit_placement, AuditOptions};
-use gnt_analyze::driver::{lint_program, LintOptions};
+use gnt_analyze::driver::{detect_distributed, lint_program, LintOptions};
 use gnt_analyze::placement::{lint_placement, PlacementLintOptions};
 use gnt_cfg::IntervalGraph;
+use gnt_comm::{analyze, CommConfig};
 use gnt_core::{
-    random_problem, random_program, shift_off_synthetic, solve, GenConfig, SolverOptions,
+    random_problem, random_program, shift_off_synthetic, sized_program, solve, GenConfig,
+    SolverOptions,
 };
+use gnt_ir::Program;
 use proptest::prelude::*;
+
+/// The placement audits on the READ placement `gnt-lint` emits for
+/// `program`: the solver's shifted solution of the analysis's READ
+/// problem, with the arrays auto-detected as the driver does.
+fn audit_driver_read_placement(program: &Program) -> Vec<gnt_analyze::Diagnostic> {
+    let distributed = detect_distributed(program);
+    let refs: Vec<&str> = distributed.iter().map(String::as_str).collect();
+    let analysis = analyze(program, &CommConfig::distributed(&refs)).expect("program analyzes");
+    let graph = &analysis.graph;
+    let mut sol = solve(graph, &analysis.read_problem, &SolverOptions::default());
+    shift_off_synthetic(graph, &mut sol.eager);
+    shift_off_synthetic(graph, &mut sol.lazy);
+    audit_placement(
+        graph,
+        &analysis.read_problem,
+        &sol.eager,
+        &sol.lazy,
+        &AuditOptions::default(),
+    )
+}
+
+/// The driver does not run `audit_placement` on the solver's own READ
+/// placement because it is silent there by construction. This pins
+/// that on the example corpus and on array-carrying sized programs;
+/// `optimality_audits_are_silent_on_solver_output` below covers random
+/// programs with random problems.
+#[test]
+fn placement_audits_are_silent_on_the_driver_read_placement() {
+    let dir = format!("{}/../../examples", env!("CARGO_MANIFEST_DIR"));
+    let mut examples: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{dir}: {e}"))
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "minif"))
+        .collect();
+    examples.sort();
+    assert!(!examples.is_empty(), "no examples/*.minif");
+    for path in &examples {
+        let src = std::fs::read_to_string(path).expect("example reads");
+        let program = gnt_ir::parse(&src).expect("example parses");
+        let diags = audit_driver_read_placement(&program);
+        assert!(diags.is_empty(), "{}: {diags:?}", path.display());
+    }
+    for stmts in [10, 50, 200] {
+        let diags = audit_driver_read_placement(&sized_program(stmts));
+        assert!(diags.is_empty(), "sized_program({stmts}): {diags:?}");
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]

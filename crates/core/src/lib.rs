@@ -84,6 +84,6 @@ pub use shift::{shift_off_synthetic, ShiftReport};
 pub use solver::{solve, solve_into, ConsumptionVars, FlavorSolution, Solution};
 pub use tape::{solve_batch, solve_batch_into, solve_batch_with_scratch, ScheduleTape, TapeOp};
 pub use verify::{
-    check_balance, check_path, check_sufficiency, enumerate_paths, path_has_zero_trip, Path,
-    Violation,
+    check_balance, check_path, check_sufficiency, enumerate_paths, enumerate_paths_capped,
+    path_has_zero_trip, Path, PathChecker, Violation,
 };

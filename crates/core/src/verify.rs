@@ -413,63 +413,86 @@ pub fn enumerate_paths(
     max_edge_visits: usize,
     max_paths: usize,
 ) -> Vec<Path> {
-    let flow = CfgFlow::from_interval(graph);
-    let n = flow.num_nodes();
-    let mut paths = Vec::new();
-    let mut edge_count = vec![std::collections::HashMap::<usize, usize>::new(); n];
-    let mut current: Vec<usize> = vec![flow.entry()];
+    enumerate_paths_capped(graph, max_edge_visits, max_paths).0
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        flow: &CfgFlow,
-        node: usize,
-        exit: usize,
-        current: &mut Vec<usize>,
-        edge_count: &mut [std::collections::HashMap<usize, usize>],
-        paths: &mut Vec<Path>,
-        max_edge_visits: usize,
-        max_paths: usize,
-    ) {
-        if paths.len() >= max_paths {
-            return;
-        }
-        if node == exit {
-            paths.push(current.iter().map(|&i| NodeId(i as u32)).collect());
-            return;
-        }
-        for &s in flow.succs(node) {
-            let count = edge_count[node].entry(s).or_insert(0);
-            if *count >= max_edge_visits {
-                continue;
-            }
-            *count += 1;
-            current.push(s);
-            dfs(
-                flow,
-                s,
-                exit,
-                current,
-                edge_count,
-                paths,
-                max_edge_visits,
-                max_paths,
-            );
-            current.pop();
-            *edge_count[node].get_mut(&s).unwrap() -= 1;
+/// [`enumerate_paths`], also reporting whether `max_paths` cut the
+/// enumeration short: the flag is `true` exactly when the bounded graph
+/// has more than `max_paths` paths.
+pub fn enumerate_paths_capped(
+    graph: &IntervalGraph,
+    max_edge_visits: usize,
+    max_paths: usize,
+) -> (Vec<Path>, bool) {
+    let flow = CfgFlow::from_interval(graph);
+    // One visit counter per distinct (node, successor) pair, laid out
+    // flat: `slot[first[node] + k]` is the counter of `node`'s k-th
+    // successor, shared by repeated successors.
+    let mut first = Vec::with_capacity(flow.num_nodes());
+    let mut slot = Vec::new();
+    for node in 0..flow.num_nodes() {
+        let base = slot.len();
+        first.push(base);
+        let succs = flow.succs(node);
+        for (k, s) in succs.iter().enumerate() {
+            let dup = succs[..k].iter().position(|t| t == s).unwrap_or(k);
+            slot.push(base + dup);
         }
     }
 
-    dfs(
-        &flow,
-        flow.entry(),
-        flow.exit(),
-        &mut current,
-        &mut edge_count,
-        &mut paths,
+    struct Search<'a> {
+        flow: &'a CfgFlow,
+        first: Vec<usize>,
+        slot: Vec<usize>,
+        visits: Vec<usize>,
+        current: Vec<NodeId>,
+        paths: Vec<Path>,
+        max_edge_visits: usize,
+        max_paths: usize,
+        truncated: bool,
+    }
+
+    impl Search<'_> {
+        fn dfs(&mut self, node: usize) {
+            let flow = self.flow;
+            if self.truncated {
+                return;
+            }
+            if node == flow.exit() {
+                if self.paths.len() < self.max_paths {
+                    self.paths.push(self.current.clone());
+                } else {
+                    self.truncated = true;
+                }
+                return;
+            }
+            for (k, &s) in flow.succs(node).iter().enumerate() {
+                let c = self.slot[self.first[node] + k];
+                if self.visits[c] >= self.max_edge_visits {
+                    continue;
+                }
+                self.visits[c] += 1;
+                self.current.push(NodeId(s as u32));
+                self.dfs(s);
+                self.current.pop();
+                self.visits[c] -= 1;
+            }
+        }
+    }
+
+    let mut search = Search {
+        flow: &flow,
+        visits: vec![0; slot.len()],
+        first,
+        slot,
+        current: vec![NodeId(flow.entry() as u32)],
+        paths: Vec::new(),
         max_edge_visits,
         max_paths,
-    );
-    paths
+        truncated: false,
+    };
+    search.dfs(flow.entry());
+    (search.paths, search.truncated)
 }
 
 /// Checks one concrete path against all four criteria.
@@ -484,6 +507,13 @@ pub fn enumerate_paths(
 /// items for downstream consumers (sufficiency). Use
 /// [`path_has_zero_trip`] to decide. Balance is checked on every path
 /// regardless.
+///
+/// The replay is word-parallel: one pass over the path advances every
+/// item's state at once. Violations come out item-major, and in path
+/// order within one item (at a single production: unbalanced, then
+/// redundant, then unsafe). The per-item reference this must agree with
+/// lives in `crates/core/tests/path_replay.rs`. To check many paths of
+/// one placement, use a [`PathChecker`].
 pub fn check_path(
     graph: &IntervalGraph,
     path: &Path,
@@ -492,120 +522,253 @@ pub fn check_path(
     lazy: &FlavorSolution,
     strict: bool,
 ) -> Vec<Violation> {
-    use gnt_cfg::EdgeClass;
-    let cap = problem.universe_size;
-    let mut violations = Vec::new();
-    for item in 0..cap {
-        let mut avail = false; // produced (lazy-complete) and not stolen
-        let mut pending = false; // eager started, lazy not yet
-        let mut last_producer: Option<NodeId> = None;
-        let mut consumed_since_production = true;
+    PathChecker::new(graph, problem, eager, lazy, strict).check(path)
+}
 
-        let produce_eager = |node: NodeId,
-                             pending: &mut bool,
-                             avail: bool,
-                             consumed: &mut bool,
-                             last: &mut Option<NodeId>,
-                             violations: &mut Vec<Violation>| {
-            if *pending {
-                violations.push(Violation::Unbalanced { node, item });
-            }
-            if avail {
-                violations.push(Violation::Redundant { node, item });
-            }
-            if !*consumed && strict {
-                violations.push(Violation::Unsafe {
-                    node: last.unwrap_or(node),
-                    item,
-                });
-            }
-            *pending = true;
-            *consumed = false;
-            *last = Some(node);
+/// [`check_path`] for many paths of one placement.
+///
+/// [`enumerate_paths`] yields paths depth-first, so each shares a long
+/// prefix with the one before it. The checker keeps the replay state
+/// reached at every node of the previous path and resumes the next path
+/// where the two diverge: a sweep costs about the number of distinct
+/// prefixes, not the sum of the path lengths. The saved state is a few
+/// words per node of one path.
+pub struct PathChecker<'a> {
+    graph: &'a IntervalGraph,
+    problem: &'a PlacementProblem,
+    eager: &'a FlavorSolution,
+    lazy: &'a FlavorSolution,
+    strict: bool,
+    /// Produced (lazy-complete) and not stolen since.
+    avail: BitSet,
+    /// Eager production started, lazy not yet.
+    pending: BitSet,
+    /// Consumed since the last eager production (initially all items).
+    consumed: BitSet,
+    last_producer: Vec<Option<NodeId>>,
+    /// `(item, previous last_producer[item])` for every update, so a
+    /// rewind can restore `last_producer`.
+    undo: Vec<(usize, Option<NodeId>)>,
+    scratch: BitSet,
+    /// Violations of the current path so far, tagged with their item.
+    found: Vec<(usize, Violation)>,
+    /// The previous path.
+    path: Vec<NodeId>,
+    /// Per node `k` of `path`: `avail`, `pending` and `consumed` words
+    /// right before node `k`'s `RES_out` slot, `3 * words` per node.
+    saved_words: Vec<u64>,
+    /// Per node `k` of `path`: `found` and `undo` lengths at that point.
+    saved_lens: Vec<(usize, usize)>,
+}
+
+impl<'a> PathChecker<'a> {
+    /// A checker of `eager`/`lazy` for `problem` over `graph`; `strict`
+    /// as in [`check_path`], for every path it checks.
+    pub fn new(
+        graph: &'a IntervalGraph,
+        problem: &'a PlacementProblem,
+        eager: &'a FlavorSolution,
+        lazy: &'a FlavorSolution,
+        strict: bool,
+    ) -> PathChecker<'a> {
+        let cap = problem.universe_size;
+        PathChecker {
+            graph,
+            problem,
+            eager,
+            lazy,
+            strict,
+            avail: BitSet::new(cap),
+            pending: BitSet::new(cap),
+            consumed: BitSet::full(cap),
+            last_producer: vec![None; cap],
+            undo: Vec::new(),
+            scratch: BitSet::new(cap),
+            found: Vec::new(),
+            path: Vec::new(),
+            saved_words: Vec::new(),
+            saved_lens: Vec::new(),
+        }
+    }
+
+    /// Checks `path`; the same result as [`check_path`].
+    pub fn check(&mut self, path: &Path) -> Vec<Violation> {
+        use gnt_cfg::EdgeClass;
+        let Some(&last) = path.last() else {
+            return Vec::new();
         };
-
-        for (idx, &node) in path.iter().enumerate() {
+        let shared = self
+            .path
+            .iter()
+            .zip(path)
+            .take_while(|(a, b)| a == b)
+            .count();
+        let (graph, eager, lazy) = (self.graph, self.eager, self.lazy);
+        // Resume at the last shared node's RES_out slot (its firing
+        // depends on the successor), or replay from the start.
+        let start = match shared.checked_sub(1) {
+            Some(k) => {
+                self.rewind(k);
+                k
+            }
+            None => {
+                self.reset();
+                0
+            }
+        };
+        let mut in_class = None;
+        for (idx, &node) in path.iter().enumerate().skip(start) {
             let i = node.index();
-            let in_class = if idx == 0 {
-                None
-            } else {
-                graph.edge_class(path[idx - 1], node)
-            };
-            // RES_in fires unless we re-entered a header via its CYCLE
-            // edge.
-            if in_class != Some(EdgeClass::Cycle) {
-                if eager.res_in[i].contains(item) {
-                    produce_eager(
-                        node,
-                        &mut pending,
-                        avail,
-                        &mut consumed_since_production,
-                        &mut last_producer,
-                        &mut violations,
-                    );
+            if idx >= shared {
+                // RES_in fires unless we re-entered a header via its
+                // CYCLE edge.
+                if in_class != Some(EdgeClass::Cycle) {
+                    self.produce(node, &eager.res_in[i], &lazy.res_in[i]);
                 }
-                if lazy.res_in[i].contains(item) {
-                    if !pending {
-                        violations.push(Violation::Unbalanced { node, item });
-                    }
-                    pending = false;
-                    avail = true;
-                }
+                self.execute(node, i);
+                self.save();
             }
-            // Node effects.
-            if problem.take_init[i].contains(item) {
-                if strict && !avail && !problem.give_init[i].contains(item) {
-                    violations.push(Violation::Insufficient { node, item });
-                }
-                consumed_since_production = true;
-            }
-            if problem.give_init[i].contains(item) {
-                avail = true;
-            }
-            if problem.steal_init[i].contains(item) {
-                avail = false;
-            }
-            // RES_out fires toward FORWARD/JUMP successors only.
             let out_class = path
                 .get(idx + 1)
                 .and_then(|&next| graph.edge_class(node, next));
+            // RES_out fires toward FORWARD/JUMP successors only.
             if matches!(
                 out_class,
                 Some(EdgeClass::Forward | EdgeClass::Jump | EdgeClass::JumpIn)
             ) {
-                if eager.res_out[i].contains(item) {
-                    produce_eager(
-                        node,
-                        &mut pending,
-                        avail,
-                        &mut consumed_since_production,
-                        &mut last_producer,
-                        &mut violations,
-                    );
-                }
-                if lazy.res_out[i].contains(item) {
-                    if !pending {
-                        violations.push(Violation::Unbalanced { node, item });
-                    }
-                    pending = false;
-                    avail = true;
-                }
+                self.produce(node, &eager.res_out[i], &lazy.res_out[i]);
             }
+            in_class = out_class;
         }
-        if pending {
-            violations.push(Violation::Unbalanced {
-                node: *path.last().unwrap(),
-                item,
-            });
+        self.path.clear();
+        self.path.extend_from_slice(path);
+        self.finish(last)
+    }
+
+    /// Back to the state before the first node.
+    fn reset(&mut self) {
+        self.avail.clear();
+        self.pending.clear();
+        self.consumed = BitSet::full(self.consumed.capacity());
+        self.last_producer.fill(None);
+        self.undo.clear();
+        self.found.clear();
+        self.saved_words.clear();
+        self.saved_lens.clear();
+    }
+
+    /// Records the state right before the `RES_out` slot of the node
+    /// just executed.
+    fn save(&mut self) {
+        for set in [&self.avail, &self.pending, &self.consumed] {
+            self.saved_words.extend_from_slice(set.words());
         }
-        if strict && !consumed_since_production {
-            violations.push(Violation::Unsafe {
-                node: last_producer.unwrap_or(*path.last().unwrap()),
-                item,
-            });
+        self.saved_lens.push((self.found.len(), self.undo.len()));
+    }
+
+    /// Back to the state saved at node `k` of the previous path.
+    fn rewind(&mut self, k: usize) {
+        let words = self.avail.words().len();
+        let base = 3 * words * k;
+        let saved = &self.saved_words[base..base + 3 * words];
+        self.avail.words_mut().copy_from_slice(&saved[..words]);
+        self.pending
+            .words_mut()
+            .copy_from_slice(&saved[words..2 * words]);
+        self.consumed
+            .words_mut()
+            .copy_from_slice(&saved[2 * words..]);
+        let (found, undo) = self.saved_lens[k];
+        self.found.truncate(found);
+        for (item, previous) in self.undo.drain(undo..).rev() {
+            self.last_producer[item] = previous;
+        }
+        self.saved_words.truncate(base + 3 * words);
+        self.saved_lens.truncate(k + 1);
+    }
+
+    /// Tags every item of `scratch` with `violation(item)`.
+    fn report(&mut self, violation: impl Fn(usize) -> Violation) {
+        for item in self.scratch.iter() {
+            self.found.push((item, violation(item)));
         }
     }
-    violations
+
+    /// Reports every item of `scratch` as unsafe, charged to its last
+    /// producer (or to `node` if it has none).
+    fn report_unsafe(&mut self, node: NodeId) {
+        for item in self.scratch.iter() {
+            let node = self.last_producer[item].unwrap_or(node);
+            self.found.push((item, Violation::Unsafe { node, item }));
+        }
+    }
+
+    /// One production slot: the eager starts of `eager`, then the lazy
+    /// stops of `lazy`.
+    fn produce(&mut self, node: NodeId, eager: &BitSet, lazy: &BitSet) {
+        if !eager.is_empty() {
+            self.scratch.copy_from(eager);
+            self.scratch.intersect_with(&self.pending);
+            self.report(|item| Violation::Unbalanced { node, item });
+            self.scratch.copy_from(eager);
+            self.scratch.intersect_with(&self.avail);
+            self.report(|item| Violation::Redundant { node, item });
+            if self.strict {
+                self.scratch.copy_from(eager);
+                self.scratch.subtract_with(&self.consumed);
+                self.report_unsafe(node);
+            }
+            self.pending.union_with(eager);
+            self.consumed.subtract_with(eager);
+            for item in eager.iter() {
+                let previous = self.last_producer[item].replace(node);
+                self.undo.push((item, previous));
+            }
+        }
+        if !lazy.is_empty() {
+            self.scratch.copy_from(lazy);
+            self.scratch.subtract_with(&self.pending);
+            self.report(|item| Violation::Unbalanced { node, item });
+            self.pending.subtract_with(lazy);
+            self.avail.union_with(lazy);
+        }
+    }
+
+    /// Node `i`'s own effects: TAKE, then GIVE, then STEAL.
+    fn execute(&mut self, node: NodeId, i: usize) {
+        let take = &self.problem.take_init[i];
+        let give = &self.problem.give_init[i];
+        if !take.is_empty() {
+            if self.strict {
+                self.scratch.copy_from(take);
+                self.scratch.subtract_with(&self.avail);
+                self.scratch.subtract_with(give);
+                self.report(|item| Violation::Insufficient { node, item });
+            }
+            self.consumed.union_with(take);
+        }
+        self.avail.union_with(give);
+        self.avail.subtract_with(&self.problem.steal_init[i]);
+    }
+
+    /// The path's violations, item-major: those found along it, then
+    /// the dangling starts at its end `last` and (strict) the items
+    /// produced but not consumed since.
+    fn finish(&mut self, last: NodeId) -> Vec<Violation> {
+        let along = self.found.len();
+        self.scratch.copy_from(&self.pending);
+        self.report(|item| Violation::Unbalanced { node: last, item });
+        if self.strict {
+            self.scratch = BitSet::full(self.consumed.capacity());
+            self.scratch.subtract_with(&self.consumed);
+            self.report_unsafe(last);
+        }
+        let mut tagged = self.found.clone();
+        self.found.truncate(along);
+        // Stable: path order survives within each item.
+        tagged.sort_by_key(|&(item, _)| item);
+        tagged.into_iter().map(|(_, v)| v).collect()
+    }
 }
 
 /// `true` if `path` reaches some loop header but exits it without ever
