@@ -187,7 +187,7 @@ fn enrich(d: &mut Diagnostic, engine: &BlameEngine<'_>, item_names: &[String]) {
 /// and interval-graph assembly plus the communication analysis that
 /// walks them; "lint" is everything not attributed to another stage
 /// (invariant layers, audits, blame enrichment, span attachment). The
-/// run's bounded-path replay counts ride along.
+/// run's bounded-path replay counts and O1 fixpoint rounds ride along.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Source → AST.
@@ -206,6 +206,9 @@ pub struct StageTimings {
     /// Path enumerations cut short by their `max_paths` bound (more
     /// paths existed).
     pub enumerations_truncated: u64,
+    /// Sweeps the O1 must-availability fixpoint (`GNT004`) ran, the last
+    /// one confirming the fixpoint.
+    pub o1_rounds: u64,
 }
 
 impl StageTimings {
@@ -219,7 +222,7 @@ impl StageTimings {
         format!(
             "{{\"file\":\"{}\",\"parse_ns\":{},\"cfg_ns\":{},\"solve_ns\":{},\
              \"generate_ns\":{},\"lint_ns\":{},\"total_ns\":{},\
-             \"paths_replayed\":{},\"enumerations_truncated\":{}}}",
+             \"paths_replayed\":{},\"enumerations_truncated\":{},\"o1_rounds\":{}}}",
             crate::diag::json_escape(file),
             self.parse_ns,
             self.cfg_ns,
@@ -229,6 +232,7 @@ impl StageTimings {
             self.total_ns(),
             self.paths_replayed,
             self.enumerations_truncated,
+            self.o1_rounds,
         )
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::diag::Diagnostic;
 use crate::driver::StageTimings;
-use gnt_cfg::{CfgFlow, IntervalGraph, NodeId};
+use gnt_cfg::{CfgFlow, EdgeClass, IntervalGraph, NodeId};
 use gnt_core::{
     check_balance, check_sufficiency, enumerate_paths_capped, path_has_zero_trip,
     shift_off_synthetic, solve_batch_with_scratch, FlavorSolution, PathChecker, PlacementProblem,
@@ -122,26 +122,200 @@ pub fn violation_to_diag(v: &Violation, item_names: &[String]) -> Diagnostic {
 /// node's own consumption, `RES_out` after it).
 type Point = (usize, bool); // (preorder position * 2 + out?, is res_out)
 
+/// Every item's production points in `flavor`, in program order: one
+/// sweep over the preorder visits `RES_in` before `RES_out` at each node,
+/// so each item's list comes out sorted.
 fn production_points(
     graph: &IntervalGraph,
     flavor: &FlavorSolution,
-    item: usize,
-) -> BTreeSet<Point> {
-    let mut points = BTreeSet::new();
-    for n in graph.nodes() {
-        let i = n.index();
-        if flavor.res_in[i].contains(item) {
-            points.insert((graph.preorder_index(n) * 2, false));
+    cap: usize,
+) -> Vec<Vec<Point>> {
+    let mut points = vec![Vec::new(); cap];
+    for (pos, n) in graph.preorder().iter().enumerate() {
+        for item in flavor.res_in[n.index()].iter() {
+            points[item].push((pos * 2, false));
         }
-        if flavor.res_out[i].contains(item) {
-            points.insert((graph.preorder_index(n) * 2 + 1, true));
+        for item in flavor.res_out[n.index()].iter() {
+            points[item].push((pos * 2 + 1, true));
         }
     }
     points
 }
 
+/// The points of sorted `a` missing from sorted `b`, ascending.
+fn missing_from<'p>(a: &'p [Point], b: &'p [Point]) -> impl Iterator<Item = &'p Point> {
+    a.iter().filter(move |p| b.binary_search(p).is_err())
+}
+
 fn node_at_position(graph: &IntervalGraph, pos: usize) -> NodeId {
     graph.preorder()[pos / 2]
+}
+
+/// The O1 must-availability of every interval-graph edge, the ground
+/// for `GNT004` (redundant production).
+///
+/// It replays the edge-aware slot semantics of [`gnt_core::check_path`]
+/// as a forward must-dataflow over the graph's *edges*: availability is
+/// set by completed (lazy) productions and GIVEs, killed only by STEALs,
+/// a header's `RES_in` does not re-fire on its CYCLE edge, and a header's
+/// `RES_out` fires only toward FORWARD/JUMP successors — so a header's
+/// production never leaks into its own body as availability. The edge
+/// list mirrors [`CfgFlow::from_interval`] (no synthetic edges, no
+/// virtual CYCLE edge into the root).
+///
+/// The states are the greatest fixpoint of a monotone system, reached by
+/// sweeping from "everything available" downwards. That fixpoint is
+/// unique, so the sweep order changes only how many rounds it takes, not
+/// the states. The preorder settles in a few rounds, as every non-CYCLE
+/// edge points forward in it; an order that is not a flow order (node
+/// ids) needs a number of rounds that grows with the file.
+struct O1Avail<'a> {
+    problem: &'a PlacementProblem,
+    lazy: &'a FlavorSolution,
+    /// Class of each edge, by edge id.
+    class: Vec<EdgeClass>,
+    in_edges: Vec<Vec<usize>>,
+    out_edges: Vec<Vec<usize>>,
+    /// Availability on each edge, by edge id.
+    state: Vec<BitSet>,
+    /// Sweeps run, the last one confirming that nothing changed.
+    rounds: u64,
+}
+
+/// Edges a header's `RES_out` fires toward.
+fn exits(c: EdgeClass) -> bool {
+    matches!(c, EdgeClass::Forward | EdgeClass::Jump | EdgeClass::JumpIn)
+}
+
+impl<'a> O1Avail<'a> {
+    /// Runs the fixpoint, sweeping the nodes in `order` each round.
+    fn solve(
+        graph: &IntervalGraph,
+        problem: &'a PlacementProblem,
+        lazy: &'a FlavorSolution,
+        order: &[NodeId],
+    ) -> O1Avail<'a> {
+        let n = graph.num_nodes();
+        let cap = problem.universe_size;
+        let mut class = Vec::new();
+        let mut in_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for m in graph.nodes() {
+            for (s, c) in graph.succ_edges(m) {
+                if c == EdgeClass::Synthetic || (c == EdgeClass::Cycle && s == graph.root()) {
+                    continue;
+                }
+                out_edges[m.index()].push(class.len());
+                in_edges[s.index()].push(class.len());
+                class.push(c);
+            }
+        }
+        let mut o1 = O1Avail {
+            problem,
+            lazy,
+            state: vec![BitSet::full(cap); class.len()],
+            class,
+            in_edges,
+            out_edges,
+            rounds: 0,
+        };
+        // Optimistic fixpoint: start full, intersect downwards.
+        let mut mid = BitSet::new(cap);
+        let mut next = BitSet::new(cap);
+        let mut entry = BitSet::new(cap);
+        let mut changed = true;
+        while changed {
+            changed = false;
+            o1.rounds += 1;
+            for &node in order {
+                let i = node.index();
+                if o1.out_edges[i].is_empty() {
+                    continue;
+                }
+                o1.mid_meet(i, &mut mid, &mut entry);
+                for &e in &o1.out_edges[i] {
+                    next.copy_from(&mid);
+                    if exits(o1.class[e]) {
+                        next.union_with(&lazy.res_out[i]);
+                    }
+                    if next != o1.state[e] {
+                        o1.state[e].copy_from(&next);
+                        changed = true;
+                    }
+                }
+            }
+        }
+        o1
+    }
+
+    /// Availability right after node `i`'s statement, met over all its
+    /// entries, into `acc`. Each entry adds lazy `RES_in` (unless it is
+    /// the CYCLE edge) to its state; the root's boundary is "nothing
+    /// available". TAKE and STEAL then both end availability. Killing at
+    /// TAKE is stricter than `check_path`'s replay on purpose: consumption
+    /// re-justifies later production, so only productions that no
+    /// consumer separates from prior availability are *definitely*
+    /// redundant.
+    fn mid_meet(&self, i: usize, acc: &mut BitSet, entry: &mut BitSet) {
+        let res_in = &self.lazy.res_in[i];
+        if self.in_edges[i].is_empty() {
+            acc.copy_from(res_in);
+        } else {
+            for (k, &e) in self.in_edges[i].iter().enumerate() {
+                entry.copy_from(&self.state[e]);
+                if self.class[e] != EdgeClass::Cycle {
+                    entry.union_with(res_in);
+                }
+                if k == 0 {
+                    acc.copy_from(entry);
+                } else {
+                    acc.intersect_with(entry);
+                }
+            }
+        }
+        acc.subtract_with(&self.problem.take_init[i]);
+        acc.subtract_with(&self.problem.steal_init[i]);
+    }
+
+    /// The redundant production points of `eager`, as (node, item) in
+    /// node-id order; per node, `RES_in` items ascending, then `RES_out`
+    /// items ascending. A point is redundant only when *every* firing
+    /// occurrence of it finds the item available.
+    fn redundant(&self, eager: &FlavorSolution) -> Vec<(NodeId, usize)> {
+        let mut found = Vec::new();
+        let cap = self.problem.universe_size;
+        let (mut out_mid, mut entry) = (BitSet::new(cap), BitSet::new(cap));
+        for (i, ins) in self.in_edges.iter().enumerate() {
+            let node = NodeId(i as u32);
+            // RES_in fires on every non-CYCLE entry; redundant only if the
+            // item is available on all of them.
+            let mut firing = ins
+                .iter()
+                .filter(|&&e| self.class[e] != EdgeClass::Cycle)
+                .peekable();
+            if firing.peek().is_some() {
+                let firing: Vec<&BitSet> = firing.map(|&e| &self.state[e]).collect();
+                for item in eager.res_in[i].iter() {
+                    if firing.iter().all(|s| s.contains(item)) {
+                        found.push((node, item));
+                    }
+                }
+            }
+            // RES_out fires toward FORWARD/JUMP successors, over the
+            // post-statement state of whichever entry was taken.
+            if !eager.res_out[i].is_empty()
+                && self.out_edges[i].iter().any(|&e| exits(self.class[e]))
+            {
+                self.mid_meet(i, &mut out_mid, &mut entry);
+                for item in eager.res_out[i].iter() {
+                    if out_mid.contains(item) {
+                        found.push((node, item));
+                    }
+                }
+            }
+        }
+        found
+    }
 }
 
 /// Lints a placement pair (`eager`, `lazy`) for `problem` over `graph`.
@@ -283,121 +457,21 @@ pub(crate) fn lint_placement_counted(
         }
     }
 
-    // O1: no production start while the item is must-available. This
-    // replays the edge-aware slot semantics of [`gnt_core::check_path`] as a
-    // forward must-dataflow over the interval-graph *edges*: `avail` is
-    // set by completed (lazy) productions and GIVEs, killed only by
-    // STEALs, a header's `RES_in` does not re-fire on its CYCLE edge,
-    // and a header's `RES_out` fires only toward FORWARD/JUMP
-    // successors — so a header's production never leaks into its own
-    // body as availability. A production point is flagged only when
-    // *every* firing occurrence of it is redundant.
-    {
-        use gnt_cfg::EdgeClass;
-        let exits =
-            |c: EdgeClass| matches!(c, EdgeClass::Forward | EdgeClass::Jump | EdgeClass::JumpIn);
-        // Edge list mirroring `CfgFlow::from_interval` (no synthetic
-        // edges, no virtual CYCLE edge into the root).
-        let mut edges: Vec<(usize, usize, EdgeClass)> = Vec::new();
-        let mut in_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for m in graph.nodes() {
-            for (s, c) in graph.succ_edges(m) {
-                if c == EdgeClass::Synthetic || (c == EdgeClass::Cycle && s == graph.root()) {
-                    continue;
-                }
-                let id = edges.len();
-                edges.push((m.index(), s.index(), c));
-                out_edges[m.index()].push(id);
-                in_edges[s.index()].push(id);
-            }
-        }
-        // Availability right after node `i`'s statement when entered in
-        // `state`: lazy RES_in (unless re-entered on the CYCLE edge),
-        // then TAKE and STEAL both end it. Killing at TAKE is stricter
-        // than `check_path`'s replay on purpose: consumption re-justifies
-        // later production, so only productions that no consumer
-        // separates from prior availability are *definitely* redundant.
-        let mid = |i: usize, state: &BitSet, on_cycle: bool| {
-            let mut s = state.clone();
-            if !on_cycle {
-                s.union_with(&lazy.res_in[i]);
-            }
-            s.subtract_with(&problem.take_init[i]);
-            s.subtract_with(&problem.steal_init[i]);
-            s
-        };
-        // Meet over all entries of `i` of the post-statement state; the
-        // root's boundary is "nothing available".
-        let mid_meet = |i: usize, state: &[BitSet]| {
-            if in_edges[i].is_empty() {
-                return mid(i, &BitSet::new(cap), false);
-            }
-            let mut acc = BitSet::full(cap);
-            for &e in &in_edges[i] {
-                acc.intersect_with(&mid(i, &state[e], edges[e].2 == EdgeClass::Cycle));
-            }
-            acc
-        };
-        // Optimistic fixpoint: start full, intersect downwards.
-        let mut state: Vec<BitSet> = vec![BitSet::full(cap); edges.len()];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (i, oes) in out_edges.iter().enumerate() {
-                let m = mid_meet(i, &state);
-                for &e in oes {
-                    let mut s = m.clone();
-                    if exits(edges[e].2) {
-                        s.union_with(&lazy.res_out[i]);
-                    }
-                    if s != state[e] {
-                        state[e] = s;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        for i in 0..n {
-            let out_mid = (!eager.res_out[i].is_empty()
-                && out_edges[i].iter().any(|&e| exits(edges[e].2)))
-            .then(|| mid_meet(i, &state));
-            for item in eager.res_in[i].iter() {
-                // RES_in fires on every non-CYCLE entry; redundant only
-                // if the item is available on all of them.
-                let firing: Vec<usize> = in_edges[i]
-                    .iter()
-                    .copied()
-                    .filter(|&e| edges[e].2 != EdgeClass::Cycle)
-                    .collect();
-                if !firing.is_empty() && firing.iter().all(|&e| state[e].contains(item)) {
-                    let d = Diagnostic::warning(
-                        "GNT004",
-                        format!(
-                            "{} is re-produced here although it is still available",
-                            opts.name(item)
-                        ),
-                    )
-                    .at(NodeId(i as u32));
-                    push(&mut out, d, item);
-                }
-            }
-            for item in eager.res_out[i].iter() {
-                // RES_out fires toward FORWARD/JUMP successors, over the
-                // post-statement state of whichever entry was taken.
-                if out_mid.as_ref().is_some_and(|m| m.contains(item)) {
-                    let d = Diagnostic::warning(
-                        "GNT004",
-                        format!(
-                            "{} is re-produced here although it is still available",
-                            opts.name(item)
-                        ),
-                    )
-                    .at(NodeId(i as u32));
-                    push(&mut out, d, item);
-                }
-            }
-        }
+    // O1: no production start while the item is must-available (see
+    // [`O1Avail`]). The sweep follows the preorder, so it settles in a
+    // few rounds whatever the file size.
+    let o1 = O1Avail::solve(graph, problem, lazy, graph.preorder());
+    profile.o1_rounds += o1.rounds;
+    for (node, item) in o1.redundant(eager) {
+        let d = Diagnostic::warning(
+            "GNT004",
+            format!(
+                "{} is re-produced here although it is still available",
+                opts.name(item)
+            ),
+        )
+        .at(node);
+        push(&mut out, d, item);
     }
 
     // Zero-trip advisory pass: strict replay of zero-trip paths. The
@@ -446,15 +520,16 @@ pub(crate) fn lint_placement_counted(
         let mut opt = solve_batch_with_scratch(graph, problem, &opts.solver_options, scratch);
         shift_off_synthetic(graph, &mut opt.eager);
         shift_off_synthetic(graph, &mut opt.lazy);
+        let given_eager = production_points(graph, eager, cap);
+        let opt_eager = production_points(graph, &opt.eager, cap);
+        let given_lazy = production_points(graph, lazy, cap);
+        let opt_lazy = production_points(graph, &opt.lazy, cap);
         for item in 0..cap {
-            let ge = production_points(graph, eager, item);
-            let oe = production_points(graph, &opt.eager, item);
-            let gl = production_points(graph, lazy, item);
-            let ol = production_points(graph, &opt.lazy, item);
+            let (ge, oe) = (&given_eager[item], &opt_eager[item]);
+            let (gl, ol) = (&given_lazy[item], &opt_lazy[item]);
             if ge.len() > oe.len() {
                 // O2: more production points than the optimum needs.
-                let &(pos, _) = ge
-                    .difference(&oe)
+                let &(pos, _) = missing_from(ge, oe)
                     .next()
                     .expect("larger set has extra point");
                 let d = Diagnostic::warning(
@@ -474,8 +549,8 @@ pub(crate) fn lint_placement_counted(
                 continue; // fewer points than the optimum: different regime, not a lint
             }
             // O3: an eager point strictly later than the optimum's earliest.
-            if let Some(&(first_opt, _)) = oe.iter().next() {
-                if let Some(&(pos, _)) = ge.difference(&oe).find(|&&(p, _)| p > first_opt) {
+            if let Some(&(first_opt, _)) = oe.first() {
+                if let Some(&(pos, _)) = missing_from(ge, oe).find(|&&(p, _)| p > first_opt) {
                     let d = Diagnostic::warning(
                         "GNT006",
                         format!(
@@ -492,8 +567,8 @@ pub(crate) fn lint_placement_counted(
                 }
             }
             // O3': a lazy point strictly earlier than the optimum's latest.
-            if let Some(&(last_opt, _)) = ol.iter().next_back() {
-                if let Some(&(pos, _)) = gl.difference(&ol).find(|&&(p, _)| p < last_opt) {
+            if let Some(&(last_opt, _)) = ol.last() {
+                if let Some(&(pos, _)) = missing_from(gl, ol).find(|&&(p, _)| p < last_opt) {
                     let d = Diagnostic::warning(
                         "GNT007",
                         format!(
@@ -519,4 +594,69 @@ pub(crate) fn lint_placement_counted(
         )
     });
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gnt_core::{random_problem, random_program, shift_off_synthetic, solve, GenConfig};
+
+    /// SplitMix64: a few random bits without a dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Adds a production of a random item at about one slot in `per`.
+    fn perturb(flavor: &mut FlavorSolution, cap: usize, per: u64, rng: &mut u64) {
+        for sets in [&mut flavor.res_in, &mut flavor.res_out] {
+            for set in sets.iter_mut() {
+                if next(rng).is_multiple_of(per) {
+                    set.insert((next(rng) % cap as u64) as usize);
+                }
+            }
+        }
+    }
+
+    /// The O1 fixpoint is unique, so sweeping in node-id order (the order
+    /// it once used) and in preorder must give the same per-edge states
+    /// and the same `GNT004` points — on solver placements with random
+    /// extra eager/lazy productions, so that `GNT004` actually fires, and
+    /// on universes on both sides of the 64-bit word boundary.
+    #[test]
+    fn o1_sweep_order_does_not_change_states_or_findings() {
+        let config = GenConfig {
+            loop_prob: 0.45,
+            ..GenConfig::default()
+        };
+        let mut rng = 0x0123_4567_89ab_cdef;
+        let mut fired = 0;
+        for seed in 0..24u64 {
+            let graph = IntervalGraph::from_program(&random_program(seed, &config)).unwrap();
+            let id_order: Vec<NodeId> = graph.nodes().collect();
+            for cap in [5, 64, 97] {
+                let problem = random_problem(seed * 7 + cap as u64, &graph, cap, 0.2);
+                let mut sol = solve(&graph, &problem, &SolverOptions::default());
+                shift_off_synthetic(&graph, &mut sol.eager);
+                shift_off_synthetic(&graph, &mut sol.lazy);
+                perturb(&mut sol.eager, cap, 3, &mut rng);
+                perturb(&mut sol.lazy, cap, 3, &mut rng);
+                let by_id = O1Avail::solve(&graph, &problem, &sol.lazy, &id_order);
+                let by_pre = O1Avail::solve(&graph, &problem, &sol.lazy, graph.preorder());
+                assert_eq!(by_id.class, by_pre.class, "seed {seed}, {cap} items");
+                assert_eq!(by_id.state, by_pre.state, "seed {seed}, {cap} items");
+                let found = by_pre.redundant(&sol.eager);
+                assert_eq!(
+                    by_id.redundant(&sol.eager),
+                    found,
+                    "seed {seed}, {cap} items"
+                );
+                fired += found.len();
+            }
+        }
+        assert!(fired > 0, "the perturbed placements never trigger GNT004");
+    }
 }

@@ -431,7 +431,9 @@ fn explain_prints_the_family() {
 /// 8 of them without a zero trip: the plan replay takes those 8 by
 /// default; with `--zero-trip` it takes all 18 and the placement pass the
 /// other 10. Six sequential loops have 3^6 = 729 paths, so every
-/// enumeration is truncated.
+/// enumeration is truncated. The line ends with the O1 fixpoint's rounds:
+/// one sweep in preorder settles these loops of depth 1, a second one
+/// carries availability around their CYCLE edges, and a third confirms.
 #[test]
 fn profile_line_counts_replayed_and_truncated_paths() {
     let fig1 = write_fixture("fig1.minif", FIG1);
@@ -453,12 +455,41 @@ fn profile_line_counts_replayed_and_truncated_paths() {
         let out = gnt_lint(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         let line = stderr.lines().next().unwrap_or_default();
-        let expected =
-            format!("\"paths_replayed\":{replayed},\"enumerations_truncated\":{truncated}}}");
+        let expected = format!(
+            "\"paths_replayed\":{replayed},\"enumerations_truncated\":{truncated},\"o1_rounds\":3}}"
+        );
         assert!(
             line.ends_with(&expected),
             "{} (zero-trip {zero_trip}): {line}",
             file.display()
         );
     }
+}
+
+/// The O1 must-availability fixpoint sweeps in preorder, so its round
+/// count is bounded by the loop nesting depth, not by the file size: 500
+/// sibling loop nests of depth 2 settle within depth + 3 rounds. A sweep
+/// in node-id order needed a round count that grew with the file.
+#[test]
+fn profile_o1_rounds_stay_bounded_by_loop_depth() {
+    const DEPTH: u64 = 2;
+    let src: String = (0..500)
+        .map(|k| {
+            format!("do i{k} = 1, N\n  do j{k} = 1, M\n    y(j{k}) = x(a(i{k}))\n  enddo\nenddo\n")
+        })
+        .collect();
+    let file = write_fixture("sibling_loops.minif", &src);
+    let out = gnt_lint(&[file.to_str().unwrap(), "--profile"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr.lines().next().unwrap_or_default();
+    let rounds: u64 = line
+        .split("\"o1_rounds\":")
+        .nth(1)
+        .and_then(|rest| rest.trim_end_matches('}').parse().ok())
+        .unwrap_or_else(|| panic!("no o1_rounds in {line}"));
+    assert!(
+        (1..=DEPTH + 3).contains(&rounds),
+        "{rounds} O1 rounds over 500 sibling loops: {line}"
+    );
 }

@@ -240,83 +240,69 @@ impl LoopForest {
 
     /// Builds the forest from an explicit back-edge list (natural loops
     /// with identical headers are merged).
+    ///
+    /// Linear in the total member count: the natural-loop walks share one
+    /// stamp array, so no loop costs time in the size of the graph.
     pub fn from_back_edges(cfg: &Cfg, backs: &[(NodeId, NodeId)]) -> LoopForest {
+        const NONE: u32 = u32::MAX;
         let n = cfg.num_nodes();
-        // header node → member marks
-        let mut bodies: Vec<(NodeId, Vec<bool>)> = Vec::new();
+        // Back-edge tails grouped by header, headers in first-appearance
+        // order.
+        let mut body_of = vec![NONE; n];
+        let mut bodies: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
         for &(tail, header) in backs {
-            let entry = bodies.iter().position(|(h, _)| *h == header);
-            let idx = match entry {
-                Some(i) => i,
-                None => {
-                    bodies.push((header, vec![false; n]));
-                    bodies.len() - 1
-                }
-            };
-            // Natural loop: nodes that reach `tail` without passing `header`.
-            let marks = &mut bodies[idx].1;
-            let mut stack = vec![tail];
-            while let Some(x) = stack.pop() {
-                if x == header || marks[x.index()] {
-                    continue;
-                }
-                marks[x.index()] = true;
-                for &p in cfg.preds(x) {
-                    stack.push(p);
-                }
+            let slot = &mut body_of[header.index()];
+            if *slot == NONE {
+                *slot = bodies.len() as u32;
+                bodies.push((header, Vec::new()));
             }
+            bodies[*slot as usize].1.push(tail);
         }
-        // Sort by body size so parents (larger) come later; assign ids in
-        // ascending size so an inner loop has a smaller member count.
-        bodies.sort_by_key(|(_, marks)| marks.iter().filter(|&&b| b).count());
+        // Natural loop: nodes that reach a tail without passing the
+        // header. `stamp[x] == b` marks `x` as a member of body `b`.
+        let mut stamp = vec![NONE; n];
+        let mut stack = Vec::new();
         let mut loops: Vec<LoopInfo> = bodies
-            .iter()
-            .map(|(h, marks)| LoopInfo {
-                header: *h,
-                members: (0..n as u32)
-                    .map(NodeId)
-                    .filter(|x| marks[x.index()])
-                    .collect(),
-                parent: None,
-                depth: 0,
+            .into_iter()
+            .enumerate()
+            .map(|(b, (header, tails))| {
+                let mut members = Vec::new();
+                stack.extend(tails);
+                while let Some(x) = stack.pop() {
+                    if x == header || stamp[x.index()] == b as u32 {
+                        continue;
+                    }
+                    stamp[x.index()] = b as u32;
+                    members.push(x);
+                    stack.extend_from_slice(cfg.preds(x));
+                }
+                members.sort_unstable();
+                LoopInfo {
+                    header,
+                    members,
+                    parent: None,
+                    depth: 0,
+                }
             })
             .collect();
-        // Parent: the smallest strictly-larger loop containing this header.
-        for i in 0..loops.len() {
-            let header = loops[i].header;
-            for (j, candidate) in loops.iter().enumerate().skip(i + 1) {
-                if candidate.members.contains(&header) {
-                    loops[i].parent = Some(LoopId(j as u32));
-                    break;
-                }
-            }
+        // Sort by body size so parents (larger) come later; assign ids in
+        // ascending size so an inner loop has a smaller member count.
+        loops.sort_by_key(|l| l.members.len());
+        let mut forest = Self::from_parts(loops, n);
+        // Parent: the first loop in sorted order listing the header as a
+        // member, i.e. the header's innermost loop. In a reducible graph
+        // that loop is strictly larger, so it comes later, and walking
+        // outer-to-inner sees each parent's depth first.
+        for i in (0..forest.loops.len()).rev() {
+            let parent = forest.innermost[forest.loops[i].header.index()];
+            debug_assert!(
+                parent.is_none_or(|p| p.index() > i),
+                "loop {i} nests in a smaller loop"
+            );
+            forest.loops[i].parent = parent;
+            forest.loops[i].depth = parent.map_or(1, |p| forest.loops[p.index()].depth + 1);
         }
-        for i in 0..loops.len() {
-            let mut depth = 1;
-            let mut cur = loops[i].parent;
-            while let Some(p) = cur {
-                depth += 1;
-                cur = loops[p.index()].parent;
-            }
-            loops[i].depth = depth;
-        }
-        // innermost member loop per node: loops are sorted by size, so the
-        // first loop listing the node is innermost.
-        let mut innermost = vec![None; n];
-        let mut headed = vec![None; n];
-        for (i, l) in loops.iter().enumerate() {
-            headed[l.header.index()] = Some(LoopId(i as u32));
-            for &m in &l.members {
-                if innermost[m.index()].is_none() {
-                    innermost[m.index()] = Some(LoopId(i as u32));
-                }
-            }
-        }
-        LoopForest {
-            loops,
-            innermost,
-            headed,
-        }
+        forest
     }
 
     /// All loops, inner-to-outer (ids are valid indices).

@@ -47,7 +47,7 @@ pub use dom::{
 pub use dot::{to_dot, DotOverlay};
 pub use graph::{Cfg, NodeId, NodeKind, SynthKind};
 pub use interval::{EdgeClass, EdgeMask, GraphError, IntervalGraph};
-pub use reverse::reversed_graph;
+pub use reverse::{reversed_graph, reversed_graph_with_loops, reversed_loops};
 pub use scratch::{CfgScratch, CfgScratchPool, PooledCfgScratch};
 
 /// Maps every node of `graph` to the source span of the statement it was

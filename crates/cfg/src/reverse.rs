@@ -18,7 +18,7 @@
 //!   so the solver can either extend availability (Eq. 11) along them or
 //!   fall back to §5.3's conservative poisoning.
 
-use crate::dom::{LoopForest, LoopInfo};
+use crate::dom::{LoopForest, LoopId, LoopInfo};
 use crate::graph::Cfg;
 use crate::interval::{normalize, EdgeClass, GraphError, IntervalGraph};
 
@@ -46,6 +46,21 @@ use crate::interval::{normalize, EdgeClass, GraphError, IntervalGraph};
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn reversed_graph(g: &IntervalGraph) -> Result<IntervalGraph, GraphError> {
+    reversed_graph_with_loops(g, reversed_loops(g))
+}
+
+/// [`reversed_graph`] around an explicit loop transfer: `loops` must be
+/// what [`reversed_loops`] returns for `g` (sorted inner-to-outer, parents
+/// and depths consistent). The seam lets a test rebuild the reversed
+/// graph from an independent transfer and compare the two.
+///
+/// # Errors
+///
+/// As [`reversed_graph`].
+pub fn reversed_graph_with_loops(
+    g: &IntervalGraph,
+    loops: Vec<LoopInfo>,
+) -> Result<IntervalGraph, GraphError> {
     // 1. Reversed CFG over the same node ids: flip every real (CEFJ) edge,
     //    skipping synthetic edges and the virtual exit→ROOT cycle edge
     //    (both are artifacts re-derived below).
@@ -61,32 +76,6 @@ pub fn reversed_graph(g: &IntervalGraph) -> Result<IntervalGraph, GraphError> {
     }
 
     // 2. Transfer the loop forest: identical headers and member sets.
-    let mut loops: Vec<LoopInfo> = g
-        .nodes()
-        .filter(|&n| g.is_loop_header(n))
-        .map(|h| LoopInfo {
-            header: h,
-            members: g
-                .nodes()
-                .filter(|&n| g.enclosing_headers(n).contains(&h))
-                .collect(),
-            parent: None,
-            depth: g.level(h),
-        })
-        .collect();
-    loops.sort_by_key(|l| l.members.len());
-    // Parent links by membership of headers.
-    let parents: Vec<Option<usize>> = loops
-        .iter()
-        .map(|l| {
-            loops
-                .iter()
-                .position(|outer| outer.members.contains(&l.header))
-        })
-        .collect();
-    for (i, p) in parents.into_iter().enumerate() {
-        loops[i].parent = p.map(|j| crate::dom::LoopId(j as u32));
-    }
     let mut forest = LoopForest::from_parts(loops, cfg.num_nodes());
 
     // 3. Normalize the reversed graph (critical edges, unique latch).
@@ -95,6 +84,58 @@ pub fn reversed_graph(g: &IntervalGraph) -> Result<IntervalGraph, GraphError> {
     // 4. Assemble with jump-in edges tolerated; they poison the loops they
     //    enter (§5.3).
     IntervalGraph::assemble(&cfg, &forest, true)
+}
+
+/// The loop records [`reversed_graph`] transfers from `g`: the same
+/// headers and member sets (members in id order), sorted inner-to-outer
+/// by member count (stable over header ids), each with the parent and
+/// depth it has in `g`.
+///
+/// One walk over the nodes builds every member list — each node joins the
+/// loops of its enclosing headers — so the transfer is linear in the
+/// total member count.
+pub fn reversed_loops(g: &IntervalGraph) -> Vec<LoopInfo> {
+    const NONE: usize = usize::MAX;
+    let mut slot = vec![NONE; g.num_nodes()];
+    let mut loops: Vec<LoopInfo> = Vec::new();
+    for h in g.nodes().filter(|&n| g.is_loop_header(n)) {
+        slot[h.index()] = loops.len();
+        loops.push(LoopInfo {
+            header: h,
+            members: Vec::new(),
+            parent: None,
+            depth: g.level(h),
+        });
+    }
+    for n in g.nodes() {
+        // `get_mut(NONE)` skips an enclosing header that heads no loop.
+        for &h in g.enclosing_headers(n) {
+            if let Some(l) = loops.get_mut(slot[h.index()]) {
+                l.members.push(n);
+            }
+        }
+    }
+    loops.sort_by_key(|l| l.members.len());
+    for (i, l) in loops.iter().enumerate() {
+        slot[l.header.index()] = i;
+    }
+    // Parent: the first loop in sorted order listing the header as a
+    // member, i.e. the lowest sorted index among its enclosing headers.
+    let parents: Vec<Option<LoopId>> = loops
+        .iter()
+        .map(|l| {
+            g.enclosing_headers(l.header)
+                .iter()
+                .map(|h| slot[h.index()])
+                .filter(|&j| j != NONE)
+                .min()
+                .map(|j| LoopId(j as u32))
+        })
+        .collect();
+    for (l, p) in loops.iter_mut().zip(parents) {
+        l.parent = p;
+    }
+    loops
 }
 
 /// Creates a bare CFG with the same node set as `g`, entry at `g.exit()`
