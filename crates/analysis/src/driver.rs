@@ -10,11 +10,9 @@ use crate::diag::{attach_spans, Diagnostic, Severity};
 use crate::invariants::lint_graph;
 use crate::placement::{lint_placement_counted, PlacementLintOptions};
 use crate::provenance::{chain_trail, why_not_trail};
-use gnt_cfg::{node_spans, reversed_graph, DotOverlay};
-use gnt_comm::{analyze, generate_with_options, CommConfig, CommPlan, GenerateOptions};
-use gnt_core::{
-    check_balance, check_sufficiency, shift_off_synthetic, BlameEngine, Flavor, SolverOptions, Var,
-};
+use gnt_cfg::{node_spans, DotOverlay};
+use gnt_comm::{analyze, generate_with_placement, CommConfig, CommPlan, GenerateOptions};
+use gnt_core::{BlameEngine, Flavor, SolverOptions, Var};
 use gnt_ir::{Program, StmtKind};
 use std::fmt;
 
@@ -187,16 +185,18 @@ fn enrich(d: &mut Diagnostic, engine: &BlameEngine<'_>, item_names: &[String]) {
 /// and interval-graph assembly plus the communication analysis that
 /// walks them; "lint" is everything not attributed to another stage
 /// (invariant layers, audits, blame enrichment, span attachment). The
-/// run's bounded-path replay counts and O1 fixpoint rounds ride along.
+/// run's solve count, bounded-path replay counts and O1 fixpoint rounds
+/// ride along.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Source → AST.
     pub parse_ns: u64,
     /// AST → CFG → interval graph → communication analysis.
     pub cfg_ns: u64,
-    /// READ/WRITE placement solves.
+    /// Placement solves: the plan's READ and WRITE solves (run inside
+    /// generation) plus any blame re-derivation.
     pub solve_ns: u64,
-    /// Communication plan generation.
+    /// Communication plan generation, its solves excluded.
     pub generate_ns: u64,
     /// Lint layers, audits, blame, span attachment.
     pub lint_ns: u64,
@@ -206,9 +206,13 @@ pub struct StageTimings {
     /// Path enumerations cut short by their `max_paths` bound (more
     /// paths existed).
     pub enumerations_truncated: u64,
-    /// Sweeps the O1 must-availability fixpoint (`GNT004`) ran, the last
-    /// one confirming the fixpoint.
+    /// Sweeps the O1 must-availability fixpoint (`GNT004`) ran, summed
+    /// over the READ and WRITE fixpoints; each one's last sweep confirms
+    /// it.
     pub o1_rounds: u64,
+    /// Placement solves run: the plan's two, plus one blame
+    /// re-derivation per problem whose placement lint found something.
+    pub solves: u64,
 }
 
 impl StageTimings {
@@ -221,7 +225,7 @@ impl StageTimings {
     pub fn to_json(&self, file: &str) -> String {
         format!(
             "{{\"file\":\"{}\",\"parse_ns\":{},\"cfg_ns\":{},\"solve_ns\":{},\
-             \"generate_ns\":{},\"lint_ns\":{},\"total_ns\":{},\
+             \"generate_ns\":{},\"lint_ns\":{},\"total_ns\":{},\"solves\":{},\
              \"paths_replayed\":{},\"enumerations_truncated\":{},\"o1_rounds\":{}}}",
             crate::diag::json_escape(file),
             self.parse_ns,
@@ -230,6 +234,7 @@ impl StageTimings {
             self.generate_ns,
             self.lint_ns,
             self.total_ns(),
+            self.solves,
             self.paths_replayed,
             self.enumerations_truncated,
             self.o1_rounds,
@@ -258,10 +263,10 @@ pub fn lint_program(program: &Program, opts: &LintOptions) -> Result<LintReport,
 }
 
 /// [`lint_program`] with a caller-provided solver workspace: one scratch
-/// arena backs the whole pipeline — plan generation, the READ/WRITE lint
-/// solves, and blame all replay the same cached schedule tapes instead
-/// of each compiling their own. The batch front-end checks scratches out
-/// of a [`gnt_core::ScratchPool`] per worker and calls this.
+/// arena backs the whole pipeline — the plan's READ/WRITE solves replay
+/// its cached schedule tapes, and blame re-derives a solve into it. The
+/// batch front-end checks scratches out of a [`gnt_core::ScratchPool`]
+/// per worker and calls this.
 ///
 /// # Errors
 ///
@@ -296,22 +301,18 @@ fn lint_program_inner(
         .map_err(|e| LintError::Pipeline(e.to_string()))?;
     timings.cfg_ns = elapsed_ns(stage);
     let stage = std::time::Instant::now();
-    let plan = generate_with_options(analysis, &GenerateOptions::default(), scratch)
+    let (plan, placement) = generate_with_placement(analysis, &GenerateOptions::default(), scratch)
         .map_err(|e| LintError::Pipeline(e.to_string()))?;
-    timings.generate_ns = elapsed_ns(stage);
+    timings.solves = placement.solves;
+    timings.solve_ns = placement.solve_ns;
+    timings.generate_ns = elapsed_ns(stage).saturating_sub(placement.solve_ns);
     let graph = &plan.analysis.graph;
 
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
     // Layer 1: structural invariants of both graph orientations.
     diagnostics.extend(lint_graph(graph, false));
-    match reversed_graph(graph) {
-        Ok(rev) => diagnostics.extend(lint_graph(&rev, true)),
-        Err(e) => diagnostics.push(
-            Diagnostic::error("GNT010", format!("the graph cannot be reversed: {e}"))
-                .at(graph.root()),
-        ),
-    }
+    diagnostics.extend(lint_graph(&placement.reversed, true));
 
     let item_names: Vec<String> = plan
         .analysis
@@ -320,90 +321,46 @@ fn lint_program_inner(
         .map(|(_, r)| r.to_string())
         .collect();
 
-    // Layer 2: placement criteria of the READ (BEFORE) problem, linted
-    // on the same shifted solution the plan was emitted from. The READ
-    // and WRITE solves below share one scratch arena.
-    let solver_opts = SolverOptions::default();
+    // Layer 2: the placement criteria of both problems, on the solutions
+    // the plan was emitted from — READ shifted as emitted, WRITE (the
+    // coupled problem, on the reversed graph) unshifted, since the shift
+    // does not preserve its sufficiency (`shift_off_synthetic`). O2/O3/O3'
+    // and the placement audits (`audit_placement`) compare with a shifted
+    // re-solve: for READ that is the solution itself; for the unshifted
+    // WRITE solution it does not apply, and only `tests/solver_clean.rs`
+    // checks them on it. The zero-trip pass runs on READ only.
+    let mut layer2 = Vec::new();
     if opts.select != ProblemSelect::After {
-        let stage = std::time::Instant::now();
-        let mut sol = gnt_core::solve_batch_with_scratch(
-            graph,
-            &plan.analysis.read_problem,
-            &SolverOptions::default(),
-            scratch,
-        );
-        timings.solve_ns += elapsed_ns(stage);
-        shift_off_synthetic(graph, &mut sol.eager);
-        shift_off_synthetic(graph, &mut sol.lazy);
+        let read = (&placement.read_eager, &placement.read_lazy);
+        layer2.push((graph, &plan.analysis.read_problem, read, opts.zero_trip));
+    }
+    if opts.select != ProblemSelect::Before {
+        let write = (&placement.write_eager, &placement.write_lazy);
+        layer2.push((&placement.reversed, &placement.write_problem, write, false));
+    }
+    let solver_opts = SolverOptions::default();
+    for (g, problem, (eager, lazy), zero_trip) in layer2 {
         let popts = PlacementLintOptions {
-            zero_trip: opts.zero_trip,
+            check_optimality: false,
+            zero_trip,
             item_names: item_names.clone(),
             ..Default::default()
         };
-        // The placement audits (`audit_placement`) are not run here: they
-        // are silent on the solver's own placement by construction
-        // (pinned by `tests/solver_clean.rs`).
-        let mut found = lint_placement_counted(
-            graph,
-            &plan.analysis.read_problem,
-            &sol.eager,
-            &sol.lazy,
-            &popts,
-            scratch,
-            timings,
-        );
-        // Blame enrichment: the scratch still holds the full READ solve
-        // (this must precede the WRITE solve, which reuses the arena).
-        let engine = BlameEngine::new(graph, &plan.analysis.read_problem, &solver_opts, scratch);
-        for d in &mut found {
-            enrich(d, &engine, &item_names);
+        let mut found = lint_placement_counted(g, problem, eager, lazy, &popts, scratch, timings);
+        if !found.is_empty() {
+            // Blame needs the full solve in the scratch: re-derive it.
+            let stage = std::time::Instant::now();
+            gnt_core::solve_into(g, problem, &solver_opts, scratch);
+            timings.solve_ns += elapsed_ns(stage);
+            timings.solves += 1;
+            let engine = BlameEngine::new(g, problem, &solver_opts, scratch);
+            for d in &mut found {
+                enrich(d, &engine, &item_names);
+            }
         }
         diagnostics.extend(found);
     }
-
-    // The WRITE (AFTER) problem is solved on the reversed graph; check
-    // its criteria over the reversed flow like the core verifiers do.
-    if opts.select != ProblemSelect::Before {
-        let stage = std::time::Instant::now();
-        let solved_after = gnt_core::solve_after_with_scratch(
-            graph,
-            &plan.analysis.write_problem,
-            &SolverOptions::default(),
-            scratch,
-        );
-        timings.solve_ns += elapsed_ns(stage);
-        match solved_after {
-            Ok(after) => {
-                let mut problem = plan.analysis.write_problem.clone();
-                problem.resize_nodes(after.reversed.num_nodes());
-                let mut found = Vec::new();
-                for v in check_sufficiency(&after.reversed, &problem, &after.solution.eager, true)
-                    .into_iter()
-                    .chain(check_balance(
-                        &after.reversed,
-                        &problem,
-                        &after.solution.eager,
-                        &after.solution.lazy,
-                    ))
-                {
-                    found.push(crate::placement::violation_to_diag(&v, &item_names));
-                }
-                if !found.is_empty() {
-                    // The scratch now holds the WRITE solve (reversed
-                    // orientation) — blame the findings against it.
-                    let engine = BlameEngine::new(&after.reversed, &problem, &solver_opts, scratch);
-                    for d in &mut found {
-                        enrich(d, &engine, &item_names);
-                    }
-                }
-                diagnostics.extend(found);
-            }
-            Err(e) => diagnostics.push(
-                Diagnostic::error("GNT010", format!("the WRITE problem cannot be solved: {e}"))
-                    .at(graph.root()),
-            ),
-        }
-    }
+    drop(placement);
 
     // Layer 3: the communication plan itself — dead/redundant transfers
     // and the race/deadlock replay.

@@ -68,55 +68,6 @@ impl PlacementLintOptions {
     }
 }
 
-/// Converts one core-verifier [`Violation`] into its registry
-/// diagnostic (`GNT001`–`GNT004`), without deduplication.
-pub fn violation_to_diag(v: &Violation, item_names: &[String]) -> Diagnostic {
-    let name = |item: usize| {
-        item_names
-            .get(item)
-            .cloned()
-            .unwrap_or_else(|| format!("item {item}"))
-    };
-    match *v {
-        Violation::Insufficient { node, item } => Diagnostic::error(
-            "GNT001",
-            format!(
-                "{} may reach this consumer unproduced on some path",
-                name(item)
-            ),
-        )
-        .at(node)
-        .for_item(item),
-        Violation::Unbalanced { node, item } => Diagnostic::error(
-            "GNT002",
-            format!(
-                "eager/lazy productions of {} do not pair up at this point",
-                name(item)
-            ),
-        )
-        .at(node)
-        .for_item(item),
-        Violation::Unsafe { node, item } => Diagnostic::error(
-            "GNT003",
-            format!(
-                "{} is produced here but never consumed afterwards",
-                name(item)
-            ),
-        )
-        .at(node)
-        .for_item(item),
-        Violation::Redundant { node, item } => Diagnostic::warning(
-            "GNT004",
-            format!(
-                "{} is re-produced here although it is still available",
-                name(item)
-            ),
-        )
-        .at(node)
-        .for_item(item),
-    }
-}
-
 /// A production point: a node plus the slot the production fires in.
 /// The position key orders points in program order (`RES_in` before the
 /// node's own consumption, `RES_out` after it).
@@ -339,8 +290,8 @@ pub fn lint_placement(
 
 /// [`lint_placement`] with a caller-provided solver scratch: the
 /// optimality comparison (O2/O3/O3') re-solves the same problem, so a
-/// scratch whose tape cache is already warm for `graph` (e.g. the one the
-/// driver just solved with) turns that re-solve into a cached replay.
+/// scratch whose tape cache is already warm for `graph` turns that
+/// re-solve into a cached replay.
 pub fn lint_placement_with_scratch(
     graph: &IntervalGraph,
     problem: &PlacementProblem,
@@ -361,7 +312,7 @@ pub fn lint_placement_with_scratch(
 }
 
 /// [`lint_placement_with_scratch`], adding the zero-trip pass's path
-/// replay counts to `profile`.
+/// replay counts and the O1 fixpoint's rounds to `profile`.
 pub(crate) fn lint_placement_counted(
     graph: &IntervalGraph,
     problem: &PlacementProblem,

@@ -8,8 +8,8 @@
 
 use crate::diag::RelatedInfo;
 use crate::driver::{detect_distributed, LintError, LintOptions, ProblemSelect};
-use gnt_cfg::{reversed_graph, IntervalGraph, NodeId};
-use gnt_comm::{analyze, CommConfig};
+use gnt_cfg::NodeId;
+use gnt_comm::{analyze, generate_with_placement, CommConfig, GenerateOptions};
 use gnt_core::{
     check_chain, Absence, BlameChain, BlameEngine, Reason, SolverOptions, SolverScratch, Var,
     WhyNot,
@@ -227,9 +227,10 @@ pub fn why_not_trail(wn: &WhyNot, item_name: &str) -> Vec<RelatedInfo> {
 /// WRITE problem (per [`LintOptions::select`]; `Both` means READ) and
 /// returns the rendered chain.
 ///
-/// The query addresses the *solver's* variables: placements are queried
-/// pre-shift, on the forward graph for READ and on the reversed graph
-/// for WRITE.
+/// The query addresses the *solver's* variables of the problems the
+/// plan was generated from: placements are queried pre-shift, on the
+/// forward graph for READ and, for WRITE, on the reversed graph with the
+/// coupled problem (placed READs as extra `STEAL_init`s).
 ///
 /// # Errors
 ///
@@ -251,6 +252,19 @@ pub fn run_query(
     let refs: Vec<&str> = distributed.iter().map(String::as_str).collect();
     let analysis = analyze(program, &CommConfig::distributed(&refs))
         .map_err(|e| LintError::Pipeline(e.to_string()))?;
+    // READ is queried on the analysis's own problem. WRITE is the coupled
+    // problem on the (possibly poisoned) reversed graph that generation
+    // solved, so only an `--after` query generates the plan.
+    let mut scratch = SolverScratch::new();
+    let after_select = opts.select == ProblemSelect::After;
+    let (analysis, placement) = if after_select {
+        let (plan, placement) =
+            generate_with_placement(analysis, &GenerateOptions::default(), &mut scratch)
+                .map_err(|e| LintError::Pipeline(e.to_string()))?;
+        (plan.analysis, Some(placement))
+    } else {
+        (analysis, None)
+    };
 
     // Resolve the item: universe index or display name.
     let names: Vec<String> = analysis
@@ -272,18 +286,9 @@ pub fn run_query(
     let item_name = &names[item];
 
     let solver_opts = SolverOptions::default();
-    let mut scratch = SolverScratch::new();
-    let after_select = opts.select == ProblemSelect::After;
-    // The engine borrows graph + problem, so materialise the WRITE
-    // orientation first when asked for it.
-    let (graph, problem): (IntervalGraph, gnt_core::PlacementProblem) = if after_select {
-        let rev =
-            reversed_graph(&analysis.graph).map_err(|e| LintError::Pipeline(e.to_string()))?;
-        let mut problem = analysis.write_problem.clone();
-        problem.resize_nodes(rev.num_nodes());
-        (rev, problem)
-    } else {
-        (analysis.graph.clone(), analysis.read_problem.clone())
+    let (graph, problem) = match &placement {
+        Some(placement) => (&placement.reversed, &placement.write_problem),
+        None => (&analysis.graph, &analysis.read_problem),
     };
     if spec.node >= graph.num_nodes() {
         return Err(LintError::Pipeline(format!(
@@ -293,8 +298,8 @@ pub fn run_query(
             graph.num_nodes()
         )));
     }
-    gnt_core::solve_into(&graph, &problem, &solver_opts, &mut scratch);
-    let engine = BlameEngine::new(&graph, &problem, &solver_opts, &scratch);
+    gnt_core::solve_into(graph, problem, &solver_opts, &mut scratch);
+    let engine = BlameEngine::new(graph, problem, &solver_opts, &scratch);
     let node = NodeId(spec.node as u32);
     let spans = gnt_cfg::node_spans(program, &analysis.graph);
     // Reversed-graph nodes past the forward node count are synthetic and

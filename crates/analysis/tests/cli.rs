@@ -431,9 +431,10 @@ fn explain_prints_the_family() {
 /// 8 of them without a zero trip: the plan replay takes those 8 by
 /// default; with `--zero-trip` it takes all 18 and the placement pass the
 /// other 10. Six sequential loops have 3^6 = 729 paths, so every
-/// enumeration is truncated. The line ends with the O1 fixpoint's rounds:
-/// one sweep in preorder settles these loops of depth 1, a second one
-/// carries availability around their CYCLE edges, and a third confirms.
+/// enumeration is truncated. The line ends with the O1 fixpoints' rounds,
+/// 3 for READ plus 3 for WRITE: in each, one sweep in preorder settles
+/// these loops of depth 1, a second one carries availability around their
+/// CYCLE edges, and a third confirms.
 #[test]
 fn profile_line_counts_replayed_and_truncated_paths() {
     let fig1 = write_fixture("fig1.minif", FIG1);
@@ -456,7 +457,7 @@ fn profile_line_counts_replayed_and_truncated_paths() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         let line = stderr.lines().next().unwrap_or_default();
         let expected = format!(
-            "\"paths_replayed\":{replayed},\"enumerations_truncated\":{truncated},\"o1_rounds\":3}}"
+            "\"paths_replayed\":{replayed},\"enumerations_truncated\":{truncated},\"o1_rounds\":6}}"
         );
         assert!(
             line.ends_with(&expected),
@@ -466,10 +467,36 @@ fn profile_line_counts_replayed_and_truncated_paths() {
     }
 }
 
+/// The `--profile` line of `file` under the extra `args`, asserting the
+/// run exits with `code`.
+fn profile_line(file: &std::path::Path, args: &[&str], code: i32) -> String {
+    let mut argv = vec![file.to_str().unwrap(), "--profile"];
+    argv.extend_from_slice(args);
+    let out = gnt_lint(&argv);
+    assert_eq!(
+        out.status.code(),
+        Some(code),
+        "{argv:?}: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    stderr.lines().next().unwrap_or_default().to_string()
+}
+
+/// The value of the integer field `key` in a `--profile` line.
+fn profile_field(line: &str, key: &str) -> u64 {
+    line.split(&format!("\"{key}\":"))
+        .nth(1)
+        .and_then(|rest| rest.split([',', '}']).next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {key} in {line}"))
+}
+
 /// The O1 must-availability fixpoint sweeps in preorder, so its round
 /// count is bounded by the loop nesting depth, not by the file size: 500
-/// sibling loop nests of depth 2 settle within depth + 3 rounds. A sweep
-/// in node-id order needed a round count that grew with the file.
+/// sibling loop nests of depth 2 settle within depth + 3 rounds, in the
+/// READ fixpoint (`--before`) and in the WRITE one (`--after`) alike. A
+/// sweep in node-id order needed a round count that grew with the file.
 #[test]
 fn profile_o1_rounds_stay_bounded_by_loop_depth() {
     const DEPTH: u64 = 2;
@@ -479,17 +506,63 @@ fn profile_o1_rounds_stay_bounded_by_loop_depth() {
         })
         .collect();
     let file = write_fixture("sibling_loops.minif", &src);
-    let out = gnt_lint(&[file.to_str().unwrap(), "--profile"]);
-    assert_eq!(out.status.code(), Some(0));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let line = stderr.lines().next().unwrap_or_default();
-    let rounds: u64 = line
-        .split("\"o1_rounds\":")
-        .nth(1)
-        .and_then(|rest| rest.trim_end_matches('}').parse().ok())
-        .unwrap_or_else(|| panic!("no o1_rounds in {line}"));
+    for select in ["--before", "--after"] {
+        let line = profile_line(&file, &[select], 0);
+        let rounds = profile_field(&line, "o1_rounds");
+        assert!(
+            (1..=DEPTH + 3).contains(&rounds),
+            "{rounds} O1 rounds over 500 sibling loops ({select}): {line}"
+        );
+    }
+}
+
+/// A lint solves each problem once, inside plan generation, and lints the
+/// solutions the plan was emitted from; a problem is solved a second time
+/// only to blame the findings its placement lint reported. Clean Figure 1
+/// takes 2 solves; with `--zero-trip` its READ placement draws two
+/// warnings, so READ is re-derived for their trails, and WRITE is not.
+/// A `goto` out of a loop ahead of its write makes the optimistic WRITE
+/// solve fail its checks, and the poisoned fallback solve counts too.
+#[test]
+fn profile_counts_one_solve_per_problem() {
+    let fig1 = write_fixture("fig1_solves.minif", FIG1);
+    for (args, solves) in [
+        (&[][..], 2),
+        (&["--zero-trip"][..], 3),
+        (&["--zero-trip", "--after"][..], 2),
+    ] {
+        let line = profile_line(&fig1, args, 0);
+        assert_eq!(profile_field(&line, "solves"), solves, "{args:?}: {line}");
+    }
+    let goto = write_fixture(
+        "goto_before_write.minif",
+        "do j = 1, N\n  if t(j) goto 99\n  x(a(j)) = ...\nenddo\n99 continue\n",
+    );
+    let line = profile_line(&goto, &[], 0);
+    assert_eq!(profile_field(&line, "solves"), 3, "{line}");
+}
+
+/// `--after` queries explain the WRITE solve the plan was emitted from:
+/// the coupled problem, in which Figure 3's placed READs steal the
+/// pending write-back. There the eager write-back of `x(a(1:N))` starts
+/// at the first loop's header (reversed node 3) — in the uncoupled
+/// problem it does not, and starts at node 11 instead.
+#[test]
+fn after_queries_explain_the_coupled_write_solve() {
+    let fig3 = format!("{}/../../examples/fig3.minif", env!("CARGO_MANIFEST_DIR"));
+    let out = gnt_lint(&[&fig3, "--after", "--why", "3:x(a(1:N)):res_in"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
     assert!(
-        (1..=DEPTH + 3).contains(&rounds),
-        "{rounds} O1 rounds over 500 sibling loops: {line}"
+        stdout.starts_with("why RES_in^eager(n3) contains x(a(1:N)):"),
+        "stdout: {stdout}"
+    );
+    assert!(stdout.contains("root: TAKE_init"), "stdout: {stdout}");
+    let out = gnt_lint(&[&fig3, "--after", "--why-not", "11:x(a(1:N)):res_in"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
+    assert!(
+        stdout.starts_with("why RES_in^eager(n11) does NOT contain x(a(1:N)):"),
+        "stdout: {stdout}"
     );
 }

@@ -182,7 +182,7 @@ fn ablation_pressure() {
             label,
             max,
             solution.eager.num_productions(),
-            report.steals_inserted
+            report.steals.len()
         );
     }
     println!();

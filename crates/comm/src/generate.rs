@@ -10,10 +10,12 @@ use crate::analyze::CommAnalysis;
 use gnt_cfg::{EdgeMask, IntervalGraph, NodeId};
 use gnt_core::{
     shift_off_synthetic, solve_after_with_scratch, solve_batch_with_scratch,
-    solve_with_pressure_limit_in_place, Flavor, PressureReport, SolverOptions, SolverScratch,
+    solve_with_pressure_limit_in_place, FlavorSolution, PlacementProblem, PressureReport, Solution,
+    SolverOptions, SolverScratch,
 };
 use gnt_dataflow::ItemId;
 use std::fmt;
+use std::time::Instant;
 
 /// The communication operation kinds.
 ///
@@ -201,8 +203,8 @@ pub fn generate_styled(
 
 /// The fully-parameterized entry point: solves both problems through the
 /// caller's `scratch` (sharing its cached schedule tapes and arena with
-/// whatever solved before — the lint driver threads one scratch through
-/// analysis, generation, and blame) and assembles the plan.
+/// whatever solved before) and assembles the plan. The lint driver calls
+/// [`generate_with_placement`] instead, to lint what was emitted.
 ///
 /// # Errors
 ///
@@ -212,6 +214,57 @@ pub fn generate_with_options(
     gen_opts: &GenerateOptions,
     scratch: &mut SolverScratch,
 ) -> Result<CommPlan, Box<dyn std::error::Error>> {
+    generate_with_placement(analysis, gen_opts, scratch).map(|(plan, _)| plan)
+}
+
+/// The placement a [`CommPlan`] was emitted from, handed out beside it by
+/// [`generate_with_placement`] for linting and never stored in the plan.
+/// Each [`FlavorSolution`] keeps only its `res_in`/`res_out` rows.
+#[derive(Clone, Debug)]
+pub struct EmittedPlacement {
+    /// READ EAGER productions, shifted off synthetic nodes as emitted.
+    pub read_eager: FlavorSolution,
+    /// READ LAZY productions, shifted as emitted.
+    pub read_lazy: FlavorSolution,
+    /// The reversed graph of the WRITE solve, poisoned headers included.
+    pub reversed: IntervalGraph,
+    /// The coupled WRITE problem (placed READs added as `STEAL_init`),
+    /// sized for [`EmittedPlacement::reversed`].
+    pub write_problem: PlacementProblem,
+    /// WRITE EAGER productions on the reversed graph, *unshifted*: the
+    /// shift does not preserve their sufficiency ([`shift_off_synthetic`]).
+    pub write_eager: FlavorSolution,
+    /// WRITE LAZY productions on the reversed graph, unshifted.
+    pub write_lazy: FlavorSolution,
+    /// Wall-clock nanoseconds of the READ and WRITE solves.
+    pub solve_ns: u64,
+    /// Solves run: one per problem, plus the WRITE solve's poisoned
+    /// fallback when its optimistic attempt failed its checks.
+    pub solves: u64,
+}
+
+/// The EAGER and LAZY production rows of `solution`; the rest is freed.
+fn productions(solution: Solution) -> (FlavorSolution, FlavorSolution) {
+    let rows = |flavor: FlavorSolution| FlavorSolution {
+        given_in: Vec::new(),
+        given: Vec::new(),
+        given_out: Vec::new(),
+        ..flavor
+    };
+    (rows(solution.eager), rows(solution.lazy))
+}
+
+/// [`generate_with_options`], also returning the [`EmittedPlacement`]
+/// the plan was built from.
+///
+/// # Errors
+///
+/// Fails if the reversed graph for the WRITE problem cannot be built.
+pub fn generate_with_placement(
+    analysis: CommAnalysis,
+    gen_opts: &GenerateOptions,
+    scratch: &mut SolverScratch,
+) -> Result<(CommPlan, EmittedPlacement), Box<dyn std::error::Error>> {
     let style = gen_opts.style;
     let opts = SolverOptions::default();
     let graph = &analysis.graph;
@@ -222,8 +275,9 @@ pub fn generate_with_options(
     // READ: BEFORE problem on the forward graph, pressure-bounded when
     // asked. One scratch arena backs this solve and the WRITE solves
     // below.
+    let solve_start = Instant::now();
     let mut read_pressure = None;
-    let mut read = match gen_opts.max_in_flight {
+    let read = match gen_opts.max_in_flight {
         Some(limit) => {
             let mut working = analysis.read_problem.clone();
             let (solution, report) = solve_with_pressure_limit_in_place(
@@ -239,6 +293,8 @@ pub fn generate_with_options(
         }
         None => solve_batch_with_scratch(graph, &analysis.read_problem, &opts, scratch),
     };
+    let mut solve_ns = elapsed_ns(solve_start);
+    let (mut read_eager, mut read_lazy) = productions(read);
 
     // Phase coupling: a *placed* READ operation re-communicates owner
     // data, so every pending write-back of an overlapping portion must
@@ -255,7 +311,7 @@ pub fn generate_with_options(
         .collect();
     for node in graph.nodes() {
         let i = node.index();
-        for flavor in [&read.eager, &read.lazy] {
+        for flavor in [&read_eager, &read_lazy] {
             for item in flavor.res_in[i].iter().chain(flavor.res_out[i].iter()) {
                 let read_ref = analysis
                     .universe
@@ -270,14 +326,14 @@ pub fn generate_with_options(
         }
     }
 
-    shift_off_synthetic(graph, &mut read.eager);
-    shift_off_synthetic(graph, &mut read.lazy);
-    let read_flavors: Vec<(&gnt_core::FlavorSolution, OpKind)> = match style {
+    shift_off_synthetic(graph, &mut read_eager);
+    shift_off_synthetic(graph, &mut read_lazy);
+    let read_flavors: Vec<(&FlavorSolution, OpKind)> = match style {
         PlacementStyle::Split => vec![
-            (&read.eager, OpKind::ReadSend),
-            (&read.lazy, OpKind::ReadRecv),
+            (&read_eager, OpKind::ReadSend),
+            (&read_lazy, OpKind::ReadRecv),
         ],
-        PlacementStyle::Atomic => vec![(&read.lazy, OpKind::ReadAtomic)],
+        PlacementStyle::Atomic => vec![(&read_lazy, OpKind::ReadAtomic)],
     };
     for node in graph.nodes() {
         let i = node.index();
@@ -299,22 +355,32 @@ pub fn generate_with_options(
 
     // WRITE: AFTER problem on the reversed graph. Reversed RES_in is
     // production after the node in program order; reversed RES_out before.
-    let mut write = solve_after_with_scratch(graph, &write_problem, &opts, scratch)?;
-    shift_off_synthetic(&write.reversed, &mut write.solution.eager);
-    shift_off_synthetic(&write.reversed, &mut write.solution.lazy);
+    // The ops come from shifted copies; the lint gets the unshifted rows.
+    let solve_start = Instant::now();
+    let write = solve_after_with_scratch(graph, &write_problem, &opts, scratch)?;
+    solve_ns += elapsed_ns(solve_start);
+    let reversed = write.reversed;
+    // The WRITE solve ran its poisoned fallback iff it poisoned a header.
+    let solves = 2 + u64::from(reversed.nodes().any(|h| reversed.is_poisoned(h)));
+    write_problem.resize_nodes(reversed.num_nodes());
+    let (write_eager, write_lazy) = productions(write.solution);
+    let shifted = |flavor: &FlavorSolution| {
+        let mut flavor = flavor.clone();
+        shift_off_synthetic(&reversed, &mut flavor);
+        flavor
+    };
     let mut write_before: Vec<Vec<CommOp>> = vec![Vec::new(); n];
     let mut write_after: Vec<Vec<CommOp>> = vec![Vec::new(); n];
-    let write_flavors: &[(Flavor, bool)] = match style {
-        PlacementStyle::Split => &[(Flavor::Lazy, true), (Flavor::Eager, false)],
-        PlacementStyle::Atomic => &[(Flavor::Lazy, true)],
+    let write_flavors: Vec<(FlavorSolution, bool)> = match style {
+        PlacementStyle::Split => vec![(shifted(&write_lazy), true), (shifted(&write_eager), false)],
+        PlacementStyle::Atomic => vec![(shifted(&write_lazy), true)],
     };
-    for node in write.reversed.nodes() {
-        let anchor = anchor_in_forward(&write.reversed, node, n);
-        for &(flavor, is_send) in write_flavors {
-            let sol = write.solution.flavor(flavor);
+    for node in reversed.nodes() {
+        let anchor = anchor_in_forward(&reversed, node, n);
+        for (sol, is_send) in &write_flavors {
             for item in sol.res_in[node.index()].iter() {
                 let op = CommOp {
-                    kind: write_kind(&analysis, style, is_send, item),
+                    kind: write_kind(&analysis, style, *is_send, item),
                     item: ItemId(item as u32),
                 };
                 match anchor {
@@ -324,7 +390,7 @@ pub fn generate_with_options(
             }
             for item in sol.res_out[node.index()].iter() {
                 let op = CommOp {
-                    kind: write_kind(&analysis, style, is_send, item),
+                    kind: write_kind(&analysis, style, *is_send, item),
                     item: ItemId(item as u32),
                 };
                 match anchor {
@@ -335,7 +401,8 @@ pub fn generate_with_options(
         }
     }
     // WRITE_send precedes WRITE_recv; both precede READ ops at the same
-    // point (Figure 3).
+    // point (Figure 3). The WRITE shift relies on this order: see
+    // [`shift_off_synthetic`].
     for i in 0..n {
         write_before[i].sort_by_key(|op| op.kind);
         write_after[i].sort_by_key(|op| op.kind);
@@ -347,12 +414,27 @@ pub fn generate_with_options(
         after[i] = merged_after;
     }
 
-    Ok(CommPlan {
+    let plan = CommPlan {
         analysis,
         before,
         after,
         read_pressure,
-    })
+    };
+    let placement = EmittedPlacement {
+        read_eager,
+        read_lazy,
+        reversed,
+        write_problem,
+        write_eager,
+        write_lazy,
+        solve_ns,
+        solves,
+    };
+    Ok((plan, placement))
+}
+
+fn elapsed_ns(from: Instant) -> u64 {
+    u64::try_from(from.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Chooses the operation kind for a write-back of `item`.

@@ -41,7 +41,7 @@ mod render;
 
 pub use analyze::{analyze, CommAnalysis, CommConfig};
 pub use generate::{
-    generate, generate_styled, generate_with_options, CommOp, CommPlan, GenerateOptions, OpKind,
-    PlacementStyle,
+    generate, generate_styled, generate_with_options, generate_with_placement, CommOp, CommPlan,
+    EmittedPlacement, GenerateOptions, OpKind, PlacementStyle,
 };
 pub use render::render;

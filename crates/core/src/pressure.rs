@@ -48,8 +48,10 @@ pub struct PressureReport {
     pub initial_max: usize,
     /// Maximum in-flight count of the returned solution.
     pub final_max: usize,
-    /// `STEAL_init` entries inserted by the heuristic.
-    pub steals_inserted: usize,
+    /// `STEAL_init` entries the heuristic inserted, as `(node, item)` in
+    /// insertion order (none already in the caller's problem): the
+    /// returned solution solves the problem plus these steals.
+    pub steals: Vec<(NodeId, usize)>,
     /// Rounds of re-solving performed.
     pub rounds: usize,
     /// Rounds served by the incremental engine ([`crate::solve_delta`])
@@ -97,13 +99,10 @@ pub fn solve_with_pressure_limit_in_place(
     let mut report = PressureReport {
         initial_max,
         final_max: initial_max,
-        steals_inserted: 0,
+        steals: Vec::new(),
         rounds: 0,
         delta_rounds: 0,
     };
-    // Steals inserted by the heuristic (only those not already present in
-    // the caller's problem), for rollback.
-    let mut inserted: Vec<(usize, usize)> = Vec::new();
     let mut delta = DeltaSet::new();
 
     while report.final_max > max_pending && report.rounds < max_rounds {
@@ -123,8 +122,7 @@ pub fn solve_with_pressure_limit_in_place(
         for item in in_flight.into_iter().take(count - max_pending) {
             if !problem.steal_init[hot].contains(item) {
                 problem.steal(node, item);
-                inserted.push((hot, item));
-                report.steals_inserted += 1;
+                report.steals.push((node, item));
             }
         }
         // Only STEAL_init(hot) changed since the solve the scratch holds.
@@ -137,8 +135,8 @@ pub fn solve_with_pressure_limit_in_place(
         report.final_max = pressure_max(scratch);
     }
     let solution = scratch.export();
-    for (node, item) in inserted {
-        problem.steal_init[node].remove(item);
+    for &(node, item) in &report.steals {
+        problem.steal_init[node.index()].remove(item);
     }
     (solution, report)
 }
@@ -202,7 +200,7 @@ mod tests {
         let (g, p) = chain(6);
         let (s, report) = limit(&g, &p, 2, 32);
         assert!(report.final_max <= 2, "{report:?}");
-        assert!(report.steals_inserted > 0);
+        assert!(!report.steals.is_empty());
         assert!(check_sufficiency(&g, &p, &s.eager, true).is_empty());
         assert!(check_sufficiency(&g, &p, &s.lazy, true).is_empty());
         assert!(check_balance(&g, &p, &s.eager, &s.lazy).is_empty());
@@ -212,7 +210,7 @@ mod tests {
     fn generous_limit_changes_nothing() {
         let (g, p) = chain(4);
         let (s, report) = limit(&g, &p, 10, 32);
-        assert_eq!(report.steals_inserted, 0);
+        assert!(report.steals.is_empty());
         assert_eq!(report.rounds, 0);
         assert_eq!(s.eager.num_productions(), 4);
     }
@@ -263,7 +261,7 @@ mod tests {
             32,
             &mut scratch,
         );
-        assert!(report.steals_inserted > 0);
+        assert!(!report.steals.is_empty());
         // The problem is restored bit-for-bit despite the in-place rounds.
         assert_eq!(working, p);
         assert!(report.final_max <= 2);

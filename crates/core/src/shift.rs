@@ -33,9 +33,31 @@ pub struct ShiftReport {
 /// Moves production off synthetic nodes where no conflict arises,
 /// mutating `placement` in place. Returns what happened.
 ///
-/// The transformation never changes on which *edges* production fires, so
-/// balance, sufficiency, and safety of the placement are preserved; the
-/// verifiers in [`crate::check_balance`] etc. remain applicable.
+/// The transformation never changes on which *edges* production fires.
+/// Balance is therefore preserved. Sufficiency and safety are preserved
+/// only if no synthetic node that carries production also carries a
+/// `STEAL_init` of the produced items: a backward move takes `RES_out(s)`,
+/// which fires after `s`'s own steal, to `RES_out(p)`, which fires before
+/// it, so the steal now destroys the production. Synthetic nodes carry no
+/// initial sets in problems built from a program, but `gnt-comm`'s WRITE
+/// problem does: its phase coupling adds a steal wherever the *pre-shift*
+/// READ placement produces, synthetic nodes included. On
+///
+/// ```text
+/// z(1) = ...
+/// if q then
+///   do j = 1, N
+///     ... = z(j)
+///   enddo
+/// endif
+/// ```
+///
+/// the shifted WRITE solution fails [`crate::check_sufficiency`] on the
+/// reversed graph while the unshifted one passes. The emitted plan is
+/// still correct — `WRITE_recv{z(1)}` before `READ_send{z(1:N)}` in the
+/// `then` branch — only because the READ that is the steal shifts to the
+/// same anchor and the emitter orders writes before reads there. Verify
+/// such a placement before the shift.
 pub fn shift_off_synthetic(graph: &IntervalGraph, placement: &mut FlavorSolution) -> ShiftReport {
     let mut report = ShiftReport::default();
     // Backward pass, as in the paper.

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         } else {
             budget.to_string()
         };
-        println!("{:>8} {:>12} {:>14}", label, max, report.steals_inserted);
+        println!("{:>8} {:>12} {:>14}", label, max, report.steals.len());
     }
     Ok(())
 }
