@@ -35,9 +35,10 @@ options:
                       (default: the shared process pool, one worker per
                       host core — the default never oversubscribes)
   --profile           emit one JSON line per file to stderr with per-stage
-                      wall-clock timings (parse/cfg/solve/generate/lint ns)
-                      and bounded-path replay counts; profiled runs lint
-                      sequentially and bypass the cache
+                      wall-clock timings (parse/cfg/solve/generate/lint ns),
+                      solve and tape-compile counts and bounded-path replay
+                      counts; profiled runs lint sequentially and bypass
+                      the cache
   --dot PATH          write the interval graph with findings highlighted
                       (Graphviz; single input only)
   --explain CODE      print the registry entry for a diagnostic code

@@ -185,8 +185,8 @@ fn enrich(d: &mut Diagnostic, engine: &BlameEngine<'_>, item_names: &[String]) {
 /// and interval-graph assembly plus the communication analysis that
 /// walks them; "lint" is everything not attributed to another stage
 /// (invariant layers, audits, blame enrichment, span attachment). The
-/// run's solve count, bounded-path replay counts and O1 fixpoint rounds
-/// ride along.
+/// run's solve and tape-compile counts, bounded-path replay counts and
+/// O1 fixpoint rounds ride along.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Source → AST.
@@ -213,6 +213,10 @@ pub struct StageTimings {
     /// Placement solves run: the plan's two, plus one blame
     /// re-derivation per problem whose placement lint found something.
     pub solves: u64,
+    /// Schedule tapes the run's solver scratch compiled (cache misses):
+    /// one per problem on a cold scratch, plus one for §5.3's poisoned
+    /// fallback.
+    pub tape_compiles: u64,
 }
 
 impl StageTimings {
@@ -226,7 +230,8 @@ impl StageTimings {
         format!(
             "{{\"file\":\"{}\",\"parse_ns\":{},\"cfg_ns\":{},\"solve_ns\":{},\
              \"generate_ns\":{},\"lint_ns\":{},\"total_ns\":{},\"solves\":{},\
-             \"paths_replayed\":{},\"enumerations_truncated\":{},\"o1_rounds\":{}}}",
+             \"tape_compiles\":{},\"paths_replayed\":{},\"enumerations_truncated\":{},\
+             \"o1_rounds\":{}}}",
             crate::diag::json_escape(file),
             self.parse_ns,
             self.cfg_ns,
@@ -235,6 +240,7 @@ impl StageTimings {
             self.lint_ns,
             self.total_ns(),
             self.solves,
+            self.tape_compiles,
             self.paths_replayed,
             self.enumerations_truncated,
             self.o1_rounds,
@@ -291,6 +297,7 @@ fn lint_program_inner(
     timings: &mut StageTimings,
 ) -> Result<LintReport, LintError> {
     let run_start = std::time::Instant::now();
+    let compiles_at_start = scratch.tape_compiles();
     let distributed = opts
         .distributed
         .clone()
@@ -383,6 +390,7 @@ fn lint_program_inner(
             d.node.map_or(usize::MAX, gnt_cfg::NodeId::index),
         )
     });
+    timings.tape_compiles = scratch.tape_compiles() - compiles_at_start;
     timings.lint_ns = elapsed_ns(run_start)
         .saturating_sub(timings.cfg_ns + timings.generate_ns + timings.solve_ns);
     Ok(LintReport { diagnostics, plan })

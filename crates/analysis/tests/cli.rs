@@ -523,6 +523,8 @@ fn profile_o1_rounds_stay_bounded_by_loop_depth() {
 /// warnings, so READ is re-derived for their trails, and WRITE is not.
 /// A `goto` out of a loop ahead of its write makes the optimistic WRITE
 /// solve fail its checks, and the poisoned fallback solve counts too.
+/// The plan's solves run from cached tapes: Figure 1 compiles one per
+/// problem, the fallback a third.
 #[test]
 fn profile_counts_one_solve_per_problem() {
     let fig1 = write_fixture("fig1_solves.minif", FIG1);
@@ -533,6 +535,7 @@ fn profile_counts_one_solve_per_problem() {
     ] {
         let line = profile_line(&fig1, args, 0);
         assert_eq!(profile_field(&line, "solves"), solves, "{args:?}: {line}");
+        assert_eq!(profile_field(&line, "tape_compiles"), 2, "{args:?}: {line}");
     }
     let goto = write_fixture(
         "goto_before_write.minif",
@@ -540,6 +543,7 @@ fn profile_counts_one_solve_per_problem() {
     );
     let line = profile_line(&goto, &[], 0);
     assert_eq!(profile_field(&line, "solves"), 3, "{line}");
+    assert_eq!(profile_field(&line, "tape_compiles"), 3, "{line}");
 }
 
 /// `--after` queries explain the WRITE solve the plan was emitted from:

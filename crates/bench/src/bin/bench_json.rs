@@ -21,6 +21,10 @@
 //!   ([`gnt_core::solve_delta`], the EXP-C4 protocol);
 //! * `delta_1row/16items` — a single `TAKE_init` bit toggled and
 //!   re-solved incrementally, the engine's best case;
+//! * `tape_compile_reversed/16items` and `delta_1row_reversed/16items` —
+//!   the same two measurements on the reversed graph of a program whose
+//!   loops each have a `goto` out of them, so the tape folds out reads
+//!   of jump-in rows (ungated);
 //! * `solve/256items` and `solve_batch/256items` — a 4-word universe
 //!   solved by the direct backend with export and by cached-tape replay
 //!   into a reused buffer (the EXP-C2 protocol), plus
@@ -79,6 +83,7 @@ use gnt_core::{
     SolverOptions, SolverScratch,
 };
 use gnt_dataflow::WorkerPool;
+use gnt_ir::{Expr, ProgramBuilder};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -101,6 +106,24 @@ fn toggle_take(problem: &mut gnt_core::PlacementProblem, node: gnt_cfg::NodeId) 
     } else {
         row.insert(3);
     }
+}
+
+/// A program of about `target` statements in which every loop has a
+/// `goto` out of it ahead of a read, so its reversed graph (the WRITE
+/// problem's, §5.3) has jumps into loops.
+fn goto_program(target: usize) -> gnt_ir::Program {
+    let mut builder = ProgramBuilder::new("goto");
+    for k in 0..target.div_ceil(4) {
+        let (var, label) = (format!("i{k}"), 100 + k as u32);
+        builder = builder
+            .do_loop(var.clone(), Expr::Const(1), Expr::var("N"), |b| {
+                b.assign_array("x", Expr::elem("a", Expr::var(&var)), Expr::Opaque);
+                b.if_goto(Expr::var("t"), label);
+                b.consume(Expr::elem("y", Expr::var(&var)));
+            })
+            .labeled_continue(label);
+    }
+    builder.build()
 }
 
 /// Value of `--flag <value>` in the process arguments, if present.
@@ -276,6 +299,41 @@ fn main() -> ExitCode {
             nodes,
             items: 16,
             ns_per_node: ns / nodes as f64,
+            threads: 1,
+        });
+
+        // The same compile and best case on a reversed graph with jumps
+        // into loops.
+        let forward = IntervalGraph::from_program(&goto_program(target)).expect("reducible");
+        let reversed = gnt_cfg::reversed_graph(&forward).expect("reversible");
+        assert!(reversed
+            .nodes()
+            .any(|h| !reversed.jump_in_sources(h).is_empty()));
+        let rev_nodes = reversed.num_nodes();
+        let ns = median_ns(runs, || ScheduleTape::compile(&reversed, &opts));
+        records.push(BenchRecord {
+            bench: "tape_compile_reversed/16items".to_string(),
+            nodes: rev_nodes,
+            items: 16,
+            ns_per_node: ns / rev_nodes as f64,
+            threads: 1,
+        });
+        let rev_hot = gnt_cfg::NodeId((rev_nodes / 2) as u32);
+        let mut working = random_problem(42, &reversed, 16, 0.3);
+        let mut scratch = SolverScratch::new();
+        let mut delta = DeltaSet::new();
+        solve_batch_into(&reversed, &working, &opts, &mut scratch);
+        let ns = median_ns(runs, || {
+            toggle_take(&mut working, rev_hot);
+            delta.clear();
+            delta.mark_take(rev_hot);
+            solve_delta(&reversed, &working, &opts, &mut scratch, &delta)
+        });
+        records.push(BenchRecord {
+            bench: "delta_1row_reversed/16items".to_string(),
+            nodes: rev_nodes,
+            items: 16,
+            ns_per_node: ns / rev_nodes as f64,
             threads: 1,
         });
     }

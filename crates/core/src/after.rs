@@ -109,10 +109,11 @@ pub fn solve_after_with_scratch(
     // and the jump path gets its own balanced production at the landing
     // pad. This is sound whenever consumption on the jump path occurs
     // before the back edge; the independent verifiers decide.
-    // Both this solve and the poisoned fallback (and any later AFTER
-    // solves through the same scratch) replay the scratch-cached schedule
-    // tape for the reversed graph's AFTER slot; poisoning changes the
-    // structural fingerprint, so the fallback recompiles exactly once.
+    // Both this solve and the poisoned fallback replay scratch-cached
+    // schedule tapes. Poisoning changes the structural fingerprint, so
+    // the fallback needs a second tape: on a scratch used only for AFTER
+    // solves it takes the empty BEFORE slot and both stay cached; on one
+    // that also holds a READ tape it evicts the optimistic tape.
     let solution = solve_batch_with_scratch_dir(Direction::After, &reversed, &p, opts, scratch);
     let jump_entered: Vec<_> = reversed
         .nodes()
@@ -269,5 +270,80 @@ mod tests {
             &after.solution.lazy
         )
         .is_empty());
+    }
+
+    /// A `goto` out of the loop ahead of the write: the optimistic solve
+    /// fails its checks and the poisoned fallback serves it.
+    fn goto_before_write() -> (IntervalGraph, PlacementProblem) {
+        let (p, g) = graph("do j = 1, N\n  if t(j) goto 99\n  x(a(j)) = ...\nenddo\n99 b = 1");
+        let def = stmt_node(&g, &p, "x(a(j))");
+        let mut problem = PlacementProblem::new(g.num_nodes(), 1);
+        problem.take(def, 0);
+        (g, problem)
+    }
+
+    #[test]
+    fn fallback_tapes_stay_cached_on_an_after_only_scratch() {
+        let (g, problem) = goto_before_write();
+        let opts = SolverOptions::default();
+        let mut scratch = crate::SolverScratch::new();
+        let first = solve_after_with_scratch(&g, &problem, &opts, &mut scratch).unwrap();
+        assert!(
+            first
+                .reversed
+                .nodes()
+                .any(|h| first.reversed.is_poisoned(h)),
+            "the fallback must run"
+        );
+        // The optimistic tape took the AFTER slot, the poisoned one the
+        // empty BEFORE slot: a warm call compiles nothing.
+        assert_eq!(scratch.tape_compiles(), 2);
+        let second = solve_after_with_scratch(&g, &problem, &opts, &mut scratch).unwrap();
+        assert_eq!(scratch.tape_compiles(), 2);
+        assert_eq!(second.solution, first.solution);
+    }
+
+    #[test]
+    fn fallback_evicts_the_optimistic_tape_on_a_scratch_shared_with_read() {
+        let (g, problem) = goto_before_write();
+        let opts = SolverOptions::default();
+        let mut scratch = crate::SolverScratch::new();
+        for round in 0..3u64 {
+            crate::solve_batch_into(&g, &problem, &opts, &mut scratch);
+            solve_after_with_scratch(&g, &problem, &opts, &mut scratch).unwrap();
+            // READ keeps its slot; the two WRITE tapes take turns in the
+            // other, so every warm call compiles both again.
+            assert_eq!(scratch.tape_compiles(), 3 + 2 * round, "round {round}");
+        }
+    }
+
+    /// The first one-bit `solve_delta` on the reversed graph right after
+    /// an AFTER solve finds that solve's tape in the AFTER slot and goes
+    /// incremental, with and without the fallback.
+    #[test]
+    fn delta_after_an_after_solve_reuses_its_tape() {
+        let (p, g) = graph("do i = 1, N\n  x(a(i)) = ...\n  if t(i) goto 7\nenddo\n7 b = 2");
+        let mut vectorized = PlacementProblem::new(g.num_nodes(), 1);
+        vectorized.take(stmt_node(&g, &p, "x(a(i))"), 0);
+        for (g, problem) in [(g, vectorized), goto_before_write()] {
+            let opts = SolverOptions::default();
+            let mut scratch = crate::SolverScratch::new();
+            let after = solve_after_with_scratch(&g, &problem, &opts, &mut scratch).unwrap();
+            assert!(after
+                .reversed
+                .nodes()
+                .any(|h| !after.reversed.jump_in_sources(h).is_empty()));
+            let compiles = scratch.tape_compiles();
+            let mut p = problem.clone();
+            p.resize_nodes(after.reversed.num_nodes());
+            let node = after.reversed.nodes().nth(3).unwrap();
+            p.steal(node, 0);
+            let mut delta = crate::DeltaSet::new();
+            delta.mark_steal(node);
+            let report = crate::solve_delta(&after.reversed, &p, &opts, &mut scratch, &delta);
+            assert_eq!(scratch.tape_compiles(), compiles, "the AFTER tape is found");
+            assert!(!report.full_replay, "{report:?}");
+            assert_eq!(scratch.export(), crate::solve(&after.reversed, &p, &opts));
+        }
     }
 }

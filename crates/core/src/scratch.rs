@@ -75,9 +75,9 @@ pub struct SolverScratch {
     pub(crate) slab: BitSlab,
     nodes: usize,
     bits: usize,
-    /// Compiled schedule tapes, one slot per [`crate::Direction`], reused
-    /// by the `solve_batch*` entry points as long as the graph shape and
-    /// hoisting options fingerprint the same (see [`crate::ScheduleTape`]).
+    /// Compiled schedule tapes in two slots, reused by the tape entry
+    /// points whenever the graph shape and hoisting options fingerprint
+    /// the same as a cached tape's (see [`crate::ScheduleTape`]).
     pub(crate) tapes: crate::tape::TapeCache,
     /// Fingerprint of the tape whose replay the arena currently holds, if
     /// any — the validity token for [`crate::solve_delta`]. Set by a tape

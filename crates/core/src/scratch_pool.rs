@@ -1,7 +1,7 @@
 //! A check-in/check-out pool of warm [`SolverScratch`] arenas.
 //!
 //! One [`SolverScratch`] is cheap to reuse and expensive to rebuild: it
-//! holds the `20·n+2`-row bitset arena *and* the per-direction compiled
+//! holds the `20·n+2`-row bitset arena *and* two cached compiled
 //! [`crate::ScheduleTape`]s plus the delta-basis token. A batch pipeline
 //! that fans whole solver runs out with [`gnt_dataflow::WorkerPool::map`]
 //! wants each job to pick up whichever scratch is warm — same

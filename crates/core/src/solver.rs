@@ -13,6 +13,14 @@
 //!
 //! Total complexity is O(E) set operations (§5.2).
 //!
+//! On reversed graphs a jump into a loop (§5.3) can make Eqs. 9–11 name
+//! a neighbour row the walk has not written yet. Every solve starts from
+//! zeroed rows, so such a read is ∅: a ∩ meeting it is ∅ and a ∪ gains
+//! nothing from it. The walk decides this statically
+//! ([`loc_written_before`], [`given_out_written_before`]) and emits no
+//! term for it, which leaves every value unchanged and keeps compiled
+//! tapes free of forward references.
+//!
 //! # Data plane
 //!
 //! All variables live in a [`SolverScratch`] arena (one contiguous word
@@ -31,7 +39,7 @@ use crate::scratch::{
     F_GIVE_LOC, F_RES_IN, F_RES_OUT, F_STEAL, F_STEAL_LOC, F_TAKE, F_TAKEN_IN, F_TAKEN_OUT,
     F_TAKE_LOC, NUM_FAMILIES,
 };
-use gnt_cfg::{EdgeMask, IntervalGraph, NodeId};
+use gnt_cfg::{EdgeClass, EdgeMask, IntervalGraph, NodeId};
 use gnt_dataflow::{BitSet, BitSlab};
 
 /// The consumption-analysis variables of §4.2–4.3 (identical for both
@@ -401,6 +409,7 @@ pub(crate) fn schedule<K: Kernels>(graph: &IntervalGraph, opts: &SolverOptions, 
     let fam = |f: usize, i: usize| f * n + i;
     let tmp0 = NUM_FAMILIES * n;
     let tmp1 = tmp0 + 1;
+    let root = graph.root();
 
     // ---- Pass 1: S2 (Eqs. 9–10) per header's children, then S1
     // (Eqs. 1–8), in REVERSEPREORDER. -------------------------------------
@@ -408,16 +417,32 @@ pub(crate) fn schedule<K: Kernels>(graph: &IntervalGraph, opts: &SolverOptions, 
         let ni = node.index();
         for &c in graph.children(node) {
             let ci = c.index();
+            // On reversed graphs a jump can enter `c` from a node whose
+            // rows are not written yet; a full replay would read them as
+            // the zeros of `prepare()`, so their terms are folded out.
+            // An F edge neither enters nor leaves an interval, so an F
+            // predecessor other than ROOT is a child of `node` ahead of
+            // `c`, written already: only J predecessors need the check.
+            let written = |p: NodeId| loc_written_before(graph, p, node, c);
+            let all_written = graph.pred_edges(c).all(|(p, class)| match class {
+                EdgeClass::Forward => p != root,
+                EdgeClass::Jump | EdgeClass::JumpIn => written(p),
+                _ => true,
+            });
+            debug_assert_eq!(all_written, graph.preds(c, EdgeMask::FJ).all(written));
             // Eq. 9: GIVE_loc(c) =
             //   (GIVE(c) ∪ TAKE(c) ∪ ∩_{p ∈ PREDS^FJ} GIVE_loc(p)) − STEAL(c)
+            // The ∩ is ∅ if it meets an unwritten row.
             k.copy_or(tmp0, fam(F_GIVE, ci), fam(F_TAKE, ci));
             let mut first = true;
-            for p in graph.preds(c, EdgeMask::FJ) {
-                if first {
-                    k.copy(tmp1, fam(F_GIVE_LOC, p.index()));
-                    first = false;
-                } else {
-                    k.and(tmp1, fam(F_GIVE_LOC, p.index()));
+            if all_written {
+                for p in graph.preds(c, EdgeMask::FJ) {
+                    if first {
+                        k.copy(tmp1, fam(F_GIVE_LOC, p.index()));
+                        first = false;
+                    } else {
+                        k.and(tmp1, fam(F_GIVE_LOC, p.index()));
+                    }
                 }
             }
             if !first {
@@ -428,15 +453,19 @@ pub(crate) fn schedule<K: Kernels>(graph: &IntervalGraph, opts: &SolverOptions, 
             // Eq. 10: STEAL_loc(c) = STEAL(c)
             //   ∪ ⋃_{p ∈ PREDS^FJ} (STEAL_loc(p) − GIVE_loc(p))
             //   ∪ ⋃_{p ∈ PREDS^S} STEAL_loc(p)
+            // An unwritten row adds nothing to a ∪.
             k.copy(tmp0, fam(F_STEAL, ci));
-            for p in graph.preds(c, EdgeMask::FJ) {
+            for p in graph
+                .preds(c, EdgeMask::FJ)
+                .filter(|&p| all_written || written(p))
+            {
                 k.or_andnot(
                     tmp0,
                     fam(F_STEAL_LOC, p.index()),
                     fam(F_GIVE_LOC, p.index()),
                 );
             }
-            for p in graph.preds(c, EdgeMask::S) {
+            for p in graph.preds(c, EdgeMask::S).filter(|&p| written(p)) {
                 k.or(tmp0, fam(F_STEAL_LOC, p.index()));
             }
             k.copy(fam(F_STEAL_LOC, ci), tmp0);
@@ -523,6 +552,29 @@ pub(crate) fn schedule<K: Kernels>(graph: &IntervalGraph, opts: &SolverOptions, 
     place(graph, k, Flavor::Lazy);
 }
 
+/// Whether pass 1 of [`schedule`] writes the `GIVE_loc`/`STEAL_loc` rows
+/// of `p` before those of `c`, a child of `h`. Pass 1 writes a node's
+/// `*_loc` rows when it visits the header the node is a child of (ROOT is
+/// nobody's child), and visits headers in REVERSEPREORDER, their children
+/// in PREORDER.
+pub(crate) fn loc_written_before(graph: &IntervalGraph, p: NodeId, h: NodeId, c: NodeId) -> bool {
+    let root = graph.root();
+    let hp = graph.enclosing_headers(p).first().copied().unwrap_or(root);
+    if p == root {
+        false
+    } else if hp == h {
+        graph.preorder_index(p) < graph.preorder_index(c)
+    } else {
+        graph.preorder_index(hp) > graph.preorder_index(h)
+    }
+}
+
+/// Whether pass 2 of [`schedule`] writes `GIVEN_out(p)` before it
+/// evaluates Eq. 11 at `n`: it visits nodes in PREORDER.
+pub(crate) fn given_out_written_before(graph: &IntervalGraph, p: NodeId, n: NodeId) -> bool {
+    graph.preorder_index(p) < graph.preorder_index(n)
+}
+
 /// Passes 2–3 of [`schedule`] for one flavor.
 fn place<K: Kernels>(graph: &IntervalGraph, k: &mut K, flavor: Flavor) {
     let n = graph.num_nodes();
@@ -564,25 +616,34 @@ fn place<K: Kernels>(graph: &IntervalGraph, k: &mut K, flavor: Flavor) {
         // partial-availability term — the RES_out mechanism (Eq. 15)
         // then places production on the deficient jump path, exactly
         // the pad placements of Figure 14.
+        // As in Eqs. 9–10, a ∩ meeting an unwritten row is ∅ and an
+        // unwritten row adds nothing to the ∪. The preorder is
+        // topological over every edge but CYCLE, so each `PREDS^FJ` row
+        // is written already and only a jump-in source can be unwritten.
+        let written = |p: &NodeId| given_out_written_before(graph, *p, node);
+        debug_assert!(graph.preds(node, EdgeMask::FJ).all(|p| written(&p)));
+        let all_written = graph.jump_in_sources(node).iter().all(written);
         let eq11_preds = || {
             graph
                 .preds(node, EdgeMask::FJ)
                 .chain(graph.jump_in_sources(node).iter().copied())
         };
         let mut first = true;
-        for p in eq11_preds() {
-            if first {
-                k.copy(tmp0, fam(f_gout, p.index()));
-                first = false;
-            } else {
-                k.and(tmp0, fam(f_gout, p.index()));
+        if all_written {
+            for p in eq11_preds() {
+                if first {
+                    k.copy(tmp0, fam(f_gout, p.index()));
+                    first = false;
+                } else {
+                    k.and(tmp0, fam(f_gout, p.index()));
+                }
             }
         }
         if !first {
             k.or(fam(f_gin, ni), tmp0);
         }
         k.clear(tmp0);
-        for q in eq11_preds() {
+        for q in eq11_preds().filter(|q| all_written || written(q)) {
             k.or(tmp0, fam(f_gout, q.index()));
         }
         k.and(tmp0, fam(F_TAKEN_IN, ni));
@@ -892,5 +953,111 @@ mod tests {
                 fresh.eager.num_productions()
             );
         }
+    }
+
+    /// A backend that runs no kernel and stamps each row with the index
+    /// of the call that first wrote it.
+    struct Stamp {
+        calls: usize,
+        first_write: Vec<usize>,
+    }
+
+    impl Stamp {
+        fn write(&mut self, dst: usize) {
+            self.first_write[dst] = self.first_write[dst].min(self.calls);
+            self.calls += 1;
+        }
+    }
+
+    impl Kernels for Stamp {
+        fn clear(&mut self, dst: usize) {
+            self.write(dst);
+        }
+        fn fill(&mut self, dst: usize) {
+            self.write(dst);
+        }
+        fn copy(&mut self, dst: usize, _: usize) {
+            self.write(dst);
+        }
+        fn or(&mut self, dst: usize, _: usize) {
+            self.write(dst);
+        }
+        fn and(&mut self, dst: usize, _: usize) {
+            self.write(dst);
+        }
+        fn andnot(&mut self, dst: usize, _: usize) {
+            self.write(dst);
+        }
+        fn or_andnot(&mut self, dst: usize, _: usize, _: usize) {
+            self.write(dst);
+        }
+        fn load(&mut self, dst: usize, _: Init, _: usize) {
+            self.write(dst);
+        }
+    }
+
+    /// The static predicates behind the fold agree with the order the
+    /// walk really writes rows in, on every neighbour read of Eqs. 9–11:
+    /// a neighbour's row is written before the node's own row iff the
+    /// predicate says so. Covers forward, reversed and reversed-poisoned
+    /// graphs of random programs with gotos; the reversed ones must hit
+    /// unwritten rows.
+    #[test]
+    fn static_written_predicates_match_dynamic_stamps() {
+        let config = crate::GenConfig {
+            goto_prob: 0.1,
+            ..Default::default()
+        };
+        let mut graphs = vec![graph(
+            "do i = 1, N\n  ... = x(a(i))\n  if t(i) goto 7\n  z = 0\nenddo\n7 e = 5",
+        )];
+        for seed in 0..64u64 {
+            let forward =
+                IntervalGraph::from_program(&crate::random_program(seed, &config)).unwrap();
+            let reversed = gnt_cfg::reversed_graph(&forward).unwrap();
+            let mut poisoned = reversed.clone();
+            for h in reversed.nodes() {
+                if !reversed.jump_in_sources(h).is_empty() {
+                    poisoned.poison(h);
+                }
+            }
+            graphs.extend([forward, reversed, poisoned]);
+        }
+        let mut unwritten = 0usize;
+        for (k, g) in graphs.iter().enumerate() {
+            let n = g.num_nodes();
+            let mut stamp = Stamp {
+                calls: 0,
+                first_write: vec![usize::MAX; NUM_FAMILIES * n + 2],
+            };
+            schedule(g, &SolverOptions::default(), &mut stamp);
+            let before = |fam: usize, p: NodeId, own: NodeId| {
+                stamp.first_write[fam * n + p.index()] < stamp.first_write[fam * n + own.index()]
+            };
+            for h in g.nodes() {
+                for &c in g.children(h) {
+                    let fj = g.preds(c, EdgeMask::FJ).map(|p| (F_GIVE_LOC, p));
+                    for (fam, p) in fj.chain(g.preds(c, EdgeMask::S).map(|p| (F_STEAL_LOC, p))) {
+                        let verdict = loc_written_before(g, p, h, c);
+                        assert_eq!(verdict, before(fam, p, c), "graph {k}: {p} into {c}");
+                        unwritten += usize::from(!verdict);
+                    }
+                }
+                let eq11 = g
+                    .preds(h, EdgeMask::FJ)
+                    .chain(g.jump_in_sources(h).iter().copied());
+                for p in eq11 {
+                    let verdict = given_out_written_before(g, p, h);
+                    for off in [0, crate::scratch::FLAVOR_STRIDE] {
+                        let (gout, gin) = (F_GIVEN_OUT + off, F_GIVEN_IN + off);
+                        let dynamic = stamp.first_write[gout * n + p.index()]
+                            < stamp.first_write[gin * n + h.index()];
+                        assert_eq!(verdict, dynamic, "graph {k}: GIVEN_out({p}) into {h}");
+                    }
+                    unwritten += usize::from(!verdict);
+                }
+            }
+        }
+        assert!(unwritten > 0, "the corpus must exercise the fold");
     }
 }

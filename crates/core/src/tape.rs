@@ -19,13 +19,14 @@
 //! (`tests/tape_differential.rs`) locks this on hundreds of random
 //! programs in both directions and pins the compiled tapes themselves.
 //!
-//! Tapes are cached per direction inside the [`SolverScratch`] that
-//! executes them: BEFORE and AFTER problems, the pressure re-solve loop,
-//! and the lint driver's blame re-derivations all replay the same two
-//! tapes. A 64-bit structural fingerprint over the classified edges, the
-//! effective poison set, and the jump-in sources guards each slot —
-//! poisoning a header (the AFTER fallback of [`crate::solve_after`]) or
-//! changing a hoisting knob recompiles, anything else replays.
+//! Tapes are cached in two slots inside the [`SolverScratch`] that
+//! executes them: BEFORE and AFTER problems, the pressure re-solve loop
+//! and delta re-solves all replay the same two tapes. A 64-bit
+//! structural fingerprint over the classified edges, the effective
+//! poison set, and the jump-in sources identifies each tape, and a
+//! lookup matches it in either slot — poisoning a header (the AFTER
+//! fallback of [`crate::solve_after`]) or changing a hoisting knob
+//! compiles a new tape, anything else replays.
 
 use crate::problem::{Direction, PlacementProblem, SolverOptions};
 use crate::scratch::SolverScratch;
@@ -207,10 +208,12 @@ impl ScheduleTape {
     }
 
     /// Whether this tape admits incremental re-execution via
-    /// [`crate::solve_delta`]. Forward tapes always do; tapes with
-    /// forward references (e.g. jump-in sources on reversed graphs) do
-    /// not, and [`crate::solve_delta`] silently falls back to a full
-    /// replay for them.
+    /// [`crate::solve_delta`]. Every compiled tape does, forward and
+    /// reversed: the schedule walker emits no read of a row it has not
+    /// written yet, so reads of jump-in rows on reversed graphs do not
+    /// become forward references. The index still rejects a tape that
+    /// reads a row ahead of its def chain; [`crate::solve_delta`] would
+    /// replay such a tape in full.
     pub fn delta_supported(&self) -> bool {
         self.delta.supported()
     }
@@ -440,13 +443,19 @@ fn fingerprint(graph: &IntervalGraph, opts: &SolverOptions) -> u64 {
     h
 }
 
-/// The per-scratch tape cache: one slot per [`Direction`], guarded by the
-/// structural fingerprint. BEFORE solves, AFTER solves (on the reversed
-/// graph), pressure re-solve rounds, and blame re-derivations through the
-/// same scratch replay the same two tapes.
+/// The per-scratch tape cache: two slots, each holding a tape with the
+/// structural fingerprint it was compiled under. A tape depends only on
+/// `(graph, opts)`, never on the direction, so a lookup matches the
+/// fingerprint in either slot. A fresh compile goes into an empty slot
+/// if there is one (the direction's own first), else into the
+/// direction's own slot. BEFORE solves, AFTER solves (on the reversed
+/// graph), pressure re-solve rounds, delta re-solves and blame
+/// re-derivations through the same scratch share the two tapes.
 #[derive(Debug, Default)]
 pub(crate) struct TapeCache {
     slots: [Option<ScheduleTape>; 2],
+    /// Tapes compiled on a miss, over the scratch's lifetime.
+    compiles: u64,
 }
 
 impl TapeCache {
@@ -457,32 +466,61 @@ impl TapeCache {
         }
     }
 
-    /// Takes the cached tape for `dir` if its fingerprint still matches
-    /// `graph` under `opts`; compiles a fresh tape otherwise. The caller
-    /// returns it with [`TapeCache::put`] after executing (the tape moves
-    /// out so the scratch can be mutably borrowed during execution).
-    pub(crate) fn take_or_compile(
+    /// Takes the cached tape whose fingerprint matches `graph` under
+    /// `opts` out of its slot, or compiles a fresh one (dropping the
+    /// slot's stale tape first). Returns the slot the tape goes back to.
+    fn take_or_compile(
         &mut self,
         dir: Direction,
         graph: &IntervalGraph,
         opts: &SolverOptions,
-    ) -> ScheduleTape {
-        match self.slots[Self::slot(dir)].take() {
-            Some(tape) if tape.fingerprint == fingerprint(graph, opts) => tape,
-            _ => ScheduleTape::compile(graph, opts),
+    ) -> (usize, ScheduleTape) {
+        let fp = fingerprint(graph, opts);
+        for (slot, cached) in self.slots.iter_mut().enumerate() {
+            if cached.as_ref().is_some_and(|tape| tape.fingerprint == fp) {
+                return (slot, cached.take().expect("matched a cached tape"));
+            }
         }
-    }
-
-    pub(crate) fn put(&mut self, dir: Direction, tape: ScheduleTape) {
-        self.slots[Self::slot(dir)] = Some(tape);
+        let own = Self::slot(dir);
+        let slot = [own, 1 - own]
+            .into_iter()
+            .find(|&s| self.slots[s].is_none())
+            .unwrap_or(own);
+        self.slots[slot] = None;
+        self.compiles += 1;
+        (slot, ScheduleTape::compile(graph, opts))
     }
 }
 
 impl SolverScratch {
-    /// The tape cached for `dir`, if any — populated by the
-    /// `solve_batch*` entry points and [`crate::solve_after_with_scratch`].
+    /// The tape cached in `dir`'s slot, if any — populated by the
+    /// `solve_batch*` entry points, [`crate::solve_after_with_scratch`]
+    /// and [`crate::solve_delta`]. A tape compiled for one direction may
+    /// sit in the other direction's slot when that one was empty.
     pub fn cached_tape(&self, dir: Direction) -> Option<&ScheduleTape> {
         self.tapes.slots[TapeCache::slot(dir)].as_ref()
+    }
+
+    /// How many schedule tapes this scratch has compiled: one per cache
+    /// miss. A warm re-solve of a cached `(graph, opts)` adds nothing.
+    pub fn tape_compiles(&self) -> u64 {
+        self.tapes.compiles
+    }
+
+    /// Runs `f` on the tape for `graph` under `opts`, cached or freshly
+    /// compiled, and this scratch; then caches the tape again. The tape
+    /// moves out for the call so `f` can mutate the scratch.
+    pub(crate) fn with_tape<R>(
+        &mut self,
+        dir: Direction,
+        graph: &IntervalGraph,
+        opts: &SolverOptions,
+        f: impl FnOnce(&ScheduleTape, &mut SolverScratch) -> R,
+    ) -> R {
+        let (slot, tape) = self.tapes.take_or_compile(dir, graph, opts);
+        let result = f(&tape, self);
+        self.tapes.slots[slot] = Some(tape);
+        result
     }
 }
 
@@ -532,9 +570,9 @@ pub(crate) fn solve_batch_dir(
     out: &mut Solution,
 ) {
     check_coverage(graph, problem);
-    let tape = scratch.tapes.take_or_compile(dir, graph, opts);
-    tape.execute_into(problem, scratch);
-    scratch.tapes.put(dir, tape);
+    scratch.with_tape(dir, graph, opts, |tape, scratch| {
+        tape.execute_into(problem, scratch);
+    });
     // Every word of every row of `out` is overwritten below, so
     // re-shaping skips the zeroing.
     out.reshape_for_overwrite(graph.num_nodes(), problem.universe_size);
@@ -566,9 +604,9 @@ pub(crate) fn solve_batch_into_dir(
     scratch: &mut SolverScratch,
 ) {
     check_coverage(graph, problem);
-    let tape = scratch.tapes.take_or_compile(dir, graph, opts);
-    tape.execute_into(problem, scratch);
-    scratch.tapes.put(dir, tape);
+    scratch.with_tape(dir, graph, opts, |tape, scratch| {
+        tape.execute_into(problem, scratch);
+    });
 }
 
 /// [`solve_batch_into`] followed by [`SolverScratch::export`]: the

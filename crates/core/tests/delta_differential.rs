@@ -4,15 +4,16 @@
 //! on 500+ random programs across word-boundary-straddling universes, on
 //! the paper's figure programs, and under proptest-driven mutation
 //! sequences. The suite also pins the *incrementality*: warm forward
-//! solves must actually run fewer ops than the tape holds, and the
-//! decline paths (reversed graphs with jump-in sources, cold scratches,
-//! changed universes) must fall back to a full replay rather than serve
-//! stale bits.
+//! solves must actually run fewer ops than the tape holds, reversed
+//! graphs with jump-in sources must go incremental too, and the decline
+//! paths (cold scratches, changed universes) must fall back to a full
+//! replay rather than serve stale bits.
 
 use gnt_cfg::{reversed_graph, IntervalGraph, NodeId, NodeKind};
 use gnt_core::{
-    random_problem, random_program, solve, solve_batch_into, solve_delta, solve_into, DeltaKind,
-    DeltaSet, Direction, GenConfig, PlacementProblem, SolverOptions, SolverScratch,
+    random_problem, random_program, sized_program, solve, solve_batch_into, solve_delta,
+    solve_into, DeltaKind, DeltaSet, Direction, GenConfig, PlacementProblem, ScheduleTape,
+    SolverOptions, SolverScratch,
 };
 use gnt_ir::parse;
 use proptest::prelude::*;
@@ -152,10 +153,10 @@ fn repeated_deltas_stay_identical_across_rounds() {
     }
 }
 
-/// Reversed graphs (jump-in sources ⇒ forward references in the tape)
-/// must decline the incremental path yet still produce exact results.
+/// Reversed graphs (jump-in sources, whose unwritten rows the schedule
+/// folds out) support the incremental path and produce exact results.
 #[test]
-fn reversed_graphs_fall_back_and_stay_correct() {
+fn reversed_graphs_resolve_incrementally() {
     let mut scratch = SolverScratch::new();
     let mut declined = 0usize;
     for seed in 0..80u64 {
@@ -180,10 +181,50 @@ fn reversed_graphs_fall_back_and_stay_correct() {
             declined += 1;
         }
     }
-    assert!(
-        declined > 0,
-        "some reversed graphs must have jump-in sources and decline"
-    );
+    assert_eq!(declined, 0, "no reversed graph may decline");
+}
+
+/// Every tape of the incremental engine's reference corpus is
+/// delta-supported: 200 random programs under the default generator
+/// (148 of their reversed tapes declined before unwritten reads were
+/// folded out), the same seeds with `goto_prob` 0.1, and three sized
+/// programs; forward and reversed, the reversed ones also with the §5.3
+/// fallback's poisoned headers. A decline would silently cost a full
+/// replay per re-solve.
+#[test]
+fn every_corpus_tape_supports_delta() {
+    let sparse = GenConfig {
+        goto_prob: 0.1,
+        ..Default::default()
+    };
+    let mut programs: Vec<(String, gnt_ir::Program)> = Vec::new();
+    for (tag, config) in [("default", GenConfig::default()), ("sparse", sparse)] {
+        for seed in 0..200u64 {
+            programs.push((format!("{tag}{seed}"), random_program(seed, &config)));
+        }
+    }
+    for size in [200, 800, 3000] {
+        programs.push((format!("sized{size}"), sized_program(size)));
+    }
+    let opts = SolverOptions::default();
+    for (name, program) in &programs {
+        let forward = IntervalGraph::from_program(program).unwrap();
+        let reversed = reversed_graph(&forward).unwrap();
+        let mut poisoned = reversed.clone();
+        for h in reversed.nodes() {
+            if !reversed.jump_in_sources(h).is_empty() {
+                poisoned.poison(h);
+            }
+        }
+        for (dir, graph) in [
+            ("fwd", &forward),
+            ("rev", &reversed),
+            ("rev+poison", &poisoned),
+        ] {
+            let tape = ScheduleTape::compile(graph, &opts);
+            assert!(tape.delta_supported(), "{name}/{dir}");
+        }
+    }
 }
 
 /// The paper's figure programs: a steal toggled at the root (the classic
