@@ -36,7 +36,8 @@ options:
                       host core — the default never oversubscribes)
   --profile           emit one JSON line per file to stderr with per-stage
                       wall-clock timings (parse/cfg/solve/generate/lint ns),
-                      solve and tape-compile counts and bounded-path replay
+                      solve counts, solver engine counts (tape compiles,
+                      direct solves, tape replays) and bounded-path replay
                       counts; profiled runs lint sequentially and bypass
                       the cache
   --dot PATH          write the interval graph with findings highlighted

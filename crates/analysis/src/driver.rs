@@ -185,7 +185,7 @@ fn enrich(d: &mut Diagnostic, engine: &BlameEngine<'_>, item_names: &[String]) {
 /// and interval-graph assembly plus the communication analysis that
 /// walks them; "lint" is everything not attributed to another stage
 /// (invariant layers, audits, blame enrichment, span attachment). The
-/// run's solve and tape-compile counts, bounded-path replay counts and
+/// run's solve and solver-engine counts, bounded-path replay counts and
 /// O1 fixpoint rounds ride along.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimings {
@@ -213,10 +213,17 @@ pub struct StageTimings {
     /// Placement solves run: the plan's two, plus one blame
     /// re-derivation per problem whose placement lint found something.
     pub solves: u64,
-    /// Schedule tapes the run's solver scratch compiled (cache misses):
-    /// one per problem on a cold scratch, plus one for §5.3's poisoned
-    /// fallback.
+    /// Schedule tapes the run's solver scratch compiled. A lint solves
+    /// each `(graph, opts)` once, on the direct walker, so a cold run
+    /// compiles none; a count above 0 means a solve repeated.
     pub tape_compiles: u64,
+    /// Full solves the scratch ran on the direct walker: the plan's
+    /// solves (2, or 3 with §5.3's poisoned fallback) plus the blame
+    /// re-derivations.
+    pub direct_solves: u64,
+    /// Full tape replays the scratch ran: a lint of a program the
+    /// scratch solved before replays its cached tapes.
+    pub tape_replays: u64,
 }
 
 impl StageTimings {
@@ -230,8 +237,8 @@ impl StageTimings {
         format!(
             "{{\"file\":\"{}\",\"parse_ns\":{},\"cfg_ns\":{},\"solve_ns\":{},\
              \"generate_ns\":{},\"lint_ns\":{},\"total_ns\":{},\"solves\":{},\
-             \"tape_compiles\":{},\"paths_replayed\":{},\"enumerations_truncated\":{},\
-             \"o1_rounds\":{}}}",
+             \"tape_compiles\":{},\"direct_solves\":{},\"tape_replays\":{},\
+             \"paths_replayed\":{},\"enumerations_truncated\":{},\"o1_rounds\":{}}}",
             crate::diag::json_escape(file),
             self.parse_ns,
             self.cfg_ns,
@@ -241,6 +248,8 @@ impl StageTimings {
             self.total_ns(),
             self.solves,
             self.tape_compiles,
+            self.direct_solves,
+            self.tape_replays,
             self.paths_replayed,
             self.enumerations_truncated,
             self.o1_rounds,
@@ -257,7 +266,8 @@ fn elapsed_ns(from: std::time::Instant) -> u64 {
 ///
 /// The solver workspace comes from [`gnt_core::ScratchPool::global`], so
 /// repeated calls (and the batch front-end, [`crate::batch::lint_batch`])
-/// reuse warm arenas and cached schedule tapes instead of allocating.
+/// reuse warm arenas (and, for a program solved again, its cached
+/// schedule tapes) instead of allocating.
 ///
 /// # Errors
 ///
@@ -269,8 +279,9 @@ pub fn lint_program(program: &Program, opts: &LintOptions) -> Result<LintReport,
 }
 
 /// [`lint_program`] with a caller-provided solver workspace: one scratch
-/// arena backs the whole pipeline — the plan's READ/WRITE solves replay
-/// its cached schedule tapes, and blame re-derives a solve into it. The
+/// arena backs the whole pipeline — the plan's READ/WRITE solves walk
+/// their schedules directly (or replay cached tapes when the scratch
+/// solved the same graphs before), and blame re-derives a solve into it. The
 /// batch front-end checks scratches out of a [`gnt_core::ScratchPool`]
 /// per worker and calls this.
 ///
@@ -297,7 +308,11 @@ fn lint_program_inner(
     timings: &mut StageTimings,
 ) -> Result<LintReport, LintError> {
     let run_start = std::time::Instant::now();
-    let compiles_at_start = scratch.tape_compiles();
+    let engine_at_start = (
+        scratch.tape_compiles(),
+        scratch.direct_solves(),
+        scratch.tape_replays(),
+    );
     let distributed = opts
         .distributed
         .clone()
@@ -390,7 +405,9 @@ fn lint_program_inner(
             d.node.map_or(usize::MAX, gnt_cfg::NodeId::index),
         )
     });
-    timings.tape_compiles = scratch.tape_compiles() - compiles_at_start;
+    timings.tape_compiles = scratch.tape_compiles() - engine_at_start.0;
+    timings.direct_solves = scratch.direct_solves() - engine_at_start.1;
+    timings.tape_replays = scratch.tape_replays() - engine_at_start.2;
     timings.lint_ns = elapsed_ns(run_start)
         .saturating_sub(timings.cfg_ns + timings.generate_ns + timings.solve_ns);
     Ok(LintReport { diagnostics, plan })

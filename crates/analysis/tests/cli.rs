@@ -523,8 +523,8 @@ fn profile_o1_rounds_stay_bounded_by_loop_depth() {
 /// warnings, so READ is re-derived for their trails, and WRITE is not.
 /// A `goto` out of a loop ahead of its write makes the optimistic WRITE
 /// solve fail its checks, and the poisoned fallback solve counts too.
-/// The plan's solves run from cached tapes: Figure 1 compiles one per
-/// problem, the fallback a third.
+/// Every solve of a cold lint is one-shot, so it runs on the direct
+/// walker and compiles no schedule tape.
 #[test]
 fn profile_counts_one_solve_per_problem() {
     let fig1 = write_fixture("fig1_solves.minif", FIG1);
@@ -535,7 +535,13 @@ fn profile_counts_one_solve_per_problem() {
     ] {
         let line = profile_line(&fig1, args, 0);
         assert_eq!(profile_field(&line, "solves"), solves, "{args:?}: {line}");
-        assert_eq!(profile_field(&line, "tape_compiles"), 2, "{args:?}: {line}");
+        assert_eq!(profile_field(&line, "tape_compiles"), 0, "{args:?}: {line}");
+        assert_eq!(
+            profile_field(&line, "direct_solves"),
+            solves,
+            "{args:?}: {line}"
+        );
+        assert_eq!(profile_field(&line, "tape_replays"), 0, "{args:?}: {line}");
     }
     let goto = write_fixture(
         "goto_before_write.minif",
@@ -543,7 +549,9 @@ fn profile_counts_one_solve_per_problem() {
     );
     let line = profile_line(&goto, &[], 0);
     assert_eq!(profile_field(&line, "solves"), 3, "{line}");
-    assert_eq!(profile_field(&line, "tape_compiles"), 3, "{line}");
+    assert_eq!(profile_field(&line, "tape_compiles"), 0, "{line}");
+    assert_eq!(profile_field(&line, "direct_solves"), 3, "{line}");
+    assert_eq!(profile_field(&line, "tape_replays"), 0, "{line}");
 }
 
 /// `--after` queries explain the WRITE solve the plan was emitted from:
@@ -569,4 +577,62 @@ fn after_queries_explain_the_coupled_write_solve() {
         stdout.starts_with("why RES_in^eager(n11) does NOT contain x(a(1:N)):"),
         "stdout: {stdout}"
     );
+}
+
+/// `blocks` nested blocks, `do` loops alternating with `if`/`else` and a
+/// `goto` out of the nest, around a gather whose subscript adds one more
+/// level; `blocks + 1` levels in all.
+fn deep_nest(blocks: usize) -> String {
+    let mut src = String::new();
+    for k in 0..blocks {
+        if k % 2 == 0 {
+            src.push_str(&format!("do i{k} = 1, N\n"));
+        } else {
+            src.push_str(&format!("if t{k} then\n"));
+        }
+    }
+    src.push_str("if t goto 99\n... = x(i0)\n");
+    for k in (0..blocks).rev() {
+        src.push_str(if k % 2 == 0 {
+            "enddo\n"
+        } else {
+            "else\nc = 1\nendif\n"
+        });
+    }
+    src + "99 continue\n"
+}
+
+/// The deepest nest the parser accepts lints cleanly on the main thread
+/// and, in a directory, on pool worker threads (whose stacks are smaller);
+/// one level more is a parse error naming the limit (exit 2), not a stack
+/// overflow.
+#[test]
+fn nesting_at_the_limit_lints_alone_and_in_a_directory() {
+    let limit = gnt_ir::MAX_NESTING_DEPTH;
+    let dir = std::env::temp_dir().join("gnt-lint-cli-tests").join("deep");
+    for (blocks, code) in [(limit - 1, 0), (limit, 2)] {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let src = deep_nest(blocks);
+        for k in 0..4 {
+            std::fs::write(dir.join(format!("deep{k}.minif")), &src).expect("fixture written");
+        }
+        let file = dir.join("deep0.minif");
+        let dir_arg = dir.to_str().unwrap();
+        for args in [&[file.to_str().unwrap()][..], &[dir_arg, "--jobs", "4"][..]] {
+            let out = gnt_lint(args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(code),
+                "{blocks} blocks, {args:?}: {stderr}"
+            );
+            if code == 2 {
+                assert!(
+                    stderr.contains(&format!("nesting deeper than {limit} levels")),
+                    "{stderr}"
+                );
+            }
+        }
+    }
 }

@@ -25,6 +25,14 @@
 //!   the same two measurements on the reversed graph of a program whose
 //!   loops each have a `goto` out of them, so the tape folds out reads
 //!   of jump-in rows (ungated);
+//! * `oneshot_direct/16items` and `oneshot_tape/16items` — one full solve
+//!   on a fresh scratch at `sized_program(3000)`: the direct walk a
+//!   one-shot [`gnt_core::solve_batch_into`] runs, against a cold tape
+//!   compile plus its replay, the premise of solving one-shot problems
+//!   directly (ungated);
+//! * `verify/16items` — the independent checkers on that solution:
+//!   [`gnt_core::check_sufficiency`] of both flavors plus
+//!   [`gnt_core::check_balance`] (ungated);
 //! * `solve/256items` and `solve_batch/256items` — a 4-word universe
 //!   solved by the direct backend with export and by cached-tape replay
 //!   into a reused buffer (the EXP-C2 protocol), plus
@@ -78,9 +86,9 @@ use gnt_bench::{
 };
 use gnt_cfg::IntervalGraph;
 use gnt_core::{
-    random_problem, random_program, sized_program, solve, solve_batch, solve_batch_into,
-    solve_delta, solve_into, DeltaSet, GenConfig, PlacementProblem, ScheduleTape, Solution,
-    SolverOptions, SolverScratch,
+    check_balance, check_sufficiency, random_problem, random_program, sized_program, solve,
+    solve_batch, solve_batch_into, solve_delta, solve_into, DeltaSet, GenConfig, PlacementProblem,
+    ScheduleTape, Solution, SolverOptions, SolverScratch,
 };
 use gnt_dataflow::WorkerPool;
 use gnt_ir::{Expr, ProgramBuilder};
@@ -161,7 +169,8 @@ fn like_for_like_direct(
 }
 
 /// `solve_batch_into/{items}items`: the cached-tape replay on a warm
-/// scratch, without export (the untimed first call compiles the tape).
+/// scratch, without export (the untimed first two calls walk the
+/// schedule directly and compile the tape).
 fn like_for_like_tape(
     runs: usize,
     graph: &IntervalGraph,
@@ -169,6 +178,7 @@ fn like_for_like_tape(
 ) -> BenchRecord {
     let opts = SolverOptions::default();
     let mut scratch = SolverScratch::new();
+    solve_batch_into(graph, problem, &opts, &mut scratch);
     let ns = median_ns(runs, || {
         solve_batch_into(graph, problem, &opts, &mut scratch)
     });
@@ -217,11 +227,12 @@ fn main() -> ExitCode {
 
         records.push(like_for_like_direct(runs, &graph, &problem));
 
-        // The schedule-tape replay: compile once (the warm-up call inside
-        // median_ns), then every timed call replays the cached tape into
-        // the reused output buffer.
+        // The schedule-tape replay: a one-shot direct solve, the compile
+        // (the warm-up call inside median_ns), then every timed call
+        // replays the cached tape into the reused output buffer.
         let mut scratch = SolverScratch::new();
         let mut out = Solution::default();
+        solve_batch(&graph, &problem, &opts, &mut scratch, &mut out);
         let ns = median_ns(runs, || {
             solve_batch(&graph, &problem, &opts, &mut scratch, &mut out);
         });
@@ -252,6 +263,8 @@ fn main() -> ExitCode {
         let hot = gnt_cfg::NodeId((nodes / 2) as u32);
         let mut working = problem.clone();
         let mut scratch = SolverScratch::new();
+        // The second full solve compiles the tape.
+        solve_batch_into(&graph, &working, &opts, &mut scratch);
         solve_batch_into(&graph, &working, &opts, &mut scratch);
         let ns = median_ns(runs, || {
             toggle_steal(&mut working, hot);
@@ -338,6 +351,42 @@ fn main() -> ExitCode {
         });
     }
 
+    // A one-shot full solve both ways, and the checkers, at 3000
+    // statements.
+    let graph = IntervalGraph::from_program(&sized_program(3000)).expect("reducible");
+    let nodes = graph.num_nodes();
+    let problem = random_problem(42, &graph, 16, 0.3);
+    let opts = SolverOptions::default();
+    let ns = median_ns(runs, || {
+        let mut scratch = SolverScratch::new();
+        solve_batch_into(&graph, &problem, &opts, &mut scratch);
+        assert_eq!(scratch.tape_compiles(), 0);
+        scratch
+    });
+    let mut oneshot = vec![("oneshot_direct/16items", ns)];
+    let ns = median_ns(runs, || {
+        let mut scratch = SolverScratch::new();
+        ScheduleTape::compile(&graph, &opts).execute_into(&problem, &mut scratch);
+        scratch
+    });
+    oneshot.push(("oneshot_tape/16items", ns));
+    let solution = solve(&graph, &problem, &opts);
+    let ns = median_ns(runs, || {
+        check_sufficiency(&graph, &problem, &solution.eager, true).len()
+            + check_sufficiency(&graph, &problem, &solution.lazy, true).len()
+            + check_balance(&graph, &problem, &solution.eager, &solution.lazy).len()
+    });
+    oneshot.push(("verify/16items", ns));
+    for (bench, ns) in oneshot {
+        records.push(BenchRecord {
+            bench: bench.to_string(),
+            nodes,
+            items: 16,
+            ns_per_node: ns / nodes as f64,
+            threads: 1,
+        });
+    }
+
     // Multi-word universes on the largest size.
     let target = if smoke { 400 } else { 6400 };
     let program = sized_program(target);
@@ -355,6 +404,7 @@ fn main() -> ExitCode {
     });
     let mut scratch = SolverScratch::new();
     let mut out = Solution::default();
+    solve_batch(&graph, &problem, &opts, &mut scratch, &mut out);
     let ns = median_ns(runs, || {
         solve_batch(&graph, &problem, &opts, &mut scratch, &mut out);
     });

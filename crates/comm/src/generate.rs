@@ -13,7 +13,7 @@ use gnt_core::{
     solve_with_pressure_limit_in_place, FlavorSolution, PlacementProblem, PressureReport, Solution,
     SolverOptions, SolverScratch,
 };
-use gnt_dataflow::ItemId;
+use gnt_dataflow::{BitSet, ItemId};
 use std::fmt;
 use std::time::Instant;
 
@@ -303,25 +303,27 @@ pub fn generate_with_placement(
     // WRITE_recv adjacent to its WRITE_send instead of sliding further
     // down). This uses the pre-shift placement so steals land on the
     // precise nodes (e.g. a loop-exit split), not on whole loop headers.
+    // Each placed item's overlap row (the items it may overlap) is built
+    // once, on its first placement, and OR-ed into the steals of every
+    // node that places it.
     let mut write_problem = analysis.write_problem.clone();
-    let items: Vec<_> = analysis
-        .universe
-        .iter()
-        .map(|(id, r)| (id, r.clone()))
-        .collect();
+    let universe = &analysis.universe;
+    let mut overlaps: Vec<Option<BitSet>> = vec![None; universe.len()];
     for node in graph.nodes() {
         let i = node.index();
         for flavor in [&read_eager, &read_lazy] {
             for item in flavor.res_in[i].iter().chain(flavor.res_out[i].iter()) {
-                let read_ref = analysis
-                    .universe
-                    .resolve(gnt_dataflow::ItemId(item as u32))
-                    .clone();
-                for (w, wref) in &items {
-                    if read_ref.may_overlap(wref) {
-                        write_problem.steal(node, w.index());
+                let row = overlaps[item].get_or_insert_with(|| {
+                    let read_ref = universe.resolve(ItemId(item as u32));
+                    let mut row = BitSet::new(write_problem.universe_size);
+                    for (w, wref) in universe.iter() {
+                        if read_ref.may_overlap(wref) {
+                            row.insert(w.index());
+                        }
                     }
-                }
+                    row
+                });
+                write_problem.steal_init[i].union_with(row);
             }
         }
     }
@@ -518,6 +520,52 @@ mod tests {
         assert!(is_before);
         let g = &plan.analysis.graph;
         assert!(g.preorder_index(send_node) <= 2, "{}", g.dump());
+    }
+
+    /// The WRITE problem's phase coupling, built with one overlap row per
+    /// placed item, equals the per-placement `may_overlap` scan over the
+    /// universe it replaced, kept here as the reference.
+    #[test]
+    fn phase_coupling_matches_the_per_placement_overlap_scan() {
+        let sources = [
+            (include_str!("../../../examples/fig3.minif"), &["x"][..]),
+            (include_str!("../../../examples/fig11.minif"), &["x"][..]),
+            (
+                "do i = 1, N\n  x(i) = ...\n  x(i + 1) = ...\n  y(a(i)) = ...\nenddo\n\
+                 do k = 1, N\n  ... = x(1:N)\n  ... = y(a(k))\n  ... = x(k)\nenddo\n\
+                 if t then\n  ... = x(2:M)\nendif",
+                &["x", "y"][..],
+            ),
+        ];
+        let mut multi = 0;
+        for (src, arrays) in sources {
+            let a = analyze(&parse(src).unwrap(), &CommConfig::distributed(arrays)).unwrap();
+            let read = gnt_core::solve(&a.graph, &a.read_problem, &SolverOptions::default());
+            let mut want = a.write_problem.clone();
+            for node in a.graph.nodes() {
+                let i = node.index();
+                for flavor in [&read.eager, &read.lazy] {
+                    for item in flavor.res_in[i].iter().chain(flavor.res_out[i].iter()) {
+                        let read_ref = a.universe.resolve(ItemId(item as u32));
+                        for (w, wref) in a.universe.iter() {
+                            if read_ref.may_overlap(wref) {
+                                want.steal(node, w.index());
+                            }
+                        }
+                    }
+                }
+            }
+            let n = a.graph.num_nodes();
+            let coupled = a.write_problem.clone();
+            let (_, placement) =
+                generate_with_placement(a, &GenerateOptions::default(), &mut SolverScratch::new())
+                    .unwrap();
+            assert_eq!(placement.write_problem.steal_init[..n], want.steal_init[..]);
+            multi += (0..n)
+                .filter(|&i| want.steal_init[i].len() >= coupled.steal_init[i].len() + 2)
+                .count();
+        }
+        assert!(multi > 0, "no placement steals two items at once");
     }
 
     #[test]

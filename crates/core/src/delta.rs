@@ -46,8 +46,11 @@
 //! Correct-by-construction fallbacks, all reported via
 //! [`DeltaReport::full_replay`]:
 //!
-//! * the scratch does not hold a prior replay of the same tape (cold
-//!   scratch, a direct solve in between, changed universe width);
+//! * the scratch does not hold a prior full solve of the same
+//!   `(graph, opts)` (cold scratch, a bare [`crate::solve_into`] in
+//!   between, changed universe width). A full solve lays this basis on
+//!   either engine: a tape replay, or the direct walk a one-shot full
+//!   solve runs, which leaves every family row as the replay would;
 //! * the graph or options changed shape (fingerprint mismatch — this is
 //!   how CFG edits and poison changes are handled: the tape recompiles
 //!   and the first solve is a full replay);
@@ -590,11 +593,13 @@ fn execute_delta(
 ///
 /// Requirements for the incremental path (checked at run time; any miss
 /// falls back to a full replay, reported via
-/// [`DeltaReport::full_replay`]): `scratch` must hold a prior tape
-/// solve of the same `(graph, opts)` shape and universe width — i.e. a preceding [`crate::solve_batch_into`] or `solve_delta`
-/// call — and `problem` may differ from the problem of that solve only
-/// in the rows marked in `delta`. Results are bit-identical to a fresh
-/// [`crate::solve_batch_into`] either way.
+/// [`DeltaReport::full_replay`]): `scratch` must hold a prior full
+/// solve of the same `(graph, opts)` shape and universe width — i.e. a
+/// preceding [`crate::solve_batch_into`] (on either engine) or
+/// `solve_delta` call — and `problem` may differ from the problem of
+/// that solve only in the rows marked in `delta`. The call compiles the
+/// tape if the scratch caches none for the shape. Results are
+/// bit-identical to a fresh [`crate::solve_batch_into`] either way.
 ///
 /// # Panics
 ///

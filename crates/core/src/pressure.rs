@@ -83,10 +83,11 @@ pub fn solve_with_pressure_limit_in_place(
     max_rounds: usize,
     scratch: &mut SolverScratch,
 ) -> (Solution, PressureReport) {
-    // Round 0 is a full tape replay; it establishes the delta basis, so
-    // every later round — which only mutates `STEAL_init` at the one hot
-    // node — re-solves incrementally through the cached tape's dirty-row
-    // engine instead of replaying every op.
+    // Round 0 is a full solve; on either engine it establishes the delta
+    // basis, so every later round — which only mutates `STEAL_init` at
+    // the one hot node — re-solves incrementally through the tape's
+    // dirty-row engine instead of replaying every op. The first such
+    // round compiles the tape if round 0 walked the schedule directly.
     solve_batch_into(graph, problem, opts, scratch);
     let pressure_max = |s: &SolverScratch| {
         graph

@@ -77,12 +77,14 @@ pub struct SolverScratch {
     bits: usize,
     /// Compiled schedule tapes in two slots, reused by the tape entry
     /// points whenever the graph shape and hoisting options fingerprint
-    /// the same as a cached tape's (see [`crate::ScheduleTape`]).
+    /// the same as a cached tape's, the fingerprints solved directly, and
+    /// the engine counters (see [`crate::ScheduleTape`]).
     pub(crate) tapes: crate::tape::TapeCache,
-    /// Fingerprint of the tape whose replay the arena currently holds, if
-    /// any — the validity token for [`crate::solve_delta`]. Set by a tape
-    /// execution, cleared by [`SolverScratch::prepare`] (every direct
-    /// solve goes through it).
+    /// Fingerprint of the `(graph, opts)` whose full solve the arena
+    /// currently holds, if any — the validity token for
+    /// [`crate::solve_delta`]. Set by a tape execution and by the direct
+    /// walk of a full solve, cleared by [`SolverScratch::prepare`] (so a
+    /// bare [`crate::solve_into`] leaves none).
     delta_basis: Option<u64>,
 }
 

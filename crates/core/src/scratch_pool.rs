@@ -6,7 +6,8 @@
 //! that fans whole solver runs out with [`gnt_dataflow::WorkerPool::map`]
 //! wants each job to pick up whichever scratch is warm — same
 //! allocation, and when the graph shape repeats, the same compiled tapes
-//! — instead of paying a cold arena + tape compile per job. The fan-out
+//! (a graph solved a second time compiles its tape) — instead of paying
+//! a cold arena per job. The fan-out
 //! spawns its threads per call, so the warm state lives here, in a
 //! process-wide free-list, rather than with any thread.
 //!

@@ -27,10 +27,23 @@
 //! lookup matches it in either slot — poisoning a header (the AFTER
 //! fallback of [`crate::solve_after`]) or changing a hoisting knob
 //! compiles a new tape, anything else replays.
+//!
+//! A tape only pays off when its graph is solved again: one compile
+//! costs several direct solves. So a full solve (the `solve_batch*`
+//! entry points and [`crate::solve_after_with_scratch`]) replays a tape
+//! only when the scratch already caches one for the fingerprint. On a
+//! miss it runs the direct walker and notes the fingerprint, one per
+//! slot; the *second* full solve of a noted fingerprint compiles and
+//! caches the tape. [`crate::solve_delta`] still compiles on a miss. The
+//! direct walk leaves every family row exactly as a replay does, so it
+//! lays the delta basis too, and the first `solve_delta` after it runs
+//! incrementally.
 
 use crate::problem::{Direction, PlacementProblem, SolverOptions};
 use crate::scratch::SolverScratch;
-use crate::solver::{check_coverage, effective_poison, schedule, Init, Kernels, Solution};
+use crate::solver::{
+    check_coverage, effective_poison, schedule, solve_into, Init, Kernels, Solution,
+};
 use gnt_cfg::{EdgeClass, IntervalGraph};
 
 /// One instruction of a compiled schedule: a fused `gnt-dataflow` kernel
@@ -281,6 +294,7 @@ impl ScheduleTape {
         // A replay establishes the basis the incremental engine
         // (`solve_delta`) re-solves against.
         scratch.set_delta_basis(Some(self.fingerprint));
+        scratch.tapes.replays += 1;
     }
 }
 
@@ -444,18 +458,27 @@ fn fingerprint(graph: &IntervalGraph, opts: &SolverOptions) -> u64 {
 }
 
 /// The per-scratch tape cache: two slots, each holding a tape with the
-/// structural fingerprint it was compiled under. A tape depends only on
+/// structural fingerprint it was compiled under, and beside each slot
+/// the fingerprint last solved directly. A tape depends only on
 /// `(graph, opts)`, never on the direction, so a lookup matches the
-/// fingerprint in either slot. A fresh compile goes into an empty slot
-/// if there is one (the direction's own first), else into the
-/// direction's own slot. BEFORE solves, AFTER solves (on the reversed
+/// fingerprint in either slot. A new tape or noted fingerprint goes into
+/// an empty slot if there is one (the direction's own first), else into
+/// the direction's own slot. BEFORE solves, AFTER solves (on the reversed
 /// graph), pressure re-solve rounds, delta re-solves and blame
 /// re-derivations through the same scratch share the two tapes.
 #[derive(Debug, Default)]
 pub(crate) struct TapeCache {
     slots: [Option<ScheduleTape>; 2],
+    /// Fingerprints a full solve walked directly: the next full solve
+    /// that finds its fingerprint here compiles the tape (and forgets
+    /// the entry).
+    seen: [Option<u64>; 2],
     /// Tapes compiled on a miss, over the scratch's lifetime.
     compiles: u64,
+    /// Full solves the direct walker ran, [`crate::solve_into`] included.
+    pub(crate) direct: u64,
+    /// Full tape replays ([`ScheduleTape::execute_into`]).
+    replays: u64,
 }
 
 impl TapeCache {
@@ -466,26 +489,49 @@ impl TapeCache {
         }
     }
 
-    /// Takes the cached tape whose fingerprint matches `graph` under
-    /// `opts` out of its slot, or compiles a fresh one (dropping the
-    /// slot's stale tape first). Returns the slot the tape goes back to.
+    /// The slot for a new entry of `dir`: an empty one, the direction's
+    /// own first, else the direction's own.
+    fn free_slot<T>(entries: &[Option<T>; 2], dir: Direction) -> usize {
+        let own = Self::slot(dir);
+        [own, 1 - own]
+            .into_iter()
+            .find(|&s| entries[s].is_none())
+            .unwrap_or(own)
+    }
+
+    fn holds(&self, fp: u64) -> bool {
+        self.slots
+            .iter()
+            .any(|cached| cached.as_ref().is_some_and(|tape| tape.fingerprint == fp))
+    }
+
+    /// Whether a full solve of `fp` has been seen before (and forgets
+    /// it); otherwise notes `fp` for the next one.
+    fn seen_before(&mut self, dir: Direction, fp: u64) -> bool {
+        if let Some(hit) = self.seen.iter_mut().find(|s| **s == Some(fp)) {
+            *hit = None;
+            return true;
+        }
+        self.seen[Self::free_slot(&self.seen, dir)] = Some(fp);
+        false
+    }
+
+    /// Takes the cached tape with fingerprint `fp` out of its slot, or
+    /// compiles a fresh one (dropping the slot's stale tape first).
+    /// Returns the slot the tape goes back to.
     fn take_or_compile(
         &mut self,
         dir: Direction,
+        fp: u64,
         graph: &IntervalGraph,
         opts: &SolverOptions,
     ) -> (usize, ScheduleTape) {
-        let fp = fingerprint(graph, opts);
         for (slot, cached) in self.slots.iter_mut().enumerate() {
             if cached.as_ref().is_some_and(|tape| tape.fingerprint == fp) {
                 return (slot, cached.take().expect("matched a cached tape"));
             }
         }
-        let own = Self::slot(dir);
-        let slot = [own, 1 - own]
-            .into_iter()
-            .find(|&s| self.slots[s].is_none())
-            .unwrap_or(own);
+        let slot = Self::free_slot(&self.slots, dir);
         self.slots[slot] = None;
         self.compiles += 1;
         (slot, ScheduleTape::compile(graph, opts))
@@ -493,18 +539,33 @@ impl TapeCache {
 }
 
 impl SolverScratch {
-    /// The tape cached in `dir`'s slot, if any — populated by the
-    /// `solve_batch*` entry points, [`crate::solve_after_with_scratch`]
-    /// and [`crate::solve_delta`]. A tape compiled for one direction may
-    /// sit in the other direction's slot when that one was empty.
+    /// The tape cached in `dir`'s slot, if any — populated by the second
+    /// full solve of a `(graph, opts)` through the `solve_batch*` entry
+    /// points or [`crate::solve_after_with_scratch`], and by the first
+    /// [`crate::solve_delta`]. A tape compiled for one direction may sit
+    /// in the other direction's slot when that one was empty.
     pub fn cached_tape(&self, dir: Direction) -> Option<&ScheduleTape> {
         self.tapes.slots[TapeCache::slot(dir)].as_ref()
     }
 
     /// How many schedule tapes this scratch has compiled: one per cache
-    /// miss. A warm re-solve of a cached `(graph, opts)` adds nothing.
+    /// miss of a re-solve. A one-shot solve adds nothing, nor does a warm
+    /// re-solve of a cached `(graph, opts)`.
     pub fn tape_compiles(&self) -> u64 {
         self.tapes.compiles
+    }
+
+    /// How many full solves this scratch ran on the direct walker: the
+    /// first full solve of each `(graph, opts)`, and every
+    /// [`crate::solve_into`].
+    pub fn direct_solves(&self) -> u64 {
+        self.tapes.direct
+    }
+
+    /// How many full tape replays this scratch ran; incremental
+    /// [`crate::solve_delta`] calls are not counted.
+    pub fn tape_replays(&self) -> u64 {
+        self.tapes.replays
     }
 
     /// Runs `f` on the tape for `graph` under `opts`, cached or freshly
@@ -517,7 +578,18 @@ impl SolverScratch {
         opts: &SolverOptions,
         f: impl FnOnce(&ScheduleTape, &mut SolverScratch) -> R,
     ) -> R {
-        let (slot, tape) = self.tapes.take_or_compile(dir, graph, opts);
+        self.with_tape_of(dir, fingerprint(graph, opts), graph, opts, f)
+    }
+
+    fn with_tape_of<R>(
+        &mut self,
+        dir: Direction,
+        fp: u64,
+        graph: &IntervalGraph,
+        opts: &SolverOptions,
+        f: impl FnOnce(&ScheduleTape, &mut SolverScratch) -> R,
+    ) -> R {
+        let (slot, tape) = self.tapes.take_or_compile(dir, fp, graph, opts);
         let result = f(&tape, self);
         self.tapes.slots[slot] = Some(tape);
         result
@@ -527,7 +599,9 @@ impl SolverScratch {
 /// Batched tape solve: replays the scratch-cached schedule tape for
 /// `(graph, BEFORE)` across the item universe and writes the result into
 /// the caller-reused `out`, allocating nothing once `scratch` and `out`
-/// are warm. Results are bit-identical to [`crate::solve`].
+/// are warm. The first solve of a graph walks the schedule directly and
+/// the second compiles the tape (see the module docs). Results are
+/// bit-identical to [`crate::solve`].
 ///
 /// # Panics
 ///
@@ -546,6 +620,7 @@ impl SolverScratch {
 /// problem.take(body, 200);
 /// let opts = SolverOptions::default();
 /// let (mut scratch, mut out) = (SolverScratch::new(), Solution::default());
+/// solve_batch(&g, &problem, &opts, &mut scratch, &mut out); // one-shot: a direct walk
 /// solve_batch(&g, &problem, &opts, &mut scratch, &mut out); // compiles + caches the tape
 /// solve_batch(&g, &problem, &opts, &mut scratch, &mut out); // replays it, allocation-free
 /// assert_eq!(out, solve(&g, &problem, &opts));
@@ -569,18 +644,16 @@ pub(crate) fn solve_batch_dir(
     scratch: &mut SolverScratch,
     out: &mut Solution,
 ) {
-    check_coverage(graph, problem);
-    scratch.with_tape(dir, graph, opts, |tape, scratch| {
-        tape.execute_into(problem, scratch);
-    });
+    solve_batch_into_dir(dir, graph, problem, opts, scratch);
     // Every word of every row of `out` is overwritten below, so
     // re-shaping skips the zeroing.
     out.reshape_for_overwrite(graph.num_nodes(), problem.universe_size);
     scratch.write_into(out);
 }
 
-/// [`solve_batch`] without the export: replays the cached BEFORE tape and
-/// leaves every variable readable in `scratch` (zero-copy views) — the
+/// [`solve_batch`] without the export: solves like it (direct walk,
+/// compile or replay of the cached BEFORE tape) and leaves every
+/// variable readable in `scratch` (zero-copy views) — the
 /// tape analogue of [`crate::solve_into`], used by the pressure re-solve
 /// loop and the lint driver's blame queries.
 ///
@@ -596,6 +669,10 @@ pub fn solve_batch_into(
     solve_batch_into_dir(Direction::Before, graph, problem, opts, scratch);
 }
 
+/// One full solve of `problem` into `scratch` under the engine policy:
+/// replay the cached tape for `(graph, opts)`, compile it on the second
+/// full solve of that fingerprint, or walk the schedule directly. Every
+/// branch leaves the delta basis for the fingerprint.
 pub(crate) fn solve_batch_into_dir(
     dir: Direction,
     graph: &IntervalGraph,
@@ -604,9 +681,16 @@ pub(crate) fn solve_batch_into_dir(
     scratch: &mut SolverScratch,
 ) {
     check_coverage(graph, problem);
-    scratch.with_tape(dir, graph, opts, |tape, scratch| {
-        tape.execute_into(problem, scratch);
-    });
+    let fp = fingerprint(graph, opts);
+    if scratch.tapes.holds(fp) || scratch.tapes.seen_before(dir, fp) {
+        scratch.with_tape_of(dir, fp, graph, opts, |tape, scratch| {
+            tape.execute_into(problem, scratch);
+        });
+    } else {
+        solve_into(graph, problem, opts, scratch);
+        // The walk wrote every row the replay would have.
+        scratch.set_delta_basis(Some(fp));
+    }
 }
 
 /// [`solve_batch_into`] followed by [`SolverScratch::export`]: the
@@ -693,11 +777,120 @@ mod tests {
             let mut out = Solution::default();
             solve_batch(&g, &prob, &opts, &mut scratch, &mut out);
             assert_eq!(out, expected, "items = {items}");
-            // Second call replays the cached tape into the warm buffer.
-            assert!(scratch.cached_tape(Direction::Before).is_some());
+            // The first call walked the schedule directly; the second
+            // compiles the tape and replays it into the warm buffer.
+            assert!(scratch.cached_tape(Direction::Before).is_none());
             solve_batch(&g, &prob, &opts, &mut scratch, &mut out);
+            assert!(scratch.cached_tape(Direction::Before).is_some());
             assert_eq!(out, expected, "replay, items = {items}");
         }
+    }
+
+    /// The engine policy on one scratch: the first full solve of a
+    /// fingerprint walks the schedule directly, the second compiles the
+    /// tape, the third replays it; a `solve_into` in between counts as a
+    /// direct solve and changes none of that.
+    #[test]
+    fn solves_one_to_three_compile_zero_one_zero_tapes() {
+        let g = graph(BRANCHY);
+        let prob = take_everywhere(&g, 70);
+        let opts = SolverOptions::default();
+        let expected = solve(&g, &prob, &opts);
+        let mut scratch = SolverScratch::new();
+        let mut out = Solution::default();
+        let mut counts = Vec::new();
+        for _ in 0..3 {
+            solve_batch(&g, &prob, &opts, &mut scratch, &mut out);
+            assert_eq!(out, expected);
+            counts.push((
+                scratch.tape_compiles(),
+                scratch.direct_solves(),
+                scratch.tape_replays(),
+            ));
+        }
+        assert_eq!(counts, [(0, 1, 0), (1, 1, 1), (1, 1, 2)]);
+        solve_into(&g, &prob, &opts, &mut scratch);
+        solve_batch(&g, &prob, &opts, &mut scratch, &mut out);
+        assert_eq!(out, expected);
+        assert_eq!(scratch.tape_compiles(), 1);
+        assert_eq!(scratch.direct_solves(), 2);
+        assert_eq!(scratch.tape_replays(), 3);
+    }
+
+    /// A new fingerprint is noted in an empty slot first, so two graphs
+    /// solved in turn through one scratch, even in one direction, each
+    /// get their tape on their second solve and keep it.
+    #[test]
+    fn two_fingerprints_in_turn_each_compile_once() {
+        let g = graph(BRANCHY);
+        let r = gnt_cfg::reversed_graph(&g).unwrap();
+        let (pg, pr) = (take_everywhere(&g, 5), take_everywhere(&r, 5));
+        let opts = SolverOptions::default();
+        let mut scratch = SolverScratch::new();
+        let mut compiles = Vec::new();
+        for _ in 0..3 {
+            solve_batch_into(&g, &pg, &opts, &mut scratch);
+            solve_batch_into(&r, &pr, &opts, &mut scratch);
+            compiles.push(scratch.tape_compiles());
+        }
+        assert_eq!(compiles, [0, 2, 2]);
+    }
+
+    /// The premise of laying the delta basis from a direct walk: after a
+    /// direct solve and after a replay of the compiled tape, every row of
+    /// the arena — the 20 families and the two temporaries — holds the
+    /// same words. Forward, reversed and poisoned-reversed graphs of
+    /// random programs (some with gotos), with and without zero-trip
+    /// hoisting, at universe widths around the word boundary.
+    #[test]
+    fn direct_walk_leaves_every_row_as_a_replay_does() {
+        use crate::generator::{random_problem, random_program, GenConfig};
+        let configs = [
+            GenConfig::default(),
+            GenConfig {
+                goto_prob: 0.1,
+                ..GenConfig::default()
+            },
+        ];
+        let no_hoist = SolverOptions {
+            no_zero_trip_hoist: true,
+            ..Default::default()
+        };
+        let mut cases = 0;
+        for (c, config) in configs.iter().enumerate() {
+            for seed in 0..40u64 {
+                let Ok(g) = IntervalGraph::from_program(&random_program(seed, config)) else {
+                    continue;
+                };
+                let Ok(r) = gnt_cfg::reversed_graph(&g) else {
+                    continue;
+                };
+                let mut poisoned = r.clone();
+                for h in r.nodes().filter(|&h| !r.jump_in_sources(h).is_empty()) {
+                    poisoned.poison(h);
+                }
+                for (label, graph) in [("fwd", &g), ("rev", &r), ("poisoned", &poisoned)] {
+                    let items = [1usize, 64, 65, 130][(seed % 4) as usize];
+                    let prob = random_problem(seed ^ 0x5eed, graph, items, 0.3);
+                    for opts in [SolverOptions::default(), no_hoist.clone()] {
+                        let mut direct = SolverScratch::new();
+                        solve_into(graph, &prob, &opts, &mut direct);
+                        let mut replay = SolverScratch::new();
+                        ScheduleTape::compile(graph, &opts).execute_into(&prob, &mut replay);
+                        assert_eq!(direct.slab.rows(), replay.slab.rows());
+                        for row in 0..direct.slab.rows() {
+                            assert_eq!(
+                                direct.slab.row(row).words(),
+                                replay.slab.row(row).words(),
+                                "config {c}, seed {seed}, {label}, row {row}"
+                            );
+                        }
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert!(cases >= 200, "{cases} cases");
     }
 
     #[test]

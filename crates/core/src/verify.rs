@@ -18,11 +18,13 @@
 //!
 //! The dataflow-based checkers scale to large graphs; the path-based ones
 //! are exhaustive on small graphs and drive the property-based tests.
+//! The former GenKill-based C1/C3 checkers live on as oracles in
+//! `tests/verify_reference.rs`.
 
 use crate::problem::PlacementProblem;
 use crate::solver::FlavorSolution;
 use gnt_cfg::{CfgFlow, IntervalGraph, NodeId};
-use gnt_dataflow::{BitSet, Direction, FlowGraph, GenKillProblem, Meet};
+use gnt_dataflow::{BitSet, FlowGraph};
 
 /// A violation found by a verifier.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,6 +59,104 @@ pub enum Violation {
     },
 }
 
+/// Per-node bit rows over one universe, laid out flat: row `v` is
+/// `words[v * stride..(v + 1) * stride]`.
+struct Rows {
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl Rows {
+    fn new(rows: usize, stride: usize) -> Rows {
+        Rows {
+            stride,
+            words: vec![0; rows * stride],
+        }
+    }
+
+    fn row(&self, v: usize) -> &[u64] {
+        &self.words[v * self.stride..(v + 1) * self.stride]
+    }
+
+    fn row_mut(&mut self, v: usize) -> &mut [u64] {
+        &mut self.words[v * self.stride..(v + 1) * self.stride]
+    }
+}
+
+/// The mask of the valid bits of word `k` of a `cap`-bit row.
+fn word_mask(cap: usize, k: usize) -> u64 {
+    let bits = cap - 64 * k;
+    if bits >= 64 {
+        !0
+    } else {
+        (1u64 << bits) - 1
+    }
+}
+
+/// Successor lists in compressed sparse row form, each edge carrying a
+/// tag: `edges[off[u]..off[u + 1]]` are `u`'s out-edges, in the order
+/// they were given.
+struct Csr<T> {
+    off: Vec<usize>,
+    edges: Vec<(usize, T)>,
+}
+
+impl<T: Copy> Csr<T> {
+    /// Builds the CSR of `n` nodes from `(src, dst, tag)` triples by
+    /// count-then-fill.
+    fn new(n: usize, list: &[(usize, usize, T)]) -> Csr<T> {
+        let mut off = vec![0usize; n + 1];
+        for &(src, _, _) in list {
+            off[src + 1] += 1;
+        }
+        for v in 0..n {
+            off[v + 1] += off[v];
+        }
+        // Slot of every listed edge, then the edges in slot order.
+        let mut cursor = off[..n].to_vec();
+        let mut slot_edge = vec![0usize; list.len()];
+        for (e, &(src, _, _)) in list.iter().enumerate() {
+            slot_edge[cursor[src]] = e;
+            cursor[src] += 1;
+        }
+        let edges = slot_edge
+            .into_iter()
+            .map(|e| (list[e].1, list[e].2))
+            .collect();
+        Csr { off, edges }
+    }
+
+    fn out(&self, u: usize) -> &[(usize, T)] {
+        &self.edges[self.off[u]..self.off[u + 1]]
+    }
+
+    /// The nodes reachable from `entry`, in reverse postorder of an
+    /// iterative depth-first search.
+    fn reverse_postorder(&self, entry: usize) -> Vec<usize> {
+        let n = self.off.len() - 1;
+        let mut post = Vec::with_capacity(n);
+        let mut seen = vec![false; n];
+        // One child cursor per frame.
+        let mut stack: Vec<(usize, usize)> = vec![(entry, self.off[entry])];
+        seen[entry] = true;
+        while let Some(&mut (u, ref mut e)) = stack.last_mut() {
+            if *e < self.off[u + 1] {
+                let v = self.edges[*e].0;
+                *e += 1;
+                if !seen[v] {
+                    seen[v] = true;
+                    stack.push((v, self.off[v]));
+                }
+            } else {
+                post.push(u);
+                stack.pop();
+            }
+        }
+        post.reverse();
+        post
+    }
+}
+
 /// Checks sufficiency (C3) of one flavor's placement by a forward
 /// must-availability dataflow over the concrete flow graph.
 ///
@@ -69,6 +169,10 @@ pub enum Violation {
 /// `false` to demand sufficiency on zero-trip paths too (the right
 /// setting for solutions computed with
 /// [`SolverOptions::no_zero_trip_hoist`](crate::SolverOptions)).
+///
+/// The dataflow runs over flat word rows and one CSR adjacency, swept
+/// in reverse postorder to its greatest fixpoint; it shares no code with
+/// the solver. Violations come out node by node, items ascending.
 pub fn check_sufficiency(
     graph: &IntervalGraph,
     problem: &PlacementProblem,
@@ -78,25 +182,14 @@ pub fn check_sufficiency(
     use gnt_cfg::EdgeClass;
     let base_n = graph.num_nodes();
     let cap = problem.universe_size;
-
-    // Per-node transfer: RES_in, then GIVE/TAKE/STEAL, then RES_out:
-    // avail_out = ((avail_in ∪ res_in ∪ give) − steal) ∪ res_out.
-    let mut gen: Vec<BitSet> = Vec::with_capacity(base_n);
-    let mut kill: Vec<BitSet> = Vec::with_capacity(base_n);
-    for i in 0..base_n {
-        let mut g = placement.res_in[i].clone();
-        g.union_with(&problem.give_init[i]);
-        g.subtract_with(&problem.steal_init[i]);
-        g.union_with(&placement.res_out[i]);
-        gen.push(g);
-        kill.push(problem.steal_init[i].clone());
-    }
+    let words = cap.div_ceil(64);
+    let word = |set: &BitSet, k: usize| set.words()[k];
 
     // Concrete edges. Under the ≥1-trip view, a loop-exit edge h → x is
     // replaced by LASTCHILD(h) → pad → x, where the pad carries h's
     // RES_out (exit-side production); the zero-trip bypass disappears.
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    let mut extra_gen: Vec<BitSet> = Vec::new();
+    let mut edges: Vec<(usize, usize, ())> = Vec::new();
+    let mut pads: Vec<usize> = Vec::new();
     for m in graph.nodes() {
         for (s, c) in graph.succ_edges(m) {
             if c == EdgeClass::Synthetic {
@@ -106,57 +199,131 @@ pub fn check_sufficiency(
                 graph.is_loop_header(m) && matches!(c, EdgeClass::Forward | EdgeClass::Jump);
             if assume_one_trip && is_loop_exit {
                 if let Some(lc) = graph.last_child(m) {
-                    let pad = base_n + extra_gen.len();
-                    extra_gen.push(placement.res_out[m.index()].clone());
-                    edges.push((lc.index(), pad));
-                    edges.push((pad, s.index()));
+                    let pad = base_n + pads.len();
+                    pads.push(m.index());
+                    edges.push((lc.index(), pad, ()));
+                    edges.push((pad, s.index(), ()));
                     continue;
                 }
             }
-            edges.push((m.index(), s.index()));
+            edges.push((m.index(), s.index(), ()));
         }
     }
-    if assume_one_trip {
-        // RES_out of headers now lives on the exit pads.
-        for h in graph.nodes() {
-            if graph.is_loop_header(h) && graph.last_child(h).is_some() {
-                gen[h.index()].subtract_with(&placement.res_out[h.index()]);
+    let n = base_n + pads.len();
+
+    // Per-node transfer: RES_in, then GIVE/TAKE/STEAL, then RES_out:
+    // avail_out = ((avail_in ∪ res_in ∪ give) − steal) ∪ res_out. Under
+    // the ≥1-trip view a header's RES_out lives on its exit pads instead.
+    let mut gen = Rows::new(n, words);
+    let mut kill = Rows::new(n, words);
+    for i in 0..base_n {
+        let h = NodeId(i as u32);
+        let on_pads = assume_one_trip && graph.is_loop_header(h) && graph.last_child(h).is_some();
+        let (res_in, res_out) = (&placement.res_in[i], &placement.res_out[i]);
+        let (give, steal) = (&problem.give_init[i], &problem.steal_init[i]);
+        for k in 0..words {
+            let mut g = ((word(res_in, k) | word(give, k)) & !word(steal, k)) | word(res_out, k);
+            if on_pads {
+                g &= !word(res_out, k);
+            }
+            gen.row_mut(i)[k] = g;
+            kill.row_mut(i)[k] = word(steal, k);
+        }
+    }
+    for (p, &h) in pads.iter().enumerate() {
+        let res_out = &placement.res_out[h];
+        for (k, g) in gen.row_mut(base_n + p).iter_mut().enumerate() {
+            *g = word(res_out, k);
+        }
+    }
+
+    // Greatest fixpoint: every entry starts at ⊤ but the boundary (∅ at
+    // the entry); a node pushes `gen ∪ (in − kill)` into its successors'
+    // entries by intersection, which equals the meet over predecessors
+    // once nothing changes. Reachable nodes sweep in reverse postorder,
+    // the rest (still ⊤-seeded predecessors) after them; a node pushes
+    // again only after its own entry changed.
+    let csr = Csr::new(n, &edges);
+    let entry = graph.root().index();
+    let mut avail_in = Rows::new(n, words);
+    for v in 0..n {
+        if v != entry {
+            for (k, w) in avail_in.row_mut(v).iter_mut().enumerate() {
+                *w = word_mask(cap, k);
             }
         }
     }
-    let n = base_n + extra_gen.len();
-    gen.extend(extra_gen);
-    kill.resize(n, BitSet::new(cap));
-    let flow = gnt_dataflow::SimpleGraph::from_edges(
-        n,
-        &edges,
-        graph.root().index(),
-        graph.exit().index(),
-    );
-
-    let solution = GenKillProblem {
-        direction: Direction::Forward,
-        meet: Meet::Intersection,
-        gen,
-        kill,
-        boundary: BitSet::new(cap),
+    let mut order = csr.reverse_postorder(entry);
+    let mut listed = vec![false; n];
+    for &v in &order {
+        listed[v] = true;
     }
-    .solve(&flow);
+    order.extend((0..n).filter(|&v| !listed[v]));
+    let mut dirty = vec![true; n];
+    let mut out = vec![0u64; words];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &u in &order {
+            if !std::mem::take(&mut dirty[u]) {
+                continue;
+            }
+            let (g, kl, a) = (gen.row(u), kill.row(u), avail_in.row(u));
+            for k in 0..words {
+                out[k] = g[k] | (a[k] & !kl[k]);
+            }
+            for &(v, ()) in csr.out(u) {
+                if v == entry {
+                    continue;
+                }
+                let row = avail_in.row_mut(v);
+                let mut moved = false;
+                for k in 0..words {
+                    let met = row[k] & out[k];
+                    moved |= met != row[k];
+                    row[k] = met;
+                }
+                if moved {
+                    dirty[v] = true;
+                    changed = true;
+                }
+            }
+        }
+    }
 
     let mut violations = Vec::new();
     for i in 0..base_n {
-        let mut avail = solution.before[i].clone();
-        avail.union_with(&placement.res_in[i]);
-        for item in problem.take_init[i].iter() {
-            if !avail.contains(item) {
+        let (take, res_in, a) = (&problem.take_init[i], &placement.res_in[i], avail_in.row(i));
+        for (k, &avail) in a.iter().enumerate() {
+            let mut missed = word(take, k) & !(avail | word(res_in, k));
+            while missed != 0 {
+                let bit = missed.trailing_zeros() as usize;
+                missed &= missed - 1;
                 violations.push(Violation::Insufficient {
                     node: NodeId(i as u32),
-                    item,
+                    item: 64 * k + bit,
                 });
             }
         }
     }
     violations
+}
+
+/// One production slot on the per-word state of [`check_balance`]: the
+/// eager starts `e`, then the lazy stops `l`, applied to the items'
+/// reachable Idle (`di`) and Pending (`dp`) states. Returns the misfires,
+/// judged on the *exact* pre-production state so joined conflicts stay
+/// silent, as in the per-item lattice where `Conflict` probes neither
+/// branch: a start while exactly Pending, a stop while exactly Idle.
+fn produce(di: &mut u64, dp: &mut u64, e: u64, l: u64) -> u64 {
+    let mut misfire = *dp & !*di & e;
+    // All reachable states collapse to Pending where eager fires.
+    *dp |= (*di | *dp) & e;
+    *di &= !e;
+    misfire |= *di & !*dp & l;
+    *di |= (*di | *dp) & l;
+    *dp &= !l;
+    misfire
 }
 
 /// Checks balance (C1) between the EAGER and LAZY placements with a
@@ -172,6 +339,10 @@ pub fn check_sufficiency(
 /// entry from outside the loop (it is emitted textually before the `do`,
 /// so it is skipped on CYCLE edges), and `RES_out` applies only toward
 /// FORWARD/JUMP successors (Eq. 15 considers only those).
+///
+/// Like [`check_sufficiency`], it sweeps flat word rows over one CSR
+/// adjacency in reverse postorder, and shares no code with the solver.
+/// Violations come out item by item, nodes ascending.
 pub fn check_balance(
     graph: &IntervalGraph,
     problem: &PlacementProblem,
@@ -181,6 +352,8 @@ pub fn check_balance(
     use gnt_cfg::EdgeClass;
     let n = graph.num_nodes();
     let cap = problem.universe_size;
+    let words = cap.div_ceil(64);
+    let word = |set: &BitSet, k: usize| set.words()[k];
 
     // Real control-flow edges with their classes.
     let edges: Vec<(usize, usize, EdgeClass)> = graph
@@ -190,49 +363,11 @@ pub fn check_balance(
                 .succ_edges(m)
                 .filter(|(_, c)| *c != EdgeClass::Synthetic)
                 .map(move |(s, c)| (m.index(), s.index(), c))
-                .collect::<Vec<_>>()
         })
         .collect();
+    let csr = Csr::new(n, &edges);
     let entry = graph.root().index();
     let exit = graph.exit().index();
-
-    // Reverse postorder over the real edges: chaotic iteration in this
-    // order converges in O(loop depth) passes instead of O(diameter),
-    // which matters on reversed graphs whose edge lists run
-    // anti-topologically.
-    let rpo = {
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut edge_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (e, &(src, dst, _)) in edges.iter().enumerate() {
-            succs[src].push(dst);
-            edge_of[src].push(e);
-        }
-        let mut post = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        // Iterative DFS (child cursor per frame).
-        let mut stack: Vec<(usize, usize)> = vec![(entry, 0)];
-        seen[entry] = true;
-        while let Some(&mut (u, ref mut i)) = stack.last_mut() {
-            if *i < succs[u].len() {
-                let v = succs[u][*i];
-                *i += 1;
-                if !seen[v] {
-                    seen[v] = true;
-                    stack.push((v, 0));
-                }
-            } else {
-                post.push(u);
-                stack.pop();
-            }
-        }
-        post.reverse();
-        // Per-RPO-node out-edge ids, in source edge order.
-        let order: Vec<usize> = post
-            .iter()
-            .flat_map(|&u| edge_of[u].iter().copied())
-            .collect();
-        order
-    };
 
     // Word-parallel set semantics over all items at once: `idle[v]` /
     // `pend[v]` hold the items for which the Idle / Pending entry state
@@ -240,165 +375,115 @@ pub fn check_balance(
     // neither. One production collapses every reachable state to the
     // produced one, so conflicts wash out exactly as in the per-item
     // lattice.
-    let mut idle: Vec<BitSet> = vec![BitSet::new(cap); n];
-    let mut pend: Vec<BitSet> = vec![BitSet::new(cap); n];
+    let mut idle = Rows::new(n, words);
+    let mut pend = Rows::new(n, words);
+    // `recorded[v]`: the (node, item) violations found, deduplicated.
+    let mut recorded = Rows::new(n, words);
 
     // Entry seeding: every item starts Idle, then the entry's own RES_in
-    // fires (eager first, then lazy — a pair at one point cancels).
-    let ei = &eager.res_in[entry];
-    let li = &lazy.res_in[entry];
-    // Items left Pending: eager fired and no lazy stop after it.
-    pend[entry].copy_from(ei);
-    pend[entry].subtract_with(li);
-    idle[entry] = BitSet::full(cap);
-    idle[entry].subtract_with(&pend[entry]);
-    // Lazy stop while (exactly) Idle: lazy fired without an eager start.
-    let mut entry_viol = li.clone();
-    entry_viol.subtract_with(ei);
+    // fires (eager first, then lazy — a pair at one point cancels); a
+    // lazy stop without an eager start there misfires.
+    for k in 0..words {
+        let (mut di, mut dp) = (word_mask(cap, k), 0);
+        let (e, l) = (word(&eager.res_in[entry], k), word(&lazy.res_in[entry], k));
+        recorded.row_mut(entry)[k] = produce(&mut di, &mut dp, e, l);
+        idle.row_mut(entry)[k] = di;
+        pend.row_mut(entry)[k] = dp;
+    }
 
     let out_applies =
         |c: EdgeClass| matches!(c, EdgeClass::Forward | EdgeClass::Jump | EdgeClass::JumpIn);
-
-    // Transfer of (di, dp) along one edge; optionally records production
-    // misfires (start-while-pending / stop-while-idle, judged on the
-    // *exact* pre-production state so joined conflicts stay silent, as in
-    // the per-item lattice where `Conflict` probes neither branch).
-    let mut di = BitSet::new(cap);
-    let mut dp = BitSet::new(cap);
-    let mut tmp = BitSet::new(cap);
-    let apply = |di: &mut BitSet,
-                 dp: &mut BitSet,
-                 tmp: &mut BitSet,
-                 eager_mask: &BitSet,
-                 lazy_mask: &BitSet,
-                 viol: Option<&mut BitSet>| {
-        let mut viol = viol;
-        if !eager_mask.is_empty() {
-            if let Some(v) = viol.as_mut() {
-                // Double start: eager fires while exactly Pending.
-                tmp.copy_from(dp);
-                tmp.subtract_with(di);
-                tmp.intersect_with(eager_mask);
-                v.union_with(tmp);
-            }
-            // All reachable states collapse to Pending where eager fires.
-            tmp.copy_from(di);
-            tmp.union_with(dp);
-            tmp.intersect_with(eager_mask);
-            dp.union_with(tmp);
-            di.subtract_with(eager_mask);
+    // The state along edge `src → dst` (word `k`), and the misfires of
+    // its production slots: `src`'s RES_out, then `dst`'s RES_in.
+    let transfer = |di: &mut u64, dp: &mut u64, src: usize, dst: usize, class, k| {
+        let mut misfire = 0;
+        if out_applies(class) {
+            let (e, l) = (word(&eager.res_out[src], k), word(&lazy.res_out[src], k));
+            misfire |= produce(di, dp, e, l);
         }
-        if !lazy_mask.is_empty() {
-            if let Some(v) = viol.as_mut() {
-                // Stop without start: lazy fires while exactly Idle.
-                tmp.copy_from(di);
-                tmp.subtract_with(dp);
-                tmp.intersect_with(lazy_mask);
-                v.union_with(tmp);
-            }
-            tmp.copy_from(di);
-            tmp.union_with(dp);
-            tmp.intersect_with(lazy_mask);
-            di.union_with(tmp);
-            dp.subtract_with(lazy_mask);
+        if class != EdgeClass::Cycle {
+            let (e, l) = (word(&eager.res_in[dst], k), word(&lazy.res_in[dst], k));
+            misfire |= produce(di, dp, e, l);
         }
+        misfire
     };
 
-    // Fixpoint: states only grow, so probing violations afterwards sees
-    // every state any pass saw.
+    // Least fixpoint, swept in reverse postorder (O(loop depth) sweeps,
+    // also on reversed graphs whose edge lists run anti-topologically):
+    // states only grow, so a node pushes again only after its own state
+    // grew, and probing violations afterwards sees every state any sweep
+    // saw.
+    let rpo = csr.reverse_postorder(entry);
+    let mut dirty = vec![false; n];
+    dirty[entry] = true;
     let mut changed = true;
     while changed {
         changed = false;
-        for &e in &rpo {
-            let (src, dst, class) = edges[e];
-            if idle[src].is_empty() && pend[src].is_empty() {
+        for &u in &rpo {
+            if !std::mem::take(&mut dirty[u]) {
                 continue;
             }
-            di.copy_from(&idle[src]);
-            dp.copy_from(&pend[src]);
-            if out_applies(class) {
-                apply(
-                    &mut di,
-                    &mut dp,
-                    &mut tmp,
-                    &eager.res_out[src],
-                    &lazy.res_out[src],
-                    None,
-                );
+            for &(v, class) in csr.out(u) {
+                let mut grew = false;
+                for k in 0..words {
+                    let (mut di, mut dp) = (idle.row(u)[k], pend.row(u)[k]);
+                    transfer(&mut di, &mut dp, u, v, class, k);
+                    let (iv, pv) = (idle.row(v)[k], pend.row(v)[k]);
+                    grew |= (di & !iv) | (dp & !pv) != 0;
+                    idle.row_mut(v)[k] = iv | di;
+                    pend.row_mut(v)[k] = pv | dp;
+                }
+                if grew {
+                    dirty[v] = true;
+                    changed = true;
+                }
             }
-            if class != EdgeClass::Cycle {
-                apply(
-                    &mut di,
-                    &mut dp,
-                    &mut tmp,
-                    &eager.res_in[dst],
-                    &lazy.res_in[dst],
-                    None,
-                );
-            }
-            changed |= idle[dst].union_with(&di);
-            changed |= pend[dst].union_with(&dp);
         }
     }
 
-    // Violation pass over the final states. `recorded[v]` dedups the
-    // (node, item) pairs.
-    let mut recorded: Vec<BitSet> = vec![BitSet::new(cap); n];
-    recorded[entry].union_with(&entry_viol);
-    for &(src, dst, class) in &edges {
-        if idle[src].is_empty() && pend[src].is_empty() {
-            continue;
+    // Violation pass over the final states: production misfires along
+    // every edge, differing states met (both Idle and Pending reachable),
+    // and items exactly Pending at the exit (a start never stopped).
+    for u in 0..n {
+        for &(v, class) in csr.out(u) {
+            for k in 0..words {
+                let (mut di, mut dp) = (idle.row(u)[k], pend.row(u)[k]);
+                recorded.row_mut(v)[k] |= transfer(&mut di, &mut dp, u, v, class, k);
+            }
         }
-        di.copy_from(&idle[src]);
-        dp.copy_from(&pend[src]);
-        let mut viol = BitSet::new(cap);
-        if out_applies(class) {
-            apply(
-                &mut di,
-                &mut dp,
-                &mut tmp,
-                &eager.res_out[src],
-                &lazy.res_out[src],
-                Some(&mut viol),
-            );
-        }
-        if class != EdgeClass::Cycle {
-            apply(
-                &mut di,
-                &mut dp,
-                &mut tmp,
-                &eager.res_in[dst],
-                &lazy.res_in[dst],
-                Some(&mut viol),
-            );
-        }
-        recorded[dst].union_with(&viol);
     }
-    // Differing states met: both Idle and Pending reachable.
     for v in 0..n {
-        tmp.copy_from(&idle[v]);
-        tmp.intersect_with(&pend[v]);
-        recorded[v].union_with(&tmp);
+        for k in 0..words {
+            let met = idle.row(v)[k] & pend.row(v)[k];
+            let dangling = if v == exit {
+                pend.row(v)[k] & !idle.row(v)[k]
+            } else {
+                0
+            };
+            recorded.row_mut(v)[k] |= met | dangling;
+        }
     }
-    // Exactly Pending at the exit: a start was never stopped.
-    tmp.copy_from(&pend[exit]);
-    tmp.subtract_with(&idle[exit]);
-    recorded[exit].union_with(&tmp);
 
     // Emit item-major (matching the historical per-item outer loop),
     // node-index order within an item.
-    let mut violations = Vec::new();
-    for item in 0..cap {
-        for (v, rec) in recorded.iter().enumerate() {
-            if rec.contains(item) {
-                violations.push(Violation::Unbalanced {
-                    node: NodeId(v as u32),
-                    item,
-                });
+    let mut found: Vec<(usize, usize)> = Vec::new();
+    for v in 0..n {
+        for (k, &w) in recorded.row(v).iter().enumerate() {
+            let mut bits = w;
+            while bits != 0 {
+                found.push((64 * k + bits.trailing_zeros() as usize, v));
+                bits &= bits - 1;
             }
         }
     }
-    violations
+    found.sort_unstable();
+    found
+        .into_iter()
+        .map(|(item, v)| Violation::Unbalanced {
+            node: NodeId(v as u32),
+            item,
+        })
+        .collect()
 }
 
 /// One execution path through the concrete flow graph, entry to exit.

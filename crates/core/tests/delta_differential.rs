@@ -281,11 +281,11 @@ fn figure_programs_resolve_incrementally() {
     }
 }
 
-/// Both backends run one schedule walker but only the tape sets the
-/// delta basis: a direct solve of a different graph with the same node
-/// count through the same scratch must invalidate it, so the next delta
-/// on the first graph replays in full instead of patching the other
-/// graph's bits.
+/// Only full solves set the delta basis (a tape replay, or the direct
+/// walk of a one-shot full solve): a bare `solve_into` of a different
+/// graph with the same node count through the same scratch must
+/// invalidate it, so the next delta on the first graph replays in full
+/// instead of patching the other graph's bits.
 #[test]
 fn direct_solve_in_between_invalidates_the_delta_basis() {
     let src = "do i = 1, N\n  ... = x(a(i))\n  z = 0\nenddo\nif t then\n  b = x(1)\nendif";
@@ -295,6 +295,8 @@ fn direct_solve_in_between_invalidates_the_delta_basis() {
     let mut problem = random_problem(7, &graph, 70, 0.3);
     let opts = SolverOptions::default();
     let mut scratch = SolverScratch::new();
+    // The second full solve compiles and caches the tape.
+    solve_batch_into(&graph, &problem, &opts, &mut scratch);
     solve_batch_into(&graph, &problem, &opts, &mut scratch);
     assert!(scratch
         .cached_tape(Direction::Before)

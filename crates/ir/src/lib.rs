@@ -47,5 +47,5 @@ pub use ast::{BinOp, Expr, LValue, Label, Program, Span, Stmt, StmtId, StmtKind}
 pub use builder::{BlockBuilder, ProgramBuilder};
 pub use intern::{intern, Symbol, SymbolTable};
 pub use lexer::{lex, LexError, SpannedToken, Token};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_NESTING_DEPTH};
 pub use pretty::pretty;

@@ -55,6 +55,16 @@ fn kw() -> &'static Keywords {
     })
 }
 
+/// The deepest nesting [`parse`] accepts: `do`/`if` blocks inside one
+/// another, and parenthesised, subscripted or negated subexpressions
+/// inside one another, counted together. The parser and the walkers
+/// downstream of it (CFG lowering, analysis, printing) recurse once per
+/// level, so a deeper input would overflow the stack of a worker thread
+/// (2 MiB) instead of failing cleanly. Unoptimised builds overflow a
+/// worker thread between 400 and 450 nested blocks, so this limit leaves
+/// them about 1.5× headroom.
+pub const MAX_NESTING_DEPTH: usize = 256;
+
 /// An error produced while parsing MiniF source.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ParseError {
@@ -73,6 +83,13 @@ pub enum ParseError {
     UnknownLabel(Label),
     /// Two statements carry the same label.
     DuplicateLabel(Label),
+    /// Blocks or subexpressions nest deeper than [`MAX_NESTING_DEPTH`].
+    TooDeep {
+        /// The nesting limit that was exceeded.
+        limit: usize,
+        /// 1-based source line of the construct one level too deep.
+        line: u32,
+    },
 }
 
 impl fmt::Display for ParseError {
@@ -89,6 +106,9 @@ impl fmt::Display for ParseError {
             },
             ParseError::UnknownLabel(l) => write!(f, "goto references unknown label {l}"),
             ParseError::DuplicateLabel(l) => write!(f, "label {l} defined more than once"),
+            ParseError::TooDeep { limit, line } => {
+                write!(f, "nesting deeper than {limit} levels on line {line}")
+            }
         }
     }
 }
@@ -105,8 +125,8 @@ impl From<LexError> for ParseError {
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input, unknown `goto` targets, or
-/// duplicate labels.
+/// Returns [`ParseError`] on malformed input, unknown `goto` targets,
+/// duplicate labels, or nesting deeper than [`MAX_NESTING_DEPTH`].
 ///
 /// # Examples
 ///
@@ -126,6 +146,7 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
     let mut parser = Parser {
         tokens,
         pos: 0,
+        depth: 0,
         program: Program::new("main"),
     };
     parser.parse_program()?;
@@ -161,10 +182,30 @@ fn validate_labels(program: &Program) -> Result<(), ParseError> {
 struct Parser {
     tokens: Vec<SpannedToken>,
     pos: usize,
+    /// Blocks and subexpressions open around the current position.
+    depth: usize,
     program: Program,
 }
 
 impl Parser {
+    /// Runs `f` one nesting level deeper, or fails with
+    /// [`ParseError::TooDeep`] past [`MAX_NESTING_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(ParseError::TooDeep {
+                limit: MAX_NESTING_DEPTH,
+                line: self.line(),
+            });
+        }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos).map(|t| &t.token)
     }
@@ -343,7 +384,7 @@ impl Parser {
         self.expect(&Token::Comma, "`,`")?;
         let hi = self.parse_expr()?;
         self.expect_newline()?;
-        let body = self.parse_block(&[kw().enddo])?;
+        let body = self.nested(|p| p.parse_block(&[kw().enddo]))?;
         if !self.eat_keyword(kw().enddo) {
             return self.unexpected("`enddo`");
         }
@@ -363,10 +404,10 @@ impl Parser {
             return self.unexpected("`then` or `goto`");
         }
         self.expect_newline()?;
-        let then_body = self.parse_block(&[kw().else_, kw().endif])?;
+        let then_body = self.nested(|p| p.parse_block(&[kw().else_, kw().endif]))?;
         let else_body = if self.eat_keyword(kw().else_) {
             self.expect_newline()?;
-            self.parse_block(&[kw().endif])?
+            self.nested(|p| p.parse_block(&[kw().endif]))?
         } else {
             Vec::new()
         };
@@ -394,7 +435,7 @@ impl Parser {
                 };
                 if self.peek() == Some(&Token::LParen) {
                     self.pos += 1;
-                    let idx = self.parse_expr()?;
+                    let idx = self.nested(Self::parse_expr)?;
                     self.expect(&Token::RParen, "`)`")?;
                     LValue::Element(name, idx)
                 } else {
@@ -446,12 +487,12 @@ impl Parser {
             }
             Some(Token::Minus) => {
                 self.pos += 1;
-                let inner = self.parse_factor()?;
+                let inner = self.nested(Self::parse_factor)?;
                 Ok(Expr::bin(BinOp::Sub, Expr::Const(0), inner))
             }
             Some(Token::LParen) => {
                 self.pos += 1;
-                let e = self.parse_expr()?;
+                let e = self.nested(Self::parse_expr)?;
                 self.expect(&Token::RParen, "`)`")?;
                 Ok(e)
             }
@@ -459,10 +500,10 @@ impl Parser {
                 self.pos += 1;
                 if self.peek() == Some(&Token::LParen) {
                     self.pos += 1;
-                    let first = self.parse_expr()?;
+                    let first = self.nested(Self::parse_expr)?;
                     if self.peek() == Some(&Token::Colon) {
                         self.pos += 1;
-                        let hi = self.parse_expr()?;
+                        let hi = self.nested(Self::parse_expr)?;
                         self.expect(&Token::RParen, "`)`")?;
                         Ok(Expr::Section(name, Box::new(first), Box::new(hi)))
                     } else {
@@ -564,6 +605,59 @@ mod tests {
     fn parse_error_display_mentions_line() {
         let err = parse("x = 1\ny = = 2").unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
+    }
+
+    /// `blocks` nested blocks, `do` loops alternating with `if`/`else`,
+    /// around a statement whose subscript adds one more level.
+    fn nest(blocks: usize) -> String {
+        let mut src = String::new();
+        for k in 0..blocks {
+            if k % 2 == 0 {
+                src.push_str(&format!("do i{k} = 1, N\n"));
+            } else {
+                src.push_str(&format!("if t{k} then\n"));
+            }
+        }
+        src.push_str("if t goto 99\n... = x(i0)\n");
+        for k in (0..blocks).rev() {
+            src.push_str(if k % 2 == 0 {
+                "enddo\n"
+            } else {
+                "else\nc = 1\nendif\n"
+            });
+        }
+        src + "99 continue\n"
+    }
+
+    #[test]
+    fn nesting_is_accepted_up_to_the_limit_and_rejected_past_it() {
+        let too_deep = |line| ParseError::TooDeep {
+            limit: MAX_NESTING_DEPTH,
+            line,
+        };
+        assert!(parse(&nest(MAX_NESTING_DEPTH - 1)).is_ok());
+        assert_eq!(
+            parse(&nest(MAX_NESTING_DEPTH)).unwrap_err(),
+            too_deep(MAX_NESTING_DEPTH as u32 + 2)
+        );
+        let parens = |d: usize| format!("y = {}x{}\n", "(".repeat(d), ")".repeat(d));
+        assert!(parse(&parens(MAX_NESTING_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&parens(MAX_NESTING_DEPTH + 1)).unwrap_err(),
+            too_deep(1)
+        );
+        let negated = |d: usize| format!("y = {}x\n", "-".repeat(d));
+        assert!(parse(&negated(MAX_NESTING_DEPTH)).is_ok());
+        assert!(parse(&negated(MAX_NESTING_DEPTH + 1)).is_err());
+        // Far past the limit the parser fails cleanly too.
+        assert!(parse(&nest(20_000)).is_err());
+        assert_eq!(
+            parse(&nest(MAX_NESTING_DEPTH)).unwrap_err().to_string(),
+            format!(
+                "nesting deeper than {MAX_NESTING_DEPTH} levels on line {}",
+                MAX_NESTING_DEPTH + 2
+            )
+        );
     }
 
     #[test]
