@@ -26,7 +26,7 @@ use crate::diag::Diagnostic;
 use crate::driver::StageTimings;
 use gnt_cfg::{EdgeClass, NodeId};
 use gnt_comm::{CommOp, CommPlan, OpKind};
-use gnt_core::{enumerate_paths_capped, path_has_zero_trip, Path};
+use gnt_core::{for_each_path, path_has_zero_trip, Path};
 use gnt_dataflow::{BitSet, ItemId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -452,17 +452,10 @@ pub(crate) fn lint_plan_counted(
         }
     }
 
-    // Replay the plan along bounded paths. Non-zero-trip paths first so
-    // an error shadows the same finding rediscovered on a zero-trip path.
-    let (paths, truncated) = enumerate_paths_capped(graph, opts.max_edge_visits, opts.max_paths);
-    profile.enumerations_truncated += u64::from(truncated);
-    let mut paths: Vec<(bool, Path)> = paths
-        .into_iter()
-        .map(|p| (path_has_zero_trip(graph, &p), p))
-        .filter(|&(zero, _)| opts.zero_trip || !zero)
-        .collect();
-    paths.sort_by_key(|&(zero, _)| zero);
-    profile.paths_replayed += paths.len() as u64;
+    // Replay the plan along bounded paths, each as the enumeration
+    // reaches it, none kept. Non-zero-trip paths first, so an error
+    // shadows the same finding rediscovered on a zero-trip path: those
+    // come from a second enumeration, in the same order.
     let mut replay = Replay {
         plan,
         opts,
@@ -474,9 +467,24 @@ pub(crate) fn lint_plan_counted(
         saved_open: Vec::new(),
         saved_ends: Vec::new(),
     };
-    for (zero, path) in &paths {
-        replay.run(path, *zero);
+    let mut replayed = 0;
+    let passes: &[bool] = if opts.zero_trip {
+        &[false, true]
+    } else {
+        &[false]
+    };
+    for &zero in passes {
+        let truncated = for_each_path(graph, opts.max_edge_visits, opts.max_paths, |path| {
+            if path_has_zero_trip(graph, path) == zero {
+                replay.run(path, zero);
+                replayed += 1;
+            }
+        });
+        if !zero {
+            profile.enumerations_truncated += u64::from(truncated);
+        }
     }
+    profile.paths_replayed += replayed;
 
     let mut out = replay.findings.out;
     out.sort_by_key(|d| (d.code, d.node.map_or(usize::MAX, NodeId::index)));

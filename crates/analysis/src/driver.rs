@@ -11,7 +11,7 @@ use crate::invariants::lint_graph;
 use crate::placement::{lint_placement_counted, PlacementLintOptions};
 use crate::provenance::{chain_trail, why_not_trail};
 use gnt_cfg::{node_spans, DotOverlay};
-use gnt_comm::{analyze, generate_with_placement, CommConfig, CommPlan, GenerateOptions};
+use gnt_comm::{analyze_timed, generate_with_placement, CommConfig, CommPlan, GenerateOptions};
 use gnt_core::{BlameEngine, Flavor, SolverOptions, Var};
 use gnt_ir::{Program, StmtKind};
 use std::fmt;
@@ -182,8 +182,8 @@ fn enrich(d: &mut Diagnostic, engine: &BlameEngine<'_>, item_names: &[String]) {
 
 /// Wall-clock nanoseconds spent in each pipeline stage, produced by
 /// [`lint_source_timed`] for `gnt-lint --profile`. "cfg" covers lowering
-/// and interval-graph assembly plus the communication analysis that
-/// walks them; "lint" is everything not attributed to another stage
+/// and interval-graph assembly, "analyze" the communication analysis
+/// that walks them; "lint" is everything not attributed to another stage
 /// (invariant layers, audits, blame enrichment, span attachment). The
 /// run's solve and solver-engine counts, bounded-path replay counts and
 /// O1 fixpoint rounds ride along.
@@ -191,8 +191,11 @@ fn enrich(d: &mut Diagnostic, engine: &BlameEngine<'_>, item_names: &[String]) {
 pub struct StageTimings {
     /// Source → AST.
     pub parse_ns: u64,
-    /// AST → CFG → interval graph → communication analysis.
+    /// AST → CFG → interval graph.
     pub cfg_ns: u64,
+    /// Communication analysis: per-statement accesses, the universe's
+    /// relation rows and the initial variables of both problems.
+    pub analyze_ns: u64,
     /// Placement solves: the plan's READ and WRITE solves (run inside
     /// generation) plus any blame re-derivation.
     pub solve_ns: u64,
@@ -229,19 +232,25 @@ pub struct StageTimings {
 impl StageTimings {
     /// Sum over all stages.
     pub fn total_ns(&self) -> u64 {
-        self.parse_ns + self.cfg_ns + self.solve_ns + self.generate_ns + self.lint_ns
+        self.parse_ns
+            + self.cfg_ns
+            + self.analyze_ns
+            + self.solve_ns
+            + self.generate_ns
+            + self.lint_ns
     }
 
     /// One JSON object (no trailing newline), the `--profile` line.
     pub fn to_json(&self, file: &str) -> String {
         format!(
-            "{{\"file\":\"{}\",\"parse_ns\":{},\"cfg_ns\":{},\"solve_ns\":{},\
-             \"generate_ns\":{},\"lint_ns\":{},\"total_ns\":{},\"solves\":{},\
+            "{{\"file\":\"{}\",\"parse_ns\":{},\"cfg_ns\":{},\"analyze_ns\":{},\
+             \"solve_ns\":{},\"generate_ns\":{},\"lint_ns\":{},\"total_ns\":{},\"solves\":{},\
              \"tape_compiles\":{},\"direct_solves\":{},\"tape_replays\":{},\
              \"paths_replayed\":{},\"enumerations_truncated\":{},\"o1_rounds\":{}}}",
             crate::diag::json_escape(file),
             self.parse_ns,
             self.cfg_ns,
+            self.analyze_ns,
             self.solve_ns,
             self.generate_ns,
             self.lint_ns,
@@ -319,9 +328,10 @@ fn lint_program_inner(
         .unwrap_or_else(|| detect_distributed(program));
     let refs: Vec<&str> = distributed.iter().map(String::as_str).collect();
     let stage = std::time::Instant::now();
-    let analysis = analyze(program, &CommConfig::distributed(&refs))
+    let (analysis, graph_ns) = analyze_timed(program, &CommConfig::distributed(&refs))
         .map_err(|e| LintError::Pipeline(e.to_string()))?;
-    timings.cfg_ns = elapsed_ns(stage);
+    timings.cfg_ns = graph_ns;
+    timings.analyze_ns = elapsed_ns(stage).saturating_sub(graph_ns);
     let stage = std::time::Instant::now();
     let (plan, placement) = generate_with_placement(analysis, &GenerateOptions::default(), scratch)
         .map_err(|e| LintError::Pipeline(e.to_string()))?;
@@ -408,8 +418,9 @@ fn lint_program_inner(
     timings.tape_compiles = scratch.tape_compiles() - engine_at_start.0;
     timings.direct_solves = scratch.direct_solves() - engine_at_start.1;
     timings.tape_replays = scratch.tape_replays() - engine_at_start.2;
-    timings.lint_ns = elapsed_ns(run_start)
-        .saturating_sub(timings.cfg_ns + timings.generate_ns + timings.solve_ns);
+    timings.lint_ns = elapsed_ns(run_start).saturating_sub(
+        timings.cfg_ns + timings.analyze_ns + timings.generate_ns + timings.solve_ns,
+    );
     Ok(LintReport { diagnostics, plan })
 }
 

@@ -12,14 +12,16 @@
 
 use crate::diag::Diagnostic;
 use crate::driver::StageTimings;
-use gnt_cfg::{CfgFlow, EdgeClass, IntervalGraph, NodeId};
+use gnt_cfg::{EdgeClass, IntervalGraph, NodeId};
 use gnt_core::{
-    check_balance, check_sufficiency, enumerate_paths_capped, path_has_zero_trip,
-    shift_off_synthetic, solve_batch_with_scratch, FlavorSolution, PathChecker, PlacementProblem,
-    ScratchPool, SolverOptions, SolverScratch, Violation,
+    check_balance, check_sufficiency, for_each_path, path_has_zero_trip, shift_off_synthetic,
+    solve_batch_with_scratch, FlavorSolution, PathChecker, PlacementProblem, ScratchPool,
+    SolverOptions, SolverScratch, Violation,
 };
-use gnt_dataflow::{BitSet, Direction, FlowGraph, GenKillProblem, Meet};
 use std::collections::BTreeSet;
+
+#[cfg(test)]
+mod reference;
 
 /// Options for [`lint_placement`].
 #[derive(Clone, Debug)]
@@ -102,33 +104,174 @@ fn node_at_position(graph: &IntervalGraph, pos: usize) -> NodeId {
     graph.preorder()[pos / 2]
 }
 
+/// Per-node or per-edge bit rows over one universe, laid out flat: row
+/// `v` is `words[v * stride..(v + 1) * stride]`.
+#[derive(Debug, PartialEq, Eq)]
+struct Rows {
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl Rows {
+    /// `rows` rows of `cap` bits, each holding `fill`'s in-range bits.
+    fn new(rows: usize, cap: usize, fill: u64) -> Rows {
+        let stride = cap.div_ceil(64);
+        let mut words = vec![fill; rows * stride];
+        if fill != 0 && !cap.is_multiple_of(64) {
+            let tail = (1u64 << (cap % 64)) - 1;
+            for row in words.chunks_mut(stride) {
+                row[stride - 1] &= tail;
+            }
+        }
+        Rows { stride, words }
+    }
+
+    fn row(&self, v: usize) -> &[u64] {
+        &self.words[v * self.stride..(v + 1) * self.stride]
+    }
+
+    fn row_mut(&mut self, v: usize) -> &mut [u64] {
+        &mut self.words[v * self.stride..(v + 1) * self.stride]
+    }
+}
+
+fn has(row: &[u64], item: usize) -> bool {
+    row[item / 64] >> (item % 64) & 1 != 0
+}
+
+/// The concrete edges of an interval graph in compressed sparse row
+/// form, built once per graph for both Layer-2 fixpoints: every edge but
+/// the synthetic ones and the virtual CYCLE edge into the root (the
+/// edges [`gnt_cfg::CfgFlow::from_interval`] keeps). Edge ids run over the
+/// sources in node-id order, each source's edges in `succ_edges` order,
+/// so a node's out-edges are one id range; its in-edges are listed by
+/// ascending id.
+struct EdgeCsr {
+    out_off: Vec<usize>,
+    dst: Vec<usize>,
+    class: Vec<EdgeClass>,
+    in_off: Vec<usize>,
+    in_edges: Vec<usize>,
+}
+
+impl EdgeCsr {
+    fn new(graph: &IntervalGraph) -> EdgeCsr {
+        let n = graph.num_nodes();
+        let mut out_off = Vec::with_capacity(n + 1);
+        out_off.push(0);
+        let (mut dst, mut class) = (Vec::new(), Vec::new());
+        let mut in_off = vec![0usize; n + 1];
+        for m in graph.nodes() {
+            for (s, c) in graph.succ_edges(m) {
+                if c == EdgeClass::Synthetic || (c == EdgeClass::Cycle && s == graph.root()) {
+                    continue;
+                }
+                dst.push(s.index());
+                class.push(c);
+                in_off[s.index() + 1] += 1;
+            }
+            out_off.push(dst.len());
+        }
+        for v in 0..n {
+            in_off[v + 1] += in_off[v];
+        }
+        let mut cursor = in_off[..n].to_vec();
+        let mut in_edges = vec![0; dst.len()];
+        for (e, &v) in dst.iter().enumerate() {
+            in_edges[cursor[v]] = e;
+            cursor[v] += 1;
+        }
+        EdgeCsr {
+            out_off,
+            dst,
+            class,
+            in_off,
+            in_edges,
+        }
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.out_off.len() - 1
+    }
+
+    fn num_edges(&self) -> usize {
+        self.dst.len()
+    }
+
+    /// `u`'s out-edge ids.
+    fn out(&self, u: usize) -> std::ops::Range<usize> {
+        self.out_off[u]..self.out_off[u + 1]
+    }
+
+    /// `v`'s in-edge ids, ascending.
+    fn ins(&self, v: usize) -> &[usize] {
+        &self.in_edges[self.in_off[v]..self.in_off[v + 1]]
+    }
+}
+
+/// C2's backward may-reach of a consumer, per node: `reach_in = TAKE ∪
+/// (reach_out − STEAL)` and `reach_out` the union of the successors'
+/// `reach_in`. EXIT's one successor is the virtual CYCLE edge into ROOT,
+/// which the CSR leaves out, so its `reach_out` stays ∅, the boundary.
+/// The least fixpoint, swept from ∅ in reverse preorder until no
+/// `reach_in` moves; it is unique, so the order changes only the number
+/// of sweeps. Returns `(reach_in, reach_out)`.
+fn c2_reach(graph: &IntervalGraph, edges: &EdgeCsr, problem: &PlacementProblem) -> (Rows, Rows) {
+    let n = graph.num_nodes();
+    let cap = problem.universe_size;
+    debug_assert!(edges.out(graph.exit().index()).is_empty());
+    let mut reach_in = Rows::new(n, cap, 0);
+    let mut reach_out = Rows::new(n, cap, 0);
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &node in graph.preorder().iter().rev() {
+            let v = node.index();
+            let out = reach_out.row_mut(v);
+            out.fill(0);
+            for e in edges.out(v) {
+                for (o, &r) in out.iter_mut().zip(reach_in.row(edges.dst[e])) {
+                    *o |= r;
+                }
+            }
+            let (take, steal) = (problem.take_init[v].words(), problem.steal_init[v].words());
+            for k in 0..reach_in.stride {
+                let next = take[k] | (reach_out.row(v)[k] & !steal[k]);
+                let row = reach_in.row_mut(v);
+                if row[k] != next {
+                    row[k] = next;
+                    changed = true;
+                }
+            }
+        }
+    }
+    (reach_in, reach_out)
+}
+
 /// The O1 must-availability of every interval-graph edge, the ground
 /// for `GNT004` (redundant production).
 ///
 /// It replays the edge-aware slot semantics of [`gnt_core::check_path`]
-/// as a forward must-dataflow over the graph's *edges*: availability is
-/// set by completed (lazy) productions and GIVEs, killed only by STEALs,
-/// a header's `RES_in` does not re-fire on its CYCLE edge, and a header's
-/// `RES_out` fires only toward FORWARD/JUMP successors — so a header's
-/// production never leaks into its own body as availability. The edge
-/// list mirrors [`CfgFlow::from_interval`] (no synthetic edges, no
-/// virtual CYCLE edge into the root).
+/// as a forward must-dataflow over the graph's *edges* ([`EdgeCsr`]):
+/// availability is set by completed (lazy) productions and GIVEs, killed
+/// only by STEALs, a header's `RES_in` does not re-fire on its CYCLE
+/// edge, and a header's `RES_out` fires only toward FORWARD/JUMP
+/// successors — so a header's production never leaks into its own body
+/// as availability.
 ///
 /// The states are the greatest fixpoint of a monotone system, reached by
-/// sweeping from "everything available" downwards. That fixpoint is
-/// unique, so the sweep order changes only how many rounds it takes, not
-/// the states. The preorder settles in a few rounds, as every non-CYCLE
-/// edge points forward in it; an order that is not a flow order (node
-/// ids) needs a number of rounds that grows with the file.
+/// sweeping from "everything available" downwards over one flat row per
+/// edge. That fixpoint is unique, so the sweep order changes only how
+/// many rounds it takes, not the states. The preorder settles in a few
+/// rounds, as every non-CYCLE edge points forward in it; an order that is
+/// not a flow order (node ids) needs a number of rounds that grows with
+/// the file.
 struct O1Avail<'a> {
     problem: &'a PlacementProblem,
     lazy: &'a FlavorSolution,
-    /// Class of each edge, by edge id.
-    class: Vec<EdgeClass>,
-    in_edges: Vec<Vec<usize>>,
-    out_edges: Vec<Vec<usize>>,
+    edges: &'a EdgeCsr,
     /// Availability on each edge, by edge id.
-    state: Vec<BitSet>,
+    state: Rows,
     /// Sweeps run, the last one confirming that nothing changed.
     rounds: u64,
 }
@@ -141,57 +284,41 @@ fn exits(c: EdgeClass) -> bool {
 impl<'a> O1Avail<'a> {
     /// Runs the fixpoint, sweeping the nodes in `order` each round.
     fn solve(
-        graph: &IntervalGraph,
+        edges: &'a EdgeCsr,
         problem: &'a PlacementProblem,
         lazy: &'a FlavorSolution,
         order: &[NodeId],
     ) -> O1Avail<'a> {
-        let n = graph.num_nodes();
         let cap = problem.universe_size;
-        let mut class = Vec::new();
-        let mut in_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for m in graph.nodes() {
-            for (s, c) in graph.succ_edges(m) {
-                if c == EdgeClass::Synthetic || (c == EdgeClass::Cycle && s == graph.root()) {
-                    continue;
-                }
-                out_edges[m.index()].push(class.len());
-                in_edges[s.index()].push(class.len());
-                class.push(c);
-            }
-        }
         let mut o1 = O1Avail {
             problem,
             lazy,
-            state: vec![BitSet::full(cap); class.len()],
-            class,
-            in_edges,
-            out_edges,
+            edges,
+            state: Rows::new(edges.num_edges(), cap, !0),
             rounds: 0,
         };
         // Optimistic fixpoint: start full, intersect downwards.
-        let mut mid = BitSet::new(cap);
-        let mut next = BitSet::new(cap);
-        let mut entry = BitSet::new(cap);
+        let mut mid = vec![0u64; o1.state.stride];
         let mut changed = true;
         while changed {
             changed = false;
             o1.rounds += 1;
             for &node in order {
                 let i = node.index();
-                if o1.out_edges[i].is_empty() {
+                if edges.out(i).is_empty() {
                     continue;
                 }
-                o1.mid_meet(i, &mut mid, &mut entry);
-                for &e in &o1.out_edges[i] {
-                    next.copy_from(&mid);
-                    if exits(o1.class[e]) {
-                        next.union_with(&lazy.res_out[i]);
-                    }
-                    if next != o1.state[e] {
-                        o1.state[e].copy_from(&next);
-                        changed = true;
+                o1.mid_meet(i, &mut mid);
+                let res_out = lazy.res_out[i].words();
+                for e in edges.out(i) {
+                    let fires = exits(edges.class[e]);
+                    let row = o1.state.row_mut(e);
+                    for (k, w) in row.iter_mut().enumerate() {
+                        let next = if fires { mid[k] | res_out[k] } else { mid[k] };
+                        if *w != next {
+                            *w = next;
+                            changed = true;
+                        }
                     }
                 }
             }
@@ -207,25 +334,24 @@ impl<'a> O1Avail<'a> {
     /// re-justifies later production, so only productions that no
     /// consumer separates from prior availability are *definitely*
     /// redundant.
-    fn mid_meet(&self, i: usize, acc: &mut BitSet, entry: &mut BitSet) {
-        let res_in = &self.lazy.res_in[i];
-        if self.in_edges[i].is_empty() {
-            acc.copy_from(res_in);
-        } else {
-            for (k, &e) in self.in_edges[i].iter().enumerate() {
-                entry.copy_from(&self.state[e]);
-                if self.class[e] != EdgeClass::Cycle {
-                    entry.union_with(res_in);
-                }
-                if k == 0 {
-                    acc.copy_from(entry);
-                } else {
-                    acc.intersect_with(entry);
-                }
+    fn mid_meet(&self, i: usize, acc: &mut [u64]) {
+        let res_in = self.lazy.res_in[i].words();
+        let ins = self.edges.ins(i);
+        if ins.is_empty() {
+            acc.copy_from_slice(res_in);
+        }
+        for (j, &e) in ins.iter().enumerate() {
+            let fires = self.edges.class[e] != EdgeClass::Cycle;
+            for (k, (a, &s)) in acc.iter_mut().zip(self.state.row(e)).enumerate() {
+                let entry = if fires { s | res_in[k] } else { s };
+                *a = if j == 0 { entry } else { *a & entry };
             }
         }
-        acc.subtract_with(&self.problem.take_init[i]);
-        acc.subtract_with(&self.problem.steal_init[i]);
+        let take = self.problem.take_init[i].words();
+        let steal = self.problem.steal_init[i].words();
+        for (k, a) in acc.iter_mut().enumerate() {
+            *a &= !(take[k] | steal[k]);
+        }
     }
 
     /// The redundant production points of `eager`, as (node, item) in
@@ -234,32 +360,38 @@ impl<'a> O1Avail<'a> {
     /// occurrence of it finds the item available.
     fn redundant(&self, eager: &FlavorSolution) -> Vec<(NodeId, usize)> {
         let mut found = Vec::new();
-        let cap = self.problem.universe_size;
-        let (mut out_mid, mut entry) = (BitSet::new(cap), BitSet::new(cap));
-        for (i, ins) in self.in_edges.iter().enumerate() {
+        let stride = self.state.stride;
+        let (mut all, mut out_mid) = (vec![0u64; stride], vec![0u64; stride]);
+        for i in 0..self.edges.num_nodes() {
             let node = NodeId(i as u32);
             // RES_in fires on every non-CYCLE entry; redundant only if the
             // item is available on all of them.
-            let mut firing = ins
+            let mut firing = self
+                .edges
+                .ins(i)
                 .iter()
-                .filter(|&&e| self.class[e] != EdgeClass::Cycle)
+                .filter(|&&e| self.edges.class[e] != EdgeClass::Cycle)
                 .peekable();
             if firing.peek().is_some() {
-                let firing: Vec<&BitSet> = firing.map(|&e| &self.state[e]).collect();
+                all.fill(!0);
+                for &e in firing {
+                    for (a, &s) in all.iter_mut().zip(self.state.row(e)) {
+                        *a &= s;
+                    }
+                }
                 for item in eager.res_in[i].iter() {
-                    if firing.iter().all(|s| s.contains(item)) {
+                    if has(&all, item) {
                         found.push((node, item));
                     }
                 }
             }
             // RES_out fires toward FORWARD/JUMP successors, over the
             // post-statement state of whichever entry was taken.
-            if !eager.res_out[i].is_empty()
-                && self.out_edges[i].iter().any(|&e| exits(self.class[e]))
+            if !eager.res_out[i].is_empty() && self.edges.out(i).any(|e| exits(self.edges.class[e]))
             {
-                self.mid_meet(i, &mut out_mid, &mut entry);
+                self.mid_meet(i, &mut out_mid);
                 for item in eager.res_out[i].iter() {
-                    if out_mid.contains(item) {
+                    if has(&out_mid, item) {
                         found.push((node, item));
                     }
                 }
@@ -363,47 +495,29 @@ pub(crate) fn lint_placement_counted(
         }
     }
 
-    let flow = CfgFlow::from_interval(graph);
-    let n = flow.num_nodes();
     let cap = problem.universe_size;
+    let edges = EdgeCsr::new(graph);
 
     // C2: from every production start (eager point), some consumer must
-    // be reachable before the item is stolen. Backward may-analysis:
-    // reach_in = TAKE ∪ (reach_out − STEAL).
-    let reach = GenKillProblem {
-        direction: Direction::Backward,
-        meet: Meet::Union,
-        gen: problem.take_init.clone(),
-        kill: problem.steal_init.clone(),
-        boundary: BitSet::new(cap),
-    }
-    .solve(&flow);
-    for i in 0..n {
-        for item in eager.res_in[i].iter() {
-            // `after` is the entry side of a backward problem.
-            if !reach.after[i].contains(item) {
-                let d = Diagnostic::error(
-                    "GNT003",
-                    format!(
-                        "{} is produced here but never consumed afterwards",
-                        opts.name(item)
-                    ),
-                )
-                .at(NodeId(i as u32));
-                push(&mut out, d, item);
-            }
-        }
-        for item in eager.res_out[i].iter() {
-            if !reach.before[i].contains(item) {
-                let d = Diagnostic::error(
-                    "GNT003",
-                    format!(
-                        "{} is produced here but never consumed afterwards",
-                        opts.name(item)
-                    ),
-                )
-                .at(NodeId(i as u32));
-                push(&mut out, d, item);
+    // be reachable before the item is stolen ([`c2_reach`]).
+    let (reach_in, reach_out) = c2_reach(graph, &edges, problem);
+    for i in 0..graph.num_nodes() {
+        for (set, reach) in [
+            (&eager.res_in[i], &reach_in),
+            (&eager.res_out[i], &reach_out),
+        ] {
+            for item in set.iter() {
+                if !has(reach.row(i), item) {
+                    let d = Diagnostic::error(
+                        "GNT003",
+                        format!(
+                            "{} is produced here but never consumed afterwards",
+                            opts.name(item)
+                        ),
+                    )
+                    .at(NodeId(i as u32));
+                    push(&mut out, d, item);
+                }
             }
         }
     }
@@ -411,7 +525,7 @@ pub(crate) fn lint_placement_counted(
     // O1: no production start while the item is must-available (see
     // [`O1Avail`]). The sweep follows the preorder, so it settles in a
     // few rounds whatever the file size.
-    let o1 = O1Avail::solve(graph, problem, lazy, graph.preorder());
+    let o1 = O1Avail::solve(&edges, problem, lazy, graph.preorder());
     profile.o1_rounds += o1.rounds;
     for (node, item) in o1.redundant(eager) {
         let d = Diagnostic::warning(
@@ -429,19 +543,17 @@ pub(crate) fn lint_placement_counted(
     // paper's ≥1-trip assumption (§2) makes these legal; report them as
     // warnings so `gnt-lint --zero-trip` can surface the reliance.
     if opts.zero_trip {
-        let (paths, truncated) =
-            enumerate_paths_capped(graph, opts.max_edge_visits, opts.max_paths);
-        profile.enumerations_truncated += u64::from(truncated);
         let mut checker = PathChecker::new(graph, problem, eager, lazy, true);
         // Keys this pass has handed to `push`: the same finding recurs on
         // many paths, and is formatted only the first time.
         let mut tried = BTreeSet::new();
-        for path in paths {
-            if !path_has_zero_trip(graph, &path) {
-                continue;
+        let mut replayed = 0;
+        let truncated = for_each_path(graph, opts.max_edge_visits, opts.max_paths, |path| {
+            if !path_has_zero_trip(graph, path) {
+                return;
             }
-            profile.paths_replayed += 1;
-            for v in checker.check(&path) {
+            replayed += 1;
+            for v in checker.check(path) {
                 let (code, node, item, what) = match v {
                     Violation::Unsafe { node, item } => {
                         ("GNT003", node, item, "produced but never consumed")
@@ -462,7 +574,9 @@ pub(crate) fn lint_placement_counted(
                 .note("legal under the paper's \u{2265}1-trip assumption (\u{a7}2); shown because --zero-trip is set");
                 push(&mut out, d, item);
             }
-        }
+        });
+        profile.enumerations_truncated += u64::from(truncated);
+        profile.paths_replayed += replayed;
     }
 
     // Optimality (O2/O3/O3') — only meaningful for placements that are
@@ -595,9 +709,9 @@ mod tests {
                 shift_off_synthetic(&graph, &mut sol.lazy);
                 perturb(&mut sol.eager, cap, 3, &mut rng);
                 perturb(&mut sol.lazy, cap, 3, &mut rng);
-                let by_id = O1Avail::solve(&graph, &problem, &sol.lazy, &id_order);
-                let by_pre = O1Avail::solve(&graph, &problem, &sol.lazy, graph.preorder());
-                assert_eq!(by_id.class, by_pre.class, "seed {seed}, {cap} items");
+                let edges = EdgeCsr::new(&graph);
+                let by_id = O1Avail::solve(&edges, &problem, &sol.lazy, &id_order);
+                let by_pre = O1Avail::solve(&edges, &problem, &sol.lazy, graph.preorder());
                 assert_eq!(by_id.state, by_pre.state, "seed {seed}, {cap} items");
                 let found = by_pre.redundant(&sol.eager);
                 assert_eq!(

@@ -516,6 +516,38 @@ fn profile_o1_rounds_stay_bounded_by_loop_depth() {
     }
 }
 
+/// The `--profile` line times lowering plus the interval graph
+/// (`cfg_ns`) apart from the communication analysis that walks them
+/// (`analyze_ns`, printed right after it), and `total_ns` is the sum of
+/// the six stage times.
+#[test]
+fn profile_splits_the_graph_from_the_comm_analysis() {
+    let file = write_fixture("fig1_stages.minif", FIG1);
+    let line = profile_line(&file, &[], 0);
+    let keys: Vec<&str> = line
+        .split('"')
+        .skip(1)
+        .step_by(2)
+        .filter(|k| k.ends_with("_ns"))
+        .collect();
+    assert_eq!(
+        keys,
+        [
+            "parse_ns",
+            "cfg_ns",
+            "analyze_ns",
+            "solve_ns",
+            "generate_ns",
+            "lint_ns",
+            "total_ns"
+        ],
+        "{line}"
+    );
+    let stages: u64 = keys[..6].iter().map(|k| profile_field(&line, k)).sum();
+    assert_eq!(profile_field(&line, "total_ns"), stages, "{line}");
+    assert!(profile_field(&line, "analyze_ns") > 0, "{line}");
+}
+
 /// A lint solves each problem once, inside plan generation, and lints the
 /// solutions the plan was emitted from; a problem is solved a second time
 /// only to blame the findings its placement lint reported. Clean Figure 1

@@ -33,6 +33,14 @@
 //! * `verify/16items` — the independent checkers on that solution:
 //!   [`gnt_core::check_sufficiency`] of both flavors plus
 //!   [`gnt_core::check_balance`] (ungated);
+//! * `export/full` and `export/productions` — copying that solution out
+//!   of the scratch: all 20 families ([`SolverScratch::export`]) against
+//!   the 4 production families a plan reads
+//!   ([`SolverScratch::export_productions`]) (ungated);
+//! * `comm_analyze/ns_per_node` and `lint_layer2/ns_per_node` — the
+//!   communication analysis of `sized_program(3000)` without lowering
+//!   and the interval graph, and Layer 2's criteria lints of its READ
+//!   placement; `items` is its universe size (ungated);
 //! * `solve/256items` and `solve_batch/256items` — a 4-word universe
 //!   solved by the direct backend with export and by cached-tape replay
 //!   into a reused buffer (the EXP-C2 protocol), plus
@@ -78,13 +86,17 @@
 //! rows are kept out of the committed baselines, which come from a
 //! different host shape.
 
-use gnt_analyze::driver::{lint_source, LintOptions};
-use gnt_analyze::{lint_batch_on, lint_batch_on_cached, PipelineCache, Source};
+use gnt_analyze::driver::{detect_distributed, lint_source, LintOptions};
+use gnt_analyze::placement::lint_placement_with_scratch;
+use gnt_analyze::{
+    lint_batch_on, lint_batch_on_cached, PipelineCache, PlacementLintOptions, Source,
+};
 use gnt_bench::{
     check_against_baseline, json_flag_from_args, median_ns, read_records_json, write_records_json,
     BenchRecord,
 };
 use gnt_cfg::IntervalGraph;
+use gnt_comm::{analyze, analyze_timed, generate_with_placement, CommConfig, GenerateOptions};
 use gnt_core::{
     check_balance, check_sufficiency, random_problem, random_program, sized_program, solve,
     solve_batch, solve_batch_into, solve_delta, solve_into, DeltaSet, GenConfig, PlacementProblem,
@@ -94,6 +106,7 @@ use gnt_dataflow::WorkerPool;
 use gnt_ir::{Expr, ProgramBuilder};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Instant;
 
 /// Flips one `STEAL_init` bit at `node` (item 3), so each call really
 /// mutates the row the delta benchmarks mark.
@@ -190,6 +203,61 @@ fn like_for_like_tape(
         ns_per_node: ns / nodes as f64,
         threads: 1,
     }
+}
+
+/// The two stages a cold lint of `program` runs on its own relation
+/// rows and edge CSR (ungated): `comm_analyze/ns_per_node`, the
+/// communication analysis without lowering and the interval graph
+/// (accesses, relation rows, initial variables), and
+/// `lint_layer2/ns_per_node`, Layer 2's criteria lints (C1/C3 checkers,
+/// C2 reach, O1 availability) of the plan's READ placement. `items` is
+/// the universe size.
+fn comm_layers(runs: usize, program: &gnt_ir::Program) -> Vec<BenchRecord> {
+    let names = detect_distributed(program);
+    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let config = CommConfig::distributed(&refs);
+    let mut samples: Vec<f64> = (0..=runs)
+        .map(|_| {
+            let start = Instant::now();
+            let (analysis, graph_ns) = analyze_timed(program, &config).expect("sized programs");
+            let total = start.elapsed().as_nanos() as f64;
+            std::hint::black_box(analysis);
+            total - graph_ns as f64
+        })
+        .collect();
+    samples.remove(0); // warm-up
+    samples.sort_by(f64::total_cmp);
+    let analysis = analyze(program, &config).expect("sized programs");
+    let (nodes, items) = (analysis.graph.num_nodes(), analysis.universe.len());
+    let mut records = vec![BenchRecord {
+        bench: "comm_analyze/ns_per_node".to_string(),
+        nodes,
+        items,
+        ns_per_node: samples[samples.len() / 2] / nodes as f64,
+        threads: 1,
+    }];
+    let problem = analysis.read_problem.clone();
+    let mut scratch = SolverScratch::new();
+    let (plan, placement) =
+        generate_with_placement(analysis, &GenerateOptions::default(), &mut scratch)
+            .expect("sized programs");
+    let lint_opts = PlacementLintOptions {
+        check_optimality: false,
+        ..Default::default()
+    };
+    let graph = &plan.analysis.graph;
+    let (eager, lazy) = (&placement.read_eager, &placement.read_lazy);
+    let ns = median_ns(runs, || {
+        lint_placement_with_scratch(graph, &problem, eager, lazy, &lint_opts, &mut scratch)
+    });
+    records.push(BenchRecord {
+        bench: "lint_layer2/ns_per_node".to_string(),
+        nodes,
+        items,
+        ns_per_node: ns / nodes as f64,
+        threads: 1,
+    });
+    records
 }
 
 fn main() -> ExitCode {
@@ -377,6 +445,13 @@ fn main() -> ExitCode {
             + check_balance(&graph, &problem, &solution.eager, &solution.lazy).len()
     });
     oneshot.push(("verify/16items", ns));
+    // What one solve copies out: every family, or the production rows a
+    // placement is emitted and linted from.
+    let mut scratch = SolverScratch::new();
+    solve_batch_into(&graph, &problem, &opts, &mut scratch);
+    oneshot.push(("export/full", median_ns(runs, || scratch.export())));
+    let ns = median_ns(runs, || scratch.export_productions());
+    oneshot.push(("export/productions", ns));
     for (bench, ns) in oneshot {
         records.push(BenchRecord {
             bench: bench.to_string(),
@@ -386,6 +461,7 @@ fn main() -> ExitCode {
             threads: 1,
         });
     }
+    records.extend(comm_layers(runs, &sized_program(3000)));
 
     // Multi-word universes on the largest size.
     let target = if smoke { 400 } else { 6400 };

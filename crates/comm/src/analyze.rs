@@ -10,10 +10,14 @@
 
 use gnt_cfg::{lower, IntervalGraph, NodeId};
 use gnt_core::PlacementProblem;
-use gnt_dataflow::{ItemId, Universe};
+use gnt_dataflow::{BitSet, ItemId, Universe};
 use gnt_ir::{Expr, LValue, Program, StmtId, StmtKind, Symbol};
 use gnt_sections::{normalize_ref, DataRef, LoopContext};
 use std::collections::HashMap;
+use std::time::Instant;
+
+#[cfg(test)]
+mod reference;
 
 /// Which arrays are distributed and how definitions behave.
 #[derive(Clone, Debug, Default)]
@@ -42,18 +46,18 @@ impl CommConfig {
 
 /// Per-statement access summary collected in the first pass.
 #[derive(Clone, Debug, Default)]
-struct Accesses {
-    reads: Vec<ItemId>,
-    defs: Vec<ItemId>,
+pub(crate) struct Accesses {
+    pub(crate) reads: Vec<ItemId>,
+    pub(crate) defs: Vec<ItemId>,
     /// Accumulating definitions `x(e) = x(e) ⊕ …`: the self-reference
     /// read that is elided if the item is communicated as a reduction.
-    acc_reads: Vec<ItemId>,
+    pub(crate) acc_reads: Vec<ItemId>,
     /// The reduction operator of each accumulating definition, keyed by
     /// item.
-    acc_ops: Vec<(ItemId, gnt_ir::BinOp)>,
+    pub(crate) acc_ops: Vec<(ItemId, gnt_ir::BinOp)>,
     /// Names of scalars/arrays (re)defined by the statement that are not
     /// distributed (candidate indirection or bound variables).
-    local_defs: Vec<Symbol>,
+    pub(crate) local_defs: Vec<Symbol>,
 }
 
 /// The communication analysis: graph, universe of array portions, and the
@@ -75,6 +79,19 @@ pub struct CommAnalysis {
     /// reductions and the self-reference reads are elided (§6 of the
     /// paper: "WRITEs combined with different reduction operations").
     pub reductions: HashMap<ItemId, gnt_ir::BinOp>,
+    /// The overlap relation of the universe, one row per item: row `i`
+    /// holds every item `j` with `item_i.may_overlap(item_j)`. Built once
+    /// per universe; the initial variables and the plan's phase coupling
+    /// both read it.
+    pub overlaps: Vec<BitSet>,
+}
+
+/// What pass 1 collects from the program: the universe, each statement's
+/// accesses, and the reduction items.
+pub(crate) struct Collected {
+    pub(crate) universe: Universe<DataRef>,
+    pub(crate) accesses: HashMap<StmtId, Accesses>,
+    pub(crate) reductions: HashMap<ItemId, gnt_ir::BinOp>,
 }
 
 /// Analyzes `program` under `config`.
@@ -98,11 +115,141 @@ pub fn analyze(
     program: &Program,
     config: &CommConfig,
 ) -> Result<CommAnalysis, Box<dyn std::error::Error>> {
+    analyze_timed(program, config).map(|(analysis, _)| analysis)
+}
+
+/// [`analyze`], also returning the wall-clock nanoseconds its first stage
+/// took: lowering to a CFG and building the interval graph. The rest is
+/// the communication analysis proper (accesses and initial variables).
+///
+/// # Errors
+///
+/// As [`analyze`].
+pub fn analyze_timed(
+    program: &Program,
+    config: &CommConfig,
+) -> Result<(CommAnalysis, u64), Box<dyn std::error::Error>> {
+    let start = Instant::now();
     let lowered = lower(program)?;
     let node_of_stmt = lowered.node_of_stmt.clone();
     let graph = IntervalGraph::from_cfg(lowered.cfg)?;
+    let graph_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
-    // Pass 1: collect canonical accesses per statement.
+    let Collected {
+        universe,
+        accesses,
+        reductions,
+    } = collect_accesses(program, config);
+
+    // Pass 2: initial variables over the full universe, from one overlap
+    // row per item and one invalidation row per redefined local name,
+    // each built once and OR-ed into every statement that needs it.
+    let n = graph.num_nodes();
+    let cap = universe.len();
+    let mut read_problem = PlacementProblem::new(n, cap);
+    let mut write_problem = PlacementProblem::new(n, cap);
+    let row_of = |hit: &dyn Fn(&DataRef) -> bool| {
+        let mut row = BitSet::new(cap);
+        for (j, other) in universe.iter() {
+            if hit(other) {
+                row.insert(j.index());
+            }
+        }
+        row
+    };
+    let overlaps: Vec<BitSet> = universe
+        .iter()
+        .map(|(_, r)| row_of(&|other| r.may_overlap(other)))
+        .collect();
+    let mut invalidations: HashMap<Symbol, BitSet> = HashMap::new();
+
+    for (sid, acc) in &accesses {
+        let Some(&node) = node_of_stmt.get(sid) else {
+            continue; // unreachable statement
+        };
+        let i = node.index();
+        // A self-reference read of a reduction item is elided (the owner
+        // combines contributions); otherwise it is an ordinary read.
+        let effective_reads = acc
+            .reads
+            .iter()
+            .chain(acc.acc_reads.iter().filter(|i| !reductions.contains_key(i)));
+        for &item in effective_reads {
+            read_problem.take(node, item.index());
+            // A read of a portion overlapping a pending write-back forces
+            // the WRITE to complete first (Figure 3).
+            write_problem.steal_init[i].union_with(&overlaps[item.index()]);
+        }
+        for &item in &acc.defs {
+            // The definition demands a write-back…
+            write_problem.take(node, item.index());
+            // …destroys cached copies of the *other* portions it overlaps
+            // (both for later reads and for pending write-backs of other
+            // portions)…
+            let row = &overlaps[item.index()];
+            union_except(&mut read_problem.steal_init[i], row, item.index());
+            union_except(&mut write_problem.steal_init[i], row, item.index());
+            // …and, without strict owner-computes, produces its own
+            // portion for free (§3.1). A reduction contribution is only a
+            // *partial* value: it gives nothing, and it invalidates any
+            // previously fetched copy of its own portion.
+            if reductions.contains_key(&item) {
+                read_problem.steal(node, item.index());
+            } else if !config.strict_owner_computes {
+                read_problem.give(node, item.index());
+            }
+        }
+        for &name in &acc.local_defs {
+            // Redefining an indirection array or a bound variable voids
+            // every portion whose meaning depends on it (§4.1).
+            let row = invalidations
+                .entry(name)
+                .or_insert_with(|| row_of(&|other| invalidated_by(other, name)));
+            read_problem.steal_init[i].union_with(row);
+            write_problem.steal_init[i].union_with(row);
+        }
+    }
+
+    let analysis = CommAnalysis {
+        graph,
+        node_of_stmt,
+        universe,
+        read_problem,
+        write_problem,
+        reductions,
+        overlaps,
+    };
+    Ok((analysis, graph_ns))
+}
+
+/// `dst ∪= row − {skip}`: `skip`'s own bit of `row` is not added, nor is
+/// one `dst` already holds removed.
+fn union_except(dst: &mut BitSet, row: &BitSet, skip: usize) {
+    let skip_word = skip / 64;
+    for (k, (d, &r)) in dst.words_mut().iter_mut().zip(row.words()).enumerate() {
+        *d |= if k == skip_word {
+            r & !(1 << (skip % 64))
+        } else {
+            r
+        };
+    }
+}
+
+/// Whether redefining the local `name` voids portion `r`: `r` is a
+/// gather through index array `name`, or a section with `name` in a
+/// bound.
+fn invalidated_by(r: &DataRef, name: Symbol) -> bool {
+    r.depends_on_index_array(name)
+        || match r {
+            DataRef::Section { range, .. } => {
+                range.lo.coeff(name) != 0 || range.hi.coeff(name) != 0
+            }
+            _ => false,
+        }
+}
+
+/// Pass 1: canonical accesses per statement, then the reduction items.
+pub(crate) fn collect_accesses(program: &Program, config: &CommConfig) -> Collected {
     let mut universe = Universe::new();
     let mut accesses: HashMap<StmtId, Accesses> = HashMap::new();
     let mut ctx = LoopContext::new();
@@ -139,90 +286,11 @@ pub fn analyze(
     for d in disqualified {
         reductions.remove(&d);
     }
-
-    // Pass 2: initial variables over the full universe.
-    let n = graph.num_nodes();
-    let cap = universe.len();
-    let mut read_problem = PlacementProblem::new(n, cap);
-    let mut write_problem = PlacementProblem::new(n, cap);
-    let items: Vec<(ItemId, DataRef)> = universe.iter().map(|(id, r)| (id, r.clone())).collect();
-
-    for (sid, acc) in &accesses {
-        let Some(&node) = node_of_stmt.get(sid) else {
-            continue; // unreachable statement
-        };
-        // A self-reference read of a reduction item is elided (the owner
-        // combines contributions); otherwise it is an ordinary read.
-        let effective_reads: Vec<ItemId> = acc
-            .reads
-            .iter()
-            .chain(acc.acc_reads.iter().filter(|i| !reductions.contains_key(i)))
-            .copied()
-            .collect();
-        for &item in &effective_reads {
-            read_problem.take(node, item.index());
-            // A read of a portion overlapping a pending write-back forces
-            // the WRITE to complete first (Figure 3).
-            let r = universe.resolve(item).clone();
-            for (other, oref) in &items {
-                if r.may_overlap(oref) {
-                    write_problem.steal(node, other.index());
-                }
-            }
-        }
-        for &item in &acc.defs {
-            // The definition demands a write-back…
-            write_problem.take(node, item.index());
-            let d = universe.resolve(item).clone();
-            for (other, oref) in &items {
-                if *other == item {
-                    continue;
-                }
-                if d.may_overlap(oref) {
-                    // …destroys cached copies of overlapping portions
-                    // (both for later reads and for pending write-backs
-                    // of other portions)…
-                    read_problem.steal(node, other.index());
-                    write_problem.steal(node, other.index());
-                }
-            }
-            // …and, without strict owner-computes, produces its own
-            // portion for free (§3.1). A reduction contribution is only a
-            // *partial* value: it gives nothing, and it invalidates any
-            // previously fetched copy of its own portion.
-            if reductions.contains_key(&item) {
-                read_problem.steal(node, item.index());
-            } else if !config.strict_owner_computes {
-                read_problem.give(node, item.index());
-            }
-        }
-        for name in &acc.local_defs {
-            // Redefining an indirection array or a bound variable voids
-            // every portion whose meaning depends on it (§4.1).
-            for (other, oref) in &items {
-                let invalidated = oref.depends_on_index_array(*name)
-                    || match oref {
-                        DataRef::Section { range, .. } => {
-                            range.lo.coeff(*name) != 0 || range.hi.coeff(*name) != 0
-                        }
-                        _ => false,
-                    };
-                if invalidated {
-                    read_problem.steal(node, other.index());
-                    write_problem.steal(node, other.index());
-                }
-            }
-        }
-    }
-
-    Ok(CommAnalysis {
-        graph,
-        node_of_stmt,
+    Collected {
         universe,
-        read_problem,
-        write_problem,
+        accesses,
         reductions,
-    })
+    }
 }
 
 /// If `rhs` is `name(idx) ⊕ rest` or `rest ⊕ name(idx)` for a commutative

@@ -9,11 +9,10 @@
 use crate::analyze::CommAnalysis;
 use gnt_cfg::{EdgeMask, IntervalGraph, NodeId};
 use gnt_core::{
-    shift_off_synthetic, solve_after_with_scratch, solve_batch_with_scratch,
-    solve_with_pressure_limit_in_place, FlavorSolution, PlacementProblem, PressureReport, Solution,
-    SolverOptions, SolverScratch,
+    shift_off_synthetic, solve_after_into, solve_batch_into, solve_with_pressure_limit_in_place,
+    FlavorSolution, PlacementProblem, PressureReport, SolverOptions, SolverScratch,
 };
-use gnt_dataflow::{BitSet, ItemId};
+use gnt_dataflow::ItemId;
 use std::fmt;
 use std::time::Instant;
 
@@ -243,17 +242,6 @@ pub struct EmittedPlacement {
     pub solves: u64,
 }
 
-/// The EAGER and LAZY production rows of `solution`; the rest is freed.
-fn productions(solution: Solution) -> (FlavorSolution, FlavorSolution) {
-    let rows = |flavor: FlavorSolution| FlavorSolution {
-        given_in: Vec::new(),
-        given: Vec::new(),
-        given_out: Vec::new(),
-        ..flavor
-    };
-    (rows(solution.eager), rows(solution.lazy))
-}
-
 /// [`generate_with_options`], also returning the [`EmittedPlacement`]
 /// the plan was built from.
 ///
@@ -274,13 +262,14 @@ pub fn generate_with_placement(
 
     // READ: BEFORE problem on the forward graph, pressure-bounded when
     // asked. One scratch arena backs this solve and the WRITE solves
-    // below.
+    // below; each leaves its solution there, and only the production
+    // rows are copied out.
     let solve_start = Instant::now();
     let mut read_pressure = None;
-    let read = match gen_opts.max_in_flight {
+    match gen_opts.max_in_flight {
         Some(limit) => {
             let mut working = analysis.read_problem.clone();
-            let (solution, report) = solve_with_pressure_limit_in_place(
+            let (_, report) = solve_with_pressure_limit_in_place(
                 graph,
                 &mut working,
                 &opts,
@@ -289,12 +278,11 @@ pub fn generate_with_placement(
                 scratch,
             );
             read_pressure = Some(report);
-            solution
         }
-        None => solve_batch_with_scratch(graph, &analysis.read_problem, &opts, scratch),
-    };
+        None => solve_batch_into(graph, &analysis.read_problem, &opts, scratch),
+    }
     let mut solve_ns = elapsed_ns(solve_start);
-    let (mut read_eager, mut read_lazy) = productions(read);
+    let (mut read_eager, mut read_lazy) = scratch.export_productions();
 
     // Phase coupling: a *placed* READ operation re-communicates owner
     // data, so every pending write-back of an overlapping portion must
@@ -303,27 +291,14 @@ pub fn generate_with_placement(
     // WRITE_recv adjacent to its WRITE_send instead of sliding further
     // down). This uses the pre-shift placement so steals land on the
     // precise nodes (e.g. a loop-exit split), not on whole loop headers.
-    // Each placed item's overlap row (the items it may overlap) is built
-    // once, on its first placement, and OR-ed into the steals of every
-    // node that places it.
+    // Each placed item ORs its overlap row, built once per universe by
+    // the analysis, into the steals of the node that places it.
     let mut write_problem = analysis.write_problem.clone();
-    let universe = &analysis.universe;
-    let mut overlaps: Vec<Option<BitSet>> = vec![None; universe.len()];
     for node in graph.nodes() {
         let i = node.index();
         for flavor in [&read_eager, &read_lazy] {
             for item in flavor.res_in[i].iter().chain(flavor.res_out[i].iter()) {
-                let row = overlaps[item].get_or_insert_with(|| {
-                    let read_ref = universe.resolve(ItemId(item as u32));
-                    let mut row = BitSet::new(write_problem.universe_size);
-                    for (w, wref) in universe.iter() {
-                        if read_ref.may_overlap(wref) {
-                            row.insert(w.index());
-                        }
-                    }
-                    row
-                });
-                write_problem.steal_init[i].union_with(row);
+                write_problem.steal_init[i].union_with(&analysis.overlaps[item]);
             }
         }
     }
@@ -359,13 +334,12 @@ pub fn generate_with_placement(
     // production after the node in program order; reversed RES_out before.
     // The ops come from shifted copies; the lint gets the unshifted rows.
     let solve_start = Instant::now();
-    let write = solve_after_with_scratch(graph, &write_problem, &opts, scratch)?;
+    let reversed = solve_after_into(graph, &write_problem, &opts, scratch)?;
     solve_ns += elapsed_ns(solve_start);
-    let reversed = write.reversed;
     // The WRITE solve ran its poisoned fallback iff it poisoned a header.
     let solves = 2 + u64::from(reversed.nodes().any(|h| reversed.is_poisoned(h)));
     write_problem.resize_nodes(reversed.num_nodes());
-    let (write_eager, write_lazy) = productions(write.solution);
+    let (write_eager, write_lazy) = scratch.export_productions();
     let shifted = |flavor: &FlavorSolution| {
         let mut flavor = flavor.clone();
         shift_off_synthetic(&reversed, &mut flavor);

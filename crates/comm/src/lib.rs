@@ -39,7 +39,7 @@ mod analyze;
 mod generate;
 mod render;
 
-pub use analyze::{analyze, CommAnalysis, CommConfig};
+pub use analyze::{analyze, analyze_timed, CommAnalysis, CommConfig};
 pub use generate::{
     generate, generate_styled, generate_with_options, generate_with_placement, CommOp, CommPlan,
     EmittedPlacement, GenerateOptions, OpKind, PlacementStyle,

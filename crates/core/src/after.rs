@@ -14,8 +14,10 @@
 //! *immediately after* it (e.g. `WRITE_Send`).
 
 use crate::problem::{Direction, Flavor, PlacementProblem, SolverOptions};
+use crate::scratch::SolverScratch;
 use crate::solver::Solution;
-use crate::tape::solve_batch_with_scratch_dir;
+use crate::tape::solve_batch_into_dir;
+use crate::verify::{balance, sufficiency};
 use gnt_cfg::{reversed_graph, GraphError, IntervalGraph, NodeId};
 use gnt_dataflow::BitSet;
 
@@ -82,8 +84,7 @@ pub fn solve_after(
     problem: &PlacementProblem,
     opts: &SolverOptions,
 ) -> Result<AfterSolution, GraphError> {
-    let mut scratch = crate::scratch::SolverScratch::new();
-    solve_after_with_scratch(graph, problem, opts, &mut scratch)
+    solve_after_with_scratch(graph, problem, opts, &mut SolverScratch::new())
 }
 
 /// [`solve_after`] reusing a caller-provided scratch arena — the
@@ -97,8 +98,35 @@ pub fn solve_after_with_scratch(
     graph: &IntervalGraph,
     problem: &PlacementProblem,
     opts: &SolverOptions,
-    scratch: &mut crate::scratch::SolverScratch,
+    scratch: &mut SolverScratch,
 ) -> Result<AfterSolution, GraphError> {
+    let reversed = solve_after_into(graph, problem, opts, scratch)?;
+    Ok(AfterSolution {
+        reversed,
+        solution: scratch.export(),
+    })
+}
+
+/// Solves an AFTER problem into `scratch` and returns the reversed graph
+/// the solution lives on, poisoned headers included: the AFTER twin of
+/// [`crate::solve_batch_into`]. Every variable stays readable in place
+/// (zero-copy views over the reversed graph's node ids), and
+/// [`SolverScratch::export_productions`] copies out only the rows a
+/// placement needs.
+///
+/// # Errors
+///
+/// Fails if the reversed graph for the AFTER problem cannot be built.
+///
+/// # Panics
+///
+/// Panics if `problem` does not cover all nodes of `graph`.
+pub fn solve_after_into(
+    graph: &IntervalGraph,
+    problem: &PlacementProblem,
+    opts: &SolverOptions,
+    scratch: &mut SolverScratch,
+) -> Result<IntervalGraph, GraphError> {
     let mut reversed = reversed_graph(graph)?;
     let mut p = problem.clone();
     p.resize_nodes(reversed.num_nodes());
@@ -108,7 +136,8 @@ pub fn solve_after_with_scratch(
     // paper's Figure 14 placement — the production region spans the jump
     // and the jump path gets its own balanced production at the landing
     // pad. This is sound whenever consumption on the jump path occurs
-    // before the back edge; the independent verifiers decide.
+    // before the back edge; the independent verifiers decide, reading the
+    // production rows in place.
     // This solve and the poisoned fallback are full solves: each walks
     // the schedule directly the first time the scratch sees its
     // fingerprint and replays a cached tape from the second time on.
@@ -116,16 +145,19 @@ pub fn solve_after_with_scratch(
     // its own tape: on a scratch used only for AFTER solves it takes the
     // empty BEFORE slot and both stay cached; on one that also holds a
     // READ tape the two WRITE fingerprints share the AFTER slot.
-    let solution = solve_batch_with_scratch_dir(Direction::After, &reversed, &p, opts, scratch);
+    solve_batch_into_dir(Direction::After, &reversed, &p, opts, scratch);
     let jump_entered: Vec<_> = reversed
         .nodes()
         .filter(|&h| !reversed.jump_in_sources(h).is_empty())
         .collect();
     if !jump_entered.is_empty() {
-        let ok = crate::verify::check_sufficiency(&reversed, &p, &solution.eager, true).is_empty()
-            && crate::verify::check_sufficiency(&reversed, &p, &solution.lazy, true).is_empty()
-            && crate::verify::check_balance(&reversed, &p, &solution.eager, &solution.lazy)
-                .is_empty();
+        let (eager, lazy) = (
+            scratch.production_rows(Flavor::Eager),
+            scratch.production_rows(Flavor::Lazy),
+        );
+        let ok = sufficiency(&reversed, &p, &eager, true).is_empty()
+            && sufficiency(&reversed, &p, &lazy, true).is_empty()
+            && balance(&reversed, &p, &eager, &lazy).is_empty();
         if !ok {
             // Conservative fallback (§5.3's first mechanism): poison the
             // jump-entered loops; nothing is hoisted out of or across
@@ -135,12 +167,10 @@ pub fn solve_after_with_scratch(
             for h in jump_entered {
                 reversed.poison(h);
             }
-            let solution =
-                solve_batch_with_scratch_dir(Direction::After, &reversed, &p, opts, scratch);
-            return Ok(AfterSolution { reversed, solution });
+            solve_batch_into_dir(Direction::After, &reversed, &p, opts, scratch);
         }
     }
-    Ok(AfterSolution { reversed, solution })
+    Ok(reversed)
 }
 
 #[cfg(test)]
@@ -272,6 +302,75 @@ mod tests {
             &after.solution.lazy
         )
         .is_empty());
+    }
+
+    /// The production export copies exactly `export()`'s `RES_*` rows on
+    /// forward, reversed and poisoned-reversed graphs, and the §5.3
+    /// checks that read those rows in place in the scratch find what the
+    /// public checkers find on the exported rows.
+    #[test]
+    fn production_export_matches_the_full_export() {
+        use crate::generator::{random_problem, random_program, GenConfig};
+        use crate::verify::{check_balance, check_sufficiency};
+        let config = GenConfig {
+            loop_prob: 0.45,
+            ..GenConfig::default()
+        };
+        let opts = SolverOptions::default();
+        let mut scratch = SolverScratch::new();
+        let same = |scratch: &SolverScratch, what: &str| {
+            let full = scratch.export();
+            let (eager, lazy) = scratch.export_productions();
+            for (got, want) in [(&eager, &full.eager), (&lazy, &full.lazy)] {
+                assert_eq!(got.res_in, want.res_in, "{what}");
+                assert_eq!(got.res_out, want.res_out, "{what}");
+                assert!(got.given_in.is_empty() && got.given.is_empty());
+                assert!(got.given_out.is_empty());
+            }
+            full
+        };
+        let (mut poisoned, mut jump_checked) = (0, 0);
+        for seed in 0..60u64 {
+            let g = IntervalGraph::from_program(&random_program(seed, &config)).unwrap();
+            for cap in [1, 64, 65, 130] {
+                let what = format!("seed {seed}, {cap} items");
+                let problem = random_problem(seed ^ cap as u64, &g, cap, 0.2);
+                crate::solve_batch_into(&g, &problem, &opts, &mut scratch);
+                same(&scratch, &format!("{what}, forward"));
+
+                let reversed = solve_after_into(&g, &problem, &opts, &mut scratch).unwrap();
+                let full = same(&scratch, &format!("{what}, reversed"));
+                let after = solve_after(&g, &problem, &opts).unwrap();
+                assert_eq!(after.solution, full, "{what}");
+                poisoned += usize::from(reversed.nodes().any(|h| reversed.is_poisoned(h)));
+                if reversed
+                    .nodes()
+                    .any(|h| !reversed.jump_in_sources(h).is_empty())
+                {
+                    jump_checked += 1;
+                    let mut p = problem.clone();
+                    p.resize_nodes(reversed.num_nodes());
+                    let (eager, lazy) = (
+                        scratch.production_rows(Flavor::Eager),
+                        scratch.production_rows(Flavor::Lazy),
+                    );
+                    for (rows, exported) in [(&eager, &full.eager), (&lazy, &full.lazy)] {
+                        assert_eq!(
+                            sufficiency(&reversed, &p, rows, true),
+                            check_sufficiency(&reversed, &p, exported, true),
+                            "{what}"
+                        );
+                    }
+                    assert_eq!(
+                        balance(&reversed, &p, &eager, &lazy),
+                        check_balance(&reversed, &p, &full.eager, &full.lazy),
+                        "{what}"
+                    );
+                }
+            }
+        }
+        assert!(poisoned > 0, "no solve took the poisoned fallback");
+        assert!(jump_checked > poisoned, "every optimistic check failed");
     }
 
     /// A `goto` out of the loop ahead of the write: the optimistic solve

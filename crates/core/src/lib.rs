@@ -70,7 +70,7 @@ mod solver;
 mod tape;
 mod verify;
 
-pub use after::{solve_after, solve_after_with_scratch, AfterSolution};
+pub use after::{solve_after, solve_after_into, solve_after_with_scratch, AfterSolution};
 pub use blame::{
     check_chain, Absence, BlameChain, BlameEngine, BlameStep, Reason, Root, Var, WhyNot, WhyNotStep,
 };
@@ -85,5 +85,5 @@ pub use solver::{solve, solve_into, ConsumptionVars, FlavorSolution, Solution};
 pub use tape::{solve_batch, solve_batch_into, solve_batch_with_scratch, ScheduleTape, TapeOp};
 pub use verify::{
     check_balance, check_path, check_sufficiency, enumerate_paths, enumerate_paths_capped,
-    path_has_zero_trip, Path, PathChecker, Violation,
+    for_each_path, path_has_zero_trip, Path, PathChecker, Violation,
 };

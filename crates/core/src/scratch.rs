@@ -12,6 +12,7 @@
 
 use crate::problem::Flavor;
 use crate::solver::{ConsumptionVars, FlavorSolution, Solution};
+use crate::verify::ProductionRows;
 use gnt_cfg::NodeId;
 use gnt_dataflow::{BitRef, BitSet, BitSlab};
 
@@ -50,8 +51,9 @@ pub(crate) fn flavor_offset(flavor: Flavor) -> usize {
 /// [`crate::solve_batch_into`] repeatedly; after the first solve of a
 /// given graph/universe shape, subsequent solves allocate nothing. The
 /// solved variables are readable in place through the accessor methods
-/// (zero-copy [`BitRef`] views) or exported wholesale with
-/// [`SolverScratch::export`].
+/// (zero-copy [`BitRef`] views), exported wholesale with
+/// [`SolverScratch::export`], or only the production rows with
+/// [`SolverScratch::export_productions`].
 ///
 /// # Examples
 ///
@@ -249,6 +251,37 @@ impl SolverScratch {
             .collect()
     }
 
+    /// Exports the EAGER and LAZY production rows, `RES_in` and `RES_out`,
+    /// into owned [`FlavorSolution`]s whose `GIVEN` families stay empty:
+    /// 4 of the 20 families [`SolverScratch::export`] copies, and all a
+    /// placement is emitted and linted from.
+    pub fn export_productions(&self) -> (FlavorSolution, FlavorSolution) {
+        let rows = |family: usize| -> Vec<BitSet> {
+            (0..self.nodes)
+                .map(|i| self.slab.row(self.fam(family, i)).to_bitset())
+                .collect()
+        };
+        let flavor = |flavor: Flavor| {
+            let off = flavor_offset(flavor);
+            FlavorSolution {
+                given_in: Vec::new(),
+                given: Vec::new(),
+                given_out: Vec::new(),
+                res_in: rows(F_RES_IN + off),
+                res_out: rows(F_RES_OUT + off),
+            }
+        };
+        (flavor(Flavor::Eager), flavor(Flavor::Lazy))
+    }
+
+    /// One flavor's production rows in place, for the checkers.
+    pub(crate) fn production_rows(&self, flavor: Flavor) -> ScratchRows<'_> {
+        ScratchRows {
+            scratch: self,
+            off: flavor_offset(flavor),
+        }
+    }
+
     /// Exports the arena into an owned [`Solution`].
     pub fn export(&self) -> Solution {
         let mut sol = Solution::empty(self.nodes, self.bits);
@@ -306,5 +339,24 @@ impl SolverScratch {
             put(F_RES_IN + off, res_in);
             put(F_RES_OUT + off, res_out);
         }
+    }
+}
+
+/// One flavor's `RES_in`/`RES_out` rows read in place in a
+/// [`SolverScratch`] ([`SolverScratch::production_rows`]).
+pub(crate) struct ScratchRows<'a> {
+    scratch: &'a SolverScratch,
+    off: usize,
+}
+
+impl ProductionRows for ScratchRows<'_> {
+    fn res_in(&self, i: usize) -> &[u64] {
+        let s = self.scratch;
+        s.slab.row(s.fam(F_RES_IN + self.off, i)).words()
+    }
+
+    fn res_out(&self, i: usize) -> &[u64] {
+        let s = self.scratch;
+        s.slab.row(s.fam(F_RES_OUT + self.off, i)).words()
     }
 }

@@ -709,17 +709,6 @@ pub fn solve_batch_with_scratch(
     scratch.export()
 }
 
-pub(crate) fn solve_batch_with_scratch_dir(
-    dir: Direction,
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    scratch: &mut SolverScratch,
-) -> Solution {
-    solve_batch_into_dir(dir, graph, problem, opts, scratch);
-    scratch.export()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -59,6 +59,27 @@ pub enum Violation {
     },
 }
 
+/// One flavor's production rows, `RES_in` and `RES_out`, as word slices
+/// by node index: an exported [`FlavorSolution`], or the rows a
+/// [`crate::SolverScratch`] still holds, which the §5.3 optimistic check
+/// reads in place ([`crate::solve_after_into`]).
+pub(crate) trait ProductionRows {
+    /// `RES_in(i)`'s words.
+    fn res_in(&self, i: usize) -> &[u64];
+    /// `RES_out(i)`'s words.
+    fn res_out(&self, i: usize) -> &[u64];
+}
+
+impl ProductionRows for FlavorSolution {
+    fn res_in(&self, i: usize) -> &[u64] {
+        self.res_in[i].words()
+    }
+
+    fn res_out(&self, i: usize) -> &[u64] {
+        self.res_out[i].words()
+    }
+}
+
 /// Per-node bit rows over one universe, laid out flat: row `v` is
 /// `words[v * stride..(v + 1) * stride]`.
 struct Rows {
@@ -179,6 +200,16 @@ pub fn check_sufficiency(
     placement: &FlavorSolution,
     assume_one_trip: bool,
 ) -> Vec<Violation> {
+    sufficiency(graph, problem, placement, assume_one_trip)
+}
+
+/// [`check_sufficiency`] over any [`ProductionRows`].
+pub(crate) fn sufficiency(
+    graph: &IntervalGraph,
+    problem: &PlacementProblem,
+    placement: &impl ProductionRows,
+    assume_one_trip: bool,
+) -> Vec<Violation> {
     use gnt_cfg::EdgeClass;
     let base_n = graph.num_nodes();
     let cap = problem.universe_size;
@@ -219,22 +250,20 @@ pub fn check_sufficiency(
     for i in 0..base_n {
         let h = NodeId(i as u32);
         let on_pads = assume_one_trip && graph.is_loop_header(h) && graph.last_child(h).is_some();
-        let (res_in, res_out) = (&placement.res_in[i], &placement.res_out[i]);
+        let (res_in, res_out) = (placement.res_in(i), placement.res_out(i));
         let (give, steal) = (&problem.give_init[i], &problem.steal_init[i]);
         for k in 0..words {
-            let mut g = ((word(res_in, k) | word(give, k)) & !word(steal, k)) | word(res_out, k);
+            let mut g = ((res_in[k] | word(give, k)) & !word(steal, k)) | res_out[k];
             if on_pads {
-                g &= !word(res_out, k);
+                g &= !res_out[k];
             }
             gen.row_mut(i)[k] = g;
             kill.row_mut(i)[k] = word(steal, k);
         }
     }
     for (p, &h) in pads.iter().enumerate() {
-        let res_out = &placement.res_out[h];
-        for (k, g) in gen.row_mut(base_n + p).iter_mut().enumerate() {
-            *g = word(res_out, k);
-        }
+        gen.row_mut(base_n + p)
+            .copy_from_slice(placement.res_out(h));
     }
 
     // Greatest fixpoint: every entry starts at ⊤ but the boundary (∅ at
@@ -293,9 +322,9 @@ pub fn check_sufficiency(
 
     let mut violations = Vec::new();
     for i in 0..base_n {
-        let (take, res_in, a) = (&problem.take_init[i], &placement.res_in[i], avail_in.row(i));
+        let (take, res_in, a) = (&problem.take_init[i], placement.res_in(i), avail_in.row(i));
         for (k, &avail) in a.iter().enumerate() {
-            let mut missed = word(take, k) & !(avail | word(res_in, k));
+            let mut missed = word(take, k) & !(avail | res_in[k]);
             while missed != 0 {
                 let bit = missed.trailing_zeros() as usize;
                 missed &= missed - 1;
@@ -349,11 +378,20 @@ pub fn check_balance(
     eager: &FlavorSolution,
     lazy: &FlavorSolution,
 ) -> Vec<Violation> {
+    balance(graph, problem, eager, lazy)
+}
+
+/// [`check_balance`] over any [`ProductionRows`].
+pub(crate) fn balance<P: ProductionRows>(
+    graph: &IntervalGraph,
+    problem: &PlacementProblem,
+    eager: &P,
+    lazy: &P,
+) -> Vec<Violation> {
     use gnt_cfg::EdgeClass;
     let n = graph.num_nodes();
     let cap = problem.universe_size;
     let words = cap.div_ceil(64);
-    let word = |set: &BitSet, k: usize| set.words()[k];
 
     // Real control-flow edges with their classes.
     let edges: Vec<(usize, usize, EdgeClass)> = graph
@@ -385,7 +423,7 @@ pub fn check_balance(
     // lazy stop without an eager start there misfires.
     for k in 0..words {
         let (mut di, mut dp) = (word_mask(cap, k), 0);
-        let (e, l) = (word(&eager.res_in[entry], k), word(&lazy.res_in[entry], k));
+        let (e, l) = (eager.res_in(entry)[k], lazy.res_in(entry)[k]);
         recorded.row_mut(entry)[k] = produce(&mut di, &mut dp, e, l);
         idle.row_mut(entry)[k] = di;
         pend.row_mut(entry)[k] = dp;
@@ -398,11 +436,11 @@ pub fn check_balance(
     let transfer = |di: &mut u64, dp: &mut u64, src: usize, dst: usize, class, k| {
         let mut misfire = 0;
         if out_applies(class) {
-            let (e, l) = (word(&eager.res_out[src], k), word(&lazy.res_out[src], k));
+            let (e, l) = (eager.res_out(src)[k], lazy.res_out(src)[k]);
             misfire |= produce(di, dp, e, l);
         }
         if class != EdgeClass::Cycle {
-            let (e, l) = (word(&eager.res_in[dst], k), word(&lazy.res_in[dst], k));
+            let (e, l) = (eager.res_in(dst)[k], lazy.res_in(dst)[k]);
             misfire |= produce(di, dp, e, l);
         }
         misfire
@@ -509,6 +547,22 @@ pub fn enumerate_paths_capped(
     max_edge_visits: usize,
     max_paths: usize,
 ) -> (Vec<Path>, bool) {
+    let mut paths = Vec::new();
+    let truncated = for_each_path(graph, max_edge_visits, max_paths, |path| {
+        paths.push(path.clone());
+    });
+    (paths, truncated)
+}
+
+/// Calls `visit` on every path [`enumerate_paths_capped`] returns, in the
+/// same order, without keeping them: the path handed over is the
+/// search's own stack, valid for the call. Returns the truncation flag.
+pub fn for_each_path(
+    graph: &IntervalGraph,
+    max_edge_visits: usize,
+    max_paths: usize,
+    mut visit: impl FnMut(&Path),
+) -> bool {
     let flow = CfgFlow::from_interval(graph);
     // One visit counter per distinct (node, successor) pair, laid out
     // flat: `slot[first[node] + k]` is the counter of `node`'s k-th
@@ -531,7 +585,8 @@ pub fn enumerate_paths_capped(
         slot: Vec<usize>,
         visits: Vec<usize>,
         current: Vec<NodeId>,
-        paths: Vec<Path>,
+        visit: &'a mut dyn FnMut(&Path),
+        found: usize,
         max_edge_visits: usize,
         max_paths: usize,
         truncated: bool,
@@ -544,8 +599,9 @@ pub fn enumerate_paths_capped(
                 return;
             }
             if node == flow.exit() {
-                if self.paths.len() < self.max_paths {
-                    self.paths.push(self.current.clone());
+                if self.found < self.max_paths {
+                    self.found += 1;
+                    (self.visit)(&self.current);
                 } else {
                     self.truncated = true;
                 }
@@ -571,13 +627,14 @@ pub fn enumerate_paths_capped(
         first,
         slot,
         current: vec![NodeId(flow.entry() as u32)],
-        paths: Vec::new(),
+        visit: &mut visit,
+        found: 0,
         max_edge_visits,
         max_paths,
         truncated: false,
     };
     search.dfs(flow.entry());
-    (search.paths, search.truncated)
+    search.truncated
 }
 
 /// Checks one concrete path against all four criteria.

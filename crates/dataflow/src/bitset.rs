@@ -15,13 +15,14 @@ use std::fmt;
 
 const WORD_BITS: usize = 64;
 
-/// Backing storage: one inline word for capacities ≤ 64, a heap vector
-/// beyond that. The variant is a function of `capacity` alone, so derived
-/// equality and hashing never compare across representations.
+/// Backing storage: one inline word for capacities ≤ 64, a boxed word
+/// slice beyond that (16 bytes, so a `BitSet` takes 24; a `Vec` would
+/// make it 32). The variant is a function of `capacity` alone, so
+/// derived equality and hashing never compare across representations.
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum Repr {
     Inline(u64),
-    Heap(Vec<u64>),
+    Heap(Box<[u64]>),
 }
 
 /// A set of small integers (`0..capacity`), stored as a dense bit vector.
@@ -55,7 +56,7 @@ impl BitSet {
         let repr = if capacity <= WORD_BITS {
             Repr::Inline(0)
         } else {
-            Repr::Heap(vec![0; capacity.div_ceil(WORD_BITS)])
+            Repr::Heap(vec![0; capacity.div_ceil(WORD_BITS)].into_boxed_slice())
         };
         BitSet { repr, capacity }
     }
@@ -86,7 +87,7 @@ impl BitSet {
         let repr = if capacity <= WORD_BITS {
             Repr::Inline(words.first().copied().unwrap_or(0))
         } else {
-            Repr::Heap(words)
+            Repr::Heap(words.into_boxed_slice())
         };
         let mut s = BitSet { repr, capacity };
         s.trim();
@@ -110,7 +111,7 @@ impl BitSet {
         let repr = if capacity <= WORD_BITS {
             Repr::Inline(words.first().copied().unwrap_or(0))
         } else {
-            Repr::Heap(words.to_vec())
+            Repr::Heap(words.into())
         };
         let mut s = BitSet { repr, capacity };
         s.trim();
@@ -214,7 +215,7 @@ impl BitSet {
     /// Clears the set and re-shapes it for a (possibly different)
     /// `capacity`, reusing storage wherever possible: a universe that now
     /// fits one word is demoted from `Heap` back to `Inline` (dropping the
-    /// allocation), and a still-heap set resizes its existing vector in
+    /// allocation), and a still-heap set of the same width is zeroed in
     /// place. This is the reuse fast path for re-solve loops and batched
     /// output buffers, which re-shape the same sets round after round.
     pub fn reset(&mut self, capacity: usize) {
@@ -224,11 +225,8 @@ impl BitSet {
             self.repr = Repr::Inline(0);
         } else {
             match &mut self.repr {
-                Repr::Heap(v) => {
-                    v.clear();
-                    v.resize(words, 0);
-                }
-                inline => *inline = Repr::Heap(vec![0; words]),
+                Repr::Heap(v) if v.len() == words => v.fill(0),
+                other => *other = Repr::Heap(vec![0; words].into_boxed_slice()),
             }
         }
     }
@@ -519,7 +517,7 @@ mod tests {
         assert!(matches!(s.repr, Repr::Heap(_)));
         assert_eq!(s.words().len(), 2);
         assert!(s.is_empty() && s.insert(64));
-        // Heap → heap resize reuses the vector and clears every word.
+        // Heap → heap resize re-allocates to the new width, all clear.
         s.reset(130);
         assert!(s.is_empty());
         assert_eq!(s.words().len(), 3);
