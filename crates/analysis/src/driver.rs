@@ -216,17 +216,12 @@ pub struct StageTimings {
     /// Placement solves run: the plan's two, plus one blame
     /// re-derivation per problem whose placement lint found something.
     pub solves: u64,
-    /// Schedule tapes the run's solver scratch compiled. A lint solves
-    /// each `(graph, opts)` once, on the direct walker, so a cold run
-    /// compiles none; a count above 0 means a solve repeated.
-    pub tape_compiles: u64,
-    /// Full solves the scratch ran on the direct walker: the plan's
-    /// solves (2, or 3 with §5.3's poisoned fallback) plus the blame
-    /// re-derivations.
-    pub direct_solves: u64,
-    /// Full tape replays the scratch ran: a lint of a program the
-    /// scratch solved before replays its cached tapes.
-    pub tape_replays: u64,
+    /// The run's solver-engine counts. A lint solves each `(graph,
+    /// opts)` once, on the direct walker, so a cold run compiles no tape,
+    /// its direct solves are the plan's (2, or 3 with §5.3's poisoned
+    /// fallback) plus the blame re-derivations, and it replays no tape; a
+    /// lint of a program the scratch solved before replays cached tapes.
+    pub engine: gnt_core::EngineCounters,
 }
 
 impl StageTimings {
@@ -256,9 +251,9 @@ impl StageTimings {
             self.lint_ns,
             self.total_ns(),
             self.solves,
-            self.tape_compiles,
-            self.direct_solves,
-            self.tape_replays,
+            self.engine.tape_compiles,
+            self.engine.direct_solves,
+            self.engine.tape_replays,
             self.paths_replayed,
             self.enumerations_truncated,
             self.o1_rounds,
@@ -317,11 +312,7 @@ fn lint_program_inner(
     timings: &mut StageTimings,
 ) -> Result<LintReport, LintError> {
     let run_start = std::time::Instant::now();
-    let engine_at_start = (
-        scratch.tape_compiles(),
-        scratch.direct_solves(),
-        scratch.tape_replays(),
-    );
+    let engine_at_start = scratch.counters();
     let distributed = opts
         .distributed
         .clone()
@@ -415,9 +406,7 @@ fn lint_program_inner(
             d.node.map_or(usize::MAX, gnt_cfg::NodeId::index),
         )
     });
-    timings.tape_compiles = scratch.tape_compiles() - engine_at_start.0;
-    timings.direct_solves = scratch.direct_solves() - engine_at_start.1;
-    timings.tape_replays = scratch.tape_replays() - engine_at_start.2;
+    timings.engine = scratch.counters() - engine_at_start;
     timings.lint_ns = elapsed_ns(run_start).saturating_sub(
         timings.cfg_ns + timings.analyze_ns + timings.generate_ns + timings.solve_ns,
     );

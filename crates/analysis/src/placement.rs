@@ -162,10 +162,7 @@ impl EdgeCsr {
         let (mut dst, mut class) = (Vec::new(), Vec::new());
         let mut in_off = vec![0usize; n + 1];
         for m in graph.nodes() {
-            for (s, c) in graph.succ_edges(m) {
-                if c == EdgeClass::Synthetic || (c == EdgeClass::Cycle && s == graph.root()) {
-                    continue;
-                }
+            for (s, c) in graph.real_succ_edges(m) {
                 dst.push(s.index());
                 class.push(c);
                 in_off[s.index() + 1] += 1;

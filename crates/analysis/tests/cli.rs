@@ -580,6 +580,28 @@ fn profile_counts_one_solve_per_problem() {
         "do j = 1, N\n  if t(j) goto 99\n  x(a(j)) = ...\nenddo\n99 continue\n",
     );
     let line = profile_line(&goto, &[], 0);
+    // Every key after `file`, in print order.
+    let keys: Vec<&str> = line.split('"').skip(1).step_by(2).skip(2).collect();
+    assert_eq!(
+        keys,
+        [
+            "parse_ns",
+            "cfg_ns",
+            "analyze_ns",
+            "solve_ns",
+            "generate_ns",
+            "lint_ns",
+            "total_ns",
+            "solves",
+            "tape_compiles",
+            "direct_solves",
+            "tape_replays",
+            "paths_replayed",
+            "enumerations_truncated",
+            "o1_rounds"
+        ],
+        "{line}"
+    );
     assert_eq!(profile_field(&line, "solves"), 3, "{line}");
     assert_eq!(profile_field(&line, "tape_compiles"), 0, "{line}");
     assert_eq!(profile_field(&line, "direct_solves"), 3, "{line}");

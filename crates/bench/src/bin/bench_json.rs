@@ -428,7 +428,7 @@ fn main() -> ExitCode {
     let ns = median_ns(runs, || {
         let mut scratch = SolverScratch::new();
         solve_batch_into(&graph, &problem, &opts, &mut scratch);
-        assert_eq!(scratch.tape_compiles(), 0);
+        assert_eq!(scratch.counters().tape_compiles, 0);
         scratch
     });
     let mut oneshot = vec![("oneshot_direct/16items", ns)];

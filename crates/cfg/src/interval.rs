@@ -575,6 +575,16 @@ impl IntervalGraph {
         self.succs[n.index()].iter().copied()
     }
 
+    /// The *real* (CEFJ) outgoing edges of `n` with their classes: the
+    /// concrete control flow, without synthetic edges and the virtual
+    /// exit→ROOT cycle edge.
+    pub fn real_succ_edges(&self, n: NodeId) -> impl Iterator<Item = (NodeId, EdgeClass)> + '_ {
+        let root = self.root;
+        self.succ_edges(n).filter(move |&(s, c)| {
+            c != EdgeClass::Synthetic && !(c == EdgeClass::Cycle && s == root)
+        })
+    }
+
     /// All incoming edges of `n` with their classes.
     pub fn pred_edges(&self, n: NodeId) -> impl Iterator<Item = (NodeId, EdgeClass)> + '_ {
         self.preds[n.index()].iter().copied()

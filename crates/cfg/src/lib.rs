@@ -125,11 +125,7 @@ impl CfgFlow {
         let mut succs = vec![Vec::new(); n];
         let mut preds = vec![Vec::new(); n];
         for m in g.nodes() {
-            for (s, c) in g.succ_edges(m) {
-                let virtual_cycle = c == EdgeClass::Cycle && s == g.root();
-                if c == EdgeClass::Synthetic || virtual_cycle {
-                    continue;
-                }
+            for (s, _) in g.real_succ_edges(m) {
                 succs[m.index()].push(s.index());
                 preds[s.index()].push(m.index());
             }

@@ -20,7 +20,7 @@
 
 use crate::dom::{LoopForest, LoopId, LoopInfo};
 use crate::graph::Cfg;
-use crate::interval::{normalize, EdgeClass, GraphError, IntervalGraph};
+use crate::interval::{normalize, GraphError, IntervalGraph};
 
 /// Builds the reversed interval graph of `g` for solving AFTER problems.
 ///
@@ -66,11 +66,7 @@ pub fn reversed_graph_with_loops(
     //    (both are artifacts re-derived below).
     let mut cfg = rebuild_nodes(g);
     for m in g.nodes() {
-        for (s, c) in g.succ_edges(m) {
-            let is_virtual_root_cycle = c == EdgeClass::Cycle && s == g.root();
-            if c == EdgeClass::Synthetic || is_virtual_root_cycle {
-                continue;
-            }
+        for (s, _) in g.real_succ_edges(m) {
             cfg.add_edge(s, m);
         }
     }
@@ -147,7 +143,7 @@ fn rebuild_nodes(g: &IntervalGraph) -> Cfg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::EdgeMask;
+    use crate::interval::{EdgeClass, EdgeMask};
     use gnt_ir::parse;
 
     fn fwd(src: &str) -> IntervalGraph {

@@ -95,3 +95,40 @@ proptest! {
         })?;
     }
 }
+
+/// `real_succ_edges` is exactly "every successor edge except the
+/// synthetic ones and the virtual exit→ROOT cycle edge", written out here
+/// as an independent filter, on both orientations of the figure programs
+/// and of random programs with `goto`s.
+#[test]
+fn real_succ_edges_drop_exactly_the_synthetic_and_virtual_edges() {
+    let figures = ["fig1", "fig3", "fig11"].map(|name| {
+        let path = format!("{}/../../examples/{name}.minif", env!("CARGO_MANIFEST_DIR"));
+        gnt_ir::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
+    });
+    let config = GenConfig {
+        goto_prob: 0.1,
+        ..GenConfig::default()
+    };
+    let random = (0..60u64).map(|seed| random_program(seed, &config));
+    let mut graphs = 0;
+    for program in figures.into_iter().chain(random) {
+        let Ok(forward) = IntervalGraph::from_program(&program) else {
+            continue;
+        };
+        let reversed = reversed_graph(&forward).ok();
+        for g in std::iter::once(&forward).chain(reversed.as_ref()) {
+            for n in g.nodes() {
+                let expected: Vec<_> = g
+                    .succ_edges(n)
+                    .filter(|&(s, c)| {
+                        c != EdgeClass::Synthetic && !(c == EdgeClass::Cycle && s == g.root())
+                    })
+                    .collect();
+                assert_eq!(g.real_succ_edges(n).collect::<Vec<_>>(), expected);
+            }
+            graphs += 1;
+        }
+    }
+    assert!(graphs >= 100, "{graphs} graphs");
+}

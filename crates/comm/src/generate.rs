@@ -498,7 +498,9 @@ mod tests {
 
     /// The WRITE problem's phase coupling, built with one overlap row per
     /// placed item, equals the per-placement `may_overlap` scan over the
-    /// universe it replaced, kept here as the reference.
+    /// universe it replaced, kept here as the reference. The last source
+    /// places a READ at a `RES_out` (the exit of the loop's `goto`
+    /// branch) whose steal no `RES_in` placement at that node supplies.
     #[test]
     fn phase_coupling_matches_the_per_placement_overlap_scan() {
         let sources = [
@@ -510,8 +512,12 @@ mod tests {
                  if t then\n  ... = x(2:M)\nendif",
                 &["x", "y"][..],
             ),
+            (
+                "do i = 1, N\n  y(i) = ...\n  if t(i) goto 7\nenddo\n... = x(1)\n7 ... = x(1)",
+                &["x", "y"][..],
+            ),
         ];
-        let mut multi = 0;
+        let (mut multi, mut res_out) = (0, 0);
         for (src, arrays) in sources {
             let a = analyze(&parse(src).unwrap(), &CommConfig::distributed(arrays)).unwrap();
             let read = gnt_core::solve(&a.graph, &a.read_problem, &SolverOptions::default());
@@ -519,6 +525,7 @@ mod tests {
             for node in a.graph.nodes() {
                 let i = node.index();
                 for flavor in [&read.eager, &read.lazy] {
+                    res_out += flavor.res_out[i].len();
                     for item in flavor.res_in[i].iter().chain(flavor.res_out[i].iter()) {
                         let read_ref = a.universe.resolve(ItemId(item as u32));
                         for (w, wref) in a.universe.iter() {
@@ -540,6 +547,7 @@ mod tests {
                 .count();
         }
         assert!(multi > 0, "no placement steals two items at once");
+        assert!(res_out > 0, "no READ placed at a RES_out");
     }
 
     #[test]

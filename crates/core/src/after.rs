@@ -13,10 +13,10 @@
 //! after* the consumer (e.g. `WRITE_Recv`) and the LAZY solution the one
 //! *immediately after* it (e.g. `WRITE_Send`).
 
-use crate::problem::{Direction, Flavor, PlacementProblem, SolverOptions};
+use crate::problem::{Flavor, PlacementProblem, SolverOptions};
 use crate::scratch::SolverScratch;
 use crate::solver::Solution;
-use crate::tape::solve_batch_into_dir;
+use crate::tape::solve_batch_into;
 use crate::verify::{balance, sufficiency};
 use gnt_cfg::{reversed_graph, GraphError, IntervalGraph, NodeId};
 use gnt_dataflow::BitSet;
@@ -142,10 +142,8 @@ pub fn solve_after_into(
     // the schedule directly the first time the scratch sees its
     // fingerprint and replays a cached tape from the second time on.
     // Poisoning changes the structural fingerprint, so the fallback needs
-    // its own tape: on a scratch used only for AFTER solves it takes the
-    // empty BEFORE slot and both stay cached; on one that also holds a
-    // READ tape the two WRITE fingerprints share the AFTER slot.
-    solve_batch_into_dir(Direction::After, &reversed, &p, opts, scratch);
+    // its own tape; the scratch caches both beside a READ tape.
+    solve_batch_into(&reversed, &p, opts, scratch);
     let jump_entered: Vec<_> = reversed
         .nodes()
         .filter(|&h| !reversed.jump_in_sources(h).is_empty())
@@ -167,7 +165,7 @@ pub fn solve_after_into(
             for h in jump_entered {
                 reversed.poison(h);
             }
-            solve_batch_into_dir(Direction::After, &reversed, &p, opts, scratch);
+            solve_batch_into(&reversed, &p, opts, scratch);
         }
     }
     Ok(reversed)
@@ -398,24 +396,23 @@ mod tests {
         );
         // A one-shot AFTER solve compiles nothing: both attempts walk the
         // schedule directly.
-        assert_eq!(scratch.tape_compiles(), 0);
-        assert_eq!(scratch.direct_solves(), 2);
-        // The second call compiles both tapes: the optimistic one takes
-        // the AFTER slot, the poisoned one the empty BEFORE slot, so a
-        // third call compiles nothing.
+        assert_eq!(scratch.counters().tape_compiles, 0);
+        assert_eq!(scratch.counters().direct_solves, 2);
+        // The second call compiles both tapes and the cache keeps them,
+        // so a third call compiles nothing.
         let mut compiles = Vec::new();
         for _ in 0..2 {
             let again = solve_after_with_scratch(&g, &problem, &opts, &mut scratch).unwrap();
             assert_eq!(again.solution, first.solution);
-            compiles.push(scratch.tape_compiles());
+            compiles.push(scratch.counters().tape_compiles);
         }
         assert_eq!(compiles, [2, 2]);
-        assert_eq!(scratch.direct_solves(), 2);
-        assert_eq!(scratch.tape_replays(), 4);
+        assert_eq!(scratch.counters().direct_solves, 2);
+        assert_eq!(scratch.counters().tape_replays, 4);
     }
 
     #[test]
-    fn fallback_evicts_the_optimistic_tape_on_a_scratch_shared_with_read() {
+    fn a_scratch_shared_with_read_keeps_all_three_tapes() {
         let (g, problem) = goto_before_write();
         let opts = SolverOptions::default();
         let mut scratch = crate::SolverScratch::new();
@@ -423,14 +420,13 @@ mod tests {
         for _ in 0..6 {
             crate::solve_batch_into(&g, &problem, &opts, &mut scratch);
             solve_after_with_scratch(&g, &problem, &opts, &mut scratch).unwrap();
-            compiles.push(scratch.tape_compiles());
+            compiles.push(scratch.counters().tape_compiles);
         }
-        // Round 0 is one-shot and compiles nothing. From round 1 READ
-        // keeps its slot; the two WRITE fingerprints take turns in the
-        // other one, so each warm round from round 2 on replays one WRITE
-        // tape and either compiles the other (evicting the first) or
-        // walks it directly, at most one compile a round.
-        assert_eq!(compiles, [0, 2, 3, 4, 4, 5]);
+        // Round 0 is one-shot and compiles nothing; round 1 compiles the
+        // READ, optimistic WRITE and poisoned WRITE tapes, and every
+        // later round replays all three.
+        assert_eq!(compiles, [0, 3, 3, 3, 3, 3]);
+        assert_eq!(scratch.counters().direct_solves, 3);
     }
 
     /// The first one-bit `solve_delta` on the reversed graph right after
@@ -456,7 +452,7 @@ mod tests {
                     .reversed
                     .nodes()
                     .any(|h| !after.reversed.jump_in_sources(h).is_empty()));
-                let compiles = scratch.tape_compiles();
+                let compiles = scratch.counters().tape_compiles;
                 let mut p = problem.clone();
                 p.resize_nodes(after.reversed.num_nodes());
                 let node = after.reversed.nodes().nth(3).unwrap();
@@ -464,7 +460,8 @@ mod tests {
                 let mut delta = crate::DeltaSet::new();
                 delta.mark_steal(node);
                 let report = crate::solve_delta(&after.reversed, &p, &opts, &mut scratch, &delta);
-                assert_eq!(scratch.tape_compiles(), compiles + new_compiles, "{solves}");
+                let compiled = scratch.counters().tape_compiles - compiles;
+                assert_eq!(compiled, new_compiles, "{solves}");
                 assert!(!report.full_replay, "{solves}: {report:?}");
                 assert_eq!(scratch.export(), crate::solve(&after.reversed, &p, &opts));
             }

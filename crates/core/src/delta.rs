@@ -69,7 +69,7 @@
 //! that did not change is merely wasted work; changing a row without
 //! marking it yields stale results.
 
-use crate::problem::{Direction, PlacementProblem, SolverOptions};
+use crate::problem::{PlacementProblem, SolverOptions};
 use crate::scratch::{SolverScratch, NUM_FAMILIES, NUM_TEMPS};
 use crate::solver::check_coverage;
 use crate::tape::{ScheduleTape, TapeOp};
@@ -636,19 +636,8 @@ pub fn solve_delta(
     scratch: &mut SolverScratch,
     delta: &DeltaSet,
 ) -> DeltaReport {
-    solve_delta_dir(Direction::Before, graph, problem, opts, scratch, delta)
-}
-
-pub(crate) fn solve_delta_dir(
-    dir: Direction,
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    scratch: &mut SolverScratch,
-    delta: &DeltaSet,
-) -> DeltaReport {
     check_coverage(graph, problem);
-    scratch.with_tape(dir, graph, opts, |tape, scratch| {
+    scratch.with_tape(graph, opts, |tape, scratch| {
         let mut report = DeltaReport {
             blocks_total: tape.delta_index().num_blocks(),
             ops_total: tape.num_ops(),

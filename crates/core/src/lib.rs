@@ -77,12 +77,14 @@ pub use blame::{
 pub use delta::{solve_delta, DeltaKind, DeltaReport, DeltaSet};
 pub use generator::{random_problem, random_program, sized_program, GenConfig};
 pub use pressure::{measure_pressure, solve_with_pressure_limit_in_place, PressureReport};
-pub use problem::{Direction, Flavor, PlacementProblem, SolverOptions};
+pub use problem::{Flavor, PlacementProblem, SolverOptions};
 pub use scratch::SolverScratch;
 pub use scratch_pool::{PooledScratch, ScratchPool};
 pub use shift::{shift_off_synthetic, ShiftReport};
 pub use solver::{solve, solve_into, ConsumptionVars, FlavorSolution, Solution};
-pub use tape::{solve_batch, solve_batch_into, solve_batch_with_scratch, ScheduleTape, TapeOp};
+pub use tape::{
+    solve_batch, solve_batch_into, solve_batch_with_scratch, EngineCounters, ScheduleTape, TapeOp,
+};
 pub use verify::{
     check_balance, check_path, check_sufficiency, enumerate_paths, enumerate_paths_capped,
     for_each_path, path_has_zero_trip, Path, PathChecker, Violation,

@@ -15,17 +15,6 @@
 use gnt_cfg::NodeId;
 use gnt_dataflow::BitSet;
 
-/// Whether production must happen before or after consumption (§1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Direction {
-    /// Items are produced before they are consumed (e.g. fetching an
-    /// operand, READ generation, classical PRE).
-    Before,
-    /// Items are produced after they are consumed (e.g. storing a result,
-    /// WRITE generation). Solved as a BEFORE problem with reversed flow.
-    After,
-}
-
 /// Which of the two balanced solutions a placement belongs to (§1).
 ///
 /// For a BEFORE problem the EAGER solution produces as early as possible

@@ -77,10 +77,9 @@ pub struct SolverScratch {
     pub(crate) slab: BitSlab,
     nodes: usize,
     bits: usize,
-    /// Compiled schedule tapes in two slots, reused by the tape entry
-    /// points whenever the graph shape and hoisting options fingerprint
-    /// the same as a cached tape's, the fingerprints solved directly, and
-    /// the engine counters (see [`crate::ScheduleTape`]).
+    /// The most recently solved fingerprints with their compiled
+    /// schedule tapes (or a note that a full solve walked one directly),
+    /// and the engine counters (see [`crate::ScheduleTape`]).
     pub(crate) tapes: crate::tape::TapeCache,
     /// Fingerprint of the `(graph, opts)` whose full solve the arena
     /// currently holds, if any — the validity token for

@@ -1,8 +1,9 @@
 //! A check-in/check-out pool of warm [`SolverScratch`] arenas.
 //!
 //! One [`SolverScratch`] is cheap to reuse and expensive to rebuild: it
-//! holds the `20·n+2`-row bitset arena *and* two cached compiled
-//! [`crate::ScheduleTape`]s plus the delta-basis token. A batch pipeline
+//! holds the `20·n+2`-row bitset arena *and* the compiled
+//! [`crate::ScheduleTape`]s of its last three fingerprints plus the
+//! delta-basis token. A batch pipeline
 //! that fans whole solver runs out with [`gnt_dataflow::WorkerPool::map`]
 //! wants each job to pick up whichever scratch is warm — same
 //! allocation, and when the graph shape repeats, the same compiled tapes

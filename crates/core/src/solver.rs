@@ -366,7 +366,7 @@ pub fn solve_into(
 ) {
     check_coverage(graph, problem);
     scratch.prepare(graph.num_nodes(), problem.universe_size);
-    scratch.tapes.direct += 1;
+    scratch.tapes.counters.direct_solves += 1;
     let mut direct = Direct {
         slab: &mut scratch.slab,
         problem,

@@ -1,6 +1,6 @@
 //! Schedule compilation: the Figure-15 elimination schedule recorded as
-//! a flat tape of fused kernel ops, compiled once per `(graph, direction)`
-//! and replayed for every solve.
+//! a flat tape of fused kernel ops, compiled once per `(graph, opts)` and
+//! replayed for every solve.
 //!
 //! The direct solver ([`crate::solve_into`]) re-derives the schedule on
 //! every call: per-node edge-class filtering, interval lookups, and
@@ -19,27 +19,28 @@
 //! (`tests/tape_differential.rs`) locks this on hundreds of random
 //! programs in both directions and pins the compiled tapes themselves.
 //!
-//! Tapes are cached in two slots inside the [`SolverScratch`] that
-//! executes them: BEFORE and AFTER problems, the pressure re-solve loop
-//! and delta re-solves all replay the same two tapes. A 64-bit
-//! structural fingerprint over the classified edges, the effective
-//! poison set, and the jump-in sources identifies each tape, and a
-//! lookup matches it in either slot — poisoning a header (the AFTER
-//! fallback of [`crate::solve_after`]) or changing a hoisting knob
-//! compiles a new tape, anything else replays.
+//! Tapes are cached inside the [`SolverScratch`] that executes them,
+//! keyed by a 64-bit structural fingerprint over the classified edges,
+//! the effective poison set and the jump-in sources. A tape depends only
+//! on `(graph, opts)`, so BEFORE solves, AFTER solves (a BEFORE solve of
+//! the reversed graph), the pressure re-solve loop and delta re-solves
+//! all share one cache of the [`ENTRIES`] most recently used
+//! fingerprints — poisoning a header (the AFTER fallback of
+//! [`crate::solve_after`]) or changing a hoisting knob is a new
+//! fingerprint, anything else replays.
 //!
 //! A tape only pays off when its graph is solved again: one compile
 //! costs several direct solves. So a full solve (the `solve_batch*`
 //! entry points and [`crate::solve_after_with_scratch`]) replays a tape
 //! only when the scratch already caches one for the fingerprint. On a
-//! miss it runs the direct walker and notes the fingerprint, one per
-//! slot; the *second* full solve of a noted fingerprint compiles and
-//! caches the tape. [`crate::solve_delta`] still compiles on a miss. The
-//! direct walk leaves every family row exactly as a replay does, so it
-//! lays the delta basis too, and the first `solve_delta` after it runs
+//! miss it runs the direct walker and notes the fingerprint; the
+//! *second* full solve of a noted fingerprint compiles and caches the
+//! tape. [`crate::solve_delta`] still compiles on a miss. The direct
+//! walk leaves every family row exactly as a replay does, so it lays the
+//! delta basis too, and the first `solve_delta` after it runs
 //! incrementally.
 
-use crate::problem::{Direction, PlacementProblem, SolverOptions};
+use crate::problem::{PlacementProblem, SolverOptions};
 use crate::scratch::SolverScratch;
 use crate::solver::{
     check_coverage, effective_poison, schedule, solve_into, Init, Kernels, Solution,
@@ -294,7 +295,7 @@ impl ScheduleTape {
         // A replay establishes the basis the incremental engine
         // (`solve_delta`) re-solves against.
         scratch.set_delta_basis(Some(self.fingerprint));
-        scratch.tapes.replays += 1;
+        scratch.tapes.counters.tape_replays += 1;
     }
 }
 
@@ -457,115 +458,90 @@ fn fingerprint(graph: &IntervalGraph, opts: &SolverOptions) -> u64 {
     h
 }
 
-/// The per-scratch tape cache: two slots, each holding a tape with the
-/// structural fingerprint it was compiled under, and beside each slot
-/// the fingerprint last solved directly. A tape depends only on
-/// `(graph, opts)`, never on the direction, so a lookup matches the
-/// fingerprint in either slot. A new tape or noted fingerprint goes into
-/// an empty slot if there is one (the direction's own first), else into
-/// the direction's own slot. BEFORE solves, AFTER solves (on the reversed
-/// graph), pressure re-solve rounds, delta re-solves and blame
-/// re-derivations through the same scratch share the two tapes.
+/// How many fingerprints a [`TapeCache`] remembers: the most one
+/// `generate_with_placement` solves on one scratch (READ, the optimistic
+/// WRITE and its poisoned §5.3 fallback).
+const ENTRIES: usize = 3;
+
+/// The per-scratch tape cache: the [`ENTRIES`] most recently used
+/// fingerprints, most recent first, each with its compiled tape or
+/// `None` when a full solve walked it directly once (the next full solve
+/// of a noted fingerprint compiles). A new entry evicts the least
+/// recently used one, tape or note.
 #[derive(Debug, Default)]
 pub(crate) struct TapeCache {
-    slots: [Option<ScheduleTape>; 2],
-    /// Fingerprints a full solve walked directly: the next full solve
-    /// that finds its fingerprint here compiles the tape (and forgets
-    /// the entry).
-    seen: [Option<u64>; 2],
-    /// Tapes compiled on a miss, over the scratch's lifetime.
-    compiles: u64,
-    /// Full solves the direct walker ran, [`crate::solve_into`] included.
-    pub(crate) direct: u64,
-    /// Full tape replays ([`ScheduleTape::execute_into`]).
-    replays: u64,
+    entries: Vec<(u64, Option<ScheduleTape>)>,
+    pub(crate) counters: EngineCounters,
 }
 
 impl TapeCache {
-    fn slot(dir: Direction) -> usize {
-        match dir {
-            Direction::Before => 0,
-            Direction::After => 1,
-        }
-    }
-
-    /// The slot for a new entry of `dir`: an empty one, the direction's
-    /// own first, else the direction's own.
-    fn free_slot<T>(entries: &[Option<T>; 2], dir: Direction) -> usize {
-        let own = Self::slot(dir);
-        [own, 1 - own]
-            .into_iter()
-            .find(|&s| entries[s].is_none())
-            .unwrap_or(own)
-    }
-
-    fn holds(&self, fp: u64) -> bool {
-        self.slots
-            .iter()
-            .any(|cached| cached.as_ref().is_some_and(|tape| tape.fingerprint == fp))
-    }
-
-    /// Whether a full solve of `fp` has been seen before (and forgets
-    /// it); otherwise notes `fp` for the next one.
-    fn seen_before(&mut self, dir: Direction, fp: u64) -> bool {
-        if let Some(hit) = self.seen.iter_mut().find(|s| **s == Some(fp)) {
-            *hit = None;
-            return true;
-        }
-        self.seen[Self::free_slot(&self.seen, dir)] = Some(fp);
-        false
-    }
-
-    /// Takes the cached tape with fingerprint `fp` out of its slot, or
-    /// compiles a fresh one (dropping the slot's stale tape first).
-    /// Returns the slot the tape goes back to.
-    fn take_or_compile(
-        &mut self,
-        dir: Direction,
-        fp: u64,
-        graph: &IntervalGraph,
-        opts: &SolverOptions,
-    ) -> (usize, ScheduleTape) {
-        for (slot, cached) in self.slots.iter_mut().enumerate() {
-            if cached.as_ref().is_some_and(|tape| tape.fingerprint == fp) {
-                return (slot, cached.take().expect("matched a cached tape"));
+    /// Moves `fp`'s entry to the front, or notes `fp` there, evicting the
+    /// least recently used entry past [`ENTRIES`]. Returns whether `fp`
+    /// had an entry.
+    fn touch(&mut self, fp: u64) -> bool {
+        match self.entries.iter().position(|&(f, _)| f == fp) {
+            Some(i) => {
+                self.entries[..=i].rotate_right(1);
+                true
+            }
+            None => {
+                self.entries.truncate(ENTRIES - 1);
+                self.entries.insert(0, (fp, None));
+                false
             }
         }
-        let slot = Self::free_slot(&self.slots, dir);
-        self.slots[slot] = None;
-        self.compiles += 1;
-        (slot, ScheduleTape::compile(graph, opts))
+    }
+}
+
+/// The engine counters of one [`SolverScratch`] over its lifetime
+/// ([`SolverScratch::counters`]); subtract two readings to count one
+/// stretch of work.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineCounters {
+    /// Tapes compiled: one per cache miss of a re-solve. A one-shot solve
+    /// adds nothing, nor does a warm re-solve of a cached `(graph, opts)`.
+    pub tape_compiles: u64,
+    /// Full solves the direct walker ran: the first full solve of each
+    /// `(graph, opts)`, and every [`crate::solve_into`].
+    pub direct_solves: u64,
+    /// Full tape replays; incremental [`crate::solve_delta`] calls are
+    /// not counted.
+    pub tape_replays: u64,
+}
+
+impl std::ops::Sub for EngineCounters {
+    type Output = EngineCounters;
+
+    fn sub(self, earlier: EngineCounters) -> EngineCounters {
+        EngineCounters {
+            tape_compiles: self.tape_compiles - earlier.tape_compiles,
+            direct_solves: self.direct_solves - earlier.direct_solves,
+            tape_replays: self.tape_replays - earlier.tape_replays,
+        }
     }
 }
 
 impl SolverScratch {
-    /// The tape cached in `dir`'s slot, if any — populated by the second
-    /// full solve of a `(graph, opts)` through the `solve_batch*` entry
-    /// points or [`crate::solve_after_with_scratch`], and by the first
-    /// [`crate::solve_delta`]. A tape compiled for one direction may sit
-    /// in the other direction's slot when that one was empty.
-    pub fn cached_tape(&self, dir: Direction) -> Option<&ScheduleTape> {
-        self.tapes.slots[TapeCache::slot(dir)].as_ref()
+    /// The tape cached for `graph` under `opts`, if any — compiled by the
+    /// second full solve of that `(graph, opts)` through the
+    /// `solve_batch*` entry points or [`crate::solve_after_with_scratch`],
+    /// or by the first [`crate::solve_delta`].
+    pub fn cached_tape(
+        &self,
+        graph: &IntervalGraph,
+        opts: &SolverOptions,
+    ) -> Option<&ScheduleTape> {
+        let fp = fingerprint(graph, opts);
+        self.tapes
+            .entries
+            .iter()
+            .find(|&&(f, _)| f == fp)
+            .and_then(|(_, tape)| tape.as_ref())
     }
 
-    /// How many schedule tapes this scratch has compiled: one per cache
-    /// miss of a re-solve. A one-shot solve adds nothing, nor does a warm
-    /// re-solve of a cached `(graph, opts)`.
-    pub fn tape_compiles(&self) -> u64 {
-        self.tapes.compiles
-    }
-
-    /// How many full solves this scratch ran on the direct walker: the
-    /// first full solve of each `(graph, opts)`, and every
-    /// [`crate::solve_into`].
-    pub fn direct_solves(&self) -> u64 {
-        self.tapes.direct
-    }
-
-    /// How many full tape replays this scratch ran; incremental
-    /// [`crate::solve_delta`] calls are not counted.
-    pub fn tape_replays(&self) -> u64 {
-        self.tapes.replays
+    /// This scratch's engine counters so far.
+    pub fn counters(&self) -> EngineCounters {
+        self.tapes.counters
     }
 
     /// Runs `f` on the tape for `graph` under `opts`, cached or freshly
@@ -573,31 +549,34 @@ impl SolverScratch {
     /// moves out for the call so `f` can mutate the scratch.
     pub(crate) fn with_tape<R>(
         &mut self,
-        dir: Direction,
         graph: &IntervalGraph,
         opts: &SolverOptions,
         f: impl FnOnce(&ScheduleTape, &mut SolverScratch) -> R,
     ) -> R {
-        self.with_tape_of(dir, fingerprint(graph, opts), graph, opts, f)
+        self.with_tape_of(fingerprint(graph, opts), graph, opts, f)
     }
 
     fn with_tape_of<R>(
         &mut self,
-        dir: Direction,
         fp: u64,
         graph: &IntervalGraph,
         opts: &SolverOptions,
         f: impl FnOnce(&ScheduleTape, &mut SolverScratch) -> R,
     ) -> R {
-        let (slot, tape) = self.tapes.take_or_compile(dir, fp, graph, opts);
+        self.tapes.touch(fp);
+        let tape = self.tapes.entries[0].1.take().unwrap_or_else(|| {
+            self.tapes.counters.tape_compiles += 1;
+            ScheduleTape::compile(graph, opts)
+        });
         let result = f(&tape, self);
-        self.tapes.slots[slot] = Some(tape);
+        self.tapes.touch(fp);
+        self.tapes.entries[0].1 = Some(tape);
         result
     }
 }
 
 /// Batched tape solve: replays the scratch-cached schedule tape for
-/// `(graph, BEFORE)` across the item universe and writes the result into
+/// `(graph, opts)` across the item universe and writes the result into
 /// the caller-reused `out`, allocating nothing once `scratch` and `out`
 /// are warm. The first solve of a graph walks the schedule directly and
 /// the second compiles the tape (see the module docs). Results are
@@ -633,29 +612,20 @@ pub fn solve_batch(
     scratch: &mut SolverScratch,
     out: &mut Solution,
 ) {
-    solve_batch_dir(Direction::Before, graph, problem, opts, scratch, out);
-}
-
-pub(crate) fn solve_batch_dir(
-    dir: Direction,
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    scratch: &mut SolverScratch,
-    out: &mut Solution,
-) {
-    solve_batch_into_dir(dir, graph, problem, opts, scratch);
+    solve_batch_into(graph, problem, opts, scratch);
     // Every word of every row of `out` is overwritten below, so
     // re-shaping skips the zeroing.
     out.reshape_for_overwrite(graph.num_nodes(), problem.universe_size);
     scratch.write_into(out);
 }
 
-/// [`solve_batch`] without the export: solves like it (direct walk,
-/// compile or replay of the cached BEFORE tape) and leaves every
-/// variable readable in `scratch` (zero-copy views) — the
-/// tape analogue of [`crate::solve_into`], used by the pressure re-solve
-/// loop and the lint driver's blame queries.
+/// [`solve_batch`] without the export: one full solve under the engine
+/// policy — replay the cached tape for `(graph, opts)`, compile it on
+/// the second full solve of that fingerprint, or walk the schedule
+/// directly — leaving every variable readable in `scratch` (zero-copy
+/// views) and the delta basis for the fingerprint. The tape analogue of
+/// [`crate::solve_into`], used by the pressure re-solve loop, the AFTER
+/// solves and the lint driver's blame queries.
 ///
 /// # Panics
 ///
@@ -666,24 +636,10 @@ pub fn solve_batch_into(
     opts: &SolverOptions,
     scratch: &mut SolverScratch,
 ) {
-    solve_batch_into_dir(Direction::Before, graph, problem, opts, scratch);
-}
-
-/// One full solve of `problem` into `scratch` under the engine policy:
-/// replay the cached tape for `(graph, opts)`, compile it on the second
-/// full solve of that fingerprint, or walk the schedule directly. Every
-/// branch leaves the delta basis for the fingerprint.
-pub(crate) fn solve_batch_into_dir(
-    dir: Direction,
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    scratch: &mut SolverScratch,
-) {
     check_coverage(graph, problem);
     let fp = fingerprint(graph, opts);
-    if scratch.tapes.holds(fp) || scratch.tapes.seen_before(dir, fp) {
-        scratch.with_tape_of(dir, fp, graph, opts, |tape, scratch| {
+    if scratch.tapes.touch(fp) {
+        scratch.with_tape_of(fp, graph, opts, |tape, scratch| {
             tape.execute_into(problem, scratch);
         });
     } else {
@@ -768,9 +724,9 @@ mod tests {
             assert_eq!(out, expected, "items = {items}");
             // The first call walked the schedule directly; the second
             // compiles the tape and replays it into the warm buffer.
-            assert!(scratch.cached_tape(Direction::Before).is_none());
+            assert!(scratch.cached_tape(&g, &opts).is_none());
             solve_batch(&g, &prob, &opts, &mut scratch, &mut out);
-            assert!(scratch.cached_tape(Direction::Before).is_some());
+            assert!(scratch.cached_tape(&g, &opts).is_some());
             assert_eq!(out, expected, "replay, items = {items}");
         }
     }
@@ -791,24 +747,24 @@ mod tests {
         for _ in 0..3 {
             solve_batch(&g, &prob, &opts, &mut scratch, &mut out);
             assert_eq!(out, expected);
-            counts.push((
-                scratch.tape_compiles(),
-                scratch.direct_solves(),
-                scratch.tape_replays(),
-            ));
+            let c = scratch.counters();
+            counts.push((c.tape_compiles, c.direct_solves, c.tape_replays));
         }
         assert_eq!(counts, [(0, 1, 0), (1, 1, 1), (1, 1, 2)]);
+        let before = scratch.counters();
         solve_into(&g, &prob, &opts, &mut scratch);
         solve_batch(&g, &prob, &opts, &mut scratch, &mut out);
         assert_eq!(out, expected);
-        assert_eq!(scratch.tape_compiles(), 1);
-        assert_eq!(scratch.direct_solves(), 2);
-        assert_eq!(scratch.tape_replays(), 3);
+        let one_each = EngineCounters {
+            tape_compiles: 0,
+            direct_solves: 1,
+            tape_replays: 1,
+        };
+        assert_eq!(scratch.counters() - before, one_each);
     }
 
-    /// A new fingerprint is noted in an empty slot first, so two graphs
-    /// solved in turn through one scratch, even in one direction, each
-    /// get their tape on their second solve and keep it.
+    /// Two graphs solved in turn through one scratch each get their tape
+    /// on their second solve and keep it.
     #[test]
     fn two_fingerprints_in_turn_each_compile_once() {
         let g = graph(BRANCHY);
@@ -820,9 +776,51 @@ mod tests {
         for _ in 0..3 {
             solve_batch_into(&g, &pg, &opts, &mut scratch);
             solve_batch_into(&r, &pr, &opts, &mut scratch);
-            compiles.push(scratch.tape_compiles());
+            compiles.push(scratch.counters().tape_compiles);
         }
         assert_eq!(compiles, [0, 2, 2]);
+    }
+
+    /// A fourth fingerprint evicts the least recently used entry, a tape
+    /// or a note alike: solving the evicted fingerprint again walks it
+    /// directly (a note, not a compile), and solving a fingerprint
+    /// touches it, so the eviction order follows use, not insertion.
+    #[test]
+    fn a_fourth_fingerprint_evicts_the_least_recently_used_entry() {
+        let graphs: Vec<IntervalGraph> = (1..=4)
+            .map(|k| graph(&"do i = 1, N\n  a = x(i)\nenddo\n".repeat(k)))
+            .collect();
+        let probs: Vec<PlacementProblem> = graphs.iter().map(|g| take_everywhere(g, 3)).collect();
+        let opts = SolverOptions::default();
+        let mut scratch = SolverScratch::new();
+        let step = |scratch: &mut SolverScratch, k: usize| {
+            let before = scratch.counters();
+            solve_batch_into(&graphs[k], &probs[k], &opts, scratch);
+            let c = scratch.counters() - before;
+            (c.tape_compiles, c.direct_solves, c.tape_replays)
+        };
+        let (walk, compile, replay) = ((0, 1, 0), (1, 0, 1), (0, 0, 1));
+        // 0 gets its tape, 1 and 2 are noted: [2, 1, 0], 0 the tape.
+        assert_eq!(step(&mut scratch, 0), walk);
+        assert_eq!(step(&mut scratch, 0), compile);
+        assert_eq!(step(&mut scratch, 1), walk);
+        assert_eq!(step(&mut scratch, 2), walk);
+        // 3 evicts the tape of 0: [3, 2, 1].
+        assert_eq!(step(&mut scratch, 3), walk);
+        assert!(scratch.cached_tape(&graphs[0], &opts).is_none());
+        // Touching 1 compiles its tape ([1, 3, 2]); 0 comes back as a
+        // note and evicts the note of 2 ([0, 1, 3]).
+        assert_eq!(step(&mut scratch, 1), compile);
+        assert_eq!(step(&mut scratch, 0), walk);
+        // 2 walks again and evicts 3 ([2, 0, 1]); 1 kept its tape.
+        assert_eq!(step(&mut scratch, 2), walk);
+        assert_eq!(step(&mut scratch, 1), replay);
+        assert_eq!(step(&mut scratch, 3), walk);
+        assert!(scratch.cached_tape(&graphs[1], &opts).is_some());
+        for (g, prob) in graphs.iter().zip(&probs) {
+            solve_batch_into(g, prob, &opts, &mut scratch);
+            assert_eq!(scratch.export(), solve(g, prob, &opts));
+        }
     }
 
     /// The premise of laying the delta basis from a direct walk: after a

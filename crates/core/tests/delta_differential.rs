@@ -12,8 +12,8 @@
 use gnt_cfg::{reversed_graph, IntervalGraph, NodeId, NodeKind};
 use gnt_core::{
     random_problem, random_program, sized_program, solve, solve_batch_into, solve_delta,
-    solve_into, DeltaKind, DeltaSet, Direction, GenConfig, PlacementProblem, ScheduleTape,
-    SolverOptions, SolverScratch,
+    solve_into, DeltaKind, DeltaSet, GenConfig, PlacementProblem, ScheduleTape, SolverOptions,
+    SolverScratch,
 };
 use gnt_ir::parse;
 use proptest::prelude::*;
@@ -299,7 +299,7 @@ fn direct_solve_in_between_invalidates_the_delta_basis() {
     solve_batch_into(&graph, &problem, &opts, &mut scratch);
     solve_batch_into(&graph, &problem, &opts, &mut scratch);
     assert!(scratch
-        .cached_tape(Direction::Before)
+        .cached_tape(&graph, &opts)
         .is_some_and(|tape| tape.delta_supported()));
     solve_into(&other, &problem, &opts, &mut scratch);
     assert_ne!(scratch.export(), solve(&graph, &problem, &opts));

@@ -111,6 +111,65 @@ fn tape_matches_interpreter_on_reversed_graphs() {
     }
 }
 
+/// More fingerprints than the scratch's tape cache holds, visited in a
+/// pseudo-random order through one scratch: the forward graph under two
+/// hoisting settings, the reversed graph, its poisoned form and a second
+/// program. Every visit solves a fresh problem and must match `solve`
+/// whether it walks directly, compiles, replays or re-walks a fingerprint
+/// the cache evicted.
+#[test]
+fn cycling_more_fingerprints_than_the_cache_holds_stays_exact() {
+    let no_hoist = SolverOptions {
+        no_zero_trip_hoist: true,
+        ..Default::default()
+    };
+    let config = GenConfig {
+        goto_prob: 0.1,
+        ..Default::default()
+    };
+    let mut scratch = SolverScratch::new();
+    let mut out = Solution::default();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut visited = 0;
+    for seed in 0..30u64 {
+        let graph = IntervalGraph::from_program(&random_program(seed, &config)).unwrap();
+        let other = IntervalGraph::from_program(&random_program(seed + 1000, &config)).unwrap();
+        let reversed = reversed_graph(&graph).unwrap();
+        let mut poisoned = reversed.clone();
+        for h in reversed.nodes() {
+            if !reversed.jump_in_sources(h).is_empty() || h.index() % 3 == 0 {
+                poisoned.poison(h);
+            }
+        }
+        let default = SolverOptions::default();
+        let cases = [
+            (&graph, &default),
+            (&graph, &no_hoist),
+            (&reversed, &default),
+            (&poisoned, &default),
+            (&other, &default),
+        ];
+        for step in 0..40u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let (g, opts) = cases[(state >> 33) as usize % cases.len()];
+            let items = [1usize, 64, 65, 130][step as usize % 4];
+            let problem = random_problem(seed * 64 + step, g, items, 0.3);
+            solve_batch(g, &problem, opts, &mut scratch, &mut out);
+            assert_eq!(out, solve(g, &problem, opts), "seed {seed}, step {step}");
+            visited += 1;
+        }
+    }
+    let c = scratch.counters();
+    assert_eq!(c.direct_solves + c.tape_replays, visited);
+    assert!(
+        c.tape_compiles > 0 && c.tape_replays > c.tape_compiles,
+        "{c:?}"
+    );
+    assert!(c.direct_solves > 30 * 5, "no fingerprint re-walked: {c:?}");
+}
+
 /// `solve_batch_into` leaves the scratch in exactly the state
 /// `solve_into` does: every accessor-visible variable identical, so blame
 /// queries and the pressure loop read the same bits either way.

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 /// A dense identifier for an interned universe item.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -34,6 +34,10 @@ impl fmt::Display for ItemId {
 
 /// An interning table mapping items of type `T` to dense [`ItemId`]s.
 ///
+/// Each item is stored once, in id order; the lookup maps an item's hash
+/// to the newest id with that hash, and a per-id link chains the older
+/// ids that share it.
+///
 /// # Examples
 ///
 /// ```
@@ -50,32 +54,57 @@ impl fmt::Display for ItemId {
 #[derive(Clone, Debug)]
 pub struct Universe<T> {
     items: Vec<T>,
-    ids: HashMap<T, ItemId>,
+    /// Hash → the newest id with that hash, the head of its chain. The
+    /// map's own randomly keyed hasher hashes the items too.
+    head: HashMap<u64, u32>,
+    /// Per id, the next older id with the same hash, or `END`.
+    next: Vec<u32>,
 }
 
-impl<T: Clone + Eq + Hash> Universe<T> {
+/// The end of a `next` chain.
+const END: u32 = u32::MAX;
+
+impl<T: Eq + Hash> Universe<T> {
     /// Creates an empty universe.
     pub fn new() -> Self {
         Universe {
             items: Vec::new(),
-            ids: HashMap::new(),
+            head: HashMap::new(),
+            next: Vec::new(),
         }
+    }
+
+    /// The id of `item` in the chain of ids with hash `hash`, if any.
+    fn find(&self, hash: u64, item: &T) -> Option<ItemId> {
+        let mut id = self.head.get(&hash).copied().unwrap_or(END);
+        while id != END {
+            if self.items[id as usize] == *item {
+                return Some(ItemId(id));
+            }
+            id = self.next[id as usize];
+        }
+        None
     }
 
     /// Interns `item`, returning its stable id.
     pub fn intern(&mut self, item: T) -> ItemId {
-        if let Some(&id) = self.ids.get(&item) {
+        let hash = self.head.hasher().hash_one(&item);
+        if let Some(id) = self.find(hash, &item) {
             return id;
         }
-        let id = ItemId(u32::try_from(self.items.len()).expect("universe overflow"));
-        self.items.push(item.clone());
-        self.ids.insert(item, id);
-        id
+        let id = u32::try_from(self.items.len())
+            .ok()
+            .filter(|&id| id != END)
+            .expect("universe overflow");
+        self.items.push(item);
+        // The new id heads its hash's chain.
+        self.next.push(self.head.insert(hash, id).unwrap_or(END));
+        ItemId(id)
     }
 
     /// Looks up an already-interned item.
     pub fn get(&self, item: &T) -> Option<ItemId> {
-        self.ids.get(item).copied()
+        self.find(self.head.hasher().hash_one(item), item)
     }
 
     /// Returns the item for `id`.
@@ -106,13 +135,13 @@ impl<T: Clone + Eq + Hash> Universe<T> {
     }
 }
 
-impl<T: Clone + Eq + Hash> Default for Universe<T> {
+impl<T: Eq + Hash> Default for Universe<T> {
     fn default() -> Self {
         Universe::new()
     }
 }
 
-impl<T: Clone + Eq + Hash> FromIterator<T> for Universe<T> {
+impl<T: Eq + Hash> FromIterator<T> for Universe<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut u = Universe::new();
         for item in iter {
@@ -149,6 +178,33 @@ mod tests {
         assert_eq!(u.resolve(id), "hello");
         assert_eq!(u.get(&"hello".to_string()), Some(id));
         assert_eq!(u.get(&"world".to_string()), None);
+    }
+
+    /// Every item hashes alike, so every lookup walks one chain.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Collide(u32);
+
+    impl Hash for Collide {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            0u8.hash(state);
+        }
+    }
+
+    #[test]
+    fn colliding_items_keep_distinct_dense_ids() {
+        let mut u = Universe::new();
+        let ids: Vec<ItemId> = (0..50).map(|k| u.intern(Collide(k * 7 % 50))).collect();
+        assert_eq!(ids, (0..50).map(ItemId).collect::<Vec<_>>());
+        for k in 0..50 {
+            let id = u.get(&Collide(k * 7 % 50)).unwrap();
+            assert_eq!(id, ids[k as usize]);
+            assert_eq!(u.intern(Collide(k * 7 % 50)), id);
+            assert_eq!(u.resolve(id), &Collide(k * 7 % 50));
+        }
+        assert_eq!(u.get(&Collide(50)), None);
+        assert_eq!(u.len(), 50);
+        let order: Vec<u32> = u.iter().map(|(_, c)| c.0).collect();
+        assert_eq!(order, (0..50).map(|k| k * 7 % 50).collect::<Vec<_>>());
     }
 
     #[test]
