@@ -35,8 +35,8 @@ options:
                       (default: the shared process pool, one worker per
                       host core — the default never oversubscribes)
   --profile           emit one JSON line per file to stderr with per-stage
-                      wall-clock timings (parse/cfg/analyze/solve/generate/
-                      lint ns; total_ns is their sum),
+                      wall-clock timings (parse/cfg/analyze/reverse/solve/
+                      generate/lint ns; total_ns is their sum),
                       solve counts, solver engine counts (tape compiles,
                       direct solves, tape replays) and bounded-path replay
                       counts; profiled runs lint sequentially and bypass

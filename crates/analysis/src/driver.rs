@@ -183,7 +183,8 @@ fn enrich(d: &mut Diagnostic, engine: &BlameEngine<'_>, item_names: &[String]) {
 /// Wall-clock nanoseconds spent in each pipeline stage, produced by
 /// [`lint_source_timed`] for `gnt-lint --profile`. "cfg" covers lowering
 /// and interval-graph assembly, "analyze" the communication analysis
-/// that walks them; "lint" is everything not attributed to another stage
+/// that walks them, "reverse" the reversed graph of the WRITE problem;
+/// "lint" is everything not attributed to another stage
 /// (invariant layers, audits, blame enrichment, span attachment). The
 /// run's solve and solver-engine counts, bounded-path replay counts and
 /// O1 fixpoint rounds ride along.
@@ -196,10 +197,14 @@ pub struct StageTimings {
     /// Communication analysis: per-statement accesses, the universe's
     /// relation rows and the initial variables of both problems.
     pub analyze_ns: u64,
+    /// Building the reversed interval graph of the WRITE (AFTER) problem,
+    /// inside generation.
+    pub reverse_ns: u64,
     /// Placement solves: the plan's READ and WRITE solves (run inside
     /// generation) plus any blame re-derivation.
     pub solve_ns: u64,
-    /// Communication plan generation, its solves excluded.
+    /// Communication plan generation, its reversed graph and solves
+    /// excluded.
     pub generate_ns: u64,
     /// Lint layers, audits, blame, span attachment.
     pub lint_ns: u64,
@@ -230,6 +235,7 @@ impl StageTimings {
         self.parse_ns
             + self.cfg_ns
             + self.analyze_ns
+            + self.reverse_ns
             + self.solve_ns
             + self.generate_ns
             + self.lint_ns
@@ -239,13 +245,14 @@ impl StageTimings {
     pub fn to_json(&self, file: &str) -> String {
         format!(
             "{{\"file\":\"{}\",\"parse_ns\":{},\"cfg_ns\":{},\"analyze_ns\":{},\
-             \"solve_ns\":{},\"generate_ns\":{},\"lint_ns\":{},\"total_ns\":{},\"solves\":{},\
+             \"reverse_ns\":{},\"solve_ns\":{},\"generate_ns\":{},\"lint_ns\":{},\"total_ns\":{},\"solves\":{},\
              \"tape_compiles\":{},\"direct_solves\":{},\"tape_replays\":{},\
              \"paths_replayed\":{},\"enumerations_truncated\":{},\"o1_rounds\":{}}}",
             crate::diag::json_escape(file),
             self.parse_ns,
             self.cfg_ns,
             self.analyze_ns,
+            self.reverse_ns,
             self.solve_ns,
             self.generate_ns,
             self.lint_ns,
@@ -328,7 +335,9 @@ fn lint_program_inner(
         .map_err(|e| LintError::Pipeline(e.to_string()))?;
     timings.solves = placement.solves;
     timings.solve_ns = placement.solve_ns;
-    timings.generate_ns = elapsed_ns(stage).saturating_sub(placement.solve_ns);
+    timings.reverse_ns = placement.reverse_ns;
+    timings.generate_ns =
+        elapsed_ns(stage).saturating_sub(placement.solve_ns + placement.reverse_ns);
     let graph = &plan.analysis.graph;
 
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
@@ -408,7 +417,11 @@ fn lint_program_inner(
     });
     timings.engine = scratch.counters() - engine_at_start;
     timings.lint_ns = elapsed_ns(run_start).saturating_sub(
-        timings.cfg_ns + timings.analyze_ns + timings.generate_ns + timings.solve_ns,
+        timings.cfg_ns
+            + timings.analyze_ns
+            + timings.reverse_ns
+            + timings.generate_ns
+            + timings.solve_ns,
     );
     Ok(LintReport { diagnostics, plan })
 }

@@ -139,84 +139,45 @@ fn has(row: &[u64], item: usize) -> bool {
     row[item / 64] >> (item % 64) & 1 != 0
 }
 
-/// The concrete edges of an interval graph in compressed sparse row
-/// form, built once per graph for both Layer-2 fixpoints: every edge but
-/// the synthetic ones and the virtual CYCLE edge into the root (the
-/// edges [`gnt_cfg::CfgFlow::from_interval`] keeps). Edge ids run over the
-/// sources in node-id order, each source's edges in `succ_edges` order,
-/// so a node's out-edges are one id range; its in-edges are listed by
-/// ascending id.
-struct EdgeCsr {
-    out_off: Vec<usize>,
-    dst: Vec<usize>,
-    class: Vec<EdgeClass>,
-    in_off: Vec<usize>,
-    in_edges: Vec<usize>,
+/// The real (CEFJ) out-edge ids of `u`: every edge but the synthetic
+/// ones and the virtual CYCLE edge into the root (the edges
+/// [`gnt_cfg::CfgFlow::from_interval`] keeps). Edge ids index the graph's
+/// own edge array, so one row per id covers them.
+fn real_out(
+    graph: &IntervalGraph,
+    u: usize,
+) -> impl Iterator<Item = (usize, NodeId, EdgeClass)> + '_ {
+    graph
+        .succ_edge_ids(NodeId(u as u32))
+        .map(|e| {
+            let (s, c) = graph.edge(e);
+            (e, s, c)
+        })
+        .filter(|&(_, s, c)| graph.is_real(s, c))
 }
 
-impl EdgeCsr {
-    fn new(graph: &IntervalGraph) -> EdgeCsr {
-        let n = graph.num_nodes();
-        let mut out_off = Vec::with_capacity(n + 1);
-        out_off.push(0);
-        let (mut dst, mut class) = (Vec::new(), Vec::new());
-        let mut in_off = vec![0usize; n + 1];
-        for m in graph.nodes() {
-            for (s, c) in graph.real_succ_edges(m) {
-                dst.push(s.index());
-                class.push(c);
-                in_off[s.index() + 1] += 1;
-            }
-            out_off.push(dst.len());
-        }
-        for v in 0..n {
-            in_off[v + 1] += in_off[v];
-        }
-        let mut cursor = in_off[..n].to_vec();
-        let mut in_edges = vec![0; dst.len()];
-        for (e, &v) in dst.iter().enumerate() {
-            in_edges[cursor[v]] = e;
-            cursor[v] += 1;
-        }
-        EdgeCsr {
-            out_off,
-            dst,
-            class,
-            in_off,
-            in_edges,
-        }
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.out_off.len() - 1
-    }
-
-    fn num_edges(&self) -> usize {
-        self.dst.len()
-    }
-
-    /// `u`'s out-edge ids.
-    fn out(&self, u: usize) -> std::ops::Range<usize> {
-        self.out_off[u]..self.out_off[u + 1]
-    }
-
-    /// `v`'s in-edge ids, ascending.
-    fn ins(&self, v: usize) -> &[usize] {
-        &self.in_edges[self.in_off[v]..self.in_off[v + 1]]
-    }
+/// The real in-edge ids of `v`, with their classes.
+fn real_in(graph: &IntervalGraph, v: usize) -> impl Iterator<Item = (usize, EdgeClass)> + '_ {
+    let node = NodeId(v as u32);
+    graph
+        .pred_edge_ids(node)
+        .iter()
+        .zip(graph.pred_edges(node))
+        .filter(move |&(_, (_, c))| graph.is_real(node, c))
+        .map(|(&e, (_, c))| (e, c))
 }
 
 /// C2's backward may-reach of a consumer, per node: `reach_in = TAKE ∪
 /// (reach_out − STEAL)` and `reach_out` the union of the successors'
 /// `reach_in`. EXIT's one successor is the virtual CYCLE edge into ROOT,
-/// which the CSR leaves out, so its `reach_out` stays ∅, the boundary.
+/// which is not real, so its `reach_out` stays ∅, the boundary.
 /// The least fixpoint, swept from ∅ in reverse preorder until no
 /// `reach_in` moves; it is unique, so the order changes only the number
 /// of sweeps. Returns `(reach_in, reach_out)`.
-fn c2_reach(graph: &IntervalGraph, edges: &EdgeCsr, problem: &PlacementProblem) -> (Rows, Rows) {
+fn c2_reach(graph: &IntervalGraph, problem: &PlacementProblem) -> (Rows, Rows) {
     let n = graph.num_nodes();
     let cap = problem.universe_size;
-    debug_assert!(edges.out(graph.exit().index()).is_empty());
+    debug_assert!(real_out(graph, graph.exit().index()).next().is_none());
     let mut reach_in = Rows::new(n, cap, 0);
     let mut reach_out = Rows::new(n, cap, 0);
     let mut changed = true;
@@ -226,8 +187,8 @@ fn c2_reach(graph: &IntervalGraph, edges: &EdgeCsr, problem: &PlacementProblem) 
             let v = node.index();
             let out = reach_out.row_mut(v);
             out.fill(0);
-            for e in edges.out(v) {
-                for (o, &r) in out.iter_mut().zip(reach_in.row(edges.dst[e])) {
+            for (_, s, _) in real_out(graph, v) {
+                for (o, &r) in out.iter_mut().zip(reach_in.row(s.index())) {
                     *o |= r;
                 }
             }
@@ -249,7 +210,7 @@ fn c2_reach(graph: &IntervalGraph, edges: &EdgeCsr, problem: &PlacementProblem) 
 /// for `GNT004` (redundant production).
 ///
 /// It replays the edge-aware slot semantics of [`gnt_core::check_path`]
-/// as a forward must-dataflow over the graph's *edges* ([`EdgeCsr`]):
+/// as a forward must-dataflow over the graph's real *edges*:
 /// availability is set by completed (lazy) productions and GIVEs, killed
 /// only by STEALs, a header's `RES_in` does not re-fire on its CYCLE
 /// edge, and a header's `RES_out` fires only toward FORWARD/JUMP
@@ -266,8 +227,8 @@ fn c2_reach(graph: &IntervalGraph, edges: &EdgeCsr, problem: &PlacementProblem) 
 struct O1Avail<'a> {
     problem: &'a PlacementProblem,
     lazy: &'a FlavorSolution,
-    edges: &'a EdgeCsr,
-    /// Availability on each edge, by edge id.
+    graph: &'a IntervalGraph,
+    /// Availability on each edge, by edge id (synthetic ones unused).
     state: Rows,
     /// Sweeps run, the last one confirming that nothing changed.
     rounds: u64,
@@ -281,7 +242,7 @@ fn exits(c: EdgeClass) -> bool {
 impl<'a> O1Avail<'a> {
     /// Runs the fixpoint, sweeping the nodes in `order` each round.
     fn solve(
-        edges: &'a EdgeCsr,
+        graph: &'a IntervalGraph,
         problem: &'a PlacementProblem,
         lazy: &'a FlavorSolution,
         order: &[NodeId],
@@ -290,8 +251,8 @@ impl<'a> O1Avail<'a> {
         let mut o1 = O1Avail {
             problem,
             lazy,
-            edges,
-            state: Rows::new(edges.num_edges(), cap, !0),
+            graph,
+            state: Rows::new(graph.num_edges(), cap, !0),
             rounds: 0,
         };
         // Optimistic fixpoint: start full, intersect downwards.
@@ -302,13 +263,13 @@ impl<'a> O1Avail<'a> {
             o1.rounds += 1;
             for &node in order {
                 let i = node.index();
-                if edges.out(i).is_empty() {
+                if real_out(graph, i).next().is_none() {
                     continue;
                 }
                 o1.mid_meet(i, &mut mid);
                 let res_out = lazy.res_out[i].words();
-                for e in edges.out(i) {
-                    let fires = exits(edges.class[e]);
+                for (e, _, c) in real_out(graph, i) {
+                    let fires = exits(c);
                     let row = o1.state.row_mut(e);
                     for (k, w) in row.iter_mut().enumerate() {
                         let next = if fires { mid[k] | res_out[k] } else { mid[k] };
@@ -333,12 +294,11 @@ impl<'a> O1Avail<'a> {
     /// redundant.
     fn mid_meet(&self, i: usize, acc: &mut [u64]) {
         let res_in = self.lazy.res_in[i].words();
-        let ins = self.edges.ins(i);
-        if ins.is_empty() {
+        if real_in(self.graph, i).next().is_none() {
             acc.copy_from_slice(res_in);
         }
-        for (j, &e) in ins.iter().enumerate() {
-            let fires = self.edges.class[e] != EdgeClass::Cycle;
+        for (j, (e, c)) in real_in(self.graph, i).enumerate() {
+            let fires = c != EdgeClass::Cycle;
             for (k, (a, &s)) in acc.iter_mut().zip(self.state.row(e)).enumerate() {
                 let entry = if fires { s | res_in[k] } else { s };
                 *a = if j == 0 { entry } else { *a & entry };
@@ -359,19 +319,16 @@ impl<'a> O1Avail<'a> {
         let mut found = Vec::new();
         let stride = self.state.stride;
         let (mut all, mut out_mid) = (vec![0u64; stride], vec![0u64; stride]);
-        for i in 0..self.edges.num_nodes() {
+        for i in 0..self.graph.num_nodes() {
             let node = NodeId(i as u32);
             // RES_in fires on every non-CYCLE entry; redundant only if the
             // item is available on all of them.
-            let mut firing = self
-                .edges
-                .ins(i)
-                .iter()
-                .filter(|&&e| self.edges.class[e] != EdgeClass::Cycle)
+            let mut firing = real_in(self.graph, i)
+                .filter(|&(_, c)| c != EdgeClass::Cycle)
                 .peekable();
             if firing.peek().is_some() {
                 all.fill(!0);
-                for &e in firing {
+                for (e, _) in firing {
                     for (a, &s) in all.iter_mut().zip(self.state.row(e)) {
                         *a &= s;
                     }
@@ -384,8 +341,7 @@ impl<'a> O1Avail<'a> {
             }
             // RES_out fires toward FORWARD/JUMP successors, over the
             // post-statement state of whichever entry was taken.
-            if !eager.res_out[i].is_empty() && self.edges.out(i).any(|e| exits(self.edges.class[e]))
-            {
+            if !eager.res_out[i].is_empty() && real_out(self.graph, i).any(|(_, _, c)| exits(c)) {
                 self.mid_meet(i, &mut out_mid);
                 for item in eager.res_out[i].iter() {
                     if has(&out_mid, item) {
@@ -493,11 +449,10 @@ pub(crate) fn lint_placement_counted(
     }
 
     let cap = problem.universe_size;
-    let edges = EdgeCsr::new(graph);
 
     // C2: from every production start (eager point), some consumer must
     // be reachable before the item is stolen ([`c2_reach`]).
-    let (reach_in, reach_out) = c2_reach(graph, &edges, problem);
+    let (reach_in, reach_out) = c2_reach(graph, problem);
     for i in 0..graph.num_nodes() {
         for (set, reach) in [
             (&eager.res_in[i], &reach_in),
@@ -522,7 +477,7 @@ pub(crate) fn lint_placement_counted(
     // O1: no production start while the item is must-available (see
     // [`O1Avail`]). The sweep follows the preorder, so it settles in a
     // few rounds whatever the file size.
-    let o1 = O1Avail::solve(&edges, problem, lazy, graph.preorder());
+    let o1 = O1Avail::solve(graph, problem, lazy, graph.preorder());
     profile.o1_rounds += o1.rounds;
     for (node, item) in o1.redundant(eager) {
         let d = Diagnostic::warning(
@@ -706,9 +661,8 @@ mod tests {
                 shift_off_synthetic(&graph, &mut sol.lazy);
                 perturb(&mut sol.eager, cap, 3, &mut rng);
                 perturb(&mut sol.lazy, cap, 3, &mut rng);
-                let edges = EdgeCsr::new(&graph);
-                let by_id = O1Avail::solve(&edges, &problem, &sol.lazy, &id_order);
-                let by_pre = O1Avail::solve(&edges, &problem, &sol.lazy, graph.preorder());
+                let by_id = O1Avail::solve(&graph, &problem, &sol.lazy, &id_order);
+                let by_pre = O1Avail::solve(&graph, &problem, &sol.lazy, graph.preorder());
                 assert_eq!(by_id.state, by_pre.state, "seed {seed}, {cap} items");
                 let found = by_pre.redundant(&sol.eager);
                 assert_eq!(

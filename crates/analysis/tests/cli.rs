@@ -518,8 +518,9 @@ fn profile_o1_rounds_stay_bounded_by_loop_depth() {
 
 /// The `--profile` line times lowering plus the interval graph
 /// (`cfg_ns`) apart from the communication analysis that walks them
-/// (`analyze_ns`, printed right after it), and `total_ns` is the sum of
-/// the six stage times.
+/// (`analyze_ns`, printed right after it), the reversed graph of the
+/// WRITE problem has a stage of its own (`reverse_ns`), and `total_ns`
+/// is the sum of the seven stage times.
 #[test]
 fn profile_splits_the_graph_from_the_comm_analysis() {
     let file = write_fixture("fig1_stages.minif", FIG1);
@@ -536,6 +537,7 @@ fn profile_splits_the_graph_from_the_comm_analysis() {
             "parse_ns",
             "cfg_ns",
             "analyze_ns",
+            "reverse_ns",
             "solve_ns",
             "generate_ns",
             "lint_ns",
@@ -543,9 +545,10 @@ fn profile_splits_the_graph_from_the_comm_analysis() {
         ],
         "{line}"
     );
-    let stages: u64 = keys[..6].iter().map(|k| profile_field(&line, k)).sum();
+    let stages: u64 = keys[..7].iter().map(|k| profile_field(&line, k)).sum();
     assert_eq!(profile_field(&line, "total_ns"), stages, "{line}");
     assert!(profile_field(&line, "analyze_ns") > 0, "{line}");
+    assert!(profile_field(&line, "reverse_ns") > 0, "{line}");
 }
 
 /// A lint solves each problem once, inside plan generation, and lints the
@@ -588,6 +591,7 @@ fn profile_counts_one_solve_per_problem() {
             "parse_ns",
             "cfg_ns",
             "analyze_ns",
+            "reverse_ns",
             "solve_ns",
             "generate_ns",
             "lint_ns",

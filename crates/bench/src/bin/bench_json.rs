@@ -37,6 +37,12 @@
 //!   of the scratch: all 20 families ([`SolverScratch::export`]) against
 //!   the 4 production families a plan reads
 //!   ([`SolverScratch::export_productions`]) (ungated);
+//! * `cfg/from_cfg`, `cfg/reversed_graph` and `tape/lookup` — at
+//!   `sized_program(3000)`: [`IntervalGraph::from_cfg`] on the lowered
+//!   CFG (its clone untimed), [`gnt_cfg::reversed_graph`] of the result,
+//!   and one [`SolverScratch::cached_tape`] hit, averaged over 1 000
+//!   calls and recorded per call (`nodes` 1); a moved pipeline number
+//!   can then name its graph layer (ungated);
 //! * `comm_analyze/ns_per_node` and `lint_layer2/ns_per_node` — the
 //!   communication analysis of `sized_program(3000)` without lowering
 //!   and the interval graph, and Layer 2's criteria lints of its READ
@@ -205,8 +211,30 @@ fn like_for_like_tape(
     }
 }
 
+/// [`median_ns`] of `f` on a fresh input from `setup` per call, the
+/// setup untimed.
+fn median_ns_with<I, T>(
+    runs: usize,
+    mut setup: impl FnMut() -> I,
+    mut f: impl FnMut(I) -> T,
+) -> f64 {
+    let _ = std::hint::black_box(f(setup()));
+    let mut times: Vec<f64> = (0..runs.max(1))
+        .map(|_| {
+            let input = setup();
+            let t = Instant::now();
+            let out = f(input);
+            let ns = t.elapsed().as_secs_f64() * 1e9;
+            std::hint::black_box(out);
+            ns
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
 /// The two stages a cold lint of `program` runs on its own relation
-/// rows and edge CSR (ungated): `comm_analyze/ns_per_node`, the
+/// rows and the graph's edges (ungated): `comm_analyze/ns_per_node`, the
 /// communication analysis without lowering and the interval graph
 /// (accesses, relation rows, initial variables), and
 /// `lint_layer2/ns_per_node`, Layer 2's criteria lints (C1/C3 checkers,
@@ -452,6 +480,30 @@ fn main() -> ExitCode {
     oneshot.push(("export/full", median_ns(runs, || scratch.export())));
     let ns = median_ns(runs, || scratch.export_productions());
     oneshot.push(("export/productions", ns));
+    // The graph layer: building both orientations, and the tape cache's
+    // lookup, which reads the fingerprint the graph stored.
+    let lowered = gnt_cfg::lower(&sized_program(3000)).expect("sized programs");
+    let ns = median_ns_with(
+        runs,
+        || lowered.cfg.clone(),
+        |cfg| IntervalGraph::from_cfg(cfg).expect("reducible"),
+    );
+    oneshot.push(("cfg/from_cfg", ns));
+    let ns = median_ns(runs, || {
+        gnt_cfg::reversed_graph(&graph).expect("reversible")
+    });
+    oneshot.push(("cfg/reversed_graph", ns));
+    solve_batch_into(&graph, &problem, &opts, &mut scratch);
+    assert!(scratch.cached_tape(&graph, &opts).is_some());
+    let ns = median_ns(runs, || {
+        (0..1000)
+            .filter(|_| {
+                std::hint::black_box(&scratch)
+                    .cached_tape(&graph, &opts)
+                    .is_some()
+            })
+            .count()
+    });
     for (bench, ns) in oneshot {
         records.push(BenchRecord {
             bench: bench.to_string(),
@@ -461,6 +513,15 @@ fn main() -> ExitCode {
             threads: 1,
         });
     }
+    // A lookup does not scale with the graph: its row is per call
+    // (`nodes` 1), so `ns_per_node` reads nanoseconds per lookup.
+    records.push(BenchRecord {
+        bench: "tape/lookup".to_string(),
+        nodes: 1,
+        items: 16,
+        ns_per_node: ns / 1000.0,
+        threads: 1,
+    });
     records.extend(comm_layers(runs, &sized_program(3000)));
 
     // Multi-word universes on the largest size.

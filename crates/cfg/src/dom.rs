@@ -323,23 +323,12 @@ impl LoopForest {
 
     /// `true` if `n` is a member of loop `l` (members exclude the header).
     pub fn is_member(&self, l: LoopId, n: NodeId) -> bool {
-        let mut cur = self.innermost(n);
-        while let Some(c) = cur {
-            if c == l {
-                return true;
-            }
-            cur = self.loops[c.index()].parent;
-        }
-        false
+        self.chain(n).any(|c| c == l)
     }
 
-    /// The number of loops enclosing `n` (counting a header's own loop for
-    /// its members, not for the header itself).
-    pub fn nesting_depth(&self, n: NodeId) -> usize {
-        match self.innermost(n) {
-            Some(l) => self.loops[l.index()].depth,
-            None => 0,
-        }
+    /// The loops having `n` as a member, innermost first.
+    pub(crate) fn chain(&self, n: NodeId) -> impl Iterator<Item = LoopId> + '_ {
+        std::iter::successors(self.innermost(n), |l| self.loops[l.index()].parent)
     }
 
     fn ensure_node(&mut self, n: NodeId) {
@@ -366,16 +355,6 @@ impl LoopForest {
     pub(crate) fn adopt_outside(&mut self, n: NodeId) {
         self.ensure_node(n);
         self.innermost[n.index()] = None;
-    }
-
-    /// Clones the loop structure onto a node universe of size `n`
-    /// (identical node ids). Used to transfer the forward loop forest to
-    /// the reversed graph for AFTER problems (§5.3).
-    pub fn resized_clone(&self, n: usize) -> LoopForest {
-        let mut f = self.clone();
-        f.innermost.resize(n, None);
-        f.headed.resize(n, None);
-        f
     }
 
     /// Reassembles a forest from explicit loop records over `num_nodes`
@@ -490,8 +469,8 @@ mod tests {
         assert_eq!(forest.loops()[l.index()].members, vec![b]);
         assert!(forest.is_member(l, b));
         assert!(!forest.is_member(l, a));
-        assert_eq!(forest.nesting_depth(b), 1);
-        assert_eq!(forest.nesting_depth(a), 0);
+        assert_eq!(forest.innermost(b), Some(l));
+        assert_eq!(forest.innermost(a), None);
     }
 
     #[test]

@@ -113,25 +113,6 @@ impl Cfg {
         cfg
     }
 
-    /// Creates a graph with a predetermined node set and designated
-    /// entry/exit (used when reversing an existing graph so node ids are
-    /// preserved).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entry` or `exit` is out of range.
-    pub fn with_nodes(kinds: Vec<NodeKind>, entry: NodeId, exit: NodeId) -> Self {
-        assert!(entry.index() < kinds.len() && exit.index() < kinds.len());
-        let n = kinds.len();
-        Cfg {
-            kinds,
-            succs: vec![Vec::new(); n],
-            preds: vec![Vec::new(); n],
-            entry,
-            exit,
-        }
-    }
-
     /// The unique entry node (ROOT).
     pub fn entry(&self) -> NodeId {
         self.entry
@@ -153,6 +134,13 @@ impl Cfg {
     }
 
     /// Adds a node and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph already holds `u32::MAX + 1` nodes, the most a
+    /// 32-bit [`NodeId`] can name. Lowering a program never gets near: a
+    /// node costs over 50 bytes here, so that graph would need more than
+    /// 200 GiB.
     pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId(u32::try_from(self.kinds.len()).expect("node id overflow"));
         self.kinds.push(kind);
@@ -249,6 +237,10 @@ impl Cfg {
     pub fn prune_unreachable(&mut self) -> Vec<Option<NodeId>> {
         let mut keep = self.reachable();
         keep[self.exit.index()] = true;
+        // Both ends are kept, so each one's new id is the number of kept
+        // nodes before it.
+        let new_id = |n: NodeId| NodeId(keep[..n.index()].iter().filter(|&&k| k).count() as u32);
+        let (entry, exit) = (new_id(self.entry), new_id(self.exit));
         let mut remap: Vec<Option<NodeId>> = vec![None; self.num_nodes()];
         let mut next = 0u32;
         for (i, &k) in keep.iter().enumerate() {
@@ -277,21 +269,9 @@ impl Cfg {
                 }
             }
         }
-        self.entry = remap[self.entry.index()].expect("entry always kept");
-        self.exit = remap[self.exit.index()].expect("exit always kept");
+        self.entry = entry;
+        self.exit = exit;
         remap
-    }
-
-    /// Builds the reversed graph: every edge flipped, entry and exit
-    /// swapped. Node ids and kinds are preserved.
-    pub fn reversed(&self) -> Cfg {
-        Cfg {
-            kinds: self.kinds.clone(),
-            succs: self.preds.clone(),
-            preds: self.succs.clone(),
-            entry: self.exit,
-            exit: self.entry,
-        }
     }
 }
 
@@ -346,15 +326,6 @@ mod tests {
         assert_eq!(cfg.num_nodes(), 3);
         assert!(remap[dead.index()].is_none());
         assert_eq!(cfg.preds(cfg.exit()).len(), 1);
-    }
-
-    #[test]
-    fn reversed_swaps_entry_and_exit() {
-        let mut cfg = Cfg::new();
-        cfg.add_edge(cfg.entry(), cfg.exit());
-        let rev = cfg.reversed();
-        assert_eq!(rev.entry(), cfg.exit());
-        assert_eq!(rev.succs(cfg.exit()), &[cfg.entry()]);
     }
 
     #[test]

@@ -147,27 +147,74 @@ impl From<IrreducibleError> for GraphError {
     }
 }
 
+/// Per-node lists stored flat: node `i`'s list is
+/// `items[off[i]..off[i + 1]]`.
 #[derive(Clone, Debug)]
-struct NodeInfo {
-    kind: NodeKind,
-    /// Chain of enclosing loop headers, innermost first (ROOT excluded).
-    enclosing: Vec<NodeId>,
-    /// Source of the ENTRY edge reaching this node, if any.
-    header: Option<NodeId>,
-    /// Children of this node's interval (only headers have any),
-    /// sorted by preorder.
-    children: Vec<NodeId>,
-    /// `LASTCHILD(n)`: source of the unique CYCLE edge into `n`.
-    last_child: Option<NodeId>,
-    /// User-requested no-hoist marker for this header (§4.1).
-    poisoned: bool,
-    /// Sources of JUMP-IN edges bypassing this header (reversed graphs,
-    /// §5.3): paths that enter the interval without passing the header.
-    jump_in_sources: Vec<NodeId>,
+pub(crate) struct Flat<T> {
+    off: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Flat<T> {
+    /// Groups `(node, item)` pairs over nodes `0..n` by count-then-fill,
+    /// keeping the pairs' order within each node. Also returns the slot
+    /// each pair landed in, by pair.
+    pub(crate) fn group(n: usize, pairs: &[(u32, T)]) -> (Flat<T>, Vec<usize>) {
+        let mut off = vec![0; n + 1];
+        for &(i, _) in pairs {
+            off[i as usize + 1] += 1;
+        }
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
+        let mut cursor = off[..n].to_vec();
+        let mut slots = Vec::with_capacity(pairs.len());
+        let mut pair_at = vec![0; pairs.len()];
+        for (k, &(i, _)) in pairs.iter().enumerate() {
+            let slot = &mut cursor[i as usize];
+            pair_at[*slot] = k;
+            slots.push(*slot);
+            *slot += 1;
+        }
+        let items = pair_at.iter().map(|&k| pairs[k].1).collect();
+        (Flat { off, items }, slots)
+    }
+
+    /// Builds the lists of nodes `0..n` in order: `fill(i, items)` pushes
+    /// node `i`'s list.
+    pub(crate) fn build(n: usize, mut fill: impl FnMut(usize, &mut Vec<T>)) -> Flat<T> {
+        let mut off = Vec::with_capacity(n + 1);
+        let mut items = Vec::new();
+        off.push(0);
+        for i in 0..n {
+            fill(i, &mut items);
+            off.push(items.len());
+        }
+        Flat { off, items }
+    }
+
+    /// Node `i`'s list.
+    #[inline]
+    pub(crate) fn of(&self, i: usize) -> &[T] {
+        &self.items[self.range(i)]
+    }
+
+    /// The slots of node `i`'s list.
+    #[inline]
+    fn range(&self, i: usize) -> std::ops::Range<usize> {
+        let ends = &self.off[i..i + 2];
+        ends[0]..ends[1]
+    }
 }
 
 /// The interval flow graph: classified edges plus the interval structure
 /// GIVE-N-TAKE's equations consume.
+///
+/// Built once and then read-only but for [`IntervalGraph::poison`]:
+/// every per-node list (edges, enclosing headers, `CHILDREN`, jump-in
+/// sources) is one flat array with offsets, and the structural
+/// [`fingerprint`](IntervalGraph::fingerprint) is computed at
+/// construction.
 ///
 /// # Examples
 ///
@@ -186,14 +233,41 @@ struct NodeInfo {
 /// ```
 #[derive(Clone, Debug)]
 pub struct IntervalGraph {
-    nodes: Vec<NodeInfo>,
-    /// `succs[n]` with edge classes; virtual exit→root CYCLE edge included.
-    succs: Vec<Vec<(NodeId, EdgeClass)>>,
-    preds: Vec<Vec<(NodeId, EdgeClass)>>,
+    kinds: Vec<NodeKind>,
+    /// Out-edges with their classes: real edges in CFG order, then
+    /// synthetic ones. An edge's id is its slot here.
+    succs: Flat<(NodeId, EdgeClass)>,
+    /// In-edges: real edges by ascending source, then synthetic ones.
+    preds: Flat<(NodeId, EdgeClass)>,
+    /// The id (slot in `succs`) of each in-edge, in `preds` order.
+    pred_ids: Vec<usize>,
+    /// Chain of enclosing loop headers, innermost first (ROOT excluded).
+    enclosing: Flat<NodeId>,
+    /// `CHILDREN(h)` in preorder (only headers have any).
+    children: Flat<NodeId>,
+    /// Sources of JUMP-IN edges bypassing each header (reversed graphs,
+    /// §5.3): paths that enter the interval without passing the header.
+    jump_in: Flat<NodeId>,
+    /// `HEADER(n)` and `LASTCHILD(n)`, read off the in-edges once: the
+    /// solver asks for both at every node.
+    header_last_child: Vec<(Option<NodeId>, Option<NodeId>)>,
+    /// No-hoist headers (§4.1), sorted.
+    poisoned: Vec<NodeId>,
+    num_loop_headers: usize,
+    fingerprint: u64,
     root: NodeId,
     exit: NodeId,
     preorder: Vec<NodeId>,
     preorder_index: Vec<usize>,
+}
+
+/// One step of the structural fingerprint: the splitmix64 finalizer over
+/// `h ^ x`.
+fn mix(h: u64, x: u64) -> u64 {
+    let mut z = h ^ x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 impl IntervalGraph {
@@ -233,88 +307,69 @@ impl IntervalGraph {
         let forest = LoopForest::compute(&cfg, &dom);
         dom.recycle(scratch);
         let mut forest = forest?;
-        normalize(&mut cfg, &mut forest);
-        Self::assemble_with(&cfg, &forest, false, scratch)
+        split_critical_edges(&mut cfg, &mut forest);
+        let real = Flat::build(cfg.num_nodes(), |i, out| {
+            out.extend_from_slice(cfg.succs(NodeId(i as u32)));
+        });
+        let mut kinds = cfg.nodes().map(|n| cfg.kind(n)).collect();
+        let real = latch_back_edges(&real, &mut forest, &mut kinds);
+        Self::assemble(kinds, (cfg.entry(), cfg.exit()), &real, &forest, false)
     }
 
-    /// Builds the graph from a CFG plus an externally supplied loop
-    /// forest, optionally tolerating jumps into loops (reversed graphs,
-    /// §5.3). The CFG must already be normalized consistently with the
-    /// forest; this is the entry point used by [`crate::reverse`].
+    /// Builds the graph over `kinds` from its real (CFG) edges, grouped
+    /// by source, and a loop forest consistent with them, optionally
+    /// tolerating jumps into loops (reversed graphs, §5.3). `ends` is
+    /// `(root, exit)`. The edges must already be normalized; this is the
+    /// entry point [`crate::reverse`] shares.
     pub(crate) fn assemble(
-        cfg: &Cfg,
+        kinds: Vec<NodeKind>,
+        (root, exit): (NodeId, NodeId),
+        real: &Flat<NodeId>,
         forest: &LoopForest,
         allow_jump_in: bool,
     ) -> Result<IntervalGraph, GraphError> {
-        let mut scratch = CfgScratchPool::global().checkout();
-        Self::assemble_with(cfg, forest, allow_jump_in, &mut scratch)
-    }
+        let n = kinds.len();
+        let enclosing = Flat::build(n, |i, out| {
+            out.extend(
+                forest
+                    .chain(NodeId(i as u32))
+                    .map(|l| forest.loops()[l.index()].header),
+            );
+        });
 
-    pub(crate) fn assemble_with(
-        cfg: &Cfg,
-        forest: &LoopForest,
-        allow_jump_in: bool,
-        scratch: &mut CfgScratch,
-    ) -> Result<IntervalGraph, GraphError> {
-        let n = cfg.num_nodes();
-        let root = cfg.entry();
-        let exit = cfg.exit();
-
-        let mut nodes: Vec<NodeInfo> = (0..n as u32)
-            .map(|i| {
-                let id = NodeId(i);
-                let mut enclosing = Vec::new();
-                let mut cur = forest.innermost(id);
-                while let Some(l) = cur {
-                    enclosing.push(forest.loops()[l.index()].header);
-                    cur = forest.loops()[l.index()].parent;
-                }
-                NodeInfo {
-                    kind: cfg.kind(id),
-                    enclosing,
-                    header: None,
-                    children: Vec::new(),
-                    last_child: None,
-                    poisoned: false,
-                    jump_in_sources: Vec::new(),
-                }
-            })
-            .collect();
-
-        // Classify edges.
-        let mut succs: Vec<Vec<(NodeId, EdgeClass)>> = vec![Vec::new(); n];
-        let mut preds: Vec<Vec<(NodeId, EdgeClass)>> = vec![Vec::new(); n];
-        let mut jumps: Vec<(NodeId, NodeId)> = Vec::new();
-        for (m, dst) in cfg.edges() {
-            let class = classify(forest, root, m, dst);
-            match class {
-                Some(EdgeClass::JumpIn) if !allow_jump_in => {
-                    return Err(GraphError::JumpIntoLoop { src: m, dst });
-                }
-                Some(c) => {
-                    if c == EdgeClass::Jump {
-                        jumps.push((m, dst));
+        // Classify the real edges, and add one SYNTHETIC edge per interval
+        // each JUMP edge leaves, after all real ones. `edges` lists them
+        // by source for the out-edge lists.
+        let mut edges: Vec<(u32, (NodeId, EdgeClass))> = Vec::new();
+        let mut synthetic = Vec::new();
+        let mut jump_ins: Vec<(u32, NodeId)> = Vec::new();
+        for m in (0..n as u32).map(NodeId) {
+            let src_chain = enclosing.of(m.index());
+            for &dst in real.of(m.index()) {
+                let (class, dst_chain) = (classify(&enclosing, m, dst), enclosing.of(dst.index()));
+                match class {
+                    EdgeClass::JumpIn if !allow_jump_in => {
+                        return Err(GraphError::JumpIntoLoop { src: m, dst });
                     }
-                    if c == EdgeClass::JumpIn {
-                        // Record the source with every interval header the
-                        // edge bypasses: availability at those headers must
-                        // additionally hold along the jump-in path
-                        // (Eq. 11 is extended accordingly; see gnt-core).
-                        let src_chain = nodes[m.index()].enclosing.clone();
-                        let entered: Vec<NodeId> = nodes[dst.index()]
-                            .enclosing
+                    EdgeClass::Jump => synthetic.extend(
+                        src_chain
                             .iter()
-                            .filter(|h| !src_chain.contains(h) && **h != m)
-                            .copied()
-                            .collect();
-                        for h in entered {
-                            nodes[h.index()].jump_in_sources.push(m);
-                        }
-                    }
-                    succs[m.index()].push((dst, c));
-                    preds[dst.index()].push((m, c));
+                            .filter(|h| !dst_chain.contains(h))
+                            .map(|h| (h.0, (dst, EdgeClass::Synthetic))),
+                    ),
+                    // Record the source with every interval header the edge
+                    // bypasses: availability at those headers must
+                    // additionally hold along the jump-in path (Eq. 11 is
+                    // extended accordingly; see gnt-core).
+                    EdgeClass::JumpIn => jump_ins.extend(
+                        dst_chain
+                            .iter()
+                            .filter(|&&h| !src_chain.contains(&h) && h != m)
+                            .map(|h| (h.0, m)),
+                    ),
+                    _ => {}
                 }
-                None => return Err(GraphError::JumpIntoLoop { src: m, dst }),
+                edges.push((m.0, (dst, class)));
             }
         }
         // Note: ROOT acts as a header only for the evaluation schedule
@@ -322,70 +377,51 @@ impl IntervalGraph {
         // so it has no CYCLE edge and LASTCHILD(ROOT) = ∅ — the paper's §4
         // example values (GIVE(1) stays empty, TAKEN_out(1) = TAKEN_in(2))
         // pin this down.
-
-        // SYNTHETIC edges: one per interval left by each JUMP edge.
-        for (m, dst) in jumps {
-            let dst_chain = nodes[dst.index()].enclosing.clone();
-            let left: Vec<NodeId> = nodes[m.index()]
-                .enclosing
-                .iter()
-                .filter(|h| !dst_chain.contains(h))
-                .copied()
-                .collect();
-            for h in left {
-                succs[h.index()].push((dst, EdgeClass::Synthetic));
-                preds[dst.index()].push((h, EdgeClass::Synthetic));
-            }
+        edges.extend(synthetic);
+        let (succs, succ_slots) = Flat::group(n, &edges);
+        let into: Vec<_> = edges
+            .iter()
+            .map(|&(m, (s, c))| (s.0, (NodeId(m), c)))
+            .collect();
+        let (preds, pred_slots) = Flat::group(n, &into);
+        let mut pred_ids = vec![0; edges.len()];
+        for (&p, &s) in pred_slots.iter().zip(&succ_slots) {
+            pred_ids[p] = s;
         }
-
-        // HEADER(n) and LASTCHILD(h).
-        for i in 0..n {
-            let id = NodeId(i as u32);
-            for &(p, c) in &preds[i] {
-                if c == EdgeClass::Entry {
-                    nodes[i].header = Some(p);
-                }
-                if c == EdgeClass::Cycle {
-                    nodes[i].last_child = Some(nodes[i].last_child.map_or(p, |prev| {
-                        debug_assert_eq!(prev, p, "multiple CYCLE edges into {id}");
-                        prev
-                    }));
-                }
-            }
-        }
+        let (jump_in, _) = Flat::group(n, &jump_ins);
 
         // Preorder: topological over E/F/J/S (+JumpIn) edges, skipping the
         // CYCLE edges; ties broken by ascending node id (construction
         // order, which follows the source).
-        let indeg = &mut scratch.indeg;
-        indeg.clear();
-        indeg.resize(n, 0);
-        for (i, ps) in preds.iter().enumerate() {
-            indeg[i] = ps.iter().filter(|(_, c)| *c != EdgeClass::Cycle).count();
-        }
-        let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<u32>> =
-            std::collections::BinaryHeap::new();
-        for (i, &d) in indeg.iter().enumerate() {
-            if d == 0 {
-                ready.push(std::cmp::Reverse(i as u32));
-            }
-        }
+        let not_cycle = EdgeMask::E | EdgeMask::FJS;
+        let ordered_preds = |i| {
+            preds
+                .of(i)
+                .iter()
+                .filter(|e| not_cycle.matches(e.1))
+                .count()
+        };
+        let mut indeg: Vec<usize> = (0..n).map(ordered_preds).collect();
+        let mut ready: std::collections::BinaryHeap<_> = (0..n as u32)
+            .filter(|&i| indeg[i as usize] == 0)
+            .map(std::cmp::Reverse)
+            .collect();
         let mut preorder = Vec::with_capacity(n);
         while let Some(std::cmp::Reverse(i)) = ready.pop() {
-            let id = NodeId(i);
-            preorder.push(id);
-            for &(s, c) in &succs[i as usize] {
-                if c == EdgeClass::Cycle {
-                    continue;
-                }
+            preorder.push(NodeId(i));
+            for &(s, _) in succs
+                .of(i as usize)
+                .iter()
+                .filter(|e| not_cycle.matches(e.1))
+            {
                 indeg[s.index()] -= 1;
                 if indeg[s.index()] == 0 {
                     ready.push(std::cmp::Reverse(s.0));
                 }
             }
         }
-        if preorder.len() != n {
-            let stuck = (0..n).find(|&i| indeg[i] > 0).unwrap();
+        // Every node left unscheduled waits on a predecessor.
+        if let Some(stuck) = indeg.iter().position(|&d| d > 0) {
             return Err(GraphError::CyclicOrder(NodeId(stuck as u32)));
         }
         let mut preorder_index = vec![usize::MAX; n];
@@ -394,56 +430,80 @@ impl IntervalGraph {
         }
 
         // CHILDREN: every non-root node is a child of its innermost header
-        // (or of ROOT); sort by preorder.
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for (i, node) in nodes.iter().enumerate() {
-            let id = NodeId(i as u32);
-            if id == root {
-                continue;
-            }
-            let parent = node.enclosing.first().copied().unwrap_or(root);
-            children[parent.index()].push(id);
-        }
-        for c in &mut children {
-            c.sort_by_key(|x| preorder_index[x.index()]);
-        }
-        for (i, c) in children.into_iter().enumerate() {
-            nodes[i].children = c;
-        }
+        // (or of ROOT); listing them in preorder sorts each list.
+        let parent_of: Vec<(u32, NodeId)> = preorder
+            .iter()
+            .filter(|&&x| x != root)
+            .map(|&x| (enclosing.of(x.index()).first().unwrap_or(&root).0, x))
+            .collect();
+        let (children, _) = Flat::group(n, &parent_of);
+        let num_loop_headers = (0..n)
+            .filter(|&i| i != root.index() && !children.of(i).is_empty())
+            .count();
 
+        // What a compiled schedule depends on besides poisoning: the node
+        // count, each node's classified out-edges and its jump-in sources.
+        let fingerprint = [n as u64]
+            .into_iter()
+            .chain(succs.off.iter().chain(&jump_in.off).map(|&o| o as u64))
+            .chain(
+                succs
+                    .items
+                    .iter()
+                    .map(|&(s, c)| (u64::from(s.0) << 3) | c as u64),
+            )
+            .chain(jump_in.items.iter().map(|j| u64::from(j.0)))
+            .fold(0, mix);
+        let header_last_child = (0..n)
+            .map(|i| {
+                let with = |c| preds.of(i).iter().filter(move |e| e.1 == c).map(|e| e.0);
+                (
+                    with(EdgeClass::Entry).next_back(),
+                    with(EdgeClass::Cycle).next(),
+                )
+            })
+            .collect();
         let g = IntervalGraph {
-            nodes,
+            kinds,
             succs,
             preds,
+            pred_ids,
+            enclosing,
+            children,
+            jump_in,
+            header_last_child,
+            poisoned: Vec::new(),
+            num_loop_headers,
+            fingerprint,
             root,
             exit,
             preorder,
             preorder_index,
         };
-        g.validate(allow_jump_in)?;
+        #[cfg(debug_assertions)]
+        g.validate(allow_jump_in);
         Ok(g)
     }
 
-    /// Checks the §3.3/§3.4 invariants; called at construction.
-    fn validate(&self, allow_jump_in: bool) -> Result<(), GraphError> {
+    /// Checks the §3.3/§3.4 invariants; called at construction in debug
+    /// builds (`crates/cfg/tests/invariants.rs` checks the same ones on
+    /// random graphs).
+    #[cfg(debug_assertions)]
+    fn validate(&self, allow_jump_in: bool) {
         for n in self.nodes() {
             // No critical edges among real (CEFJ) edges.
-            let out: Vec<_> = self
-                .succ_edges(n)
-                .filter(|(_, c)| EdgeMask::CEFJ.matches(*c))
-                .collect();
-            if out.len() > 1 {
-                for &(s, _) in &out {
-                    let ins = self
-                        .pred_edges(s)
-                        .filter(|(_, c)| EdgeMask::CEFJ.matches(*c))
-                        .count();
+            if self.succs(n, EdgeMask::CEFJ).nth(1).is_some() {
+                for s in self.succs(n, EdgeMask::CEFJ) {
                     debug_assert!(
-                        ins <= 1 || s == self.root,
+                        s == self.root || self.preds(s, EdgeMask::CEFJ).nth(1).is_none(),
                         "critical edge {n} → {s} survived normalization"
                     );
                 }
             }
+            debug_assert!(
+                self.preds(n, EdgeMask::C).nth(1).is_none(),
+                "{n}: two CYCLE edges"
+            );
             for (s, c) in self.succ_edges(n) {
                 match c {
                     EdgeClass::Jump => {
@@ -456,10 +516,7 @@ impl IntervalGraph {
                     }
                     EdgeClass::Cycle if s != self.root => {
                         // The source of a CYCLE edge has no EFJ succs.
-                        let extra = self
-                            .succ_edges(n)
-                            .filter(|(_, sc)| EdgeMask::EFJ.matches(*sc))
-                            .count();
+                        let extra = self.succs(n, EdgeMask::EFJ).count();
                         debug_assert_eq!(extra, 0, "cycle source {n} has EFJ succs");
                     }
                     EdgeClass::JumpIn => {
@@ -469,7 +526,6 @@ impl IntervalGraph {
                 }
             }
         }
-        Ok(())
     }
 
     /// The ROOT node (program entry, header of the whole program).
@@ -484,22 +540,22 @@ impl IntervalGraph {
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.kinds.len()
     }
 
     /// Number of edges, including synthetic edges.
     pub fn num_edges(&self) -> usize {
-        self.succs.iter().map(Vec::len).sum()
+        self.succs.items.len()
     }
 
     /// Iterates over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.kinds.len() as u32).map(NodeId)
     }
 
     /// The provenance of `n`.
     pub fn kind(&self, n: NodeId) -> NodeKind {
-        self.nodes[n.index()].kind
+        self.kinds[n.index()]
     }
 
     /// `LEVEL(n)`: 0 for ROOT, 1 + loop nesting depth otherwise.
@@ -507,39 +563,49 @@ impl IntervalGraph {
         if n == self.root {
             0
         } else {
-            1 + self.nodes[n.index()].enclosing.len()
+            1 + self.enclosing_headers(n).len()
         }
     }
 
     /// `true` if `n` heads an interval (a loop header or ROOT).
     pub fn is_header(&self, n: NodeId) -> bool {
-        n == self.root || !self.nodes[n.index()].children.is_empty()
+        n == self.root || !self.children(n).is_empty()
     }
 
     /// `true` if `n` is a loop header (excludes ROOT).
+    #[inline]
     pub fn is_loop_header(&self, n: NodeId) -> bool {
-        n != self.root && !self.nodes[n.index()].children.is_empty()
+        n != self.root && !self.children(n).is_empty()
+    }
+
+    /// The number of loop headers.
+    pub fn num_loop_headers(&self) -> usize {
+        self.num_loop_headers
     }
 
     /// `HEADER(n)`: source of the ENTRY edge into `n`, if any.
+    #[inline]
     pub fn header_of(&self, n: NodeId) -> Option<NodeId> {
-        self.nodes[n.index()].header
+        self.header_last_child[n.index()].0
     }
 
     /// `LASTCHILD(h)`: source of the unique CYCLE edge into `h`.
+    #[inline]
     pub fn last_child(&self, h: NodeId) -> Option<NodeId> {
-        self.nodes[h.index()].last_child
+        self.header_last_child[h.index()].1
     }
 
     /// `CHILDREN(h)`: interval members one level below `h`, in preorder.
+    #[inline]
     pub fn children(&self, h: NodeId) -> &[NodeId] {
-        &self.nodes[h.index()].children
+        self.children.of(h.index())
     }
 
     /// The chain of loop headers enclosing `n`, innermost first
     /// (ROOT excluded).
+    #[inline]
     pub fn enclosing_headers(&self, n: NodeId) -> &[NodeId] {
-        &self.nodes[n.index()].enclosing
+        self.enclosing.of(n.index())
     }
 
     /// `true` if `n ∈ T(h)` (`h` may be ROOT, whose interval is all nodes).
@@ -547,60 +613,109 @@ impl IntervalGraph {
         if h == self.root {
             return n != self.root;
         }
-        self.nodes[n.index()].enclosing.contains(&h)
+        self.enclosing_headers(n).contains(&h)
     }
 
     /// `true` if hoisting into header `h` was forbidden via
     /// [`IntervalGraph::poison`].
+    #[inline]
     pub fn is_poisoned(&self, h: NodeId) -> bool {
-        self.nodes[h.index()].poisoned
+        self.poisoned.binary_search(&h).is_ok()
+    }
+
+    /// The nodes [`IntervalGraph::poison`] marked, ascending.
+    pub fn poisoned(&self) -> &[NodeId] {
+        &self.poisoned
     }
 
     /// Sources of JUMP-IN edges that enter `h`'s interval bypassing `h`
     /// (nonempty only on reversed graphs, §5.3). Availability at `h` must
     /// additionally hold along these paths; the solver folds them into
     /// the Eq. 11 predecessor sets of `h`.
+    #[inline]
     pub fn jump_in_sources(&self, h: NodeId) -> &[NodeId] {
-        &self.nodes[h.index()].jump_in_sources
+        self.jump_in.of(h.index())
     }
 
     /// Marks header `h` as no-hoist (used to disable zero-trip hoisting
     /// case by case, §4.1, and by the reversal machinery).
     pub fn poison(&mut self, h: NodeId) {
-        self.nodes[h.index()].poisoned = true;
+        if let Err(at) = self.poisoned.binary_search(&h) {
+            self.poisoned.insert(at, h);
+        }
+    }
+
+    /// The structural fingerprint, computed at construction: a hash of
+    /// the node count, every node's classified out-edges and its jump-in
+    /// sources. Poisoning is not part of it ([`IntervalGraph::poisoned`]
+    /// lists that), so equal fingerprints mean equal graphs up to the
+    /// poison set, barring a 64-bit hash collision.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// All outgoing edges of `n` with their classes.
+    #[inline]
     pub fn succ_edges(&self, n: NodeId) -> impl Iterator<Item = (NodeId, EdgeClass)> + '_ {
-        self.succs[n.index()].iter().copied()
+        self.succs.of(n.index()).iter().copied()
     }
 
     /// The *real* (CEFJ) outgoing edges of `n` with their classes: the
     /// concrete control flow, without synthetic edges and the virtual
     /// exit→ROOT cycle edge.
     pub fn real_succ_edges(&self, n: NodeId) -> impl Iterator<Item = (NodeId, EdgeClass)> + '_ {
-        let root = self.root;
-        self.succ_edges(n).filter(move |&(s, c)| {
-            c != EdgeClass::Synthetic && !(c == EdgeClass::Cycle && s == root)
-        })
+        self.succ_edges(n).filter(|&(s, c)| self.is_real(s, c))
+    }
+
+    /// Whether an edge into `s` of class `c` is real (CEFJ): neither
+    /// synthetic nor the virtual CYCLE edge into ROOT.
+    #[inline]
+    pub fn is_real(&self, s: NodeId, c: EdgeClass) -> bool {
+        c != EdgeClass::Synthetic && !(c == EdgeClass::Cycle && s == self.root)
     }
 
     /// All incoming edges of `n` with their classes.
+    #[inline]
     pub fn pred_edges(&self, n: NodeId) -> impl Iterator<Item = (NodeId, EdgeClass)> + '_ {
-        self.preds[n.index()].iter().copied()
+        self.preds.of(n.index()).iter().copied()
+    }
+
+    /// The ids of `n`'s outgoing edges, in [`IntervalGraph::succ_edges`]
+    /// order. Ids are dense over `0..num_edges()`, so a pass can keep one
+    /// row per edge.
+    #[inline]
+    pub fn succ_edge_ids(&self, n: NodeId) -> std::ops::Range<usize> {
+        self.succs.range(n.index())
+    }
+
+    /// The sink and class of the edge with id `e`.
+    #[inline]
+    pub fn edge(&self, e: usize) -> (NodeId, EdgeClass) {
+        self.succs.items[e]
+    }
+
+    /// The ids of `n`'s incoming edges, in [`IntervalGraph::pred_edges`]
+    /// order.
+    #[inline]
+    pub fn pred_edge_ids(&self, n: NodeId) -> &[usize] {
+        &self.pred_ids[self.preds.range(n.index())]
     }
 
     /// `SUCCS^mask(n)`.
+    #[inline]
     pub fn succs(&self, n: NodeId, mask: EdgeMask) -> impl Iterator<Item = NodeId> + '_ {
-        self.succs[n.index()]
+        self.succs
+            .of(n.index())
             .iter()
             .filter(move |(_, c)| mask.matches(*c))
             .map(|&(s, _)| s)
     }
 
     /// `PREDS^mask(n)`.
+    #[inline]
     pub fn preds(&self, n: NodeId, mask: EdgeMask) -> impl Iterator<Item = NodeId> + '_ {
-        self.preds[n.index()]
+        self.preds
+            .of(n.index())
             .iter()
             .filter(move |(_, c)| mask.matches(*c))
             .map(|&(p, _)| p)
@@ -612,16 +727,17 @@ impl IntervalGraph {
     }
 
     /// The position of `n` in the preorder.
+    #[inline]
     pub fn preorder_index(&self, n: NodeId) -> usize {
         self.preorder_index[n.index()]
     }
 
     /// The class of edge `m → n`, if present (synthetic edges included).
     pub fn edge_class(&self, m: NodeId, n: NodeId) -> Option<EdgeClass> {
-        self.succs[m.index()]
-            .iter()
+        let out = self.succs.of(m.index());
+        out.iter()
             .find(|&&(s, c)| s == n && c != EdgeClass::Synthetic)
-            .or_else(|| self.succs[m.index()].iter().find(|&&(s, _)| s == n))
+            .or_else(|| out.iter().find(|&&(s, _)| s == n))
             .map(|&(_, c)| c)
     }
 
@@ -640,23 +756,13 @@ impl IntervalGraph {
     }
 }
 
-/// Classifies `m → dst` given the loop forest. Returns `None` for edges
-/// that are inconsistent with reducibility and not a recognized jump-in.
-fn classify(forest: &LoopForest, root: NodeId, m: NodeId, dst: NodeId) -> Option<EdgeClass> {
-    let chain_of = |x: NodeId| -> Vec<LoopId> {
-        let mut v = Vec::new();
-        let mut cur = forest.innermost(x);
-        while let Some(l) = cur {
-            v.push(l);
-            cur = forest.loops()[l.index()].parent;
-        }
-        v
-    };
+/// Classifies `m → dst` given the enclosing-header chains of the loop
+/// forest.
+fn classify(enclosing: &Flat<NodeId>, m: NodeId, dst: NodeId) -> EdgeClass {
+    let (cm, cd) = (enclosing.of(m.index()), enclosing.of(dst.index()));
     // CYCLE: m is a member of the loop headed by dst.
-    if let Some(l) = forest.loop_headed_by(dst) {
-        if forest.is_member(l, m) {
-            return Some(EdgeClass::Cycle);
-        }
+    if cm.contains(&dst) {
+        return EdgeClass::Cycle;
     }
     // ENTRY: dst is a member of the loop headed by m.
     //
@@ -665,62 +771,75 @@ fn classify(forest: &LoopForest, root: NodeId, m: NodeId, dst: NodeId) -> Option
     // edges behave as FORWARD edges in the equations, even though ROOT
     // acts as the header of the whole program for the evaluation schedule
     // (CHILDREN, LASTCHILD).
-    if let Some(l) = forest.loop_headed_by(m) {
-        if forest.is_member(l, dst) {
-            return Some(EdgeClass::Entry);
-        }
+    if cd.contains(&m) {
+        return EdgeClass::Entry;
     }
-    let _ = root;
-    let cm = chain_of(m);
-    let cd = chain_of(dst);
-    let m_extra = cm.iter().any(|l| !cd.contains(l));
-    let d_extra = cd
-        .iter()
-        .any(|l| !cm.contains(l) && forest.loops()[l.index()].header != m);
+    let m_extra = cm.iter().any(|h| !cd.contains(h));
+    let d_extra = cd.iter().any(|h| !cm.contains(h) && *h != m);
     match (m_extra, d_extra) {
-        (false, false) => Some(EdgeClass::Forward),
-        (true, false) => Some(EdgeClass::Jump),
+        (false, false) => EdgeClass::Forward,
+        (true, false) => EdgeClass::Jump,
         // dst is in a loop that m is not in (and m is not its header):
         // a jump into a loop.
-        (_, true) => Some(EdgeClass::JumpIn),
+        (_, true) => EdgeClass::JumpIn,
     }
 }
 
-/// Normalizes `cfg` for interval analysis: splits critical edges and
-/// unifies multiple back edges per header behind a fresh latch node,
-/// keeping `forest` consistent with the new nodes.
-pub(crate) fn normalize(cfg: &mut Cfg, forest: &mut LoopForest) {
-    // 1. Split critical edges.
+/// Splits the critical edges of `cfg`, keeping `forest` consistent with
+/// the new nodes (the first half of normalization; the second is
+/// [`latch_back_edges`]).
+fn split_critical_edges(cfg: &mut Cfg, forest: &mut LoopForest) {
     let edges: Vec<(NodeId, NodeId)> = cfg.edges().collect();
     for (m, n) in edges {
         if cfg.succs(m).len() > 1 && cfg.preds(n).len() > 1 {
             let mid = cfg.split_edge(m, n, SynthKind::EdgeSplit);
-            forest.adopt(cfg, m, n, mid);
+            forest.adopt(m, n, mid);
         }
     }
-    // 2. Unique CYCLE edge per loop.
+}
+
+/// Gives every loop of `forest` a unique CYCLE edge over the real edges
+/// `succs` (grouped by source, over the nodes of `kinds`): when several
+/// members jump back to the header, or one that has other successors
+/// does (the source of a CYCLE edge may have no EFJ successors, §3.4),
+/// they jump to a fresh latch instead, whose one edge goes to the
+/// header. Latches are appended to `kinds` in loop order; each node's
+/// retargeted edges move to the end of its list.
+pub(crate) fn latch_back_edges(
+    succs: &Flat<NodeId>,
+    forest: &mut LoopForest,
+    kinds: &mut Vec<NodeKind>,
+) -> Flat<NodeId> {
+    let n = kinds.len();
+    let mut retarget: Vec<(u32, (NodeId, NodeId))> = Vec::new();
+    let mut latch_header: Vec<NodeId> = Vec::new();
     for li in 0..forest.loops().len() {
-        let header = forest.loops()[li].header;
-        let tails: Vec<NodeId> = cfg
-            .preds(header)
+        let (l, header) = (LoopId(li as u32), forest.loops()[li].header);
+        let tails: Vec<NodeId> = forest.loops()[li]
+            .members
             .iter()
             .copied()
-            .filter(|&p| forest.is_member(crate::dom::LoopId(li as u32), p))
+            // Latches of inner loops are members too, and no tails.
+            .filter(|t| t.index() < n && succs.of(t.index()).contains(&header))
             .collect();
-        // A fresh latch is needed when there are several back edges, or
-        // when the single back-edge source has other successors (the
-        // source of a CYCLE edge may have no EFJ successors, §3.4).
-        let needs_latch = tails.len() > 1 || (tails.len() == 1 && cfg.succs(tails[0]).len() > 1);
-        if needs_latch {
-            let latch = cfg.add_node(NodeKind::Synthetic(SynthKind::Latch));
-            for &t in &tails {
-                cfg.remove_edge(t, header);
-                cfg.add_edge(t, latch);
-            }
-            cfg.add_edge(latch, header);
-            forest.adopt_into(crate::dom::LoopId(li as u32), latch);
+        if tails.len() > 1 || tails.first().is_some_and(|t| succs.of(t.index()).len() > 1) {
+            let latch = NodeId(kinds.len() as u32);
+            kinds.push(NodeKind::Synthetic(SynthKind::Latch));
+            latch_header.push(header);
+            forest.adopt_into(l, latch);
+            retarget.extend(tails.iter().map(|t| (t.0, (header, latch))));
         }
     }
+    let (retarget, _) = Flat::group(n, &retarget);
+    Flat::build(kinds.len(), |i, out| {
+        let Some(own) = (i < n).then(|| succs.of(i)) else {
+            out.push(latch_header[i - n]);
+            return;
+        };
+        let moved = retarget.of(i);
+        out.extend(own.iter().filter(|s| !moved.iter().any(|(h, _)| h == *s)));
+        out.extend(moved.iter().map(|&(_, latch)| latch));
+    })
 }
 
 impl LoopForest {
@@ -729,36 +848,17 @@ impl LoopForest {
     /// the loop itself when the split edge was a back edge (`n` heads a
     /// loop `m` belongs to) or an entry edge (`m` heads a loop `n` belongs
     /// to).
-    pub(crate) fn adopt(&mut self, _cfg: &Cfg, m: NodeId, n: NodeId, mid: NodeId) {
+    pub(crate) fn adopt(&mut self, m: NodeId, n: NodeId, mid: NodeId) {
         let target = if let Some(l) = self.loop_headed_by(n).filter(|&l| self.is_member(l, m)) {
             Some(l) // back edge: latch side lives inside the loop
         } else if let Some(l) = self.loop_headed_by(m).filter(|&l| self.is_member(l, n)) {
             Some(l) // entry edge: split node lives inside the loop
         } else {
-            // Deepest loop containing both endpoints.
-            let mut cur = self.innermost(m);
-            let mut found = None;
-            while let Some(l) = cur {
-                if self.is_member(l, n) || self.loop_headed_by(n) == Some(l) {
-                    found = Some(l);
-                    break;
-                }
-                cur = self.loops()[l.index()].parent;
-            }
-            // Also allow the symmetric case where n's chain contains m's
-            // header-side loops (jump edges land outside: found = loop
-            // containing the *sink*).
-            if found.is_none() {
-                let mut cur = self.innermost(n);
-                while let Some(l) = cur {
-                    if self.is_member(l, m) || self.loop_headed_by(m) == Some(l) {
-                        found = Some(l);
-                        break;
-                    }
-                    cur = self.loops()[l.index()].parent;
-                }
-            }
-            found
+            // The deepest loop containing both endpoints, or, for a jump
+            // landing outside m's loops, the loop containing the sink.
+            let holds =
+                |l: LoopId, x: NodeId| self.is_member(l, x) || self.loop_headed_by(x) == Some(l);
+            (self.chain(m).find(|&l| holds(l, n))).or_else(|| self.chain(n).find(|&l| holds(l, m)))
         };
         match target {
             Some(l) => self.adopt_into(l, mid),

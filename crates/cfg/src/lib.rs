@@ -14,7 +14,8 @@
 //! * [`reversed_graph`] — the reversed structure used for AFTER problems
 //!   (§5.3),
 //! * [`CfgFlow`] — an adapter running the generic iterative solver of
-//!   [`gnt_dataflow`] over a [`Cfg`] (PRE baselines, verifiers).
+//!   [`gnt_dataflow`] over an interval graph's concrete flow (PRE
+//!   baselines).
 //!
 //! # Examples
 //!
@@ -76,9 +77,9 @@ pub fn node_spans(program: &gnt_ir::Program, graph: &IntervalGraph) -> Vec<Optio
         .collect()
 }
 
-/// Adjacency-materialized view of a [`Cfg`] implementing
-/// [`gnt_dataflow::FlowGraph`], so the generic iterative solver can run
-/// over it (used by the PRE baselines and the verifiers).
+/// Adjacency-materialized view of an [`IntervalGraph`]'s concrete flow
+/// implementing [`gnt_dataflow::FlowGraph`], so the generic iterative
+/// solver can run over it (used by the PRE baselines).
 ///
 /// # Examples
 ///
@@ -86,9 +87,9 @@ pub fn node_spans(program: &gnt_ir::Program, graph: &IntervalGraph) -> Vec<Optio
 /// use gnt_dataflow::FlowGraph;
 ///
 /// let p = gnt_ir::parse("a = 1\nb = 2")?;
-/// let lowered = gnt_cfg::lower(&p)?;
-/// let flow = gnt_cfg::CfgFlow::new(&lowered.cfg);
-/// assert_eq!(flow.entry(), lowered.cfg.entry().index());
+/// let g = gnt_cfg::IntervalGraph::from_program(&p)?;
+/// let flow = gnt_cfg::CfgFlow::from_interval(&g);
+/// assert_eq!(flow.entry(), g.root().index());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -100,26 +101,9 @@ pub struct CfgFlow {
 }
 
 impl CfgFlow {
-    /// Materializes the adjacency of `cfg` as plain indices.
-    pub fn new(cfg: &Cfg) -> CfgFlow {
-        CfgFlow {
-            succs: cfg
-                .nodes()
-                .map(|n| cfg.succs(n).iter().map(|s| s.index()).collect())
-                .collect(),
-            preds: cfg
-                .nodes()
-                .map(|n| cfg.preds(n).iter().map(|p| p.index()).collect())
-                .collect(),
-            entry: cfg.entry().index(),
-            exit: cfg.exit().index(),
-        }
-    }
-
     /// Materializes the *real* (CEFJ) edges of an [`IntervalGraph`],
-    /// dropping synthetic edges and the virtual exit→ROOT cycle edge.
-    /// This is the concrete control flow the verifiers check placements
-    /// against.
+    /// dropping synthetic edges and the virtual exit→ROOT cycle edge: the
+    /// concrete control flow.
     pub fn from_interval(g: &IntervalGraph) -> CfgFlow {
         let n = g.num_nodes();
         let mut succs = vec![Vec::new(); n];
@@ -161,17 +145,6 @@ impl gnt_dataflow::FlowGraph for CfgFlow {
 mod flow_tests {
     use super::*;
     use gnt_dataflow::FlowGraph;
-
-    #[test]
-    fn cfg_flow_mirrors_cfg() {
-        let p = gnt_ir::parse("a = 1\nif t then\n  b = 2\nendif").unwrap();
-        let lowered = lower(&p).unwrap();
-        let flow = CfgFlow::new(&lowered.cfg);
-        assert_eq!(flow.num_nodes(), lowered.cfg.num_nodes());
-        for n in lowered.cfg.nodes() {
-            assert_eq!(flow.succs(n.index()).len(), lowered.cfg.succs(n).len());
-        }
-    }
 
     #[test]
     fn interval_flow_drops_synthetic_and_virtual_edges() {

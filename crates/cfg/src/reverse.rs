@@ -19,8 +19,8 @@
 //!   fall back to §5.3's conservative poisoning.
 
 use crate::dom::{LoopForest, LoopId, LoopInfo};
-use crate::graph::Cfg;
-use crate::interval::{normalize, GraphError, IntervalGraph};
+use crate::graph::{NodeId, NodeKind};
+use crate::interval::{latch_back_edges, Flat, GraphError, IntervalGraph};
 
 /// Builds the reversed interval graph of `g` for solving AFTER problems.
 ///
@@ -61,25 +61,32 @@ pub fn reversed_graph_with_loops(
     g: &IntervalGraph,
     loops: Vec<LoopInfo>,
 ) -> Result<IntervalGraph, GraphError> {
-    // 1. Reversed CFG over the same node ids: flip every real (CEFJ) edge,
-    //    skipping synthetic edges and the virtual exit→ROOT cycle edge
-    //    (both are artifacts re-derived below).
-    let mut cfg = rebuild_nodes(g);
-    for m in g.nodes() {
-        for (s, _) in g.real_succ_edges(m) {
-            cfg.add_edge(s, m);
-        }
-    }
+    // 1. Transfer the loop forest: identical headers and member sets.
+    let mut forest = LoopForest::from_parts(loops, g.num_nodes());
+    let mut kinds: Vec<NodeKind> = g.nodes().map(|x| g.kind(x)).collect();
 
-    // 2. Transfer the loop forest: identical headers and member sets.
-    let mut forest = LoopForest::from_parts(loops, cfg.num_nodes());
+    // 2. Reversed real edges over the same node ids: node x's out-edges
+    //    are its forward real (CEFJ) in-edges, by ascending source.
+    //    Synthetic edges and the virtual exit→ROOT cycle edge are
+    //    artifacts re-derived by the assembly. Reversal keeps the forward
+    //    graph free of critical edges, so nothing needs splitting; debug
+    //    builds re-check that when validating the result.
+    let reversed = Flat::build(kinds.len(), |i, out| {
+        let x = NodeId(i as u32);
+        out.extend(
+            g.pred_edges(x)
+                .filter(|&(_, c)| g.is_real(x, c))
+                .map(|(p, _)| p),
+        );
+    });
 
-    // 3. Normalize the reversed graph (critical edges, unique latch).
-    normalize(&mut cfg, &mut forest);
+    // 3. A unique CYCLE edge per loop: the original ENTRY edges are the
+    //    reversed loop's back edges.
+    let real = latch_back_edges(&reversed, &mut forest, &mut kinds);
 
     // 4. Assemble with jump-in edges tolerated; they poison the loops they
     //    enter (§5.3).
-    IntervalGraph::assemble(&cfg, &forest, true)
+    IntervalGraph::assemble(kinds, (g.exit(), g.root()), &real, &forest, true)
 }
 
 /// The loop records [`reversed_graph`] transfers from `g`: the same
@@ -132,12 +139,6 @@ pub fn reversed_loops(g: &IntervalGraph) -> Vec<LoopInfo> {
         l.parent = p;
     }
     loops
-}
-
-/// Creates a bare CFG with the same node set as `g`, entry at `g.exit()`
-/// and exit at `g.root()`.
-fn rebuild_nodes(g: &IntervalGraph) -> Cfg {
-    Cfg::with_nodes(g.nodes().map(|n| g.kind(n)).collect(), g.exit(), g.root())
 }
 
 #[cfg(test)]

@@ -2,8 +2,7 @@
 //!
 //! Lowering a program and assembling its [`crate::IntervalGraph`] churns
 //! through a set of short-lived buffers — the dominator DFS worklist,
-//! reverse-postorder tables, the interval scheduler's indegree array,
-//! the lowering goto-patch tables. Under batch linting the front end
+//! reverse-postorder tables, the lowering goto-patch tables. Under batch linting the front end
 //! runs thousands of times per second, and those allocations dominate
 //! its profile. A [`CfgScratch`] keeps the buffers alive between runs;
 //! the [`CfgScratchPool`] shares warm scratches across pipeline workers
@@ -34,8 +33,6 @@ pub struct CfgScratch {
     pub(crate) rpo: Vec<NodeId>,
     pub(crate) rpo_index: Vec<usize>,
     pub(crate) idom: Vec<Option<NodeId>>,
-    // Interval assembly: preorder scheduling indegrees.
-    pub(crate) indeg: Vec<usize>,
     // Lowering: label resolution for goto patching.
     pub(crate) label_node: HashMap<Label, NodeId>,
     pub(crate) pending_gotos: Vec<(NodeId, Label)>,

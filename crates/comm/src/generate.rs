@@ -7,7 +7,7 @@
 //! code) and `WRITE_Recv` the EAGER one (as late as legal) — §3.1.
 
 use crate::analyze::CommAnalysis;
-use gnt_cfg::{EdgeMask, IntervalGraph, NodeId};
+use gnt_cfg::{reversed_graph, EdgeMask, IntervalGraph, NodeId};
 use gnt_core::{
     shift_off_synthetic, solve_after_into, solve_batch_into, solve_with_pressure_limit_in_place,
     FlavorSolution, PlacementProblem, PressureReport, SolverOptions, SolverScratch,
@@ -237,6 +237,9 @@ pub struct EmittedPlacement {
     pub write_lazy: FlavorSolution,
     /// Wall-clock nanoseconds of the READ and WRITE solves.
     pub solve_ns: u64,
+    /// Wall-clock nanoseconds of building [`EmittedPlacement::reversed`]
+    /// before its poisoning, apart from the solves.
+    pub reverse_ns: u64,
     /// Solves run: one per problem, plus the WRITE solve's poisoned
     /// fallback when its optimistic attempt failed its checks.
     pub solves: u64,
@@ -333,11 +336,14 @@ pub fn generate_with_placement(
     // WRITE: AFTER problem on the reversed graph. Reversed RES_in is
     // production after the node in program order; reversed RES_out before.
     // The ops come from shifted copies; the lint gets the unshifted rows.
+    let reverse_start = Instant::now();
+    let mut reversed = reversed_graph(graph)?;
+    let reverse_ns = elapsed_ns(reverse_start);
     let solve_start = Instant::now();
-    let reversed = solve_after_into(graph, &write_problem, &opts, scratch)?;
+    solve_after_into(&mut reversed, &write_problem, &opts, scratch);
     solve_ns += elapsed_ns(solve_start);
     // The WRITE solve ran its poisoned fallback iff it poisoned a header.
-    let solves = 2 + u64::from(reversed.nodes().any(|h| reversed.is_poisoned(h)));
+    let solves = 2 + u64::from(!reversed.poisoned().is_empty());
     write_problem.resize_nodes(reversed.num_nodes());
     let (write_eager, write_lazy) = scratch.export_productions();
     let shifted = |flavor: &FlavorSolution| {
@@ -404,6 +410,7 @@ pub fn generate_with_placement(
         write_eager,
         write_lazy,
         solve_ns,
+        reverse_ns,
         solves,
     };
     Ok((plan, placement))

@@ -100,34 +100,32 @@ pub fn solve_after_with_scratch(
     opts: &SolverOptions,
     scratch: &mut SolverScratch,
 ) -> Result<AfterSolution, GraphError> {
-    let reversed = solve_after_into(graph, problem, opts, scratch)?;
+    let mut reversed = reversed_graph(graph)?;
+    solve_after_into(&mut reversed, problem, opts, scratch);
     Ok(AfterSolution {
         reversed,
         solution: scratch.export(),
     })
 }
 
-/// Solves an AFTER problem into `scratch` and returns the reversed graph
-/// the solution lives on, poisoned headers included: the AFTER twin of
+/// Solves an AFTER problem into `scratch` over `reversed`, the
+/// [`reversed_graph`] of the problem's graph, poisoning the headers
+/// §5.3's fallback poisons: the AFTER twin of
 /// [`crate::solve_batch_into`]. Every variable stays readable in place
 /// (zero-copy views over the reversed graph's node ids), and
 /// [`SolverScratch::export_productions`] copies out only the rows a
-/// placement needs.
-///
-/// # Errors
-///
-/// Fails if the reversed graph for the AFTER problem cannot be built.
+/// placement needs. Building `reversed` is the caller's, so it can be
+/// timed apart from the solves.
 ///
 /// # Panics
 ///
-/// Panics if `problem` does not cover all nodes of `graph`.
+/// Panics if `problem` does not cover the nodes of the original graph.
 pub fn solve_after_into(
-    graph: &IntervalGraph,
+    reversed: &mut IntervalGraph,
     problem: &PlacementProblem,
     opts: &SolverOptions,
     scratch: &mut SolverScratch,
-) -> Result<IntervalGraph, GraphError> {
-    let mut reversed = reversed_graph(graph)?;
+) {
     let mut p = problem.clone();
     p.resize_nodes(reversed.num_nodes());
 
@@ -143,7 +141,7 @@ pub fn solve_after_into(
     // fingerprint and replays a cached tape from the second time on.
     // Poisoning changes the structural fingerprint, so the fallback needs
     // its own tape; the scratch caches both beside a READ tape.
-    solve_batch_into(&reversed, &p, opts, scratch);
+    solve_batch_into(reversed, &p, opts, scratch);
     let jump_entered: Vec<_> = reversed
         .nodes()
         .filter(|&h| !reversed.jump_in_sources(h).is_empty())
@@ -153,9 +151,9 @@ pub fn solve_after_into(
             scratch.production_rows(Flavor::Eager),
             scratch.production_rows(Flavor::Lazy),
         );
-        let ok = sufficiency(&reversed, &p, &eager, true).is_empty()
-            && sufficiency(&reversed, &p, &lazy, true).is_empty()
-            && balance(&reversed, &p, &eager, &lazy).is_empty();
+        let ok = sufficiency(reversed, &p, &eager, true).is_empty()
+            && sufficiency(reversed, &p, &lazy, true).is_empty()
+            && balance(reversed, &p, &eager, &lazy).is_empty();
         if !ok {
             // Conservative fallback (§5.3's first mechanism): poison the
             // jump-entered loops; nothing is hoisted out of or across
@@ -165,10 +163,9 @@ pub fn solve_after_into(
             for h in jump_entered {
                 reversed.poison(h);
             }
-            solve_batch_into(&reversed, &p, opts, scratch);
+            solve_batch_into(reversed, &p, opts, scratch);
         }
     }
-    Ok(reversed)
 }
 
 #[cfg(test)]
@@ -336,11 +333,12 @@ mod tests {
                 crate::solve_batch_into(&g, &problem, &opts, &mut scratch);
                 same(&scratch, &format!("{what}, forward"));
 
-                let reversed = solve_after_into(&g, &problem, &opts, &mut scratch).unwrap();
+                let mut reversed = reversed_graph(&g).unwrap();
+                solve_after_into(&mut reversed, &problem, &opts, &mut scratch);
                 let full = same(&scratch, &format!("{what}, reversed"));
                 let after = solve_after(&g, &problem, &opts).unwrap();
                 assert_eq!(after.solution, full, "{what}");
-                poisoned += usize::from(reversed.nodes().any(|h| reversed.is_poisoned(h)));
+                poisoned += usize::from(!reversed.poisoned().is_empty());
                 if reversed
                     .nodes()
                     .any(|h| !reversed.jump_in_sources(h).is_empty())

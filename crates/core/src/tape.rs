@@ -20,8 +20,9 @@
 //! programs in both directions and pins the compiled tapes themselves.
 //!
 //! Tapes are cached inside the [`SolverScratch`] that executes them,
-//! keyed by a 64-bit structural fingerprint over the classified edges,
-//! the effective poison set and the jump-in sources. A tape depends only
+//! keyed by a 64-bit fingerprint: the graph's structural fingerprint
+//! (classified edges and jump-in sources, hashed once when the graph is
+//! built) mixed with the effective poison set. A tape depends only
 //! on `(graph, opts)`, so BEFORE solves, AFTER solves (a BEFORE solve of
 //! the reversed graph), the pressure re-solve loop and delta re-solves
 //! all share one cache of the [`ENTRIES`] most recently used
@@ -42,10 +43,8 @@
 
 use crate::problem::{PlacementProblem, SolverOptions};
 use crate::scratch::SolverScratch;
-use crate::solver::{
-    check_coverage, effective_poison, schedule, solve_into, Init, Kernels, Solution,
-};
-use gnt_cfg::{EdgeClass, IntervalGraph};
+use crate::solver::{check_coverage, schedule, solve_into, Init, Kernels, Solution};
+use gnt_cfg::{IntervalGraph, NodeId};
 
 /// One instruction of a compiled schedule: a fused `gnt-dataflow` kernel
 /// applied to solver-arena rows resolved at compile time. `dst`, `a`,
@@ -243,6 +242,12 @@ impl ScheduleTape {
         self.fingerprint
     }
 
+    /// The fingerprint the tape cache keys `(graph, opts)` by: two pairs
+    /// with equal fingerprints compile to the same tape.
+    pub fn fingerprint_of(graph: &IntervalGraph, opts: &SolverOptions) -> u64 {
+        fingerprint(graph, opts)
+    }
+
     /// Replays the tape over the full universe into `scratch`, leaving
     /// every Figure-13 variable readable in place — the tape analogue of
     /// [`crate::solve_into`]. Prefer [`crate::solve_batch_into`], which
@@ -420,42 +425,47 @@ fn fuse(ops: Vec<TapeOp>) -> Vec<TapeOp> {
     out
 }
 
-/// FNV-1a over everything the compiled tape depends on: node count,
-/// classified successor edges, the effective poison set (graph poison ∪
-/// option-induced poison), and the jump-in sources. Two graphs with equal
-/// fingerprints compile to the same tape.
+/// The tape cache's key for `(graph, opts)`: the graph's stored
+/// structural fingerprint ([`IntervalGraph::fingerprint`]) mixed with the
+/// effective poison set, the nodes whose `STEAL` the schedule forces to
+/// ⊤ (`effective_poison` in the solver). That set is `graph.poisoned()` ∪
+/// `opts.no_hoist_headers`, plus every loop header under
+/// `opts.no_zero_trip_hoist`; it is hashed in one canonical form, so
+/// equal fingerprints mean the same schedule inputs, and the cost is in
+/// the size of the listed sets, not of the graph.
 fn fingerprint(graph: &IntervalGraph, opts: &SolverOptions) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |x: u64| {
-        for byte in x.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    let class_tag = |c: EdgeClass| -> u64 {
-        match c {
-            EdgeClass::Entry => 1,
-            EdgeClass::Cycle => 2,
-            EdgeClass::Jump => 3,
-            EdgeClass::Forward => 4,
-            EdgeClass::Synthetic => 5,
-            EdgeClass::JumpIn => 6,
-        }
-    };
-    mix(graph.num_nodes() as u64);
-    for node in graph.nodes() {
-        mix(0xE0E0);
-        for (s, c) in graph.succ_edges(node) {
-            mix((u64::from(s.0) << 3) | class_tag(c));
-        }
-        mix(u64::from(effective_poison(graph, opts, node)));
-        for &j in graph.jump_in_sources(node) {
-            mix(0x1000_0000 | u64::from(j.0));
-        }
+    let n = graph.num_nodes();
+    let mut listed: Vec<NodeId> = graph
+        .poisoned()
+        .iter()
+        .chain(&opts.no_hoist_headers)
+        .copied()
+        .filter(|h| h.index() < n)
+        .collect();
+    listed.sort_unstable();
+    listed.dedup();
+    // Canonical form: when the set holds every loop header, by the
+    // option or by listing, hash that as one flag plus the other nodes.
+    let headers = graph.num_loop_headers();
+    let listed_headers = listed.iter().filter(|&&h| graph.is_loop_header(h)).count();
+    let all_headers = headers > 0 && (opts.no_zero_trip_hoist || listed_headers == headers);
+    if all_headers {
+        listed.retain(|&h| !graph.is_loop_header(h));
+    }
+    let mut h = mix(graph.fingerprint(), u64::from(all_headers));
+    h = mix(h, listed.len() as u64);
+    for x in listed {
+        h = mix(h, u64::from(x.0));
     }
     h
+}
+
+/// One step of [`fingerprint`]: the splitmix64 finalizer over `h ^ x`.
+fn mix(h: u64, x: u64) -> u64 {
+    let mut z = h ^ x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// How many fingerprints a [`TapeCache`] remembers: the most one

@@ -23,8 +23,8 @@
 
 use crate::problem::PlacementProblem;
 use crate::solver::FlavorSolution;
-use gnt_cfg::{CfgFlow, IntervalGraph, NodeId};
-use gnt_dataflow::{BitSet, FlowGraph};
+use gnt_cfg::{IntervalGraph, NodeId};
+use gnt_dataflow::BitSet;
 
 /// A violation found by a verifier.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -114,67 +114,64 @@ fn word_mask(cap: usize, k: usize) -> u64 {
     }
 }
 
-/// Successor lists in compressed sparse row form, each edge carrying a
-/// tag: `edges[off[u]..off[u + 1]]` are `u`'s out-edges, in the order
-/// they were given.
-struct Csr<T> {
-    off: Vec<usize>,
-    edges: Vec<(usize, T)>,
+/// Meets `along` into `row`; whether `row` moved.
+fn meet_into(row: &mut [u64], along: &[u64]) -> bool {
+    let mut moved = false;
+    for (w, &a) in row.iter_mut().zip(along) {
+        let met = *w & a;
+        moved |= met != *w;
+        *w = met;
+    }
+    moved
 }
 
-impl<T: Copy> Csr<T> {
-    /// Builds the CSR of `n` nodes from `(src, dst, tag)` triples by
-    /// count-then-fill.
-    fn new(n: usize, list: &[(usize, usize, T)]) -> Csr<T> {
-        let mut off = vec![0usize; n + 1];
-        for &(src, _, _) in list {
-            off[src + 1] += 1;
+/// The sweep order of the checkers' fixpoints: the nodes reachable from
+/// `entry` in reverse postorder of a depth-first search, then the others
+/// in id order. `succs(u, out)` appends `u`'s successors to `out`.
+fn sweep_order(n: usize, entry: usize, succs: impl Fn(usize, &mut Vec<usize>)) -> Vec<usize> {
+    let mut post = Vec::with_capacity(n);
+    let mut seen = vec![false; n];
+    let mut next = Vec::new();
+    // `(u, true)` finishes `u` once everything it discovered has.
+    let mut stack = vec![(entry, false)];
+    while let Some((u, finish)) = stack.pop() {
+        if finish {
+            post.push(u);
+        } else if !std::mem::replace(&mut seen[u], true) {
+            stack.push((u, true));
+            next.clear();
+            succs(u, &mut next);
+            stack.extend(next.iter().filter(|&&v| !seen[v]).map(|&v| (v, false)));
         }
-        for v in 0..n {
-            off[v + 1] += off[v];
-        }
-        // Slot of every listed edge, then the edges in slot order.
-        let mut cursor = off[..n].to_vec();
-        let mut slot_edge = vec![0usize; list.len()];
-        for (e, &(src, _, _)) in list.iter().enumerate() {
-            slot_edge[cursor[src]] = e;
-            cursor[src] += 1;
-        }
-        let edges = slot_edge
-            .into_iter()
-            .map(|e| (list[e].1, list[e].2))
-            .collect();
-        Csr { off, edges }
     }
+    post.reverse();
+    post.extend((0..n).filter(|&v| !seen[v]));
+    post
+}
 
-    fn out(&self, u: usize) -> &[(usize, T)] {
-        &self.edges[self.off[u]..self.off[u + 1]]
-    }
-
-    /// The nodes reachable from `entry`, in reverse postorder of an
-    /// iterative depth-first search.
-    fn reverse_postorder(&self, entry: usize) -> Vec<usize> {
-        let n = self.off.len() - 1;
-        let mut post = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        // One child cursor per frame.
-        let mut stack: Vec<(usize, usize)> = vec![(entry, self.off[entry])];
-        seen[entry] = true;
-        while let Some(&mut (u, ref mut e)) = stack.last_mut() {
-            if *e < self.off[u + 1] {
-                let v = self.edges[*e].0;
-                *e += 1;
-                if !seen[v] {
-                    seen[v] = true;
-                    stack.push((v, self.off[v]));
-                }
-            } else {
-                post.push(u);
-                stack.pop();
+/// Calls `f(v, carried)` for each successor `v` of `u` in the flow
+/// [`sufficiency`] checks: `u`'s out-edges but the synthetic ones, where
+/// a header whose exits moved (`moved[h]`, the ≥1-trip view) has its
+/// FORWARD/JUMP exits leave from its LASTCHILD instead, with `carried`
+/// the header, whose RES_out rides along.
+fn flow_succs(
+    graph: &IntervalGraph,
+    moved: &[bool],
+    u: usize,
+    mut f: impl FnMut(usize, Option<usize>),
+) {
+    use gnt_cfg::EdgeClass;
+    let is_exit = |c: EdgeClass| matches!(c, EdgeClass::Forward | EdgeClass::Jump);
+    for (s, c) in graph.succ_edges(NodeId(u as u32)) {
+        if c == EdgeClass::Synthetic || (moved[u] && is_exit(c)) {
+            continue;
+        }
+        f(s.index(), None);
+        if c == EdgeClass::Cycle && moved[s.index()] {
+            for (x, _) in graph.succ_edges(s).filter(|&(_, c)| is_exit(c)) {
+                f(x.index(), Some(s.index()));
             }
         }
-        post.reverse();
-        post
     }
 }
 
@@ -191,9 +188,10 @@ impl<T: Copy> Csr<T> {
 /// setting for solutions computed with
 /// [`SolverOptions::no_zero_trip_hoist`](crate::SolverOptions)).
 ///
-/// The dataflow runs over flat word rows and one CSR adjacency, swept
-/// in reverse postorder to its greatest fixpoint; it shares no code with
-/// the solver. Violations come out node by node, items ascending.
+/// The dataflow runs over flat word rows and the graph's own edge
+/// lists, swept in reverse postorder to its greatest fixpoint; it
+/// shares no code with the solver. Violations come out node by node,
+/// items ascending.
 pub fn check_sufficiency(
     graph: &IntervalGraph,
     problem: &PlacementProblem,
@@ -210,60 +208,34 @@ pub(crate) fn sufficiency(
     placement: &impl ProductionRows,
     assume_one_trip: bool,
 ) -> Vec<Violation> {
-    use gnt_cfg::EdgeClass;
-    let base_n = graph.num_nodes();
+    let n = graph.num_nodes();
     let cap = problem.universe_size;
     let words = cap.div_ceil(64);
     let word = |set: &BitSet, k: usize| set.words()[k];
 
-    // Concrete edges. Under the ≥1-trip view, a loop-exit edge h → x is
-    // replaced by LASTCHILD(h) → pad → x, where the pad carries h's
-    // RES_out (exit-side production); the zero-trip bypass disappears.
-    let mut edges: Vec<(usize, usize, ())> = Vec::new();
-    let mut pads: Vec<usize> = Vec::new();
-    for m in graph.nodes() {
-        for (s, c) in graph.succ_edges(m) {
-            if c == EdgeClass::Synthetic {
-                continue;
-            }
-            let is_loop_exit =
-                graph.is_loop_header(m) && matches!(c, EdgeClass::Forward | EdgeClass::Jump);
-            if assume_one_trip && is_loop_exit {
-                if let Some(lc) = graph.last_child(m) {
-                    let pad = base_n + pads.len();
-                    pads.push(m.index());
-                    edges.push((lc.index(), pad, ()));
-                    edges.push((pad, s.index(), ()));
-                    continue;
-                }
-            }
-            edges.push((m.index(), s.index(), ()));
-        }
-    }
-    let n = base_n + pads.len();
+    // Under the ≥1-trip view a loop header's exits leave from its
+    // LASTCHILD ([`flow_succs`]); the zero-trip bypass disappears.
+    let moved: Vec<bool> = graph
+        .nodes()
+        .map(|h| assume_one_trip && graph.is_loop_header(h) && graph.last_child(h).is_some())
+        .collect();
 
     // Per-node transfer: RES_in, then GIVE/TAKE/STEAL, then RES_out:
-    // avail_out = ((avail_in ∪ res_in ∪ give) − steal) ∪ res_out. Under
-    // the ≥1-trip view a header's RES_out lives on its exit pads instead.
+    // avail_out = ((avail_in ∪ res_in ∪ give) − steal) ∪ res_out. Where a
+    // header's exits moved, its RES_out moved with them.
     let mut gen = Rows::new(n, words);
     let mut kill = Rows::new(n, words);
-    for i in 0..base_n {
-        let h = NodeId(i as u32);
-        let on_pads = assume_one_trip && graph.is_loop_header(h) && graph.last_child(h).is_some();
+    for (i, &exits_moved) in moved.iter().enumerate() {
         let (res_in, res_out) = (placement.res_in(i), placement.res_out(i));
         let (give, steal) = (&problem.give_init[i], &problem.steal_init[i]);
         for k in 0..words {
             let mut g = ((res_in[k] | word(give, k)) & !word(steal, k)) | res_out[k];
-            if on_pads {
+            if exits_moved {
                 g &= !res_out[k];
             }
             gen.row_mut(i)[k] = g;
             kill.row_mut(i)[k] = word(steal, k);
         }
-    }
-    for (p, &h) in pads.iter().enumerate() {
-        gen.row_mut(base_n + p)
-            .copy_from_slice(placement.res_out(h));
     }
 
     // Greatest fixpoint: every entry starts at ⊤ but the boundary (∅ at
@@ -272,7 +244,6 @@ pub(crate) fn sufficiency(
     // once nothing changes. Reachable nodes sweep in reverse postorder,
     // the rest (still ⊤-seeded predecessors) after them; a node pushes
     // again only after its own entry changed.
-    let csr = Csr::new(n, &edges);
     let entry = graph.root().index();
     let mut avail_in = Rows::new(n, words);
     for v in 0..n {
@@ -282,15 +253,12 @@ pub(crate) fn sufficiency(
             }
         }
     }
-    let mut order = csr.reverse_postorder(entry);
-    let mut listed = vec![false; n];
-    for &v in &order {
-        listed[v] = true;
-    }
-    order.extend((0..n).filter(|&v| !listed[v]));
     let mut dirty = vec![true; n];
-    let mut out = vec![0u64; words];
+    let (mut out, mut padded) = (vec![0u64; words], vec![0u64; words]);
     let mut changed = true;
+    let order = sweep_order(n, entry, |u, out| {
+        flow_succs(graph, &moved, u, |v, _| out.push(v))
+    });
     while changed {
         changed = false;
         for &u in &order {
@@ -301,27 +269,27 @@ pub(crate) fn sufficiency(
             for k in 0..words {
                 out[k] = g[k] | (a[k] & !kl[k]);
             }
-            for &(v, ()) in csr.out(u) {
-                if v == entry {
-                    continue;
-                }
-                let row = avail_in.row_mut(v);
-                let mut moved = false;
-                for k in 0..words {
-                    let met = row[k] & out[k];
-                    moved |= met != row[k];
-                    row[k] = met;
-                }
-                if moved {
+            flow_succs(graph, &moved, u, |v, carried| {
+                let along = match carried {
+                    None => &out,
+                    Some(h) => {
+                        let res_out = placement.res_out(h);
+                        for k in 0..words {
+                            padded[k] = out[k] | res_out[k];
+                        }
+                        &padded
+                    }
+                };
+                if v != entry && meet_into(avail_in.row_mut(v), along) {
                     dirty[v] = true;
                     changed = true;
                 }
-            }
+            });
         }
     }
 
     let mut violations = Vec::new();
-    for i in 0..base_n {
+    for i in 0..n {
         let (take, res_in, a) = (&problem.take_init[i], placement.res_in(i), avail_in.row(i));
         for (k, &avail) in a.iter().enumerate() {
             let mut missed = word(take, k) & !(avail | res_in[k]);
@@ -369,8 +337,8 @@ fn produce(di: &mut u64, dp: &mut u64, e: u64, l: u64) -> u64 {
 /// so it is skipped on CYCLE edges), and `RES_out` applies only toward
 /// FORWARD/JUMP successors (Eq. 15 considers only those).
 ///
-/// Like [`check_sufficiency`], it sweeps flat word rows over one CSR
-/// adjacency in reverse postorder, and shares no code with the solver.
+/// Like [`check_sufficiency`], it sweeps flat word rows over the graph's
+/// edge lists in reverse postorder, and shares no code with the solver.
 /// Violations come out item by item, nodes ascending.
 pub fn check_balance(
     graph: &IntervalGraph,
@@ -393,17 +361,14 @@ pub(crate) fn balance<P: ProductionRows>(
     let cap = problem.universe_size;
     let words = cap.div_ceil(64);
 
-    // Real control-flow edges with their classes.
-    let edges: Vec<(usize, usize, EdgeClass)> = graph
-        .nodes()
-        .flat_map(|m| {
-            graph
-                .succ_edges(m)
-                .filter(|(_, c)| *c != EdgeClass::Synthetic)
-                .map(move |(s, c)| (m.index(), s.index(), c))
-        })
-        .collect();
-    let csr = Csr::new(n, &edges);
+    // Real control-flow edges with their classes: the graph's own, but
+    // the synthetic ones.
+    let out_edges = |u: usize| {
+        graph
+            .succ_edges(NodeId(u as u32))
+            .filter(|(_, c)| *c != EdgeClass::Synthetic)
+            .map(|(v, c)| (v.index(), c))
+    };
     let entry = graph.root().index();
     let exit = graph.exit().index();
 
@@ -450,18 +415,20 @@ pub(crate) fn balance<P: ProductionRows>(
     // also on reversed graphs whose edge lists run anti-topologically):
     // states only grow, so a node pushes again only after its own state
     // grew, and probing violations afterwards sees every state any sweep
-    // saw.
-    let rpo = csr.reverse_postorder(entry);
+    // saw. Only reachable nodes ever push.
+    let order = sweep_order(n, entry, |u, next| {
+        next.extend(out_edges(u).map(|(v, _)| v))
+    });
     let mut dirty = vec![false; n];
     dirty[entry] = true;
     let mut changed = true;
     while changed {
         changed = false;
-        for &u in &rpo {
+        for &u in &order {
             if !std::mem::take(&mut dirty[u]) {
                 continue;
             }
-            for &(v, class) in csr.out(u) {
+            for (v, class) in out_edges(u) {
                 let mut grew = false;
                 for k in 0..words {
                     let (mut di, mut dp) = (idle.row(u)[k], pend.row(u)[k]);
@@ -483,7 +450,7 @@ pub(crate) fn balance<P: ProductionRows>(
     // every edge, differing states met (both Idle and Pending reachable),
     // and items exactly Pending at the exit (a start never stopped).
     for u in 0..n {
-        for &(v, class) in csr.out(u) {
+        for (v, class) in out_edges(u) {
             for k in 0..words {
                 let (mut di, mut dp) = (idle.row(u)[k], pend.row(u)[k]);
                 recorded.row_mut(v)[k] |= transfer(&mut di, &mut dp, u, v, class, k);
@@ -563,26 +530,10 @@ pub fn for_each_path(
     max_paths: usize,
     mut visit: impl FnMut(&Path),
 ) -> bool {
-    let flow = CfgFlow::from_interval(graph);
-    // One visit counter per distinct (node, successor) pair, laid out
-    // flat: `slot[first[node] + k]` is the counter of `node`'s k-th
-    // successor, shared by repeated successors.
-    let mut first = Vec::with_capacity(flow.num_nodes());
-    let mut slot = Vec::new();
-    for node in 0..flow.num_nodes() {
-        let base = slot.len();
-        first.push(base);
-        let succs = flow.succs(node);
-        for (k, s) in succs.iter().enumerate() {
-            let dup = succs[..k].iter().position(|t| t == s).unwrap_or(k);
-            slot.push(base + dup);
-        }
-    }
-
+    // One visit counter per real edge, by edge id (a CFG has no
+    // parallel edges, so each counts one (node, successor) pair).
     struct Search<'a> {
-        flow: &'a CfgFlow,
-        first: Vec<usize>,
-        slot: Vec<usize>,
+        graph: &'a IntervalGraph,
         visits: Vec<usize>,
         current: Vec<NodeId>,
         visit: &'a mut dyn FnMut(&Path),
@@ -593,12 +544,12 @@ pub fn for_each_path(
     }
 
     impl Search<'_> {
-        fn dfs(&mut self, node: usize) {
-            let flow = self.flow;
+        fn dfs(&mut self, node: NodeId) {
+            let graph = self.graph;
             if self.truncated {
                 return;
             }
-            if node == flow.exit() {
+            if node == graph.exit() {
                 if self.found < self.max_paths {
                     self.found += 1;
                     (self.visit)(&self.current);
@@ -607,33 +558,31 @@ pub fn for_each_path(
                 }
                 return;
             }
-            for (k, &s) in flow.succs(node).iter().enumerate() {
-                let c = self.slot[self.first[node] + k];
-                if self.visits[c] >= self.max_edge_visits {
+            for e in graph.succ_edge_ids(node) {
+                let (s, c) = graph.edge(e);
+                if !graph.is_real(s, c) || self.visits[e] >= self.max_edge_visits {
                     continue;
                 }
-                self.visits[c] += 1;
-                self.current.push(NodeId(s as u32));
+                self.visits[e] += 1;
+                self.current.push(s);
                 self.dfs(s);
                 self.current.pop();
-                self.visits[c] -= 1;
+                self.visits[e] -= 1;
             }
         }
     }
 
     let mut search = Search {
-        flow: &flow,
-        visits: vec![0; slot.len()],
-        first,
-        slot,
-        current: vec![NodeId(flow.entry() as u32)],
+        graph,
+        visits: vec![0; graph.num_edges()],
+        current: vec![graph.root()],
         visit: &mut visit,
         found: 0,
         max_edge_visits,
         max_paths,
         truncated: false,
     };
-    search.dfs(flow.entry());
+    search.dfs(graph.root());
     search.truncated
 }
 
