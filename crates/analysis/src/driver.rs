@@ -183,11 +183,12 @@ fn enrich(d: &mut Diagnostic, engine: &BlameEngine<'_>, item_names: &[String]) {
 /// Wall-clock nanoseconds spent in each pipeline stage, produced by
 /// [`lint_source_timed`] for `gnt-lint --profile`. "cfg" covers lowering
 /// and interval-graph assembly, "analyze" the communication analysis
-/// that walks them, "reverse" the reversed graph of the WRITE problem;
-/// "lint" is everything not attributed to another stage
-/// (invariant layers, audits, blame enrichment, span attachment). The
-/// run's solve and solver-engine counts, bounded-path replay counts and
-/// O1 fixpoint rounds ride along.
+/// that walks them, "reverse" the reversed graph of the WRITE problem,
+/// "criteria" Layer 2's placement lints; "lint" is everything not
+/// attributed to another stage (invariant layers, audits, blame
+/// enrichment, span attachment). The run's solve and solver-engine
+/// counts, bounded-path replay counts, O1 fixpoint rounds and reused
+/// WRITE verdicts ride along.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Source → AST.
@@ -206,7 +207,10 @@ pub struct StageTimings {
     /// Communication plan generation, its reversed graph and solves
     /// excluded.
     pub generate_ns: u64,
-    /// Lint layers, audits, blame, span attachment.
+    /// Layer 2: the placement criteria of both problems (C1–C3, O1 and
+    /// the zero-trip pass), their blame excluded.
+    pub criteria_ns: u64,
+    /// The other lint layers, audits, blame, span attachment.
     pub lint_ns: u64,
     /// Paths the lint layers replayed (placement zero-trip pass and
     /// plan replay together).
@@ -221,6 +225,10 @@ pub struct StageTimings {
     /// Placement solves run: the plan's two, plus one blame
     /// re-derivation per problem whose placement lint found something.
     pub solves: u64,
+    /// WRITE C1/C3 verdicts Layer 2 took from the WRITE solve's §5.3
+    /// check instead of checking again: 1 when that check ran and passed
+    /// on the rows Layer 2 lints, else 0.
+    pub checks_reused: u64,
     /// The run's solver-engine counts. A lint solves each `(graph,
     /// opts)` once, on the direct walker, so a cold run compiles no tape,
     /// its direct solves are the plan's (2, or 3 with §5.3's poisoned
@@ -238,6 +246,7 @@ impl StageTimings {
             + self.reverse_ns
             + self.solve_ns
             + self.generate_ns
+            + self.criteria_ns
             + self.lint_ns
     }
 
@@ -245,9 +254,9 @@ impl StageTimings {
     pub fn to_json(&self, file: &str) -> String {
         format!(
             "{{\"file\":\"{}\",\"parse_ns\":{},\"cfg_ns\":{},\"analyze_ns\":{},\
-             \"reverse_ns\":{},\"solve_ns\":{},\"generate_ns\":{},\"lint_ns\":{},\"total_ns\":{},\"solves\":{},\
-             \"tape_compiles\":{},\"direct_solves\":{},\"tape_replays\":{},\
-             \"paths_replayed\":{},\"enumerations_truncated\":{},\"o1_rounds\":{}}}",
+             \"reverse_ns\":{},\"solve_ns\":{},\"generate_ns\":{},\"criteria_ns\":{},\"lint_ns\":{},\
+             \"total_ns\":{},\"solves\":{},\"tape_compiles\":{},\"direct_solves\":{},\"tape_replays\":{},\
+             \"paths_replayed\":{},\"enumerations_truncated\":{},\"o1_rounds\":{},\"checks_reused\":{}}}",
             crate::diag::json_escape(file),
             self.parse_ns,
             self.cfg_ns,
@@ -255,6 +264,7 @@ impl StageTimings {
             self.reverse_ns,
             self.solve_ns,
             self.generate_ns,
+            self.criteria_ns,
             self.lint_ns,
             self.total_ns(),
             self.solves,
@@ -264,6 +274,7 @@ impl StageTimings {
             self.paths_replayed,
             self.enumerations_truncated,
             self.o1_rounds,
+            self.checks_reused,
         )
     }
 }
@@ -361,24 +372,44 @@ fn lint_program_inner(
     // re-solve: for READ that is the solution itself; for the unshifted
     // WRITE solution it does not apply, and only `tests/solver_clean.rs`
     // checks them on it. The zero-trip pass runs on READ only.
+    // When the WRITE solve's §5.3 check passed, it checked C1 and C3 on
+    // exactly the WRITE rows linted here, so that verdict is reused. It
+    // would not carry over to a shifted WRITE placement.
     let mut layer2 = Vec::new();
     if opts.select != ProblemSelect::After {
         let read = (&placement.read_eager, &placement.read_lazy);
-        layer2.push((graph, &plan.analysis.read_problem, read, opts.zero_trip));
+        layer2.push((
+            graph,
+            &plan.analysis.read_problem,
+            read,
+            opts.zero_trip,
+            false,
+        ));
     }
     if opts.select != ProblemSelect::Before {
         let write = (&placement.write_eager, &placement.write_lazy);
-        layer2.push((&placement.reversed, &placement.write_problem, write, false));
+        let checked = placement.write_checked;
+        layer2.push((
+            &placement.reversed,
+            &placement.write_problem,
+            write,
+            false,
+            checked,
+        ));
     }
     let solver_opts = SolverOptions::default();
-    for (g, problem, (eager, lazy), zero_trip) in layer2 {
+    for (g, problem, (eager, lazy), zero_trip, checked) in layer2 {
         let popts = PlacementLintOptions {
             check_optimality: false,
             zero_trip,
             item_names: item_names.clone(),
             ..Default::default()
         };
-        let mut found = lint_placement_counted(g, problem, eager, lazy, &popts, scratch, timings);
+        let stage = std::time::Instant::now();
+        let mut found =
+            lint_placement_counted(g, problem, eager, lazy, &popts, checked, scratch, timings);
+        timings.criteria_ns += elapsed_ns(stage);
+        timings.checks_reused += u64::from(checked);
         if !found.is_empty() {
             // Blame needs the full solve in the scratch: re-derive it.
             let stage = std::time::Instant::now();
@@ -421,7 +452,8 @@ fn lint_program_inner(
             + timings.analyze_ns
             + timings.reverse_ns
             + timings.generate_ns
-            + timings.solve_ns,
+            + timings.solve_ns
+            + timings.criteria_ns,
     );
     Ok(LintReport { diagnostics, plan })
 }

@@ -26,21 +26,23 @@ pub fn lint_graph(graph: &IntervalGraph, reversed: bool) -> Vec<Diagnostic> {
 
     for n in graph.nodes() {
         // Unique CYCLE edge per header, consistent with LASTCHILD.
-        let cycles: Vec<_> = graph.preds(n, EdgeMask::C).collect();
-        if cycles.len() > 1 {
+        let mut cycles = graph.preds(n, EdgeMask::C);
+        let first_cycle = cycles.next();
+        let num_cycles = usize::from(first_cycle.is_some()) + cycles.count();
+        if num_cycles > 1 {
             report(
                 n,
-                format!("node {n} has {} CYCLE in-edges (max 1)", cycles.len()),
+                format!("node {n} has {num_cycles} CYCLE in-edges (max 1)"),
             );
         }
         if let Some(lc) = graph.last_child(n) {
-            if cycles != vec![lc] {
+            if num_cycles != 1 || first_cycle != Some(lc) {
                 report(
                     n,
                     format!("LASTCHILD({n}) = {lc} does not match its CYCLE edge"),
                 );
             }
-            if graph.succs(lc, EdgeMask::EFJ).count() != 0 {
+            if graph.succs(lc, EdgeMask::EFJ).next().is_some() {
                 report(
                     lc,
                     format!("CYCLE source {lc} has ENTRY/FORWARD/JUMP successors"),
@@ -48,17 +50,16 @@ pub fn lint_graph(graph: &IntervalGraph, reversed: bool) -> Vec<Diagnostic> {
             }
         }
         // No critical edges among real (CEFJ) edges.
-        let outs: Vec<_> = graph.succs(n, EdgeMask::CEFJ).collect();
-        if outs.len() > 1 {
-            for &s in &outs {
-                if graph.preds(s, EdgeMask::CEFJ).count() > 1 {
+        if graph.succs(n, EdgeMask::CEFJ).nth(1).is_some() {
+            for s in graph.succs(n, EdgeMask::CEFJ) {
+                if graph.preds(s, EdgeMask::CEFJ).nth(1).is_some() {
                     report(n, format!("critical edge {n} → {s} survived normalization"));
                 }
             }
         }
         for (s, c) in graph.succ_edges(n) {
             match c {
-                EdgeClass::Jump if graph.preds(s, EdgeMask::CEF).count() != 0 => {
+                EdgeClass::Jump if graph.preds(s, EdgeMask::CEF).next().is_some() => {
                     report(s, format!("JUMP sink {s} has non-JUMP predecessors"));
                 }
                 EdgeClass::JumpIn if !reversed => {

@@ -2,7 +2,7 @@
 //! optimality criteria O1/O2/O3/O3' as `GNT00x` diagnostics.
 //!
 //! The correctness checks wrap the independent verifiers of `gnt-core`
-//! ([`gnt_core::check_sufficiency`], [`gnt_core::check_balance`]) and two
+//! ([`gnt_core::check_sufficiency_pair`], [`gnt_core::check_balance`]) and two
 //! definite-violation dataflow analyses (no consumer reachable from a
 //! production; item must-available at a production point), so a placement
 //! that satisfies the criteria — in particular anything [`gnt_core::solve`]
@@ -14,7 +14,7 @@ use crate::diag::Diagnostic;
 use crate::driver::StageTimings;
 use gnt_cfg::{EdgeClass, IntervalGraph, NodeId};
 use gnt_core::{
-    check_balance, check_sufficiency, for_each_path, path_has_zero_trip, shift_off_synthetic,
+    check_balance, check_sufficiency_pair, for_each_path, path_has_zero_trip, shift_off_synthetic,
     solve_batch_with_scratch, FlavorSolution, PathChecker, PlacementProblem, ScratchPool,
     SolverOptions, SolverScratch, Violation,
 };
@@ -173,18 +173,24 @@ fn real_in(graph: &IntervalGraph, v: usize) -> impl Iterator<Item = (usize, Edge
 /// which is not real, so its `reach_out` stays ∅, the boundary.
 /// The least fixpoint, swept from ∅ in reverse preorder until no
 /// `reach_in` moves; it is unique, so the order changes only the number
-/// of sweeps. Returns `(reach_in, reach_out)`.
+/// of sweeps. A node is recomputed only in the first sweep and after a
+/// real successor's `reach_in` moved (its CYCLE successor included), so
+/// the later sweeps skip what settled. Returns `(reach_in, reach_out)`.
 fn c2_reach(graph: &IntervalGraph, problem: &PlacementProblem) -> (Rows, Rows) {
     let n = graph.num_nodes();
     let cap = problem.universe_size;
     debug_assert!(real_out(graph, graph.exit().index()).next().is_none());
     let mut reach_in = Rows::new(n, cap, 0);
     let mut reach_out = Rows::new(n, cap, 0);
+    let mut dirty = vec![true; n];
     let mut changed = true;
     while changed {
         changed = false;
         for &node in graph.preorder().iter().rev() {
             let v = node.index();
+            if !std::mem::take(&mut dirty[v]) {
+                continue;
+            }
             let out = reach_out.row_mut(v);
             out.fill(0);
             for (_, s, _) in real_out(graph, v) {
@@ -193,12 +199,19 @@ fn c2_reach(graph: &IntervalGraph, problem: &PlacementProblem) -> (Rows, Rows) {
                 }
             }
             let (take, steal) = (problem.take_init[v].words(), problem.steal_init[v].words());
+            let mut moved = false;
             for k in 0..reach_in.stride {
                 let next = take[k] | (reach_out.row(v)[k] & !steal[k]);
                 let row = reach_in.row_mut(v);
-                if row[k] != next {
-                    row[k] = next;
-                    changed = true;
+                moved |= row[k] != next;
+                row[k] = next;
+            }
+            if moved {
+                changed = true;
+                for (u, c) in graph.pred_edges(node) {
+                    if graph.is_real(node, c) {
+                        dirty[u.index()] = true;
+                    }
                 }
             }
         }
@@ -223,7 +236,10 @@ fn c2_reach(graph: &IntervalGraph, problem: &PlacementProblem) -> (Rows, Rows) {
 /// many rounds it takes, not the states. The preorder settles in a few
 /// rounds, as every non-CYCLE edge points forward in it; an order that is
 /// not a flow order (node ids) needs a number of rounds that grows with
-/// the file.
+/// the file. After the first round a node is revisited only when the
+/// state of one of its in-edges moved, so a round skips what settled;
+/// a skipped node would have written the states it holds, so the rounds
+/// are those of a full sweep.
 struct O1Avail<'a> {
     problem: &'a PlacementProblem,
     lazy: &'a FlavorSolution,
@@ -257,26 +273,30 @@ impl<'a> O1Avail<'a> {
         };
         // Optimistic fixpoint: start full, intersect downwards.
         let mut mid = vec![0u64; o1.state.stride];
+        let mut dirty = vec![true; graph.num_nodes()];
         let mut changed = true;
         while changed {
             changed = false;
             o1.rounds += 1;
             for &node in order {
                 let i = node.index();
-                if real_out(graph, i).next().is_none() {
+                if !std::mem::take(&mut dirty[i]) || real_out(graph, i).next().is_none() {
                     continue;
                 }
                 o1.mid_meet(i, &mut mid);
                 let res_out = lazy.res_out[i].words();
-                for (e, _, c) in real_out(graph, i) {
+                for (e, s, c) in real_out(graph, i) {
                     let fires = exits(c);
                     let row = o1.state.row_mut(e);
+                    let mut moved = false;
                     for (k, w) in row.iter_mut().enumerate() {
                         let next = if fires { mid[k] | res_out[k] } else { mid[k] };
-                        if *w != next {
-                            *w = next;
-                            changed = true;
-                        }
+                        moved |= *w != next;
+                        *w = next;
+                    }
+                    if moved {
+                        dirty[s.index()] = true;
+                        changed = true;
                     }
                 }
             }
@@ -391,19 +411,26 @@ pub fn lint_placement_with_scratch(
         eager,
         lazy,
         opts,
+        false,
         scratch,
         &mut StageTimings::default(),
     )
 }
 
 /// [`lint_placement_with_scratch`], adding the zero-trip pass's path
-/// replay counts and the O1 fixpoint's rounds to `profile`.
+/// replay counts and the O1 fixpoint's rounds to `profile`. With
+/// `c1_c3_clean` the C1 and C3 checks are skipped: the caller vouches
+/// that [`gnt_core::check_balance`] and [`gnt_core::check_sufficiency`]
+/// (≥1-trip, `opts.assume_one_trip` set) already found exactly these
+/// rows clean against `problem` on `graph`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn lint_placement_counted(
     graph: &IntervalGraph,
     problem: &PlacementProblem,
     eager: &FlavorSolution,
     lazy: &FlavorSolution,
     opts: &PlacementLintOptions,
+    c1_c3_clean: bool,
     scratch: &mut SolverScratch,
     profile: &mut StageTimings,
 ) -> Vec<Diagnostic> {
@@ -416,9 +443,13 @@ pub(crate) fn lint_placement_counted(
         }
     };
 
-    // C3: every consumer fed on every (≥1-trip) path, in both flavors.
-    for flavor in [eager, lazy] {
-        for v in check_sufficiency(graph, problem, flavor, opts.assume_one_trip) {
+    // C3: every consumer fed on every (≥1-trip) path, in both flavors,
+    // one fixpoint for the pair; then C1: eager and lazy productions
+    // alternate on every path.
+    if !c1_c3_clean {
+        let [eager_missed, lazy_missed] =
+            check_sufficiency_pair(graph, problem, eager, lazy, opts.assume_one_trip);
+        for v in eager_missed.into_iter().chain(lazy_missed) {
             if let Violation::Insufficient { node, item } = v {
                 let d = Diagnostic::error(
                     "GNT001",
@@ -431,20 +462,18 @@ pub(crate) fn lint_placement_counted(
                 push(&mut out, d, item);
             }
         }
-    }
-
-    // C1: eager and lazy productions alternate on every path.
-    for v in check_balance(graph, problem, eager, lazy) {
-        if let Violation::Unbalanced { node, item } = v {
-            let d = Diagnostic::error(
-                "GNT002",
-                format!(
-                    "eager/lazy productions of {} do not pair up at this point",
-                    opts.name(item)
-                ),
-            )
-            .at(node);
-            push(&mut out, d, item);
+        for v in check_balance(graph, problem, eager, lazy) {
+            if let Violation::Unbalanced { node, item } = v {
+                let d = Diagnostic::error(
+                    "GNT002",
+                    format!(
+                        "eager/lazy productions of {} do not pair up at this point",
+                        opts.name(item)
+                    ),
+                )
+                .at(node);
+                push(&mut out, d, item);
+            }
         }
     }
 

@@ -431,10 +431,11 @@ fn explain_prints_the_family() {
 /// 8 of them without a zero trip: the plan replay takes those 8 by
 /// default; with `--zero-trip` it takes all 18 and the placement pass the
 /// other 10. Six sequential loops have 3^6 = 729 paths, so every
-/// enumeration is truncated. The line ends with the O1 fixpoints' rounds,
-/// 3 for READ plus 3 for WRITE: in each, one sweep in preorder settles
-/// these loops of depth 1, a second one carries availability around their
-/// CYCLE edges, and a third confirms.
+/// enumeration is truncated. Next come the O1 fixpoints' rounds, 3 for
+/// READ plus 3 for WRITE: in each, one sweep in preorder settles these
+/// loops of depth 1, a second one carries availability around their
+/// CYCLE edges, and a third confirms. No loop here is left by a `goto`,
+/// so no WRITE verdict is reused.
 #[test]
 fn profile_line_counts_replayed_and_truncated_paths() {
     let fig1 = write_fixture("fig1.minif", FIG1);
@@ -457,7 +458,8 @@ fn profile_line_counts_replayed_and_truncated_paths() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         let line = stderr.lines().next().unwrap_or_default();
         let expected = format!(
-            "\"paths_replayed\":{replayed},\"enumerations_truncated\":{truncated},\"o1_rounds\":6}}"
+            "\"paths_replayed\":{replayed},\"enumerations_truncated\":{truncated},\"o1_rounds\":6,\
+             \"checks_reused\":0}}"
         );
         assert!(
             line.ends_with(&expected),
@@ -519,8 +521,9 @@ fn profile_o1_rounds_stay_bounded_by_loop_depth() {
 /// The `--profile` line times lowering plus the interval graph
 /// (`cfg_ns`) apart from the communication analysis that walks them
 /// (`analyze_ns`, printed right after it), the reversed graph of the
-/// WRITE problem has a stage of its own (`reverse_ns`), and `total_ns`
-/// is the sum of the seven stage times.
+/// WRITE problem has a stage of its own (`reverse_ns`), so do Layer 2's
+/// placement criteria (`criteria_ns`), and `total_ns` is the sum of the
+/// eight stage times.
 #[test]
 fn profile_splits_the_graph_from_the_comm_analysis() {
     let file = write_fixture("fig1_stages.minif", FIG1);
@@ -540,15 +543,17 @@ fn profile_splits_the_graph_from_the_comm_analysis() {
             "reverse_ns",
             "solve_ns",
             "generate_ns",
+            "criteria_ns",
             "lint_ns",
             "total_ns"
         ],
         "{line}"
     );
-    let stages: u64 = keys[..7].iter().map(|k| profile_field(&line, k)).sum();
+    let stages: u64 = keys[..8].iter().map(|k| profile_field(&line, k)).sum();
     assert_eq!(profile_field(&line, "total_ns"), stages, "{line}");
     assert!(profile_field(&line, "analyze_ns") > 0, "{line}");
     assert!(profile_field(&line, "reverse_ns") > 0, "{line}");
+    assert!(profile_field(&line, "criteria_ns") > 0, "{line}");
 }
 
 /// A lint solves each problem once, inside plan generation, and lints the
@@ -594,6 +599,7 @@ fn profile_counts_one_solve_per_problem() {
             "reverse_ns",
             "solve_ns",
             "generate_ns",
+            "criteria_ns",
             "lint_ns",
             "total_ns",
             "solves",
@@ -602,7 +608,8 @@ fn profile_counts_one_solve_per_problem() {
             "tape_replays",
             "paths_replayed",
             "enumerations_truncated",
-            "o1_rounds"
+            "o1_rounds",
+            "checks_reused"
         ],
         "{line}"
     );
@@ -610,6 +617,47 @@ fn profile_counts_one_solve_per_problem() {
     assert_eq!(profile_field(&line, "tape_compiles"), 0, "{line}");
     assert_eq!(profile_field(&line, "direct_solves"), 3, "{line}");
     assert_eq!(profile_field(&line, "tape_replays"), 0, "{line}");
+}
+
+/// The WRITE solve checks its optimistic attempt against C1 and C3 when a
+/// loop is left by a `goto` (§5.3). When that check passes, it checked
+/// the very WRITE rows Layer 2 lints, and Layer 2 takes its verdict:
+/// `checks_reused` is 1 for a `goto` after the write. It is 0 when the
+/// check fails and the poisoned fallback serves the plan (a `goto` ahead
+/// of the write, `solves` 3), and 0 under `--before`, which lints no
+/// WRITE placement. Either way the lint stays clean.
+#[test]
+fn profile_counts_the_reused_write_verdict() {
+    let after = write_fixture(
+        "goto_after_write.minif",
+        "do i = 1, N
+  x(a(i)) = ...
+  if t(i) goto 7
+enddo
+7 b = 2
+",
+    );
+    let before = write_fixture(
+        "goto_ahead_of_write.minif",
+        "do j = 1, N
+  if t(j) goto 99
+  x(a(j)) = ...
+enddo
+99 continue
+",
+    );
+    for (file, args, solves, reused) in [
+        (&after, &[][..], 2, 1),
+        (&after, &["--after"][..], 2, 1),
+        (&after, &["--before"][..], 2, 0),
+        (&before, &[][..], 3, 0),
+        (&before, &["--before"][..], 3, 0),
+    ] {
+        let line = profile_line(file, args, 0);
+        let what = format!("{} {args:?}: {line}", file.display());
+        assert_eq!(profile_field(&line, "solves"), solves, "{what}");
+        assert_eq!(profile_field(&line, "checks_reused"), reused, "{what}");
+    }
 }
 
 /// `--after` queries explain the WRITE solve the plan was emitted from:

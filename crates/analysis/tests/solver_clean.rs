@@ -12,8 +12,8 @@ use gnt_comm::{
     analyze, generate_with_placement, CommConfig, CommPlan, EmittedPlacement, GenerateOptions,
 };
 use gnt_core::{
-    check_sufficiency, random_problem, random_program, shift_off_synthetic, sized_program, solve,
-    solve_after, GenConfig, SolverOptions, SolverScratch,
+    check_balance, check_sufficiency, random_problem, random_program, shift_off_synthetic,
+    sized_program, solve, solve_after, GenConfig, SolverOptions, SolverScratch,
 };
 use gnt_ir::Program;
 use proptest::prelude::*;
@@ -202,6 +202,84 @@ fn shift_breaks_sufficiency_of_the_coupled_write_solution_but_not_the_plan() {
     }
     let diags = lint_plan(&plan, &CommLintOptions::default());
     assert!(diags.is_empty(), "{diags:?}");
+}
+
+/// `program` with array traffic: `random_program` assigns only scalars,
+/// so every filler `sK = ...` becomes, by `K mod 4`, a write of
+/// `x(a(K mod 3))`, a read of it, a copy `y(K mod 5) = x(K mod 2)`, or
+/// stays as it is.
+fn with_arrays(program: &Program) -> Program {
+    let text: String = gnt_ir::pretty(program)
+        .lines()
+        .map(|line| {
+            let body = line.trim_start();
+            let indent = &line[..line.len() - body.len()];
+            let k = body
+                .strip_prefix('s')
+                .and_then(|rest| rest.strip_suffix(" = ..."))
+                .and_then(|k| k.parse::<usize>().ok());
+            match k.map(|k| (k, k % 4)) {
+                Some((k, 0)) => format!("{indent}x(a({})) = ...\n", k % 3),
+                Some((k, 1)) => format!("{indent}... = x(a({}))\n", k % 3),
+                Some((k, 2)) => format!("{indent}y({}) = x({})\n", k % 5, k % 2),
+                _ => format!("{line}\n"),
+            }
+        })
+        .collect();
+    gnt_ir::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"))
+}
+
+/// Layer 2 skips C1/C3 on WRITE when the WRITE solve's §5.3 check found
+/// them clean. That is sound only if the check ran on the rows Layer 2
+/// lints: whenever `write_checked` is set, fresh checkers on the emitted
+/// WRITE rows must find nothing. `write_checked` is set exactly when a
+/// loop is jump-entered on the reversed graph and the fallback did not
+/// poison it. Over `examples/*.minif` and random programs with `goto`s
+/// and array traffic.
+#[test]
+fn a_reused_write_verdict_holds_on_the_emitted_write_rows() {
+    let config = GenConfig {
+        goto_prob: 0.3,
+        loop_prob: 0.45,
+        ..GenConfig::default()
+    };
+    let mut programs: Vec<(String, Program)> = examples()
+        .into_iter()
+        .map(|(path, program)| (path.display().to_string(), program))
+        .collect();
+    programs.extend((0..64).map(|seed| {
+        (
+            format!("seed {seed}"),
+            with_arrays(&random_program(seed, &config)),
+        )
+    }));
+    let (mut reused, mut fallbacks) = (0, 0);
+    for (name, program) in &programs {
+        let (_, placement) = emitted(program, &GenerateOptions::default());
+        let rev = &placement.reversed;
+        let jump_entered = rev.nodes().any(|h| !rev.jump_in_sources(h).is_empty());
+        let poisoned = !rev.poisoned().is_empty();
+        assert_eq!(placement.write_checked, jump_entered && !poisoned, "{name}");
+        fallbacks += usize::from(poisoned);
+        if !placement.write_checked {
+            continue;
+        }
+        reused += 1;
+        let (problem, eager, lazy) = (
+            &placement.write_problem,
+            &placement.write_eager,
+            &placement.write_lazy,
+        );
+        assert!(problem.universe_size > 0, "{name}");
+        for flavor in [eager, lazy] {
+            let missed = check_sufficiency(rev, problem, flavor, true);
+            assert!(missed.is_empty(), "{name}: {missed:?}");
+        }
+        let unbalanced = check_balance(rev, problem, eager, lazy);
+        assert!(unbalanced.is_empty(), "{name}: {unbalanced:?}");
+    }
+    assert!(reused >= 10, "the verdict was reused on {reused} programs");
+    assert!(fallbacks > 0, "no program took the poisoned fallback");
 }
 
 proptest! {

@@ -47,6 +47,11 @@
 //!   communication analysis of `sized_program(3000)` without lowering
 //!   and the interval graph, and Layer 2's criteria lints of its READ
 //!   placement; `items` is its universe size (ungated);
+//! * `lint_criteria/ns_per_node` — the `criteria_ns` stage of
+//!   [`lint_source_timed`] on the printed `sized_program(3000)`: the
+//!   driver's Layer 2 over both problems, the WRITE C1/C3 verdict reused
+//!   when the solve's §5.3 check passed; `items` is the universe size
+//!   (ungated);
 //! * `solve/256items` and `solve_batch/256items` — a 4-word universe
 //!   solved by the direct backend with export and by cached-tape replay
 //!   into a reused buffer (the EXP-C2 protocol), plus
@@ -92,7 +97,7 @@
 //! rows are kept out of the committed baselines, which come from a
 //! different host shape.
 
-use gnt_analyze::driver::{detect_distributed, lint_source, LintOptions};
+use gnt_analyze::driver::{detect_distributed, lint_source, lint_source_timed, LintOptions};
 use gnt_analyze::placement::lint_placement_with_scratch;
 use gnt_analyze::{
     lint_batch_on, lint_batch_on_cached, PipelineCache, PlacementLintOptions, Source,
@@ -286,6 +291,31 @@ fn comm_layers(runs: usize, program: &gnt_ir::Program) -> Vec<BenchRecord> {
         threads: 1,
     });
     records
+}
+
+/// `lint_criteria/ns_per_node` (ungated): the median `criteria_ns` of
+/// [`lint_source_timed`] on `program` printed, the driver's Layer 2 as a
+/// cold lint runs it. `items` is the universe size.
+fn lint_criteria(runs: usize, program: &gnt_ir::Program) -> BenchRecord {
+    let src = gnt_ir::pretty(program);
+    let opts = LintOptions::default();
+    let mut samples: Vec<u64> = (0..=runs)
+        .map(|_| {
+            let (_, _, timings) = lint_source_timed(&src, &opts).expect("sized programs lint");
+            timings.criteria_ns
+        })
+        .collect();
+    samples.remove(0); // warm-up
+    samples.sort_unstable();
+    let (_, report) = lint_source(&src, &opts).expect("sized programs lint");
+    let nodes = report.plan.analysis.graph.num_nodes();
+    BenchRecord {
+        bench: "lint_criteria/ns_per_node".to_string(),
+        nodes,
+        items: report.plan.analysis.universe.len(),
+        ns_per_node: samples[samples.len() / 2] as f64 / nodes as f64,
+        threads: 1,
+    }
 }
 
 fn main() -> ExitCode {
@@ -523,6 +553,7 @@ fn main() -> ExitCode {
         threads: 1,
     });
     records.extend(comm_layers(runs, &sized_program(3000)));
+    records.push(lint_criteria(runs, &sized_program(3000)));
 
     // Multi-word universes on the largest size.
     let target = if smoke { 400 } else { 6400 };

@@ -38,10 +38,6 @@ impl CommConfig {
             strict_owner_computes: false,
         }
     }
-
-    fn is_distributed(&self, array: &str) -> bool {
-        self.distributed.iter().any(|a| a == array)
-    }
 }
 
 /// Per-statement access summary collected in the first pass.
@@ -253,10 +249,19 @@ pub(crate) fn collect_accesses(program: &Program, config: &CommConfig) -> Collec
     let mut universe = Universe::new();
     let mut accesses: HashMap<StmtId, Accesses> = HashMap::new();
     let mut ctx = LoopContext::new();
+    // The distributed arrays as symbols, resolved once, so that testing
+    // a reference is an id compare and takes no symbol-table lock. A
+    // name that was never interned names no array of the program.
+    let table = gnt_ir::SymbolTable::global();
+    let distributed: Vec<Symbol> = config
+        .distributed
+        .iter()
+        .filter_map(|a| table.get(a))
+        .collect();
     collect(
         program,
         program.body(),
-        config,
+        &distributed,
         &mut ctx,
         &mut universe,
         &mut accesses,
@@ -313,7 +318,7 @@ fn accumulation_op(name: Symbol, idx: &Expr, rhs: &Expr) -> Option<gnt_ir::BinOp
 fn collect(
     program: &Program,
     stmts: &[StmtId],
-    config: &CommConfig,
+    distributed: &[Symbol],
     ctx: &mut LoopContext,
     universe: &mut Universe<DataRef>,
     accesses: &mut HashMap<StmtId, Accesses>,
@@ -326,7 +331,7 @@ fn collect(
                 // that read is recorded separately so it can be elided
                 // when the item is communicated as a reduction.
                 let acc_op = match lhs {
-                    LValue::Element(name, idx) if config.is_distributed(name.as_str()) => {
+                    LValue::Element(name, idx) if distributed.contains(name) => {
                         accumulation_op(*name, idx, rhs)
                     }
                     _ => None,
@@ -336,7 +341,7 @@ fn collect(
                         // Collect non-self reads only.
                         let self_ref = Expr::Elem(*name, Box::new(idx.clone()));
                         for (array, sub) in rhs.subscripted_refs() {
-                            if config.is_distributed(array.as_str()) {
+                            if distributed.contains(&array) {
                                 let full = Expr::Elem(array, Box::new(sub.clone()));
                                 let item = universe.intern(normalize_ref(array, sub, ctx));
                                 if full == self_ref {
@@ -346,19 +351,19 @@ fn collect(
                                 }
                             }
                         }
-                        collect_reads(idx, config, ctx, universe, &mut acc);
+                        collect_reads(idx, distributed, ctx, universe, &mut acc);
                         let d = universe.intern(normalize_ref(*name, idx, ctx));
                         acc.defs.push(d);
                         acc.acc_ops.push((d, op));
                     }
                     _ => {
-                        collect_reads(rhs, config, ctx, universe, &mut acc);
+                        collect_reads(rhs, distributed, ctx, universe, &mut acc);
                         match lhs {
                             LValue::Element(name, idx) => {
                                 // Subscript reads happen regardless of the
                                 // target.
-                                collect_reads(idx, config, ctx, universe, &mut acc);
-                                if config.is_distributed(name.as_str()) {
+                                collect_reads(idx, distributed, ctx, universe, &mut acc);
+                                if distributed.contains(name) {
                                     let d = normalize_ref(*name, idx, ctx);
                                     acc.defs.push(universe.intern(d));
                                 } else {
@@ -375,11 +380,11 @@ fn collect(
             StmtKind::Do { var, lo, hi, body } => {
                 // Bound expressions are read outside the loop.
                 let mut acc = Accesses::default();
-                collect_reads(lo, config, ctx, universe, &mut acc);
-                collect_reads(hi, config, ctx, universe, &mut acc);
+                collect_reads(lo, distributed, ctx, universe, &mut acc);
+                collect_reads(hi, distributed, ctx, universe, &mut acc);
                 accesses.insert(sid, acc);
                 ctx.push(*var, lo, hi);
-                collect(program, body, config, ctx, universe, accesses);
+                collect(program, body, distributed, ctx, universe, accesses);
                 ctx.pop();
             }
             StmtKind::If {
@@ -388,14 +393,14 @@ fn collect(
                 else_body,
             } => {
                 let mut acc = Accesses::default();
-                collect_reads(cond, config, ctx, universe, &mut acc);
+                collect_reads(cond, distributed, ctx, universe, &mut acc);
                 accesses.insert(sid, acc);
-                collect(program, then_body, config, ctx, universe, accesses);
-                collect(program, else_body, config, ctx, universe, accesses);
+                collect(program, then_body, distributed, ctx, universe, accesses);
+                collect(program, else_body, distributed, ctx, universe, accesses);
             }
             StmtKind::IfGoto { cond, .. } => {
                 let mut acc = Accesses::default();
-                collect_reads(cond, config, ctx, universe, &mut acc);
+                collect_reads(cond, distributed, ctx, universe, &mut acc);
                 accesses.insert(sid, acc);
             }
             StmtKind::Goto(_) | StmtKind::Continue => {}
@@ -405,13 +410,13 @@ fn collect(
 
 fn collect_reads(
     expr: &Expr,
-    config: &CommConfig,
+    distributed: &[Symbol],
     ctx: &LoopContext,
     universe: &mut Universe<DataRef>,
     acc: &mut Accesses,
 ) {
     for (array, idx) in expr.subscripted_refs() {
-        if config.is_distributed(array.as_str()) {
+        if distributed.contains(&array) {
             let r = normalize_ref(array, idx, ctx);
             acc.reads.push(universe.intern(r));
         }

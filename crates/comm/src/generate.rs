@@ -235,6 +235,13 @@ pub struct EmittedPlacement {
     pub write_eager: FlavorSolution,
     /// WRITE LAZY productions on the reversed graph, unshifted.
     pub write_lazy: FlavorSolution,
+    /// Whether §5.3's check of the optimistic WRITE solve ran and found
+    /// C1 and C3 (≥1-trip) clean on exactly [`EmittedPlacement::write_eager`]
+    /// and [`EmittedPlacement::write_lazy`] against
+    /// [`EmittedPlacement::write_problem`] on [`EmittedPlacement::reversed`]
+    /// ([`solve_after_into`]). `false` when no loop is jump-entered and
+    /// after the poisoned fallback.
+    pub write_checked: bool,
     /// Wall-clock nanoseconds of the READ and WRITE solves.
     pub solve_ns: u64,
     /// Wall-clock nanoseconds of building [`EmittedPlacement::reversed`]
@@ -340,7 +347,7 @@ pub fn generate_with_placement(
     let mut reversed = reversed_graph(graph)?;
     let reverse_ns = elapsed_ns(reverse_start);
     let solve_start = Instant::now();
-    solve_after_into(&mut reversed, &write_problem, &opts, scratch);
+    let write_checked = solve_after_into(&mut reversed, &write_problem, &opts, scratch);
     solve_ns += elapsed_ns(solve_start);
     // The WRITE solve ran its poisoned fallback iff it poisoned a header.
     let solves = 2 + u64::from(!reversed.poisoned().is_empty());
@@ -409,6 +416,7 @@ pub fn generate_with_placement(
         write_problem,
         write_eager,
         write_lazy,
+        write_checked,
         solve_ns,
         reverse_ns,
         solves,

@@ -117,6 +117,13 @@ pub fn solve_after_with_scratch(
 /// placement needs. Building `reversed` is the caller's, so it can be
 /// timed apart from the solves.
 ///
+/// Returns `true` when §5.3's check of the optimistic attempt ran and
+/// found it clean: C3 (≥1-trip) of both flavors and C1, against
+/// `problem` resized to `reversed`, on exactly the production rows the
+/// scratch now holds. It is `false` when no loop is jump-entered (no
+/// check runs) and when the check failed (the scratch then holds the
+/// poisoned fallback's solution, which is not checked).
+///
 /// # Panics
 ///
 /// Panics if `problem` does not cover the nodes of the original graph.
@@ -125,7 +132,7 @@ pub fn solve_after_into(
     problem: &PlacementProblem,
     opts: &SolverOptions,
     scratch: &mut SolverScratch,
-) {
+) -> bool {
     let mut p = problem.clone();
     p.resize_nodes(reversed.num_nodes());
 
@@ -146,26 +153,29 @@ pub fn solve_after_into(
         .nodes()
         .filter(|&h| !reversed.jump_in_sources(h).is_empty())
         .collect();
-    if !jump_entered.is_empty() {
-        let (eager, lazy) = (
-            scratch.production_rows(Flavor::Eager),
-            scratch.production_rows(Flavor::Lazy),
-        );
-        let ok = sufficiency(reversed, &p, &eager, true).is_empty()
-            && sufficiency(reversed, &p, &lazy, true).is_empty()
-            && balance(reversed, &p, &eager, &lazy).is_empty();
-        if !ok {
-            // Conservative fallback (§5.3's first mechanism): poison the
-            // jump-entered loops; nothing is hoisted out of or across
-            // them. "While our current approach prevents unsafe code
-            // generation, it may miss some otherwise legal
-            // optimizations" — the paper's own assessment.
-            for h in jump_entered {
-                reversed.poison(h);
-            }
-            solve_batch_into(reversed, &p, opts, scratch);
-        }
+    if jump_entered.is_empty() {
+        return false;
     }
+    let (eager, lazy) = (
+        scratch.production_rows(Flavor::Eager),
+        scratch.production_rows(Flavor::Lazy),
+    );
+    let [eager_missed, lazy_missed] = sufficiency([&eager, &lazy], reversed, &p, true);
+    let ok = eager_missed.is_empty()
+        && lazy_missed.is_empty()
+        && balance(reversed, &p, &eager, &lazy).is_empty();
+    if !ok {
+        // Conservative fallback (§5.3's first mechanism): poison the
+        // jump-entered loops; nothing is hoisted out of or across
+        // them. "While our current approach prevents unsafe code
+        // generation, it may miss some otherwise legal
+        // optimizations" — the paper's own assessment.
+        for h in jump_entered {
+            reversed.poison(h);
+        }
+        solve_batch_into(reversed, &p, opts, scratch);
+    }
+    ok
 }
 
 #[cfg(test)]
@@ -302,7 +312,9 @@ mod tests {
     /// The production export copies exactly `export()`'s `RES_*` rows on
     /// forward, reversed and poisoned-reversed graphs, and the §5.3
     /// checks that read those rows in place in the scratch find what the
-    /// public checkers find on the exported rows.
+    /// public checkers find on the exported rows. `solve_after_into`
+    /// reports a clean check exactly when a loop is jump-entered and the
+    /// fallback did not run.
     #[test]
     fn production_export_matches_the_full_export() {
         use crate::generator::{random_problem, random_program, GenConfig};
@@ -334,15 +346,20 @@ mod tests {
                 same(&scratch, &format!("{what}, forward"));
 
                 let mut reversed = reversed_graph(&g).unwrap();
-                solve_after_into(&mut reversed, &problem, &opts, &mut scratch);
+                let verified = solve_after_into(&mut reversed, &problem, &opts, &mut scratch);
                 let full = same(&scratch, &format!("{what}, reversed"));
+                let jump_entered = reversed
+                    .nodes()
+                    .any(|h| !reversed.jump_in_sources(h).is_empty());
+                assert_eq!(
+                    verified,
+                    jump_entered && reversed.poisoned().is_empty(),
+                    "{what}"
+                );
                 let after = solve_after(&g, &problem, &opts).unwrap();
                 assert_eq!(after.solution, full, "{what}");
                 poisoned += usize::from(!reversed.poisoned().is_empty());
-                if reversed
-                    .nodes()
-                    .any(|h| !reversed.jump_in_sources(h).is_empty())
-                {
+                if jump_entered {
                     jump_checked += 1;
                     let mut p = problem.clone();
                     p.resize_nodes(reversed.num_nodes());
@@ -350,13 +367,14 @@ mod tests {
                         scratch.production_rows(Flavor::Eager),
                         scratch.production_rows(Flavor::Lazy),
                     );
-                    for (rows, exported) in [(&eager, &full.eager), (&lazy, &full.lazy)] {
-                        assert_eq!(
-                            sufficiency(&reversed, &p, rows, true),
-                            check_sufficiency(&reversed, &p, exported, true),
-                            "{what}"
-                        );
-                    }
+                    assert_eq!(
+                        sufficiency([&eager, &lazy], &reversed, &p, true),
+                        [
+                            check_sufficiency(&reversed, &p, &full.eager, true),
+                            check_sufficiency(&reversed, &p, &full.lazy, true)
+                        ],
+                        "{what}"
+                    );
                     assert_eq!(
                         balance(&reversed, &p, &eager, &lazy),
                         check_balance(&reversed, &p, &full.eager, &full.lazy),

@@ -86,6 +86,6 @@ pub use tape::{
     solve_batch, solve_batch_into, solve_batch_with_scratch, EngineCounters, ScheduleTape, TapeOp,
 };
 pub use verify::{
-    check_balance, check_path, check_sufficiency, enumerate_paths, enumerate_paths_capped,
-    for_each_path, path_has_zero_trip, Path, PathChecker, Violation,
+    check_balance, check_path, check_sufficiency, check_sufficiency_pair, enumerate_paths,
+    enumerate_paths_capped, for_each_path, path_has_zero_trip, Path, PathChecker, Violation,
 };

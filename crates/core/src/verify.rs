@@ -191,26 +191,47 @@ fn flow_succs(
 /// The dataflow runs over flat word rows and the graph's own edge
 /// lists, swept in reverse postorder to its greatest fixpoint; it
 /// shares no code with the solver. Violations come out node by node,
-/// items ascending.
+/// items ascending. [`check_sufficiency_pair`] checks both flavors of a
+/// placement in one fixpoint.
 pub fn check_sufficiency(
     graph: &IntervalGraph,
     problem: &PlacementProblem,
     placement: &FlavorSolution,
     assume_one_trip: bool,
 ) -> Vec<Violation> {
-    sufficiency(graph, problem, placement, assume_one_trip)
+    let [found] = sufficiency([placement], graph, problem, assume_one_trip);
+    found
 }
 
-/// [`check_sufficiency`] over any [`ProductionRows`].
-pub(crate) fn sufficiency(
+/// [`check_sufficiency`] of `eager` and of `lazy`, in that order, in one
+/// fixpoint: the two flavors' rows sit side by side, so the graph is
+/// walked, and its sweep order built, once for both. Each list equals
+/// what [`check_sufficiency`] returns for its flavor.
+pub fn check_sufficiency_pair(
     graph: &IntervalGraph,
     problem: &PlacementProblem,
-    placement: &impl ProductionRows,
+    eager: &FlavorSolution,
+    lazy: &FlavorSolution,
     assume_one_trip: bool,
-) -> Vec<Violation> {
+) -> [Vec<Violation>; 2] {
+    sufficiency([eager, lazy], graph, problem, assume_one_trip)
+}
+
+/// [`check_sufficiency`] of each of the `F` placements in one fixpoint
+/// over any [`ProductionRows`]: a row holds the `F` flavors' words side
+/// by side, and a node is revisited when any of them moved. The
+/// fixpoint of each flavor is unique, so sharing the sweep changes none
+/// of them.
+pub(crate) fn sufficiency<P: ProductionRows, const F: usize>(
+    placements: [&P; F],
+    graph: &IntervalGraph,
+    problem: &PlacementProblem,
+    assume_one_trip: bool,
+) -> [Vec<Violation>; F] {
     let n = graph.num_nodes();
     let cap = problem.universe_size;
     let words = cap.div_ceil(64);
+    let width = F * words;
     let word = |set: &BitSet, k: usize| set.words()[k];
 
     // Under the ≥1-trip view a loop header's exits leave from its
@@ -222,19 +243,25 @@ pub(crate) fn sufficiency(
 
     // Per-node transfer: RES_in, then GIVE/TAKE/STEAL, then RES_out:
     // avail_out = ((avail_in ∪ res_in ∪ give) − steal) ∪ res_out. Where a
-    // header's exits moved, its RES_out moved with them.
-    let mut gen = Rows::new(n, words);
+    // header's exits moved, its RES_out moved with them. Flavor `f`
+    // holds words `f * words..(f + 1) * words` of each row; the kill row
+    // (STEAL) is the flavors' common one.
+    let mut gen = Rows::new(n, width);
     let mut kill = Rows::new(n, words);
     for (i, &exits_moved) in moved.iter().enumerate() {
-        let (res_in, res_out) = (placement.res_in(i), placement.res_out(i));
         let (give, steal) = (&problem.give_init[i], &problem.steal_init[i]);
-        for k in 0..words {
-            let mut g = ((res_in[k] | word(give, k)) & !word(steal, k)) | res_out[k];
-            if exits_moved {
-                g &= !res_out[k];
+        for (f, placement) in placements.iter().enumerate() {
+            let (res_in, res_out) = (placement.res_in(i), placement.res_out(i));
+            for k in 0..words {
+                let mut g = ((res_in[k] | word(give, k)) & !word(steal, k)) | res_out[k];
+                if exits_moved {
+                    g &= !res_out[k];
+                }
+                gen.row_mut(i)[f * words + k] = g;
             }
-            gen.row_mut(i)[k] = g;
-            kill.row_mut(i)[k] = word(steal, k);
+        }
+        for (k, w) in kill.row_mut(i).iter_mut().enumerate() {
+            *w = word(steal, k);
         }
     }
 
@@ -245,16 +272,18 @@ pub(crate) fn sufficiency(
     // the rest (still ⊤-seeded predecessors) after them; a node pushes
     // again only after its own entry changed.
     let entry = graph.root().index();
-    let mut avail_in = Rows::new(n, words);
+    let mut avail_in = Rows::new(n, width);
     for v in 0..n {
         if v != entry {
-            for (k, w) in avail_in.row_mut(v).iter_mut().enumerate() {
-                *w = word_mask(cap, k);
+            for flavor in avail_in.row_mut(v).chunks_mut(words.max(1)) {
+                for (k, w) in flavor.iter_mut().enumerate() {
+                    *w = word_mask(cap, k);
+                }
             }
         }
     }
     let mut dirty = vec![true; n];
-    let (mut out, mut padded) = (vec![0u64; words], vec![0u64; words]);
+    let (mut out, mut padded) = (vec![0u64; width], vec![0u64; width]);
     let mut changed = true;
     let order = sweep_order(n, entry, |u, out| {
         flow_succs(graph, &moved, u, |v, _| out.push(v))
@@ -266,16 +295,23 @@ pub(crate) fn sufficiency(
                 continue;
             }
             let (g, kl, a) = (gen.row(u), kill.row(u), avail_in.row(u));
-            for k in 0..words {
-                out[k] = g[k] | (a[k] & !kl[k]);
+            for f in 0..F {
+                for (k, &steal) in kl.iter().enumerate() {
+                    let j = f * words + k;
+                    out[j] = g[j] | (a[j] & !steal);
+                }
             }
             flow_succs(graph, &moved, u, |v, carried| {
                 let along = match carried {
                     None => &out,
                     Some(h) => {
-                        let res_out = placement.res_out(h);
-                        for k in 0..words {
-                            padded[k] = out[k] | res_out[k];
+                        let flavors = padded
+                            .chunks_mut(words.max(1))
+                            .zip(out.chunks(words.max(1)));
+                        for ((p, o), placement) in flavors.zip(placements) {
+                            for ((p, &o), &r) in p.iter_mut().zip(o).zip(placement.res_out(h)) {
+                                *p = o | r;
+                            }
                         }
                         &padded
                     }
@@ -288,22 +324,25 @@ pub(crate) fn sufficiency(
         }
     }
 
-    let mut violations = Vec::new();
-    for i in 0..n {
-        let (take, res_in, a) = (&problem.take_init[i], placement.res_in(i), avail_in.row(i));
-        for (k, &avail) in a.iter().enumerate() {
-            let mut missed = word(take, k) & !(avail | res_in[k]);
-            while missed != 0 {
-                let bit = missed.trailing_zeros() as usize;
-                missed &= missed - 1;
-                violations.push(Violation::Insufficient {
-                    node: NodeId(i as u32),
-                    item: 64 * k + bit,
-                });
+    std::array::from_fn(|f| {
+        let mut violations = Vec::new();
+        for i in 0..n {
+            let (take, res_in) = (&problem.take_init[i], placements[f].res_in(i));
+            let a = &avail_in.row(i)[f * words..(f + 1) * words];
+            for (k, &avail) in a.iter().enumerate() {
+                let mut missed = word(take, k) & !(avail | res_in[k]);
+                while missed != 0 {
+                    let bit = missed.trailing_zeros() as usize;
+                    missed &= missed - 1;
+                    violations.push(Violation::Insufficient {
+                        node: NodeId(i as u32),
+                        item: 64 * k + bit,
+                    });
+                }
             }
         }
-    }
-    violations
+        violations
+    })
 }
 
 /// One production slot on the per-word state of [`check_balance`]: the

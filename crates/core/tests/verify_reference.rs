@@ -13,11 +13,14 @@
 //! optimistic §5.3 solutions that fail the check, and solutions with
 //! flipped production bits; both flavors, `assume_one_trip` on and off,
 //! and universes above 64 items.
+//!
+//! [`check_sufficiency_pair`] checks both flavors in one fixpoint; it
+//! must return exactly what two [`check_sufficiency`] calls return.
 
 use gnt_cfg::{reversed_graph, IntervalGraph};
 use gnt_core::{
-    check_balance, check_sufficiency, random_problem, random_program, sized_program, solve,
-    FlavorSolution, GenConfig, PlacementProblem, Solution, SolverOptions,
+    check_balance, check_sufficiency, check_sufficiency_pair, random_problem, random_program,
+    sized_program, solve, FlavorSolution, GenConfig, PlacementProblem, Solution, SolverOptions,
 };
 
 /// The checkers before they went flat, verbatim.
@@ -631,4 +634,81 @@ fn flat_checkers_match_the_reference_with_unreachable_nodes() {
         }
     }
     assert!(tally.insufficient > 0 && tally.unbalanced > 0);
+}
+
+/// The paired C3 fixpoint returns, flavor by flavor, exactly the
+/// violations of two single-flavor [`check_sufficiency`] calls: on the
+/// forward, reversed and poisoned-reversed graphs of random programs
+/// (with `goto`s and deep loop nests), in both worldviews, on solver
+/// placements and on ones with flipped bits in either flavor or in the
+/// lazy `RES_out` of every loop header, over universes of 5, 64 and 97
+/// items.
+#[test]
+fn paired_sufficiency_matches_two_single_checks() {
+    let configs = [
+        GenConfig {
+            goto_prob: 0.2,
+            ..GenConfig::default()
+        },
+        GenConfig {
+            max_depth: 5,
+            loop_prob: 0.6,
+            if_prob: 0.2,
+            ..GenConfig::default()
+        },
+    ];
+    let mut rng = Lcg(0x9a1e5);
+    let (mut cases, mut differing) = (0, 0);
+    for config in &configs {
+        for seed in 0..24 * stress() {
+            let Ok(graph) = IntervalGraph::from_program(&random_program(seed, config)) else {
+                continue;
+            };
+            for items in [5usize, 64, 97] {
+                let problem = random_problem(seed * 3 + items as u64, &graph, items, 0.25);
+                for (orient, g, p) in orientations(&graph, &problem) {
+                    let mut solution = solve(&g, &p, &SolverOptions::default());
+                    for flip in 0..4 {
+                        match flip {
+                            1 => perturb(&mut solution.eager, &mut rng, items, 3),
+                            2 => perturb(&mut solution.lazy, &mut rng, items, 3),
+                            // Loop headers' RES_out rides along their
+                            // moved exits under the ≥1-trip view: make
+                            // the flavors differ there.
+                            3 => {
+                                for h in g.nodes().filter(|&h| g.is_loop_header(h)) {
+                                    let item = rng.below(items);
+                                    let row = &mut solution.lazy.res_out[h.index()];
+                                    if !row.insert(item) {
+                                        row.remove(item);
+                                    }
+                                }
+                            }
+                            _ => {}
+                        }
+                        for one_trip in [true, false] {
+                            let (eager, lazy) = (&solution.eager, &solution.lazy);
+                            let want = [
+                                check_sufficiency(&g, &p, eager, one_trip),
+                                check_sufficiency(&g, &p, lazy, one_trip),
+                            ];
+                            let got = check_sufficiency_pair(&g, &p, eager, lazy, one_trip);
+                            let label = format!(
+                                "seed {seed}, {orient}, {items} items, flip {flip}, \
+                                 one-trip {one_trip}"
+                            );
+                            assert_eq!(got, want, "{label}");
+                            cases += 1;
+                            differing += usize::from(want[0] != want[1]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(cases >= 600, "{cases} cases");
+    assert!(
+        differing >= 50,
+        "the flavors differ in only {differing} cases"
+    );
 }

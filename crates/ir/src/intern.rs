@@ -143,6 +143,15 @@ impl SymbolTable {
         Symbol(w.insert(s))
     }
 
+    /// The symbol of `s` if it was interned, without interning it.
+    pub fn get(&self, s: &str) -> Option<Symbol> {
+        self.inner
+            .read()
+            .expect("symbol table poisoned")
+            .lookup(fnv1a(s.as_bytes()), s)
+            .map(Symbol)
+    }
+
     /// Number of distinct symbols interned so far.
     pub fn len(&self) -> usize {
         self.inner
