@@ -8,7 +8,10 @@
 //! and runs the complete pipeline — parse → CFG/intervals → analyze →
 //! solve → generate → lint — so steady-state batches reuse the
 //! scratches' arenas and cached schedule tapes whichever thread runs
-//! the job.
+//! the job. Both that pool and the CFG builder's
+//! [`gnt_cfg::CfgScratchPool`] are bounded [`gnt_dataflow::FreeList`]s:
+//! once one batch has warmed them, a `w`-wide batch creates no scratch
+//! and each pool holds at most `w` (up to the cap of 32).
 //!
 //! Results come back **in input order** regardless of scheduling:
 //! [`gnt_dataflow::WorkerPool::map`] returns them by input index, so the

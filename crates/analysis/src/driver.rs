@@ -3,6 +3,13 @@
 //!
 //! The driver is what the CLI binary wraps; it is equally usable as a
 //! library (see `examples/lint_report.rs` at the workspace root).
+//!
+//! The serial entry points ([`lint_program`], [`lint_source`],
+//! [`lint_source_timed`]) check their solver scratch out of
+//! [`gnt_core::ScratchPool::global`], and CFG construction checks its
+//! buffers out of [`gnt_cfg::CfgScratchPool::global`]. Both are bounded
+//! [`gnt_dataflow::FreeList`]s, so a process that lints file after file
+//! reuses one warm scratch of each kind.
 
 use crate::audit::audit_plan;
 use crate::comm_lint::{lint_plan_counted, CommLintOptions};

@@ -70,7 +70,10 @@ pub fn lower(program: &Program) -> Result<LoweredCfg, BuildError> {
 
 /// [`lower`] with caller-provided scratch buffers; the pooled entry
 /// points route through here.
-pub fn lower_with(program: &Program, scratch: &mut CfgScratch) -> Result<LoweredCfg, BuildError> {
+pub(crate) fn lower_with(
+    program: &Program,
+    scratch: &mut CfgScratch,
+) -> Result<LoweredCfg, BuildError> {
     scratch.label_node.clear();
     scratch.pending_gotos.clear();
     let mut b = Builder {

@@ -30,7 +30,7 @@ impl Dominators {
     /// [`Dominators::compute`] with caller-provided scratch buffers.
     /// The result's tables are built in (recycled) scratch storage;
     /// hand them back with [`Dominators::recycle`] once done.
-    pub fn compute_with(cfg: &Cfg, scratch: &mut CfgScratch) -> Dominators {
+    pub(crate) fn compute_with(cfg: &Cfg, scratch: &mut CfgScratch) -> Dominators {
         let n = cfg.num_nodes();
         // Postorder DFS from the entry; reversed in place below.
         let mut post = std::mem::take(&mut scratch.rpo);
@@ -100,7 +100,7 @@ impl Dominators {
 
     /// Returns the dominator tables to `scratch` for the next
     /// [`Dominators::compute_with`] call to reuse.
-    pub fn recycle(self, scratch: &mut CfgScratch) {
+    pub(crate) fn recycle(self, scratch: &mut CfgScratch) {
         scratch.idom = self.idom;
         scratch.rpo_index = self.rpo_index;
         scratch.rpo = self.rpo;

@@ -298,7 +298,7 @@ impl IntervalGraph {
 
     /// [`IntervalGraph::from_cfg`] with caller-provided scratch buffers
     /// (dominator tables and assembly worklists are reused across calls).
-    pub fn from_cfg_with(
+    pub(crate) fn from_cfg_with(
         mut cfg: Cfg,
         scratch: &mut CfgScratch,
     ) -> Result<IntervalGraph, GraphError> {

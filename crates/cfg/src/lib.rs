@@ -41,7 +41,7 @@ mod interval;
 mod reverse;
 mod scratch;
 
-pub use build::{lower, lower_with, BuildError, LoweredCfg};
+pub use build::{lower, BuildError, LoweredCfg};
 pub use dom::{
     back_edges, make_reducible, Dominators, IrreducibleError, LoopForest, LoopId, LoopInfo,
 };
@@ -49,7 +49,7 @@ pub use dot::{to_dot, DotOverlay};
 pub use graph::{Cfg, NodeId, NodeKind, SynthKind};
 pub use interval::{EdgeClass, EdgeMask, GraphError, IntervalGraph};
 pub use reverse::{reversed_graph, reversed_graph_with_loops, reversed_loops};
-pub use scratch::{CfgScratch, CfgScratchPool, PooledCfgScratch};
+pub use scratch::{CfgScratch, CfgScratchPool};
 
 /// Maps every node of `graph` to the source span of the statement it was
 /// lowered from, if any: the node→span table consumed by diagnostics

@@ -79,7 +79,7 @@ pub use generator::{random_problem, random_program, sized_program, GenConfig};
 pub use pressure::{measure_pressure, solve_with_pressure_limit_in_place, PressureReport};
 pub use problem::{Flavor, PlacementProblem, SolverOptions};
 pub use scratch::SolverScratch;
-pub use scratch_pool::{PooledScratch, ScratchPool};
+pub use scratch_pool::ScratchPool;
 pub use shift::{shift_off_synthetic, ShiftReport};
 pub use solver::{solve, solve_into, ConsumptionVars, FlavorSolution, Solution};
 pub use tape::{

@@ -72,31 +72,10 @@ impl BitSet {
         s
     }
 
-    /// Builds a set directly from backing words (e.g. a [`crate::BitSlab`]
-    /// row). Bits beyond `capacity` in the last word are cleared.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words.len()` does not match `capacity`.
-    pub fn from_words(capacity: usize, words: Vec<u64>) -> Self {
-        assert_eq!(
-            words.len(),
-            capacity.div_ceil(WORD_BITS),
-            "word count does not match capacity {capacity}"
-        );
-        let repr = if capacity <= WORD_BITS {
-            Repr::Inline(words.first().copied().unwrap_or(0))
-        } else {
-            Repr::Heap(words.into_boxed_slice())
-        };
-        let mut s = BitSet { repr, capacity };
-        s.trim();
-        s
-    }
-
-    /// Like [`BitSet::from_words`] but borrowing: copies the words without
-    /// consuming a `Vec`, and allocates nothing at all for `capacity ≤ 64`.
-    /// This is the hot path for exporting solver arenas.
+    /// Builds a set from backing words (e.g. a [`crate::BitSlab`] row),
+    /// copying them; allocates nothing at all for `capacity ≤ 64`. Bits
+    /// beyond `capacity` in the last word are cleared. This is the hot
+    /// path for exporting solver arenas.
     ///
     /// # Panics
     ///
@@ -527,10 +506,10 @@ mod tests {
     #[test]
     fn from_words_roundtrips_and_trims() {
         let a = BitSet::full(65);
-        let b = BitSet::from_words(65, a.words().to_vec());
+        let b = BitSet::from_word_slice(65, a.words());
         assert_eq!(a, b);
         // Untrimmed input is repaired rather than trusted.
-        let c = BitSet::from_words(65, vec![!0, !0]);
+        let c = BitSet::from_word_slice(65, &[!0, !0]);
         assert_eq!(c.len(), 65);
         assert!(c.is_trimmed());
     }
@@ -538,7 +517,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "word count")]
     fn from_words_rejects_wrong_length() {
-        let _ = BitSet::from_words(65, vec![0]);
+        let _ = BitSet::from_word_slice(65, &[0]);
     }
 
     #[test]

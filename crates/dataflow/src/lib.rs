@@ -10,6 +10,8 @@
 //! * [`WorkerPool`] — a scoped, input-ordered fan-out
 //!   ([`WorkerPool::map`]), the parallel primitive of the batch lint
 //!   front-end,
+//! * [`FreeList`] — a bounded check-out pool of warm values, where the
+//!   solver and CFG scratches wait between the fan-out's jobs,
 //! * [`Universe`] — interning of domain items ([`ItemId`]) into bitset
 //!   indices,
 //! * [`GenKillProblem`] — a generic iterative (worklist) solver for classic
@@ -40,12 +42,14 @@
 
 mod bitset;
 mod pool;
+mod scratch_pool;
 mod slab;
 mod solver;
 mod universe;
 
 pub use bitset::{BitSet, Iter};
 pub use pool::{default_workers, global_pool, WorkerPool};
+pub use scratch_pool::{Checkout, FreeList, Pooled};
 pub use slab::{BitMut, BitRef, BitSlab};
 pub use solver::{Direction, FlowGraph, GenKillProblem, Meet, SimpleGraph, Solution};
 pub use universe::{ItemId, Universe};

@@ -15,9 +15,10 @@
 //! Threads are spawned per call and joined before `map` returns. No
 //! queue, parked thread or cross-call state exists, so there is nothing
 //! to shut down and nothing for a panic to poison. The warm state a job
-//! wants (solver arenas, compiled tapes, CFG scratch) lives in the
-//! process-wide check-out pools of `gnt-core` and `gnt-cfg`, which do
-//! not depend on which thread checks them out.
+//! wants (solver arenas, compiled tapes, CFG scratch) lives in
+//! process-wide [`crate::FreeList`]s (`gnt_core::ScratchPool`,
+//! `gnt_cfg::CfgScratchPool`), which do not depend on which thread
+//! checks them out.
 //!
 //! [`global_pool`] is the process-wide width, sized to the available
 //! parallelism; the batch lint front-end in `gnt-analyze` fans out

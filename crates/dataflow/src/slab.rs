@@ -179,16 +179,6 @@ impl BitSlab {
         }
     }
 
-    /// Fused `dst ← dst ∪ (a ∩ b)`.
-    #[inline]
-    pub fn or_and(&mut self, dst: usize, a: usize, b: usize) {
-        let (d, a, b) = (self.base(dst), self.base(a), self.base(b));
-        for w in 0..self.stride {
-            let v = self.words[a + w] & self.words[b + w];
-            self.words[d + w] |= v;
-        }
-    }
-
     /// Fused `dst ← dst ∪ (a ∖ b)`.
     #[inline]
     pub fn or_andnot(&mut self, dst: usize, a: usize, b: usize) {
@@ -418,16 +408,6 @@ impl BitSlab {
         diff != 0
     }
 
-    /// `dst ← dst ∪ words` (an external word window).
-    #[inline]
-    pub fn or_slice(&mut self, dst: usize, words: &[u64]) {
-        assert_eq!(words.len(), self.stride, "window width mismatch");
-        let d = self.base(dst);
-        for (w, v) in words.iter().enumerate() {
-            self.words[d + w] |= v;
-        }
-    }
-
     /// Number of set bits in row `r`.
     pub fn count(&self, r: usize) -> usize {
         self.row(r).len()
@@ -458,13 +438,6 @@ pub struct BitRef<'a> {
 }
 
 impl<'a> BitRef<'a> {
-    /// Wraps an external word slice as a row view. High bits beyond
-    /// `bits` must be zero.
-    pub fn from_words(words: &'a [u64], bits: usize) -> Self {
-        debug_assert_eq!(words.len(), bits.div_ceil(WORD_BITS));
-        BitRef { words, bits }
-    }
-
     /// The raw words backing the view.
     pub fn words(&self) -> &'a [u64] {
         self.words
@@ -565,16 +538,6 @@ impl BitMut<'_> {
         }
     }
 
-    /// Overwrites the row with the words of `set`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if capacities differ.
-    pub fn copy_from_bitset(&mut self, set: &BitSet) {
-        assert_eq!(self.bits, set.capacity(), "capacity mismatch");
-        self.words.copy_from_slice(set.words());
-    }
-
     /// Reborrows as an immutable view.
     pub fn as_ref(&self) -> BitRef<'_> {
         BitRef {
@@ -662,14 +625,6 @@ mod tests {
                 slab.row(3).to_bitset(),
                 c.union(&a.difference(&b)),
                 "or_andnot cap {cap}"
-            );
-
-            slab.copy(3, 2);
-            slab.or_and(3, 0, 1);
-            assert_eq!(
-                slab.row(3).to_bitset(),
-                c.union(&a.intersection(&b)),
-                "or_and cap {cap}"
             );
 
             slab.copy(3, 0);
@@ -792,9 +747,6 @@ mod tests {
         assert!(slab.row(0).contains(0)); // original bit 64
         assert!(slab.row(0).contains(86)); // original bit 150
         assert!(!slab.row(0).contains(127));
-        let b = bs(200, &[70]);
-        slab.or_slice(0, &b.words()[1..3]);
-        assert!(slab.row(0).contains(6)); // original bit 70
     }
 
     #[test]
