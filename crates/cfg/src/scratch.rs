@@ -60,6 +60,21 @@ mod tests {
     use crate::{lower, IntervalGraph};
 
     #[test]
+    fn checkout_reuses_returned_scratches() {
+        let pool = CfgScratchPool::new();
+        {
+            let _a = pool.checkout();
+            let _b = pool.checkout();
+            assert_eq!(pool.created(), 2);
+        }
+        assert_eq!(pool.warm(), 2);
+        {
+            let _c = pool.checkout();
+            assert_eq!(pool.created(), 2);
+        }
+    }
+
+    #[test]
     fn scratch_reuse_is_invisible_in_the_built_graph() {
         let srcs = [
             "do i = 1, N\n  y(i) = ...\nenddo",
