@@ -20,7 +20,7 @@ use crate::provenance::{chain_trail, why_not_trail};
 use gnt_cfg::{node_spans, DotOverlay};
 use gnt_comm::{analyze_timed, generate_with_placement, CommConfig, CommPlan, GenerateOptions};
 use gnt_core::{BlameEngine, Flavor, SolverOptions, Var};
-use gnt_ir::{Program, StmtKind};
+use gnt_ir::{Program, StmtKind, Symbol};
 use std::fmt;
 
 /// Which communication problems to lint.
@@ -132,18 +132,21 @@ impl std::error::Error for LintError {}
 /// Auto-detects distributed arrays: every name used with a subscript
 /// anywhere in the program, in first-appearance order.
 pub fn detect_distributed(program: &Program) -> Vec<String> {
-    let mut names: Vec<String> = Vec::new();
-    let mut add = |n: &str| {
-        if !names.iter().any(|x| x == n) {
-            names.push(n.to_string());
+    // Deduplicated by symbol id; each name is turned into a `String`
+    // once, at the end.
+    let mut names: Vec<Symbol> = Vec::new();
+    let mut add = |n: Symbol| {
+        if !names.contains(&n) {
+            names.push(n);
         }
     };
+    let mut exprs: Vec<&gnt_ir::Expr> = Vec::new();
     for (_, stmt) in program.iter() {
-        let mut exprs: Vec<&gnt_ir::Expr> = Vec::new();
+        exprs.clear();
         match &stmt.kind {
             StmtKind::Assign { lhs, rhs } => {
                 if let gnt_ir::LValue::Element(name, idx) = lhs {
-                    add(name.as_str());
+                    add(*name);
                     exprs.push(idx);
                 }
                 exprs.push(rhs);
@@ -152,13 +155,13 @@ pub fn detect_distributed(program: &Program) -> Vec<String> {
             StmtKind::If { cond, .. } | StmtKind::IfGoto { cond, .. } => exprs.push(cond),
             StmtKind::Goto(_) | StmtKind::Continue => {}
         }
-        for e in exprs {
+        for e in &exprs {
             for (name, _) in e.subscripted_refs() {
-                add(name.as_str());
+                add(name);
             }
         }
     }
-    names
+    names.into_iter().map(String::from).collect()
 }
 
 /// Attaches a blame trail to a node-and-item-carrying diagnostic: a
@@ -495,4 +498,20 @@ pub fn lint_source_timed(
     let mut scratch = gnt_core::ScratchPool::global().checkout();
     let report = lint_program_inner(&program, opts, &mut scratch, &mut timings)?;
     Ok((program, report, timings))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn detect_distributed_keeps_first_appearance_order_once_per_name() {
+        let p = gnt_ir::parse(
+            "y(a(i)) = x(b(i)) + y(1)\ndo k = 1, c(2)\n  ... = x(k) + a(k)\nenddo\nif d(1) goto 5\n5 continue",
+        )
+        .unwrap();
+        // The target first, then its subscript's references, then the
+        // right-hand side's, inner references before outer ones.
+        assert_eq!(detect_distributed(&p), ["y", "a", "b", "x", "c", "d"]);
+    }
 }

@@ -20,9 +20,6 @@ use gnt_core::{
 };
 use std::collections::BTreeSet;
 
-#[cfg(test)]
-mod reference;
-
 /// Options for [`lint_placement`].
 #[derive(Clone, Debug)]
 pub struct PlacementLintOptions {
@@ -574,21 +571,22 @@ pub(crate) fn lint_placement_counted(
             let (ge, oe) = (&given_eager[item], &opt_eager[item]);
             let (gl, ol) = (&given_lazy[item], &opt_lazy[item]);
             if ge.len() > oe.len() {
-                // O2: more production points than the optimum needs.
-                let &(pos, _) = missing_from(ge, oe)
-                    .next()
-                    .expect("larger set has extra point");
-                let d = Diagnostic::warning(
-                    "GNT005",
-                    format!(
-                        "{} uses {} eager production points where {} suffice",
-                        opts.name(item),
-                        ge.len(),
-                        oe.len()
-                    ),
-                )
-                .at(node_at_position(graph, pos));
-                push(&mut out, d, item);
+                // O2: more production points than the optimum needs. The
+                // points of an item are distinct, so the larger set
+                // always holds one the optimum lacks.
+                if let Some(&(pos, _)) = missing_from(ge, oe).next() {
+                    let d = Diagnostic::warning(
+                        "GNT005",
+                        format!(
+                            "{} uses {} eager production points where {} suffice",
+                            opts.name(item),
+                            ge.len(),
+                            oe.len()
+                        ),
+                    )
+                    .at(node_at_position(graph, pos));
+                    push(&mut out, d, item);
+                }
                 continue;
             }
             if ge.len() != oe.len() {
@@ -641,6 +639,9 @@ pub(crate) fn lint_placement_counted(
     });
     out
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

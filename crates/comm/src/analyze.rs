@@ -16,9 +16,6 @@ use gnt_sections::{normalize_ref, DataRef, LoopContext};
 use std::collections::HashMap;
 use std::time::Instant;
 
-#[cfg(test)]
-mod reference;
-
 /// Which arrays are distributed and how definitions behave.
 #[derive(Clone, Debug, Default)]
 pub struct CommConfig {
@@ -56,6 +53,17 @@ pub(crate) struct Accesses {
     pub(crate) local_defs: Vec<Symbol>,
 }
 
+impl Accesses {
+    /// `true` if the statement touches no item and redefines no local
+    /// name, so it adds nothing to either problem.
+    fn is_empty(&self) -> bool {
+        self.reads.is_empty()
+            && self.defs.is_empty()
+            && self.acc_reads.is_empty()
+            && self.local_defs.is_empty()
+    }
+}
+
 /// The communication analysis: graph, universe of array portions, and the
 /// two placement problems.
 #[derive(Clone, Debug)]
@@ -86,7 +94,9 @@ pub struct CommAnalysis {
 /// accesses, and the reduction items.
 pub(crate) struct Collected {
     pub(crate) universe: Universe<DataRef>,
-    pub(crate) accesses: HashMap<StmtId, Accesses>,
+    /// One entry per statement of the program, indexed by
+    /// [`StmtId::index`]; statements without accesses keep an empty one.
+    pub(crate) accesses: Vec<Accesses>,
     pub(crate) reductions: HashMap<ItemId, gnt_ir::BinOp>,
 }
 
@@ -158,18 +168,31 @@ pub fn analyze_timed(
         .map(|(_, r)| row_of(&|other| r.may_overlap(other)))
         .collect();
     let mut invalidations: HashMap<Symbol, BitSet> = HashMap::new();
+    let mut is_reduction = BitSet::new(cap);
+    for item in reductions.keys() {
+        is_reduction.insert(item.index());
+    }
+    // Each statement's node, by statement index; `None` for statements
+    // lowering pruned as unreachable.
+    let mut node_at: Vec<Option<NodeId>> = vec![None; accesses.len()];
+    for (sid, &node) in &node_of_stmt {
+        if let Some(slot) = node_at.get_mut(sid.index()) {
+            *slot = Some(node);
+        }
+    }
 
-    for (sid, acc) in &accesses {
-        let Some(&node) = node_of_stmt.get(sid) else {
-            continue; // unreachable statement
+    for (acc, &node) in accesses.iter().zip(&node_at) {
+        let Some(node) = node.filter(|_| !acc.is_empty()) else {
+            continue; // no accesses, or an unreachable statement
         };
         let i = node.index();
         // A self-reference read of a reduction item is elided (the owner
         // combines contributions); otherwise it is an ordinary read.
-        let effective_reads = acc
-            .reads
-            .iter()
-            .chain(acc.acc_reads.iter().filter(|i| !reductions.contains_key(i)));
+        let effective_reads = acc.reads.iter().chain(
+            acc.acc_reads
+                .iter()
+                .filter(|i| !is_reduction.contains(i.index())),
+        );
         for &item in effective_reads {
             read_problem.take(node, item.index());
             // A read of a portion overlapping a pending write-back forces
@@ -189,7 +212,7 @@ pub fn analyze_timed(
             // portion for free (§3.1). A reduction contribution is only a
             // *partial* value: it gives nothing, and it invalidates any
             // previously fetched copy of its own portion.
-            if reductions.contains_key(&item) {
+            if is_reduction.contains(item.index()) {
                 read_problem.steal(node, item.index());
             } else if !config.strict_owner_computes {
                 read_problem.give(node, item.index());
@@ -247,7 +270,7 @@ fn invalidated_by(r: &DataRef, name: Symbol) -> bool {
 /// Pass 1: canonical accesses per statement, then the reduction items.
 pub(crate) fn collect_accesses(program: &Program, config: &CommConfig) -> Collected {
     let mut universe = Universe::new();
-    let mut accesses: HashMap<StmtId, Accesses> = HashMap::new();
+    let mut accesses = vec![Accesses::default(); program.num_stmts()];
     let mut ctx = LoopContext::new();
     // The distributed arrays as symbols, resolved once, so that testing
     // a reference is an id compare and takes no symbol-table lock. A
@@ -271,8 +294,7 @@ pub(crate) fn collect_accesses(program: &Program, config: &CommConfig) -> Collec
     // one operator; mixed items fall back to ordinary READ+WRITE.
     let mut reductions: HashMap<ItemId, gnt_ir::BinOp> = HashMap::new();
     let mut disqualified: Vec<ItemId> = Vec::new();
-    for acc in accesses.values() {
-        let acc_items: Vec<ItemId> = acc.acc_ops.iter().map(|(i, _)| *i).collect();
+    for acc in &accesses {
         for &(item, op) in &acc.acc_ops {
             match reductions.get(&item) {
                 None => {
@@ -283,7 +305,7 @@ pub(crate) fn collect_accesses(program: &Program, config: &CommConfig) -> Collec
             }
         }
         for &d in &acc.defs {
-            if !acc_items.contains(&d) {
+            if !acc.acc_ops.iter().any(|&(i, _)| i == d) {
                 disqualified.push(d); // plain definition of the same item
             }
         }
@@ -321,12 +343,12 @@ fn collect(
     distributed: &[Symbol],
     ctx: &mut LoopContext,
     universe: &mut Universe<DataRef>,
-    accesses: &mut HashMap<StmtId, Accesses>,
+    accesses: &mut [Accesses],
 ) {
     for &sid in stmts {
         match &program.stmt(sid).kind {
             StmtKind::Assign { lhs, rhs } => {
-                let mut acc = Accesses::default();
+                let acc = &mut accesses[sid.index()];
                 // An accumulation `x(e) = x(e) ⊕ …` reads its own target;
                 // that read is recorded separately so it can be elided
                 // when the item is communicated as a reduction.
@@ -339,30 +361,28 @@ fn collect(
                 match (acc_op, lhs) {
                     (Some(op), LValue::Element(name, idx)) => {
                         // Collect non-self reads only.
-                        let self_ref = Expr::Elem(*name, Box::new(idx.clone()));
                         for (array, sub) in rhs.subscripted_refs() {
                             if distributed.contains(&array) {
-                                let full = Expr::Elem(array, Box::new(sub.clone()));
                                 let item = universe.intern(normalize_ref(array, sub, ctx));
-                                if full == self_ref {
+                                if array == *name && sub == idx {
                                     acc.acc_reads.push(item);
                                 } else {
                                     acc.reads.push(item);
                                 }
                             }
                         }
-                        collect_reads(idx, distributed, ctx, universe, &mut acc);
+                        collect_reads(idx, distributed, ctx, universe, acc);
                         let d = universe.intern(normalize_ref(*name, idx, ctx));
                         acc.defs.push(d);
                         acc.acc_ops.push((d, op));
                     }
                     _ => {
-                        collect_reads(rhs, distributed, ctx, universe, &mut acc);
+                        collect_reads(rhs, distributed, ctx, universe, acc);
                         match lhs {
                             LValue::Element(name, idx) => {
                                 // Subscript reads happen regardless of the
                                 // target.
-                                collect_reads(idx, distributed, ctx, universe, &mut acc);
+                                collect_reads(idx, distributed, ctx, universe, acc);
                                 if distributed.contains(name) {
                                     let d = normalize_ref(*name, idx, ctx);
                                     acc.defs.push(universe.intern(d));
@@ -375,14 +395,12 @@ fn collect(
                         }
                     }
                 }
-                accesses.insert(sid, acc);
             }
             StmtKind::Do { var, lo, hi, body } => {
                 // Bound expressions are read outside the loop.
-                let mut acc = Accesses::default();
-                collect_reads(lo, distributed, ctx, universe, &mut acc);
-                collect_reads(hi, distributed, ctx, universe, &mut acc);
-                accesses.insert(sid, acc);
+                let acc = &mut accesses[sid.index()];
+                collect_reads(lo, distributed, ctx, universe, acc);
+                collect_reads(hi, distributed, ctx, universe, acc);
                 ctx.push(*var, lo, hi);
                 collect(program, body, distributed, ctx, universe, accesses);
                 ctx.pop();
@@ -392,16 +410,12 @@ fn collect(
                 then_body,
                 else_body,
             } => {
-                let mut acc = Accesses::default();
-                collect_reads(cond, distributed, ctx, universe, &mut acc);
-                accesses.insert(sid, acc);
+                collect_reads(cond, distributed, ctx, universe, &mut accesses[sid.index()]);
                 collect(program, then_body, distributed, ctx, universe, accesses);
                 collect(program, else_body, distributed, ctx, universe, accesses);
             }
             StmtKind::IfGoto { cond, .. } => {
-                let mut acc = Accesses::default();
-                collect_reads(cond, distributed, ctx, universe, &mut acc);
-                accesses.insert(sid, acc);
+                collect_reads(cond, distributed, ctx, universe, &mut accesses[sid.index()]);
             }
             StmtKind::Goto(_) | StmtKind::Continue => {}
         }
@@ -422,6 +436,9 @@ fn collect_reads(
         }
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,14 @@
-//! The reference oracle of the relation rows: pass 2 as it was before
-//! them, statement by statement, scanning the universe with
-//! `may_overlap` for every reference and every redefined local name.
-//! [`analyze`](super::analyze) must build the same `TAKE_init`,
+//! The reference oracles of pass 1 and pass 2.
+//!
+//! Pass 1's oracle is the former walk, kept verbatim: accesses keyed by
+//! statement in a `HashMap`. [`collect_accesses`](super::collect_accesses)
+//! must build the same universe (ids in order, each item printed alike),
+//! the same reductions and the same accesses for every statement.
+//!
+//! Pass 2's oracle is pass 2 as it was before the relation rows,
+//! statement by statement, scanning the universe with `may_overlap` for
+//! every reference and every redefined local name, over the former
+//! pass 1. [`analyze`](super::analyze) must build the same `TAKE_init`,
 //! `STEAL_init` and `GIVE_init` bit for bit, on the example programs,
 //! seeded random programs, sized programs, hand-written corner cases,
 //! universes on both sides of the 64-bit word boundary, and token
@@ -11,8 +18,179 @@ use super::*;
 use gnt_core::{random_program, sized_program, GenConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+/// What the former pass 1 collected: the universe, each recorded
+/// statement's accesses keyed by statement, and the reduction items.
+struct ReferenceCollected {
+    universe: Universe<DataRef>,
+    accesses: HashMap<StmtId, Accesses>,
+    reductions: HashMap<ItemId, gnt_ir::BinOp>,
+}
+
+/// The former pass 1: canonical accesses per statement, keyed by
+/// statement in a `HashMap`, then the reduction items.
+fn reference_collect_accesses(program: &Program, config: &CommConfig) -> ReferenceCollected {
+    let mut universe = Universe::new();
+    let mut accesses: HashMap<StmtId, Accesses> = HashMap::new();
+    let mut ctx = LoopContext::new();
+    // The distributed arrays as symbols, resolved once, so that testing
+    // a reference is an id compare and takes no symbol-table lock. A
+    // name that was never interned names no array of the program.
+    let table = gnt_ir::SymbolTable::global();
+    let distributed: Vec<Symbol> = config
+        .distributed
+        .iter()
+        .filter_map(|a| table.get(a))
+        .collect();
+    reference_collect(
+        program,
+        program.body(),
+        &distributed,
+        &mut ctx,
+        &mut universe,
+        &mut accesses,
+    );
+
+    // An item is a reduction iff every definition of it accumulates with
+    // one operator; mixed items fall back to ordinary READ+WRITE.
+    let mut reductions: HashMap<ItemId, gnt_ir::BinOp> = HashMap::new();
+    let mut disqualified: Vec<ItemId> = Vec::new();
+    for acc in accesses.values() {
+        let acc_items: Vec<ItemId> = acc.acc_ops.iter().map(|(i, _)| *i).collect();
+        for &(item, op) in &acc.acc_ops {
+            match reductions.get(&item) {
+                None => {
+                    reductions.insert(item, op);
+                }
+                Some(&prev) if prev == op => {}
+                Some(_) => disqualified.push(item),
+            }
+        }
+        for &d in &acc.defs {
+            if !acc_items.contains(&d) {
+                disqualified.push(d); // plain definition of the same item
+            }
+        }
+    }
+    for d in disqualified {
+        reductions.remove(&d);
+    }
+    ReferenceCollected {
+        universe,
+        accesses,
+        reductions,
+    }
+}
+
+fn reference_collect(
+    program: &Program,
+    stmts: &[StmtId],
+    distributed: &[Symbol],
+    ctx: &mut LoopContext,
+    universe: &mut Universe<DataRef>,
+    accesses: &mut HashMap<StmtId, Accesses>,
+) {
+    for &sid in stmts {
+        match &program.stmt(sid).kind {
+            StmtKind::Assign { lhs, rhs } => {
+                let mut acc = Accesses::default();
+                // An accumulation `x(e) = x(e) ⊕ …` reads its own target;
+                // that read is recorded separately so it can be elided
+                // when the item is communicated as a reduction.
+                let acc_op = match lhs {
+                    LValue::Element(name, idx) if distributed.contains(name) => {
+                        accumulation_op(*name, idx, rhs)
+                    }
+                    _ => None,
+                };
+                match (acc_op, lhs) {
+                    (Some(op), LValue::Element(name, idx)) => {
+                        // Collect non-self reads only.
+                        let self_ref = Expr::Elem(*name, Box::new(idx.clone()));
+                        for (array, sub) in rhs.subscripted_refs() {
+                            if distributed.contains(&array) {
+                                let full = Expr::Elem(array, Box::new(sub.clone()));
+                                let item = universe.intern(normalize_ref(array, sub, ctx));
+                                if full == self_ref {
+                                    acc.acc_reads.push(item);
+                                } else {
+                                    acc.reads.push(item);
+                                }
+                            }
+                        }
+                        reference_collect_reads(idx, distributed, ctx, universe, &mut acc);
+                        let d = universe.intern(normalize_ref(*name, idx, ctx));
+                        acc.defs.push(d);
+                        acc.acc_ops.push((d, op));
+                    }
+                    _ => {
+                        reference_collect_reads(rhs, distributed, ctx, universe, &mut acc);
+                        match lhs {
+                            LValue::Element(name, idx) => {
+                                // Subscript reads happen regardless of the
+                                // target.
+                                reference_collect_reads(idx, distributed, ctx, universe, &mut acc);
+                                if distributed.contains(name) {
+                                    let d = normalize_ref(*name, idx, ctx);
+                                    acc.defs.push(universe.intern(d));
+                                } else {
+                                    acc.local_defs.push(*name);
+                                }
+                            }
+                            LValue::Scalar(name) => acc.local_defs.push(*name),
+                            LValue::Opaque => {}
+                        }
+                    }
+                }
+                accesses.insert(sid, acc);
+            }
+            StmtKind::Do { var, lo, hi, body } => {
+                // Bound expressions are read outside the loop.
+                let mut acc = Accesses::default();
+                reference_collect_reads(lo, distributed, ctx, universe, &mut acc);
+                reference_collect_reads(hi, distributed, ctx, universe, &mut acc);
+                accesses.insert(sid, acc);
+                ctx.push(*var, lo, hi);
+                reference_collect(program, body, distributed, ctx, universe, accesses);
+                ctx.pop();
+            }
+            StmtKind::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                let mut acc = Accesses::default();
+                reference_collect_reads(cond, distributed, ctx, universe, &mut acc);
+                accesses.insert(sid, acc);
+                reference_collect(program, then_body, distributed, ctx, universe, accesses);
+                reference_collect(program, else_body, distributed, ctx, universe, accesses);
+            }
+            StmtKind::IfGoto { cond, .. } => {
+                let mut acc = Accesses::default();
+                reference_collect_reads(cond, distributed, ctx, universe, &mut acc);
+                accesses.insert(sid, acc);
+            }
+            StmtKind::Goto(_) | StmtKind::Continue => {}
+        }
+    }
+}
+
+fn reference_collect_reads(
+    expr: &Expr,
+    distributed: &[Symbol],
+    ctx: &LoopContext,
+    universe: &mut Universe<DataRef>,
+    acc: &mut Accesses,
+) {
+    for (array, idx) in expr.subscripted_refs() {
+        if distributed.contains(&array) {
+            let r = normalize_ref(array, idx, ctx);
+            acc.reads.push(universe.intern(r));
+        }
+    }
+}
+
 /// The READ and WRITE problems of `program` under `config`, built by the
-/// former pass 2 over the same pass 1.
+/// former pass 2 over the former pass 1.
 fn reference_problems(
     program: &Program,
     config: &CommConfig,
@@ -20,11 +198,11 @@ fn reference_problems(
     let lowered = lower(program)?;
     let node_of_stmt = lowered.node_of_stmt.clone();
     let graph = IntervalGraph::from_cfg(lowered.cfg)?;
-    let Collected {
+    let ReferenceCollected {
         universe,
         accesses,
         reductions,
-    } = collect_accesses(program, config);
+    } = reference_collect_accesses(program, config);
 
     // Pass 2: initial variables over the full universe.
     let n = graph.num_nodes();
@@ -261,6 +439,110 @@ fn wide_source(items: usize) -> String {
     src
 }
 
+/// The fields of one statement's accesses, for comparison.
+type AccessFields<'a> = (
+    &'a [ItemId],
+    &'a [ItemId],
+    &'a [ItemId],
+    &'a [(ItemId, gnt_ir::BinOp)],
+    &'a [Symbol],
+);
+
+fn fields(acc: &Accesses) -> AccessFields<'_> {
+    (
+        &acc.reads,
+        &acc.defs,
+        &acc.acc_reads,
+        &acc.acc_ops,
+        &acc.local_defs,
+    )
+}
+
+/// Asserts that pass 1 and the former walk agree on `program` under
+/// `config`: the same items under the same ids, printed alike; the same
+/// reductions; and for every statement the same accesses, empty where
+/// the former walk recorded none. Returns the universe size.
+fn pass1_agrees(program: &Program, config: &CommConfig, what: &str) -> usize {
+    let got = collect_accesses(program, config);
+    let want = reference_collect_accesses(program, config);
+    assert_eq!(
+        got.universe.len(),
+        want.universe.len(),
+        "{what}: universe size"
+    );
+    for ((gid, g), (wid, w)) in got.universe.iter().zip(want.universe.iter()) {
+        assert_eq!(gid, wid, "{what}: ids");
+        assert_eq!(g, w, "{what}: item {gid}");
+        assert_eq!(g.to_string(), w.to_string(), "{what}: item {gid} printed");
+    }
+    assert_eq!(got.reductions, want.reductions, "{what}: reductions");
+    assert_eq!(
+        got.accesses.len(),
+        program.num_stmts(),
+        "{what}: statements"
+    );
+    let empty = Accesses::default();
+    for (sid, _) in program.iter() {
+        let w = want.accesses.get(&sid).unwrap_or(&empty);
+        assert_eq!(
+            fields(&got.accesses[sid.index()]),
+            fields(w),
+            "{what}: accesses of statement {sid}"
+        );
+    }
+    got.universe.len()
+}
+
+/// [`pass1_agrees`] under the auto-detected arrays, and under the first
+/// half of them only, so that definitions of undistributed arrays are
+/// local definitions.
+fn pass1_agrees_both(program: &Program, what: &str) -> usize {
+    let all = auto(program);
+    let half = CommConfig {
+        distributed: all.distributed[..all.distributed.len() / 2].to_vec(),
+        strict_owner_computes: false,
+    };
+    pass1_agrees(program, &half, &format!("{what} (half distributed)"));
+    pass1_agrees(program, &all, what)
+}
+
+#[test]
+fn pass1_matches_the_former_walk_on_the_examples() {
+    for (name, text) in examples() {
+        let program = gnt_ir::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(
+            pass1_agrees_both(&program, &name) > 0,
+            "{name}: empty universe"
+        );
+    }
+}
+
+#[test]
+fn pass1_matches_the_former_walk_on_generated_programs() {
+    let jumpy = GenConfig {
+        goto_prob: 0.1,
+        ..GenConfig::default()
+    };
+    let mut items = 0;
+    for seed in 0..40 * stress() {
+        for config in [&GenConfig::default(), &jumpy] {
+            let program = random_program(seed, config);
+            pass1_agrees_both(&program, &format!("random_program {seed}"));
+        }
+        let src = random_source(seed);
+        let program = gnt_ir::parse(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        items += pass1_agrees_both(&program, &format!("random source {seed}:\n{src}"));
+    }
+    assert!(
+        items as u64 >= 80 * stress(),
+        "random sources reach {items} items"
+    );
+    for stmts in [200, 800, 3000] {
+        let program = sized_program(stmts);
+        assert!(pass1_agrees_both(&program, &format!("sized {stmts}")) > 0);
+    }
+}
+
 #[test]
 fn relation_rows_match_the_per_statement_scan_on_the_examples() {
     for (name, text) in examples() {
@@ -293,37 +575,53 @@ fn relation_rows_match_the_per_statement_scan_on_generated_programs() {
     }
 }
 
+/// Hand-written corner cases: reductions, strict owner-computes,
+/// redefined index arrays and bounds, and reads overlapping their own
+/// definition.
+const CORNER_CASES: [(&str, &str); 7] = [
+    (
+        "single-operator reduction",
+        "do i = 1, N\n  x(a(i)) = x(a(i)) + w(i)\nenddo\n... = x(a(1))",
+    ),
+    (
+        "mixed reduction",
+        "do i = 1, N\n  x(a(i)) = x(a(i)) + w(i)\n  x(a(i)) = x(a(i)) * w(i)\nenddo\n\
+         do j = 1, N\n  x(a(j)) = w(j)\nenddo",
+    ),
+    (
+        "strict owner-computes",
+        "x(1) = 2\n... = x(1)\n... = x(1:N)",
+    ),
+    (
+        "index-array redefinition",
+        "do k = 1, N\n  ... = x(a(k)) + x(b(k))\nenddo\na(1) = 0\n\
+         do l = 1, N\n  ... = x(a(l))\nenddo",
+    ),
+    (
+        "scalar-bound redefinition",
+        "do i = 1, M\n  ... = x(i+1)\nenddo\nM = 2\n... = x(M)\nN = 3",
+    ),
+    (
+        "read overlapping its own definition",
+        "do i = 1, N\n  x(i) = x(i+1) + x(i)\n  y(a(i)) = y(a(i+1))\nenddo",
+    ),
+    (
+        "accumulation reading another part of its own array",
+        "do i = 1, N\n  x(i) = x(i+1) + x(i)\n  y(a(i)) = y(a(i)) * y(b(i))\nenddo",
+    ),
+];
+
+#[test]
+fn pass1_matches_the_former_walk_on_corner_cases() {
+    for (what, src) in CORNER_CASES {
+        let program = gnt_ir::parse(src).unwrap_or_else(|e| panic!("{what}: {e}"));
+        pass1_agrees_both(&program, what);
+    }
+}
+
 #[test]
 fn relation_rows_match_the_per_statement_scan_on_corner_cases() {
-    let cases = [
-        (
-            "single-operator reduction",
-            "do i = 1, N\n  x(a(i)) = x(a(i)) + w(i)\nenddo\n... = x(a(1))",
-        ),
-        (
-            "mixed reduction",
-            "do i = 1, N\n  x(a(i)) = x(a(i)) + w(i)\n  x(a(i)) = x(a(i)) * w(i)\nenddo\n\
-             do j = 1, N\n  x(a(j)) = w(j)\nenddo",
-        ),
-        (
-            "strict owner-computes",
-            "x(1) = 2\n... = x(1)\n... = x(1:N)",
-        ),
-        (
-            "index-array redefinition",
-            "do k = 1, N\n  ... = x(a(k)) + x(b(k))\nenddo\na(1) = 0\n\
-             do l = 1, N\n  ... = x(a(l))\nenddo",
-        ),
-        (
-            "scalar-bound redefinition",
-            "do i = 1, M\n  ... = x(i+1)\nenddo\nM = 2\n... = x(M)\nN = 3",
-        ),
-        (
-            "read overlapping its own definition",
-            "do i = 1, N\n  x(i) = x(i+1) + x(i)\n  y(a(i)) = y(a(i+1))\nenddo",
-        ),
-    ];
-    for (what, src) in cases {
+    for (what, src) in CORNER_CASES {
         agree_both(src, what);
     }
     for items in [64, 65, 130] {

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, Hash};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// A dense identifier for an interned universe item.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -36,7 +36,9 @@ impl fmt::Display for ItemId {
 ///
 /// Each item is stored once, in id order; the lookup maps an item's hash
 /// to the newest id with that hash, and a per-id link chains the older
-/// ids that share it.
+/// ids that share it. Items are hashed with a fixed [`WordHasher`], so
+/// equal items hash alike in every run; ids never depend on the hash,
+/// only on the order of first interning.
 ///
 /// # Examples
 ///
@@ -55,8 +57,8 @@ impl fmt::Display for ItemId {
 pub struct Universe<T> {
     items: Vec<T>,
     /// Hash → the newest id with that hash, the head of its chain. The
-    /// map's own randomly keyed hasher hashes the items too.
-    head: HashMap<u64, u32>,
+    /// map's [`WordHasher`] hashes the items too.
+    head: HashMap<u64, u32, BuildHasherDefault<WordHasher>>,
     /// Per id, the next older id with the same hash, or `END`.
     next: Vec<u32>,
 }
@@ -64,12 +66,60 @@ pub struct Universe<T> {
 /// The end of a `next` chain.
 const END: u32 = u32::MAX;
 
+/// A fixed multiplicative hasher that takes its input one word at a
+/// time: each word is xor-ed into the rotated state, which is then
+/// multiplied by an odd constant (the FxHash mix). Items of a universe
+/// are small derived-`Hash` values (integers, symbols, short vectors),
+/// which this hashes in a few multiplies where SipHash runs its rounds.
+/// It is not keyed, so it is no defence against crafted collisions; a
+/// collision costs a longer chain in [`Universe`], never a wrong id.
+#[derive(Clone, Copy, Debug, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    const MUL: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MUL);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let word = |chunk: &[u8]| chunk.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(word(chunk));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            self.add(word(rest));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
+
 impl<T: Eq + Hash> Universe<T> {
     /// Creates an empty universe.
     pub fn new() -> Self {
         Universe {
             items: Vec::new(),
-            head: HashMap::new(),
+            head: HashMap::default(),
             next: Vec::new(),
         }
     }
@@ -87,6 +137,13 @@ impl<T: Eq + Hash> Universe<T> {
     }
 
     /// Interns `item`, returning its stable id.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `item` is new and the universe already holds
+    /// `u32::MAX` items, the most a 32-bit [`ItemId`] names beside the
+    /// chain end. Items come from a program's references, and every one
+    /// is stored, so that universe would need hundreds of GiB first.
     pub fn intern(&mut self, item: T) -> ItemId {
         let hash = self.head.hasher().hash_one(&item);
         if let Some(id) = self.find(hash, &item) {
@@ -205,6 +262,24 @@ mod tests {
         assert_eq!(u.len(), 50);
         let order: Vec<u32> = u.iter().map(|(_, c)| c.0).collect();
         assert_eq!(order, (0..50).map(|k| k * 7 % 50).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn word_hasher_is_fixed_and_reads_every_byte() {
+        let hash = |s: &str| BuildHasherDefault::<WordHasher>::default().hash_one(s);
+        assert_eq!(hash("x(1:N+10)"), hash("x(1:N+10)"));
+        // Strings that differ in a full word, or only in the tail after
+        // the last full word, hash apart.
+        assert_ne!(hash("x(1:N+10)"), hash("y(1:N+10)"));
+        assert_ne!(hash("x(1:N+10)"), hash("x(1:N+11)"));
+        let mut u = Universe::new();
+        let names: Vec<String> = (0..1000).map(|i| format!("x({i}:N+{i})")).collect();
+        for (i, n) in names.iter().enumerate() {
+            assert_eq!(u.intern(n.clone()), ItemId(i as u32));
+        }
+        for (i, n) in names.iter().enumerate() {
+            assert_eq!(u.get(n), Some(ItemId(i as u32)));
+        }
     }
 
     #[test]

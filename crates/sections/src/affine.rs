@@ -7,7 +7,6 @@
 //! "unknown" — the client must be conservative.
 
 use gnt_ir::{BinOp, Expr, Symbol};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A canonical affine expression over symbolic variables.
@@ -25,11 +24,11 @@ use std::fmt;
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Affine {
     constant: i64,
-    /// Variable coefficients, zero coefficients removed. Keyed by
-    /// interned [`Symbol`]s, which order by string contents, so
-    /// iteration (and hence [`fmt::Display`]) matches the old
-    /// `String`-keyed representation exactly.
-    terms: BTreeMap<Symbol, i64>,
+    /// Variable coefficients, zero coefficients removed, sorted by
+    /// [`Symbol`]'s own order, which is string order. The derived
+    /// comparisons and [`fmt::Display`] therefore see the terms exactly
+    /// as a `String`-keyed sorted map would iterate them.
+    terms: Vec<(Symbol, i64)>,
 }
 
 impl Affine {
@@ -37,15 +36,16 @@ impl Affine {
     pub fn constant(c: i64) -> Affine {
         Affine {
             constant: c,
-            terms: BTreeMap::new(),
+            terms: Vec::new(),
         }
     }
 
     /// The variable `v` with coefficient 1.
     pub fn var(v: impl Into<Symbol>) -> Affine {
-        let mut terms = BTreeMap::new();
-        terms.insert(v.into(), 1);
-        Affine { constant: 0, terms }
+        Affine {
+            constant: 0,
+            terms: vec![(v.into(), 1)],
+        }
     }
 
     /// The constant part.
@@ -55,7 +55,11 @@ impl Affine {
 
     /// The coefficient of `v` (0 if absent).
     pub fn coeff(&self, v: impl Into<Symbol>) -> i64 {
-        self.terms.get(&v.into()).copied().unwrap_or(0)
+        let v = v.into();
+        self.terms
+            .iter()
+            .find(|&&(s, _)| s == v)
+            .map_or(0, |&(_, c)| c)
     }
 
     /// `true` if the expression is a plain constant.
@@ -65,31 +69,58 @@ impl Affine {
 
     /// The variables with nonzero coefficients.
     pub fn vars(&self) -> impl Iterator<Item = Symbol> + '_ {
-        self.terms.keys().copied()
+        self.terms.iter().map(|&(v, _)| v)
     }
 
     /// Multiplies by a constant.
     pub fn scale(mut self, k: i64) -> Affine {
         self.constant *= k;
-        for c in self.terms.values_mut() {
+        for (_, c) in &mut self.terms {
             *c *= k;
         }
-        self.normalize();
+        self.terms.retain(|&(_, c)| c != 0);
         self
+    }
+
+    /// `self += k·other`, in place: the one update that `+`, `-` and
+    /// [`Affine::substitute`] share.
+    pub fn add_scaled(&mut self, other: &Affine, k: i64) {
+        self.constant += other.constant * k;
+        for &(v, c) in &other.terms {
+            let d = c * k;
+            if d == 0 {
+                continue;
+            }
+            // Equal symbols compare as integers; only a new variable
+            // needs the string order to find its place.
+            match self.terms.iter().position(|&(s, _)| s == v) {
+                Some(at) => {
+                    self.terms[at].1 += d;
+                    if self.terms[at].1 == 0 {
+                        self.terms.remove(at);
+                    }
+                }
+                None => {
+                    let at = self.terms.partition_point(|&(s, _)| s < v);
+                    self.terms.insert(at, (v, d));
+                }
+            }
+        }
     }
 
     /// Substitutes `v := replacement`.
     pub fn substitute(&self, v: impl Into<Symbol>, replacement: &Affine) -> Affine {
         let mut out = self.clone();
-        let k = out.terms.remove(&v.into()).unwrap_or(0);
-        if k != 0 {
-            out = out + replacement.clone().scale(k);
-        }
+        out.substitute_in_place(v.into(), replacement);
         out
     }
 
-    fn normalize(&mut self) {
-        self.terms.retain(|_, c| *c != 0);
+    /// [`Affine::substitute`] without a copy.
+    pub(crate) fn substitute_in_place(&mut self, v: Symbol, replacement: &Affine) {
+        if let Some(at) = self.terms.iter().position(|&(s, _)| s == v) {
+            let (_, k) = self.terms.remove(at);
+            self.add_scaled(replacement, k);
+        }
     }
 
     /// Converts a MiniF expression if it is affine (constants, variables,
@@ -126,31 +157,30 @@ impl Affine {
     /// `Some(false)` if `self > other` for every assignment, `None` if it
     /// depends. Decidable exactly when the difference is constant.
     pub fn le(&self, other: &Affine) -> Option<bool> {
-        let diff = other.clone() - self.clone();
-        if diff.is_constant() {
-            Some(diff.constant >= 0)
-        } else {
-            None
-        }
+        self.le_plus(other, 0)
+    }
+
+    /// [`Affine::le`] of `self` against `other + k`, decided on the
+    /// borrowed terms: both are canonical, so the difference is constant
+    /// exactly when the terms are equal.
+    pub(crate) fn le_plus(&self, other: &Affine, k: i64) -> Option<bool> {
+        (self.terms == other.terms).then(|| other.constant + k - self.constant >= 0)
     }
 }
 
 impl std::ops::Add for Affine {
     type Output = Affine;
     fn add(mut self, rhs: Affine) -> Affine {
-        self.constant += rhs.constant;
-        for (v, c) in rhs.terms {
-            *self.terms.entry(v).or_insert(0) += c;
-        }
-        self.normalize();
+        self.add_scaled(&rhs, 1);
         self
     }
 }
 
 impl std::ops::Sub for Affine {
     type Output = Affine;
-    fn sub(self, rhs: Affine) -> Affine {
-        self + rhs.scale(-1)
+    fn sub(mut self, rhs: Affine) -> Affine {
+        self.add_scaled(&rhs, -1);
+        self
     }
 }
 

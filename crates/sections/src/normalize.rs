@@ -41,13 +41,10 @@ impl LoopContext {
         });
     }
 
-    /// Pops the innermost loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the context is empty.
-    pub fn pop(&mut self) {
-        self.frames.pop().expect("pop on empty loop context");
+    /// Pops the innermost loop, returning its variable, or `None` if the
+    /// context is empty.
+    pub fn pop(&mut self) -> Option<Symbol> {
+        self.frames.pop().map(|f| f.var)
     }
 
     /// Loop nesting depth.
@@ -66,16 +63,16 @@ impl LoopContext {
         let mut lo = aff.clone();
         let mut hi = aff.clone();
         // Innermost-out, so bounds referencing outer loop variables
-        // (triangular loops like y(a(1:i))) expand in turn.
+        // (triangular loops like y(a(1:i))) expand in turn. Each side is
+        // rewritten in place: a positive coefficient takes the bound on
+        // its own side, a negative one the opposite bound.
         for frame in self.frames.iter().rev() {
-            let (klo, khi) = (lo.coeff(frame.var), hi.coeff(frame.var));
-            if klo != 0 {
-                let bound = if klo > 0 { &frame.lo } else { &frame.hi };
-                lo = lo.substitute(frame.var, bound.as_ref()?);
-            }
-            if khi != 0 {
-                let bound = if khi > 0 { &frame.hi } else { &frame.lo };
-                hi = hi.substitute(frame.var, bound.as_ref()?);
+            for (side, low) in [(&mut lo, true), (&mut hi, false)] {
+                let k = side.coeff(frame.var);
+                if k != 0 {
+                    let bound = if (k > 0) == low { &frame.lo } else { &frame.hi };
+                    side.substitute_in_place(frame.var, bound.as_ref()?);
+                }
             }
         }
         Some(Range { lo, hi })
@@ -210,7 +207,8 @@ mod tests {
         ctx.push("i", &Expr::Const(1), &Expr::var("N"));
         assert_eq!(ctx.depth(), 1);
         assert!(ctx.is_loop_var("i"));
-        ctx.pop();
+        assert_eq!(ctx.pop(), Some(Symbol::from("i")));
         assert!(!ctx.is_loop_var("i"));
+        assert_eq!(ctx.pop(), None);
     }
 }

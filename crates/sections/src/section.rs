@@ -34,8 +34,8 @@ impl Range {
     /// if they provably do, `None` if unknown.
     pub fn disjoint(&self, other: &Range) -> Option<bool> {
         // Disjoint if hi < other.lo or other.hi < lo, for all assignments.
-        let before = (self.hi.clone() + Affine::constant(1)).le(&other.lo);
-        let after = (other.hi.clone() + Affine::constant(1)).le(&self.lo);
+        let before = self.hi.le_plus(&other.lo, -1);
+        let after = other.hi.le_plus(&self.lo, -1);
         match (before, after) {
             (Some(true), _) | (_, Some(true)) => Some(true),
             (Some(false), Some(false)) => {
@@ -64,7 +64,7 @@ impl Range {
         } else {
             (other, self)
         };
-        second.lo.le(&(first.hi.clone() + Affine::constant(1)))
+        second.lo.le_plus(&first.hi, 1)
     }
 
     /// The convex hull `min(lo):max(hi)`, when the bounds can be ordered.
@@ -80,9 +80,7 @@ impl Range {
             Some(false) => first.hi.clone(),
             // `first` stops before `second` starts: a non-empty `second`
             // then provably ends last.
-            None if (first.hi.clone() + Affine::constant(1)).le(&second.lo) == Some(true) => {
-                second.hi.clone()
-            }
+            None if first.hi.le_plus(&second.lo, -1) == Some(true) => second.hi.clone(),
             None => return None,
         };
         Some(Range {
