@@ -6,7 +6,7 @@
 //! `if/else` lowers to a branch node with two arms; `goto` edges are
 //! patched once all targets are known.
 
-use crate::graph::{Cfg, NodeId, NodeKind, SynthKind};
+use crate::graph::{node_id, Cfg, NodeId, NodeKind, SynthKind};
 use crate::scratch::{CfgScratch, CfgScratchPool};
 use gnt_ir::{Label, Program, StmtId, StmtKind};
 use std::collections::HashMap;
@@ -70,135 +70,152 @@ pub fn lower(program: &Program) -> Result<LoweredCfg, BuildError> {
 
 /// [`lower`] with caller-provided scratch buffers; the pooled entry
 /// points route through here.
+///
+/// The walk records each node's kind and every edge in the order it is
+/// found; [`Cfg::from_edges`] then groups the edges by source into the
+/// flat tables at once. Pruning rebuilds them only when some node is
+/// unreachable.
 pub(crate) fn lower_with(
     program: &Program,
     scratch: &mut CfgScratch,
 ) -> Result<LoweredCfg, BuildError> {
-    scratch.label_node.clear();
-    scratch.pending_gotos.clear();
+    let CfgScratch {
+        edges,
+        ends,
+        stmt_nodes,
+        label_node,
+        pending_gotos,
+        ..
+    } = scratch;
+    edges.clear();
+    ends.clear();
+    stmt_nodes.clear();
+    label_node.clear();
+    pending_gotos.clear();
     let mut b = Builder {
         program,
-        cfg: Cfg::new(),
-        node_of_stmt: HashMap::new(),
-        label_node: &mut scratch.label_node,
-        pending_gotos: &mut scratch.pending_gotos,
+        kinds: vec![NodeKind::Entry, NodeKind::Exit],
+        edges,
+        ends,
+        stmt_nodes,
+        label_node,
+        pending_gotos,
     };
-    let entry = b.cfg.entry();
-    let ends = b.seq(program.body(), vec![entry]);
-    let exit = b.cfg.exit();
-    for e in ends {
-        b.cfg.add_edge(e, exit);
+    b.ends.push(ENTRY);
+    b.seq(program.body(), 0);
+    for &e in b.ends.iter() {
+        b.edges.push((e, EXIT));
     }
     for &(src, label) in b.pending_gotos.iter() {
         let Some(&dst) = b.label_node.get(&label) else {
             return Err(BuildError::UnknownLabel(label));
         };
-        b.cfg.add_edge(src, dst);
+        b.edges.push((src, dst));
     }
-    let mut cfg = b.cfg;
-    let remap = cfg.prune_unreachable();
-    let node_of_stmt = b
-        .node_of_stmt
-        .into_iter()
-        .filter_map(|(s, n)| remap[n.index()].map(|n2| (s, n2)))
-        .collect();
+    let mut cfg = Cfg::from_edges(b.kinds, (ENTRY, EXIT), b.edges);
+    let mut node_of_stmt = HashMap::with_capacity(b.stmt_nodes.len());
+    match cfg.prune() {
+        None => node_of_stmt.extend(b.stmt_nodes.iter().copied()),
+        Some(remap) => node_of_stmt.extend(
+            b.stmt_nodes
+                .iter()
+                .filter_map(|&(s, n)| remap[n.index()].map(|n2| (s, n2))),
+        ),
+    }
     Ok(LoweredCfg { cfg, node_of_stmt })
 }
 
+/// The entry and exit nodes, created first.
+const ENTRY: NodeId = NodeId(0);
+const EXIT: NodeId = NodeId(1);
+
 struct Builder<'a> {
     program: &'a Program,
-    cfg: Cfg,
-    node_of_stmt: HashMap<StmtId, NodeId>,
+    kinds: Vec<NodeKind>,
+    edges: &'a mut Vec<(NodeId, NodeId)>,
+    /// A stack of dangling ends: a sequence lowered from `base` finds its
+    /// predecessors in `ends[base..]` and leaves its own ends there.
+    ends: &'a mut Vec<NodeId>,
+    stmt_nodes: &'a mut Vec<(StmtId, NodeId)>,
     label_node: &'a mut HashMap<Label, NodeId>,
     pending_gotos: &'a mut Vec<(NodeId, Label)>,
 }
 
 impl Builder<'_> {
-    /// Lowers a statement sequence entered from `preds`; returns the
-    /// dangling ends that fall through to whatever follows.
-    fn seq(&mut self, stmts: &[StmtId], mut preds: Vec<NodeId>) -> Vec<NodeId> {
+    /// Lowers a statement sequence entered from the ends `ends[base..]`,
+    /// replacing them with the dangling ends that fall through to
+    /// whatever follows.
+    fn seq(&mut self, stmts: &[StmtId], base: usize) {
         for &sid in stmts {
-            preds = self.stmt(sid, preds);
+            self.stmt(sid, base);
         }
-        preds
     }
 
-    fn register(&mut self, sid: StmtId, node: NodeId) {
-        self.node_of_stmt.insert(sid, node);
+    /// A fresh node lowered from `sid`, entered from the ends
+    /// `ends[base..]`; it becomes the only end.
+    fn enter(&mut self, sid: StmtId, kind: NodeKind, base: usize) -> NodeId {
+        let node = node_id(self.kinds.len());
+        self.kinds.push(kind);
+        self.stmt_nodes.push((sid, node));
         if let Some(label) = self.program.stmt(sid).label {
             self.label_node.insert(label, node);
         }
+        self.edges
+            .extend(self.ends[base..].iter().map(|&p| (p, node)));
+        self.ends.truncate(base);
+        self.ends.push(node);
+        node
     }
 
-    fn connect(&mut self, preds: &[NodeId], node: NodeId) {
-        for &p in preds {
-            self.cfg.add_edge(p, node);
-        }
-    }
-
-    fn stmt(&mut self, sid: StmtId, preds: Vec<NodeId>) -> Vec<NodeId> {
+    fn stmt(&mut self, sid: StmtId, base: usize) {
         match &self.program.stmt(sid).kind {
             StmtKind::Assign { .. } | StmtKind::Continue => {
-                let n = self.cfg.add_node(NodeKind::Stmt(sid));
-                self.register(sid, n);
-                self.connect(&preds, n);
-                vec![n]
+                self.enter(sid, NodeKind::Stmt(sid), base);
             }
             StmtKind::Do { body, .. } => {
-                let h = self.cfg.add_node(NodeKind::LoopHeader(sid));
-                self.register(sid, h);
-                self.connect(&preds, h);
-                let body_ends = self.seq(body, vec![h]);
-                if body_ends == [h] {
+                let h = self.enter(sid, NodeKind::LoopHeader(sid), base);
+                self.seq(body, base);
+                if self.ends[base..] == [h] {
                     // Empty loop body: a self edge h → h would make the
                     // header a member of its own interval; give the loop a
                     // body node instead.
-                    let c = self.cfg.add_node(NodeKind::Synthetic(SynthKind::Latch));
-                    self.cfg.add_edge(h, c);
-                    self.cfg.add_edge(c, h);
+                    let c = node_id(self.kinds.len());
+                    self.kinds.push(NodeKind::Synthetic(SynthKind::Latch));
+                    self.edges.extend([(h, c), (c, h)]);
                 } else {
-                    for e in body_ends {
-                        self.cfg.add_edge(e, h);
-                    }
+                    self.edges.extend(self.ends[base..].iter().map(|&e| (e, h)));
                 }
-                vec![h]
+                self.ends.truncate(base);
+                self.ends.push(h);
             }
             StmtKind::If {
                 then_body,
                 else_body,
                 ..
             } => {
-                let b = self.cfg.add_node(NodeKind::Branch(sid));
-                self.register(sid, b);
-                self.connect(&preds, b);
-                let mut ends = Vec::new();
-                if then_body.is_empty() {
-                    ends.push(b);
-                } else {
-                    ends.extend(self.seq(then_body, vec![b]));
+                let b = self.enter(sid, NodeKind::Branch(sid), base);
+                // The then-arm's ends replace `[b]`; the else-arm's follow.
+                if !then_body.is_empty() {
+                    self.seq(then_body, base);
                 }
                 if else_body.is_empty() {
-                    if !ends.contains(&b) {
-                        ends.push(b);
+                    if !self.ends[base..].contains(&b) {
+                        self.ends.push(b);
                     }
                 } else {
-                    ends.extend(self.seq(else_body, vec![b]));
+                    let arm = self.ends.len();
+                    self.ends.push(b);
+                    self.seq(else_body, arm);
                 }
-                ends
             }
             StmtKind::IfGoto { target, .. } => {
-                let b = self.cfg.add_node(NodeKind::Branch(sid));
-                self.register(sid, b);
-                self.connect(&preds, b);
+                let b = self.enter(sid, NodeKind::Branch(sid), base);
                 self.pending_gotos.push((b, *target));
-                vec![b]
             }
             StmtKind::Goto(target) => {
-                let g = self.cfg.add_node(NodeKind::Stmt(sid));
-                self.register(sid, g);
-                self.connect(&preds, g);
+                let g = self.enter(sid, NodeKind::Stmt(sid), base);
                 self.pending_gotos.push((g, *target));
-                Vec::new()
+                self.ends.truncate(base);
             }
         }
     }

@@ -75,7 +75,154 @@ impl NodeKind {
     }
 }
 
-/// A mutable control flow graph with unique entry and exit.
+/// Per-node lists stored flat: node `i`'s list is
+/// `items[off[i]..off[i + 1]]`.
+#[derive(Clone, Debug)]
+pub(crate) struct Flat<T> {
+    pub(crate) off: Vec<usize>,
+    pub(crate) items: Vec<T>,
+}
+
+impl<T: Copy> Flat<T> {
+    /// Lists for no node.
+    pub(crate) fn new() -> Flat<T> {
+        Flat {
+            off: vec![0],
+            items: Vec::new(),
+        }
+    }
+
+    /// The number of lists.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// Groups `(node, item)` pairs over nodes `0..n` by count-then-fill,
+    /// keeping the pairs' order within each node.
+    pub(crate) fn group(n: usize, pairs: &[(u32, T)]) -> Flat<T> {
+        let mut off = vec![0; n + 1];
+        for &(i, _) in pairs {
+            off[i as usize + 1] += 1;
+        }
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
+        let mut items = pairs.iter().map(|p| p.1).collect::<Vec<_>>();
+        for &(i, x) in pairs {
+            let at = &mut off[i as usize];
+            items[*at] = x;
+            *at += 1;
+        }
+        ends_to_starts(&mut off);
+        Flat { off, items }
+    }
+
+    /// Builds the lists of nodes `0..n` in order: `fill(i, items)` pushes
+    /// node `i`'s list.
+    pub(crate) fn build(n: usize, mut fill: impl FnMut(usize, &mut Vec<T>)) -> Flat<T> {
+        let mut off = Vec::with_capacity(n + 1);
+        let mut items = Vec::new();
+        off.push(0);
+        for i in 0..n {
+            fill(i, &mut items);
+            off.push(items.len());
+        }
+        Flat { off, items }
+    }
+
+    /// Appends a list for a new node.
+    pub(crate) fn push(&mut self, list: &[T]) {
+        self.items.extend_from_slice(list);
+        self.off.push(self.items.len());
+    }
+
+    /// Node `i`'s list.
+    #[inline]
+    pub(crate) fn of(&self, i: usize) -> &[T] {
+        &self.items[self.range(i)]
+    }
+
+    /// The slots of node `i`'s list.
+    #[inline]
+    pub(crate) fn range(&self, i: usize) -> std::ops::Range<usize> {
+        let ends = &self.off[i..i + 2];
+        ends[0]..ends[1]
+    }
+
+    /// Inserts `item` at position `k` of node `i`'s list, shifting the
+    /// slots of every later list: linear in the size of the whole table.
+    fn insert(&mut self, i: usize, k: usize, item: T) {
+        self.items.insert(self.off[i] + k, item);
+        for o in &mut self.off[i + 1..] {
+            *o += 1;
+        }
+    }
+
+    /// Removes position `k` of node `i`'s list, as [`Flat::insert`].
+    fn remove(&mut self, i: usize, k: usize) {
+        self.items.remove(self.off[i] + k);
+        for o in &mut self.off[i + 1..] {
+            *o -= 1;
+        }
+    }
+
+    /// The transpose over nodes `0..n`: `item(x)` names the list an item
+    /// `x` of node `i`'s list moves to, where it becomes `node(i)`. Each
+    /// new list is ordered by ascending `i`.
+    pub(crate) fn transpose<U: Copy>(
+        &self,
+        n: usize,
+        item: impl Fn(T) -> usize,
+        node: impl Fn(usize) -> U,
+    ) -> Flat<U> {
+        let mut off = vec![0; n + 1];
+        for &x in &self.items {
+            off[item(x) + 1] += 1;
+        }
+        for j in 0..n {
+            off[j + 1] += off[j];
+        }
+        let mut items = vec![node(0); self.items.len()];
+        for i in 0..self.len() {
+            for &x in self.of(i) {
+                let at = &mut off[item(x)];
+                items[*at] = node(i);
+                *at += 1;
+            }
+        }
+        ends_to_starts(&mut off);
+        Flat { off, items }
+    }
+}
+
+/// After a count-then-fill, `off[i]` ends list `i` (and `off[n]` ends
+/// the last): shifts them to starts.
+pub(crate) fn ends_to_starts(off: &mut [usize]) {
+    let n = off.len() - 1;
+    off.copy_within(0..n, 1);
+    off[0] = 0;
+}
+
+/// The id of the node at dense index `index`.
+///
+/// # Panics
+///
+/// Panics past `u32::MAX`, the most a 32-bit [`NodeId`] can name.
+/// Lowering a program never gets near: a node costs over 30 bytes in a
+/// [`Cfg`], so that graph would need more than 120 GiB.
+pub(crate) fn node_id(index: usize) -> NodeId {
+    NodeId(u32::try_from(index).expect("node id overflow"))
+}
+
+/// A control flow graph with unique entry and exit.
+///
+/// The edges are stored flat, one offsets-plus-targets table per
+/// direction: a node's successors are in insertion order (an `if`'s
+/// then-arm before its else-arm), and its predecessors ascend by source.
+/// [`crate::lower`] fills the tables in one pass; the mutators below
+/// (used by hand-built graphs and [`crate::make_reducible`]) each cost
+/// time linear in the size of the graph.
 ///
 /// # Examples
 ///
@@ -91,8 +238,9 @@ impl NodeKind {
 #[derive(Clone, Debug)]
 pub struct Cfg {
     kinds: Vec<NodeKind>,
-    succs: Vec<Vec<NodeId>>,
-    preds: Vec<Vec<NodeId>>,
+    succs: Flat<NodeId>,
+    /// The transpose of `succs`.
+    preds: Flat<NodeId>,
     entry: NodeId,
     exit: NodeId,
 }
@@ -103,14 +251,65 @@ impl Cfg {
     pub fn new() -> Self {
         let mut cfg = Cfg {
             kinds: Vec::new(),
-            succs: Vec::new(),
-            preds: Vec::new(),
+            succs: Flat::new(),
+            preds: Flat::new(),
             entry: NodeId(0),
             exit: NodeId(0),
         };
         cfg.entry = cfg.add_node(NodeKind::Entry);
         cfg.exit = cfg.add_node(NodeKind::Exit);
         cfg
+    }
+
+    /// The graph over `kinds` with the edges `edges`, in order; of
+    /// parallel edges the first is kept. `ends` is `(entry, exit)`.
+    pub(crate) fn from_edges(
+        kinds: Vec<NodeKind>,
+        (entry, exit): (NodeId, NodeId),
+        edges: &[(NodeId, NodeId)],
+    ) -> Cfg {
+        let n = kinds.len();
+        let mut off = vec![0; n + 1];
+        for &(s, _) in edges {
+            off[s.index() + 1] += 1;
+        }
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
+        // `end[i]` is where node `i`'s next successor goes.
+        let mut end = off[..n].to_vec();
+        let mut items = vec![NodeId(0); edges.len()];
+        let mut parallel = false;
+        for &(s, d) in edges {
+            let (start, at) = (off[s.index()], &mut end[s.index()]);
+            if items[start..*at].contains(&d) {
+                parallel = true;
+            } else {
+                items[*at] = d;
+                *at += 1;
+            }
+        }
+        if parallel {
+            // Close the gaps the dropped edges left.
+            let mut w = 0;
+            for (i, &e) in end.iter().enumerate() {
+                let start = off[i];
+                off[i] = w;
+                items.copy_within(start..e, w);
+                w += e - start;
+            }
+            off[n] = w;
+            items.truncate(w);
+        }
+        let succs = Flat { off, items };
+        let preds = succs.transpose(n, NodeId::index, |i| NodeId(i as u32));
+        Cfg {
+            kinds,
+            succs,
+            preds,
+            entry,
+            exit,
+        }
     }
 
     /// The unique entry node (ROOT).
@@ -130,7 +329,7 @@ impl Cfg {
 
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.succs.iter().map(Vec::len).sum()
+        self.succs.items.len()
     }
 
     /// Adds a node and returns its id.
@@ -139,28 +338,34 @@ impl Cfg {
     ///
     /// Panics if the graph already holds `u32::MAX + 1` nodes, the most a
     /// 32-bit [`NodeId`] can name. Lowering a program never gets near: a
-    /// node costs over 50 bytes here, so that graph would need more than
-    /// 200 GiB.
+    /// node costs over 30 bytes here, so that graph would need more than
+    /// 120 GiB.
     pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
-        let id = NodeId(u32::try_from(self.kinds.len()).expect("node id overflow"));
+        let id = node_id(self.kinds.len());
         self.kinds.push(kind);
-        self.succs.push(Vec::new());
-        self.preds.push(Vec::new());
+        self.succs.push(&[]);
+        self.preds.push(&[]);
         id
     }
 
-    /// Adds the edge `src → dst`. Parallel edges are collapsed.
+    /// Adds the edge `src → dst` after `src`'s other successors.
+    /// Parallel edges are collapsed.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId) {
-        if !self.succs[src.index()].contains(&dst) {
-            self.succs[src.index()].push(dst);
-            self.preds[dst.index()].push(src);
+        let out = self.succs.of(src.index());
+        if !out.contains(&dst) {
+            self.succs.insert(src.index(), out.len(), dst);
+            let k = self.preds.of(dst.index()).partition_point(|&p| p < src);
+            self.preds.insert(dst.index(), k, src);
         }
     }
 
     /// Removes the edge `src → dst` if present.
     pub fn remove_edge(&mut self, src: NodeId, dst: NodeId) {
-        self.succs[src.index()].retain(|&n| n != dst);
-        self.preds[dst.index()].retain(|&n| n != src);
+        if let Some(k) = self.succs.of(src.index()).iter().position(|&s| s == dst) {
+            self.succs.remove(src.index(), k);
+            let k = self.preds.of(dst.index()).partition_point(|&p| p < src);
+            self.preds.remove(dst.index(), k);
+        }
     }
 
     /// Replaces the edge `src → dst` with `src → mid → dst`, where `mid` is
@@ -170,21 +375,20 @@ impl Cfg {
     ///
     /// Panics if the edge does not exist.
     pub fn split_edge(&mut self, src: NodeId, dst: NodeId, kind: SynthKind) -> NodeId {
+        let out = self.succs.of(src.index());
         assert!(
-            self.succs[src.index()].contains(&dst),
+            out.contains(&dst),
             "cannot split missing edge {src} → {dst}"
         );
+        let k = out.iter().position(|&s| s == dst).unwrap_or_default();
         let mid = self.add_node(NodeKind::Synthetic(kind));
-        // Preserve successor order of `src` (branch polarity).
-        for s in &mut self.succs[src.index()] {
-            if *s == dst {
-                *s = mid;
-            }
-        }
-        self.preds[dst.index()].retain(|&n| n != src);
-        self.preds[mid.index()].push(src);
-        self.succs[mid.index()].push(dst);
-        self.preds[dst.index()].push(mid);
+        // Preserve successor order of `src` (branch polarity): `mid` takes
+        // the slot `dst` had.
+        self.succs.items[self.succs.off[src.index()] + k] = mid;
+        let j = self.preds.of(dst.index()).partition_point(|&p| p < src);
+        self.preds.remove(dst.index(), j);
+        self.preds.insert(mid.index(), 0, src);
+        self.add_edge(mid, dst);
         mid
     }
 
@@ -194,13 +398,15 @@ impl Cfg {
     }
 
     /// Successors of `n`, in insertion order.
+    #[inline]
     pub fn succs(&self, n: NodeId) -> &[NodeId] {
-        &self.succs[n.index()]
+        self.succs.of(n.index())
     }
 
-    /// Predecessors of `n`, in insertion order.
+    /// Predecessors of `n`, by ascending id.
+    #[inline]
     pub fn preds(&self, n: NodeId) -> &[NodeId] {
-        &self.preds[n.index()]
+        self.preds.of(n.index())
     }
 
     /// Iterates over all node ids.
@@ -208,7 +414,8 @@ impl Cfg {
         (0..self.kinds.len() as u32).map(NodeId)
     }
 
-    /// Iterates over all edges as `(src, dst)` pairs.
+    /// Iterates over all edges as `(src, dst)` pairs, by source, each
+    /// source's in successor order.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.nodes()
             .flat_map(move |n| self.succs(n).iter().map(move |&s| (n, s)))
@@ -235,43 +442,52 @@ impl Cfg {
     /// removed). The entry is always retained; if the exit became
     /// unreachable it is retained as an isolated node.
     pub fn prune_unreachable(&mut self) -> Vec<Option<NodeId>> {
+        self.prune()
+            .unwrap_or_else(|| self.nodes().map(Some).collect())
+    }
+
+    /// [`Cfg::prune_unreachable`], returning `None` and leaving the graph
+    /// as it is when every node is kept.
+    pub(crate) fn prune(&mut self) -> Option<Vec<Option<NodeId>>> {
         let mut keep = self.reachable();
         keep[self.exit.index()] = true;
-        // Both ends are kept, so each one's new id is the number of kept
-        // nodes before it.
-        let new_id = |n: NodeId| NodeId(keep[..n.index()].iter().filter(|&&k| k).count() as u32);
-        let (entry, exit) = (new_id(self.entry), new_id(self.exit));
+        if keep.iter().all(|&k| k) {
+            return None;
+        }
         let mut remap: Vec<Option<NodeId>> = vec![None; self.num_nodes()];
         let mut next = 0u32;
-        for (i, &k) in keep.iter().enumerate() {
-            if k {
-                remap[i] = Some(NodeId(next));
-                next += 1;
-            }
+        for (slot, _) in remap.iter_mut().zip(&keep).filter(|(_, &k)| k) {
+            *slot = Some(NodeId(next));
+            next += 1;
         }
-        let old_kinds = std::mem::take(&mut self.kinds);
-        let old_succs = std::mem::take(&mut self.succs);
-        self.preds = vec![Vec::new(); next as usize];
-        self.succs = vec![Vec::new(); next as usize];
-        self.kinds = vec![NodeKind::Entry; next as usize];
-        for (i, kind) in old_kinds.into_iter().enumerate() {
-            if let Some(new) = remap[i] {
-                self.kinds[new.index()] = kind;
-            }
+        let mut kinds = Vec::with_capacity(next as usize);
+        let mut succs = Flat::new();
+        for old in (0..self.num_nodes()).filter(|&i| keep[i]) {
+            kinds.push(self.kinds[old]);
+            succs
+                .items
+                .extend(self.succs.of(old).iter().filter_map(|d| remap[d.index()]));
+            succs.off.push(succs.items.len());
         }
-        for (i, succs) in old_succs.into_iter().enumerate() {
-            if let Some(new_src) = remap[i] {
-                for dst in succs {
-                    if let Some(new_dst) = remap[dst.index()] {
-                        self.succs[new_src.index()].push(new_dst);
-                        self.preds[new_dst.index()].push(new_src);
-                    }
-                }
-            }
-        }
-        self.entry = entry;
-        self.exit = exit;
-        remap
+        let n = kinds.len();
+        // Both ends are kept.
+        let new_id = |x: NodeId| remap[x.index()].unwrap_or(x);
+        *self = Cfg {
+            preds: succs.transpose(n, NodeId::index, |i| NodeId(i as u32)),
+            kinds,
+            succs,
+            entry: new_id(self.entry),
+            exit: new_id(self.exit),
+        };
+        Some(remap)
+    }
+
+    /// Takes the graph apart: node kinds, successor lists, predecessor
+    /// lists, entry and exit.
+    pub(crate) fn into_parts(
+        self,
+    ) -> (Vec<NodeKind>, Flat<NodeId>, Flat<NodeId>, (NodeId, NodeId)) {
+        (self.kinds, self.succs, self.preds, (self.entry, self.exit))
     }
 }
 

@@ -19,8 +19,9 @@
 //! they bypass (§5.3).
 
 use crate::dom::{Dominators, IrreducibleError, LoopForest, LoopId};
-use crate::graph::{Cfg, NodeId, NodeKind, SynthKind};
+use crate::graph::{ends_to_starts, node_id, Cfg, Flat, NodeId, NodeKind, SynthKind};
 use crate::scratch::{CfgScratch, CfgScratchPool};
+use std::cmp::Reverse;
 use std::fmt;
 
 /// Classification of an interval-flow-graph edge (§3.3).
@@ -147,66 +148,6 @@ impl From<IrreducibleError> for GraphError {
     }
 }
 
-/// Per-node lists stored flat: node `i`'s list is
-/// `items[off[i]..off[i + 1]]`.
-#[derive(Clone, Debug)]
-pub(crate) struct Flat<T> {
-    off: Vec<usize>,
-    items: Vec<T>,
-}
-
-impl<T: Copy> Flat<T> {
-    /// Groups `(node, item)` pairs over nodes `0..n` by count-then-fill,
-    /// keeping the pairs' order within each node. Also returns the slot
-    /// each pair landed in, by pair.
-    pub(crate) fn group(n: usize, pairs: &[(u32, T)]) -> (Flat<T>, Vec<usize>) {
-        let mut off = vec![0; n + 1];
-        for &(i, _) in pairs {
-            off[i as usize + 1] += 1;
-        }
-        for i in 0..n {
-            off[i + 1] += off[i];
-        }
-        let mut cursor = off[..n].to_vec();
-        let mut slots = Vec::with_capacity(pairs.len());
-        let mut pair_at = vec![0; pairs.len()];
-        for (k, &(i, _)) in pairs.iter().enumerate() {
-            let slot = &mut cursor[i as usize];
-            pair_at[*slot] = k;
-            slots.push(*slot);
-            *slot += 1;
-        }
-        let items = pair_at.iter().map(|&k| pairs[k].1).collect();
-        (Flat { off, items }, slots)
-    }
-
-    /// Builds the lists of nodes `0..n` in order: `fill(i, items)` pushes
-    /// node `i`'s list.
-    pub(crate) fn build(n: usize, mut fill: impl FnMut(usize, &mut Vec<T>)) -> Flat<T> {
-        let mut off = Vec::with_capacity(n + 1);
-        let mut items = Vec::new();
-        off.push(0);
-        for i in 0..n {
-            fill(i, &mut items);
-            off.push(items.len());
-        }
-        Flat { off, items }
-    }
-
-    /// Node `i`'s list.
-    #[inline]
-    pub(crate) fn of(&self, i: usize) -> &[T] {
-        &self.items[self.range(i)]
-    }
-
-    /// The slots of node `i`'s list.
-    #[inline]
-    fn range(&self, i: usize) -> std::ops::Range<usize> {
-        let ends = &self.off[i..i + 2];
-        ends[0]..ends[1]
-    }
-}
-
 /// The interval flow graph: classified edges plus the interval structure
 /// GIVE-N-TAKE's equations consume.
 ///
@@ -302,18 +243,20 @@ impl IntervalGraph {
         mut cfg: Cfg,
         scratch: &mut CfgScratch,
     ) -> Result<IntervalGraph, GraphError> {
-        cfg.prune_unreachable();
-        let dom = Dominators::compute_with(&cfg, scratch);
+        let mut dom = Dominators::compute_with(&cfg, scratch);
+        // A graph `lower` built is pruned already; prune only when the
+        // dominator DFS missed a node.
+        if dom.rpo.len() < cfg.num_nodes() && cfg.prune().is_some() {
+            dom.recycle(scratch);
+            dom = Dominators::compute_with(&cfg, scratch);
+        }
         let forest = LoopForest::compute(&cfg, &dom);
         dom.recycle(scratch);
         let mut forest = forest?;
-        split_critical_edges(&mut cfg, &mut forest);
-        let real = Flat::build(cfg.num_nodes(), |i, out| {
-            out.extend_from_slice(cfg.succs(NodeId(i as u32)));
-        });
-        let mut kinds = cfg.nodes().map(|n| cfg.kind(n)).collect();
-        let real = latch_back_edges(&real, &mut forest, &mut kinds);
-        Self::assemble(kinds, (cfg.entry(), cfg.exit()), &real, &forest, false)
+        let (mut kinds, succs, preds, ends) = cfg.into_parts();
+        let real = split_critical_edges(succs, &preds, &mut forest, &mut kinds);
+        let real = latch_back_edges(real, &mut forest, &mut kinds);
+        Self::assemble(kinds, ends, &real, &forest, false, scratch)
     }
 
     /// Builds the graph over `kinds` from its real (CFG) edges, grouped
@@ -327,6 +270,7 @@ impl IntervalGraph {
         real: &Flat<NodeId>,
         forest: &LoopForest,
         allow_jump_in: bool,
+        scratch: &mut CfgScratch,
     ) -> Result<IntervalGraph, GraphError> {
         let n = kinds.len();
         let enclosing = Flat::build(n, |i, out| {
@@ -337,12 +281,23 @@ impl IntervalGraph {
             );
         });
 
-        // Classify the real edges, and add one SYNTHETIC edge per interval
-        // each JUMP edge leaves, after all real ones. `edges` lists them
-        // by source for the out-edge lists.
-        let mut edges: Vec<(u32, (NodeId, EdgeClass))> = Vec::new();
-        let mut synthetic = Vec::new();
-        let mut jump_ins: Vec<(u32, NodeId)> = Vec::new();
+        // Classify the real edges (`classes` runs parallel to
+        // `real.items`), and collect one SYNTHETIC edge per interval each
+        // JUMP edge leaves, and the jump-in sources of each header.
+        let CfgScratch {
+            classes,
+            synthetic,
+            jump_ins,
+            cursor,
+            synth_slots,
+            indeg,
+            ready,
+            parent_of,
+            ..
+        } = scratch;
+        classes.clear();
+        synthetic.clear();
+        jump_ins.clear();
         for m in (0..n as u32).map(NodeId) {
             let src_chain = enclosing.of(m.index());
             for &dst in real.of(m.index()) {
@@ -355,7 +310,7 @@ impl IntervalGraph {
                         src_chain
                             .iter()
                             .filter(|h| !dst_chain.contains(h))
-                            .map(|h| (h.0, (dst, EdgeClass::Synthetic))),
+                            .map(|h| (h.0, dst)),
                     ),
                     // Record the source with every interval header the edge
                     // bypasses: availability at those headers must
@@ -369,7 +324,7 @@ impl IntervalGraph {
                     ),
                     _ => {}
                 }
-                edges.push((m.0, (dst, class)));
+                classes.push(class);
             }
         }
         // Note: ROOT acts as a header only for the evaluation schedule
@@ -377,49 +332,108 @@ impl IntervalGraph {
         // so it has no CYCLE edge and LASTCHILD(ROOT) = ∅ — the paper's §4
         // example values (GIVE(1) stays empty, TAKEN_out(1) = TAKEN_in(2))
         // pin this down.
-        edges.extend(synthetic);
-        let (succs, succ_slots) = Flat::group(n, &edges);
-        let into: Vec<_> = edges
-            .iter()
-            .map(|&(m, (s, c))| (s.0, (NodeId(m), c)))
-            .collect();
-        let (preds, pred_slots) = Flat::group(n, &into);
-        let mut pred_ids = vec![0; edges.len()];
-        for (&p, &s) in pred_slots.iter().zip(&succ_slots) {
-            pred_ids[p] = s;
+
+        // Out-edges: each node's real edges in CFG order, then the
+        // synthetic edges it is the source of, in the order they were
+        // found. An edge's id is its slot.
+        let num_edges = real.items.len() + synthetic.len();
+        let mut off = vec![0; n + 1];
+        for &(h, _) in synthetic.iter() {
+            off[h as usize + 1] += 1;
         }
-        let (jump_in, _) = Flat::group(n, &jump_ins);
+        for i in 0..n {
+            off[i + 1] += off[i] + real.range(i).len();
+        }
+        let mut items = vec![(NodeId(0), EdgeClass::Forward); num_edges];
+        cursor.clear();
+        for (i, &to) in off[..n].iter().enumerate() {
+            let from = real.range(i);
+            for (edge, slot) in items[to..].iter_mut().zip(from.clone()) {
+                *edge = (real.items[slot], classes[slot]);
+            }
+            cursor.push(to + from.len());
+        }
+        synth_slots.clear();
+        for &(h, dst) in synthetic.iter() {
+            let at = &mut cursor[h as usize];
+            items[*at] = (dst, EdgeClass::Synthetic);
+            synth_slots.push(*at);
+            *at += 1;
+        }
+        let succs = Flat { off, items };
+
+        // In-edges: real edges by ascending source, then synthetic ones
+        // in the order they were found. `HEADER(n)` is the source of the
+        // last ENTRY edge into `n`, `LASTCHILD(n)` that of the first
+        // CYCLE edge.
+        let mut off = vec![0; n + 1];
+        for dst in real.items.iter().chain(synthetic.iter().map(|(_, d)| d)) {
+            off[dst.index() + 1] += 1;
+        }
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
+        let mut items = vec![(NodeId(0), EdgeClass::Forward); num_edges];
+        let mut pred_ids = vec![0; num_edges];
+        let mut header_last_child = vec![(None, None); n];
+        let mut put = |dst: NodeId, (src, class): (NodeId, EdgeClass), id: usize| {
+            let at = &mut off[dst.index()];
+            items[*at] = (src, class);
+            pred_ids[*at] = id;
+            *at += 1;
+            let hl: &mut (Option<NodeId>, Option<NodeId>) = &mut header_last_child[dst.index()];
+            match class {
+                EdgeClass::Entry => hl.0 = Some(src),
+                EdgeClass::Cycle if hl.1.is_none() => hl.1 = Some(src),
+                _ => {}
+            }
+        };
+        for m in 0..n {
+            for (k, slot) in real.range(m).enumerate() {
+                let src = (NodeId(m as u32), classes[slot]);
+                put(real.items[slot], src, succs.off[m] + k);
+            }
+        }
+        for (&(h, dst), &id) in synthetic.iter().zip(synth_slots.iter()) {
+            put(dst, (NodeId(h), EdgeClass::Synthetic), id);
+        }
+        ends_to_starts(&mut off);
+        let preds = Flat { off, items };
+        let jump_in = Flat::group(n, jump_ins);
 
         // Preorder: topological over E/F/J/S (+JumpIn) edges, skipping the
         // CYCLE edges; ties broken by ascending node id (construction
         // order, which follows the source).
-        let not_cycle = EdgeMask::E | EdgeMask::FJS;
-        let ordered_preds = |i| {
+        indeg.clear();
+        indeg.extend((0..n).map(|i| {
             preds
                 .of(i)
                 .iter()
-                .filter(|e| not_cycle.matches(e.1))
+                .filter(|e| e.1 != EdgeClass::Cycle)
                 .count()
-        };
-        let mut indeg: Vec<usize> = (0..n).map(ordered_preds).collect();
-        let mut ready: std::collections::BinaryHeap<_> = (0..n as u32)
-            .filter(|&i| indeg[i as usize] == 0)
-            .map(std::cmp::Reverse)
-            .collect();
+        }));
+        let mut heap = std::collections::BinaryHeap::from(std::mem::take(ready));
+        heap.clear();
+        heap.extend(
+            (0..n as u32)
+                .filter(|&i| indeg[i as usize] == 0)
+                .map(Reverse),
+        );
         let mut preorder = Vec::with_capacity(n);
-        while let Some(std::cmp::Reverse(i)) = ready.pop() {
+        while let Some(Reverse(i)) = heap.pop() {
             preorder.push(NodeId(i));
             for &(s, _) in succs
                 .of(i as usize)
                 .iter()
-                .filter(|e| not_cycle.matches(e.1))
+                .filter(|e| e.1 != EdgeClass::Cycle)
             {
                 indeg[s.index()] -= 1;
                 if indeg[s.index()] == 0 {
-                    ready.push(std::cmp::Reverse(s.0));
+                    heap.push(Reverse(s.0));
                 }
             }
         }
+        *ready = heap.into_vec();
         // Every node left unscheduled waits on a predecessor.
         if let Some(stuck) = indeg.iter().position(|&d| d > 0) {
             return Err(GraphError::CyclicOrder(NodeId(stuck as u32)));
@@ -431,12 +445,14 @@ impl IntervalGraph {
 
         // CHILDREN: every non-root node is a child of its innermost header
         // (or of ROOT); listing them in preorder sorts each list.
-        let parent_of: Vec<(u32, NodeId)> = preorder
-            .iter()
-            .filter(|&&x| x != root)
-            .map(|&x| (enclosing.of(x.index()).first().unwrap_or(&root).0, x))
-            .collect();
-        let (children, _) = Flat::group(n, &parent_of);
+        parent_of.clear();
+        parent_of.extend(
+            preorder
+                .iter()
+                .filter(|&&x| x != root)
+                .map(|&x| (enclosing.of(x.index()).first().unwrap_or(&root).0, x)),
+        );
+        let children = Flat::group(n, parent_of);
         let num_loop_headers = (0..n)
             .filter(|&i| i != root.index() && !children.of(i).is_empty())
             .count();
@@ -454,15 +470,6 @@ impl IntervalGraph {
             )
             .chain(jump_in.items.iter().map(|j| u64::from(j.0)))
             .fold(0, mix);
-        let header_last_child = (0..n)
-            .map(|i| {
-                let with = |c| preds.of(i).iter().filter(move |e| e.1 == c).map(|e| e.0);
-                (
-                    with(EdgeClass::Entry).next_back(),
-                    with(EdgeClass::Cycle).next(),
-                )
-            })
-            .collect();
         let g = IntervalGraph {
             kinds,
             succs,
@@ -785,17 +792,36 @@ fn classify(enclosing: &Flat<NodeId>, m: NodeId, dst: NodeId) -> EdgeClass {
     }
 }
 
-/// Splits the critical edges of `cfg`, keeping `forest` consistent with
-/// the new nodes (the first half of normalization; the second is
-/// [`latch_back_edges`]).
-fn split_critical_edges(cfg: &mut Cfg, forest: &mut LoopForest) {
-    let edges: Vec<(NodeId, NodeId)> = cfg.edges().collect();
-    for (m, n) in edges {
-        if cfg.succs(m).len() > 1 && cfg.preds(n).len() > 1 {
-            let mid = cfg.split_edge(m, n, SynthKind::EdgeSplit);
-            forest.adopt(m, n, mid);
+/// Splits the critical edges of the graph with successor lists `succs`
+/// and predecessor lists `preds` over the nodes of `kinds`, keeping
+/// `forest` consistent with the new nodes (the first half of
+/// normalization; the second is [`latch_back_edges`]). One linear pass
+/// in edge order: a split node takes its edge's slot in the source's
+/// list and is appended to `kinds`. A split changes no degree, so every
+/// edge is judged on the input graph.
+fn split_critical_edges(
+    mut succs: Flat<NodeId>,
+    preds: &Flat<NodeId>,
+    forest: &mut LoopForest,
+    kinds: &mut Vec<NodeKind>,
+) -> Flat<NodeId> {
+    for m in 0..preds.len() {
+        let out = succs.range(m);
+        if out.len() < 2 {
+            continue;
+        }
+        for slot in out {
+            let dst = succs.items[slot];
+            if preds.of(dst.index()).len() > 1 {
+                let mid = node_id(kinds.len());
+                kinds.push(NodeKind::Synthetic(SynthKind::EdgeSplit));
+                succs.items[slot] = mid;
+                succs.push(&[dst]);
+                forest.adopt(NodeId(m as u32), dst, mid);
+            }
         }
     }
+    succs
 }
 
 /// Gives every loop of `forest` a unique CYCLE edge over the real edges
@@ -804,33 +830,40 @@ fn split_critical_edges(cfg: &mut Cfg, forest: &mut LoopForest) {
 /// does (the source of a CYCLE edge may have no EFJ successors, §3.4),
 /// they jump to a fresh latch instead, whose one edge goes to the
 /// header. Latches are appended to `kinds` in loop order; each node's
-/// retargeted edges move to the end of its list.
+/// retargeted edges move to the end of its list. Without latches,
+/// `succs` comes back as it is.
 pub(crate) fn latch_back_edges(
-    succs: &Flat<NodeId>,
+    succs: Flat<NodeId>,
     forest: &mut LoopForest,
     kinds: &mut Vec<NodeKind>,
 ) -> Flat<NodeId> {
     let n = kinds.len();
     let mut retarget: Vec<(u32, (NodeId, NodeId))> = Vec::new();
     let mut latch_header: Vec<NodeId> = Vec::new();
+    let mut tails: Vec<NodeId> = Vec::new();
     for li in 0..forest.loops().len() {
         let (l, header) = (LoopId(li as u32), forest.loops()[li].header);
-        let tails: Vec<NodeId> = forest.loops()[li]
-            .members
-            .iter()
-            .copied()
-            // Latches of inner loops are members too, and no tails.
-            .filter(|t| t.index() < n && succs.of(t.index()).contains(&header))
-            .collect();
+        tails.clear();
+        tails.extend(
+            forest.loops()[li]
+                .members
+                .iter()
+                .copied()
+                // Latches of inner loops are members too, and no tails.
+                .filter(|t| t.index() < n && succs.of(t.index()).contains(&header)),
+        );
         if tails.len() > 1 || tails.first().is_some_and(|t| succs.of(t.index()).len() > 1) {
-            let latch = NodeId(kinds.len() as u32);
+            let latch = node_id(kinds.len());
             kinds.push(NodeKind::Synthetic(SynthKind::Latch));
             latch_header.push(header);
             forest.adopt_into(l, latch);
             retarget.extend(tails.iter().map(|t| (t.0, (header, latch))));
         }
     }
-    let (retarget, _) = Flat::group(n, &retarget);
+    if latch_header.is_empty() {
+        return succs;
+    }
+    let retarget = Flat::group(n, &retarget);
     Flat::build(kinds.len(), |i, out| {
         let Some(own) = (i < n).then(|| succs.of(i)) else {
             out.push(latch_header[i - n]);

@@ -46,6 +46,7 @@ pub use dom::{
     back_edges, make_reducible, Dominators, IrreducibleError, LoopForest, LoopId, LoopInfo,
 };
 pub use dot::{to_dot, DotOverlay};
+use graph::Flat;
 pub use graph::{Cfg, NodeId, NodeKind, SynthKind};
 pub use interval::{EdgeClass, EdgeMask, GraphError, IntervalGraph};
 pub use reverse::{reversed_graph, reversed_graph_with_loops, reversed_loops};
@@ -77,9 +78,11 @@ pub fn node_spans(program: &gnt_ir::Program, graph: &IntervalGraph) -> Vec<Optio
         .collect()
 }
 
-/// Adjacency-materialized view of an [`IntervalGraph`]'s concrete flow
+/// The concrete flow of an [`IntervalGraph`] as flat adjacency,
 /// implementing [`gnt_dataflow::FlowGraph`], so the generic iterative
-/// solver can run over it (used by the PRE baselines).
+/// solver can run over it (used by the PRE baselines): one
+/// offsets-plus-targets table per direction, successors in the graph's
+/// edge order and predecessors by ascending source.
 ///
 /// # Examples
 ///
@@ -94,8 +97,8 @@ pub fn node_spans(program: &gnt_ir::Program, graph: &IntervalGraph) -> Vec<Optio
 /// ```
 #[derive(Clone, Debug)]
 pub struct CfgFlow {
-    succs: Vec<Vec<usize>>,
-    preds: Vec<Vec<usize>>,
+    succs: Flat<usize>,
+    preds: Flat<usize>,
     entry: usize,
     exit: usize,
 }
@@ -106,17 +109,12 @@ impl CfgFlow {
     /// concrete control flow.
     pub fn from_interval(g: &IntervalGraph) -> CfgFlow {
         let n = g.num_nodes();
-        let mut succs = vec![Vec::new(); n];
-        let mut preds = vec![Vec::new(); n];
-        for m in g.nodes() {
-            for (s, _) in g.real_succ_edges(m) {
-                succs[m.index()].push(s.index());
-                preds[s.index()].push(m.index());
-            }
-        }
+        let succs = Flat::build(n, |i, out| {
+            out.extend(g.real_succ_edges(NodeId(i as u32)).map(|(s, _)| s.index()));
+        });
         CfgFlow {
+            preds: succs.transpose(n, |s| s, |i| i),
             succs,
-            preds,
             entry: g.root().index(),
             exit: g.exit().index(),
         }
@@ -128,10 +126,10 @@ impl gnt_dataflow::FlowGraph for CfgFlow {
         self.succs.len()
     }
     fn succs(&self, n: usize) -> &[usize] {
-        &self.succs[n]
+        self.succs.of(n)
     }
     fn preds(&self, n: usize) -> &[usize] {
-        &self.preds[n]
+        self.preds.of(n)
     }
     fn entry(&self) -> usize {
         self.entry
@@ -161,5 +159,26 @@ mod flow_tests {
             .count();
         let total: usize = (0..flow.num_nodes()).map(|n| flow.succs(n).len()).sum();
         assert_eq!(total, g.num_edges() - synth);
+    }
+
+    #[test]
+    fn interval_flow_lists_are_the_real_edges_both_ways() {
+        let p = gnt_ir::parse(
+            "do i = 1, N\n  if t(i) then\n    a = 1\n  endif\n  if u(i) goto 7\nenddo\n7 b = 2",
+        )
+        .unwrap();
+        let g = IntervalGraph::from_program(&p).unwrap();
+        let flow = CfgFlow::from_interval(&g);
+        let mut preds = vec![Vec::new(); g.num_nodes()];
+        for m in g.nodes() {
+            let succs: Vec<usize> = g.real_succ_edges(m).map(|(s, _)| s.index()).collect();
+            assert_eq!(flow.succs(m.index()), succs.as_slice());
+            for s in succs {
+                preds[s].push(m.index());
+            }
+        }
+        for (n, p) in preds.iter().enumerate() {
+            assert_eq!(flow.preds(n), p.as_slice(), "preds of n{n}");
+        }
     }
 }

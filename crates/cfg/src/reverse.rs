@@ -19,8 +19,9 @@
 //!   fall back to §5.3's conservative poisoning.
 
 use crate::dom::{LoopForest, LoopId, LoopInfo};
-use crate::graph::{NodeId, NodeKind};
-use crate::interval::{latch_back_edges, Flat, GraphError, IntervalGraph};
+use crate::graph::{Flat, NodeId, NodeKind};
+use crate::interval::{latch_back_edges, GraphError, IntervalGraph};
+use crate::scratch::CfgScratchPool;
 
 /// Builds the reversed interval graph of `g` for solving AFTER problems.
 ///
@@ -82,11 +83,19 @@ pub fn reversed_graph_with_loops(
 
     // 3. A unique CYCLE edge per loop: the original ENTRY edges are the
     //    reversed loop's back edges.
-    let real = latch_back_edges(&reversed, &mut forest, &mut kinds);
+    let real = latch_back_edges(reversed, &mut forest, &mut kinds);
 
     // 4. Assemble with jump-in edges tolerated; they poison the loops they
     //    enter (§5.3).
-    IntervalGraph::assemble(kinds, (g.exit(), g.root()), &real, &forest, true)
+    let mut scratch = CfgScratchPool::global().checkout();
+    IntervalGraph::assemble(
+        kinds,
+        (g.exit(), g.root()),
+        &real,
+        &forest,
+        true,
+        &mut scratch,
+    )
 }
 
 /// The loop records [`reversed_graph`] transfers from `g`: the same

@@ -1,26 +1,31 @@
 //! Pooled scratch buffers for CFG construction.
 //!
 //! Lowering a program and assembling its [`crate::IntervalGraph`] churns
-//! through a set of short-lived buffers — the dominator DFS worklist,
-//! reverse-postorder tables, the lowering goto-patch tables. Under batch linting the front end
+//! through a set of short-lived buffers — the lowering walk's edge list
+//! and goto-patch tables, the dominator DFS worklist, reverse-postorder
+//! tables, the assembly's edge classes and preorder heap. Under batch
+//! linting the front end
 //! runs thousands of times per second, and those allocations dominate
 //! its profile. A [`CfgScratch`] keeps the buffers alive between runs,
 //! and [`CfgScratchPool::global`], a bounded [`gnt_dataflow::FreeList`]
 //! like `gnt-core`'s solver `ScratchPool`, shares warm scratches across
 //! pipeline workers.
 //!
-//! The public construction entry points ([`crate::lower`] and
-//! [`crate::IntervalGraph::from_cfg`]) check a scratch out of that pool
-//! transparently, so callers reuse buffers without passing any.
+//! The public construction entry points ([`crate::lower`],
+//! [`crate::IntervalGraph::from_cfg`] and [`crate::reversed_graph`])
+//! check a scratch out of that pool transparently, so callers reuse
+//! buffers without passing any.
 
 use crate::graph::NodeId;
+use crate::interval::EdgeClass;
 use gnt_dataflow::{FreeList, Pooled};
-use gnt_ir::Label;
+use gnt_ir::{Label, StmtId};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// Reusable buffers for one CFG construction (lower → dominators →
-/// loop forest → interval assembly), checked out of
-/// [`CfgScratchPool::global`].
+/// loop forest → interval assembly) or one reversed graph, checked out
+/// of [`CfgScratchPool::global`].
 #[derive(Debug, Default)]
 pub struct CfgScratch {
     // Dominator computation: DFS bookkeeping plus the buffers that
@@ -31,9 +36,26 @@ pub struct CfgScratch {
     pub(crate) rpo: Vec<NodeId>,
     pub(crate) rpo_index: Vec<usize>,
     pub(crate) idom: Vec<Option<NodeId>>,
-    // Lowering: label resolution for goto patching.
+    // Lowering: the edges in the order the walk adds them, the stack of
+    // dangling ends, each statement's node, and label resolution for
+    // goto patching.
+    pub(crate) edges: Vec<(NodeId, NodeId)>,
+    pub(crate) ends: Vec<NodeId>,
+    pub(crate) stmt_nodes: Vec<(StmtId, NodeId)>,
     pub(crate) label_node: HashMap<Label, NodeId>,
     pub(crate) pending_gotos: Vec<(NodeId, Label)>,
+    // Interval assembly: the real edges' classes, the synthetic edges
+    // `(source, sink)` and their slots, jump-in `(header, source)`
+    // pairs, a fill cursor per node, the preorder's in-degrees and
+    // ready heap, and each node's `CHILDREN` parent.
+    pub(crate) classes: Vec<EdgeClass>,
+    pub(crate) synthetic: Vec<(u32, NodeId)>,
+    pub(crate) synth_slots: Vec<usize>,
+    pub(crate) jump_ins: Vec<(u32, NodeId)>,
+    pub(crate) cursor: Vec<usize>,
+    pub(crate) indeg: Vec<usize>,
+    pub(crate) ready: Vec<Reverse<u32>>,
+    pub(crate) parent_of: Vec<(u32, NodeId)>,
 }
 
 impl CfgScratch {

@@ -8,7 +8,7 @@
 //! of overlapping portions (which would re-communicate stale owner data)
 //! and definitions of indirection arrays act as destroyers.
 
-use gnt_cfg::{lower, IntervalGraph, NodeId};
+use gnt_cfg::{lower, IntervalGraph, LoweredCfg, NodeId};
 use gnt_core::PlacementProblem;
 use gnt_dataflow::{BitSet, ItemId, Universe};
 use gnt_ir::{Expr, LValue, Program, StmtId, StmtKind, Symbol};
@@ -136,9 +136,8 @@ pub fn analyze_timed(
     config: &CommConfig,
 ) -> Result<(CommAnalysis, u64), Box<dyn std::error::Error>> {
     let start = Instant::now();
-    let lowered = lower(program)?;
-    let node_of_stmt = lowered.node_of_stmt.clone();
-    let graph = IntervalGraph::from_cfg(lowered.cfg)?;
+    let LoweredCfg { cfg, node_of_stmt } = lower(program)?;
+    let graph = IntervalGraph::from_cfg(cfg)?;
     let graph_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
     let Collected {
