@@ -21,6 +21,7 @@
 use crate::ast::{BinOp, Expr, LValue, Label, Program, Span, Stmt, StmtId, StmtKind};
 use crate::intern::{intern, Symbol};
 use crate::lexer::{lex, LexError, SpannedToken, Token};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -155,14 +156,16 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
     Ok(program)
 }
 
+/// Rejects a label defined twice, then a `goto` to a label never
+/// defined, each the first in program order. One hash set of the
+/// labels keeps it linear in the program.
 fn validate_labels(program: &Program) -> Result<(), ParseError> {
-    let mut seen = Vec::new();
+    let mut seen = HashSet::new();
     for (_, stmt) in program.iter() {
         if let Some(l) = stmt.label {
-            if seen.contains(&l) {
+            if !seen.insert(l) {
                 return Err(ParseError::DuplicateLabel(l));
             }
-            seen.push(l);
         }
     }
     for (_, stmt) in program.iter() {
@@ -593,6 +596,44 @@ mod tests {
     fn rejects_duplicate_labels() {
         let err = parse("10 continue\n10 continue").unwrap_err();
         assert_eq!(err, ParseError::DuplicateLabel(Label(10)));
+    }
+
+    /// 40 000 statements labeled 1 to 40 000, every 100th an `if … goto`
+    /// 50 labels on, with the lines `line(i)` returns in place of theirs.
+    fn labeled_program(line: impl Fn(u32) -> String) -> String {
+        (1..=40_000)
+            .map(|i| match line(i) {
+                custom if !custom.is_empty() => custom + "\n",
+                _ if i % 100 == 1 => format!("{i} if t goto {}\n", i + 50),
+                _ => format!("{i} a = 1\n"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn label_errors_on_a_40k_labeled_program_are_the_first_in_program_order() {
+        let clean = parse(&labeled_program(|_| String::new())).unwrap();
+        assert_eq!(clean.body().len(), 40_000);
+        // Two duplicates: the first in program order is reported.
+        let dups = labeled_program(|i| match i {
+            30_000 => "20000 a = 2".to_owned(),
+            35_000 => "100 a = 2".to_owned(),
+            _ => String::new(),
+        });
+        assert_eq!(
+            parse(&dups).unwrap_err(),
+            ParseError::DuplicateLabel(Label(20_000))
+        );
+        // Two unknown targets: the first in program order is reported.
+        let unknown = labeled_program(|i| match i {
+            10_000 => "10000 goto 90001".to_owned(),
+            20_000 => "20000 goto 90000".to_owned(),
+            _ => String::new(),
+        });
+        assert_eq!(
+            parse(&unknown).unwrap_err(),
+            ParseError::UnknownLabel(Label(90_001))
+        );
     }
 
     #[test]
