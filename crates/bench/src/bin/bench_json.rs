@@ -37,12 +37,14 @@
 //!   of the scratch: all 20 families ([`SolverScratch::export`]) against
 //!   the 4 production families a plan reads
 //!   ([`SolverScratch::export_productions`]) (ungated);
-//! * `cfg/from_cfg`, `cfg/reversed_graph` and `tape/lookup` — at
-//!   `sized_program(3000)`: [`IntervalGraph::from_cfg`] on the lowered
-//!   CFG (its clone untimed), [`gnt_cfg::reversed_graph`] of the result,
-//!   and one [`SolverScratch::cached_tape`] hit, averaged over 1 000
-//!   calls and recorded per call (`nodes` 1); a moved pipeline number
-//!   can then name its graph layer (ungated);
+//! * `cfg/lower`, `cfg/from_cfg`, `cfg/reversed_graph` and `tape/lookup`
+//!   — at `sized_program(3000)`: one [`gnt_cfg::lower`] call (the walk,
+//!   the flat edge tables and the prune), [`IntervalGraph::from_cfg`] on
+//!   the lowered CFG (its clone untimed), [`gnt_cfg::reversed_graph`] of
+//!   the result, each timed per call and recorded per node of the
+//!   interval graph, and one [`SolverScratch::cached_tape`] hit, averaged
+//!   over 1 000 calls and recorded per call (`nodes` 1); a moved pipeline
+//!   number can then name its graph layer (ungated);
 //! * `comm_analyze/ns_per_node` and `lint_layer2/ns_per_node` — the
 //!   communication analysis of `sized_program(3000)` without lowering
 //!   and the interval graph, and Layer 2's criteria lints of its READ
@@ -512,7 +514,10 @@ fn main() -> ExitCode {
     oneshot.push(("export/productions", ns));
     // The graph layer: building both orientations, and the tape cache's
     // lookup, which reads the fingerprint the graph stored.
-    let lowered = gnt_cfg::lower(&sized_program(3000)).expect("sized programs");
+    let program = sized_program(3000);
+    let ns = median_ns(runs, || gnt_cfg::lower(&program).expect("sized programs"));
+    oneshot.push(("cfg/lower", ns));
+    let lowered = gnt_cfg::lower(&program).expect("sized programs");
     let ns = median_ns_with(
         runs,
         || lowered.cfg.clone(),
