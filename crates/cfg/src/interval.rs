@@ -21,7 +21,6 @@
 use crate::dom::{Dominators, IrreducibleError, LoopForest, LoopId};
 use crate::graph::{ends_to_starts, node_id, Cfg, Flat, NodeId, NodeKind, SynthKind};
 use crate::scratch::{CfgScratch, CfgScratchPool};
-use std::cmp::Reverse;
 use std::fmt;
 
 /// Classification of an interval-flow-graph edge (§3.3).
@@ -412,28 +411,20 @@ impl IntervalGraph {
                 .filter(|e| e.1 != EdgeClass::Cycle)
                 .count()
         }));
-        let mut heap = std::collections::BinaryHeap::from(std::mem::take(ready));
-        heap.clear();
-        heap.extend(
-            (0..n as u32)
-                .filter(|&i| indeg[i as usize] == 0)
-                .map(Reverse),
-        );
+        ready.reset(n);
+        for i in (0..n).filter(|&i| indeg[i] == 0) {
+            ready.insert(i);
+        }
         let mut preorder = Vec::with_capacity(n);
-        while let Some(Reverse(i)) = heap.pop() {
-            preorder.push(NodeId(i));
-            for &(s, _) in succs
-                .of(i as usize)
-                .iter()
-                .filter(|e| e.1 != EdgeClass::Cycle)
-            {
+        while let Some(i) = ready.pop_min() {
+            preorder.push(NodeId(i as u32));
+            for &(s, _) in succs.of(i).iter().filter(|e| e.1 != EdgeClass::Cycle) {
                 indeg[s.index()] -= 1;
                 if indeg[s.index()] == 0 {
-                    heap.push(Reverse(s.0));
+                    ready.insert(s.index());
                 }
             }
         }
-        *ready = heap.into_vec();
         // Every node left unscheduled waits on a predecessor.
         if let Some(stuck) = indeg.iter().position(|&d| d > 0) {
             return Err(GraphError::CyclicOrder(NodeId(stuck as u32)));
