@@ -71,10 +71,10 @@ pub fn lower(program: &Program) -> Result<LoweredCfg, BuildError> {
 /// [`lower`] with caller-provided scratch buffers; the pooled entry
 /// points route through here.
 ///
-/// The walk records each node's kind and every edge in the order it is
-/// found; [`Cfg::from_edges`] then groups the edges by source into the
-/// flat tables at once. Pruning rebuilds them only when some node is
-/// unreachable.
+/// The walk records each node's kind, each statement's node and every
+/// edge in the order it is found; [`Cfg::from_edges`] then groups the
+/// edges by source into the flat tables at once. Pruning rebuilds them,
+/// and renumbers `node_of_stmt`, only when some node is unreachable.
 pub(crate) fn lower_with(
     program: &Program,
     scratch: &mut CfgScratch,
@@ -82,22 +82,20 @@ pub(crate) fn lower_with(
     let CfgScratch {
         edges,
         ends,
-        stmt_nodes,
         label_node,
         pending_gotos,
         ..
     } = scratch;
     edges.clear();
     ends.clear();
-    stmt_nodes.clear();
     label_node.clear();
     pending_gotos.clear();
     let mut b = Builder {
         program,
         kinds: vec![NodeKind::Entry, NodeKind::Exit],
+        node_of_stmt: HashMap::with_capacity(program.num_stmts()),
         edges,
         ends,
-        stmt_nodes,
         label_node,
         pending_gotos,
     };
@@ -113,14 +111,15 @@ pub(crate) fn lower_with(
         b.edges.push((src, dst));
     }
     let mut cfg = Cfg::from_edges(b.kinds, (ENTRY, EXIT), b.edges);
-    let mut node_of_stmt = HashMap::with_capacity(b.stmt_nodes.len());
-    match cfg.prune() {
-        None => node_of_stmt.extend(b.stmt_nodes.iter().copied()),
-        Some(remap) => node_of_stmt.extend(
-            b.stmt_nodes
-                .iter()
-                .filter_map(|&(s, n)| remap[n.index()].map(|n2| (s, n2))),
-        ),
+    let mut node_of_stmt = b.node_of_stmt;
+    if let Some(remap) = cfg.prune() {
+        node_of_stmt.retain(|_, n| match remap[n.index()] {
+            Some(kept) => {
+                *n = kept;
+                true
+            }
+            None => false,
+        });
     }
     Ok(LoweredCfg { cfg, node_of_stmt })
 }
@@ -132,11 +131,11 @@ const EXIT: NodeId = NodeId(1);
 struct Builder<'a> {
     program: &'a Program,
     kinds: Vec<NodeKind>,
+    node_of_stmt: HashMap<StmtId, NodeId>,
     edges: &'a mut Vec<(NodeId, NodeId)>,
     /// A stack of dangling ends: a sequence lowered from `base` finds its
     /// predecessors in `ends[base..]` and leaves its own ends there.
     ends: &'a mut Vec<NodeId>,
-    stmt_nodes: &'a mut Vec<(StmtId, NodeId)>,
     label_node: &'a mut HashMap<Label, NodeId>,
     pending_gotos: &'a mut Vec<(NodeId, Label)>,
 }
@@ -156,7 +155,7 @@ impl Builder<'_> {
     fn enter(&mut self, sid: StmtId, kind: NodeKind, base: usize) -> NodeId {
         let node = node_id(self.kinds.len());
         self.kinds.push(kind);
-        self.stmt_nodes.push((sid, node));
+        self.node_of_stmt.insert(sid, node);
         if let Some(label) = self.program.stmt(sid).label {
             self.label_node.insert(label, node);
         }

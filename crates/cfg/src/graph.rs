@@ -99,18 +99,27 @@ impl<T: Copy> Flat<T> {
     }
 
     /// Groups `(node, item)` pairs over nodes `0..n` by count-then-fill,
-    /// keeping the pairs' order within each node.
-    pub(crate) fn group(n: usize, pairs: &[(u32, T)]) -> Flat<T> {
+    /// keeping the pairs' order within each node. `pairs` is walked
+    /// twice.
+    pub(crate) fn group(n: usize, pairs: impl Iterator<Item = (usize, T)> + Clone) -> Flat<T> {
         let mut off = vec![0; n + 1];
-        for &(i, _) in pairs {
-            off[i as usize + 1] += 1;
+        let mut any = None;
+        for (i, x) in pairs.clone() {
+            off[i + 1] += 1;
+            any = Some(x);
         }
         for i in 0..n {
             off[i + 1] += off[i];
         }
-        let mut items = pairs.iter().map(|p| p.1).collect::<Vec<_>>();
-        for &(i, x) in pairs {
-            let at = &mut off[i as usize];
+        let Some(x) = any else {
+            return Flat {
+                off,
+                items: Vec::new(),
+            };
+        };
+        let mut items = vec![x; off[n]];
+        for (i, x) in pairs {
+            let at = &mut off[i];
             items[*at] = x;
             *at += 1;
         }

@@ -287,11 +287,9 @@ impl IntervalGraph {
             classes,
             synthetic,
             jump_ins,
-            cursor,
+            counts,
             synth_slots,
-            indeg,
             ready,
-            parent_of,
             ..
         } = scratch;
         classes.clear();
@@ -344,17 +342,18 @@ impl IntervalGraph {
             off[i + 1] += off[i] + real.range(i).len();
         }
         let mut items = vec![(NodeId(0), EdgeClass::Forward); num_edges];
-        cursor.clear();
+        // `counts[i]`: where node `i`'s next synthetic edge goes.
+        counts.clear();
         for (i, &to) in off[..n].iter().enumerate() {
             let from = real.range(i);
             for (edge, slot) in items[to..].iter_mut().zip(from.clone()) {
                 *edge = (real.items[slot], classes[slot]);
             }
-            cursor.push(to + from.len());
+            counts.push(to + from.len());
         }
         synth_slots.clear();
         for &(h, dst) in synthetic.iter() {
-            let at = &mut cursor[h as usize];
+            let at = &mut counts[h as usize];
             items[*at] = (dst, EdgeClass::Synthetic);
             synth_slots.push(*at);
             *at += 1;
@@ -398,13 +397,14 @@ impl IntervalGraph {
         }
         ends_to_starts(&mut off);
         let preds = Flat { off, items };
-        let jump_in = Flat::group(n, jump_ins);
+        let jump_in = Flat::group(n, jump_ins.iter().map(|&(h, m)| (h as usize, m)));
 
         // Preorder: topological over E/F/J/S (+JumpIn) edges, skipping the
         // CYCLE edges; ties broken by ascending node id (construction
         // order, which follows the source).
-        indeg.clear();
-        indeg.extend((0..n).map(|i| {
+        // `counts[i]`: node `i`'s predecessors not yet scheduled.
+        counts.clear();
+        counts.extend((0..n).map(|i| {
             preds
                 .of(i)
                 .iter()
@@ -412,21 +412,21 @@ impl IntervalGraph {
                 .count()
         }));
         ready.reset(n);
-        for i in (0..n).filter(|&i| indeg[i] == 0) {
+        for i in (0..n).filter(|&i| counts[i] == 0) {
             ready.insert(i);
         }
         let mut preorder = Vec::with_capacity(n);
         while let Some(i) = ready.pop_min() {
             preorder.push(NodeId(i as u32));
             for &(s, _) in succs.of(i).iter().filter(|e| e.1 != EdgeClass::Cycle) {
-                indeg[s.index()] -= 1;
-                if indeg[s.index()] == 0 {
+                counts[s.index()] -= 1;
+                if counts[s.index()] == 0 {
                     ready.insert(s.index());
                 }
             }
         }
         // Every node left unscheduled waits on a predecessor.
-        if let Some(stuck) = indeg.iter().position(|&d| d > 0) {
+        if let Some(stuck) = counts.iter().position(|&d| d > 0) {
             return Err(GraphError::CyclicOrder(NodeId(stuck as u32)));
         }
         let mut preorder_index = vec![usize::MAX; n];
@@ -436,14 +436,13 @@ impl IntervalGraph {
 
         // CHILDREN: every non-root node is a child of its innermost header
         // (or of ROOT); listing them in preorder sorts each list.
-        parent_of.clear();
-        parent_of.extend(
+        let children = Flat::group(
+            n,
             preorder
                 .iter()
                 .filter(|&&x| x != root)
-                .map(|&x| (enclosing.of(x.index()).first().unwrap_or(&root).0, x)),
+                .map(|&x| (enclosing.of(x.index()).first().unwrap_or(&root).index(), x)),
         );
-        let children = Flat::group(n, parent_of);
         let num_loop_headers = (0..n)
             .filter(|&i| i != root.index() && !children.of(i).is_empty())
             .count();
@@ -829,7 +828,7 @@ pub(crate) fn latch_back_edges(
     kinds: &mut Vec<NodeKind>,
 ) -> Flat<NodeId> {
     let n = kinds.len();
-    let mut retarget: Vec<(u32, (NodeId, NodeId))> = Vec::new();
+    let mut retarget: Vec<(usize, (NodeId, NodeId))> = Vec::new();
     let mut latch_header: Vec<NodeId> = Vec::new();
     let mut tails: Vec<NodeId> = Vec::new();
     for li in 0..forest.loops().len() {
@@ -848,13 +847,13 @@ pub(crate) fn latch_back_edges(
             kinds.push(NodeKind::Synthetic(SynthKind::Latch));
             latch_header.push(header);
             forest.adopt_into(l, latch);
-            retarget.extend(tails.iter().map(|t| (t.0, (header, latch))));
+            retarget.extend(tails.iter().map(|t| (t.index(), (header, latch))));
         }
     }
     if latch_header.is_empty() {
         return succs;
     }
-    let retarget = Flat::group(n, &retarget);
+    let retarget = Flat::group(n, retarget.iter().copied());
     Flat::build(kinds.len(), |i, out| {
         let Some(own) = (i < n).then(|| succs.of(i)) else {
             out.push(latch_header[i - n]);

@@ -19,7 +19,7 @@
 use crate::graph::NodeId;
 use crate::interval::EdgeClass;
 use gnt_dataflow::{FreeList, Pooled};
-use gnt_ir::{Label, StmtId};
+use gnt_ir::Label;
 use std::collections::HashMap;
 
 /// Reusable buffers for one CFG construction (lower → dominators →
@@ -36,25 +36,23 @@ pub struct CfgScratch {
     pub(crate) rpo_index: Vec<usize>,
     pub(crate) idom: Vec<Option<NodeId>>,
     // Lowering: the edges in the order the walk adds them, the stack of
-    // dangling ends, each statement's node, and label resolution for
-    // goto patching.
+    // dangling ends, and label resolution for goto patching.
     pub(crate) edges: Vec<(NodeId, NodeId)>,
     pub(crate) ends: Vec<NodeId>,
-    pub(crate) stmt_nodes: Vec<(StmtId, NodeId)>,
     pub(crate) label_node: HashMap<Label, NodeId>,
     pub(crate) pending_gotos: Vec<(NodeId, Label)>,
     // Interval assembly: the real edges' classes, the synthetic edges
     // `(source, sink)` and their slots, jump-in `(header, source)`
-    // pairs, a fill cursor per node, the preorder's in-degrees and
-    // ready set, and each node's `CHILDREN` parent.
+    // pairs, one count per node (a fill cursor, then the preorder's
+    // in-degrees, then a fill cursor again) and the preorder's ready
+    // set. Each lives as long as the scratch, so they are kept few and
+    // narrow.
     pub(crate) classes: Vec<EdgeClass>,
     pub(crate) synthetic: Vec<(u32, NodeId)>,
     pub(crate) synth_slots: Vec<usize>,
     pub(crate) jump_ins: Vec<(u32, NodeId)>,
-    pub(crate) cursor: Vec<usize>,
-    pub(crate) indeg: Vec<usize>,
+    pub(crate) counts: Vec<usize>,
     pub(crate) ready: ReadySet,
-    pub(crate) parent_of: Vec<(u32, NodeId)>,
 }
 
 impl CfgScratch {
