@@ -21,6 +21,8 @@
 use crate::dom::{Dominators, IrreducibleError, LoopForest, LoopId};
 use crate::graph::{ends_to_starts, node_id, Cfg, Flat, NodeId, NodeKind, SynthKind};
 use crate::scratch::{CfgScratch, CfgScratchPool};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Classification of an interval-flow-graph edge (§3.3).
@@ -264,7 +266,7 @@ impl IntervalGraph {
     /// `(root, exit)`. The edges must already be normalized; this is the
     /// entry point [`crate::reverse`] shares.
     pub(crate) fn assemble(
-        kinds: Vec<NodeKind>,
+        mut kinds: Vec<NodeKind>,
         (root, exit): (NodeId, NodeId),
         real: &Flat<NodeId>,
         forest: &LoopForest,
@@ -289,7 +291,6 @@ impl IntervalGraph {
             jump_ins,
             counts,
             synth_slots,
-            ready,
             ..
         } = scratch;
         classes.clear();
@@ -411,17 +412,21 @@ impl IntervalGraph {
                 .filter(|e| e.1 != EdgeClass::Cycle)
                 .count()
         }));
-        ready.reset(n);
-        for i in (0..n).filter(|&i| counts[i] == 0) {
-            ready.insert(i);
-        }
+        let mut ready: BinaryHeap<Reverse<u32>> = (0..n as u32)
+            .filter(|&i| counts[i as usize] == 0)
+            .map(Reverse)
+            .collect();
         let mut preorder = Vec::with_capacity(n);
-        while let Some(i) = ready.pop_min() {
-            preorder.push(NodeId(i as u32));
-            for &(s, _) in succs.of(i).iter().filter(|e| e.1 != EdgeClass::Cycle) {
+        while let Some(Reverse(i)) = ready.pop() {
+            preorder.push(NodeId(i));
+            for &(s, _) in succs
+                .of(i as usize)
+                .iter()
+                .filter(|e| e.1 != EdgeClass::Cycle)
+            {
                 counts[s.index()] -= 1;
                 if counts[s.index()] == 0 {
-                    ready.insert(s.index());
+                    ready.push(Reverse(s.0));
                 }
             }
         }
@@ -460,6 +465,9 @@ impl IntervalGraph {
             )
             .chain(jump_in.items.iter().map(|j| u64::from(j.0)))
             .fold(0, mix);
+        // `kinds` grew node by node while lowering and normalizing; a
+        // graph can outlive its lint in the pipeline cache.
+        kinds.shrink_to_fit();
         let g = IntervalGraph {
             kinds,
             succs,

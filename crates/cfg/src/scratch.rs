@@ -3,7 +3,7 @@
 //! Lowering a program and assembling its [`crate::IntervalGraph`] churns
 //! through a set of short-lived buffers — the lowering walk's edge list
 //! and goto-patch tables, the dominator DFS worklist, reverse-postorder
-//! tables, the assembly's edge classes and preorder queue. Under batch
+//! tables, the assembly's edge classes and per-node counts. Under batch
 //! linting the front end
 //! runs thousands of times per second, and those allocations dominate
 //! its profile. A [`CfgScratch`] keeps the buffers alive between runs,
@@ -43,16 +43,14 @@ pub struct CfgScratch {
     pub(crate) pending_gotos: Vec<(NodeId, Label)>,
     // Interval assembly: the real edges' classes, the synthetic edges
     // `(source, sink)` and their slots, jump-in `(header, source)`
-    // pairs, one count per node (a fill cursor, then the preorder's
-    // in-degrees, then a fill cursor again) and the preorder's ready
-    // set. Each lives as long as the scratch, so they are kept few and
-    // narrow.
+    // pairs, and one count per node (a fill cursor, then the preorder's
+    // in-degrees). Each lives as long as the scratch, so they are kept
+    // few.
     pub(crate) classes: Vec<EdgeClass>,
     pub(crate) synthetic: Vec<(u32, NodeId)>,
     pub(crate) synth_slots: Vec<usize>,
     pub(crate) jump_ins: Vec<(u32, NodeId)>,
     pub(crate) counts: Vec<usize>,
-    pub(crate) ready: ReadySet,
 }
 
 impl CfgScratch {
@@ -60,76 +58,6 @@ impl CfgScratch {
     /// on first use and stay allocated.
     pub fn new() -> CfgScratch {
         CfgScratch::default()
-    }
-}
-
-/// A set of node indices, each inserted at most once between resets,
-/// that pops its smallest first: the preorder's ready queue. A bit per
-/// index, and above it a bit per nonzero word, level by level up to a
-/// single word, so an operation costs a few word operations per level
-/// (three levels up to 262 144 nodes) where a binary heap of the often
-/// hundreds of ready nodes costs a sift.
-#[derive(Debug, Default)]
-pub(crate) struct ReadySet {
-    /// `levels[0]` holds a bit per index; each level above a bit per
-    /// word of the one below; the last is one word.
-    levels: Vec<Vec<u64>>,
-}
-
-impl ReadySet {
-    /// Empties the set for indices below `n`.
-    pub(crate) fn reset(&mut self, n: usize) {
-        let mut len = n.div_ceil(64).max(1);
-        let mut depth = 0;
-        loop {
-            if self.levels.len() == depth {
-                self.levels.push(Vec::new());
-            }
-            let level = &mut self.levels[depth];
-            level.clear();
-            level.resize(len, 0);
-            depth += 1;
-            if len == 1 {
-                break;
-            }
-            len = len.div_ceil(64);
-        }
-        self.levels.truncate(depth);
-    }
-
-    /// Adds index `i`.
-    pub(crate) fn insert(&mut self, mut i: usize) {
-        for level in &mut self.levels {
-            let word = &mut level[i / 64];
-            let was_empty = *word == 0;
-            *word |= 1 << (i % 64);
-            if !was_empty {
-                break;
-            }
-            i /= 64;
-        }
-    }
-
-    /// Removes and returns the smallest index, if any.
-    pub(crate) fn pop_min(&mut self) -> Option<usize> {
-        let mut i = 0;
-        for level in self.levels.iter().rev() {
-            let word = level[i];
-            if word == 0 {
-                return None;
-            }
-            i = i * 64 + word.trailing_zeros() as usize;
-        }
-        let mut j = i;
-        for level in &mut self.levels {
-            let word = &mut level[j / 64];
-            *word &= !(1 << (j % 64));
-            if *word != 0 {
-                break;
-            }
-            j /= 64;
-        }
-        Some(i)
     }
 }
 
@@ -191,32 +119,6 @@ mod tests {
                     pooled_g.preds(n, all).collect::<Vec<_>>()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn ready_set_pops_in_ascending_order_across_levels() {
-        let mut set = ReadySet::default();
-        for n in [1, 64, 65, 4096, 4097, 300_000] {
-            set.reset(n);
-            assert_eq!(set.pop_min(), None);
-            let mut model = std::collections::BTreeSet::new();
-            // Interleave inserts and pops, inserting below the last pop.
-            let mut x = 7usize;
-            for round in 0..400 {
-                x = (x * 1_103_515_245 + 12_345) % n;
-                if !model.contains(&x) && round % 97 != 96 {
-                    set.insert(x);
-                    model.insert(x);
-                }
-                if round % 3 == 0 {
-                    assert_eq!(set.pop_min(), model.pop_first(), "n = {n}");
-                }
-            }
-            while let Some(m) = model.pop_first() {
-                assert_eq!(set.pop_min(), Some(m), "n = {n}");
-            }
-            assert_eq!(set.pop_min(), None);
         }
     }
 
