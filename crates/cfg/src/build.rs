@@ -312,6 +312,31 @@ mod tests {
     }
 
     #[test]
+    fn a_goto_to_its_own_fall_through_is_one_edge() {
+        // The branch falls through to label 5 and jumps there too; the
+        // unreachable `b = 1` is pruned, which renumbers the nodes.
+        let l = lower_src("if t goto 5\n5 continue\ngoto 9\nb = 1\n9 continue");
+        let branch = l
+            .cfg
+            .nodes()
+            .find(|&n| matches!(l.cfg.kind(n), NodeKind::Branch(_)))
+            .unwrap();
+        let [target] = l.cfg.succs(branch) else {
+            panic!("branch successors {:?}", l.cfg.succs(branch));
+        };
+        assert_eq!(l.cfg.preds(*target), &[branch]);
+        // entry, exit, branch, two `continue`s, the `goto`
+        assert_eq!(l.cfg.num_nodes(), 6);
+        assert_eq!(l.cfg.num_edges(), 5);
+        for n in l.cfg.nodes() {
+            for &s in l.cfg.succs(n) {
+                assert!(l.cfg.preds(s).contains(&n));
+            }
+        }
+        assert_eq!(l.node_of_stmt.len(), 4);
+    }
+
+    #[test]
     fn node_of_stmt_maps_reachable_statements() {
         let p = parse("a = 1\nb = 2").unwrap();
         let l = lower(&p).unwrap();

@@ -4,9 +4,8 @@
 //! through a set of short-lived buffers — the lowering walk's edge list
 //! and goto-patch tables, the dominator DFS worklist, reverse-postorder
 //! tables, the assembly's edge classes and per-node counts. Under batch
-//! linting the front end
-//! runs thousands of times per second, and those allocations dominate
-//! its profile. A [`CfgScratch`] keeps the buffers alive between runs,
+//! linting the front end runs thousands of times per second, and those
+//! allocations dominate its profile. A [`CfgScratch`] keeps the buffers alive between runs,
 //! and [`CfgScratchPool::global`], a bounded [`gnt_dataflow::FreeList`]
 //! like `gnt-core`'s solver `ScratchPool`, shares warm scratches across
 //! pipeline workers.
