@@ -563,4 +563,134 @@ mod tests {
         assert!(r[cfg.exit().index()]);
         assert!(!r[a.index()]);
     }
+
+    /// Plain successor lists with the semantics the mutators keep:
+    /// insertion order, parallel edges collapsed, a split node in its
+    /// edge's slot, and a prune that keeps each survivor's successor
+    /// order.
+    #[derive(Default)]
+    struct Model(Vec<Vec<u32>>);
+
+    impl Model {
+        fn add_edge(&mut self, a: u32, b: u32) {
+            if !self.0[a as usize].contains(&b) {
+                self.0[a as usize].push(b);
+            }
+        }
+
+        fn prune(&mut self) -> Vec<Option<u32>> {
+            let mut keep = vec![false; self.0.len()];
+            let mut stack = vec![0];
+            keep[0] = true;
+            while let Some(x) = stack.pop() {
+                for &s in &self.0[x as usize] {
+                    if !std::mem::replace(&mut keep[s as usize], true) {
+                        stack.push(s);
+                    }
+                }
+            }
+            keep[1] = true;
+            let mut remap = vec![None; keep.len()];
+            let kept = keep.iter().enumerate().filter(|(_, &k)| k);
+            for (new, (i, _)) in (0..).zip(kept) {
+                remap[i] = Some(new);
+            }
+            let old = std::mem::take(&mut self.0);
+            self.0 = (0..old.len())
+                .filter(|&i| keep[i])
+                .map(|i| old[i].iter().filter_map(|&d| remap[d as usize]).collect())
+                .collect();
+            remap
+        }
+    }
+
+    #[test]
+    fn mutators_match_the_successor_list_model() {
+        let mut x: u64 = 0x2545_f491;
+        let mut next = |m: u64| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (x >> 33) % m
+        };
+        for round in 0..60 {
+            let (mut cfg, mut model) = (Cfg::new(), Model(vec![Vec::new(), Vec::new()]));
+            for _ in 0..200 {
+                let n = cfg.num_nodes() as u64;
+                let (a, b) = (next(n) as u32, next(n) as u32);
+                match next(10) {
+                    0 | 1 => {
+                        cfg.add_node(NodeKind::Synthetic(SynthKind::EdgeSplit));
+                        model.0.push(Vec::new());
+                    }
+                    2..=6 => {
+                        cfg.add_edge(NodeId(a), NodeId(b));
+                        model.add_edge(a, b);
+                    }
+                    7 => {
+                        cfg.remove_edge(NodeId(a), NodeId(b));
+                        model.0[a as usize].retain(|&s| s != b);
+                    }
+                    8 if model.0[a as usize].contains(&b) => {
+                        let mid = cfg.split_edge(NodeId(a), NodeId(b), SynthKind::EdgeSplit);
+                        assert_eq!(mid.index(), model.0.len());
+                        for s in &mut model.0[a as usize] {
+                            if *s == b {
+                                *s = mid.0;
+                            }
+                        }
+                        model.0.push(vec![b]);
+                    }
+                    9 if round % 3 == 0 => {
+                        let remap = cfg.prune_unreachable();
+                        let expected = model.prune();
+                        let got: Vec<_> = remap.iter().map(|r| r.map(|n| n.0)).collect();
+                        assert_eq!(got, expected);
+                    }
+                    _ => {}
+                }
+                assert_eq!(cfg.num_nodes(), model.0.len());
+                let mut preds = vec![Vec::new(); model.0.len()];
+                for (i, out) in model.0.iter().enumerate() {
+                    let succs: Vec<u32> = cfg.succs(NodeId(i as u32)).iter().map(|s| s.0).collect();
+                    assert_eq!(&succs, out, "round {round}: successors of n{i}");
+                    for &s in out {
+                        preds[s as usize].push(i as u32);
+                    }
+                }
+                for (i, p) in preds.iter().enumerate() {
+                    let got: Vec<u32> = cfg.preds(NodeId(i as u32)).iter().map(|p| p.0).collect();
+                    assert_eq!(&got, p, "round {round}: predecessors of n{i}");
+                }
+                assert_eq!(cfg.num_edges(), preds.iter().map(Vec::len).sum::<usize>());
+            }
+        }
+    }
+
+    #[test]
+    fn from_edges_matches_add_edge_in_the_same_order() {
+        let edges = [
+            (0, 2),
+            (2, 3),
+            (2, 4),
+            (3, 2),
+            (2, 3),
+            (4, 1),
+            (3, 1),
+            (0, 2),
+        ];
+        let mut by_hand = Cfg::new();
+        for _ in 0..3 {
+            by_hand.add_node(NodeKind::Synthetic(SynthKind::EdgeSplit));
+        }
+        for &(a, b) in &edges {
+            by_hand.add_edge(NodeId(a), NodeId(b));
+        }
+        let pairs: Vec<_> = edges.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect();
+        let kinds = (0..5).map(|i| by_hand.kind(NodeId(i))).collect();
+        let flat = Cfg::from_edges(kinds, (NodeId(0), NodeId(1)), &pairs);
+        assert_eq!(flat.num_edges(), 6);
+        for n in by_hand.nodes() {
+            assert_eq!(flat.succs(n), by_hand.succs(n));
+            assert_eq!(flat.preds(n), by_hand.preds(n));
+        }
+    }
 }
