@@ -7,8 +7,7 @@
 //! [`gnt_core::SolverScratch`] out of [`gnt_core::ScratchPool::global`]
 //! and runs the complete pipeline — parse → CFG/intervals → analyze →
 //! solve → generate → lint — so steady-state batches reuse the
-//! scratches' arenas and cached schedule tapes whichever thread runs
-//! the job. Both that pool and the CFG builder's
+//! scratches' arenas whichever thread runs the job. Both that pool and
 //! [`gnt_cfg::CfgScratchPool`] are bounded [`gnt_dataflow::FreeList`]s:
 //! once one batch has warmed them, a `w`-wide batch creates no scratch
 //! and each pool holds at most `w` (up to the cap of 32).

@@ -39,10 +39,9 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Fingerprints a source text under the analysis-relevant options. The
-/// same FNV-1a the schedule-tape cache uses, folded over the option
-/// fields with separators so `("ab", zero_trip)` and `("a", "b…")`
-/// cannot collide structurally.
+/// Fingerprints a source text under the analysis-relevant options: an
+/// FNV-1a folded over the text and the option fields, with separators so
+/// `("ab", zero_trip)` and `("a", "b…")` cannot collide structurally.
 fn fingerprint(text: &str, opts: &LintOptions) -> u64 {
     let mut h = fnv1a(FNV_OFFSET, text.as_bytes());
     h = fnv1a(

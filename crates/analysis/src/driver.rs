@@ -239,11 +239,10 @@ pub struct StageTimings {
     /// check instead of checking again: 1 when that check ran and passed
     /// on the rows Layer 2 lints, else 0.
     pub checks_reused: u64,
-    /// The run's solver-engine counts. A lint solves each `(graph,
-    /// opts)` once, on the direct walker, so a cold run compiles no tape,
-    /// its direct solves are the plan's (2, or 3 with §5.3's poisoned
-    /// fallback) plus the blame re-derivations, and it replays no tape; a
-    /// lint of a program the scratch solved before replays cached tapes.
+    /// The run's solver-engine counts. Every solve of a lint is a full
+    /// solve on the direct walker, so a run compiles no tape and replays
+    /// none, and its direct solves are the plan's (2, or 3 with §5.3's
+    /// poisoned fallback) plus the blame re-derivations.
     pub engine: gnt_core::EngineCounters,
 }
 
@@ -298,8 +297,7 @@ fn elapsed_ns(from: std::time::Instant) -> u64 {
 ///
 /// The solver workspace comes from [`gnt_core::ScratchPool::global`], so
 /// repeated calls (and the batch front-end, [`crate::batch::lint_batch`])
-/// reuse warm arenas (and, for a program solved again, its cached
-/// schedule tapes) instead of allocating.
+/// reuse warm arenas instead of allocating.
 ///
 /// # Errors
 ///
@@ -312,8 +310,7 @@ pub fn lint_program(program: &Program, opts: &LintOptions) -> Result<LintReport,
 
 /// [`lint_program`] with a caller-provided solver workspace: one scratch
 /// arena backs the whole pipeline — the plan's READ/WRITE solves walk
-/// their schedules directly (or replay cached tapes when the scratch
-/// solved the same graphs before), and blame re-derives a solve into it. The
+/// their schedules directly, and blame re-derives a solve into it. The
 /// batch front-end checks scratches out of a [`gnt_core::ScratchPool`]
 /// per worker and calls this.
 ///

@@ -391,9 +391,8 @@ pub fn lint_placement(
 }
 
 /// [`lint_placement`] with a caller-provided solver scratch: the
-/// optimality comparison (O2/O3/O3') re-solves the same problem, so a
-/// scratch whose tape cache is already warm for `graph` turns that
-/// re-solve into a cached replay.
+/// optimality comparison (O2/O3/O3') re-solves the same problem into it,
+/// reusing its warm arena.
 pub fn lint_placement_with_scratch(
     graph: &IntervalGraph,
     problem: &PlacementProblem,

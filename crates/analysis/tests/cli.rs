@@ -563,7 +563,7 @@ fn profile_splits_the_graph_from_the_comm_analysis() {
 /// warnings, so READ is re-derived for their trails, and WRITE is not.
 /// A `goto` out of a loop ahead of its write makes the optimistic WRITE
 /// solve fail its checks, and the poisoned fallback solve counts too.
-/// Every solve of a cold lint is one-shot, so it runs on the direct
+/// Every solve of a lint is a full solve, so it runs on the direct
 /// walker and compiles no schedule tape.
 #[test]
 fn profile_counts_one_solve_per_problem() {

@@ -7,18 +7,18 @@
 //!   universe 16, sequential) at several program sizes;
 //! * `solve_into/16items` — the direct backend on a warm scratch, no
 //!   export, at the same sizes;
-//! * `solve_batch/16items` — the schedule-tape replay
-//!   ([`gnt_core::solve_batch`], cached tape + reused output buffer) at
-//!   the same sizes;
-//! * `solve_batch_into/16items` — the cached-tape replay without the
-//!   export, like-for-like with `solve_into/16items` (ungated);
+//! * `solve_batch/16items` — [`gnt_core::solve_batch`], a full solve
+//!   into a reused output buffer, at the same sizes. It replayed a
+//!   cached tape until EXP-C17 and is now the direct walk plus the copy
+//!   out;
 //! * `tape_compile/16items` — one [`gnt_core::ScheduleTape::compile`]
-//!   (recording walk, fusion, delta partition), the cost a cached replay
-//!   amortises (ungated);
+//!   (recording walk, fusion, delta partition), the cost the first
+//!   delta re-solve of a graph pays (ungated);
 //! * `pressure_resolve/full` and `pressure_resolve/delta` — one
 //!   pressure-loop round (toggle a `STEAL_init` bit, re-solve) served by
-//!   a full tape replay vs the incremental delta engine
-//!   ([`gnt_core::solve_delta`], the EXP-C4 protocol);
+//!   a full solve (a direct walk since EXP-C17, a full tape replay
+//!   before) vs the incremental delta engine ([`gnt_core::solve_delta`],
+//!   the EXP-C4 protocol);
 //! * `delta_1row/16items` — a single `TAKE_init` bit toggled and
 //!   re-solved incrementally, the engine's best case;
 //! * `tape_compile_reversed/16items` and `delta_1row_reversed/16items` —
@@ -26,10 +26,9 @@
 //!   loops each have a `goto` out of them, so the tape folds out reads
 //!   of jump-in rows (ungated);
 //! * `oneshot_direct/16items` and `oneshot_tape/16items` — one full solve
-//!   on a fresh scratch at `sized_program(3000)`: the direct walk a
-//!   one-shot [`gnt_core::solve_batch_into`] runs, against a cold tape
-//!   compile plus its replay, the premise of solving one-shot problems
-//!   directly (ungated);
+//!   on a fresh scratch at `sized_program(3000)`: the direct walk every
+//!   full solve runs, against a cold tape compile plus its replay, the
+//!   premise of solving full problems directly (ungated);
 //! * `verify/16items` — the independent checkers on that solution:
 //!   [`gnt_core::check_sufficiency`] of both flavors plus
 //!   [`gnt_core::check_balance`] (ungated);
@@ -42,7 +41,8 @@
 //!   the flat edge tables and the prune), [`IntervalGraph::from_cfg`] on
 //!   the lowered CFG (its clone untimed), [`gnt_cfg::reversed_graph`] of
 //!   the result, each timed per call and recorded per node of the
-//!   interval graph, and one [`SolverScratch::cached_tape`] hit, averaged
+//!   interval graph, and one [`SolverScratch::cached_tape`] hit on the
+//!   tape a [`gnt_core::solve_delta`] compiled, averaged
 //!   over 1 000 calls and recorded per call (`nodes` 1); a moved pipeline
 //!   number can then name its graph layer (ungated);
 //! * `comm_analyze/ns_per_node` and `lint_layer2/ns_per_node` — the
@@ -55,13 +55,12 @@
 //!   when the solve's §5.3 check passed; `items` is the universe size
 //!   (ungated);
 //! * `solve/256items` and `solve_batch/256items` — a 4-word universe
-//!   solved by the direct backend with export and by cached-tape replay
-//!   into a reused buffer (the EXP-C2 protocol), plus
-//!   `solve_into/256items` and `solve_batch_into/256items`, the two
-//!   backends like-for-like on a warm scratch without export (ungated);
+//!   solved with export into a fresh and into a reused buffer (the
+//!   EXP-C2 protocol; `solve_batch` replayed a cached tape until
+//!   EXP-C17), plus `solve_into/256items`, the direct walk on a warm
+//!   scratch without export (ungated);
 //! * `solve/2048items` — a 32-word universe on the same graph, with the
-//!   same two ungated like-for-like rows `solve_into/2048items` and
-//!   `solve_batch_into/2048items`;
+//!   same ungated row `solve_into/2048items`;
 //! * `pipeline/ns_per_node` — one complete lint pipeline run (parse →
 //!   CFG/intervals → analyze → solve → generate → lint) over a sized
 //!   program, warm scratch pool;
@@ -112,8 +111,8 @@ use gnt_cfg::IntervalGraph;
 use gnt_comm::{analyze, analyze_timed, generate_with_placement, CommConfig, GenerateOptions};
 use gnt_core::{
     check_balance, check_sufficiency, random_problem, random_program, sized_program, solve,
-    solve_batch, solve_batch_into, solve_delta, solve_into, DeltaSet, GenConfig, PlacementProblem,
-    ScheduleTape, Solution, SolverOptions, SolverScratch,
+    solve_batch, solve_delta, solve_into, DeltaSet, GenConfig, PlacementProblem, ScheduleTape,
+    Solution, SolverOptions, SolverScratch,
 };
 use gnt_dataflow::WorkerPool;
 use gnt_ir::{Expr, ProgramBuilder};
@@ -187,30 +186,6 @@ fn like_for_like_direct(
     let nodes = graph.num_nodes();
     BenchRecord {
         bench: format!("solve_into/{}items", problem.universe_size),
-        nodes,
-        items: problem.universe_size,
-        ns_per_node: ns / nodes as f64,
-        threads: 1,
-    }
-}
-
-/// `solve_batch_into/{items}items`: the cached-tape replay on a warm
-/// scratch, without export (the untimed first two calls walk the
-/// schedule directly and compile the tape).
-fn like_for_like_tape(
-    runs: usize,
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-) -> BenchRecord {
-    let opts = SolverOptions::default();
-    let mut scratch = SolverScratch::new();
-    solve_batch_into(graph, problem, &opts, &mut scratch);
-    let ns = median_ns(runs, || {
-        solve_batch_into(graph, problem, &opts, &mut scratch)
-    });
-    let nodes = graph.num_nodes();
-    BenchRecord {
-        bench: format!("solve_batch_into/{}items", problem.universe_size),
         nodes,
         items: problem.universe_size,
         ns_per_node: ns / nodes as f64,
@@ -355,9 +330,7 @@ fn main() -> ExitCode {
 
         records.push(like_for_like_direct(runs, &graph, &problem));
 
-        // The schedule-tape replay: a one-shot direct solve, the compile
-        // (the warm-up call inside median_ns), then every timed call
-        // replays the cached tape into the reused output buffer.
+        // A full solve into the reused output buffer.
         let mut scratch = SolverScratch::new();
         let mut out = Solution::default();
         solve_batch(&graph, &problem, &opts, &mut scratch, &mut out);
@@ -371,7 +344,6 @@ fn main() -> ExitCode {
             ns_per_node: ns / nodes as f64,
             threads: 1,
         });
-        records.push(like_for_like_tape(runs, &graph, &problem));
 
         let ns = median_ns(runs, || ScheduleTape::compile(&graph, &opts));
         records.push(BenchRecord {
@@ -384,19 +356,15 @@ fn main() -> ExitCode {
 
         // One pressure-loop round — toggle a STEAL_init bit at a mid-
         // program node, re-solve — served two ways over the same warm
-        // scratch. `full` replays the whole cached tape (what the loop
-        // did before the delta engine); `delta` replays only the dirty
-        // cone. The mutation alternates insert/remove so every timed
+        // scratch. `full` solves in full (what the loop did before the
+        // delta engine); `delta` replays only the dirty cone of the tape. The mutation alternates insert/remove so every timed
         // call really changes the row, honoring the delta contract.
         let hot = gnt_cfg::NodeId((nodes / 2) as u32);
         let mut working = problem.clone();
         let mut scratch = SolverScratch::new();
-        // The second full solve compiles the tape.
-        solve_batch_into(&graph, &working, &opts, &mut scratch);
-        solve_batch_into(&graph, &working, &opts, &mut scratch);
         let ns = median_ns(runs, || {
             toggle_steal(&mut working, hot);
-            solve_batch_into(&graph, &working, &opts, &mut scratch);
+            solve_into(&graph, &working, &opts, &mut scratch);
         });
         records.push(BenchRecord {
             bench: "pressure_resolve/full".to_string(),
@@ -409,7 +377,7 @@ fn main() -> ExitCode {
         let mut working = problem.clone();
         let mut scratch = SolverScratch::new();
         let mut delta = DeltaSet::new();
-        solve_batch_into(&graph, &working, &opts, &mut scratch);
+        solve_into(&graph, &working, &opts, &mut scratch);
         let ns = median_ns(runs, || {
             toggle_steal(&mut working, hot);
             delta.clear();
@@ -428,7 +396,7 @@ fn main() -> ExitCode {
         let mut working = problem.clone();
         let mut scratch = SolverScratch::new();
         let mut delta = DeltaSet::new();
-        solve_batch_into(&graph, &working, &opts, &mut scratch);
+        solve_into(&graph, &working, &opts, &mut scratch);
         let ns = median_ns(runs, || {
             toggle_take(&mut working, hot);
             delta.clear();
@@ -463,7 +431,7 @@ fn main() -> ExitCode {
         let mut working = random_problem(42, &reversed, 16, 0.3);
         let mut scratch = SolverScratch::new();
         let mut delta = DeltaSet::new();
-        solve_batch_into(&reversed, &working, &opts, &mut scratch);
+        solve_into(&reversed, &working, &opts, &mut scratch);
         let ns = median_ns(runs, || {
             toggle_take(&mut working, rev_hot);
             delta.clear();
@@ -487,7 +455,7 @@ fn main() -> ExitCode {
     let opts = SolverOptions::default();
     let ns = median_ns(runs, || {
         let mut scratch = SolverScratch::new();
-        solve_batch_into(&graph, &problem, &opts, &mut scratch);
+        solve_into(&graph, &problem, &opts, &mut scratch);
         assert_eq!(scratch.counters().tape_compiles, 0);
         scratch
     });
@@ -508,12 +476,12 @@ fn main() -> ExitCode {
     // What one solve copies out: every family, or the production rows a
     // placement is emitted and linted from.
     let mut scratch = SolverScratch::new();
-    solve_batch_into(&graph, &problem, &opts, &mut scratch);
+    solve_into(&graph, &problem, &opts, &mut scratch);
     oneshot.push(("export/full", median_ns(runs, || scratch.export())));
     let ns = median_ns(runs, || scratch.export_productions());
     oneshot.push(("export/productions", ns));
-    // The graph layer: building both orientations, and the tape cache's
-    // lookup, which reads the fingerprint the graph stored.
+    // The graph layer: building both orientations, and the lookup of the
+    // scratch's cached tape, which reads the fingerprint the graph stored.
     let program = sized_program(3000);
     let ns = median_ns(runs, || gnt_cfg::lower(&program).expect("sized programs"));
     oneshot.push(("cfg/lower", ns));
@@ -528,7 +496,7 @@ fn main() -> ExitCode {
         gnt_cfg::reversed_graph(&graph).expect("reversible")
     });
     oneshot.push(("cfg/reversed_graph", ns));
-    solve_batch_into(&graph, &problem, &opts, &mut scratch);
+    solve_delta(&graph, &problem, &opts, &mut scratch, &DeltaSet::new());
     assert!(scratch.cached_tape(&graph, &opts).is_some());
     let ns = median_ns(runs, || {
         (0..1000)
@@ -589,7 +557,6 @@ fn main() -> ExitCode {
         threads: 1,
     });
     records.push(like_for_like_direct(runs, &graph, &problem));
-    records.push(like_for_like_tape(runs, &graph, &problem));
 
     let problem = random_problem(44, &graph, 2048, 0.3);
     let ns = median_ns(runs, || solve(&graph, &problem, &opts));
@@ -601,7 +568,6 @@ fn main() -> ExitCode {
         threads: 1,
     });
     records.push(like_for_like_direct(runs, &graph, &problem));
-    records.push(like_for_like_tape(runs, &graph, &problem));
 
     // End-to-end pipeline cost for a single program: parse → CFG →
     // analyze → solve → generate → lint, scratch checked out of the

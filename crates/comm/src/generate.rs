@@ -9,7 +9,7 @@
 use crate::analyze::CommAnalysis;
 use gnt_cfg::{reversed_graph, EdgeMask, IntervalGraph, NodeId};
 use gnt_core::{
-    shift_off_synthetic, solve_after_into, solve_batch_into, solve_with_pressure_limit_in_place,
+    shift_off_synthetic, solve_after_into, solve_into, solve_with_pressure_limit_in_place,
     FlavorSolution, PlacementProblem, PressureReport, SolverOptions, SolverScratch,
 };
 use gnt_dataflow::ItemId;
@@ -201,8 +201,8 @@ pub fn generate_styled(
 }
 
 /// The fully-parameterized entry point: solves both problems through the
-/// caller's `scratch` (sharing its cached schedule tapes and arena with
-/// whatever solved before) and assembles the plan. The lint driver calls
+/// caller's `scratch` (sharing its arena with whatever solved before)
+/// and assembles the plan. The lint driver calls
 /// [`generate_with_placement`] instead, to lint what was emitted.
 ///
 /// # Errors
@@ -289,7 +289,7 @@ pub fn generate_with_placement(
             );
             read_pressure = Some(report);
         }
-        None => solve_batch_into(graph, &analysis.read_problem, &opts, scratch),
+        None => solve_into(graph, &analysis.read_problem, &opts, scratch),
     }
     let mut solve_ns = elapsed_ns(solve_start);
     let (mut read_eager, mut read_lazy) = scratch.export_productions();

@@ -15,8 +15,7 @@
 
 use crate::problem::{Flavor, PlacementProblem, SolverOptions};
 use crate::scratch::SolverScratch;
-use crate::solver::Solution;
-use crate::tape::solve_batch_into;
+use crate::solver::{solve_into, Solution};
 use crate::verify::{balance, sufficiency};
 use gnt_cfg::{reversed_graph, GraphError, IntervalGraph, NodeId};
 use gnt_dataflow::BitSet;
@@ -111,7 +110,7 @@ pub fn solve_after_with_scratch(
 /// Solves an AFTER problem into `scratch` over `reversed`, the
 /// [`reversed_graph`] of the problem's graph, poisoning the headers
 /// §5.3's fallback poisons: the AFTER twin of
-/// [`crate::solve_batch_into`]. Every variable stays readable in place
+/// [`crate::solve_into`]. Every variable stays readable in place
 /// (zero-copy views over the reversed graph's node ids), and
 /// [`SolverScratch::export_productions`] copies out only the rows a
 /// placement needs. Building `reversed` is the caller's, so it can be
@@ -143,12 +142,9 @@ pub fn solve_after_into(
     // pad. This is sound whenever consumption on the jump path occurs
     // before the back edge; the independent verifiers decide, reading the
     // production rows in place.
-    // This solve and the poisoned fallback are full solves: each walks
-    // the schedule directly the first time the scratch sees its
-    // fingerprint and replays a cached tape from the second time on.
-    // Poisoning changes the structural fingerprint, so the fallback needs
-    // its own tape; the scratch caches both beside a READ tape.
-    solve_batch_into(reversed, &p, opts, scratch);
+    // This solve and the poisoned fallback are full solves: both walk
+    // the schedule directly, and the last one lays the delta basis.
+    solve_into(reversed, &p, opts, scratch);
     let jump_entered: Vec<_> = reversed
         .nodes()
         .filter(|&h| !reversed.jump_in_sources(h).is_empty())
@@ -173,7 +169,7 @@ pub fn solve_after_into(
         for h in jump_entered {
             reversed.poison(h);
         }
-        solve_batch_into(reversed, &p, opts, scratch);
+        solve_into(reversed, &p, opts, scratch);
     }
     ok
 }
@@ -342,7 +338,7 @@ mod tests {
             for cap in [1, 64, 65, 130] {
                 let what = format!("seed {seed}, {cap} items");
                 let problem = random_problem(seed ^ cap as u64, &g, cap, 0.2);
-                crate::solve_batch_into(&g, &problem, &opts, &mut scratch);
+                solve_into(&g, &problem, &opts, &mut scratch);
                 same(&scratch, &format!("{what}, forward"));
 
                 let mut reversed = reversed_graph(&g).unwrap();
@@ -397,66 +393,18 @@ mod tests {
         (g, problem)
     }
 
-    #[test]
-    fn fallback_tapes_stay_cached_on_an_after_only_scratch() {
-        let (g, problem) = goto_before_write();
-        let opts = SolverOptions::default();
-        let mut scratch = crate::SolverScratch::new();
-        let first = solve_after_with_scratch(&g, &problem, &opts, &mut scratch).unwrap();
-        assert!(
-            first
-                .reversed
-                .nodes()
-                .any(|h| first.reversed.is_poisoned(h)),
-            "the fallback must run"
-        );
-        // A one-shot AFTER solve compiles nothing: both attempts walk the
-        // schedule directly.
-        assert_eq!(scratch.counters().tape_compiles, 0);
-        assert_eq!(scratch.counters().direct_solves, 2);
-        // The second call compiles both tapes and the cache keeps them,
-        // so a third call compiles nothing.
-        let mut compiles = Vec::new();
-        for _ in 0..2 {
-            let again = solve_after_with_scratch(&g, &problem, &opts, &mut scratch).unwrap();
-            assert_eq!(again.solution, first.solution);
-            compiles.push(scratch.counters().tape_compiles);
-        }
-        assert_eq!(compiles, [2, 2]);
-        assert_eq!(scratch.counters().direct_solves, 2);
-        assert_eq!(scratch.counters().tape_replays, 4);
-    }
-
-    #[test]
-    fn a_scratch_shared_with_read_keeps_all_three_tapes() {
-        let (g, problem) = goto_before_write();
-        let opts = SolverOptions::default();
-        let mut scratch = crate::SolverScratch::new();
-        let mut compiles = Vec::new();
-        for _ in 0..6 {
-            crate::solve_batch_into(&g, &problem, &opts, &mut scratch);
-            solve_after_with_scratch(&g, &problem, &opts, &mut scratch).unwrap();
-            compiles.push(scratch.counters().tape_compiles);
-        }
-        // Round 0 is one-shot and compiles nothing; round 1 compiles the
-        // READ, optimistic WRITE and poisoned WRITE tapes, and every
-        // later round replays all three.
-        assert_eq!(compiles, [0, 3, 3, 3, 3, 3]);
-        assert_eq!(scratch.counters().direct_solves, 3);
-    }
-
     /// The first one-bit `solve_delta` on the reversed graph right after
     /// an AFTER solve goes incremental, with and without the fallback.
-    /// After a one-shot solve it compiles the tape and re-solves against
-    /// the basis the direct walk laid; after a second solve it finds
-    /// that solve's tape in the cache and compiles nothing.
+    /// Full solves compile nothing, so after one or two AFTER solves the
+    /// delta compiles the tape once and re-solves against the basis the
+    /// last direct walk laid.
     #[test]
     fn delta_after_an_after_solve_reuses_its_tape() {
         let (p, g) = graph("do i = 1, N\n  x(a(i)) = ...\n  if t(i) goto 7\nenddo\n7 b = 2");
         let mut vectorized = PlacementProblem::new(g.num_nodes(), 1);
         vectorized.take(stmt_node(&g, &p, "x(a(i))"), 0);
         for (g, problem) in [(g, vectorized), goto_before_write()] {
-            for (solves, new_compiles) in [(1, 1), (2, 0)] {
+            for (solves, new_compiles) in [(1, 1), (2, 1)] {
                 let opts = SolverOptions::default();
                 let mut scratch = crate::SolverScratch::new();
                 let mut after =

@@ -1,14 +1,14 @@
 //! Incremental re-solve: dirty-row delta execution over the compiled
 //! schedule tape.
 //!
-//! The pressure-limit loop, the lint driver, and plan regeneration all
-//! re-solve the Figure-13 system after *small* edits to the initial
-//! variables — one inserted `STEAL_init`, one changed reference — yet a
-//! full [`crate::solve_batch_into`] replays every op of the
-//! [`ScheduleTape`]. The schedule is a straight-line elimination (each
-//! equation evaluated once per node), so it admits a change-driven
-//! formulation: only the ops downstream of a mutated input row can
-//! produce different bits.
+//! The pressure-limit loop (and with it plan generation under an
+//! in-flight bound) re-solves the Figure-13 system after *small* edits
+//! to the initial variables — one inserted `STEAL_init`, one changed
+//! reference — yet a full solve evaluates every equation at every node
+//! again. The schedule recorded as a [`ScheduleTape`] is a straight-line
+//! elimination (each equation evaluated once per node), so it admits a
+//! change-driven formulation: only the ops downstream of a mutated input
+//! row can produce different bits.
 //!
 //! # How it works
 //!
@@ -47,13 +47,14 @@
 //! [`DeltaReport::full_replay`]:
 //!
 //! * the scratch does not hold a prior full solve of the same
-//!   `(graph, opts)` (cold scratch, a bare [`crate::solve_into`] in
-//!   between, changed universe width). A full solve lays this basis on
-//!   either engine: a tape replay, or the direct walk a one-shot full
-//!   solve runs, which leaves every family row as the replay would;
+//!   `(graph, opts)` (cold scratch, a full solve of another fingerprint
+//!   in between, changed universe width). Every full solve lays this
+//!   basis: the direct walk of [`crate::solve_into`] leaves every family
+//!   row as a replay of the tape would, and so does a full replay;
 //! * the graph or options changed shape (fingerprint mismatch — this is
-//!   how CFG edits and poison changes are handled: the tape recompiles
-//!   and the first solve is a full replay);
+//!   how CFG edits and poison changes are handled: the tape recompiles,
+//!   replacing the scratch's cached one, and the first solve is a full
+//!   replay);
 //! * the tape is delta-unsupported: it reads a row ahead of the row's
 //!   def chain (a forward reference), starts a second def chain for a
 //!   family row, or extends a chain never started. Compiled tapes do
@@ -589,17 +590,17 @@ fn execute_delta(
 
 /// Incrementally re-solves a BEFORE problem after the mutations named in
 /// `delta`, leaving every Figure-13 variable readable in `scratch` — the
-/// change-driven analogue of [`crate::solve_batch_into`].
+/// change-driven analogue of [`crate::solve_into`].
 ///
 /// Requirements for the incremental path (checked at run time; any miss
 /// falls back to a full replay, reported via
 /// [`DeltaReport::full_replay`]): `scratch` must hold a prior full
 /// solve of the same `(graph, opts)` shape and universe width — i.e. a
-/// preceding [`crate::solve_batch_into`] (on either engine) or
-/// `solve_delta` call — and `problem` may differ from the problem of
-/// that solve only in the rows marked in `delta`. The call compiles the
-/// tape if the scratch caches none for the shape. Results are
-/// bit-identical to a fresh [`crate::solve_batch_into`] either way.
+/// preceding [`crate::solve_into`] or `solve_delta` call — and `problem`
+/// may differ from the problem of that solve only in the rows marked in
+/// `delta`. The call compiles the tape when the scratch caches none for
+/// the shape, and the scratch then keeps it in place of any other.
+/// Results are bit-identical to a fresh [`crate::solve_into`] either way.
 ///
 /// # Panics
 ///
@@ -609,7 +610,7 @@ fn execute_delta(
 /// # Examples
 ///
 /// ```
-/// use gnt_core::{solve_batch_into, solve_delta, DeltaSet};
+/// use gnt_core::{solve_delta, solve_into, DeltaSet};
 /// use gnt_core::{PlacementProblem, SolverOptions, SolverScratch};
 /// use gnt_cfg::IntervalGraph;
 ///
@@ -619,7 +620,7 @@ fn execute_delta(
 /// let mut problem = PlacementProblem::new(g.num_nodes(), 8);
 /// problem.take(body, 3);
 /// let (opts, mut scratch) = (SolverOptions::default(), SolverScratch::new());
-/// solve_batch_into(&g, &problem, &opts, &mut scratch); // full solve
+/// solve_into(&g, &problem, &opts, &mut scratch); // full solve
 ///
 /// problem.steal(g.root(), 3); // block hoisting past the root…
 /// let mut delta = DeltaSet::new();
@@ -662,8 +663,7 @@ pub fn solve_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::solve;
-    use crate::tape::solve_batch_into;
+    use crate::solver::{solve, solve_into};
     use gnt_cfg::{reversed_graph, NodeKind};
     use gnt_ir::parse;
 
@@ -716,7 +716,7 @@ mod tests {
         let mut prob = take_everywhere(&g, 16);
         let opts = SolverOptions::default();
         let mut scratch = SolverScratch::new();
-        solve_batch_into(&g, &prob, &opts, &mut scratch);
+        solve_into(&g, &prob, &opts, &mut scratch);
 
         prob.steal(g.root(), 5);
         let mut delta = DeltaSet::new();
@@ -738,7 +738,7 @@ mod tests {
         let prob = take_everywhere(&g, 16);
         let opts = SolverOptions::default();
         let mut scratch = SolverScratch::new();
-        solve_batch_into(&g, &prob, &opts, &mut scratch);
+        solve_into(&g, &prob, &opts, &mut scratch);
         let report = solve_delta(&g, &prob, &opts, &mut scratch, &DeltaSet::new());
         assert!(!report.full_replay);
         assert_eq!(report.blocks_run, 0);
@@ -760,7 +760,7 @@ mod tests {
 
         let mut prob = take_everywhere(&rev, 8);
         let mut scratch = SolverScratch::new();
-        solve_batch_into(&rev, &prob, &opts, &mut scratch);
+        solve_into(&rev, &prob, &opts, &mut scratch);
         prob.steal(rev.root(), 2);
         let mut delta = DeltaSet::new();
         delta.mark_steal(rev.root());
@@ -928,7 +928,7 @@ mod tests {
         let g = graph(BRANCHY);
         let opts = SolverOptions::default();
         let mut scratch = SolverScratch::new();
-        solve_batch_into(&g, &take_everywhere(&g, 64), &opts, &mut scratch);
+        solve_into(&g, &take_everywhere(&g, 64), &opts, &mut scratch);
         let prob = take_everywhere(&g, 65);
         let report = solve_delta(&g, &prob, &opts, &mut scratch, &DeltaSet::new());
         assert!(report.full_replay);

@@ -81,10 +81,14 @@ pub use problem::{Flavor, PlacementProblem, SolverOptions};
 pub use scratch::SolverScratch;
 pub use scratch_pool::ScratchPool;
 pub use shift::{shift_off_synthetic, ShiftReport};
-pub use solver::{solve, solve_into, ConsumptionVars, FlavorSolution, Solution};
-pub use tape::{
-    solve_batch, solve_batch_into, solve_batch_with_scratch, EngineCounters, ScheduleTape, TapeOp,
+/// Another name of [`solve_into`], kept for callers of the batch entry
+/// points.
+pub use solver::solve_into as solve_batch_into;
+pub use solver::{
+    solve, solve_batch, solve_batch_with_scratch, solve_into, ConsumptionVars, FlavorSolution,
+    Solution,
 };
+pub use tape::{EngineCounters, ScheduleTape, TapeOp};
 pub use verify::{
     check_balance, check_path, check_sufficiency, check_sufficiency_pair, enumerate_paths,
     enumerate_paths_capped, for_each_path, path_has_zero_trip, Path, PathChecker, Violation,

@@ -23,8 +23,7 @@
 use crate::delta::{solve_delta, DeltaSet};
 use crate::problem::{PlacementProblem, SolverOptions};
 use crate::scratch::SolverScratch;
-use crate::solver::Solution;
-use crate::tape::solve_batch_into;
+use crate::solver::{solve_into, Solution};
 use gnt_cfg::{IntervalGraph, NodeId};
 
 /// The in-flight item count at each node's entry for `solution`:
@@ -56,7 +55,7 @@ pub struct PressureReport {
     pub rounds: usize,
     /// Rounds served by the incremental engine ([`crate::solve_delta`])
     /// rather than a full tape replay. Equal to `rounds` whenever the
-    /// tape supports delta execution (all forward tapes do).
+    /// tape supports delta execution (every compiled tape does).
     pub delta_rounds: usize,
 }
 
@@ -83,12 +82,12 @@ pub fn solve_with_pressure_limit_in_place(
     max_rounds: usize,
     scratch: &mut SolverScratch,
 ) -> (Solution, PressureReport) {
-    // Round 0 is a full solve; on either engine it establishes the delta
-    // basis, so every later round — which only mutates `STEAL_init` at
-    // the one hot node — re-solves incrementally through the tape's
-    // dirty-row engine instead of replaying every op. The first such
-    // round compiles the tape if round 0 walked the schedule directly.
-    solve_batch_into(graph, problem, opts, scratch);
+    // Round 0 is a full solve, a direct walk that lays the delta basis,
+    // so every later round — which only mutates `STEAL_init` at the one
+    // hot node — re-solves incrementally through the tape's dirty-row
+    // engine. The first such round compiles the tape unless the scratch
+    // already caches it.
+    solve_into(graph, problem, opts, scratch);
     let pressure_max = |s: &SolverScratch| {
         graph
             .nodes()

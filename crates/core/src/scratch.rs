@@ -47,11 +47,11 @@ pub(crate) fn flavor_offset(flavor: Flavor) -> usize {
 
 /// A reusable arena holding every solver variable of one solve.
 ///
-/// Create once, pass to [`crate::solve_into`] or
-/// [`crate::solve_batch_into`] repeatedly; after the first solve of a
-/// given graph/universe shape, subsequent solves allocate nothing. The
-/// solved variables are readable in place through the accessor methods
-/// (zero-copy [`BitRef`] views), exported wholesale with
+/// Create once, pass to [`crate::solve_into`] or [`crate::solve_delta`]
+/// repeatedly; after the first solve of a given graph/universe shape,
+/// subsequent full solves allocate nothing. The solved variables are
+/// readable in place through the accessor methods (zero-copy [`BitRef`]
+/// views), exported wholesale with
 /// [`SolverScratch::export`], or only the production rows with
 /// [`SolverScratch::export_productions`].
 ///
@@ -77,15 +77,14 @@ pub struct SolverScratch {
     pub(crate) slab: BitSlab,
     nodes: usize,
     bits: usize,
-    /// The most recently solved fingerprints with their compiled
-    /// schedule tapes (or a note that a full solve walked one directly),
-    /// and the engine counters (see [`crate::ScheduleTape`]).
-    pub(crate) tapes: crate::tape::TapeCache,
+    /// The schedule tape of the last [`crate::solve_delta`], kept for the
+    /// next one (see [`crate::ScheduleTape`]).
+    pub(crate) tape: Option<crate::ScheduleTape>,
+    pub(crate) counters: crate::EngineCounters,
     /// Fingerprint of the `(graph, opts)` whose full solve the arena
     /// currently holds, if any — the validity token for
-    /// [`crate::solve_delta`]. Set by a tape execution and by the direct
-    /// walk of a full solve, cleared by [`SolverScratch::prepare`] (so a
-    /// bare [`crate::solve_into`] leaves none).
+    /// [`crate::solve_delta`]. Set by every full solve, direct walk or
+    /// tape replay, and cleared by [`SolverScratch::prepare`].
     delta_basis: Option<u64>,
 }
 
@@ -102,7 +101,8 @@ impl SolverScratch {
             slab: BitSlab::new(0, 0),
             nodes: 0,
             bits: 0,
-            tapes: crate::tape::TapeCache::default(),
+            tape: None,
+            counters: crate::EngineCounters::default(),
             delta_basis: None,
         }
     }
@@ -116,8 +116,9 @@ impl SolverScratch {
         self.slab.reset(NUM_FAMILIES * nodes + NUM_TEMPS, bits);
     }
 
-    /// The delta-validity token: the fingerprint of the tape whose full
-    /// replay this arena holds, if any (see [`crate::solve_delta`]).
+    /// The delta-validity token: the fingerprint of the `(graph, opts)`
+    /// whose full solve this arena holds, if any (see
+    /// [`crate::solve_delta`]).
     pub(crate) fn delta_basis(&self) -> Option<u64> {
         self.delta_basis
     }

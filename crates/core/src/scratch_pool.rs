@@ -2,7 +2,7 @@
 //!
 //! One [`SolverScratch`] is cheap to reuse and expensive to rebuild: it
 //! holds the `20·n+2`-row bitset arena *and* the compiled
-//! [`crate::ScheduleTape`]s of its last three fingerprints plus the
+//! [`crate::ScheduleTape`] of its last delta re-solve plus the
 //! delta-basis token. The lint entry points in `gnt-analyze` (the batch
 //! jobs of [`gnt_dataflow::WorkerPool::map`] and the serial
 //! `lint_source`) check one out of [`ScratchPool::global`], a bounded

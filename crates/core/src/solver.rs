@@ -28,10 +28,12 @@
 //! branches on set *contents*, only on the graph and the hoisting
 //! options, so it is written once against the [`Kernels`] trait and run
 //! by two backends: the direct backend here applies fused word-level
-//! kernels as it walks ([`solve`], [`solve_into`]), and the recording
-//! backend of [`crate::ScheduleTape::compile`] records the same calls as
-//! a replayable op stream (the `solve_batch*`, AFTER, delta and pressure
-//! paths). No per-equation temporaries, no allocation inside the passes.
+//! kernels as it walks (every full solve: [`solve`], [`solve_into`],
+//! [`solve_batch`], the AFTER solves and the pressure loop's round 0),
+//! and the recording backend of [`crate::ScheduleTape::compile`] records
+//! the same calls as the op stream [`crate::solve_delta`] re-solves
+//! incrementally. No per-equation temporaries, no allocation inside the
+//! passes.
 
 use crate::problem::{Flavor, PlacementProblem, SolverOptions};
 use crate::scratch::{
@@ -39,6 +41,7 @@ use crate::scratch::{
     F_GIVE_LOC, F_RES_IN, F_RES_OUT, F_STEAL, F_STEAL_LOC, F_TAKE, F_TAKEN_IN, F_TAKEN_OUT,
     F_TAKE_LOC, NUM_FAMILIES,
 };
+use crate::tape::ScheduleTape;
 use gnt_cfg::{EdgeClass, EdgeMask, IntervalGraph, NodeId};
 use gnt_dataflow::{BitSet, BitSlab};
 
@@ -145,7 +148,7 @@ impl Solution {
     /// Re-shapes `self` for `n` nodes × `cap` items *without zeroing* rows
     /// whose capacity already matches: callers guarantee every word of
     /// every row is about to be overwritten, so stale contents never
-    /// survive. This is the reuse fast path of [`crate::solve_batch`] — a
+    /// survive. This is the reuse fast path of [`solve_batch`] — a
     /// warm output buffer costs no allocation and no clearing.
     pub(crate) fn reshape_for_overwrite(&mut self, n: usize, cap: usize) {
         let shape = |sets: &mut Vec<BitSet>| {
@@ -188,7 +191,7 @@ impl Solution {
 
 impl Default for Solution {
     /// An empty zero-node solution — the natural seed for the reusable
-    /// output buffer of [`crate::solve_batch`].
+    /// output buffer of [`solve_batch`].
     fn default() -> Solution {
         Solution::empty(0, 0)
     }
@@ -353,7 +356,10 @@ pub fn solve(graph: &IntervalGraph, problem: &PlacementProblem, opts: &SolverOpt
 /// Solves into a caller-provided [`SolverScratch`], leaving every
 /// Figure-13 variable readable in place (zero-copy views, no allocation
 /// after warm-up). Use this for re-solve loops; call
-/// [`SolverScratch::export`] when an owned [`Solution`] is needed.
+/// [`SolverScratch::export`] when an owned [`Solution`] is needed. The
+/// solve lays the delta basis, so a following [`crate::solve_delta`] of
+/// the same `(graph, opts)` re-solves incrementally. Also exported as
+/// `solve_batch_into`.
 ///
 /// # Panics
 ///
@@ -366,12 +372,71 @@ pub fn solve_into(
 ) {
     check_coverage(graph, problem);
     scratch.prepare(graph.num_nodes(), problem.universe_size);
-    scratch.tapes.counters.direct_solves += 1;
+    scratch.counters.direct_solves += 1;
     let mut direct = Direct {
         slab: &mut scratch.slab,
         problem,
     };
     schedule(graph, opts, &mut direct);
+    // The walk leaves every row as a replay of the compiled tape would
+    // (`direct_walk_leaves_every_row_as_a_replay_does`).
+    scratch.set_delta_basis(Some(ScheduleTape::fingerprint_of(graph, opts)));
+}
+
+/// [`solve_into`] followed by a copy of every variable into the
+/// caller-reused `out`: a full solve that allocates nothing once
+/// `scratch` and `out` are warm. Results are bit-identical to [`solve`].
+///
+/// # Panics
+///
+/// Panics if `problem` does not cover all nodes of `graph`.
+///
+/// # Examples
+///
+/// ```
+/// use gnt_core::{solve, solve_batch, PlacementProblem, Solution, SolverOptions, SolverScratch};
+/// use gnt_cfg::IntervalGraph;
+///
+/// let p = gnt_ir::parse("do i = 1, N\n  ... = x(a(i))\nenddo")?;
+/// let g = IntervalGraph::from_program(&p)?;
+/// let body = g.nodes().find(|&n| g.level(n) == 2).unwrap();
+/// let mut problem = PlacementProblem::new(g.num_nodes(), 256);
+/// problem.take(body, 200);
+/// let opts = SolverOptions::default();
+/// let (mut scratch, mut out) = (SolverScratch::new(), Solution::default());
+/// solve_batch(&g, &problem, &opts, &mut scratch, &mut out); // sizes scratch and out
+/// solve_batch(&g, &problem, &opts, &mut scratch, &mut out); // allocation-free
+/// assert_eq!(out, solve(&g, &problem, &opts));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn solve_batch(
+    graph: &IntervalGraph,
+    problem: &PlacementProblem,
+    opts: &SolverOptions,
+    scratch: &mut SolverScratch,
+    out: &mut Solution,
+) {
+    solve_into(graph, problem, opts, scratch);
+    // Every word of every row of `out` is overwritten below, so
+    // re-shaping skips the zeroing.
+    out.reshape_for_overwrite(graph.num_nodes(), problem.universe_size);
+    scratch.write_into(out);
+}
+
+/// [`solve_into`] followed by [`SolverScratch::export`]: [`solve`] on a
+/// reused scratch.
+///
+/// # Panics
+///
+/// Panics if `problem` does not cover all nodes of `graph`.
+pub fn solve_batch_with_scratch(
+    graph: &IntervalGraph,
+    problem: &PlacementProblem,
+    opts: &SolverOptions,
+    scratch: &mut SolverScratch,
+) -> Solution {
+    solve_into(graph, problem, opts, scratch);
+    scratch.export()
 }
 
 pub(crate) fn check_coverage(graph: &IntervalGraph, problem: &PlacementProblem) {

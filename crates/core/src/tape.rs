@@ -1,15 +1,16 @@
 //! Schedule compilation: the Figure-15 elimination schedule recorded as
-//! a flat tape of fused kernel ops, compiled once per `(graph, opts)` and
-//! replayed for every solve.
+//! a flat tape of fused kernel ops, the substrate of the incremental
+//! engine ([`crate::solve_delta`]).
 //!
 //! The direct solver ([`crate::solve_into`]) re-derives the schedule on
 //! every call: per-node edge-class filtering, interval lookups, and
 //! per-equation branching. None of that depends on the *problem* — only
 //! on the graph and the hoisting options — so [`ScheduleTape::compile`]
 //! runs the same schedule walker with a recording backend that pushes
-//! every kernel call as a [`TapeOp`] over arena row ids. Executing a
-//! tape is then a single linear sweep: load the problem's initial
-//! variables, replay the ops.
+//! every kernel call as a [`TapeOp`] over arena row ids, and partitions
+//! the result into the blocks a delta re-solve replays when their inputs
+//! change. Executing a whole tape is a single linear sweep: load the
+//! problem's initial variables, replay the ops.
 //!
 //! A peephole pass fuses adjacent ops on the same destination row into
 //! the multi-word kernels of `gnt-dataflow` (`copy`+`or` → `copy_or`,
@@ -19,31 +20,22 @@
 //! (`tests/tape_differential.rs`) locks this on hundreds of random
 //! programs in both directions and pins the compiled tapes themselves.
 //!
-//! Tapes are cached inside the [`SolverScratch`] that executes them,
-//! keyed by a 64-bit fingerprint: the graph's structural fingerprint
-//! (classified edges and jump-in sources, hashed once when the graph is
-//! built) mixed with the effective poison set. A tape depends only
-//! on `(graph, opts)`, so BEFORE solves, AFTER solves (a BEFORE solve of
-//! the reversed graph), the pressure re-solve loop and delta re-solves
-//! all share one cache of the [`ENTRIES`] most recently used
-//! fingerprints — poisoning a header (the AFTER fallback of
-//! [`crate::solve_after`]) or changing a hoisting knob is a new
-//! fingerprint, anything else replays.
-//!
-//! A tape only pays off when its graph is solved again: one compile
-//! costs several direct solves. So a full solve (the `solve_batch*`
-//! entry points and [`crate::solve_after_with_scratch`]) replays a tape
-//! only when the scratch already caches one for the fingerprint. On a
-//! miss it runs the direct walker and notes the fingerprint; the
-//! *second* full solve of a noted fingerprint compiles and caches the
-//! tape. [`crate::solve_delta`] still compiles on a miss. The direct
-//! walk leaves every family row exactly as a replay does, so it lays the
-//! delta basis too, and the first `solve_delta` after it runs
+//! Only [`crate::solve_delta`] compiles a tape, and a [`SolverScratch`]
+//! caches exactly one: the tape of the last `(graph, opts)` it re-solved
+//! incrementally, matched on the 64-bit fingerprint the tape stores (the
+//! graph's structural fingerprint, hashed once when the graph is built,
+//! mixed with the effective poison set). Poisoning a header (the AFTER
+//! fallback of [`crate::solve_after`]) or changing a hoisting knob is a
+//! new fingerprint; a delta on it compiles and replaces the cached tape.
+//! Every full solve walks the schedule directly: one compile costs
+//! several direct solves, and a full replay saves only a few percent of
+//! one (EXP-C17). A full solve leaves the cached tape alone and lays the
+//! delta basis, so the next `solve_delta` of its fingerprint runs
 //! incrementally.
 
 use crate::problem::{PlacementProblem, SolverOptions};
 use crate::scratch::SolverScratch;
-use crate::solver::{check_coverage, schedule, solve_into, Init, Kernels, Solution};
+use crate::solver::{schedule, Init, Kernels};
 use gnt_cfg::{IntervalGraph, NodeId};
 
 /// One instruction of a compiled schedule: a fused `gnt-dataflow` kernel
@@ -165,10 +157,10 @@ pub enum TapeOp {
 /// options: the flat op sequence one solve replays, with all interval,
 /// edge-class, and equation dispatch already resolved.
 ///
-/// Compile once ([`ScheduleTape::compile`]), execute many times
-/// ([`ScheduleTape::execute_into`], or the cache-managed entry points
-/// [`crate::solve_batch`] / [`crate::solve_batch_into`]). Execution is
-/// bit-identical to the direct solver on the same inputs.
+/// Compile once ([`ScheduleTape::compile`]); re-solve incrementally with
+/// [`crate::solve_delta`], which compiles and caches the tape inside the
+/// scratch, or replay it whole with [`ScheduleTape::execute_into`].
+/// Execution is bit-identical to the direct solver on the same inputs.
 #[derive(Clone, Debug)]
 pub struct ScheduleTape {
     ops: Vec<TapeOp>,
@@ -242,16 +234,17 @@ impl ScheduleTape {
         self.fingerprint
     }
 
-    /// The fingerprint the tape cache keys `(graph, opts)` by: two pairs
-    /// with equal fingerprints compile to the same tape.
+    /// The fingerprint a tape and the delta basis are matched by: two
+    /// `(graph, opts)` pairs with equal fingerprints compile to the same
+    /// tape.
     pub fn fingerprint_of(graph: &IntervalGraph, opts: &SolverOptions) -> u64 {
         fingerprint(graph, opts)
     }
 
     /// Replays the tape over the full universe into `scratch`, leaving
     /// every Figure-13 variable readable in place — the tape analogue of
-    /// [`crate::solve_into`]. Prefer [`crate::solve_batch_into`], which
-    /// additionally caches the tape inside the scratch.
+    /// [`crate::solve_into`], and what [`crate::solve_delta`] runs when it
+    /// declines to re-solve incrementally.
     ///
     /// # Panics
     ///
@@ -300,7 +293,7 @@ impl ScheduleTape {
         // A replay establishes the basis the incremental engine
         // (`solve_delta`) re-solves against.
         scratch.set_delta_basis(Some(self.fingerprint));
-        scratch.tapes.counters.tape_replays += 1;
+        scratch.counters.tape_replays += 1;
     }
 }
 
@@ -417,15 +410,16 @@ fn fuse(ops: Vec<TapeOp>) -> Vec<TapeOp> {
             }
             _ => None,
         };
-        match fused {
-            Some(f) => *out.last_mut().expect("fusion requires a prior op") = f,
-            None => out.push(op),
+        // A rule fires only on a prior op, so `fused` implies a last op.
+        match (out.last_mut(), fused) {
+            (Some(last), Some(f)) => *last = f,
+            _ => out.push(op),
         }
     }
     out
 }
 
-/// The tape cache's key for `(graph, opts)`: the graph's stored
+/// The tape's key for `(graph, opts)`: the graph's stored
 /// structural fingerprint ([`IntervalGraph::fingerprint`]) mixed with the
 /// effective poison set, the nodes whose `STEAL` the schedule forces to
 /// ⊤ (`effective_poison` in the solver). That set is `graph.poisoned()` ∪
@@ -468,54 +462,21 @@ fn mix(h: u64, x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// How many fingerprints a [`TapeCache`] remembers: the most one
-/// `generate_with_placement` solves on one scratch (READ, the optimistic
-/// WRITE and its poisoned §5.3 fallback).
-const ENTRIES: usize = 3;
-
-/// The per-scratch tape cache: the [`ENTRIES`] most recently used
-/// fingerprints, most recent first, each with its compiled tape or
-/// `None` when a full solve walked it directly once (the next full solve
-/// of a noted fingerprint compiles). A new entry evicts the least
-/// recently used one, tape or note.
-#[derive(Debug, Default)]
-pub(crate) struct TapeCache {
-    entries: Vec<(u64, Option<ScheduleTape>)>,
-    pub(crate) counters: EngineCounters,
-}
-
-impl TapeCache {
-    /// Moves `fp`'s entry to the front, or notes `fp` there, evicting the
-    /// least recently used entry past [`ENTRIES`]. Returns whether `fp`
-    /// had an entry.
-    fn touch(&mut self, fp: u64) -> bool {
-        match self.entries.iter().position(|&(f, _)| f == fp) {
-            Some(i) => {
-                self.entries[..=i].rotate_right(1);
-                true
-            }
-            None => {
-                self.entries.truncate(ENTRIES - 1);
-                self.entries.insert(0, (fp, None));
-                false
-            }
-        }
-    }
-}
-
 /// The engine counters of one [`SolverScratch`] over its lifetime
 /// ([`SolverScratch::counters`]); subtract two readings to count one
 /// stretch of work.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// Tapes compiled: one per cache miss of a re-solve. A one-shot solve
-    /// adds nothing, nor does a warm re-solve of a cached `(graph, opts)`.
+    /// Tapes compiled: one per [`crate::solve_delta`] whose scratch
+    /// caches no tape for its `(graph, opts)`. Full solves compile none.
     pub tape_compiles: u64,
-    /// Full solves the direct walker ran: the first full solve of each
-    /// `(graph, opts)`, and every [`crate::solve_into`].
+    /// Full solves, each a direct walk of the schedule: every
+    /// [`crate::solve_into`], and so every `solve`, `solve_batch*`, AFTER
+    /// attempt and pressure-loop round 0.
     pub direct_solves: u64,
-    /// Full tape replays; incremental [`crate::solve_delta`] calls are
-    /// not counted.
+    /// Full tape replays: a [`crate::solve_delta`] that declines to
+    /// re-solve incrementally replays its whole tape. Incremental calls
+    /// are not counted.
     pub tape_replays: u64,
 }
 
@@ -532,153 +493,51 @@ impl std::ops::Sub for EngineCounters {
 }
 
 impl SolverScratch {
-    /// The tape cached for `graph` under `opts`, if any — compiled by the
-    /// second full solve of that `(graph, opts)` through the
-    /// `solve_batch*` entry points or [`crate::solve_after_with_scratch`],
-    /// or by the first [`crate::solve_delta`].
+    /// The tape this scratch caches, if it was compiled for `graph` under
+    /// `opts`: the tape of the last [`crate::solve_delta`] through this
+    /// scratch.
     pub fn cached_tape(
         &self,
         graph: &IntervalGraph,
         opts: &SolverOptions,
     ) -> Option<&ScheduleTape> {
         let fp = fingerprint(graph, opts);
-        self.tapes
-            .entries
-            .iter()
-            .find(|&&(f, _)| f == fp)
-            .and_then(|(_, tape)| tape.as_ref())
+        self.tape.as_ref().filter(|tape| tape.fingerprint == fp)
     }
 
     /// This scratch's engine counters so far.
     pub fn counters(&self) -> EngineCounters {
-        self.tapes.counters
+        self.counters
     }
 
-    /// Runs `f` on the tape for `graph` under `opts`, cached or freshly
-    /// compiled, and this scratch; then caches the tape again. The tape
-    /// moves out for the call so `f` can mutate the scratch.
+    /// Runs `f` on the tape for `graph` under `opts` and this scratch:
+    /// the cached tape when its fingerprint matches, else a fresh compile
+    /// that then replaces it. The tape moves out for the call so `f` can
+    /// mutate the scratch.
     pub(crate) fn with_tape<R>(
         &mut self,
         graph: &IntervalGraph,
         opts: &SolverOptions,
         f: impl FnOnce(&ScheduleTape, &mut SolverScratch) -> R,
     ) -> R {
-        self.with_tape_of(fingerprint(graph, opts), graph, opts, f)
-    }
-
-    fn with_tape_of<R>(
-        &mut self,
-        fp: u64,
-        graph: &IntervalGraph,
-        opts: &SolverOptions,
-        f: impl FnOnce(&ScheduleTape, &mut SolverScratch) -> R,
-    ) -> R {
-        self.tapes.touch(fp);
-        let tape = self.tapes.entries[0].1.take().unwrap_or_else(|| {
-            self.tapes.counters.tape_compiles += 1;
-            ScheduleTape::compile(graph, opts)
-        });
+        let fp = fingerprint(graph, opts);
+        let tape = match self.tape.take() {
+            Some(tape) if tape.fingerprint == fp => tape,
+            _ => {
+                self.counters.tape_compiles += 1;
+                ScheduleTape::compile(graph, opts)
+            }
+        };
         let result = f(&tape, self);
-        self.tapes.touch(fp);
-        self.tapes.entries[0].1 = Some(tape);
+        self.tape = Some(tape);
         result
     }
-}
-
-/// Batched tape solve: replays the scratch-cached schedule tape for
-/// `(graph, opts)` across the item universe and writes the result into
-/// the caller-reused `out`, allocating nothing once `scratch` and `out`
-/// are warm. The first solve of a graph walks the schedule directly and
-/// the second compiles the tape (see the module docs). Results are
-/// bit-identical to [`crate::solve`].
-///
-/// # Panics
-///
-/// Panics if `problem` does not cover all nodes of `graph`.
-///
-/// # Examples
-///
-/// ```
-/// use gnt_core::{solve, solve_batch, PlacementProblem, Solution, SolverOptions, SolverScratch};
-/// use gnt_cfg::IntervalGraph;
-///
-/// let p = gnt_ir::parse("do i = 1, N\n  ... = x(a(i))\nenddo")?;
-/// let g = IntervalGraph::from_program(&p)?;
-/// let body = g.nodes().find(|&n| g.level(n) == 2).unwrap();
-/// let mut problem = PlacementProblem::new(g.num_nodes(), 256);
-/// problem.take(body, 200);
-/// let opts = SolverOptions::default();
-/// let (mut scratch, mut out) = (SolverScratch::new(), Solution::default());
-/// solve_batch(&g, &problem, &opts, &mut scratch, &mut out); // one-shot: a direct walk
-/// solve_batch(&g, &problem, &opts, &mut scratch, &mut out); // compiles + caches the tape
-/// solve_batch(&g, &problem, &opts, &mut scratch, &mut out); // replays it, allocation-free
-/// assert_eq!(out, solve(&g, &problem, &opts));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn solve_batch(
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    scratch: &mut SolverScratch,
-    out: &mut Solution,
-) {
-    solve_batch_into(graph, problem, opts, scratch);
-    // Every word of every row of `out` is overwritten below, so
-    // re-shaping skips the zeroing.
-    out.reshape_for_overwrite(graph.num_nodes(), problem.universe_size);
-    scratch.write_into(out);
-}
-
-/// [`solve_batch`] without the export: one full solve under the engine
-/// policy — replay the cached tape for `(graph, opts)`, compile it on
-/// the second full solve of that fingerprint, or walk the schedule
-/// directly — leaving every variable readable in `scratch` (zero-copy
-/// views) and the delta basis for the fingerprint. The tape analogue of
-/// [`crate::solve_into`], used by the pressure re-solve loop, the AFTER
-/// solves and the lint driver's blame queries.
-///
-/// # Panics
-///
-/// Panics if `problem` does not cover all nodes of `graph`.
-pub fn solve_batch_into(
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    scratch: &mut SolverScratch,
-) {
-    check_coverage(graph, problem);
-    let fp = fingerprint(graph, opts);
-    if scratch.tapes.touch(fp) {
-        scratch.with_tape_of(fp, graph, opts, |tape, scratch| {
-            tape.execute_into(problem, scratch);
-        });
-    } else {
-        solve_into(graph, problem, opts, scratch);
-        // The walk wrote every row the replay would have.
-        scratch.set_delta_basis(Some(fp));
-    }
-}
-
-/// [`solve_batch_into`] followed by [`SolverScratch::export`]: the
-/// tape-cached counterpart of [`crate::solve`] for a reused scratch.
-///
-/// # Panics
-///
-/// Panics if `problem` does not cover all nodes of `graph`.
-pub fn solve_batch_with_scratch(
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    scratch: &mut SolverScratch,
-) -> Solution {
-    solve_batch_into(graph, problem, opts, scratch);
-    scratch.export()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::solve;
+    use crate::solver::{solve, solve_batch, solve_into, Solution};
     use gnt_cfg::NodeKind;
     use gnt_ir::parse;
 
@@ -724,113 +583,100 @@ mod tests {
     #[test]
     fn tape_execution_matches_the_interpreted_solver() {
         let g = graph(BRANCHY);
+        let opts = SolverOptions::default();
+        let tape = ScheduleTape::compile(&g, &opts);
         for items in [1usize, 63, 64, 65, 300] {
             let prob = take_everywhere(&g, items);
-            let opts = SolverOptions::default();
             let expected = solve(&g, &prob, &opts);
             let mut scratch = SolverScratch::new();
-            let mut out = Solution::default();
-            solve_batch(&g, &prob, &opts, &mut scratch, &mut out);
-            assert_eq!(out, expected, "items = {items}");
-            // The first call walked the schedule directly; the second
-            // compiles the tape and replays it into the warm buffer.
-            assert!(scratch.cached_tape(&g, &opts).is_none());
-            solve_batch(&g, &prob, &opts, &mut scratch, &mut out);
-            assert!(scratch.cached_tape(&g, &opts).is_some());
-            assert_eq!(out, expected, "replay, items = {items}");
+            tape.execute_into(&prob, &mut scratch);
+            assert_eq!(scratch.export(), expected, "items = {items}");
+            // A second replay into the now warm arena.
+            tape.execute_into(&prob, &mut scratch);
+            assert_eq!(scratch.export(), expected, "replay, items = {items}");
         }
     }
 
-    /// The engine policy on one scratch: the first full solve of a
-    /// fingerprint walks the schedule directly, the second compiles the
-    /// tape, the third replays it; a `solve_into` in between counts as a
-    /// direct solve and changes none of that.
+    /// The engine rule on one scratch. Full solves of any kind — READ
+    /// through every entry point, AFTER with its §5.3 fallback — walk
+    /// the schedule directly and compile nothing. Only `solve_delta`
+    /// compiles, on a miss; the scratch keeps that one tape through full
+    /// solves of other fingerprints (how `solver_resolve` interleaves
+    /// them), and a delta on a second fingerprint replaces it.
     #[test]
-    fn solves_one_to_three_compile_zero_one_zero_tapes() {
-        let g = graph(BRANCHY);
-        let prob = take_everywhere(&g, 70);
-        let opts = SolverOptions::default();
-        let expected = solve(&g, &prob, &opts);
-        let mut scratch = SolverScratch::new();
-        let mut out = Solution::default();
-        let mut counts = Vec::new();
-        for _ in 0..3 {
-            solve_batch(&g, &prob, &opts, &mut scratch, &mut out);
-            assert_eq!(out, expected);
-            let c = scratch.counters();
-            counts.push((c.tape_compiles, c.direct_solves, c.tape_replays));
-        }
-        assert_eq!(counts, [(0, 1, 0), (1, 1, 1), (1, 1, 2)]);
-        let before = scratch.counters();
-        solve_into(&g, &prob, &opts, &mut scratch);
-        solve_batch(&g, &prob, &opts, &mut scratch, &mut out);
-        assert_eq!(out, expected);
-        let one_each = EngineCounters {
-            tape_compiles: 0,
-            direct_solves: 1,
-            tape_replays: 1,
-        };
-        assert_eq!(scratch.counters() - before, one_each);
-    }
-
-    /// Two graphs solved in turn through one scratch each get their tape
-    /// on their second solve and keep it.
-    #[test]
-    fn two_fingerprints_in_turn_each_compile_once() {
-        let g = graph(BRANCHY);
-        let r = gnt_cfg::reversed_graph(&g).unwrap();
-        let (pg, pr) = (take_everywhere(&g, 5), take_everywhere(&r, 5));
-        let opts = SolverOptions::default();
-        let mut scratch = SolverScratch::new();
-        let mut compiles = Vec::new();
-        for _ in 0..3 {
-            solve_batch_into(&g, &pg, &opts, &mut scratch);
-            solve_batch_into(&r, &pr, &opts, &mut scratch);
-            compiles.push(scratch.counters().tape_compiles);
-        }
-        assert_eq!(compiles, [0, 2, 2]);
-    }
-
-    /// A fourth fingerprint evicts the least recently used entry, a tape
-    /// or a note alike: solving the evicted fingerprint again walks it
-    /// directly (a note, not a compile), and solving a fingerprint
-    /// touches it, so the eviction order follows use, not insertion.
-    #[test]
-    fn a_fourth_fingerprint_evicts_the_least_recently_used_entry() {
-        let graphs: Vec<IntervalGraph> = (1..=4)
-            .map(|k| graph(&"do i = 1, N\n  a = x(i)\nenddo\n".repeat(k)))
-            .collect();
-        let probs: Vec<PlacementProblem> = graphs.iter().map(|g| take_everywhere(g, 3)).collect();
-        let opts = SolverOptions::default();
-        let mut scratch = SolverScratch::new();
-        let step = |scratch: &mut SolverScratch, k: usize| {
-            let before = scratch.counters();
-            solve_batch_into(&graphs[k], &probs[k], &opts, scratch);
-            let c = scratch.counters() - before;
+    fn full_solves_walk_and_only_a_delta_compiles_the_one_cached_tape() {
+        use gnt_ir::StmtKind;
+        let p = parse("do j = 1, N\n  if t(j) goto 99\n  x(a(j)) = ...\nenddo\n99 b = 1").unwrap();
+        let g = IntervalGraph::from_program(&p).unwrap();
+        let def = g
+            .nodes()
+            .find(|&n| match g.kind(n) {
+                NodeKind::Stmt(s) => matches!(p.stmt(s).kind, StmtKind::Assign { .. }),
+                _ => false,
+            })
+            .unwrap();
+        let mut write = PlacementProblem::new(g.num_nodes(), 1);
+        write.take(def, 0);
+        let read = take_everywhere(&g, 3);
+        let mut edited = read.clone();
+        edited.steal(g.root(), 1);
+        let mut delta = crate::DeltaSet::new();
+        delta.mark_steal(g.root());
+        let (opts, no_hoist) = (
+            SolverOptions::default(),
+            SolverOptions {
+                no_zero_trip_hoist: true,
+                ..Default::default()
+            },
+        );
+        let counts = |s: &SolverScratch| {
+            let c = s.counters();
             (c.tape_compiles, c.direct_solves, c.tape_replays)
         };
-        let (walk, compile, replay) = ((0, 1, 0), (1, 0, 1), (0, 0, 1));
-        // 0 gets its tape, 1 and 2 are noted: [2, 1, 0], 0 the tape.
-        assert_eq!(step(&mut scratch, 0), walk);
-        assert_eq!(step(&mut scratch, 0), compile);
-        assert_eq!(step(&mut scratch, 1), walk);
-        assert_eq!(step(&mut scratch, 2), walk);
-        // 3 evicts the tape of 0: [3, 2, 1].
-        assert_eq!(step(&mut scratch, 3), walk);
-        assert!(scratch.cached_tape(&graphs[0], &opts).is_none());
-        // Touching 1 compiles its tape ([1, 3, 2]); 0 comes back as a
-        // note and evicts the note of 2 ([0, 1, 3]).
-        assert_eq!(step(&mut scratch, 1), compile);
-        assert_eq!(step(&mut scratch, 0), walk);
-        // 2 walks again and evicts 3 ([2, 0, 1]); 1 kept its tape.
-        assert_eq!(step(&mut scratch, 2), walk);
-        assert_eq!(step(&mut scratch, 1), replay);
-        assert_eq!(step(&mut scratch, 3), walk);
-        assert!(scratch.cached_tape(&graphs[1], &opts).is_some());
-        for (g, prob) in graphs.iter().zip(&probs) {
-            solve_batch_into(g, prob, &opts, &mut scratch);
-            assert_eq!(scratch.export(), solve(g, prob, &opts));
+        let mut scratch = SolverScratch::new();
+        let mut out = Solution::default();
+        for _ in 0..2 {
+            solve_into(&g, &read, &opts, &mut scratch);
+            solve_batch(&g, &read, &opts, &mut scratch, &mut out);
+            crate::solve_batch_with_scratch(&g, &read, &opts, &mut scratch);
+            let after = crate::solve_after_with_scratch(&g, &write, &opts, &mut scratch).unwrap();
+            assert!(
+                after
+                    .reversed
+                    .nodes()
+                    .any(|h| after.reversed.is_poisoned(h)),
+                "the fallback must run"
+            );
         }
+        assert_eq!(counts(&scratch), (0, 10, 0));
+        assert!(scratch.cached_tape(&g, &opts).is_none());
+
+        // The first delta compiles and re-solves against the last walk.
+        solve_into(&g, &read, &opts, &mut scratch);
+        let report = crate::solve_delta(&g, &edited, &opts, &mut scratch, &delta);
+        assert!(!report.full_replay);
+        assert_eq!(scratch.export(), solve(&g, &edited, &opts));
+        assert_eq!(counts(&scratch), (1, 11, 0));
+
+        // Full solves of three other fingerprints in between evict nothing.
+        for round in 0..3 {
+            crate::solve_after_with_scratch(&g, &write, &opts, &mut scratch).unwrap();
+            solve_into(&g, &read, &no_hoist, &mut scratch);
+            solve_into(&g, &read, &opts, &mut scratch);
+            let report = crate::solve_delta(&g, &edited, &opts, &mut scratch, &delta);
+            assert!(!report.full_replay, "round {round}");
+            assert_eq!(scratch.export(), solve(&g, &edited, &opts));
+        }
+        assert_eq!(counts(&scratch), (1, 23, 0));
+
+        // A delta on another fingerprint replaces the tape.
+        solve_into(&g, &read, &no_hoist, &mut scratch);
+        let report = crate::solve_delta(&g, &edited, &no_hoist, &mut scratch, &delta);
+        assert!(!report.full_replay);
+        assert_eq!(scratch.export(), solve(&g, &edited, &no_hoist));
+        assert_eq!(counts(&scratch), (2, 24, 0));
+        assert!(scratch.cached_tape(&g, &no_hoist).is_some());
+        assert!(scratch.cached_tape(&g, &opts).is_none());
     }
 
     /// The premise of laying the delta basis from a direct walk: after a
@@ -895,21 +741,21 @@ mod tests {
         let g = graph("do i = 1, N\n  ... = x(a(i))\nenddo");
         let prob = take_everywhere(&g, 4);
         let mut scratch = SolverScratch::new();
-        let mut out = Solution::default();
         let plain = SolverOptions::default();
         let no_hoist = SolverOptions {
             no_zero_trip_hoist: true,
             ..Default::default()
         };
-        // Solve, flip the hoisting knob, solve, flip back: each result
-        // must match the direct solver under the *current* options,
-        // i.e. the fingerprint mismatch forces a recompile every time.
-        solve_batch(&g, &prob, &plain, &mut scratch, &mut out);
-        assert_eq!(out, solve(&g, &prob, &plain));
-        solve_batch(&g, &prob, &no_hoist, &mut scratch, &mut out);
-        assert_eq!(out, solve(&g, &prob, &no_hoist));
-        solve_batch(&g, &prob, &plain, &mut scratch, &mut out);
-        assert_eq!(out, solve(&g, &prob, &plain));
+        // Re-solve, flip the hoisting knob, re-solve, flip back: each
+        // result must match the direct solver under the *current*
+        // options, i.e. the fingerprint mismatch forces a recompile and a
+        // full replay every time.
+        for (k, opts) in [&plain, &no_hoist, &plain].into_iter().enumerate() {
+            let report = crate::solve_delta(&g, &prob, opts, &mut scratch, &crate::DeltaSet::new());
+            assert!(report.full_replay);
+            assert_eq!(scratch.export(), solve(&g, &prob, opts));
+            assert_eq!(scratch.counters().tape_compiles, k as u64 + 1);
+        }
         // And the fingerprints really differ (the knob poisons the header).
         assert_ne!(fingerprint(&g, &plain), fingerprint(&g, &no_hoist));
     }

@@ -11,9 +11,8 @@
 
 use gnt_cfg::{reversed_graph, IntervalGraph, NodeId, NodeKind};
 use gnt_core::{
-    random_problem, random_program, sized_program, solve, solve_batch_into, solve_delta,
-    solve_into, DeltaKind, DeltaSet, GenConfig, PlacementProblem, ScheduleTape, SolverOptions,
-    SolverScratch,
+    random_problem, random_program, sized_program, solve, solve_delta, solve_into, DeltaKind,
+    DeltaSet, GenConfig, PlacementProblem, ScheduleTape, SolverOptions, SolverScratch,
 };
 use gnt_ir::parse;
 use proptest::prelude::*;
@@ -75,7 +74,7 @@ fn run_mutation_case(
     mutations: usize,
     label: &str,
 ) -> bool {
-    solve_batch_into(graph, problem, opts, scratch);
+    solve_into(graph, problem, opts, scratch);
     let mut delta = DeltaSet::new();
     for _ in 0..mutations {
         mutate(problem, &mut delta, rng, universe);
@@ -131,7 +130,7 @@ fn repeated_deltas_stay_identical_across_rounds() {
         let graph = IntervalGraph::from_program(&program).unwrap();
         let mut problem = random_problem(seed + 3, &graph, universe, 0.25);
         let opts = SolverOptions::default();
-        solve_batch_into(&graph, &problem, &opts, &mut scratch);
+        solve_into(&graph, &problem, &opts, &mut scratch);
         let mut rng = Lcg(seed.wrapping_mul(977));
         let mut delta = DeltaSet::new();
         for round in 0..8 {
@@ -167,7 +166,7 @@ fn reversed_graphs_resolve_incrementally() {
         let mut problem = random_problem(seed + 11, &graph, universe, 0.3);
         problem.resize_nodes(rg.num_nodes());
         let opts = SolverOptions::default();
-        solve_batch_into(&rg, &problem, &opts, &mut scratch);
+        solve_into(&rg, &problem, &opts, &mut scratch);
         let mut delta = DeltaSet::new();
         let mut rng = Lcg(seed ^ 0xAF7E);
         mutate(&mut problem, &mut delta, &mut rng, universe);
@@ -262,7 +261,7 @@ fn figure_programs_resolve_incrementally() {
             }
             let opts = SolverOptions::default();
             let mut scratch = SolverScratch::new();
-            solve_batch_into(&graph, &problem, &opts, &mut scratch);
+            solve_into(&graph, &problem, &opts, &mut scratch);
             problem.steal(graph.root(), 0);
             let mut delta = DeltaSet::new();
             delta.mark_steal(graph.root());
@@ -281,11 +280,11 @@ fn figure_programs_resolve_incrementally() {
     }
 }
 
-/// Only full solves set the delta basis (a tape replay, or the direct
-/// walk of a one-shot full solve): a bare `solve_into` of a different
-/// graph with the same node count through the same scratch must
-/// invalidate it, so the next delta on the first graph replays in full
-/// instead of patching the other graph's bits.
+/// Every full solve sets the delta basis to its own fingerprint: a
+/// `solve_into` of a different graph with the same node count through
+/// the same scratch must invalidate the first graph's basis, so the next
+/// delta on the first graph replays in full instead of patching the
+/// other graph's bits, although the scratch still caches its tape.
 #[test]
 fn direct_solve_in_between_invalidates_the_delta_basis() {
     let src = "do i = 1, N\n  ... = x(a(i))\n  z = 0\nenddo\nif t then\n  b = x(1)\nendif";
@@ -295,9 +294,9 @@ fn direct_solve_in_between_invalidates_the_delta_basis() {
     let mut problem = random_problem(7, &graph, 70, 0.3);
     let opts = SolverOptions::default();
     let mut scratch = SolverScratch::new();
-    // The second full solve compiles and caches the tape.
-    solve_batch_into(&graph, &problem, &opts, &mut scratch);
-    solve_batch_into(&graph, &problem, &opts, &mut scratch);
+    // An empty delta after a full solve compiles and caches the tape.
+    solve_into(&graph, &problem, &opts, &mut scratch);
+    solve_delta(&graph, &problem, &opts, &mut scratch, &DeltaSet::new());
     assert!(scratch
         .cached_tape(&graph, &opts)
         .is_some_and(|tape| tape.delta_supported()));
@@ -331,7 +330,7 @@ fn late_marking_converges_once_the_row_is_named() {
     }
     let opts = SolverOptions::default();
     let mut scratch = SolverScratch::new();
-    solve_batch_into(&graph, &problem, &opts, &mut scratch);
+    solve_into(&graph, &problem, &opts, &mut scratch);
     // Mutate two rows, but only mark one: the engine may serve stale bits
     // for the unmarked row's cone (the documented contract)...
     problem.steal(consumers[0], 1);
@@ -364,7 +363,7 @@ proptest! {
         let mut problem = random_problem(pseed ^ 0x5eed, &graph, universe, 0.3);
         let opts = SolverOptions::default();
         let mut scratch = SolverScratch::new();
-        solve_batch_into(&graph, &problem, &opts, &mut scratch);
+        solve_into(&graph, &problem, &opts, &mut scratch);
         let mut rng = Lcg(pseed.wrapping_mul(2654435761));
         let mut delta = DeltaSet::new();
         for batch in 0..batches {

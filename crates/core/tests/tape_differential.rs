@@ -1,39 +1,33 @@
 //! Differential suite for the schedule-compiled solver: replaying a
-//! [`ScheduleTape`] (`solve_batch*`) is bit-identical to the direct
+//! [`ScheduleTape`] (`ScheduleTape::compile(..).execute_into(..)`, what
+//! `solve_delta` runs when it declines) is bit-identical to the direct
 //! four-pass solver (`solve`/`solve_into`) — on 500+ random programs
 //! across universe sizes straddling every word boundary, on the reversed
 //! graphs of the AFTER direction (jump-in edges, synthetic pads,
 //! poisoned headers), and on the paper's figure programs.
 //!
-//! One scratch and one output buffer are shared across every case of a
-//! sweep, so the tape cache is invalidated (different graph fingerprint)
-//! and the output buffer re-shaped (different universe) at each step —
-//! the reuse machinery is exercised as hard as the kernels.
+//! One scratch is shared across every case of a sweep, so the arena is
+//! re-shaped (different graph, different universe) at each step — the
+//! reuse machinery is exercised as hard as the kernels.
 
 use gnt_cfg::{reversed_graph, IntervalGraph, NodeKind};
 use gnt_core::{
-    random_problem, random_program, solve, solve_after, solve_batch, solve_batch_into,
-    solve_batch_with_scratch, GenConfig, PlacementProblem, ScheduleTape, Solution, SolverOptions,
-    SolverScratch,
+    random_problem, random_program, solve, solve_after, solve_delta, solve_into, DeltaSet,
+    GenConfig, PlacementProblem, ScheduleTape, SolverOptions, SolverScratch,
 };
 use gnt_ir::parse;
 
-/// One BEFORE-direction case: direct `solve` vs cached-tape
-/// `solve_batch` (shared warm scratch + output buffer) vs
-/// `solve_batch_with_scratch` (export path), all 20 variable families.
+/// One case: direct `solve` vs a replay of the freshly compiled tape into
+/// the shared warm scratch, all 20 variable families.
 fn run_case(
     graph: &IntervalGraph,
     problem: &PlacementProblem,
     opts: &SolverOptions,
     scratch: &mut SolverScratch,
-    out: &mut Solution,
     label: &str,
 ) {
-    let expected = solve(graph, problem, opts);
-    solve_batch(graph, problem, opts, scratch, out);
-    assert_eq!(*out, expected, "{label}: solve_batch");
-    let exported = solve_batch_with_scratch(graph, problem, opts, scratch);
-    assert_eq!(exported, expected, "{label}: solve_batch_with_scratch");
+    ScheduleTape::compile(graph, opts).execute_into(problem, scratch);
+    assert_eq!(scratch.export(), solve(graph, problem, opts), "{label}");
 }
 
 #[test]
@@ -44,7 +38,6 @@ fn tape_matches_interpreter_on_500_random_programs() {
         ..Default::default()
     };
     let mut scratch = SolverScratch::new();
-    let mut out = Solution::default();
     for seed in 0..500u64 {
         let universe = universes[seed as usize % universes.len()];
         let program = random_program(seed, &config);
@@ -55,7 +48,6 @@ fn tape_matches_interpreter_on_500_random_programs() {
             &problem,
             &SolverOptions::default(),
             &mut scratch,
-            &mut out,
             &format!("seed {seed}, universe {universe}"),
         );
     }
@@ -63,13 +55,10 @@ fn tape_matches_interpreter_on_500_random_programs() {
 
 /// The AFTER direction's graphs: the tape must agree with the direct solver
 /// on reversed graphs — jump-in edges extending Eq. 11, synthetic landing
-/// pads, and the §5.3 poisoned fallback — and the full `solve_after`
-/// pipeline (tape-cached both attempts) must match a direct solve
-/// of the same reversal.
+/// pads, and the §5.3 poisoned fallback.
 #[test]
 fn tape_matches_interpreter_on_reversed_graphs() {
     let mut scratch = SolverScratch::new();
-    let mut out = Solution::default();
     for seed in 0..120u64 {
         let program = random_program(seed, &GenConfig::default());
         let graph = IntervalGraph::from_program(&program).unwrap();
@@ -84,13 +73,11 @@ fn tape_matches_interpreter_on_reversed_graphs() {
             &rp,
             &opts,
             &mut scratch,
-            &mut out,
             &format!("reversed, seed {seed}"),
         );
 
         // The §5.3 fallback shape: poison every jump-entered header and
-        // compare again through the *same* scratch — the fingerprint
-        // change must force a recompile, never a stale replay.
+        // compare again through the *same* scratch.
         let jump_entered: Vec<_> = rg
             .nodes()
             .filter(|&h| !rg.jump_in_sources(h).is_empty())
@@ -104,19 +91,18 @@ fn tape_matches_interpreter_on_reversed_graphs() {
                 &rp,
                 &opts,
                 &mut scratch,
-                &mut out,
                 &format!("reversed+poisoned, seed {seed}"),
             );
         }
     }
 }
 
-/// More fingerprints than the scratch's tape cache holds, visited in a
-/// pseudo-random order through one scratch: the forward graph under two
-/// hoisting settings, the reversed graph, its poisoned form and a second
-/// program. Every visit solves a fresh problem and must match `solve`
-/// whether it walks directly, compiles, replays or re-walks a fingerprint
-/// the cache evicted.
+/// More fingerprints than the scratch's one cached tape, visited in a
+/// pseudo-random order by `solve_delta` through one scratch: the forward
+/// graph under two hoisting settings, the reversed graph, its poisoned
+/// form and a second program. Every visit toggles one bit of its graph's
+/// problem, marks that row and must match `solve` whether it compiles,
+/// replays in full or re-solves incrementally against the last visit.
 #[test]
 fn cycling_more_fingerprints_than_the_cache_holds_stays_exact() {
     let no_hoist = SolverOptions {
@@ -128,9 +114,14 @@ fn cycling_more_fingerprints_than_the_cache_holds_stays_exact() {
         ..Default::default()
     };
     let mut scratch = SolverScratch::new();
-    let mut out = Solution::default();
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let mut visited = 0;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as usize
+    };
+    let (mut visited, mut incremental) = (0u64, 0u64);
     for seed in 0..30u64 {
         let graph = IntervalGraph::from_program(&random_program(seed, &config)).unwrap();
         let other = IntervalGraph::from_program(&random_program(seed + 1000, &config)).unwrap();
@@ -142,37 +133,56 @@ fn cycling_more_fingerprints_than_the_cache_holds_stays_exact() {
             }
         }
         let default = SolverOptions::default();
+        // Both settings of `graph` share its problem: on a loop-free
+        // graph their fingerprints coincide, and so must their problems.
         let cases = [
-            (&graph, &default),
-            (&graph, &no_hoist),
-            (&reversed, &default),
-            (&poisoned, &default),
-            (&other, &default),
+            (&graph, &default, 0),
+            (&graph, &no_hoist, 0),
+            (&reversed, &default, 1),
+            (&poisoned, &default, 2),
+            (&other, &default, 3),
         ];
+        let mut problems: Vec<PlacementProblem> = [&graph, &reversed, &poisoned, &other]
+            .iter()
+            .enumerate()
+            .map(|(k, g)| random_problem(seed * 64 + k as u64, g, [1, 64, 65, 130][k], 0.3))
+            .collect();
         for step in 0..40u64 {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            let (g, opts) = cases[(state >> 33) as usize % cases.len()];
-            let items = [1usize, 64, 65, 130][step as usize % 4];
-            let problem = random_problem(seed * 64 + step, g, items, 0.3);
-            solve_batch(g, &problem, opts, &mut scratch, &mut out);
-            assert_eq!(out, solve(g, &problem, opts), "seed {seed}, step {step}");
+            let (g, opts, slot) = cases[next() % cases.len()];
+            let problem = &mut problems[slot];
+            let node = gnt_cfg::NodeId((next() % g.num_nodes()) as u32);
+            let item = next() % problem.universe_size;
+            let mut delta = DeltaSet::new();
+            let row = if next() % 2 == 0 {
+                delta.mark_take(node);
+                &mut problem.take_init[node.index()]
+            } else {
+                delta.mark_steal(node);
+                &mut problem.steal_init[node.index()]
+            };
+            if !row.insert(item) {
+                row.remove(item);
+            }
+            let report = solve_delta(g, problem, opts, &mut scratch, &delta);
+            assert_eq!(
+                scratch.export(),
+                solve(g, problem, opts),
+                "seed {seed}, step {step}"
+            );
             visited += 1;
+            incremental += u64::from(!report.full_replay);
         }
     }
     let c = scratch.counters();
-    assert_eq!(c.direct_solves + c.tape_replays, visited);
-    assert!(
-        c.tape_compiles > 0 && c.tape_replays > c.tape_compiles,
-        "{c:?}"
-    );
-    assert!(c.direct_solves > 30 * 5, "no fingerprint re-walked: {c:?}");
+    assert_eq!(c.direct_solves, 0);
+    assert_eq!(c.tape_replays + incremental, visited);
+    assert!(incremental > 0 && c.tape_replays > 0, "{c:?}");
+    assert!(c.tape_compiles > 30, "no fingerprint recompiled: {c:?}");
 }
 
-/// `solve_batch_into` leaves the scratch in exactly the state
-/// `solve_into` does: every accessor-visible variable identical, so blame
-/// queries and the pressure loop read the same bits either way.
+/// A tape replay leaves the scratch in exactly the state `solve_into`
+/// does: every accessor-visible variable identical, so blame queries and
+/// the pressure loop read the same bits either way.
 #[test]
 fn batch_into_leaves_identical_scratch_state() {
     for seed in [3u64, 17, 42, 99] {
@@ -181,9 +191,9 @@ fn batch_into_leaves_identical_scratch_state() {
         let problem = random_problem(seed, &graph, 96, 0.4);
         let opts = SolverOptions::default();
         let mut interp = SolverScratch::new();
-        gnt_core::solve_into(&graph, &problem, &opts, &mut interp);
+        solve_into(&graph, &problem, &opts, &mut interp);
         let mut taped = SolverScratch::new();
-        solve_batch_into(&graph, &problem, &opts, &mut taped);
+        ScheduleTape::compile(&graph, &opts).execute_into(&problem, &mut taped);
         assert_eq!(interp.export(), taped.export(), "seed {seed}");
         let n = graph.nodes().next().unwrap();
         assert_eq!(
@@ -196,7 +206,8 @@ fn batch_into_leaves_identical_scratch_state() {
 
 /// The paper's figure programs, BEFORE and AFTER: golden shapes the rest
 /// of the test suite pins in detail, here checked bit-for-bit between the
-/// tape and the direct solver (and through the tape-cached `solve_after`).
+/// tape and the direct solver, on the forward graph and on the reversed
+/// graph `solve_after` solved last.
 #[test]
 fn figure_programs_solve_identically_before_and_after() {
     // Figures 1/2 (branch consumers), 4–10 (straight-line and branch
@@ -219,7 +230,6 @@ fn figure_programs_solve_identically_before_and_after() {
          enddo",
     ];
     let mut scratch = SolverScratch::new();
-    let mut out = Solution::default();
     for (fig, src) in figures.iter().enumerate() {
         let program = parse(src).unwrap();
         let graph = IntervalGraph::from_program(&program).unwrap();
@@ -241,18 +251,18 @@ fn figure_programs_solve_identically_before_and_after() {
                 &problem,
                 &opts,
                 &mut scratch,
-                &mut out,
                 &format!("figure {fig}, items {items}"),
             );
-            // AFTER through the public pipeline: both its attempts replay
-            // the scratch-cached tape; the result must equal a fresh
-            // direct comparison on its own reversed graph.
+            // AFTER: the tape of the reversed graph `solve_after` solved
+            // last (poisoned if the §5.3 fallback ran) replays its
+            // solution.
             let after = solve_after(&graph, &problem, &opts).unwrap();
             let mut rp = problem.clone();
             rp.resize_nodes(after.reversed.num_nodes());
+            ScheduleTape::compile(&after.reversed, &opts).execute_into(&rp, &mut scratch);
             assert_eq!(
+                scratch.export(),
                 after.solution,
-                solve(&after.reversed, &rp, &opts),
                 "figure {fig}, items {items}: after"
             );
         }
