@@ -463,159 +463,194 @@ pub(crate) fn effective_poison(graph: &IntervalGraph, opts: &SolverOptions, h: N
         || (opts.no_zero_trip_hoist && graph.is_loop_header(h))
 }
 
-/// The four-pass schedule of Figure 15 over arena rows, issued to `k`.
-/// Both backends run exactly this walk, so the direct solve and every
-/// compiled tape evaluate the same equations in the same order.
+/// The four-pass schedule of Figure 15 over arena rows, issued to `k`:
+/// a loop over the four step functions, each of which evaluates one
+/// group of equations at one node. Both backends run exactly this walk,
+/// so the direct solve and every compiled tape evaluate the same
+/// equations in the same order.
 ///
 /// Kept out of line: inlined into [`solve_into`], the direct backend
 /// measured about 4 % slower at 16 items.
 #[inline(never)]
 pub(crate) fn schedule<K: Kernels>(graph: &IntervalGraph, opts: &SolverOptions, k: &mut K) {
-    let n = graph.num_nodes();
-    let fam = |f: usize, i: usize| f * n + i;
-    let tmp0 = NUM_FAMILIES * n;
-    let tmp1 = tmp0 + 1;
-    let root = graph.root();
-
     // ---- Pass 1: S2 (Eqs. 9–10) per header's children, then S1
     // (Eqs. 1–8), in REVERSEPREORDER. -------------------------------------
     for &node in graph.preorder().iter().rev() {
-        let ni = node.index();
         for &c in graph.children(node) {
-            let ci = c.index();
-            // On reversed graphs a jump can enter `c` from a node whose
-            // rows are not written yet; a full replay would read them as
-            // the zeros of `prepare()`, so their terms are folded out.
-            // An F edge neither enters nor leaves an interval, so an F
-            // predecessor other than ROOT is a child of `node` ahead of
-            // `c`, written already: only J predecessors need the check.
-            let written = |p: NodeId| loc_written_before(graph, p, node, c);
-            let all_written = graph.pred_edges(c).all(|(p, class)| match class {
-                EdgeClass::Forward => p != root,
-                EdgeClass::Jump | EdgeClass::JumpIn => written(p),
-                _ => true,
-            });
-            debug_assert_eq!(all_written, graph.preds(c, EdgeMask::FJ).all(written));
-            // Eq. 9: GIVE_loc(c) =
-            //   (GIVE(c) ∪ TAKE(c) ∪ ∩_{p ∈ PREDS^FJ} GIVE_loc(p)) − STEAL(c)
-            // The ∩ is ∅ if it meets an unwritten row.
-            k.copy_or(tmp0, fam(F_GIVE, ci), fam(F_TAKE, ci));
-            let mut first = true;
-            if all_written {
-                for p in graph.preds(c, EdgeMask::FJ) {
-                    if first {
-                        k.copy(tmp1, fam(F_GIVE_LOC, p.index()));
-                        first = false;
-                    } else {
-                        k.and(tmp1, fam(F_GIVE_LOC, p.index()));
-                    }
-                }
-            }
-            if !first {
-                k.or(tmp0, tmp1);
-            }
-            k.copy_andnot(fam(F_GIVE_LOC, ci), tmp0, fam(F_STEAL, ci));
-
-            // Eq. 10: STEAL_loc(c) = STEAL(c)
-            //   ∪ ⋃_{p ∈ PREDS^FJ} (STEAL_loc(p) − GIVE_loc(p))
-            //   ∪ ⋃_{p ∈ PREDS^S} STEAL_loc(p)
-            // An unwritten row adds nothing to a ∪.
-            k.copy(tmp0, fam(F_STEAL, ci));
-            for p in graph
-                .preds(c, EdgeMask::FJ)
-                .filter(|&p| all_written || written(p))
-            {
-                k.or_andnot(
-                    tmp0,
-                    fam(F_STEAL_LOC, p.index()),
-                    fam(F_GIVE_LOC, p.index()),
-                );
-            }
-            for p in graph.preds(c, EdgeMask::S).filter(|&p| written(p)) {
-                k.or(tmp0, fam(F_STEAL_LOC, p.index()));
-            }
-            k.copy(fam(F_STEAL_LOC, ci), tmp0);
+            loc_step(graph, k, node, c);
         }
-
-        // Eq. 1 / Eq. 2: fold in the interval summary via LASTCHILD.
-        let poisoned = effective_poison(graph, opts, node);
-        if poisoned {
-            k.fill(fam(F_STEAL, ni));
-        } else {
-            k.load(fam(F_STEAL, ni), Init::Steal, ni);
-        }
-        k.load(fam(F_GIVE, ni), Init::Give, ni);
-        if let Some(lc) = graph.last_child(node) {
-            k.or(fam(F_STEAL, ni), fam(F_STEAL_LOC, lc.index()));
-            k.or(fam(F_GIVE, ni), fam(F_GIVE_LOC, lc.index()));
-        }
-
-        // Eq. 3: BLOCK(n) = STEAL ∪ GIVE ∪ ⋃_{s ∈ SUCCS^E} BLOCK_loc(s)
-        k.copy_or(fam(F_BLOCK, ni), fam(F_STEAL, ni), fam(F_GIVE, ni));
-        for s in graph.succs(node, EdgeMask::E) {
-            k.or(fam(F_BLOCK, ni), fam(F_BLOCK_LOC, s.index()));
-        }
-
-        // Eq. 4: TAKEN_out(n) = ∩_{s ∈ SUCCS^FJS} TAKEN_in(s)
-        let mut first = true;
-        for s in graph.succs(node, EdgeMask::FJS) {
-            if first {
-                k.copy(fam(F_TAKEN_OUT, ni), fam(F_TAKEN_IN, s.index()));
-                first = false;
-            } else {
-                k.and(fam(F_TAKEN_OUT, ni), fam(F_TAKEN_IN, s.index()));
-            }
-        }
-        if first {
-            k.clear(fam(F_TAKEN_OUT, ni));
-        }
-
-        // Eq. 5: TAKE(n) = TAKE_init
-        //   ∪ (⋃_{s ∈ SUCCS^E} TAKEN_in(s) − STEAL(n))
-        //   ∪ ((TAKEN_out(n) ∩ ⋃_{s ∈ SUCCS^E} TAKE_loc(s)) − BLOCK(n))
-        k.load(fam(F_TAKE, ni), Init::Take, ni);
-        if !poisoned {
-            k.clear(tmp0);
-            for s in graph.succs(node, EdgeMask::E) {
-                k.or(tmp0, fam(F_TAKEN_IN, s.index()));
-            }
-            k.or_andnot(fam(F_TAKE, ni), tmp0, fam(F_STEAL, ni));
-
-            k.clear(tmp0);
-            for s in graph.succs(node, EdgeMask::E) {
-                k.or(tmp0, fam(F_TAKE_LOC, s.index()));
-            }
-            k.and(tmp0, fam(F_TAKEN_OUT, ni));
-            k.andnot(tmp0, fam(F_BLOCK, ni));
-            k.or(fam(F_TAKE, ni), tmp0);
-        }
-
-        // Eq. 6: TAKEN_in(n) = TAKE(n) ∪ (TAKEN_out(n) − BLOCK(n))
-        k.copy_andnot(fam(F_TAKEN_IN, ni), fam(F_TAKEN_OUT, ni), fam(F_BLOCK, ni));
-        k.or(fam(F_TAKEN_IN, ni), fam(F_TAKE, ni));
-
-        // Eq. 7: BLOCK_loc(n) = (BLOCK(n) ∪ ⋃_{s ∈ SUCCS^F} BLOCK_loc(s))
-        //                        − TAKE(n)
-        k.copy(fam(F_BLOCK_LOC, ni), fam(F_BLOCK, ni));
-        for s in graph.succs(node, EdgeMask::F) {
-            k.or(fam(F_BLOCK_LOC, ni), fam(F_BLOCK_LOC, s.index()));
-        }
-        k.andnot(fam(F_BLOCK_LOC, ni), fam(F_TAKE, ni));
-
-        // Eq. 8: TAKE_loc(n) = TAKE(n)
-        //   ∪ (⋃_{s ∈ SUCCS^EF} TAKE_loc(s) − BLOCK(n))
-        k.clear(fam(F_TAKE_LOC, ni));
-        for s in graph.succs(node, EdgeMask::EF) {
-            k.or(fam(F_TAKE_LOC, ni), fam(F_TAKE_LOC, s.index()));
-        }
-        k.andnot(fam(F_TAKE_LOC, ni), fam(F_BLOCK, ni));
-        k.or(fam(F_TAKE_LOC, ni), fam(F_TAKE, ni));
+        node_step(graph, opts, k, node);
     }
 
     // ---- Passes 2–3: S3 (Eqs. 11–13) in PREORDER, then S4 (Eqs. 14–15),
     // once per flavor. -----------------------------------------------------
-    place(graph, k, Flavor::Eager);
-    place(graph, k, Flavor::Lazy);
+    for flavor in [Flavor::Eager, Flavor::Lazy] {
+        for &node in graph.preorder() {
+            given_step(graph, k, flavor, node);
+        }
+        for node in graph.nodes() {
+            res_step(graph, k, flavor, node);
+        }
+    }
+}
+
+/// Arena row of `family` at node index `i` in a graph of `n` nodes.
+#[inline(always)]
+fn row(n: usize, family: usize, i: usize) -> usize {
+    family * n + i
+}
+
+/// The two temporary rows after the `n`-node families.
+#[inline(always)]
+fn temps(n: usize) -> (usize, usize) {
+    (NUM_FAMILIES * n, NUM_FAMILIES * n + 1)
+}
+
+/// Eqs. 9–10 at `c`, a child of header `h`: writes `GIVE_loc(c)` and
+/// `STEAL_loc(c)`.
+#[inline(always)]
+fn loc_step<K: Kernels>(graph: &IntervalGraph, k: &mut K, h: NodeId, c: NodeId) {
+    let n = graph.num_nodes();
+    let fam = |f: usize, i: usize| row(n, f, i);
+    let (tmp0, tmp1) = temps(n);
+    let root = graph.root();
+    let ci = c.index();
+    // On reversed graphs a jump can enter `c` from a node whose rows are
+    // not written yet; a full walk would read them as the zeros of
+    // `prepare()`, so their terms are folded out. An F edge neither
+    // enters nor leaves an interval, so an F predecessor other than ROOT
+    // is a child of `h` ahead of `c`, written already: only J
+    // predecessors need the check.
+    let written = |p: NodeId| loc_written_before(graph, p, h, c);
+    let all_written = graph.pred_edges(c).all(|(p, class)| match class {
+        EdgeClass::Forward => p != root,
+        EdgeClass::Jump | EdgeClass::JumpIn => written(p),
+        _ => true,
+    });
+    debug_assert_eq!(all_written, graph.preds(c, EdgeMask::FJ).all(written));
+    // Eq. 9: GIVE_loc(c) =
+    //   (GIVE(c) ∪ TAKE(c) ∪ ∩_{p ∈ PREDS^FJ} GIVE_loc(p)) − STEAL(c)
+    // The ∩ is ∅ if it meets an unwritten row.
+    k.copy_or(tmp0, fam(F_GIVE, ci), fam(F_TAKE, ci));
+    let mut first = true;
+    if all_written {
+        for p in graph.preds(c, EdgeMask::FJ) {
+            if first {
+                k.copy(tmp1, fam(F_GIVE_LOC, p.index()));
+                first = false;
+            } else {
+                k.and(tmp1, fam(F_GIVE_LOC, p.index()));
+            }
+        }
+    }
+    if !first {
+        k.or(tmp0, tmp1);
+    }
+    k.copy_andnot(fam(F_GIVE_LOC, ci), tmp0, fam(F_STEAL, ci));
+
+    // Eq. 10: STEAL_loc(c) = STEAL(c)
+    //   ∪ ⋃_{p ∈ PREDS^FJ} (STEAL_loc(p) − GIVE_loc(p))
+    //   ∪ ⋃_{p ∈ PREDS^S} STEAL_loc(p)
+    // An unwritten row adds nothing to a ∪.
+    k.copy(tmp0, fam(F_STEAL, ci));
+    for p in graph
+        .preds(c, EdgeMask::FJ)
+        .filter(|&p| all_written || written(p))
+    {
+        k.or_andnot(
+            tmp0,
+            fam(F_STEAL_LOC, p.index()),
+            fam(F_GIVE_LOC, p.index()),
+        );
+    }
+    for p in graph.preds(c, EdgeMask::S).filter(|&p| written(p)) {
+        k.or(tmp0, fam(F_STEAL_LOC, p.index()));
+    }
+    k.copy(fam(F_STEAL_LOC, ci), tmp0);
+}
+
+/// Eqs. 1–8 at `node`: writes its `STEAL`, `GIVE`, `BLOCK`, `TAKEN_out`,
+/// `TAKE`, `TAKEN_in`, `BLOCK_loc` and `TAKE_loc`.
+#[inline(always)]
+fn node_step<K: Kernels>(graph: &IntervalGraph, opts: &SolverOptions, k: &mut K, node: NodeId) {
+    let n = graph.num_nodes();
+    let fam = |f: usize, i: usize| row(n, f, i);
+    let (tmp0, _) = temps(n);
+    let ni = node.index();
+
+    // Eq. 1 / Eq. 2: fold in the interval summary via LASTCHILD.
+    let poisoned = effective_poison(graph, opts, node);
+    if poisoned {
+        k.fill(fam(F_STEAL, ni));
+    } else {
+        k.load(fam(F_STEAL, ni), Init::Steal, ni);
+    }
+    k.load(fam(F_GIVE, ni), Init::Give, ni);
+    if let Some(lc) = graph.last_child(node) {
+        k.or(fam(F_STEAL, ni), fam(F_STEAL_LOC, lc.index()));
+        k.or(fam(F_GIVE, ni), fam(F_GIVE_LOC, lc.index()));
+    }
+
+    // Eq. 3: BLOCK(n) = STEAL ∪ GIVE ∪ ⋃_{s ∈ SUCCS^E} BLOCK_loc(s)
+    k.copy_or(fam(F_BLOCK, ni), fam(F_STEAL, ni), fam(F_GIVE, ni));
+    for s in graph.succs(node, EdgeMask::E) {
+        k.or(fam(F_BLOCK, ni), fam(F_BLOCK_LOC, s.index()));
+    }
+
+    // Eq. 4: TAKEN_out(n) = ∩_{s ∈ SUCCS^FJS} TAKEN_in(s)
+    let mut first = true;
+    for s in graph.succs(node, EdgeMask::FJS) {
+        if first {
+            k.copy(fam(F_TAKEN_OUT, ni), fam(F_TAKEN_IN, s.index()));
+            first = false;
+        } else {
+            k.and(fam(F_TAKEN_OUT, ni), fam(F_TAKEN_IN, s.index()));
+        }
+    }
+    if first {
+        k.clear(fam(F_TAKEN_OUT, ni));
+    }
+
+    // Eq. 5: TAKE(n) = TAKE_init
+    //   ∪ (⋃_{s ∈ SUCCS^E} TAKEN_in(s) − STEAL(n))
+    //   ∪ ((TAKEN_out(n) ∩ ⋃_{s ∈ SUCCS^E} TAKE_loc(s)) − BLOCK(n))
+    k.load(fam(F_TAKE, ni), Init::Take, ni);
+    if !poisoned {
+        k.clear(tmp0);
+        for s in graph.succs(node, EdgeMask::E) {
+            k.or(tmp0, fam(F_TAKEN_IN, s.index()));
+        }
+        k.or_andnot(fam(F_TAKE, ni), tmp0, fam(F_STEAL, ni));
+
+        k.clear(tmp0);
+        for s in graph.succs(node, EdgeMask::E) {
+            k.or(tmp0, fam(F_TAKE_LOC, s.index()));
+        }
+        k.and(tmp0, fam(F_TAKEN_OUT, ni));
+        k.andnot(tmp0, fam(F_BLOCK, ni));
+        k.or(fam(F_TAKE, ni), tmp0);
+    }
+
+    // Eq. 6: TAKEN_in(n) = TAKE(n) ∪ (TAKEN_out(n) − BLOCK(n))
+    k.copy_andnot(fam(F_TAKEN_IN, ni), fam(F_TAKEN_OUT, ni), fam(F_BLOCK, ni));
+    k.or(fam(F_TAKEN_IN, ni), fam(F_TAKE, ni));
+
+    // Eq. 7: BLOCK_loc(n) = (BLOCK(n) ∪ ⋃_{s ∈ SUCCS^F} BLOCK_loc(s))
+    //                        − TAKE(n)
+    k.copy(fam(F_BLOCK_LOC, ni), fam(F_BLOCK, ni));
+    for s in graph.succs(node, EdgeMask::F) {
+        k.or(fam(F_BLOCK_LOC, ni), fam(F_BLOCK_LOC, s.index()));
+    }
+    k.andnot(fam(F_BLOCK_LOC, ni), fam(F_TAKE, ni));
+
+    // Eq. 8: TAKE_loc(n) = TAKE(n)
+    //   ∪ (⋃_{s ∈ SUCCS^EF} TAKE_loc(s) − BLOCK(n))
+    k.clear(fam(F_TAKE_LOC, ni));
+    for s in graph.succs(node, EdgeMask::EF) {
+        k.or(fam(F_TAKE_LOC, ni), fam(F_TAKE_LOC, s.index()));
+    }
+    k.andnot(fam(F_TAKE_LOC, ni), fam(F_BLOCK, ni));
+    k.or(fam(F_TAKE_LOC, ni), fam(F_TAKE, ni));
 }
 
 /// Whether pass 1 of [`schedule`] writes the `GIVE_loc`/`STEAL_loc` rows
@@ -641,111 +676,115 @@ pub(crate) fn given_out_written_before(graph: &IntervalGraph, p: NodeId, n: Node
     graph.preorder_index(p) < graph.preorder_index(n)
 }
 
-/// Passes 2–3 of [`schedule`] for one flavor.
-fn place<K: Kernels>(graph: &IntervalGraph, k: &mut K, flavor: Flavor) {
+/// Eqs. 11–13 at `node` for one flavor: writes its `GIVEN_in`, `GIVEN`
+/// and `GIVEN_out`.
+#[inline(always)]
+fn given_step<K: Kernels>(graph: &IntervalGraph, k: &mut K, flavor: Flavor, node: NodeId) {
     let n = graph.num_nodes();
-    let fam = |f: usize, i: usize| f * n + i;
-    let tmp0 = NUM_FAMILIES * n;
+    let fam = |f: usize, i: usize| row(n, f, i);
+    let (tmp0, _) = temps(n);
     let off = flavor_offset(flavor);
     let (f_gin, f_given, f_gout) = (F_GIVEN_IN + off, F_GIVEN + off, F_GIVEN_OUT + off);
-
-    for &node in graph.preorder() {
-        let ni = node.index();
-        // Eq. 11: GIVEN_in(n) = (GIVEN(HEADER(n)) − STEAL(HEADER(n)))
-        //   ∪ ∩_{p ∈ PREDS^FJ} GIVEN_out(p)
-        //   ∪ (TAKEN_in(n) ∩ ⋃_{q ∈ PREDS^FJ} GIVEN_out(q))
-        //
-        // Deviation from the paper, which writes just GIVEN(HEADER(n)):
-        // the header's availability only describes *loop entry*. An
-        // item stolen inside the loop without resupply (∈ STEAL(h)) is
-        // gone on iteration 2+, so propagating it into the body lets a
-        // JUMP out of the loop escape with stale availability and
-        // breaks C3 (counterexample: take x; do { if t goto 99; steal
-        // x }; 99 take x — the jump path on iteration 2 has x
-        // destroyed). Subtracting STEAL(h) restores must-availability
-        // over all iterations and is consistent with every §4 example
-        // value.
-        match graph.header_of(node) {
-            Some(h) => {
-                k.copy_andnot(
-                    fam(f_gin, ni),
-                    fam(f_given, h.index()),
-                    fam(F_STEAL, h.index()),
-                );
-            }
-            None => k.clear(fam(f_gin, ni)),
+    let ni = node.index();
+    // Eq. 11: GIVEN_in(n) = (GIVEN(HEADER(n)) − STEAL(HEADER(n)))
+    //   ∪ ∩_{p ∈ PREDS^FJ} GIVEN_out(p)
+    //   ∪ (TAKEN_in(n) ∩ ⋃_{q ∈ PREDS^FJ} GIVEN_out(q))
+    //
+    // Deviation from the paper, which writes just GIVEN(HEADER(n)): the
+    // header's availability only describes *loop entry*. An item stolen
+    // inside the loop without resupply (∈ STEAL(h)) is gone on iteration
+    // 2+, so propagating it into the body lets a JUMP out of the loop
+    // escape with stale availability and breaks C3 (counterexample: take
+    // x; do { if t goto 99; steal x }; 99 take x — the jump path on
+    // iteration 2 has x destroyed). Subtracting STEAL(h) restores
+    // must-availability over all iterations and is consistent with every
+    // §4 example value.
+    match graph.header_of(node) {
+        Some(h) => {
+            k.copy_andnot(
+                fam(f_gin, ni),
+                fam(f_given, h.index()),
+                fam(F_STEAL, h.index()),
+            );
         }
-        // On reversed graphs a jump may enter this node's interval
-        // *bypassing* it (§5.3). Availability at the header must then
-        // also hold along those entries, so the jump-in sources join
-        // the predecessor set for both the must-intersection and the
-        // partial-availability term — the RES_out mechanism (Eq. 15)
-        // then places production on the deficient jump path, exactly
-        // the pad placements of Figure 14.
-        // As in Eqs. 9–10, a ∩ meeting an unwritten row is ∅ and an
-        // unwritten row adds nothing to the ∪. The preorder is
-        // topological over every edge but CYCLE, so each `PREDS^FJ` row
-        // is written already and only a jump-in source can be unwritten.
-        let written = |p: &NodeId| given_out_written_before(graph, *p, node);
-        debug_assert!(graph.preds(node, EdgeMask::FJ).all(|p| written(&p)));
-        let all_written = graph.jump_in_sources(node).iter().all(written);
-        let eq11_preds = || {
-            graph
-                .preds(node, EdgeMask::FJ)
-                .chain(graph.jump_in_sources(node).iter().copied())
-        };
-        let mut first = true;
-        if all_written {
-            for p in eq11_preds() {
-                if first {
-                    k.copy(tmp0, fam(f_gout, p.index()));
-                    first = false;
-                } else {
-                    k.and(tmp0, fam(f_gout, p.index()));
-                }
+        None => k.clear(fam(f_gin, ni)),
+    }
+    // On reversed graphs a jump may enter this node's interval
+    // *bypassing* it (§5.3). Availability at the header must then also
+    // hold along those entries, so the jump-in sources join the
+    // predecessor set for both the must-intersection and the
+    // partial-availability term — the RES_out mechanism (Eq. 15) then
+    // places production on the deficient jump path, exactly the pad
+    // placements of Figure 14.
+    // As in Eqs. 9–10, a ∩ meeting an unwritten row is ∅ and an
+    // unwritten row adds nothing to the ∪. The preorder is topological
+    // over every edge but CYCLE, so each `PREDS^FJ` row is written
+    // already and only a jump-in source can be unwritten.
+    let written = |p: &NodeId| given_out_written_before(graph, *p, node);
+    debug_assert!(graph.preds(node, EdgeMask::FJ).all(|p| written(&p)));
+    let all_written = graph.jump_in_sources(node).iter().all(written);
+    let eq11_preds = || {
+        graph
+            .preds(node, EdgeMask::FJ)
+            .chain(graph.jump_in_sources(node).iter().copied())
+    };
+    let mut first = true;
+    if all_written {
+        for p in eq11_preds() {
+            if first {
+                k.copy(tmp0, fam(f_gout, p.index()));
+                first = false;
+            } else {
+                k.and(tmp0, fam(f_gout, p.index()));
             }
         }
-        if !first {
-            k.or(fam(f_gin, ni), tmp0);
-        }
-        k.clear(tmp0);
-        for q in eq11_preds().filter(|q| all_written || written(q)) {
-            k.or(tmp0, fam(f_gout, q.index()));
-        }
-        k.and(tmp0, fam(F_TAKEN_IN, ni));
+    }
+    if !first {
         k.or(fam(f_gin, ni), tmp0);
-
-        // Eq. 12: GIVEN(n) = GIVEN_in(n) ∪ TAKEN_in(n)   (EAGER)
-        //                  = GIVEN_in(n) ∪ TAKE(n)       (LAZY)
-        let consumed = match flavor {
-            Flavor::Eager => F_TAKEN_IN,
-            Flavor::Lazy => F_TAKE,
-        };
-        k.copy_or(fam(f_given, ni), fam(f_gin, ni), fam(consumed, ni));
-
-        // Eq. 13: GIVEN_out(n) = (GIVE(n) ∪ GIVEN(n)) − STEAL(n)
-        k.copy_or_andnot(
-            fam(f_gout, ni),
-            fam(F_GIVE, ni),
-            fam(f_given, ni),
-            fam(F_STEAL, ni),
-        );
     }
+    k.clear(tmp0);
+    for q in eq11_preds().filter(|q| all_written || written(q)) {
+        k.or(tmp0, fam(f_gout, q.index()));
+    }
+    k.and(tmp0, fam(F_TAKEN_IN, ni));
+    k.or(fam(f_gin, ni), tmp0);
 
-    // S4: Eqs. 14–15.
+    // Eq. 12: GIVEN(n) = GIVEN_in(n) ∪ TAKEN_in(n)   (EAGER)
+    //                  = GIVEN_in(n) ∪ TAKE(n)       (LAZY)
+    let consumed = match flavor {
+        Flavor::Eager => F_TAKEN_IN,
+        Flavor::Lazy => F_TAKE,
+    };
+    k.copy_or(fam(f_given, ni), fam(f_gin, ni), fam(consumed, ni));
+
+    // Eq. 13: GIVEN_out(n) = (GIVE(n) ∪ GIVEN(n)) − STEAL(n)
+    k.copy_or_andnot(
+        fam(f_gout, ni),
+        fam(F_GIVE, ni),
+        fam(f_given, ni),
+        fam(F_STEAL, ni),
+    );
+}
+
+/// Eqs. 14–15 at `node` for one flavor: writes its `RES_in` and
+/// `RES_out`.
+#[inline(always)]
+fn res_step<K: Kernels>(graph: &IntervalGraph, k: &mut K, flavor: Flavor, node: NodeId) {
+    let n = graph.num_nodes();
+    let fam = |f: usize, i: usize| row(n, f, i);
+    let off = flavor_offset(flavor);
+    let (f_gin, f_given, f_gout) = (F_GIVEN_IN + off, F_GIVEN + off, F_GIVEN_OUT + off);
     let (f_rin, f_rout) = (F_RES_IN + off, F_RES_OUT + off);
-    for node in graph.nodes() {
-        let ni = node.index();
-        // Eq. 14: RES_in(n) = GIVEN(n) − GIVEN_in(n)
-        k.copy_andnot(fam(f_rin, ni), fam(f_given, ni), fam(f_gin, ni));
+    let ni = node.index();
+    // Eq. 14: RES_in(n) = GIVEN(n) − GIVEN_in(n)
+    k.copy_andnot(fam(f_rin, ni), fam(f_given, ni), fam(f_gin, ni));
 
-        // Eq. 15: RES_out(n) = ⋃_{s ∈ SUCCS^FJ} GIVEN_in(s) − GIVEN_out(n)
-        k.clear(fam(f_rout, ni));
-        for s in graph.succs(node, EdgeMask::FJ) {
-            k.or(fam(f_rout, ni), fam(f_gin, s.index()));
-        }
-        k.andnot(fam(f_rout, ni), fam(f_gout, ni));
+    // Eq. 15: RES_out(n) = ⋃_{s ∈ SUCCS^FJ} GIVEN_in(s) − GIVEN_out(n)
+    k.clear(fam(f_rout, ni));
+    for s in graph.succs(node, EdgeMask::FJ) {
+        k.or(fam(f_rout, ni), fam(f_gin, s.index()));
     }
+    k.andnot(fam(f_rout, ni), fam(f_gout, ni));
 }
 
 #[cfg(test)]
