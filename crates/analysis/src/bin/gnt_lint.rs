@@ -37,8 +37,8 @@ options:
   --profile           emit one JSON line per file to stderr with per-stage
                       wall-clock timings (parse/cfg/analyze/reverse/solve/
                       generate/lint ns; total_ns is their sum),
-                      solve counts, solver engine counts (tape compiles,
-                      direct solves, tape replays) and bounded-path replay
+                      solve counts, solver engine counts (direct solves,
+                      incremental and declined deltas) and bounded-path replay
                       counts; profiled runs lint sequentially and bypass
                       the cache
   --dot PATH          write the interval graph with findings highlighted

@@ -240,9 +240,9 @@ pub struct StageTimings {
     /// on the rows Layer 2 lints, else 0.
     pub checks_reused: u64,
     /// The run's solver-engine counts. Every solve of a lint is a full
-    /// solve on the direct walker, so a run compiles no tape and replays
-    /// none, and its direct solves are the plan's (2, or 3 with §5.3's
-    /// poisoned fallback) plus the blame re-derivations.
+    /// walk of the schedule, so a run re-solves no delta, and its direct
+    /// solves are the plan's (2, or 3 with §5.3's poisoned fallback) plus
+    /// the blame re-derivations.
     pub engine: gnt_core::EngineCounters,
 }
 
@@ -264,7 +264,7 @@ impl StageTimings {
         format!(
             "{{\"file\":\"{}\",\"parse_ns\":{},\"cfg_ns\":{},\"analyze_ns\":{},\
              \"reverse_ns\":{},\"solve_ns\":{},\"generate_ns\":{},\"criteria_ns\":{},\"lint_ns\":{},\
-             \"total_ns\":{},\"solves\":{},\"tape_compiles\":{},\"direct_solves\":{},\"tape_replays\":{},\
+             \"total_ns\":{},\"solves\":{},\"direct_solves\":{},\"deltas_incremental\":{},\"deltas_declined\":{},\
              \"paths_replayed\":{},\"enumerations_truncated\":{},\"o1_rounds\":{},\"checks_reused\":{}}}",
             crate::diag::json_escape(file),
             self.parse_ns,
@@ -277,9 +277,9 @@ impl StageTimings {
             self.lint_ns,
             self.total_ns(),
             self.solves,
-            self.engine.tape_compiles,
             self.engine.direct_solves,
-            self.engine.tape_replays,
+            self.engine.deltas_incremental,
+            self.engine.deltas_declined,
             self.paths_replayed,
             self.enumerations_truncated,
             self.o1_rounds,

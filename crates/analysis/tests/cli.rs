@@ -563,8 +563,8 @@ fn profile_splits_the_graph_from_the_comm_analysis() {
 /// warnings, so READ is re-derived for their trails, and WRITE is not.
 /// A `goto` out of a loop ahead of its write makes the optimistic WRITE
 /// solve fail its checks, and the poisoned fallback solve counts too.
-/// Every solve of a lint is a full solve, so it runs on the direct
-/// walker and compiles no schedule tape.
+/// Every solve of a lint is a full walk of the schedule, so a lint counts
+/// no delta re-solve, incremental or declined.
 #[test]
 fn profile_counts_one_solve_per_problem() {
     let fig1 = write_fixture("fig1_solves.minif", FIG1);
@@ -575,13 +575,14 @@ fn profile_counts_one_solve_per_problem() {
     ] {
         let line = profile_line(&fig1, args, 0);
         assert_eq!(profile_field(&line, "solves"), solves, "{args:?}: {line}");
-        assert_eq!(profile_field(&line, "tape_compiles"), 0, "{args:?}: {line}");
         assert_eq!(
             profile_field(&line, "direct_solves"),
             solves,
             "{args:?}: {line}"
         );
-        assert_eq!(profile_field(&line, "tape_replays"), 0, "{args:?}: {line}");
+        for key in ["deltas_incremental", "deltas_declined"] {
+            assert_eq!(profile_field(&line, key), 0, "{args:?}: {line}");
+        }
     }
     let goto = write_fixture(
         "goto_before_write.minif",
@@ -603,9 +604,9 @@ fn profile_counts_one_solve_per_problem() {
             "lint_ns",
             "total_ns",
             "solves",
-            "tape_compiles",
             "direct_solves",
-            "tape_replays",
+            "deltas_incremental",
+            "deltas_declined",
             "paths_replayed",
             "enumerations_truncated",
             "o1_rounds",
@@ -614,9 +615,9 @@ fn profile_counts_one_solve_per_problem() {
         "{line}"
     );
     assert_eq!(profile_field(&line, "solves"), 3, "{line}");
-    assert_eq!(profile_field(&line, "tape_compiles"), 0, "{line}");
     assert_eq!(profile_field(&line, "direct_solves"), 3, "{line}");
-    assert_eq!(profile_field(&line, "tape_replays"), 0, "{line}");
+    assert_eq!(profile_field(&line, "deltas_incremental"), 0, "{line}");
+    assert_eq!(profile_field(&line, "deltas_declined"), 0, "{line}");
 }
 
 /// The WRITE solve checks its optimistic attempt against C1 and C3 when a

@@ -11,24 +11,19 @@
 //!   into a reused output buffer, at the same sizes. It replayed a
 //!   cached tape until EXP-C17 and is now the direct walk plus the copy
 //!   out;
-//! * `tape_compile/16items` — one [`gnt_core::ScheduleTape::compile`]
-//!   (recording walk, fusion, delta partition), the cost the first
-//!   delta re-solve of a graph pays (ungated);
 //! * `pressure_resolve/full` and `pressure_resolve/delta` — one
 //!   pressure-loop round (toggle a `STEAL_init` bit, re-solve) served by
 //!   a full solve (a direct walk since EXP-C17, a full tape replay
 //!   before) vs the incremental delta engine ([`gnt_core::solve_delta`],
-//!   the EXP-C4 protocol);
+//!   the EXP-C4 protocol; a re-walk of the schedule steps downstream of
+//!   the edit since EXP-C18, a replay of the dirty tape blocks before);
 //! * `delta_1row/16items` — a single `TAKE_init` bit toggled and
 //!   re-solved incrementally, the engine's best case;
-//! * `tape_compile_reversed/16items` and `delta_1row_reversed/16items` —
-//!   the same two measurements on the reversed graph of a program whose
-//!   loops each have a `goto` out of them, so the tape folds out reads
-//!   of jump-in rows (ungated);
-//! * `oneshot_direct/16items` and `oneshot_tape/16items` — one full solve
-//!   on a fresh scratch at `sized_program(3000)`: the direct walk every
-//!   full solve runs, against a cold tape compile plus its replay, the
-//!   premise of solving full problems directly (ungated);
+//! * `delta_1row_reversed/16items` — the same on the reversed graph of a
+//!   program whose loops each have a `goto` out of them, so the walk
+//!   folds out reads of jump-in rows (ungated);
+//! * `oneshot_direct/16items` — one full solve on a fresh scratch at
+//!   `sized_program(3000)` (ungated);
 //! * `verify/16items` — the independent checkers on that solution:
 //!   [`gnt_core::check_sufficiency`] of both flavors plus
 //!   [`gnt_core::check_balance`] (ungated);
@@ -36,15 +31,13 @@
 //!   of the scratch: all 20 families ([`SolverScratch::export`]) against
 //!   the 4 production families a plan reads
 //!   ([`SolverScratch::export_productions`]) (ungated);
-//! * `cfg/lower`, `cfg/from_cfg`, `cfg/reversed_graph` and `tape/lookup`
-//!   — at `sized_program(3000)`: one [`gnt_cfg::lower`] call (the walk,
-//!   the flat edge tables and the prune), [`IntervalGraph::from_cfg`] on
-//!   the lowered CFG (its clone untimed), [`gnt_cfg::reversed_graph`] of
+//! * `cfg/lower`, `cfg/from_cfg` and `cfg/reversed_graph` — at
+//!   `sized_program(3000)`: one [`gnt_cfg::lower`] call (the walk, the
+//!   flat edge tables and the prune), [`IntervalGraph::from_cfg`] on the
+//!   lowered CFG (its clone untimed) and [`gnt_cfg::reversed_graph`] of
 //!   the result, each timed per call and recorded per node of the
-//!   interval graph, and one [`SolverScratch::cached_tape`] hit on the
-//!   tape a [`gnt_core::solve_delta`] compiled, averaged
-//!   over 1 000 calls and recorded per call (`nodes` 1); a moved pipeline
-//!   number can then name its graph layer (ungated);
+//!   interval graph; a moved pipeline number can then name its graph
+//!   layer (ungated);
 //! * `comm_analyze/ns_per_node` and `lint_layer2/ns_per_node` — the
 //!   communication analysis of `sized_program(3000)` without lowering
 //!   and the interval graph, and Layer 2's criteria lints of its READ
@@ -111,8 +104,8 @@ use gnt_cfg::IntervalGraph;
 use gnt_comm::{analyze, analyze_timed, generate_with_placement, CommConfig, GenerateOptions};
 use gnt_core::{
     check_balance, check_sufficiency, random_problem, random_program, sized_program, solve,
-    solve_batch, solve_delta, solve_into, DeltaSet, GenConfig, PlacementProblem, ScheduleTape,
-    Solution, SolverOptions, SolverScratch,
+    solve_batch, solve_delta, solve_into, DeltaSet, GenConfig, PlacementProblem, Solution,
+    SolverOptions, SolverScratch,
 };
 use gnt_dataflow::WorkerPool;
 use gnt_ir::{Expr, ProgramBuilder};
@@ -345,20 +338,13 @@ fn main() -> ExitCode {
             threads: 1,
         });
 
-        let ns = median_ns(runs, || ScheduleTape::compile(&graph, &opts));
-        records.push(BenchRecord {
-            bench: "tape_compile/16items".to_string(),
-            nodes,
-            items: 16,
-            ns_per_node: ns / nodes as f64,
-            threads: 1,
-        });
-
         // One pressure-loop round — toggle a STEAL_init bit at a mid-
         // program node, re-solve — served two ways over the same warm
         // scratch. `full` solves in full (what the loop did before the
-        // delta engine); `delta` replays only the dirty cone of the tape. The mutation alternates insert/remove so every timed
-        // call really changes the row, honoring the delta contract.
+        // delta engine); `delta` re-walks only the schedule steps
+        // downstream of the edit. The mutation alternates insert/remove
+        // so every timed call really changes the row, honoring the delta
+        // contract.
         let hot = gnt_cfg::NodeId((nodes / 2) as u32);
         let mut working = problem.clone();
         let mut scratch = SolverScratch::new();
@@ -411,22 +397,13 @@ fn main() -> ExitCode {
             threads: 1,
         });
 
-        // The same compile and best case on a reversed graph with jumps
-        // into loops.
+        // The same best case on a reversed graph with jumps into loops.
         let forward = IntervalGraph::from_program(&goto_program(target)).expect("reducible");
         let reversed = gnt_cfg::reversed_graph(&forward).expect("reversible");
         assert!(reversed
             .nodes()
             .any(|h| !reversed.jump_in_sources(h).is_empty()));
         let rev_nodes = reversed.num_nodes();
-        let ns = median_ns(runs, || ScheduleTape::compile(&reversed, &opts));
-        records.push(BenchRecord {
-            bench: "tape_compile_reversed/16items".to_string(),
-            nodes: rev_nodes,
-            items: 16,
-            ns_per_node: ns / rev_nodes as f64,
-            threads: 1,
-        });
         let rev_hot = gnt_cfg::NodeId((rev_nodes / 2) as u32);
         let mut working = random_problem(42, &reversed, 16, 0.3);
         let mut scratch = SolverScratch::new();
@@ -447,8 +424,7 @@ fn main() -> ExitCode {
         });
     }
 
-    // A one-shot full solve both ways, and the checkers, at 3000
-    // statements.
+    // A one-shot full solve and the checkers at 3000 statements.
     let graph = IntervalGraph::from_program(&sized_program(3000)).expect("reducible");
     let nodes = graph.num_nodes();
     let problem = random_problem(42, &graph, 16, 0.3);
@@ -456,16 +432,9 @@ fn main() -> ExitCode {
     let ns = median_ns(runs, || {
         let mut scratch = SolverScratch::new();
         solve_into(&graph, &problem, &opts, &mut scratch);
-        assert_eq!(scratch.counters().tape_compiles, 0);
         scratch
     });
     let mut oneshot = vec![("oneshot_direct/16items", ns)];
-    let ns = median_ns(runs, || {
-        let mut scratch = SolverScratch::new();
-        ScheduleTape::compile(&graph, &opts).execute_into(&problem, &mut scratch);
-        scratch
-    });
-    oneshot.push(("oneshot_tape/16items", ns));
     let solution = solve(&graph, &problem, &opts);
     let ns = median_ns(runs, || {
         check_sufficiency(&graph, &problem, &solution.eager, true).len()
@@ -480,8 +449,7 @@ fn main() -> ExitCode {
     oneshot.push(("export/full", median_ns(runs, || scratch.export())));
     let ns = median_ns(runs, || scratch.export_productions());
     oneshot.push(("export/productions", ns));
-    // The graph layer: building both orientations, and the lookup of the
-    // scratch's cached tape, which reads the fingerprint the graph stored.
+    // The graph layer: building both orientations.
     let program = sized_program(3000);
     let ns = median_ns(runs, || gnt_cfg::lower(&program).expect("sized programs"));
     oneshot.push(("cfg/lower", ns));
@@ -496,17 +464,6 @@ fn main() -> ExitCode {
         gnt_cfg::reversed_graph(&graph).expect("reversible")
     });
     oneshot.push(("cfg/reversed_graph", ns));
-    solve_delta(&graph, &problem, &opts, &mut scratch, &DeltaSet::new());
-    assert!(scratch.cached_tape(&graph, &opts).is_some());
-    let ns = median_ns(runs, || {
-        (0..1000)
-            .filter(|_| {
-                std::hint::black_box(&scratch)
-                    .cached_tape(&graph, &opts)
-                    .is_some()
-            })
-            .count()
-    });
     for (bench, ns) in oneshot {
         records.push(BenchRecord {
             bench: bench.to_string(),
@@ -516,15 +473,6 @@ fn main() -> ExitCode {
             threads: 1,
         });
     }
-    // A lookup does not scale with the graph: its row is per call
-    // (`nodes` 1), so `ns_per_node` reads nanoseconds per lookup.
-    records.push(BenchRecord {
-        bench: "tape/lookup".to_string(),
-        nodes: 1,
-        items: 16,
-        ns_per_node: ns / 1000.0,
-        threads: 1,
-    });
     records.extend(comm_layers(runs, &sized_program(3000)));
     records.push(lint_criteria(runs, &sized_program(3000)));
 

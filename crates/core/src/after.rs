@@ -394,17 +394,15 @@ mod tests {
     }
 
     /// The first one-bit `solve_delta` on the reversed graph right after
-    /// an AFTER solve goes incremental, with and without the fallback.
-    /// Full solves compile nothing, so after one or two AFTER solves the
-    /// delta compiles the tape once and re-solves against the basis the
-    /// last direct walk laid.
+    /// one or two AFTER solves, with and without the fallback, re-walks
+    /// incrementally against the basis the last full walk laid.
     #[test]
-    fn delta_after_an_after_solve_reuses_its_tape() {
+    fn delta_after_an_after_solve_runs_incrementally() {
         let (p, g) = graph("do i = 1, N\n  x(a(i)) = ...\n  if t(i) goto 7\nenddo\n7 b = 2");
         let mut vectorized = PlacementProblem::new(g.num_nodes(), 1);
         vectorized.take(stmt_node(&g, &p, "x(a(i))"), 0);
         for (g, problem) in [(g, vectorized), goto_before_write()] {
-            for (solves, new_compiles) in [(1, 1), (2, 1)] {
+            for solves in [1, 2] {
                 let opts = SolverOptions::default();
                 let mut scratch = crate::SolverScratch::new();
                 let mut after =
@@ -416,7 +414,7 @@ mod tests {
                     .reversed
                     .nodes()
                     .any(|h| !after.reversed.jump_in_sources(h).is_empty()));
-                let compiles = scratch.counters().tape_compiles;
+                let before = scratch.counters();
                 let mut p = problem.clone();
                 p.resize_nodes(after.reversed.num_nodes());
                 let node = after.reversed.nodes().nth(3).unwrap();
@@ -424,9 +422,13 @@ mod tests {
                 let mut delta = crate::DeltaSet::new();
                 delta.mark_steal(node);
                 let report = crate::solve_delta(&after.reversed, &p, &opts, &mut scratch, &delta);
-                let compiled = scratch.counters().tape_compiles - compiles;
-                assert_eq!(compiled, new_compiles, "{solves}");
                 assert!(!report.full_replay, "{solves}: {report:?}");
+                let counted = scratch.counters() - before;
+                assert_eq!(
+                    (counted.deltas_incremental, counted.deltas_declined),
+                    (1, 0),
+                    "{solves}"
+                );
                 assert_eq!(scratch.export(), crate::solve(&after.reversed, &p, &opts));
             }
         }

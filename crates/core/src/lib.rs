@@ -67,18 +67,17 @@ mod scratch;
 mod scratch_pool;
 mod shift;
 mod solver;
-mod tape;
 mod verify;
 
 pub use after::{solve_after, solve_after_into, solve_after_with_scratch, AfterSolution};
 pub use blame::{
     check_chain, Absence, BlameChain, BlameEngine, BlameStep, Reason, Root, Var, WhyNot, WhyNotStep,
 };
-pub use delta::{solve_delta, DeltaKind, DeltaReport, DeltaSet};
+pub use delta::{delta_fingerprint, solve_delta, DeltaKind, DeltaReport, DeltaSet};
 pub use generator::{random_problem, random_program, sized_program, GenConfig};
 pub use pressure::{measure_pressure, solve_with_pressure_limit_in_place, PressureReport};
 pub use problem::{Flavor, PlacementProblem, SolverOptions};
-pub use scratch::SolverScratch;
+pub use scratch::{EngineCounters, SolverScratch};
 pub use scratch_pool::ScratchPool;
 pub use shift::{shift_off_synthetic, ShiftReport};
 /// Another name of [`solve_into`], kept for callers of the batch entry
@@ -88,7 +87,6 @@ pub use solver::{
     solve, solve_batch, solve_batch_with_scratch, solve_into, ConsumptionVars, FlavorSolution,
     Solution,
 };
-pub use tape::{EngineCounters, ScheduleTape, TapeOp};
 pub use verify::{
     check_balance, check_path, check_sufficiency, check_sufficiency_pair, enumerate_paths,
     enumerate_paths_capped, for_each_path, path_has_zero_trip, Path, PathChecker, Violation,

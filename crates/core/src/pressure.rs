@@ -54,8 +54,8 @@ pub struct PressureReport {
     /// Rounds of re-solving performed.
     pub rounds: usize,
     /// Rounds served by the incremental engine ([`crate::solve_delta`])
-    /// rather than a full tape replay. Equal to `rounds` whenever the
-    /// tape supports delta execution (every compiled tape does).
+    /// rather than a full walk. Equal to `rounds` whenever round 0's full
+    /// solve laid the delta basis, which it always does.
     pub delta_rounds: usize,
 }
 
@@ -82,11 +82,9 @@ pub fn solve_with_pressure_limit_in_place(
     max_rounds: usize,
     scratch: &mut SolverScratch,
 ) -> (Solution, PressureReport) {
-    // Round 0 is a full solve, a direct walk that lays the delta basis,
-    // so every later round — which only mutates `STEAL_init` at the one
-    // hot node — re-solves incrementally through the tape's dirty-row
-    // engine. The first such round compiles the tape unless the scratch
-    // already caches it.
+    // Round 0 is a full solve, a walk that lays the delta basis, so every
+    // later round — which only mutates `STEAL_init` at the one hot node —
+    // re-walks only the schedule steps downstream of that node.
     solve_into(graph, problem, opts, scratch);
     let pressure_max = |s: &SolverScratch| {
         graph
@@ -237,15 +235,24 @@ mod tests {
         assert!(check_sufficiency(&g, &p, &s.eager, true).is_empty());
     }
 
+    /// Round 0 is the one full solve; the scratch counts every later
+    /// round as an incremental delta, none declined.
     #[test]
     fn pressure_rounds_are_served_incrementally() {
-        let (g, p) = chain(6);
-        let (_, report) = limit(&g, &p, 2, 32);
+        let (g, mut p) = chain(6);
+        let mut scratch = SolverScratch::new();
+        let opts = SolverOptions::default();
+        let (_, report) =
+            solve_with_pressure_limit_in_place(&g, &mut p, &opts, 2, 32, &mut scratch);
         assert!(report.rounds > 0);
         assert_eq!(
             report.delta_rounds, report.rounds,
-            "forward tapes must serve every re-solve round via the delta engine: {report:?}"
+            "every re-solve round must be served by the delta engine: {report:?}"
         );
+        let c = scratch.counters();
+        assert_eq!(c.direct_solves, 1, "{c:?}");
+        assert_eq!(c.deltas_incremental, report.rounds as u64, "{c:?}");
+        assert_eq!(c.deltas_declined, 0, "{c:?}");
     }
 
     #[test]

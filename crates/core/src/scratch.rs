@@ -11,7 +11,7 @@
 //! after warm-up.
 
 use crate::problem::Flavor;
-use crate::solver::{ConsumptionVars, FlavorSolution, Solution};
+use crate::solver::{ConsumptionVars, FlavorSolution, Solution, Worklist};
 use crate::verify::ProductionRows;
 use gnt_cfg::NodeId;
 use gnt_dataflow::{BitRef, BitSet, BitSlab};
@@ -42,6 +42,36 @@ pub(crate) fn flavor_offset(flavor: Flavor) -> usize {
     match flavor {
         Flavor::Eager => 0,
         Flavor::Lazy => FLAVOR_STRIDE,
+    }
+}
+
+/// The engine counters of one [`SolverScratch`] over its lifetime
+/// ([`SolverScratch::counters`]); subtract two readings to count one
+/// stretch of work.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineCounters {
+    /// Full solves, each a walk of the whole schedule: every
+    /// [`crate::solve_into`], and so every `solve`, `solve_batch*`, AFTER
+    /// attempt and pressure-loop round 0.
+    pub direct_solves: u64,
+    /// [`crate::solve_delta`] calls served by a re-walk of the steps
+    /// downstream of the edit.
+    pub deltas_incremental: u64,
+    /// [`crate::solve_delta`] calls that declined and walked the whole
+    /// schedule: the scratch held no full solve of the same graph,
+    /// options and universe width.
+    pub deltas_declined: u64,
+}
+
+impl std::ops::Sub for EngineCounters {
+    type Output = EngineCounters;
+
+    fn sub(self, earlier: EngineCounters) -> EngineCounters {
+        EngineCounters {
+            direct_solves: self.direct_solves - earlier.direct_solves,
+            deltas_incremental: self.deltas_incremental - earlier.deltas_incremental,
+            deltas_declined: self.deltas_declined - earlier.deltas_declined,
+        }
     }
 }
 
@@ -77,14 +107,13 @@ pub struct SolverScratch {
     pub(crate) slab: BitSlab,
     nodes: usize,
     bits: usize,
-    /// The schedule tape of the last [`crate::solve_delta`], kept for the
-    /// next one (see [`crate::ScheduleTape`]).
-    pub(crate) tape: Option<crate::ScheduleTape>,
-    pub(crate) counters: crate::EngineCounters,
+    /// The buffers of [`crate::solve_delta`]'s re-walk.
+    pub(crate) worklist: Worklist,
+    pub(crate) counters: EngineCounters,
     /// Fingerprint of the `(graph, opts)` whose full solve the arena
     /// currently holds, if any — the validity token for
-    /// [`crate::solve_delta`]. Set by every full solve, direct walk or
-    /// tape replay, and cleared by [`SolverScratch::prepare`].
+    /// [`crate::solve_delta`]. Set by every full walk, kept by a
+    /// re-walk, and cleared by [`SolverScratch::prepare`].
     delta_basis: Option<u64>,
 }
 
@@ -101,8 +130,8 @@ impl SolverScratch {
             slab: BitSlab::new(0, 0),
             nodes: 0,
             bits: 0,
-            tape: None,
-            counters: crate::EngineCounters::default(),
+            worklist: Worklist::default(),
+            counters: EngineCounters::default(),
             delta_basis: None,
         }
     }
@@ -125,6 +154,11 @@ impl SolverScratch {
 
     pub(crate) fn set_delta_basis(&mut self, basis: Option<u64>) {
         self.delta_basis = basis;
+    }
+
+    /// This scratch's engine counters so far.
+    pub fn counters(&self) -> EngineCounters {
+        self.counters
     }
 
     /// Number of graph nodes of the last solve.

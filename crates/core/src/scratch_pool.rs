@@ -1,16 +1,14 @@
 //! The process-wide pool of warm [`SolverScratch`] arenas.
 //!
 //! One [`SolverScratch`] is cheap to reuse and expensive to rebuild: it
-//! holds the `20·n+2`-row bitset arena *and* the compiled
-//! [`crate::ScheduleTape`] of its last delta re-solve plus the
-//! delta-basis token. The lint entry points in `gnt-analyze` (the batch
-//! jobs of [`gnt_dataflow::WorkerPool::map`] and the serial
+//! holds the `20·n+2`-row bitset arena, the buffers of the delta re-walk
+//! and the delta-basis token. The lint entry points in `gnt-analyze` (the
+//! batch jobs of [`gnt_dataflow::WorkerPool::map`] and the serial
 //! `lint_source`) check one out of [`ScratchPool::global`], a bounded
 //! [`gnt_dataflow::FreeList`], so each run picks up whichever scratch is
-//! warm. Checked-in scratches keep their tapes and delta bases; the
-//! solver entry points decide validity (tape fingerprints, the
-//! delta-basis token), so a stale cache can never corrupt a solve — it
-//! only costs a recompile.
+//! warm. Checked-in scratches keep their delta bases; the solver entry
+//! points decide validity (the delta-basis token), so a stale scratch
+//! can never corrupt a solve — it only costs a full walk.
 
 use crate::scratch::SolverScratch;
 use gnt_dataflow::{FreeList, Pooled};
@@ -61,13 +59,13 @@ mod tests {
             let mut cold_out = Solution::default();
             solve_batch(&graph, &problem, &opts, &mut cold, &mut cold_out);
             // The pooled scratch is warm from whatever the previous seed
-            // left behind (different graph, tapes, delta basis) — the
+            // left behind (different graph, delta basis) — the
             // fingerprint checks must make that invisible.
             let mut warm = pool.checkout();
             let mut warm_out = Solution::default();
             solve_batch(&graph, &problem, &opts, &mut warm, &mut warm_out);
             assert_eq!(warm_out, expected, "seed {seed}: warm vs direct");
-            assert_eq!(warm_out, cold_out, "seed {seed}: warm vs cold tape");
+            assert_eq!(warm_out, cold_out, "seed {seed}: warm vs cold scratch");
         }
         assert_eq!(pool.created(), 1, "one worker's traffic needs one scratch");
     }

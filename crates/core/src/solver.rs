@@ -18,32 +18,32 @@
 //! zeroed rows, so such a read is ∅: a ∩ meeting it is ∅ and a ∪ gains
 //! nothing from it. The walk decides this statically
 //! ([`loc_written_before`], [`given_out_written_before`]) and emits no
-//! term for it, which leaves every value unchanged and keeps compiled
-//! tapes free of forward references.
+//! term for it, which leaves every value unchanged and leaves no step
+//! reading a row that a later step writes.
 //!
 //! # Data plane
 //!
 //! All variables live in a [`SolverScratch`] arena (one contiguous word
 //! vector, one strided row per `(family, node)` pair). The schedule never
 //! branches on set *contents*, only on the graph and the hoisting
-//! options, so it is written once against the [`Kernels`] trait and run
-//! by two backends: the direct backend here applies fused word-level
-//! kernels as it walks (every full solve: [`solve`], [`solve_into`],
-//! [`solve_batch`], the AFTER solves and the pressure loop's round 0),
-//! and the recording backend of [`crate::ScheduleTape::compile`] records
-//! the same calls as the op stream [`crate::solve_delta`] re-solves
-//! incrementally. No per-equation temporaries, no allocation inside the
-//! passes.
+//! options. It is a loop over four step functions written against the
+//! [`Kernels`] trait, which the direct backend here implements with
+//! fused word-level kernels: every full solve ([`solve`], [`solve_into`],
+//! [`solve_batch`], the AFTER solves and the pressure loop's round 0)
+//! walks it whole, and [`crate::solve_delta`] re-runs only the steps
+//! downstream of an edit ([`rewalk`]). No per-equation temporaries, no
+//! allocation inside the passes.
 
 use crate::problem::{Flavor, PlacementProblem, SolverOptions};
 use crate::scratch::{
-    flavor_offset, SolverScratch, F_BLOCK, F_BLOCK_LOC, F_GIVE, F_GIVEN, F_GIVEN_IN, F_GIVEN_OUT,
-    F_GIVE_LOC, F_RES_IN, F_RES_OUT, F_STEAL, F_STEAL_LOC, F_TAKE, F_TAKEN_IN, F_TAKEN_OUT,
-    F_TAKE_LOC, NUM_FAMILIES,
+    flavor_offset, SolverScratch, FLAVOR_STRIDE, F_BLOCK, F_BLOCK_LOC, F_GIVE, F_GIVEN, F_GIVEN_IN,
+    F_GIVEN_OUT, F_GIVE_LOC, F_RES_IN, F_RES_OUT, F_STEAL, F_STEAL_LOC, F_TAKE, F_TAKEN_IN,
+    F_TAKEN_OUT, F_TAKE_LOC, NUM_FAMILIES,
 };
-use crate::tape::ScheduleTape;
 use gnt_cfg::{EdgeClass, EdgeMask, IntervalGraph, NodeId};
 use gnt_dataflow::{BitSet, BitSlab};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The consumption-analysis variables of §4.2–4.3 (identical for both
 /// flavors), exposed for inspection, verification, and the golden tests
@@ -210,11 +210,9 @@ pub(crate) enum Init {
 
 /// The set algebra the schedule is written against, over arena row ids
 /// (`family · n + node`, or one of the two temporaries). The direct
-/// backend applies each call to a [`BitSlab`] at once; the recording
-/// backend of [`crate::ScheduleTape::compile`] pushes it as a
-/// [`crate::TapeOp`]. The three fused operations default to their
-/// unfused expansion, which is what the recorder emits ahead of its
-/// peephole fuser.
+/// backend applies each call to a [`BitSlab`] at once; the test backends
+/// only watch which rows each call reads and writes. The three fused
+/// operations default to their unfused expansion.
 pub(crate) trait Kernels {
     /// `dst ← ∅`.
     fn clear(&mut self, dst: usize);
@@ -371,16 +369,26 @@ pub fn solve_into(
     scratch: &mut SolverScratch,
 ) {
     check_coverage(graph, problem);
-    scratch.prepare(graph.num_nodes(), problem.universe_size);
     scratch.counters.direct_solves += 1;
+    walk(graph, problem, opts, scratch);
+}
+
+/// A full walk of the schedule into `scratch`, laying the delta basis:
+/// the body of [`solve_into`], and what [`crate::solve_delta`] runs when
+/// it declines to re-walk.
+pub(crate) fn walk(
+    graph: &IntervalGraph,
+    problem: &PlacementProblem,
+    opts: &SolverOptions,
+    scratch: &mut SolverScratch,
+) {
+    scratch.prepare(graph.num_nodes(), problem.universe_size);
     let mut direct = Direct {
         slab: &mut scratch.slab,
         problem,
     };
     schedule(graph, opts, &mut direct);
-    // The walk leaves every row as a replay of the compiled tape would
-    // (`direct_walk_leaves_every_row_as_a_replay_does`).
-    scratch.set_delta_basis(Some(ScheduleTape::fingerprint_of(graph, opts)));
+    scratch.set_delta_basis(Some(crate::delta::delta_fingerprint(graph, opts)));
 }
 
 /// [`solve_into`] followed by a copy of every variable into the
@@ -465,9 +473,8 @@ pub(crate) fn effective_poison(graph: &IntervalGraph, opts: &SolverOptions, h: N
 
 /// The four-pass schedule of Figure 15 over arena rows, issued to `k`:
 /// a loop over the four step functions, each of which evaluates one
-/// group of equations at one node. Both backends run exactly this walk,
-/// so the direct solve and every compiled tape evaluate the same
-/// equations in the same order.
+/// group of equations at one node ([`Step`]). A full solve runs the loop
+/// whole; [`rewalk`] re-runs single steps in the same order.
 ///
 /// Kept out of line: inlined into [`solve_into`], the direct backend
 /// measured about 4 % slower at 16 items.
@@ -659,9 +666,8 @@ fn node_step<K: Kernels>(graph: &IntervalGraph, opts: &SolverOptions, k: &mut K,
 /// nobody's child), and visits headers in REVERSEPREORDER, their children
 /// in PREORDER.
 pub(crate) fn loc_written_before(graph: &IntervalGraph, p: NodeId, h: NodeId, c: NodeId) -> bool {
-    let root = graph.root();
-    let hp = graph.enclosing_headers(p).first().copied().unwrap_or(root);
-    if p == root {
+    let hp = parent(graph, p);
+    if p == graph.root() {
         false
     } else if hp == h {
         graph.preorder_index(p) < graph.preorder_index(c)
@@ -785,6 +791,326 @@ fn res_step<K: Kernels>(graph: &IntervalGraph, k: &mut K, flavor: Flavor, node: 
         k.or(fam(f_rout, ni), fam(f_gin, s.index()));
     }
     k.andnot(fam(f_rout, ni), fam(f_gout, ni));
+}
+
+/// One step of [`schedule`]: one group of equations at one node. Every
+/// step starts each row it writes with a full overwrite, reads only rows
+/// that earlier steps wrote (or that no step writes), and each family row
+/// has exactly one writing step, so re-running a step against the rows of
+/// a finished walk recomputes its outputs exactly.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Eqs. 9–10 at a child of a header ([`loc_step`]).
+    Loc(NodeId),
+    /// Eqs. 1–8 ([`node_step`]).
+    Node(NodeId),
+    /// Eqs. 11–13 for one flavor ([`given_step`]).
+    Given(Flavor, NodeId),
+    /// Eqs. 14–15 for one flavor ([`res_step`]).
+    Res(Flavor, NodeId),
+}
+
+/// The header whose `CHILDREN` list holds `c`: its innermost enclosing
+/// loop header, or ROOT.
+fn parent(graph: &IntervalGraph, c: NodeId) -> NodeId {
+    graph
+        .enclosing_headers(c)
+        .first()
+        .copied()
+        .unwrap_or(graph.root())
+}
+
+fn flavor_index(flavor: Flavor) -> usize {
+    flavor_offset(flavor) / FLAVOR_STRIDE
+}
+
+impl Step {
+    /// The number of steps a full walk of an `n`-node graph runs: a
+    /// `loc_step` per node but ROOT (nobody's child), a `node_step` per
+    /// node, and a `given_step` and a `res_step` per node and flavor.
+    pub(crate) fn count(n: usize) -> usize {
+        6 * n - 1
+    }
+
+    /// The step's position in [`schedule`]: keys rise in the order the
+    /// walk runs the steps. Pass 1 visits header `h` at rank
+    /// `n − 1 − PREORDER(h)`, its children's `loc_step`s in preorder and
+    /// then its own `node_step`; each flavor then runs its `given_step`s
+    /// in preorder and its `res_step`s in node order.
+    fn key(self, graph: &IntervalGraph) -> u64 {
+        let n = graph.num_nodes() as u64;
+        let pre = |v: NodeId| graph.preorder_index(v) as u64;
+        let pass1 = |h: NodeId, slot: u64| (n - 1 - pre(h)) * (n + 1) + slot;
+        let place = |f: Flavor, slot: u64| n * (n + 1) + flavor_index(f) as u64 * 2 * n + slot;
+        match self {
+            Step::Loc(c) => pass1(parent(graph, c), pre(c)),
+            Step::Node(v) => pass1(v, n),
+            Step::Given(f, v) => place(f, pre(v)),
+            Step::Res(f, v) => place(f, n + v.index() as u64),
+        }
+    }
+
+    /// A dense id in `0..6n`, the step's bit in the queued set.
+    fn id(self, n: usize) -> usize {
+        match self {
+            Step::Loc(c) => c.index(),
+            Step::Node(v) => n + v.index(),
+            Step::Given(f, v) => 2 * n + 2 * n * flavor_index(f) + v.index(),
+            Step::Res(f, v) => 3 * n + 2 * n * flavor_index(f) + v.index(),
+        }
+    }
+
+    fn from_id(id: usize, n: usize) -> Step {
+        let v = NodeId((id % n) as u32);
+        match id / n {
+            0 => Step::Loc(v),
+            1 => Step::Node(v),
+            2 => Step::Given(Flavor::Eager, v),
+            3 => Step::Res(Flavor::Eager, v),
+            4 => Step::Given(Flavor::Lazy, v),
+            _ => Step::Res(Flavor::Lazy, v),
+        }
+    }
+
+    /// The rows the step writes: families `first..first + count` of one
+    /// node.
+    pub(crate) fn outputs(self) -> (NodeId, usize, usize) {
+        match self {
+            Step::Loc(c) => (c, F_GIVE_LOC, 2),
+            Step::Node(v) => (v, F_STEAL, 8),
+            Step::Given(f, v) => (v, F_GIVEN_IN + flavor_offset(f), 3),
+            Step::Res(f, v) => (v, F_RES_IN + flavor_offset(f), 2),
+        }
+    }
+}
+
+/// Runs one step of [`schedule`] on `k`.
+#[inline(always)]
+pub(crate) fn run_step<K: Kernels>(
+    graph: &IntervalGraph,
+    opts: &SolverOptions,
+    k: &mut K,
+    step: Step,
+) {
+    match step {
+        Step::Loc(c) => loc_step(graph, k, parent(graph, c), c),
+        Step::Node(v) => node_step(graph, opts, k, v),
+        Step::Given(f, v) => given_step(graph, k, f, v),
+        Step::Res(f, v) => res_step(graph, k, f, v),
+    }
+}
+
+/// Calls `f` with every step that may read row `family` of `m`, the
+/// writing step's own internal reads aside: the reader rule of the
+/// re-walk. It follows the graph's edge classes, one case per family.
+pub(crate) fn for_each_reader(
+    graph: &IntervalGraph,
+    family: usize,
+    m: NodeId,
+    mut f: impl FnMut(Step),
+) {
+    fn both(f: &mut impl FnMut(Step), v: NodeId) {
+        f(Step::Given(Flavor::Eager, v));
+        f(Step::Given(Flavor::Lazy, v));
+    }
+    match family {
+        // Eqs. 9–10 at the FJ successors (STEAL_loc also at the S ones),
+        // Eqs. 1–2 at the header `m` is the LASTCHILD of.
+        F_GIVE_LOC | F_STEAL_LOC => {
+            graph.succs(m, EdgeMask::FJ).for_each(|s| f(Step::Loc(s)));
+            if family == F_STEAL_LOC {
+                graph.succs(m, EdgeMask::S).for_each(|s| f(Step::Loc(s)));
+            }
+            for h in graph.succs(m, EdgeMask::C) {
+                if graph.last_child(h) == Some(m) {
+                    f(Step::Node(h));
+                }
+            }
+        }
+        // Eqs. 9–10 at `m` itself; Eqs. 11–13 at `m` (TAKE: LAZY's
+        // Eq. 12 only), and STEAL(HEADER(s)) at the ENTRY successors.
+        F_STEAL | F_GIVE | F_TAKE => {
+            if m != graph.root() {
+                f(Step::Loc(m));
+            }
+            if family == F_TAKE {
+                f(Step::Given(Flavor::Lazy, m));
+            } else {
+                both(&mut f, m);
+            }
+            if family == F_STEAL {
+                for s in graph.succs(m, EdgeMask::E) {
+                    both(&mut f, s);
+                }
+            }
+        }
+        // Eqs. 4–5 at the E/F/J/S predecessors; Eq. 11 at `m`.
+        F_TAKEN_IN => {
+            for p in graph.preds(m, EdgeMask::E | EdgeMask::FJS) {
+                f(Step::Node(p));
+            }
+            both(&mut f, m);
+        }
+        // Eqs. 3, 5, 7 and 8 at the E/F predecessors.
+        F_BLOCK_LOC | F_TAKE_LOC => {
+            graph.preds(m, EdgeMask::EF).for_each(|p| f(Step::Node(p)));
+        }
+        F_BLOCK | F_TAKEN_OUT => {}
+        _ => {
+            let flavor = if family >= F_GIVEN_IN + FLAVOR_STRIDE {
+                Flavor::Lazy
+            } else {
+                Flavor::Eager
+            };
+            match family - flavor_offset(flavor) {
+                // Eq. 14 at `m`, Eq. 15 at the FJ predecessors.
+                F_GIVEN_IN => {
+                    f(Step::Res(flavor, m));
+                    for p in graph.preds(m, EdgeMask::FJ) {
+                        f(Step::Res(flavor, p));
+                    }
+                }
+                // GIVEN(HEADER(s)) in Eq. 11 at the ENTRY successors, and
+                // Eq. 14 at `m`.
+                F_GIVEN => {
+                    for s in graph.succs(m, EdgeMask::E) {
+                        f(Step::Given(flavor, s));
+                    }
+                    f(Step::Res(flavor, m));
+                }
+                // Eq. 11 at the FJ successors and at the headers whose
+                // jump-in sources list `m`; Eq. 15 at `m`.
+                F_GIVEN_OUT => {
+                    for s in graph.succs(m, EdgeMask::FJ) {
+                        f(Step::Given(flavor, s));
+                    }
+                    for (x, class) in graph.succ_edges(m) {
+                        if class == EdgeClass::JumpIn {
+                            for &h in graph.enclosing_headers(x) {
+                                if graph.jump_in_sources(h).contains(&m) {
+                                    f(Step::Given(flavor, h));
+                                }
+                            }
+                        }
+                    }
+                    f(Step::Res(flavor, m));
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+/// Whether `reader`, which runs before the step writing row `family` of
+/// `m`, leaves that row out: the reads [`loc_written_before`] and
+/// [`given_out_written_before`] fold out of the walk.
+fn folded_read(graph: &IntervalGraph, family: usize, m: NodeId, reader: Step) -> bool {
+    match reader {
+        Step::Loc(c) if family == F_GIVE_LOC || family == F_STEAL_LOC => {
+            !loc_written_before(graph, m, parent(graph, c), c)
+        }
+        Step::Given(f, v) if family == F_GIVEN_OUT + flavor_offset(f) => {
+            !given_out_written_before(graph, m, v)
+        }
+        _ => false,
+    }
+}
+
+/// The re-walk's buffers, kept in a [`SolverScratch`]: the queued steps
+/// as a min-heap of `(key, id)`, their ids as a bitset, and the prior
+/// values of the running step's output rows. Every pop clears its own
+/// bit, so the bitset is all zero between calls, and a warm call neither
+/// clears nor allocates.
+#[derive(Debug, Default)]
+pub(crate) struct Worklist {
+    pub(crate) heap: BinaryHeap<Reverse<(u64, u32)>>,
+    pub(crate) queued: Vec<u64>,
+    pub(crate) snapshot: Vec<u64>,
+}
+
+/// Queues `step` unless it is queued already.
+fn push(
+    heap: &mut BinaryHeap<Reverse<(u64, u32)>>,
+    queued: &mut [u64],
+    graph: &IntervalGraph,
+    step: Step,
+) {
+    let id = step.id(graph.num_nodes());
+    let (w, bit) = (id / 64, 1u64 << (id % 64));
+    if queued[w] & bit == 0 {
+        queued[w] |= bit;
+        heap.push(Reverse((step.key(graph), id as u32)));
+    }
+}
+
+/// Re-runs, in schedule order, only the steps downstream of the `*_init`
+/// rows `dirty` names, on a scratch that holds a finished walk of
+/// `(graph, opts)`; returns how many steps ran. A marked `(kind, n)`
+/// queues `node_step(n)`, which loads all three of `n`'s initial rows.
+/// Each popped step saves its output rows, re-runs on the direct backend
+/// and queues the readers of each row that changed, so the walk stops
+/// wherever a step reproduces its rows. Only readers later in the
+/// schedule are queued: the earlier ones are exactly the reads the walk
+/// folds out, which read ∅ in any full walk.
+pub(crate) fn rewalk(
+    graph: &IntervalGraph,
+    problem: &PlacementProblem,
+    opts: &SolverOptions,
+    scratch: &mut SolverScratch,
+    dirty: impl Iterator<Item = NodeId>,
+) -> usize {
+    let n = graph.num_nodes();
+    let stride = scratch.slab.stride();
+    let Worklist {
+        heap,
+        queued,
+        snapshot,
+    } = &mut scratch.worklist;
+    let words = (6 * n).div_ceil(64);
+    if queued.len() < words {
+        queued.resize(words, 0);
+    }
+    if snapshot.len() < 8 * stride {
+        snapshot.resize(8 * stride, 0);
+    }
+    for node in dirty {
+        push(heap, queued, graph, Step::Node(node));
+    }
+    let mut direct = Direct {
+        slab: &mut scratch.slab,
+        problem,
+    };
+    let mut run = 0;
+    while let Some(Reverse((key, id))) = heap.pop() {
+        let id = id as usize;
+        queued[id / 64] &= !(1u64 << (id % 64));
+        let step = Step::from_id(id, n);
+        run += 1;
+        let (m, first, count) = step.outputs();
+        let row = |k: usize| (first + k) * n + m.index();
+        let saved = |k: usize| k * stride..(k + 1) * stride;
+        for k in 0..count {
+            snapshot[saved(k)].copy_from_slice(direct.slab.row(row(k)).words());
+        }
+        run_step(graph, opts, &mut direct, step);
+        for k in 0..count {
+            if direct.slab.row(row(k)).words() == &snapshot[saved(k)] {
+                continue;
+            }
+            let family = first + k;
+            for_each_reader(graph, family, m, |reader| {
+                if reader.key(graph) > key {
+                    push(heap, queued, graph, reader);
+                } else {
+                    debug_assert!(
+                        folded_read(graph, family, m, reader),
+                        "{reader:?} reads family {family} of {m} ahead of {step:?}"
+                    );
+                }
+            });
+        }
+    }
+    run
 }
 
 #[cfg(test)]
@@ -1164,5 +1490,287 @@ mod tests {
             }
         }
         assert!(unwritten > 0, "the corpus must exercise the fold");
+    }
+
+    /// A backend that runs no kernel and logs every call as
+    /// `[op, dst, a, b]`.
+    struct Trace(Vec<[usize; 4]>);
+
+    impl Kernels for Trace {
+        fn clear(&mut self, dst: usize) {
+            self.0.push([0, dst, 0, 0]);
+        }
+        fn fill(&mut self, dst: usize) {
+            self.0.push([1, dst, 0, 0]);
+        }
+        fn copy(&mut self, dst: usize, a: usize) {
+            self.0.push([2, dst, a, 0]);
+        }
+        fn or(&mut self, dst: usize, a: usize) {
+            self.0.push([3, dst, a, 0]);
+        }
+        fn and(&mut self, dst: usize, a: usize) {
+            self.0.push([4, dst, a, 0]);
+        }
+        fn andnot(&mut self, dst: usize, a: usize) {
+            self.0.push([5, dst, a, 0]);
+        }
+        fn or_andnot(&mut self, dst: usize, a: usize, b: usize) {
+            self.0.push([6, dst, a, b]);
+        }
+        fn load(&mut self, dst: usize, init: Init, node: usize) {
+            self.0.push([7 + init as usize, dst, node, 0]);
+        }
+    }
+
+    /// A backend that runs no kernel and watches one step at a time: the
+    /// rows the step reads that it has not written itself, and the rows
+    /// it writes. It fails a step that reads a temporary or one of its
+    /// own output rows before overwriting it, or writes outside its
+    /// outputs.
+    struct Watch {
+        family_rows: usize,
+        outputs: Vec<usize>,
+        written: Vec<usize>,
+        reads: Vec<usize>,
+    }
+
+    impl Watch {
+        fn read(&mut self, r: usize) {
+            if self.written.contains(&r) {
+                return;
+            }
+            assert!(r < self.family_rows, "temporary {r} read before written");
+            assert!(
+                !self.outputs.contains(&r),
+                "row {r} read before overwritten"
+            );
+            self.reads.push(r);
+        }
+        fn write(&mut self, dst: usize) {
+            assert!(
+                dst >= self.family_rows || self.outputs.contains(&dst),
+                "row {dst} written outside the step's outputs"
+            );
+            if !self.written.contains(&dst) {
+                self.written.push(dst);
+            }
+        }
+        fn rmw(&mut self, dst: usize, srcs: &[usize]) {
+            srcs.iter().for_each(|&r| self.read(r));
+            self.read(dst);
+            self.write(dst);
+        }
+    }
+
+    impl Kernels for Watch {
+        fn clear(&mut self, dst: usize) {
+            self.write(dst);
+        }
+        fn fill(&mut self, dst: usize) {
+            self.write(dst);
+        }
+        fn copy(&mut self, dst: usize, a: usize) {
+            self.read(a);
+            self.write(dst);
+        }
+        fn or(&mut self, dst: usize, a: usize) {
+            self.rmw(dst, &[a]);
+        }
+        fn and(&mut self, dst: usize, a: usize) {
+            self.rmw(dst, &[a]);
+        }
+        fn andnot(&mut self, dst: usize, a: usize) {
+            self.rmw(dst, &[a]);
+        }
+        fn or_andnot(&mut self, dst: usize, a: usize, b: usize) {
+            self.rmw(dst, &[a, b]);
+        }
+        fn load(&mut self, dst: usize, _: Init, _: usize) {
+            self.write(dst);
+        }
+    }
+
+    fn stress() -> u64 {
+        std::env::var("GNT_STRESS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(1)
+    }
+
+    /// Checks the re-walk's reader rule against one full walk of `g`
+    /// under `opts`, returning how many `(writer, row, reader)`
+    /// dependencies it checked.
+    ///
+    /// * The steps in key order run exactly the calls of [`schedule`], and
+    ///   there are [`Step::count`] of them.
+    /// * Each step writes exactly its outputs, starting each with a full
+    ///   overwrite, and no other step writes them.
+    /// * For every row step W writes and a later step R reads,
+    ///   [`for_each_reader`] of that row names R; no step reads a row a
+    ///   later step writes.
+    /// * Every reader the rule names that runs no later than W is a read
+    ///   the walk folds out ([`folded_read`]), so the re-walk may skip it.
+    fn check_reader_rule(g: &IntervalGraph, opts: &SolverOptions, label: &str) -> usize {
+        let n = g.num_nodes();
+        let mut steps: Vec<Step> = g
+            .nodes()
+            .flat_map(|v| {
+                let loc = (v != g.root()).then_some(Step::Loc(v));
+                let per_flavor = [Flavor::Eager, Flavor::Lazy]
+                    .into_iter()
+                    .flat_map(move |f| [Step::Given(f, v), Step::Res(f, v)]);
+                loc.into_iter().chain([Step::Node(v)]).chain(per_flavor)
+            })
+            .collect();
+        steps.sort_by_key(|s| s.key(g));
+        assert_eq!(steps.len(), Step::count(n), "{label}");
+        assert!(steps.windows(2).all(|w| w[0].key(g) < w[1].key(g)));
+        assert!(steps.iter().all(|&s| Step::from_id(s.id(n), n) == s));
+
+        let (mut whole, mut stepped) = (Trace(Vec::new()), Trace(Vec::new()));
+        schedule(g, opts, &mut whole);
+        for &step in &steps {
+            run_step(g, opts, &mut stepped, step);
+        }
+        assert!(whole.0 == stepped.0, "{label}: the steps are not the walk");
+
+        let family_rows = NUM_FAMILIES * n;
+        let mut writer: Vec<Option<usize>> = vec![None; family_rows];
+        let mut reads: Vec<Vec<usize>> = Vec::with_capacity(steps.len());
+        for (i, &step) in steps.iter().enumerate() {
+            let (m, first, count) = step.outputs();
+            let outputs: Vec<usize> = (first..first + count).map(|f| f * n + m.index()).collect();
+            let mut watch = Watch {
+                family_rows,
+                outputs: outputs.clone(),
+                written: Vec::new(),
+                reads: Vec::new(),
+            };
+            run_step(g, opts, &mut watch, step);
+            let mut wrote: Vec<usize> = watch
+                .written
+                .into_iter()
+                .filter(|&r| r < family_rows)
+                .collect();
+            wrote.sort_unstable();
+            assert_eq!(wrote, outputs, "{label}: {step:?}");
+            for r in outputs {
+                assert_eq!(writer[r].replace(i), None, "{label}: row {r}");
+            }
+            reads.push(watch.reads);
+        }
+
+        let mut checked = 0;
+        for (i, step_reads) in reads.iter().enumerate() {
+            for &r in step_reads {
+                let Some(w) = writer[r] else {
+                    continue; // no step writes it: ∅ in every walk
+                };
+                let (family, m) = (r / n, NodeId((r % n) as u32));
+                assert!(
+                    w < i,
+                    "{label}: {:?} reads {r} ahead of {:?}",
+                    steps[i],
+                    steps[w]
+                );
+                let mut named = false;
+                for_each_reader(g, family, m, |reader| named |= reader == steps[i]);
+                assert!(
+                    named,
+                    "{label}: the rule for family {family} of {m} misses {:?}",
+                    steps[i]
+                );
+                checked += 1;
+            }
+        }
+        for (r, w) in writer.iter().enumerate() {
+            let Some(w) = *w else { continue };
+            let (family, m) = (r / n, NodeId((r % n) as u32));
+            let key = steps[w].key(g);
+            for_each_reader(g, family, m, |reader| {
+                assert!(
+                    reader.key(g) > key || folded_read(g, family, m, reader),
+                    "{label}: {reader:?} runs ahead of {:?} but reads its row {r}",
+                    steps[w]
+                );
+            });
+        }
+        checked
+    }
+
+    /// The reader-rule oracle: every read of a full walk is covered by
+    /// the re-walk's rule, over `examples/*.minif`, `sized_program(400)`
+    /// and random programs with and without `goto`s, forward and
+    /// reversed, with jump-entered or all headers poisoned, under the
+    /// default options, `no_zero_trip_hoist` and listed
+    /// `no_hoist_headers`. `GNT_STRESS` scales the random corpus.
+    #[test]
+    fn reader_rule_covers_every_read_of_a_full_walk() {
+        let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+        let mut programs: Vec<(String, gnt_ir::Program)> = std::fs::read_dir(examples)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "minif"))
+            .map(|p| {
+                let src = std::fs::read_to_string(&p).unwrap();
+                (p.display().to_string(), parse(&src).unwrap())
+            })
+            .collect();
+        assert!(programs.len() >= 3, "examples/*.minif");
+        programs.push(("sized400".to_string(), crate::sized_program(400)));
+        for goto_prob in [0.0, 0.1] {
+            let config = crate::GenConfig {
+                goto_prob,
+                ..Default::default()
+            };
+            for seed in 0..24 * stress() {
+                let program = crate::random_program(seed, &config);
+                programs.push((format!("random{seed}@{goto_prob}"), program));
+            }
+        }
+        let (mut checked, mut jump_in) = (0, 0);
+        for (name, program) in &programs {
+            let forward = IntervalGraph::from_program(program).unwrap();
+            let reversed = gnt_cfg::reversed_graph(&forward).unwrap();
+            let mut poisoned = reversed.clone();
+            for h in reversed.nodes() {
+                if !reversed.jump_in_sources(h).is_empty() {
+                    poisoned.poison(h);
+                    jump_in += 1;
+                }
+            }
+            let mut headers_poisoned = forward.clone();
+            let headers: Vec<NodeId> = forward
+                .nodes()
+                .filter(|&h| forward.is_loop_header(h))
+                .collect();
+            for &h in headers.iter().step_by(2) {
+                headers_poisoned.poison(h);
+            }
+            let option_sets = [
+                SolverOptions::default(),
+                SolverOptions {
+                    no_zero_trip_hoist: true,
+                    ..Default::default()
+                },
+                SolverOptions {
+                    no_hoist_headers: headers.iter().copied().skip(1).step_by(2).collect(),
+                    ..Default::default()
+                },
+            ];
+            for (dir, g) in [
+                ("fwd", &forward),
+                ("rev", &reversed),
+                ("rev+poison", &poisoned),
+                ("fwd+poison", &headers_poisoned),
+            ] {
+                for (k, opts) in option_sets.iter().enumerate() {
+                    checked += check_reader_rule(g, opts, &format!("{name}/{dir}/opts{k}"));
+                }
+            }
+        }
+        assert!(jump_in > 0, "the corpus must have jump-entered headers");
+        assert!(checked > 100_000, "{checked} dependencies");
     }
 }

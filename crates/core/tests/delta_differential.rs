@@ -4,15 +4,17 @@
 //! on 500+ random programs across word-boundary-straddling universes, on
 //! the paper's figure programs, and under proptest-driven mutation
 //! sequences. The suite also pins the *incrementality*: warm forward
-//! solves must actually run fewer ops than the tape holds, reversed
-//! graphs with jump-in sources must go incremental too, and the decline
-//! paths (cold scratches, changed universes) must fall back to a full
-//! replay rather than serve stale bits.
+//! solves must actually re-run fewer schedule steps than a full walk,
+//! reversed graphs with jump-in sources must go incremental too, and the
+//! decline paths (cold scratches, changed universes, other graphs or
+//! options in between) must fall back to a full walk rather than serve
+//! stale bits.
 
 use gnt_cfg::{reversed_graph, IntervalGraph, NodeId, NodeKind};
 use gnt_core::{
-    random_problem, random_program, sized_program, solve, solve_delta, solve_into, DeltaKind,
-    DeltaSet, GenConfig, PlacementProblem, ScheduleTape, SolverOptions, SolverScratch,
+    delta_fingerprint, random_problem, random_program, sized_program, solve,
+    solve_after_with_scratch, solve_delta, solve_into, DeltaKind, DeltaSet, GenConfig,
+    PlacementProblem, SolverOptions, SolverScratch,
 };
 use gnt_ir::parse;
 use proptest::prelude::*;
@@ -81,7 +83,10 @@ fn run_mutation_case(
     }
     let report = solve_delta(graph, problem, opts, scratch, &delta);
     assert_eq!(scratch.export(), solve(graph, problem, opts), "{label}");
-    assert!(report.ops_run <= report.ops_total, "{label}: {report:?}");
+    assert!(
+        report.blocks_run <= report.blocks_total,
+        "{label}: {report:?}"
+    );
     !report.full_replay
 }
 
@@ -113,8 +118,7 @@ fn delta_matches_fresh_solve_on_500_random_programs() {
             incremental += 1;
         }
     }
-    // Forward tapes always support the engine; every warm case must have
-    // gone incremental.
+    // Every warm case must have gone incremental.
     assert_eq!(incremental, 500, "forward solves must never fall back");
 }
 
@@ -183,13 +187,12 @@ fn reversed_graphs_resolve_incrementally() {
     assert_eq!(declined, 0, "no reversed graph may decline");
 }
 
-/// Every tape of the incremental engine's reference corpus is
-/// delta-supported: 200 random programs under the default generator
-/// (148 of their reversed tapes declined before unwritten reads were
-/// folded out), the same seeds with `goto_prob` 0.1, and three sized
+/// Every graph of the incremental engine's reference corpus re-solves
+/// incrementally and exactly: 200 random programs under the default
+/// generator, the same seeds with `goto_prob` 0.1, and three sized
 /// programs; forward and reversed, the reversed ones also with the §5.3
 /// fallback's poisoned headers. A decline would silently cost a full
-/// replay per re-solve.
+/// walk per re-solve.
 #[test]
 fn every_corpus_tape_supports_delta() {
     let sparse = GenConfig {
@@ -206,7 +209,8 @@ fn every_corpus_tape_supports_delta() {
         programs.push((format!("sized{size}"), sized_program(size)));
     }
     let opts = SolverOptions::default();
-    for (name, program) in &programs {
+    let mut scratch = SolverScratch::new();
+    for (k, (name, program)) in programs.iter().enumerate() {
         let forward = IntervalGraph::from_program(program).unwrap();
         let reversed = reversed_graph(&forward).unwrap();
         let mut poisoned = reversed.clone();
@@ -220,15 +224,26 @@ fn every_corpus_tape_supports_delta() {
             ("rev", &reversed),
             ("rev+poison", &poisoned),
         ] {
-            let tape = ScheduleTape::compile(graph, &opts);
-            assert!(tape.delta_supported(), "{name}/{dir}");
+            let mut problem = random_problem(k as u64, graph, 16, 0.3);
+            solve_into(graph, &problem, &opts, &mut scratch);
+            let mut delta = DeltaSet::new();
+            mutate(&mut problem, &mut delta, &mut Lcg(k as u64), 16);
+            let report = solve_delta(graph, &problem, &opts, &mut scratch, &delta);
+            assert!(!report.full_replay, "{name}/{dir}");
+            assert_eq!(
+                scratch.export(),
+                solve(graph, &problem, &opts),
+                "{name}/{dir}"
+            );
         }
     }
 }
 
 /// The paper's figure programs: a steal toggled at the root (the classic
-/// "block hoisting past the top" edit) re-solves incrementally, runs a
-/// strict subset of the tape, and matches the fresh solve bit-for-bit.
+/// "block hoisting past the top" edit) re-solves incrementally, re-runs
+/// a strict subset of the schedule's steps, and matches the fresh solve
+/// bit-for-bit, on the forward graph and on the reversed graph
+/// `solve_after` solved last (poisoned if the §5.3 fallback ran).
 #[test]
 fn figure_programs_resolve_incrementally() {
     let figures: &[&str] = &[
@@ -268,13 +283,29 @@ fn figure_programs_resolve_incrementally() {
             let report = solve_delta(&graph, &problem, &opts, &mut scratch, &delta);
             assert!(!report.full_replay, "figure {fig}, items {items}");
             assert!(
-                report.ops_run < report.ops_total,
+                report.blocks_run < report.blocks_total,
                 "figure {fig}, items {items}: {report:?}"
             );
             assert_eq!(
                 scratch.export(),
                 solve(&graph, &problem, &opts),
                 "figure {fig}, items {items}"
+            );
+
+            let mut after =
+                solve_after_with_scratch(&graph, &problem, &opts, &mut scratch).unwrap();
+            let mut rp = problem.clone();
+            rp.resize_nodes(after.reversed.num_nodes());
+            let mut rng = Lcg(fig as u64 * 64 + items as u64);
+            delta.clear();
+            mutate(&mut rp, &mut delta, &mut rng, items);
+            let report = solve_delta(&after.reversed, &rp, &opts, &mut scratch, &delta);
+            assert!(!report.full_replay, "figure {fig}, items {items}: after");
+            after.solution = solve(&after.reversed, &rp, &opts);
+            assert_eq!(
+                scratch.export(),
+                after.solution,
+                "figure {fig}, items {items}: after"
             );
         }
     }
@@ -283,8 +314,8 @@ fn figure_programs_resolve_incrementally() {
 /// Every full solve sets the delta basis to its own fingerprint: a
 /// `solve_into` of a different graph with the same node count through
 /// the same scratch must invalidate the first graph's basis, so the next
-/// delta on the first graph replays in full instead of patching the
-/// other graph's bits, although the scratch still caches its tape.
+/// delta on the first graph walks in full instead of patching the other
+/// graph's bits.
 #[test]
 fn direct_solve_in_between_invalidates_the_delta_basis() {
     let src = "do i = 1, N\n  ... = x(a(i))\n  z = 0\nenddo\nif t then\n  b = x(1)\nendif";
@@ -294,12 +325,10 @@ fn direct_solve_in_between_invalidates_the_delta_basis() {
     let mut problem = random_problem(7, &graph, 70, 0.3);
     let opts = SolverOptions::default();
     let mut scratch = SolverScratch::new();
-    // An empty delta after a full solve compiles and caches the tape.
+    // An empty delta after a full solve re-walks nothing.
     solve_into(&graph, &problem, &opts, &mut scratch);
-    solve_delta(&graph, &problem, &opts, &mut scratch, &DeltaSet::new());
-    assert!(scratch
-        .cached_tape(&graph, &opts)
-        .is_some_and(|tape| tape.delta_supported()));
+    let report = solve_delta(&graph, &problem, &opts, &mut scratch, &DeltaSet::new());
+    assert!(!report.full_replay && report.blocks_run == 0);
     solve_into(&other, &problem, &opts, &mut scratch);
     assert_ne!(scratch.export(), solve(&graph, &problem, &opts));
 
@@ -344,6 +373,175 @@ fn late_marking_converges_once_the_row_is_named() {
     let report = solve_delta(&graph, &problem, &opts, &mut scratch, &delta);
     assert!(!report.full_replay);
     assert_eq!(scratch.export(), solve(&graph, &problem, &opts));
+}
+
+/// Several fingerprints visited in a pseudo-random order by
+/// `solve_delta` through one scratch: the forward graph under two
+/// hoisting settings, the reversed graph, its poisoned form and a second
+/// program. Every visit toggles one bit of its graph's problem, marks that
+/// row and must match `solve`, whether it walks in full or re-walks
+/// against the last visit.
+#[test]
+fn cycling_several_fingerprints_through_one_scratch_stays_exact() {
+    let no_hoist = SolverOptions {
+        no_zero_trip_hoist: true,
+        ..Default::default()
+    };
+    let config = GenConfig {
+        goto_prob: 0.1,
+        ..Default::default()
+    };
+    let mut scratch = SolverScratch::new();
+    let mut rng = Lcg(0x9e37_79b9_7f4a_7c15);
+    let (mut visited, mut incremental) = (0u64, 0u64);
+    for seed in 0..30u64 {
+        let graph = IntervalGraph::from_program(&random_program(seed, &config)).unwrap();
+        let other = IntervalGraph::from_program(&random_program(seed + 1000, &config)).unwrap();
+        let reversed = reversed_graph(&graph).unwrap();
+        let mut poisoned = reversed.clone();
+        for h in reversed.nodes() {
+            if !reversed.jump_in_sources(h).is_empty() || h.index() % 3 == 0 {
+                poisoned.poison(h);
+            }
+        }
+        let default = SolverOptions::default();
+        // Both settings of `graph` share its problem: on a loop-free
+        // graph their fingerprints coincide, and so must their problems.
+        let cases = [
+            (&graph, &default, 0),
+            (&graph, &no_hoist, 0),
+            (&reversed, &default, 1),
+            (&poisoned, &default, 2),
+            (&other, &default, 3),
+        ];
+        let universes = [1, 64, 65, 130];
+        let mut problems: Vec<PlacementProblem> = [&graph, &reversed, &poisoned, &other]
+            .iter()
+            .enumerate()
+            .map(|(k, g)| random_problem(seed * 64 + k as u64, g, universes[k], 0.3))
+            .collect();
+        for step in 0..40u64 {
+            let (g, opts, slot) = cases[rng.below(cases.len())];
+            let mut delta = DeltaSet::new();
+            mutate(&mut problems[slot], &mut delta, &mut rng, universes[slot]);
+            let report = solve_delta(g, &problems[slot], opts, &mut scratch, &delta);
+            assert_eq!(
+                scratch.export(),
+                solve(g, &problems[slot], opts),
+                "seed {seed}, step {step}"
+            );
+            visited += 1;
+            incremental += u64::from(!report.full_replay);
+        }
+    }
+    let c = scratch.counters();
+    assert_eq!(c.direct_solves, 0);
+    assert_eq!(c.deltas_incremental, incremental);
+    assert_eq!(c.deltas_incremental + c.deltas_declined, visited);
+    assert!(incremental > 0 && c.deltas_declined > 30, "{c:?}");
+}
+
+/// Reversed graphs and their §5.3 poisoned form through one shared
+/// scratch: a full solve, then a chain of marked mutations, each
+/// re-walked and compared with `solve`.
+#[test]
+fn poisoned_and_reversed_graphs_resolve_exactly() {
+    let mut scratch = SolverScratch::new();
+    let mut poisoned_cases = 0;
+    for seed in 0..120u64 {
+        let program = random_program(seed, &GenConfig::default());
+        let graph = IntervalGraph::from_program(&program).unwrap();
+        let mut rg = reversed_graph(&graph).unwrap();
+        let mut problem = random_problem(seed + 7, &graph, 130, 0.3);
+        problem.resize_nodes(rg.num_nodes());
+        let jump_entered: Vec<_> = rg
+            .nodes()
+            .filter(|&h| !rg.jump_in_sources(h).is_empty())
+            .collect();
+        let mut graphs = vec![rg.clone()];
+        if !jump_entered.is_empty() {
+            for h in jump_entered {
+                rg.poison(h);
+            }
+            graphs.push(rg);
+            poisoned_cases += 1;
+        }
+        let opts = SolverOptions::default();
+        let mut rng = Lcg(seed ^ 0x0501);
+        for (k, g) in graphs.iter().enumerate() {
+            solve_into(g, &problem, &opts, &mut scratch);
+            let mut delta = DeltaSet::new();
+            for round in 0..3 {
+                delta.clear();
+                mutate(&mut problem, &mut delta, &mut rng, 130);
+                let report = solve_delta(g, &problem, &opts, &mut scratch, &delta);
+                assert!(!report.full_replay, "seed {seed}, graph {k}, round {round}");
+                assert_eq!(
+                    scratch.export(),
+                    solve(g, &problem, &opts),
+                    "seed {seed}, graph {k}, round {round}"
+                );
+            }
+        }
+    }
+    assert!(poisoned_cases > 0, "no reversed graph was jump-entered");
+}
+
+/// Flipping a hoisting knob between deltas changes the fingerprint, so
+/// each call after a flip walks in full under the *current* options; a
+/// delta under unchanged options re-walks.
+#[test]
+fn option_changes_invalidate_the_delta_basis() {
+    let graph = IntervalGraph::from_program(&parse("do i = 1, N\n  ... = x(a(i))\nenddo").unwrap())
+        .unwrap();
+    let problem = random_problem(3, &graph, 4, 0.5);
+    let plain = SolverOptions::default();
+    let no_hoist = SolverOptions {
+        no_zero_trip_hoist: true,
+        ..Default::default()
+    };
+    assert_ne!(
+        delta_fingerprint(&graph, &plain),
+        delta_fingerprint(&graph, &no_hoist),
+        "the knob poisons the header"
+    );
+    let mut scratch = SolverScratch::new();
+    for (k, opts) in [&plain, &no_hoist, &plain].into_iter().enumerate() {
+        let report = solve_delta(&graph, &problem, opts, &mut scratch, &DeltaSet::new());
+        assert!(report.full_replay, "flip {k}");
+        assert_eq!(scratch.export(), solve(&graph, &problem, opts), "flip {k}");
+        let report = solve_delta(&graph, &problem, opts, &mut scratch, &DeltaSet::new());
+        assert!(!report.full_replay, "flip {k}, again");
+    }
+    let c = scratch.counters();
+    assert_eq!((c.deltas_declined, c.deltas_incremental), (3, 3));
+}
+
+/// A one-bit delta on a 3000-statement program re-runs under 1 % of the
+/// steps a full walk runs, on the forward and the reversed graph, and
+/// stays exact.
+#[test]
+fn one_bit_delta_on_a_large_program_runs_under_one_percent_of_the_steps() {
+    let forward = IntervalGraph::from_program(&sized_program(3000)).unwrap();
+    let reversed = reversed_graph(&forward).unwrap();
+    let opts = SolverOptions::default();
+    let mut scratch = SolverScratch::new();
+    for (dir, graph) in [("fwd", &forward), ("rev", &reversed)] {
+        let mut problem = random_problem(42, graph, 16, 0.3);
+        solve_into(graph, &problem, &opts, &mut scratch);
+        let mut rng = Lcg(0xB17);
+        let (mut run, mut total) = (0, 0);
+        for _ in 0..16 {
+            let mut delta = DeltaSet::new();
+            mutate(&mut problem, &mut delta, &mut rng, 16);
+            let report = solve_delta(graph, &problem, &opts, &mut scratch, &delta);
+            assert!(!report.full_replay, "{dir}");
+            run += report.blocks_run;
+            total += report.blocks_total;
+        }
+        assert!(run * 100 < total, "{dir}: {run} of {total} steps");
+        assert_eq!(scratch.export(), solve(graph, &problem, &opts), "{dir}");
+    }
 }
 
 proptest! {

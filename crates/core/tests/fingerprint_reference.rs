@@ -1,8 +1,8 @@
-//! Reference suite for the tape-cache fingerprint
-//! ([`ScheduleTape::fingerprint_of`]).
+//! Reference suite for the delta-basis fingerprint
+//! ([`delta_fingerprint`]).
 //!
-//! `reference_fingerprint` below is the full-graph hash the tape cache
-//! was first keyed by: FNV-1a over the node count and, per node, its
+//! `reference_fingerprint` below is the full-graph hash the fingerprint
+//! was first computed as: FNV-1a over the node count and, per node, its
 //! classified successor edges, whether its `STEAL` is forced to ⊤ and
 //! its jump-in sources. Over random graphs in both orientations, several
 //! `poison()` sets and several [`SolverOptions`], the fingerprint under
@@ -10,7 +10,7 @@
 //! Poisoning a header must change it, and `clone()` must keep it.
 
 use gnt_cfg::{reversed_graph, EdgeClass, IntervalGraph, NodeId};
-use gnt_core::{random_program, sized_program, GenConfig, ScheduleTape, SolverOptions};
+use gnt_core::{delta_fingerprint, random_program, sized_program, GenConfig, SolverOptions};
 use std::collections::HashMap;
 
 fn reference_fingerprint(graph: &IntervalGraph, opts: &SolverOptions) -> u64 {
@@ -142,7 +142,7 @@ fn the_fingerprint_distinguishes_exactly_what_the_reference_does() {
             for opts in option_sets(&g) {
                 let (r, f) = (
                     reference_fingerprint(&g, &opts),
-                    ScheduleTape::fingerprint_of(&g, &opts),
+                    delta_fingerprint(&g, &opts),
                 );
                 assert_eq!(
                     *forward.entry(r).or_insert(f),
@@ -171,14 +171,14 @@ fn the_fingerprint_distinguishes_exactly_what_the_reference_does() {
 fn poisoning_a_header_changes_the_fingerprint_and_clone_keeps_it() {
     let opts = SolverOptions::default();
     for g in base_graphs() {
-        let fp = ScheduleTape::fingerprint_of(&g, &opts);
-        assert_eq!(ScheduleTape::fingerprint_of(&g.clone(), &opts), fp);
+        let fp = delta_fingerprint(&g, &opts);
+        assert_eq!(delta_fingerprint(&g.clone(), &opts), fp);
         for h in g.nodes().filter(|&n| g.is_loop_header(n)) {
             let mut p = g.clone();
             p.poison(h);
-            let poisoned = ScheduleTape::fingerprint_of(&p, &opts);
+            let poisoned = delta_fingerprint(&p, &opts);
             assert_ne!(poisoned, fp, "poisoning {h} left the fingerprint");
-            assert_eq!(ScheduleTape::fingerprint_of(&p.clone(), &opts), poisoned);
+            assert_eq!(delta_fingerprint(&p.clone(), &opts), poisoned);
         }
     }
 }

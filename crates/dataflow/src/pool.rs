@@ -15,7 +15,7 @@
 //! Threads are spawned per call and joined before `map` returns. No
 //! queue, parked thread or cross-call state exists, so there is nothing
 //! to shut down and nothing for a panic to poison. The warm state a job
-//! wants (solver arenas, compiled tapes, CFG scratch) lives in
+//! wants (solver arenas, CFG scratch) lives in
 //! process-wide [`crate::FreeList`]s (`gnt_core::ScratchPool`,
 //! `gnt_cfg::CfgScratchPool`), which do not depend on which thread
 //! checks them out.

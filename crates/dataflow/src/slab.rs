@@ -198,15 +198,6 @@ impl BitSlab {
         }
     }
 
-    /// Fused `dst ← a ∩ b`.
-    #[inline]
-    pub fn copy_and(&mut self, dst: usize, a: usize, b: usize) {
-        let (d, a, b) = (self.base(dst), self.base(a), self.base(b));
-        for w in 0..self.stride {
-            self.words[d + w] = self.words[a + w] & self.words[b + w];
-        }
-    }
-
     /// Fused `dst ← a ∖ b`.
     #[inline]
     pub fn copy_andnot(&mut self, dst: usize, a: usize, b: usize) {
@@ -235,177 +226,6 @@ impl BitSlab {
         assert_eq!(words.len(), self.stride, "window width mismatch");
         let d = self.base(dst);
         self.words[d..d + self.stride].copy_from_slice(words);
-    }
-
-    // ---- Change-detecting variants -------------------------------------
-    //
-    // Each kernel below computes exactly the same result as its plain
-    // counterpart and additionally reports whether any word of `dst`
-    // actually flipped. This is what lets the incremental tape executor
-    // (`gnt-core`'s `solve_delta`) cut dirty-row propagation short the
-    // moment a recomputed row reproduces its previous value.
-
-    /// [`BitSlab::clear`], returning whether `dst` changed.
-    #[inline]
-    pub fn clear_changed(&mut self, dst: usize) -> bool {
-        let d = self.base(dst);
-        let mut diff = 0u64;
-        for w in 0..self.stride {
-            diff |= self.words[d + w];
-            self.words[d + w] = 0;
-        }
-        diff != 0
-    }
-
-    /// [`BitSlab::fill`], returning whether `dst` changed.
-    #[inline]
-    pub fn fill_changed(&mut self, dst: usize) -> bool {
-        let d = self.base(dst);
-        let mut diff = 0u64;
-        for w in 0..self.stride {
-            let new = if w + 1 == self.stride {
-                self.last_word_mask()
-            } else {
-                !0
-            };
-            diff |= self.words[d + w] ^ new;
-            self.words[d + w] = new;
-        }
-        diff != 0
-    }
-
-    /// [`BitSlab::copy`], returning whether `dst` changed.
-    #[inline]
-    pub fn copy_changed(&mut self, dst: usize, src: usize) -> bool {
-        let (d, s) = (self.base(dst), self.base(src));
-        let mut diff = 0u64;
-        for w in 0..self.stride {
-            let new = self.words[s + w];
-            diff |= self.words[d + w] ^ new;
-            self.words[d + w] = new;
-        }
-        diff != 0
-    }
-
-    /// [`BitSlab::or`], returning whether `dst` changed.
-    #[inline]
-    pub fn or_changed(&mut self, dst: usize, a: usize) -> bool {
-        let (d, a) = (self.base(dst), self.base(a));
-        let mut diff = 0u64;
-        for w in 0..self.stride {
-            let new = self.words[d + w] | self.words[a + w];
-            diff |= self.words[d + w] ^ new;
-            self.words[d + w] = new;
-        }
-        diff != 0
-    }
-
-    /// [`BitSlab::and`], returning whether `dst` changed.
-    #[inline]
-    pub fn and_changed(&mut self, dst: usize, a: usize) -> bool {
-        let (d, a) = (self.base(dst), self.base(a));
-        let mut diff = 0u64;
-        for w in 0..self.stride {
-            let new = self.words[d + w] & self.words[a + w];
-            diff |= self.words[d + w] ^ new;
-            self.words[d + w] = new;
-        }
-        diff != 0
-    }
-
-    /// [`BitSlab::andnot`], returning whether `dst` changed.
-    #[inline]
-    pub fn andnot_changed(&mut self, dst: usize, a: usize) -> bool {
-        let (d, a) = (self.base(dst), self.base(a));
-        let mut diff = 0u64;
-        for w in 0..self.stride {
-            let new = self.words[d + w] & !self.words[a + w];
-            diff |= self.words[d + w] ^ new;
-            self.words[d + w] = new;
-        }
-        diff != 0
-    }
-
-    /// [`BitSlab::or_andnot`], returning whether `dst` changed.
-    #[inline]
-    pub fn or_andnot_changed(&mut self, dst: usize, a: usize, b: usize) -> bool {
-        let (d, a, b) = (self.base(dst), self.base(a), self.base(b));
-        let mut diff = 0u64;
-        for w in 0..self.stride {
-            let new = self.words[d + w] | (self.words[a + w] & !self.words[b + w]);
-            diff |= self.words[d + w] ^ new;
-            self.words[d + w] = new;
-        }
-        diff != 0
-    }
-
-    /// [`BitSlab::copy_or`], returning whether `dst` changed.
-    #[inline]
-    pub fn copy_or_changed(&mut self, dst: usize, a: usize, b: usize) -> bool {
-        let (d, a, b) = (self.base(dst), self.base(a), self.base(b));
-        let mut diff = 0u64;
-        for w in 0..self.stride {
-            let new = self.words[a + w] | self.words[b + w];
-            diff |= self.words[d + w] ^ new;
-            self.words[d + w] = new;
-        }
-        diff != 0
-    }
-
-    /// [`BitSlab::copy_and`], returning whether `dst` changed.
-    #[inline]
-    pub fn copy_and_changed(&mut self, dst: usize, a: usize, b: usize) -> bool {
-        let (d, a, b) = (self.base(dst), self.base(a), self.base(b));
-        let mut diff = 0u64;
-        for w in 0..self.stride {
-            let new = self.words[a + w] & self.words[b + w];
-            diff |= self.words[d + w] ^ new;
-            self.words[d + w] = new;
-        }
-        diff != 0
-    }
-
-    /// [`BitSlab::copy_andnot`], returning whether `dst` changed.
-    #[inline]
-    pub fn copy_andnot_changed(&mut self, dst: usize, a: usize, b: usize) -> bool {
-        let (d, a, b) = (self.base(dst), self.base(a), self.base(b));
-        let mut diff = 0u64;
-        for w in 0..self.stride {
-            let new = self.words[a + w] & !self.words[b + w];
-            diff |= self.words[d + w] ^ new;
-            self.words[d + w] = new;
-        }
-        diff != 0
-    }
-
-    /// [`BitSlab::copy_or_andnot`], returning whether `dst` changed.
-    #[inline]
-    pub fn copy_or_andnot_changed(&mut self, dst: usize, a: usize, b: usize, c: usize) -> bool {
-        let (d, a, b, c) = (self.base(dst), self.base(a), self.base(b), self.base(c));
-        let mut diff = 0u64;
-        for w in 0..self.stride {
-            let new = (self.words[a + w] | self.words[b + w]) & !self.words[c + w];
-            diff |= self.words[d + w] ^ new;
-            self.words[d + w] = new;
-        }
-        diff != 0
-    }
-
-    /// [`BitSlab::load`], returning whether `dst` changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words.len() != stride`.
-    #[inline]
-    pub fn load_changed(&mut self, dst: usize, words: &[u64]) -> bool {
-        assert_eq!(words.len(), self.stride, "window width mismatch");
-        let d = self.base(dst);
-        let mut diff = 0u64;
-        for (w, &new) in words.iter().enumerate() {
-            diff |= self.words[d + w] ^ new;
-            self.words[d + w] = new;
-        }
-        diff != 0
     }
 
     /// Number of set bits in row `r`.
@@ -598,13 +418,6 @@ mod tests {
             slab.copy_or(3, 0, 1);
             assert_eq!(slab.row(3).to_bitset(), a.union(&b), "copy_or cap {cap}");
 
-            slab.copy_and(3, 0, 1);
-            assert_eq!(
-                slab.row(3).to_bitset(),
-                a.intersection(&b),
-                "copy_and cap {cap}"
-            );
-
             slab.copy_andnot(3, 0, 1);
             assert_eq!(
                 slab.row(3).to_bitset(),
@@ -639,89 +452,6 @@ mod tests {
             assert!(slab.row(3).is_empty());
 
             assert_eq!(slab.diff_count(0, 1), a.difference(&b).len());
-        }
-    }
-
-    #[test]
-    fn changed_kernels_match_plain_kernels_and_report_flips() {
-        // 63/64/65/128: one-under, exact, one-over, and two-word rows.
-        for cap in [63usize, 64, 65, 128] {
-            let a = bs(cap, &[0, 1, 5, cap - 1]);
-            let b = bs(cap, &[1, 2, cap - 1]);
-            let c = bs(cap, &[0, 2, 3]);
-            let mut slab = BitSlab::new(6, cap);
-            slab.load(0, a.words());
-            slab.load(1, b.words());
-            slab.load(2, c.words());
-
-            // Full-overwrite kernels: first application from a zero row
-            // changes, the immediate re-application does not.
-            assert!(slab.copy_changed(3, 0), "copy cap {cap}");
-            assert!(!slab.copy_changed(3, 0), "copy stable cap {cap}");
-            assert_eq!(slab.row(3).to_bitset(), a);
-
-            assert!(slab.copy_or_changed(3, 0, 1), "copy_or cap {cap}");
-            assert!(!slab.copy_or_changed(3, 0, 1), "copy_or stable cap {cap}");
-            assert_eq!(slab.row(3).to_bitset(), a.union(&b));
-
-            assert!(slab.copy_and_changed(3, 0, 1), "copy_and cap {cap}");
-            assert!(!slab.copy_and_changed(3, 0, 1));
-            assert_eq!(slab.row(3).to_bitset(), a.intersection(&b));
-
-            assert!(slab.copy_andnot_changed(3, 0, 1), "copy_andnot cap {cap}");
-            assert!(!slab.copy_andnot_changed(3, 0, 1));
-            assert_eq!(slab.row(3).to_bitset(), a.difference(&b));
-
-            assert!(slab.copy_or_andnot_changed(3, 0, 1, 2));
-            assert!(!slab.copy_or_andnot_changed(3, 0, 1, 2));
-            assert_eq!(slab.row(3).to_bitset(), a.union(&b).difference(&c));
-
-            // RMW kernels: change iff the result differs from the prior
-            // dst value.
-            slab.copy(3, 2);
-            assert!(slab.or_changed(3, 0), "or cap {cap}");
-            assert!(!slab.or_changed(3, 0), "or idempotent cap {cap}");
-            assert_eq!(slab.row(3).to_bitset(), c.union(&a));
-
-            slab.copy(3, 0);
-            assert!(slab.and_changed(3, 1), "and cap {cap}");
-            assert!(!slab.and_changed(3, 1));
-            assert_eq!(slab.row(3).to_bitset(), a.intersection(&b));
-
-            slab.copy(3, 0);
-            assert!(slab.andnot_changed(3, 1), "andnot cap {cap}");
-            assert!(!slab.andnot_changed(3, 1));
-            assert_eq!(slab.row(3).to_bitset(), a.difference(&b));
-
-            slab.copy(3, 2);
-            assert!(slab.or_andnot_changed(3, 0, 1), "or_andnot cap {cap}");
-            assert!(!slab.or_andnot_changed(3, 0, 1));
-            assert_eq!(slab.row(3).to_bitset(), c.union(&a.difference(&b)));
-
-            // Fill / clear / load.
-            assert!(slab.fill_changed(4), "fill cap {cap}");
-            assert!(!slab.fill_changed(4), "fill stable cap {cap}");
-            assert_eq!(slab.count(4), cap, "fill trims at cap {cap}");
-            assert!(slab.clear_changed(4));
-            assert!(!slab.clear_changed(4));
-            assert!(slab.load_changed(4, a.words()));
-            assert!(!slab.load_changed(4, a.words()));
-            assert_eq!(slab.row(4).to_bitset(), a);
-        }
-    }
-
-    #[test]
-    fn changed_kernels_detect_top_bit_flips() {
-        // The change must be seen even when the only flipped bit is the
-        // highest in-range bit (the partial-last-word boundary).
-        for cap in [63usize, 64, 65, 128] {
-            let mut slab = BitSlab::new(2, cap);
-            let top = bs(cap, &[cap - 1]);
-            slab.load(1, top.words());
-            assert!(slab.or_changed(0, 1), "top-bit or cap {cap}");
-            assert!(slab.row(0).contains(cap - 1));
-            assert!(slab.andnot_changed(0, 1), "top-bit andnot cap {cap}");
-            assert!(slab.row(0).is_empty());
         }
     }
 

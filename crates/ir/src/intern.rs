@@ -10,9 +10,8 @@
 //! The table is append-only behind an `RwLock`: interning an
 //! already-known name takes the read lock only, so parallel lint workers
 //! contend only on genuinely new identifiers. Lookup uses FNV-1a over
-//! the raw bytes into an open-addressing slot array — the same hash the
-//! schedule-tape fingerprint uses, cheap on the short names MiniF
-//! programs contain.
+//! the raw bytes into an open-addressing slot array, cheap on the short
+//! names MiniF programs contain.
 //!
 //! Ordering: [`Symbol`] compares by *string contents*, not by table
 //! index, so `BTreeMap<Symbol, _>` and `sort()` iterate in exactly the
