@@ -144,7 +144,7 @@ pub struct DeltaReport {
 /// `solve_delta` call — and `problem` may differ from the problem of that
 /// solve only in the rows marked in `delta`. Results are bit-identical
 /// to a fresh [`crate::solve_into`] either way, and a call on a warm
-/// scratch allocates nothing.
+/// scratch allocates nothing unless `opts` lists `no_hoist_headers`.
 ///
 /// # Panics
 ///
@@ -218,27 +218,35 @@ pub fn solve_delta(
 /// equal fingerprints mean the same schedule, and the cost is in the
 /// size of the listed sets, not of the graph.
 pub fn delta_fingerprint(graph: &IntervalGraph, opts: &SolverOptions) -> u64 {
-    let n = graph.num_nodes();
+    if opts.no_hoist_headers.is_empty() {
+        // `poison()` keeps this list ascending and free of repeats, so a
+        // delta on a poisoned graph needs no buffer.
+        return canonical_hash(graph, opts, graph.poisoned());
+    }
     let mut listed: Vec<NodeId> = graph
         .poisoned()
         .iter()
         .chain(&opts.no_hoist_headers)
         .copied()
-        .filter(|h| h.index() < n)
         .collect();
     listed.sort_unstable();
     listed.dedup();
+    canonical_hash(graph, opts, &listed)
+}
+
+/// [`delta_fingerprint`] over the ascending, distinct `listed` nodes.
+fn canonical_hash(graph: &IntervalGraph, opts: &SolverOptions, listed: &[NodeId]) -> u64 {
+    let n = graph.num_nodes();
+    let listed = || listed.iter().copied().filter(|h| h.index() < n);
     // Canonical form: when the set holds every loop header, by the
     // option or by listing, hash that as one flag plus the other nodes.
     let headers = graph.num_loop_headers();
-    let listed_headers = listed.iter().filter(|&&h| graph.is_loop_header(h)).count();
+    let listed_headers = listed().filter(|&h| graph.is_loop_header(h)).count();
     let all_headers = headers > 0 && (opts.no_zero_trip_hoist || listed_headers == headers);
-    if all_headers {
-        listed.retain(|&h| !graph.is_loop_header(h));
-    }
+    let kept = || listed().filter(|&h| !(all_headers && graph.is_loop_header(h)));
     let mut h = mix(graph.fingerprint(), u64::from(all_headers));
-    h = mix(h, listed.len() as u64);
-    for x in listed {
+    h = mix(h, kept().count() as u64);
+    for x in kept() {
         h = mix(h, u64::from(x.0));
     }
     h
