@@ -5,9 +5,9 @@
 //! why-not queries name the conjunct that blocks a hoist.
 
 use gnt_analyze::driver::detect_distributed;
-use gnt_analyze::provenance::{run_query, QuerySpec};
+use gnt_analyze::provenance::{render_chain, render_why_not, run_query, QuerySpec};
 use gnt_cfg::{reversed_graph, IntervalGraph};
-use gnt_comm::{analyze, CommConfig};
+use gnt_comm::{analyze, generate_with_placement, CommConfig, GenerateOptions};
 use gnt_core::{
     check_chain, solve_into, BlameEngine, Flavor, Reason, Root, SolverOptions, SolverScratch, Var,
 };
@@ -317,4 +317,125 @@ fn run_query_reports_the_blocking_conjunct() {
     // through the GIVE term of Eq. 3.
     assert!(out.contains("root: GIVE_init"), "{out}");
     assert!(out.contains("`a(i) = ...`"), "{out}");
+}
+
+/// Every Figure-13 variable, both flavors of the placement variables.
+fn all_vars() -> Vec<Var> {
+    let mut vars = vec![
+        Var::Steal,
+        Var::Give,
+        Var::Block,
+        Var::TakenOut,
+        Var::Take,
+        Var::TakenIn,
+        Var::BlockLoc,
+        Var::TakeLoc,
+        Var::GiveLoc,
+        Var::StealLoc,
+    ];
+    for flavor in [Flavor::Eager, Flavor::Lazy] {
+        vars.extend([
+            Var::GivenIn(flavor),
+            Var::Given(flavor),
+            Var::GivenOut(flavor),
+            Var::ResIn(flavor),
+            Var::ResOut(flavor),
+        ]);
+    }
+    vars
+}
+
+/// FNV-1a over every rendered `why` or `why_not` of `(graph, problem)`:
+/// one query per (variable, node, item), in that nesting order.
+fn render_digest(
+    hash: &mut u64,
+    graph: &IntervalGraph,
+    problem: &gnt_core::PlacementProblem,
+    spans: &[Option<gnt_ir::Span>],
+    names: &[String],
+    src: &str,
+) {
+    let opts = SolverOptions::default();
+    let mut scratch = SolverScratch::new();
+    solve_into(graph, problem, &opts, &mut scratch);
+    let engine = BlameEngine::new(graph, problem, &opts, &scratch);
+    for var in all_vars() {
+        for n in graph.nodes() {
+            for (item, name) in names.iter().enumerate() {
+                let text = match engine.why(var, n, item) {
+                    Some(chain) => render_chain(&chain, name, spans, "fig.minif", src),
+                    None => {
+                        let wn = engine
+                            .why_not(var, n, item)
+                            .unwrap_or_else(|| panic!("{var}({n}) item {item} unexplained"));
+                        render_why_not(&wn, name, spans, "fig.minif", src)
+                    }
+                };
+                for byte in text.bytes() {
+                    *hash ^= u64::from(byte);
+                    *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+    }
+}
+
+/// The digest of every `--why`/`--why-not` text of `src`: READ on the
+/// forward graph, then the coupled WRITE problem on the (possibly
+/// poisoned) reversed graph that generation solved, as `run_query`
+/// addresses them.
+fn blame_digest(src: &str) -> u64 {
+    let program = gnt_ir::parse(src).expect("figure parses");
+    let arrays = detect_distributed(&program);
+    let refs: Vec<&str> = arrays.iter().map(String::as_str).collect();
+    let analysis = analyze(&program, &CommConfig::distributed(&refs)).expect("analysis runs");
+    let names: Vec<String> = analysis
+        .universe
+        .iter()
+        .map(|(_, r)| r.to_string())
+        .collect();
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let spans = gnt_cfg::node_spans(&program, &analysis.graph);
+    render_digest(
+        &mut hash,
+        &analysis.graph,
+        &analysis.read_problem,
+        &spans,
+        &names,
+        src,
+    );
+    let (plan, placement) = generate_with_placement(
+        analysis,
+        &GenerateOptions::default(),
+        &mut SolverScratch::new(),
+    )
+    .expect("figure generates");
+    let spans = gnt_cfg::node_spans(&program, &plan.analysis.graph);
+    let spans: Vec<Option<gnt_ir::Span>> = (0..placement.reversed.num_nodes())
+        .map(|i| spans.get(i).copied().flatten())
+        .collect();
+    render_digest(
+        &mut hash,
+        &placement.reversed,
+        &placement.write_problem,
+        &spans,
+        &names,
+        src,
+    );
+    hash
+}
+
+/// Byte-identity golden of the blame engine: every why and why-not text
+/// of Figures 1, 3 and 11, READ and coupled WRITE, hashed per program.
+/// A moved digest means a chain, a term choice or a message changed.
+#[test]
+fn every_why_and_why_not_text_of_the_figures_is_unchanged() {
+    for (name, src, want) in [
+        ("fig1", FIG1, 0x3411_af5e_1a20_90f6),
+        ("fig3", FIG3, 0xf5bc_0dae_631e_1d4a),
+        ("fig11", FIG11, 0x31e0_4147_90f4_be00),
+    ] {
+        let got = blame_digest(src);
+        assert_eq!(got, want, "{name}: digest {got:#018x}");
+    }
 }
