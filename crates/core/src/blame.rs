@@ -25,6 +25,7 @@
 
 use crate::problem::{Flavor, PlacementProblem, SolverOptions};
 use crate::scratch::SolverScratch;
+use crate::solver::effective_poison;
 use gnt_cfg::{EdgeMask, IntervalGraph, NodeId};
 use std::fmt;
 
@@ -286,6 +287,10 @@ impl WhyNot {
     }
 }
 
+/// One why-not step: the [`Absence`], and for [`Absence::Missing`] the
+/// absent antecedent the chain recurses into.
+type AbsentStep = (Absence, Option<(Var, NodeId)>);
+
 /// Internal single-step derivation outcome.
 enum Deriv {
     Root(Root),
@@ -374,44 +379,25 @@ impl<'a> BlameEngine<'a> {
 
     /// Whether `(var, n)` contains `item` in the solved arena.
     pub fn holds(&self, var: Var, n: NodeId, item: usize) -> bool {
-        let s = self.scratch;
-        match var {
-            Var::Steal => s.steal(n).contains(item),
-            Var::Give => s.give(n).contains(item),
-            Var::Block => s.block(n).contains(item),
-            Var::TakenOut => s.taken_out(n).contains(item),
-            Var::Take => s.take(n).contains(item),
-            Var::TakenIn => s.taken_in(n).contains(item),
-            Var::BlockLoc => s.block_loc(n).contains(item),
-            Var::TakeLoc => s.take_loc(n).contains(item),
-            Var::GiveLoc => s.give_loc(n).contains(item),
-            Var::StealLoc => s.steal_loc(n).contains(item),
-            Var::GivenIn(f) => s.given_in(f, n).contains(item),
-            Var::Given(f) => s.given(f, n).contains(item),
-            Var::GivenOut(f) => s.given_out(f, n).contains(item),
-            Var::ResIn(f) => s.res_in(f, n).contains(item),
-            Var::ResOut(f) => s.res_out(f, n).contains(item),
-        }
+        self.scratch.row(var, n).contains(item)
     }
 
     /// Mirrors the solver's poisoning rule (graph poison markers plus the
-    /// user's no-hoist options).
+    /// zero-trip option).
     fn poisoned(&self, n: NodeId) -> bool {
-        self.graph.is_poisoned(n)
-            || self.opts.no_hoist_headers.contains(&n)
-            || (self.opts.no_zero_trip_hoist && self.graph.is_loop_header(n))
+        effective_poison(self.graph, self.opts, n)
     }
 
     /// Eq. 11's predecessor set: FORWARD/JUMP preds plus jump-in sources.
-    fn eq11_preds(&self, n: NodeId) -> Vec<NodeId> {
+    fn eq11_preds(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.graph
             .preds(n, EdgeMask::FJ)
             .chain(self.graph.jump_in_sources(n).iter().copied())
-            .collect()
     }
 
     /// Derivation chain for the set bit `(var, n, item)`, or `None` if
-    /// the bit is clear (ask [`BlameEngine::why_not`] instead).
+    /// the bit is clear (ask [`BlameEngine::why_not`] instead) or the
+    /// arena does not hold a solve the equations justify.
     pub fn why(&self, var: Var, n: NodeId, item: usize) -> Option<BlameChain> {
         if !self.holds(var, n, item) {
             return None;
@@ -426,7 +412,7 @@ impl<'a> BlameEngine<'a> {
             if !seen.insert(cur) {
                 break;
             }
-            match self.derive(cur.0, cur.1, item) {
+            match self.derive(cur.0, cur.1, item)? {
                 Deriv::Root(root) => {
                     steps.push(BlameStep {
                         var: cur.0,
@@ -449,22 +435,21 @@ impl<'a> BlameEngine<'a> {
     }
 
     /// Picks the first justifying term, in the kernels' evaluation order.
-    /// Invariant: `(var, n, item)` holds.
-    fn derive(&self, var: Var, n: NodeId, item: usize) -> Deriv {
+    /// Expects `(var, n, item)` to hold; `None` when no term justifies it.
+    fn derive(&self, var: Var, n: NodeId, item: usize) -> Option<Deriv> {
         let g = self.graph;
         let set = |v: Var, m: NodeId| self.holds(v, m, item);
-        match var {
+        Some(match var {
             Var::Steal => {
                 if self.poisoned(n) {
                     Deriv::Root(Root::Poisoned)
                 } else if self.problem.steal_init[n.index()].contains(item) {
                     Deriv::Root(Root::StealInit)
                 } else {
-                    let lc = g.last_child(n).expect("STEAL set only via the summary");
                     Deriv::Via {
                         eq: 1,
                         what: "stolen inside the interval (STEAL_loc of the last child)",
-                        next: (Var::StealLoc, lc),
+                        next: (Var::StealLoc, g.last_child(n)?),
                     }
                 }
             }
@@ -472,11 +457,10 @@ impl<'a> BlameEngine<'a> {
                 if self.problem.give_init[n.index()].contains(item) {
                     Deriv::Root(Root::GiveInit)
                 } else {
-                    let lc = g.last_child(n).expect("GIVE set only via the summary");
                     Deriv::Via {
                         eq: 2,
                         what: "given inside the interval (GIVE_loc of the last child)",
-                        next: (Var::GiveLoc, lc),
+                        next: (Var::GiveLoc, g.last_child(n)?),
                     }
                 }
             }
@@ -494,10 +478,7 @@ impl<'a> BlameEngine<'a> {
                         next: (Var::Give, n),
                     }
                 } else {
-                    let s = g
-                        .succs(n, EdgeMask::E)
-                        .find(|&s| set(Var::BlockLoc, s))
-                        .expect("BLOCK set via some term");
+                    let s = g.succs(n, EdgeMask::E).find(|&s| set(Var::BlockLoc, s))?;
                     Deriv::Via {
                         eq: 3,
                         what: "blocked inside the interval body (BLOCK_loc of the entry)",
@@ -505,34 +486,25 @@ impl<'a> BlameEngine<'a> {
                     }
                 }
             }
-            Var::TakenOut => {
-                let s = g
-                    .succs(n, EdgeMask::FJS)
-                    .next()
-                    .expect("TAKEN_out set implies a successor");
-                Deriv::Via {
-                    eq: 4,
-                    what: "consumed on every path leaving the node (first witness shown)",
-                    next: (Var::TakenIn, s),
-                }
-            }
+            Var::TakenOut => Deriv::Via {
+                eq: 4,
+                what: "consumed on every path leaving the node (first witness shown)",
+                next: (Var::TakenIn, g.succs(n, EdgeMask::FJS).next()?),
+            },
             Var::Take => {
                 if self.problem.take_init[n.index()].contains(item) {
-                    return Deriv::Root(Root::TakeInit);
+                    return Some(Deriv::Root(Root::TakeInit));
                 }
                 if !set(Var::Steal, n) {
                     if let Some(s) = g.succs(n, EdgeMask::E).find(|&s| set(Var::TakenIn, s)) {
-                        return Deriv::Via {
+                        return Some(Deriv::Via {
                             eq: 5,
                             what: "consumption hoisted out of the interval body",
                             next: (Var::TakenIn, s),
-                        };
+                        });
                     }
                 }
-                let s = g
-                    .succs(n, EdgeMask::E)
-                    .find(|&s| set(Var::TakeLoc, s))
-                    .expect("TAKE set via some term");
+                let s = g.succs(n, EdgeMask::E).find(|&s| set(Var::TakeLoc, s))?;
                 Deriv::Via {
                     eq: 5,
                     what: "consumed on all paths out and within the body, unblocked",
@@ -562,10 +534,7 @@ impl<'a> BlameEngine<'a> {
                         next: (Var::Block, n),
                     }
                 } else {
-                    let s = g
-                        .succs(n, EdgeMask::F)
-                        .find(|&s| set(Var::BlockLoc, s))
-                        .expect("BLOCK_loc set via some term");
+                    let s = g.succs(n, EdgeMask::F).find(|&s| set(Var::BlockLoc, s))?;
                     Deriv::Via {
                         eq: 7,
                         what: "blocked by a later node of the same interval",
@@ -581,10 +550,7 @@ impl<'a> BlameEngine<'a> {
                         next: (Var::Take, n),
                     }
                 } else {
-                    let s = g
-                        .succs(n, EdgeMask::EF)
-                        .find(|&s| set(Var::TakeLoc, s))
-                        .expect("TAKE_loc set via some term");
+                    let s = g.succs(n, EdgeMask::EF).find(|&s| set(Var::TakeLoc, s))?;
                     Deriv::Via {
                         eq: 8,
                         what: "taken by a later node or the interval body, unblocked",
@@ -606,14 +572,10 @@ impl<'a> BlameEngine<'a> {
                         next: (Var::Take, n),
                     }
                 } else {
-                    let p = g
-                        .preds(n, EdgeMask::FJ)
-                        .next()
-                        .expect("GIVE_loc set via some term");
                     Deriv::Via {
                         eq: 9,
                         what: "given on every path reaching the node (first witness shown)",
-                        next: (Var::GiveLoc, p),
+                        next: (Var::GiveLoc, g.preds(n, EdgeMask::FJ).next()?),
                     }
                 }
             }
@@ -634,10 +596,7 @@ impl<'a> BlameEngine<'a> {
                         next: (Var::StealLoc, p),
                     }
                 } else {
-                    let p = g
-                        .preds(n, EdgeMask::S)
-                        .find(|&p| set(Var::StealLoc, p))
-                        .expect("STEAL_loc set via some term");
+                    let p = g.preds(n, EdgeMask::S).find(|&p| set(Var::StealLoc, p))?;
                     Deriv::Via {
                         eq: 10,
                         what: "stolen on a jump path (synthetic edge)",
@@ -648,29 +607,24 @@ impl<'a> BlameEngine<'a> {
             Var::GivenIn(f) => {
                 if let Some(h) = g.header_of(n) {
                     if set(Var::Given(f), h) && !set(Var::Steal, h) {
-                        return Deriv::Via {
+                        return Some(Deriv::Via {
                             eq: 11,
                             what: "inherited from the interval header (survives the body)",
                             next: (Var::Given(f), h),
-                        };
+                        });
                     }
                 }
-                let preds = self.eq11_preds(n);
-                if !preds.is_empty() && preds.iter().all(|&p| set(Var::GivenOut(f), p)) {
-                    return Deriv::Via {
-                        eq: 11,
-                        what: "available on every entering edge (first witness shown)",
-                        next: (Var::GivenOut(f), preds[0]),
-                    };
-                }
-                let q = preds
-                    .iter()
-                    .copied()
-                    .find(|&q| set(Var::GivenOut(f), q))
-                    .expect("GIVEN_in set via some term");
+                // The first carrying edge; when every edge carries, that
+                // is the first edge, the must-intersection's witness.
+                let q = self.eq11_preds(n).find(|&q| set(Var::GivenOut(f), q))?;
+                let what = if self.eq11_preds(n).all(|p| set(Var::GivenOut(f), p)) {
+                    "available on every entering edge (first witness shown)"
+                } else {
+                    "partially available and consumed ahead (RES_out pads the other paths)"
+                };
                 Deriv::Via {
                     eq: 11,
-                    what: "partially available and consumed ahead (RES_out pads the other paths)",
+                    what,
                     next: (Var::GivenOut(f), q),
                 }
             }
@@ -719,19 +673,19 @@ impl<'a> BlameEngine<'a> {
             Var::ResOut(f) => {
                 let s = g
                     .succs(n, EdgeMask::FJ)
-                    .find(|&s| set(Var::GivenIn(f), s))
-                    .expect("RES_out set via some successor");
+                    .find(|&s| set(Var::GivenIn(f), s))?;
                 Deriv::Via {
                     eq: 15,
                     what: "a successor expects availability this exit lacks: pad production",
                     next: (Var::GivenIn(f), s),
                 }
             }
-        }
+        })
     }
 
     /// Explains the *clear* bit `(var, n, item)`, or `None` if the bit
-    /// is actually set (ask [`BlameEngine::why`] instead).
+    /// is actually set (ask [`BlameEngine::why`] instead) or the arena
+    /// does not hold a solve the equations justify.
     pub fn why_not(&self, var: Var, n: NodeId, item: usize) -> Option<WhyNot> {
         if self.holds(var, n, item) {
             return None;
@@ -744,15 +698,10 @@ impl<'a> BlameEngine<'a> {
             if !seen.insert(cur) {
                 break;
             }
-            let absence = self.derive_absent(cur.0, cur.1, item);
-            let next = match &absence {
-                Absence::Missing { .. } => Some(self.missing_next(cur.0, cur.1, item)),
-                Absence::Blocked { killer, at, .. } => {
-                    blocker = self.why(*killer, *at, item);
-                    None
-                }
-                Absence::Never { .. } => None,
-            };
+            let (absence, next) = self.derive_absent(cur.0, cur.1, item)?;
+            if let Absence::Blocked { killer, at, .. } = absence {
+                blocker = self.why(killer, at, item);
+            }
             steps.push(WhyNotStep {
                 var: cur.0,
                 node: cur.1,
@@ -770,145 +719,195 @@ impl<'a> BlameEngine<'a> {
         })
     }
 
-    /// Why `(var, n, item)` is clear. Invariant: the bit is clear.
-    fn derive_absent(&self, var: Var, n: NodeId, item: usize) -> Absence {
+    /// Why `(var, n, item)` is clear, and for [`Absence::Missing`] the
+    /// absent antecedent the chain recurses into. Expects the bit to be
+    /// clear; `None` when the equations would set it.
+    fn derive_absent(&self, var: Var, n: NodeId, item: usize) -> Option<AbsentStep> {
         let g = self.graph;
         let set = |v: Var, m: NodeId| self.holds(v, m, item);
-        match var {
-            Var::Steal => Absence::Never {
-                eq: 1,
-                what: "STEAL_init is empty here and nothing inside the interval steals",
-            },
-            Var::Give => Absence::Never {
-                eq: 2,
-                what: "GIVE_init is empty here and nothing inside the interval gives",
-            },
-            Var::Block => Absence::Never {
-                eq: 3,
-                what: "the node neither steals, gives, nor encloses a blocker",
-            },
+        let missing = |eq: u8, what: &'static str, next: (Var, NodeId)| {
+            (Absence::Missing { eq, what }, Some(next))
+        };
+        Some(match var {
+            Var::Steal => (
+                Absence::Never {
+                    eq: 1,
+                    what: "STEAL_init is empty here and nothing inside the interval steals",
+                },
+                None,
+            ),
+            Var::Give => (
+                Absence::Never {
+                    eq: 2,
+                    what: "GIVE_init is empty here and nothing inside the interval gives",
+                },
+                None,
+            ),
+            Var::Block => (
+                Absence::Never {
+                    eq: 3,
+                    what: "the node neither steals, gives, nor encloses a blocker",
+                },
+                None,
+            ),
             Var::TakenOut => {
                 if g.succs(n, EdgeMask::FJS).next().is_none() {
-                    Absence::Never {
-                        eq: 4,
-                        what: "the node has no FORWARD/JUMP/SYNTHETIC successors",
-                    }
+                    (
+                        Absence::Never {
+                            eq: 4,
+                            what: "the node has no FORWARD/JUMP/SYNTHETIC successors",
+                        },
+                        None,
+                    )
                 } else {
-                    Absence::Missing {
-                        eq: 4,
-                        what: "some path leaving the node escapes without consuming",
-                    }
+                    // Some operand of the intersection is clear.
+                    let s = g.succs(n, EdgeMask::FJS).find(|&s| !set(Var::TakenIn, s))?;
+                    missing(
+                        4,
+                        "some path leaving the node escapes without consuming",
+                        (Var::TakenIn, s),
+                    )
                 }
             }
             Var::Take => {
                 if self.poisoned(n) {
-                    return Absence::Never {
-                        eq: 5,
-                        what: "TAKE_init is empty and the header is poisoned: \
-                               body consumption may not hoist across it",
-                    };
+                    return Some((
+                        Absence::Never {
+                            eq: 5,
+                            what: "TAKE_init is empty and the header is poisoned: \
+                                   body consumption may not hoist across it",
+                        },
+                        None,
+                    ));
                 }
                 if g.succs(n, EdgeMask::E).any(|s| set(Var::TakenIn, s)) {
                     // Term 2 fires unless − STEAL(n) kills it.
-                    return Absence::Blocked {
-                        eq: 5,
-                        killer: Var::Steal,
-                        at: n,
-                        what: "body consumption cannot hoist across a destroyer: − STEAL(n)",
-                    };
+                    return Some((
+                        Absence::Blocked {
+                            eq: 5,
+                            killer: Var::Steal,
+                            at: n,
+                            what: "body consumption cannot hoist across a destroyer: − STEAL(n)",
+                        },
+                        None,
+                    ));
                 }
                 if set(Var::TakenOut, n) && g.succs(n, EdgeMask::E).any(|s| set(Var::TakeLoc, s)) {
-                    return Absence::Blocked {
-                        eq: 5,
-                        killer: Var::Block,
-                        at: n,
-                        what: "guaranteed consumption is stopped at the node: − BLOCK(n)",
-                    };
+                    return Some((
+                        Absence::Blocked {
+                            eq: 5,
+                            killer: Var::Block,
+                            at: n,
+                            what: "guaranteed consumption is stopped at the node: − BLOCK(n)",
+                        },
+                        None,
+                    ));
                 }
-                if g.succs(n, EdgeMask::E).next().is_some() {
-                    Absence::Missing {
-                        eq: 5,
-                        what: "no consumption surfaces in the interval body",
-                    }
-                } else {
-                    Absence::Never {
-                        eq: 5,
-                        what: "the node does not consume (TAKE_init empty, no interval body)",
-                    }
+                match g.succs(n, EdgeMask::E).next() {
+                    Some(s) => missing(
+                        5,
+                        "no consumption surfaces in the interval body",
+                        (Var::TakenIn, s),
+                    ),
+                    None => (
+                        Absence::Never {
+                            eq: 5,
+                            what: "the node does not consume (TAKE_init empty, no interval body)",
+                        },
+                        None,
+                    ),
                 }
             }
             Var::TakenIn => {
                 if set(Var::TakenOut, n) {
-                    Absence::Blocked {
-                        eq: 6,
-                        killer: Var::Block,
-                        at: n,
-                        what: "consumption beyond the node is blocked here: − BLOCK(n)",
-                    }
+                    (
+                        Absence::Blocked {
+                            eq: 6,
+                            killer: Var::Block,
+                            at: n,
+                            what: "consumption beyond the node is blocked here: − BLOCK(n)",
+                        },
+                        None,
+                    )
                 } else if g.succs(n, EdgeMask::FJS).next().is_some() {
-                    Absence::Missing {
-                        eq: 6,
-                        what: "the node does not consume and not every outgoing path does",
-                    }
+                    missing(
+                        6,
+                        "the node does not consume and not every outgoing path does",
+                        (Var::TakenOut, n),
+                    )
                 } else {
-                    Absence::Missing {
-                        eq: 6,
-                        what: "the node does not consume",
-                    }
+                    missing(6, "the node does not consume", (Var::Take, n))
                 }
             }
             Var::BlockLoc => {
                 if set(Var::Block, n) || g.succs(n, EdgeMask::F).any(|s| set(Var::BlockLoc, s)) {
-                    Absence::Blocked {
-                        eq: 7,
-                        killer: Var::Take,
-                        at: n,
-                        what: "the node's own consumption clears the block: − TAKE(n)",
-                    }
+                    (
+                        Absence::Blocked {
+                            eq: 7,
+                            killer: Var::Take,
+                            at: n,
+                            what: "the node's own consumption clears the block: − TAKE(n)",
+                        },
+                        None,
+                    )
                 } else {
-                    Absence::Never {
-                        eq: 7,
-                        what: "nothing at or after the node blocks the item",
-                    }
+                    (
+                        Absence::Never {
+                            eq: 7,
+                            what: "nothing at or after the node blocks the item",
+                        },
+                        None,
+                    )
                 }
             }
             Var::TakeLoc => {
                 if g.succs(n, EdgeMask::EF).any(|s| set(Var::TakeLoc, s)) {
-                    Absence::Blocked {
-                        eq: 8,
-                        killer: Var::Block,
-                        at: n,
-                        what: "later consumption does not reach past this blocker: − BLOCK(n)",
-                    }
+                    (
+                        Absence::Blocked {
+                            eq: 8,
+                            killer: Var::Block,
+                            at: n,
+                            what: "later consumption does not reach past this blocker: − BLOCK(n)",
+                        },
+                        None,
+                    )
                 } else {
-                    Absence::Missing {
-                        eq: 8,
-                        what: "the node does not consume and nothing later in the interval does",
-                    }
+                    missing(
+                        8,
+                        "the node does not consume and nothing later in the interval does",
+                        (Var::Take, n),
+                    )
                 }
             }
             Var::GiveLoc => {
-                let preds: Vec<NodeId> = g.preds(n, EdgeMask::FJ).collect();
-                if set(Var::Give, n)
-                    || set(Var::Take, n)
-                    || (!preds.is_empty() && preds.iter().all(|&p| set(Var::GiveLoc, p)))
-                {
+                let steal = (
                     Absence::Blocked {
                         eq: 9,
                         killer: Var::Steal,
                         at: n,
                         what: "production does not survive the node: − STEAL(n)",
-                    }
-                } else if !preds.is_empty() {
-                    Absence::Missing {
-                        eq: 9,
-                        what: "some path reaching the node lacks an earlier production",
-                    }
+                    },
+                    None,
+                );
+                if set(Var::Give, n) || set(Var::Take, n) {
+                    steal
+                } else if let Some(p) = g.preds(n, EdgeMask::FJ).find(|&p| !set(Var::GiveLoc, p)) {
+                    missing(
+                        9,
+                        "some path reaching the node lacks an earlier production",
+                        (Var::GiveLoc, p),
+                    )
+                } else if g.preds(n, EdgeMask::FJ).next().is_some() {
+                    // Every operand of the intersection holds.
+                    steal
                 } else {
-                    Absence::Never {
-                        eq: 9,
-                        what: "nothing produced at or before the node in this interval",
-                    }
+                    (
+                        Absence::Never {
+                            eq: 9,
+                            what: "nothing produced at or before the node in this interval",
+                        },
+                        None,
+                    )
                 }
             }
             Var::StealLoc => {
@@ -916,178 +915,148 @@ impl<'a> BlameEngine<'a> {
                     .preds(n, EdgeMask::FJ)
                     .find(|&p| set(Var::StealLoc, p) && set(Var::GiveLoc, p))
                 {
-                    Absence::Blocked {
-                        eq: 10,
-                        killer: Var::GiveLoc,
-                        at: p,
-                        what: "an intervening production resupplies the item: − GIVE_loc(p)",
-                    }
+                    (
+                        Absence::Blocked {
+                            eq: 10,
+                            killer: Var::GiveLoc,
+                            at: p,
+                            what: "an intervening production resupplies the item: − GIVE_loc(p)",
+                        },
+                        None,
+                    )
                 } else {
-                    Absence::Never {
-                        eq: 10,
-                        what: "nothing at or before the node steals the item",
-                    }
+                    (
+                        Absence::Never {
+                            eq: 10,
+                            what: "nothing at or before the node steals the item",
+                        },
+                        None,
+                    )
                 }
             }
             Var::GivenIn(f) => {
-                if let Some(h) = g.header_of(n) {
+                let header = g.header_of(n);
+                if let Some(h) = header {
                     if set(Var::Given(f), h) {
-                        return Absence::Blocked {
-                            eq: 11,
-                            killer: Var::Steal,
-                            at: h,
-                            what: "the header's availability does not survive the loop body: \
-                                   − STEAL(HEADER(n))",
-                        };
+                        return Some((
+                            Absence::Blocked {
+                                eq: 11,
+                                killer: Var::Steal,
+                                at: h,
+                                what: "the header's availability does not survive the loop body: \
+                                       − STEAL(HEADER(n))",
+                            },
+                            None,
+                        ));
                     }
                 }
-                let preds = self.eq11_preds(n);
-                if preds.iter().any(|&q| set(Var::GivenOut(f), q)) {
-                    Absence::Missing {
-                        eq: 11,
-                        what: "only partially available, and the partial-availability term \
-                               needs consumption ahead (TAKEN_in)",
-                    }
-                } else if !preds.is_empty() {
-                    Absence::Missing {
-                        eq: 11,
-                        what: "no entering edge carries availability",
-                    }
-                } else if g.header_of(n).is_some() {
-                    Absence::Missing {
-                        eq: 11,
-                        what: "the interval header itself has no availability",
-                    }
+                if self.eq11_preds(n).any(|q| set(Var::GivenOut(f), q)) {
+                    missing(
+                        11,
+                        "only partially available, and the partial-availability term \
+                         needs consumption ahead (TAKEN_in)",
+                        (Var::TakenIn, n),
+                    )
+                } else if let Some(p) = self.eq11_preds(n).next() {
+                    missing(
+                        11,
+                        "no entering edge carries availability",
+                        (Var::GivenOut(f), p),
+                    )
+                } else if let Some(h) = header {
+                    missing(
+                        11,
+                        "the interval header itself has no availability",
+                        (Var::Given(f), h),
+                    )
                 } else {
-                    Absence::Never {
-                        eq: 11,
-                        what: "the entry node: nothing can be available before it",
-                    }
+                    (
+                        Absence::Never {
+                            eq: 11,
+                            what: "the entry node: nothing can be available before it",
+                        },
+                        None,
+                    )
                 }
             }
-            Var::Given(f) => {
-                let what = match f {
-                    Flavor::Eager => {
-                        "not available at entry and no consumption at or beyond the node"
-                    }
-                    Flavor::Lazy => "not available at entry and the node does not consume",
-                };
-                Absence::Missing { eq: 12, what }
-            }
+            Var::Given(f) => match f {
+                Flavor::Eager => missing(
+                    12,
+                    "not available at entry and no consumption at or beyond the node",
+                    (Var::TakenIn, n),
+                ),
+                Flavor::Lazy => missing(
+                    12,
+                    "not available at entry and the node does not consume",
+                    (Var::Take, n),
+                ),
+            },
             Var::GivenOut(f) => {
                 if set(Var::Give, n) || set(Var::Given(f), n) {
-                    Absence::Blocked {
-                        eq: 13,
-                        killer: Var::Steal,
-                        at: n,
-                        what: "availability is destroyed at the node: − STEAL(n)",
-                    }
+                    (
+                        Absence::Blocked {
+                            eq: 13,
+                            killer: Var::Steal,
+                            at: n,
+                            what: "availability is destroyed at the node: − STEAL(n)",
+                        },
+                        None,
+                    )
                 } else {
-                    Absence::Missing {
-                        eq: 13,
-                        what: "nothing available at the node to carry out",
-                    }
+                    missing(
+                        13,
+                        "nothing available at the node to carry out",
+                        (Var::Given(f), n),
+                    )
                 }
             }
             Var::ResIn(f) => {
                 if set(Var::Given(f), n) {
-                    Absence::Blocked {
-                        eq: 14,
-                        killer: Var::GivenIn(f),
-                        at: n,
-                        what: "already available at entry: no production needs to start here",
-                    }
+                    (
+                        Absence::Blocked {
+                            eq: 14,
+                            killer: Var::GivenIn(f),
+                            at: n,
+                            what: "already available at entry: no production needs to start here",
+                        },
+                        None,
+                    )
                 } else {
-                    Absence::Missing {
-                        eq: 14,
-                        what: "the item is not available at the node at all",
-                    }
+                    missing(
+                        14,
+                        "the item is not available at the node at all",
+                        (Var::Given(f), n),
+                    )
                 }
             }
             Var::ResOut(f) => {
                 if g.succs(n, EdgeMask::FJ).any(|s| set(Var::GivenIn(f), s)) {
-                    Absence::Blocked {
-                        eq: 15,
-                        killer: Var::GivenOut(f),
-                        at: n,
-                        what: "the exit already carries availability: no pad needed",
-                    }
-                } else if g.succs(n, EdgeMask::FJ).next().is_some() {
-                    Absence::Missing {
-                        eq: 15,
-                        what: "no successor expects the item to be available",
-                    }
+                    (
+                        Absence::Blocked {
+                            eq: 15,
+                            killer: Var::GivenOut(f),
+                            at: n,
+                            what: "the exit already carries availability: no pad needed",
+                        },
+                        None,
+                    )
+                } else if let Some(s) = g.succs(n, EdgeMask::FJ).next() {
+                    missing(
+                        15,
+                        "no successor expects the item to be available",
+                        (Var::GivenIn(f), s),
+                    )
                 } else {
-                    Absence::Never {
-                        eq: 15,
-                        what: "the node has no FORWARD/JUMP successors",
-                    }
+                    (
+                        Absence::Never {
+                            eq: 15,
+                            what: "the node has no FORWARD/JUMP successors",
+                        },
+                        None,
+                    )
                 }
             }
-        }
-    }
-
-    /// The antecedent an [`Absence::Missing`] step recurses into.
-    fn missing_next(&self, var: Var, n: NodeId, item: usize) -> (Var, NodeId) {
-        let g = self.graph;
-        let set = |v: Var, m: NodeId| self.holds(v, m, item);
-        match var {
-            Var::TakenOut => {
-                let s = g
-                    .succs(n, EdgeMask::FJS)
-                    .find(|&s| !set(Var::TakenIn, s))
-                    .expect("some operand of the intersection is clear");
-                (Var::TakenIn, s)
-            }
-            Var::Take => {
-                let s = g
-                    .succs(n, EdgeMask::E)
-                    .next()
-                    .expect("Missing only with a body");
-                (Var::TakenIn, s)
-            }
-            Var::TakenIn => {
-                if g.succs(n, EdgeMask::FJS).next().is_some() {
-                    (Var::TakenOut, n)
-                } else {
-                    (Var::Take, n)
-                }
-            }
-            Var::TakeLoc => (Var::Take, n),
-            Var::GiveLoc => {
-                let p = g
-                    .preds(n, EdgeMask::FJ)
-                    .find(|&p| !set(Var::GiveLoc, p))
-                    .expect("some operand of the intersection is clear");
-                (Var::GiveLoc, p)
-            }
-            Var::GivenIn(f) => {
-                let preds = self.eq11_preds(n);
-                if preds.iter().any(|&q| set(Var::GivenOut(f), q)) {
-                    (Var::TakenIn, n)
-                } else if let Some(&p) = preds.first() {
-                    (Var::GivenOut(f), p)
-                } else {
-                    let h = g.header_of(n).expect("Missing only with a header");
-                    (Var::Given(f), h)
-                }
-            }
-            Var::Given(f) => match f {
-                Flavor::Eager => (Var::TakenIn, n),
-                Flavor::Lazy => (Var::Take, n),
-            },
-            Var::GivenOut(f) => (Var::Given(f), n),
-            Var::ResIn(f) => (Var::Given(f), n),
-            Var::ResOut(f) => {
-                let s = g
-                    .succs(n, EdgeMask::FJ)
-                    .next()
-                    .expect("Missing only with successors");
-                (Var::GivenIn(f), s)
-            }
-            // The remaining variables never produce `Missing`.
-            _ => unreachable!("no Missing recursion for {var}"),
-        }
+        })
     }
 }
 
@@ -1225,7 +1194,7 @@ fn check_link(
         // Eq. 11, edge terms: the must-intersection over all entering
         // edges, or the partial term guarded by TAKEN_in(n).
         (Var::GivenIn(f), Var::GivenOut(f2)) => {
-            let preds = engine.eq11_preds(n);
+            let preds: Vec<NodeId> = engine.eq11_preds(n).collect();
             f == f2
                 && preds.contains(&ante.node)
                 && (preds.iter().all(|&p| set(Var::GivenOut(f), p)) || set(Var::TakenIn, n))
@@ -1385,6 +1354,87 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every Figure-13 variable, both flavors of the placement variables.
+    fn all_vars() -> Vec<Var> {
+        let mut vars = vec![
+            Var::Steal,
+            Var::Give,
+            Var::Block,
+            Var::TakenOut,
+            Var::Take,
+            Var::TakenIn,
+            Var::BlockLoc,
+            Var::TakeLoc,
+            Var::GiveLoc,
+            Var::StealLoc,
+        ];
+        for f in [Flavor::Eager, Flavor::Lazy] {
+            vars.extend([
+                Var::GivenIn(f),
+                Var::Given(f),
+                Var::GivenOut(f),
+                Var::ResIn(f),
+                Var::ResOut(f),
+            ]);
+        }
+        vars
+    }
+
+    /// On an arena the equations do not justify (seeded bits of a solved
+    /// slab flipped), every `why` and `why_not` query answers or returns
+    /// `None`; none panics, and some find no justification.
+    #[test]
+    fn queries_on_a_corrupted_arena_answer_or_return_none() {
+        let src = "do i = 1, N\n  if t then\n    ... = x(a(i))\n  else\n    y(i) = ...\n  endif\n\
+                   if u(i) goto 7\nenddo\n... = x(1)\n7 z = 0";
+        let (g, _) = setup(src);
+        let stmts = stmt_nodes(&g);
+        let items = 3;
+        let mut problem = PlacementProblem::new(g.num_nodes(), items);
+        for (k, &s) in stmts.iter().enumerate() {
+            match k % 3 {
+                0 => problem.take(s, k % items),
+                1 => problem.steal(s, k % items),
+                _ => problem.give(s, k % items),
+            };
+        }
+        let opts = SolverOptions::default();
+        let rows = crate::scratch::NUM_FAMILIES * g.num_nodes();
+        let mut unjustified = 0;
+        for seed in 1..=24u64 {
+            let mut scratch = SolverScratch::new();
+            solve_into(&g, &problem, &opts, &mut scratch);
+            let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            for _ in 0..1 + seed % 6 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let (r, bit) = (
+                    (x % rows as u64) as usize,
+                    ((x >> 32) % items as u64) as usize,
+                );
+                let mut row = scratch.slab.row_mut(r);
+                if !row.remove(bit) {
+                    row.insert(bit);
+                }
+            }
+            let engine = BlameEngine::new(&g, &problem, &opts, &scratch);
+            for var in all_vars() {
+                for n in g.nodes() {
+                    for item in 0..items {
+                        let why = engine.why(var, n, item);
+                        let why_not = engine.why_not(var, n, item);
+                        assert!(why.is_none() || why_not.is_none(), "{var}({n})");
+                        if why.is_none() && why_not.is_none() {
+                            unjustified += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(unjustified > 0, "no flip left a bit without justification");
     }
 
     #[test]

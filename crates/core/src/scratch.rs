@@ -10,6 +10,7 @@
 //! proptests) reuse the allocation and touch the allocator not at all
 //! after warm-up.
 
+use crate::blame::Var;
 use crate::problem::Flavor;
 use crate::solver::{ConsumptionVars, FlavorSolution, Solution, Worklist};
 use crate::verify::ProductionRows;
@@ -42,6 +43,27 @@ pub(crate) fn flavor_offset(flavor: Flavor) -> usize {
     match flavor {
         Flavor::Eager => 0,
         Flavor::Lazy => FLAVOR_STRIDE,
+    }
+}
+
+/// The family index of `var`.
+fn family(var: Var) -> usize {
+    match var {
+        Var::Steal => F_STEAL,
+        Var::Give => F_GIVE,
+        Var::Block => F_BLOCK,
+        Var::TakenOut => F_TAKEN_OUT,
+        Var::Take => F_TAKE,
+        Var::TakenIn => F_TAKEN_IN,
+        Var::BlockLoc => F_BLOCK_LOC,
+        Var::TakeLoc => F_TAKE_LOC,
+        Var::GiveLoc => F_GIVE_LOC,
+        Var::StealLoc => F_STEAL_LOC,
+        Var::GivenIn(f) => F_GIVEN_IN + flavor_offset(f),
+        Var::Given(f) => F_GIVEN + flavor_offset(f),
+        Var::GivenOut(f) => F_GIVEN_OUT + flavor_offset(f),
+        Var::ResIn(f) => F_RES_IN + flavor_offset(f),
+        Var::ResOut(f) => F_RES_OUT + flavor_offset(f),
     }
 }
 
@@ -80,7 +102,7 @@ impl std::ops::Sub for EngineCounters {
 /// Create once, pass to [`crate::solve_into`] or [`crate::solve_delta`]
 /// repeatedly; after the first solve of a given graph/universe shape,
 /// subsequent full solves allocate nothing. The solved variables are
-/// readable in place through the accessor methods (zero-copy [`BitRef`]
+/// readable in place through [`SolverScratch::row`] (zero-copy [`BitRef`]
 /// views), exported wholesale with
 /// [`SolverScratch::export`], or only the production rows with
 /// [`SolverScratch::export_productions`].
@@ -98,8 +120,8 @@ impl std::ops::Sub for EngineCounters {
 /// problem.take(body, 0);
 /// let mut scratch = SolverScratch::new();
 /// solve_into(&g, &problem, &SolverOptions::default(), &mut scratch);
-/// use gnt_core::Flavor;
-/// assert!(scratch.res_in(Flavor::Eager, g.root()).contains(0));
+/// use gnt_core::{Flavor, Var};
+/// assert!(scratch.row(Var::ResIn(Flavor::Eager), g.root()).contains(0));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
@@ -176,83 +198,10 @@ impl SolverScratch {
         family * self.nodes + node
     }
 
-    fn view(&self, family: usize, n: NodeId) -> BitRef<'_> {
-        self.slab.row(self.fam(family, n.index()))
-    }
-
-    /// Eq. 1 — `STEAL(n)`.
-    pub fn steal(&self, n: NodeId) -> BitRef<'_> {
-        self.view(F_STEAL, n)
-    }
-
-    /// Eq. 2 — `GIVE(n)`.
-    pub fn give(&self, n: NodeId) -> BitRef<'_> {
-        self.view(F_GIVE, n)
-    }
-
-    /// Eq. 3 — `BLOCK(n)`.
-    pub fn block(&self, n: NodeId) -> BitRef<'_> {
-        self.view(F_BLOCK, n)
-    }
-
-    /// Eq. 4 — `TAKEN_out(n)`.
-    pub fn taken_out(&self, n: NodeId) -> BitRef<'_> {
-        self.view(F_TAKEN_OUT, n)
-    }
-
-    /// Eq. 5 — `TAKE(n)`.
-    pub fn take(&self, n: NodeId) -> BitRef<'_> {
-        self.view(F_TAKE, n)
-    }
-
-    /// Eq. 6 — `TAKEN_in(n)`.
-    pub fn taken_in(&self, n: NodeId) -> BitRef<'_> {
-        self.view(F_TAKEN_IN, n)
-    }
-
-    /// Eq. 7 — `BLOCK_loc(n)`.
-    pub fn block_loc(&self, n: NodeId) -> BitRef<'_> {
-        self.view(F_BLOCK_LOC, n)
-    }
-
-    /// Eq. 8 — `TAKE_loc(n)`.
-    pub fn take_loc(&self, n: NodeId) -> BitRef<'_> {
-        self.view(F_TAKE_LOC, n)
-    }
-
-    /// Eq. 9 — `GIVE_loc(n)`.
-    pub fn give_loc(&self, n: NodeId) -> BitRef<'_> {
-        self.view(F_GIVE_LOC, n)
-    }
-
-    /// Eq. 10 — `STEAL_loc(n)`.
-    pub fn steal_loc(&self, n: NodeId) -> BitRef<'_> {
-        self.view(F_STEAL_LOC, n)
-    }
-
-    /// Eq. 11 — `GIVEN_in(n)` for `flavor`.
-    pub fn given_in(&self, flavor: Flavor, n: NodeId) -> BitRef<'_> {
-        self.view(F_GIVEN_IN + flavor_offset(flavor), n)
-    }
-
-    /// Eq. 12 — `GIVEN(n)` for `flavor`.
-    pub fn given(&self, flavor: Flavor, n: NodeId) -> BitRef<'_> {
-        self.view(F_GIVEN + flavor_offset(flavor), n)
-    }
-
-    /// Eq. 13 — `GIVEN_out(n)` for `flavor`.
-    pub fn given_out(&self, flavor: Flavor, n: NodeId) -> BitRef<'_> {
-        self.view(F_GIVEN_OUT + flavor_offset(flavor), n)
-    }
-
-    /// Eq. 14 — `RES_in(n)` for `flavor`.
-    pub fn res_in(&self, flavor: Flavor, n: NodeId) -> BitRef<'_> {
-        self.view(F_RES_IN + flavor_offset(flavor), n)
-    }
-
-    /// Eq. 15 — `RES_out(n)` for `flavor`.
-    pub fn res_out(&self, flavor: Flavor, n: NodeId) -> BitRef<'_> {
-        self.view(F_RES_OUT + flavor_offset(flavor), n)
+    /// The solved row of the Figure-13 variable `var` at node `n`, read
+    /// in place.
+    pub fn row(&self, var: Var, n: NodeId) -> BitRef<'_> {
+        self.slab.row(self.fam(family(var), n.index()))
     }
 
     /// Total `(node, item)` production points for `flavor`, straight from
@@ -278,8 +227,8 @@ impl SolverScratch {
 
     /// The in-flight items at `n`'s entry, ascending.
     pub fn in_flight_items(&self, n: NodeId) -> Vec<usize> {
-        let lazy = self.given_in(Flavor::Lazy, n);
-        self.given_in(Flavor::Eager, n)
+        let lazy = self.row(Var::GivenIn(Flavor::Lazy), n);
+        self.row(Var::GivenIn(Flavor::Eager), n)
             .iter()
             .filter(|&i| !lazy.contains(i))
             .collect()
