@@ -49,7 +49,6 @@ fn ablation_zero_trip() {
             &analysis.read_problem,
             &SolverOptions {
                 no_zero_trip_hoist: true,
-                ..Default::default()
             },
         );
         println!(

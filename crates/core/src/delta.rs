@@ -144,7 +144,7 @@ pub struct DeltaReport {
 /// `solve_delta` call — and `problem` may differ from the problem of that
 /// solve only in the rows marked in `delta`. Results are bit-identical
 /// to a fresh [`crate::solve_into`] either way, and a call on a warm
-/// scratch allocates nothing unless `opts` lists `no_hoist_headers`.
+/// scratch allocates nothing.
 ///
 /// # Panics
 ///
@@ -212,38 +212,20 @@ pub fn solve_delta(
 /// The delta basis's key for `(graph, opts)`: the graph's stored
 /// structural fingerprint ([`IntervalGraph::fingerprint`]) mixed with the
 /// effective poison set, the nodes whose `STEAL` the schedule forces to
-/// ⊤ (`effective_poison` in the solver). That set is `graph.poisoned()` ∪
-/// `opts.no_hoist_headers`, plus every loop header under
-/// `opts.no_zero_trip_hoist`; it is hashed in one canonical form, so
-/// equal fingerprints mean the same schedule, and the cost is in the
-/// size of the listed sets, not of the graph.
+/// ⊤ (`effective_poison` in the solver). That set is `graph.poisoned()`,
+/// plus every loop header under `opts.no_zero_trip_hoist`; it is hashed
+/// in one canonical form, so equal fingerprints mean the same schedule,
+/// and the cost is in the size of the poison set, not of the graph.
 pub fn delta_fingerprint(graph: &IntervalGraph, opts: &SolverOptions) -> u64 {
-    if opts.no_hoist_headers.is_empty() {
-        // `poison()` keeps this list ascending and free of repeats, so a
-        // delta on a poisoned graph needs no buffer.
-        return canonical_hash(graph, opts, graph.poisoned());
-    }
-    let mut listed: Vec<NodeId> = graph
-        .poisoned()
-        .iter()
-        .chain(&opts.no_hoist_headers)
-        .copied()
-        .collect();
-    listed.sort_unstable();
-    listed.dedup();
-    canonical_hash(graph, opts, &listed)
-}
-
-/// [`delta_fingerprint`] over the ascending, distinct `listed` nodes.
-fn canonical_hash(graph: &IntervalGraph, opts: &SolverOptions, listed: &[NodeId]) -> u64 {
     let n = graph.num_nodes();
-    let listed = || listed.iter().copied().filter(|h| h.index() < n);
+    // `poison()` keeps this list ascending and free of repeats.
+    let poisoned = || graph.poisoned().iter().copied().filter(|h| h.index() < n);
     // Canonical form: when the set holds every loop header, by the
-    // option or by listing, hash that as one flag plus the other nodes.
+    // option or by poisoning, hash that as one flag plus the other nodes.
     let headers = graph.num_loop_headers();
-    let listed_headers = listed().filter(|&h| graph.is_loop_header(h)).count();
-    let all_headers = headers > 0 && (opts.no_zero_trip_hoist || listed_headers == headers);
-    let kept = || listed().filter(|&h| !(all_headers && graph.is_loop_header(h)));
+    let poisoned_headers = poisoned().filter(|&h| graph.is_loop_header(h)).count();
+    let all_headers = headers > 0 && (opts.no_zero_trip_hoist || poisoned_headers == headers);
+    let kept = || poisoned().filter(|&h| !(all_headers && graph.is_loop_header(h)));
     let mut h = mix(graph.fingerprint(), u64::from(all_headers));
     h = mix(h, kept().count() as u64);
     for x in kept() {

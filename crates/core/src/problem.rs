@@ -106,11 +106,6 @@ pub struct SolverOptions {
     /// (§3.2 C2). The default (`false`) follows the paper's communication
     /// setting and hoists.
     pub no_zero_trip_hoist: bool,
-    /// Headers (by node id) that must not hoist, case by case (§4.1
-    /// suggests expressing this through `STEAL_init`; this option drops
-    /// the loop-body contributions to `TAKE` instead, the equivalent
-    /// mechanism of §5.3).
-    pub no_hoist_headers: Vec<NodeId>,
 }
 
 #[cfg(test)]

@@ -458,17 +458,15 @@ pub(crate) fn check_coverage(graph: &IntervalGraph, problem: &PlacementProblem) 
 /// Whether `h`'s `STEAL` is forced to ⊤: poisoned on the graph, or
 /// hoisting disabled by the solver options.
 ///
-/// Headers where the *user* disabled hoisting (zero-trip safety, §3.2 C2
-/// / §4.1) follow the paper's suggested mechanism and get
-/// `STEAL_init = ⊤`: nothing is hoisted out of the loop, nothing
-/// survives across it, so both placement flavors stay inside the loop
-/// and remain balanced, and downstream consumers get their own
-/// production even on zero-trip paths. Headers poisoned on the graph
-/// get the same treatment.
+/// Headers where hoisting is disabled (zero-trip safety, §3.2 C2 /
+/// §4.1: every loop header under `no_zero_trip_hoist`, or one header at a
+/// time through [`IntervalGraph::poison`]) follow the paper's suggested
+/// mechanism and get `STEAL_init = ⊤`: nothing is hoisted out of the
+/// loop, nothing survives across it, so both placement flavors stay
+/// inside the loop and remain balanced, and downstream consumers get
+/// their own production even on zero-trip paths.
 pub(crate) fn effective_poison(graph: &IntervalGraph, opts: &SolverOptions, h: NodeId) -> bool {
-    graph.is_poisoned(h)
-        || opts.no_hoist_headers.contains(&h)
-        || (opts.no_zero_trip_hoist && graph.is_loop_header(h))
+    graph.is_poisoned(h) || (opts.no_zero_trip_hoist && graph.is_loop_header(h))
 }
 
 /// The four-pass schedule of Figure 15 over arena rows, issued to `k`:
@@ -1190,7 +1188,6 @@ mod tests {
         prob.take(consumer, 0);
         let opts = SolverOptions {
             no_zero_trip_hoist: true,
-            ..Default::default()
         };
         let sol = solve(&g, &prob, &opts);
         assert!(!sol.vars.take[header.index()].contains(0));
@@ -1678,8 +1675,9 @@ mod tests {
     /// the re-walk's rule, over `examples/*.minif`, `sized_program(400)`
     /// and random programs with and without `goto`s, forward and
     /// reversed, with jump-entered or every other loop header poisoned,
-    /// under the default options, `no_zero_trip_hoist` and listed
-    /// `no_hoist_headers`. `GNT_STRESS` scales the random corpus.
+    /// under the default options and `no_zero_trip_hoist`, and each graph
+    /// again with the other loop headers poisoned too. `GNT_STRESS`
+    /// scales the random corpus.
     #[test]
     fn reader_rule_covers_every_read_of_a_full_walk() {
         let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
@@ -1727,11 +1725,6 @@ mod tests {
                 SolverOptions::default(),
                 SolverOptions {
                     no_zero_trip_hoist: true,
-                    ..Default::default()
-                },
-                SolverOptions {
-                    no_hoist_headers: headers.iter().copied().skip(1).step_by(2).collect(),
-                    ..Default::default()
                 },
             ];
             for (dir, g) in [
@@ -1743,6 +1736,12 @@ mod tests {
                 for (k, opts) in option_sets.iter().enumerate() {
                     checked += check_reader_rule(g, opts, &format!("{name}/{dir}/opts{k}"));
                 }
+                let mut others = g.clone();
+                for &h in headers.iter().skip(1).step_by(2) {
+                    others.poison(h);
+                }
+                let (opts, label) = (SolverOptions::default(), format!("{name}/{dir}/others"));
+                checked += check_reader_rule(&others, &opts, &label);
             }
         }
         assert!(jump_in > 0, "the corpus must have jump-entered headers");

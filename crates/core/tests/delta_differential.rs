@@ -385,7 +385,6 @@ fn late_marking_converges_once_the_row_is_named() {
 fn cycling_several_fingerprints_through_one_scratch_stays_exact() {
     let no_hoist = SolverOptions {
         no_zero_trip_hoist: true,
-        ..Default::default()
     };
     let config = GenConfig {
         goto_prob: 0.1,
@@ -498,7 +497,6 @@ fn option_changes_invalidate_the_delta_basis() {
     let plain = SolverOptions::default();
     let no_hoist = SolverOptions {
         no_zero_trip_hoist: true,
-        ..Default::default()
     };
     assert_ne!(
         delta_fingerprint(&graph, &plain),

@@ -83,10 +83,8 @@ mod reference {
             steal_loc: vec![empty.clone(); n],
         };
 
-        let user_no_hoist = |h: NodeId| -> bool {
-            opts.no_hoist_headers.contains(&h)
-                || (opts.no_zero_trip_hoist && graph.is_loop_header(h))
-        };
+        let user_no_hoist =
+            |h: NodeId| -> bool { opts.no_zero_trip_hoist && graph.is_loop_header(h) };
         let poisoned = |h: NodeId| -> bool { graph.is_poisoned(h) || user_no_hoist(h) };
         let steal_init_of = |n: NodeId| -> BitSet {
             if poisoned(n) {
@@ -392,7 +390,6 @@ fn no_hoist_options_stay_bit_identical() {
         let problem = random_problem(seed ^ 0xbeef, &graph, 96, 0.4);
         let opts = SolverOptions {
             no_zero_trip_hoist: true,
-            ..Default::default()
         };
         let oracle = reference::solve(&graph, &problem, &opts);
         let sol = solve(&graph, &problem, &opts);

@@ -5,7 +5,7 @@
 //! was first computed as: FNV-1a over the node count and, per node, its
 //! classified successor edges, whether its `STEAL` is forced to ⊤ and
 //! its jump-in sources. Over random graphs in both orientations, several
-//! `poison()` sets and several [`SolverOptions`], the fingerprint under
+//! `poison()` sets and both [`SolverOptions`], the fingerprint under
 //! test must tell apart exactly the pairs the reference tells apart.
 //! Poisoning a header must change it, and `clone()` must keep it.
 
@@ -39,9 +39,8 @@ fn reference_fingerprint(graph: &IntervalGraph, opts: &SolverOptions) -> u64 {
         for (s, c) in graph.succ_edges(node) {
             mix((u64::from(s.0) << 3) | class_tag(c));
         }
-        let poisoned = graph.is_poisoned(node)
-            || opts.no_hoist_headers.contains(&node)
-            || (opts.no_zero_trip_hoist && graph.is_loop_header(node));
+        let poisoned =
+            graph.is_poisoned(node) || (opts.no_zero_trip_hoist && graph.is_loop_header(node));
         mix(u64::from(poisoned));
         for &j in graph.jump_in_sources(node) {
             mix(0x1000_0000 | u64::from(j.0));
@@ -102,31 +101,34 @@ fn poisonings(g: &IntervalGraph) -> Vec<IntervalGraph> {
     out
 }
 
-/// Option sets: the default, no zero-trip hoisting, a listed header
-/// (also listed twice, and out of order with a non-header), every loop
-/// header listed, and an id past the graph.
-fn option_sets(g: &IntervalGraph) -> Vec<SolverOptions> {
+/// The graph under option sets, some with more nodes poisoned: the
+/// default, no zero-trip hoisting, every loop header poisoned, an id past
+/// the graph poisoned, the last header poisoned twice, poisoned out of
+/// order with the exit, and poisoned with the root under no zero-trip
+/// hoisting.
+fn option_sets(g: &IntervalGraph) -> Vec<(IntervalGraph, SolverOptions)> {
     let headers: Vec<NodeId> = g.nodes().filter(|&n| g.is_loop_header(n)).collect();
-    let listed = |no_hoist_headers: Vec<NodeId>| SolverOptions {
-        no_zero_trip_hoist: false,
-        no_hoist_headers,
+    let zero_trip = SolverOptions {
+        no_zero_trip_hoist: true,
     };
+    let poisoned = |nodes: &[NodeId], opts: &SolverOptions| {
+        let mut p = g.clone();
+        for &n in nodes {
+            p.poison(n);
+        }
+        (p, opts.clone())
+    };
+    let default = SolverOptions::default();
     let mut out = vec![
-        SolverOptions::default(),
-        SolverOptions {
-            no_zero_trip_hoist: true,
-            no_hoist_headers: Vec::new(),
-        },
-        listed(headers.clone()),
-        listed(vec![NodeId(g.num_nodes() as u32 + 7)]),
+        (g.clone(), default.clone()),
+        (g.clone(), zero_trip.clone()),
+        poisoned(&headers, &default),
+        poisoned(&[NodeId(g.num_nodes() as u32 + 7)], &default),
     ];
     if let Some(&h) = headers.last() {
-        out.push(listed(vec![h, h]));
-        out.push(listed(vec![g.exit(), h]));
-        out.push(SolverOptions {
-            no_zero_trip_hoist: true,
-            no_hoist_headers: vec![h, g.root()],
-        });
+        out.push(poisoned(&[h, h], &default));
+        out.push(poisoned(&[g.exit(), h], &default));
+        out.push(poisoned(&[h, g.root()], &zero_trip));
     }
     out
 }
@@ -138,8 +140,8 @@ fn the_fingerprint_distinguishes_exactly_what_the_reference_does() {
     let mut backward: HashMap<u64, u64> = HashMap::new();
     let mut cases = 0usize;
     for base in base_graphs() {
-        for g in poisonings(&base) {
-            for opts in option_sets(&g) {
+        for poisoned in poisonings(&base) {
+            for (g, opts) in option_sets(&poisoned) {
                 let (r, f) = (
                     reference_fingerprint(&g, &opts),
                     delta_fingerprint(&g, &opts),

@@ -56,7 +56,7 @@ proptest! {
         let program = random_program(pseed, &GenConfig::default());
         let graph = IntervalGraph::from_program(&program).unwrap();
         let problem = random_problem(qseed, &graph, items, f64::from(density) / 100.0);
-        let opts = SolverOptions { no_zero_trip_hoist: true, ..Default::default() };
+        let opts = SolverOptions { no_zero_trip_hoist: true };
         let sol = solve(&graph, &problem, &opts);
         prop_assert!(check_sufficiency(&graph, &problem, &sol.eager, false).is_empty());
         prop_assert!(check_sufficiency(&graph, &problem, &sol.lazy, false).is_empty());

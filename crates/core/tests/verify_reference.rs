@@ -519,7 +519,6 @@ fn flat_checkers_match_the_reference_on_random_programs() {
     ];
     let no_hoist = SolverOptions {
         no_zero_trip_hoist: true,
-        ..Default::default()
     };
     let mut tally = Tally::default();
     let mut rng = Lcg(0x0c1c3);

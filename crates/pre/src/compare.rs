@@ -30,7 +30,6 @@ pub fn gnt_lazy_pre(graph: &IntervalGraph, problem: &PreProblem, safe: bool) -> 
     }
     let opts = SolverOptions {
         no_zero_trip_hoist: safe,
-        ..Default::default()
     };
     let solution = solve(graph, &placement_problem, &opts);
     let lazy = solution.lazy;

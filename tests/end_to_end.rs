@@ -137,7 +137,6 @@ fn zero_trip_option_controls_hoisting_end_to_end() {
         &analysis.read_problem,
         &SolverOptions {
             no_zero_trip_hoist: true,
-            ..Default::default()
         },
     );
     // Hoisted: one production pair outside the loop. Safe: production
