@@ -35,8 +35,6 @@ pub struct AuditOptions {
     /// `GNT031` slack threshold: fire only when the latency window is at
     /// least this many *nodes* narrower than the optimum's.
     pub k: usize,
-    /// Solver options used to compute the optimum.
-    pub solver_options: SolverOptions,
     /// Human-readable item names (index-aligned with the universe).
     pub item_names: Vec<String>,
 }
@@ -45,7 +43,6 @@ impl Default for AuditOptions {
     fn default() -> Self {
         AuditOptions {
             k: 2,
-            solver_options: SolverOptions::default(),
             item_names: Vec::new(),
         }
     }
@@ -102,10 +99,10 @@ pub fn audit_placement(
     // One solve backs both the comparison and the blame chains: the
     // scratch keeps every Figure-13 variable for the engine, the export
     // is shifted for program-order comparison.
-    let mut scratch = SolverScratch::new();
-    solve_into(graph, problem, &opts.solver_options, &mut scratch);
+    let (solver_opts, mut scratch) = (SolverOptions::default(), SolverScratch::new());
+    solve_into(graph, problem, &solver_opts, &mut scratch);
     let opt = scratch.export();
-    let engine = BlameEngine::new(graph, problem, &opts.solver_options, &scratch);
+    let engine = BlameEngine::new(graph, problem, &solver_opts, &scratch);
     let mut opt_eager = opt.eager.clone();
     let mut opt_lazy = opt.lazy.clone();
     shift_off_synthetic(graph, &mut opt_eager);

@@ -24,6 +24,7 @@
 
 use crate::diag::Diagnostic;
 use crate::driver::StageTimings;
+use crate::{MAX_EDGE_VISITS, MAX_PATHS};
 use gnt_cfg::{EdgeClass, NodeId};
 use gnt_comm::{CommOp, CommPlan, OpKind};
 use gnt_core::{for_each_path, path_has_zero_trip, Path};
@@ -55,10 +56,6 @@ pub struct CommLintOptions {
     pub writes: bool,
     /// Also replay zero-trip paths (reporting findings as warnings).
     pub zero_trip: bool,
-    /// Path-enumeration bound: maximum visits per edge.
-    pub max_edge_visits: usize,
-    /// Path-enumeration bound: maximum number of paths.
-    pub max_paths: usize,
 }
 
 impl Default for CommLintOptions {
@@ -67,8 +64,6 @@ impl Default for CommLintOptions {
             reads: true,
             writes: true,
             zero_trip: false,
-            max_edge_visits: 2,
-            max_paths: 256,
         }
     }
 }
@@ -474,7 +469,7 @@ pub(crate) fn lint_plan_counted(
         &[false]
     };
     for &zero in passes {
-        let truncated = for_each_path(graph, opts.max_edge_visits, opts.max_paths, |path| {
+        let truncated = for_each_path(graph, MAX_EDGE_VISITS, MAX_PATHS, |path| {
             if path_has_zero_trip(graph, path) == zero {
                 replay.run(path, zero);
                 replayed += 1;

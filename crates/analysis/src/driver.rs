@@ -410,7 +410,6 @@ fn lint_program_inner(
             check_optimality: false,
             zero_trip,
             item_names: item_names.clone(),
-            ..Default::default()
         };
         let stage = std::time::Instant::now();
         let mut found =
@@ -438,7 +437,6 @@ fn lint_program_inner(
         reads: opts.select != ProblemSelect::After,
         writes: opts.select != ProblemSelect::Before,
         zero_trip: opts.zero_trip,
-        ..Default::default()
     };
     diagnostics.extend(lint_plan_counted(&plan, &copts, timings));
     // GNT030: mergeable same-slot transfers (message aggregation, §6).

@@ -12,6 +12,7 @@
 
 use crate::diag::Diagnostic;
 use crate::driver::StageTimings;
+use crate::{MAX_EDGE_VISITS, MAX_PATHS};
 use gnt_cfg::{EdgeClass, IntervalGraph, NodeId};
 use gnt_core::{
     check_balance, check_sufficiency_pair, for_each_path, path_has_zero_trip, shift_off_synthetic,
@@ -21,24 +22,20 @@ use gnt_core::{
 use std::collections::BTreeSet;
 
 /// Options for [`lint_placement`].
+///
+/// Sufficiency (C3) is checked under the paper's ≥1-trip worldview (§2),
+/// and the optimum comes from [`SolverOptions::default`], which follows
+/// that worldview.
 #[derive(Clone, Debug)]
 pub struct PlacementLintOptions {
-    /// Verify sufficiency under the paper's ≥1-trip worldview (§2).
-    /// `true` matches [`SolverOptions::default`].
-    pub assume_one_trip: bool,
     /// Compare against the solver's own optimum (O2/O3/O3'). Skipped
     /// automatically when any correctness diagnostic fired.
     pub check_optimality: bool,
-    /// Solver options used to compute the optimum for the comparison.
-    pub solver_options: SolverOptions,
     /// Additionally check zero-trip execution paths strictly, reporting
     /// productions wasted there as *warnings* (the paper deliberately
-    /// accepts these under the ≥1-trip assumption, §5.2).
+    /// accepts these under the ≥1-trip assumption, §5.2), on at most
+    /// [`MAX_PATHS`](crate::MAX_PATHS) paths.
     pub zero_trip: bool,
-    /// Path-enumeration bound: maximum visits per edge.
-    pub max_edge_visits: usize,
-    /// Path-enumeration bound: maximum number of paths.
-    pub max_paths: usize,
     /// Human-readable item names (index-aligned with the problem's
     /// universe); items without a name render as `item N`.
     pub item_names: Vec<String>,
@@ -47,12 +44,8 @@ pub struct PlacementLintOptions {
 impl Default for PlacementLintOptions {
     fn default() -> Self {
         PlacementLintOptions {
-            assume_one_trip: true,
             check_optimality: true,
-            solver_options: SolverOptions::default(),
             zero_trip: false,
-            max_edge_visits: 2,
-            max_paths: 256,
             item_names: Vec::new(),
         }
     }
@@ -417,7 +410,7 @@ pub fn lint_placement_with_scratch(
 /// replay counts and the O1 fixpoint's rounds to `profile`. With
 /// `c1_c3_clean` the C1 and C3 checks are skipped: the caller vouches
 /// that [`gnt_core::check_balance`] and [`gnt_core::check_sufficiency`]
-/// (≥1-trip, `opts.assume_one_trip` set) already found exactly these
+/// (≥1-trip) already found exactly these
 /// rows clean against `problem` on `graph`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn lint_placement_counted(
@@ -443,8 +436,7 @@ pub(crate) fn lint_placement_counted(
     // one fixpoint for the pair; then C1: eager and lazy productions
     // alternate on every path.
     if !c1_c3_clean {
-        let [eager_missed, lazy_missed] =
-            check_sufficiency_pair(graph, problem, eager, lazy, opts.assume_one_trip);
+        let [eager_missed, lazy_missed] = check_sufficiency_pair(graph, problem, eager, lazy, true);
         for v in eager_missed.into_iter().chain(lazy_missed) {
             if let Violation::Insufficient { node, item } = v {
                 let d = Diagnostic::error(
@@ -525,7 +517,7 @@ pub(crate) fn lint_placement_counted(
         // many paths, and is formatted only the first time.
         let mut tried = BTreeSet::new();
         let mut replayed = 0;
-        let truncated = for_each_path(graph, opts.max_edge_visits, opts.max_paths, |path| {
+        let truncated = for_each_path(graph, MAX_EDGE_VISITS, MAX_PATHS, |path| {
             if !path_has_zero_trip(graph, path) {
                 return;
             }
@@ -559,7 +551,7 @@ pub(crate) fn lint_placement_counted(
     // Optimality (O2/O3/O3') — only meaningful for placements that are
     // otherwise clean, and compared against the solver's own optimum.
     if opts.check_optimality && out.is_empty() {
-        let mut opt = solve_batch_with_scratch(graph, problem, &opts.solver_options, scratch);
+        let mut opt = solve_batch_with_scratch(graph, problem, &SolverOptions::default(), scratch);
         shift_off_synthetic(graph, &mut opt.eager);
         shift_off_synthetic(graph, &mut opt.lazy);
         let given_eager = production_points(graph, eager, cap);

@@ -155,17 +155,17 @@ pub struct GenerateOptions {
     /// incremental delta engine, so tightening the bound costs far less
     /// than repeated full solves.
     pub max_in_flight: Option<usize>,
-    /// Round budget for the pressure heuristic (the bound may be
-    /// infeasible).
-    pub max_pressure_rounds: usize,
 }
+
+/// Round budget of the pressure heuristic of
+/// [`GenerateOptions::max_in_flight`] (the bound may be infeasible).
+const MAX_PRESSURE_ROUNDS: usize = 32;
 
 impl Default for GenerateOptions {
     fn default() -> GenerateOptions {
         GenerateOptions {
             style: PlacementStyle::Split,
             max_in_flight: None,
-            max_pressure_rounds: 32,
         }
     }
 }
@@ -284,7 +284,7 @@ pub fn generate_with_placement(
                 &mut working,
                 &opts,
                 limit,
-                gen_opts.max_pressure_rounds,
+                MAX_PRESSURE_ROUNDS,
                 scratch,
             );
             read_pressure = Some(report);
