@@ -1,8 +1,8 @@
 //! Shared workloads and helpers for the benchmark harness.
 //!
 //! Every table/figure of the paper is regenerated by a binary in
-//! `src/bin/` (printing the rows to stdout) and timed by a criterion
-//! bench in `benches/`. The kernels here are the paper's own examples
+//! `src/bin/` (printing the rows to stdout); `bench_json` times the
+//! solver and pipeline rows. The kernels here are the paper's own examples
 //! plus two classic distributed-memory workloads exercising the same
 //! code paths (a Jacobi-style stencil and an irregular gather/scatter).
 

@@ -8,7 +8,7 @@
 //!
 //! GIVE-N-TAKE's LAZY BEFORE solution subsumes LCM (§1 of the paper
 //! classifies classical PRE as a LAZY, BEFORE problem); the equivalence is
-//! exercised in this crate's tests and the `bench_vs_pre` benchmark.
+//! exercised in this crate's tests and the `table_vs_pre` table.
 
 use crate::problem::{PrePlacement, PreProblem};
 use gnt_dataflow::{BitSet, Direction, FlowGraph, GenKillProblem, Meet};
