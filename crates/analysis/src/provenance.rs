@@ -204,8 +204,7 @@ pub fn why_not_trail(wn: &WhyNot, item_name: &str) -> Vec<RelatedInfo> {
             }
         })
         .collect();
-    if let Some(blocker) = &wn.blocker {
-        let root = blocker.steps.last().expect("chains are never empty");
+    if let Some(root) = wn.blocker.as_ref().and_then(|b| b.steps.last()) {
         trail.push(RelatedInfo {
             message: format!(
                 "killed at: {}({}) — root: {}",

@@ -301,6 +301,35 @@ enum Deriv {
     },
 }
 
+/// A step justified by the term `what` of equation `eq`, whose
+/// antecedent is `next`.
+fn via(eq: u8, what: &'static str, next: (Var, NodeId)) -> Deriv {
+    Deriv::Via { eq, what, next }
+}
+
+/// A clear step no term of equation `eq` generates.
+fn never(eq: u8, what: &'static str) -> AbsentStep {
+    (Absence::Never { eq, what }, None)
+}
+
+/// A clear step whose generating term the conjunct `killer` at `at` kills.
+fn blocked(eq: u8, killer: Var, at: NodeId, what: &'static str) -> AbsentStep {
+    (
+        Absence::Blocked {
+            eq,
+            killer,
+            at,
+            what,
+        },
+        None,
+    )
+}
+
+/// A clear step whose positive antecedent `next` is clear too.
+fn missing(eq: u8, what: &'static str, next: (Var, NodeId)) -> AbsentStep {
+    (Absence::Missing { eq, what }, Some(next))
+}
+
 /// Backward provenance queries over one solved scratch.
 ///
 /// The scratch must hold a **full-universe** solve of exactly
@@ -446,172 +475,144 @@ impl<'a> BlameEngine<'a> {
                 } else if self.problem.steal_init[n.index()].contains(item) {
                     Deriv::Root(Root::StealInit)
                 } else {
-                    Deriv::Via {
-                        eq: 1,
-                        what: "stolen inside the interval (STEAL_loc of the last child)",
-                        next: (Var::StealLoc, g.last_child(n)?),
-                    }
+                    via(
+                        1,
+                        "stolen inside the interval (STEAL_loc of the last child)",
+                        (Var::StealLoc, g.last_child(n)?),
+                    )
                 }
             }
             Var::Give => {
                 if self.problem.give_init[n.index()].contains(item) {
                     Deriv::Root(Root::GiveInit)
                 } else {
-                    Deriv::Via {
-                        eq: 2,
-                        what: "given inside the interval (GIVE_loc of the last child)",
-                        next: (Var::GiveLoc, g.last_child(n)?),
-                    }
+                    via(
+                        2,
+                        "given inside the interval (GIVE_loc of the last child)",
+                        (Var::GiveLoc, g.last_child(n)?),
+                    )
                 }
             }
             Var::Block => {
                 if set(Var::Steal, n) {
-                    Deriv::Via {
-                        eq: 3,
-                        what: "the node steals the item",
-                        next: (Var::Steal, n),
-                    }
+                    via(3, "the node steals the item", (Var::Steal, n))
                 } else if set(Var::Give, n) {
-                    Deriv::Via {
-                        eq: 3,
-                        what: "the node gives the item",
-                        next: (Var::Give, n),
-                    }
+                    via(3, "the node gives the item", (Var::Give, n))
                 } else {
                     let s = g.succs(n, EdgeMask::E).find(|&s| set(Var::BlockLoc, s))?;
-                    Deriv::Via {
-                        eq: 3,
-                        what: "blocked inside the interval body (BLOCK_loc of the entry)",
-                        next: (Var::BlockLoc, s),
-                    }
+                    via(
+                        3,
+                        "blocked inside the interval body (BLOCK_loc of the entry)",
+                        (Var::BlockLoc, s),
+                    )
                 }
             }
-            Var::TakenOut => Deriv::Via {
-                eq: 4,
-                what: "consumed on every path leaving the node (first witness shown)",
-                next: (Var::TakenIn, g.succs(n, EdgeMask::FJS).next()?),
-            },
+            Var::TakenOut => via(
+                4,
+                "consumed on every path leaving the node (first witness shown)",
+                (Var::TakenIn, g.succs(n, EdgeMask::FJS).next()?),
+            ),
             Var::Take => {
                 if self.problem.take_init[n.index()].contains(item) {
                     return Some(Deriv::Root(Root::TakeInit));
                 }
                 if !set(Var::Steal, n) {
                     if let Some(s) = g.succs(n, EdgeMask::E).find(|&s| set(Var::TakenIn, s)) {
-                        return Some(Deriv::Via {
-                            eq: 5,
-                            what: "consumption hoisted out of the interval body",
-                            next: (Var::TakenIn, s),
-                        });
+                        return Some(via(
+                            5,
+                            "consumption hoisted out of the interval body",
+                            (Var::TakenIn, s),
+                        ));
                     }
                 }
                 let s = g.succs(n, EdgeMask::E).find(|&s| set(Var::TakeLoc, s))?;
-                Deriv::Via {
-                    eq: 5,
-                    what: "consumed on all paths out and within the body, unblocked",
-                    next: (Var::TakeLoc, s),
-                }
+                via(
+                    5,
+                    "consumed on all paths out and within the body, unblocked",
+                    (Var::TakeLoc, s),
+                )
             }
             Var::TakenIn => {
                 if set(Var::Take, n) {
-                    Deriv::Via {
-                        eq: 6,
-                        what: "the node itself consumes",
-                        next: (Var::Take, n),
-                    }
+                    via(6, "the node itself consumes", (Var::Take, n))
                 } else {
-                    Deriv::Via {
-                        eq: 6,
-                        what: "consumed on every outgoing path, not blocked here",
-                        next: (Var::TakenOut, n),
-                    }
+                    via(
+                        6,
+                        "consumed on every outgoing path, not blocked here",
+                        (Var::TakenOut, n),
+                    )
                 }
             }
             Var::BlockLoc => {
                 if set(Var::Block, n) {
-                    Deriv::Via {
-                        eq: 7,
-                        what: "the node blocks the item",
-                        next: (Var::Block, n),
-                    }
+                    via(7, "the node blocks the item", (Var::Block, n))
                 } else {
                     let s = g.succs(n, EdgeMask::F).find(|&s| set(Var::BlockLoc, s))?;
-                    Deriv::Via {
-                        eq: 7,
-                        what: "blocked by a later node of the same interval",
-                        next: (Var::BlockLoc, s),
-                    }
+                    via(
+                        7,
+                        "blocked by a later node of the same interval",
+                        (Var::BlockLoc, s),
+                    )
                 }
             }
             Var::TakeLoc => {
                 if set(Var::Take, n) {
-                    Deriv::Via {
-                        eq: 8,
-                        what: "the node itself consumes",
-                        next: (Var::Take, n),
-                    }
+                    via(8, "the node itself consumes", (Var::Take, n))
                 } else {
                     let s = g.succs(n, EdgeMask::EF).find(|&s| set(Var::TakeLoc, s))?;
-                    Deriv::Via {
-                        eq: 8,
-                        what: "taken by a later node or the interval body, unblocked",
-                        next: (Var::TakeLoc, s),
-                    }
+                    via(
+                        8,
+                        "taken by a later node or the interval body, unblocked",
+                        (Var::TakeLoc, s),
+                    )
                 }
             }
             Var::GiveLoc => {
                 if set(Var::Give, n) {
-                    Deriv::Via {
-                        eq: 9,
-                        what: "the node gives the item",
-                        next: (Var::Give, n),
-                    }
+                    via(9, "the node gives the item", (Var::Give, n))
                 } else if set(Var::Take, n) {
-                    Deriv::Via {
-                        eq: 9,
-                        what: "the node consumes the item (a balanced production ends here)",
-                        next: (Var::Take, n),
-                    }
+                    via(
+                        9,
+                        "the node consumes the item (a balanced production ends here)",
+                        (Var::Take, n),
+                    )
                 } else {
-                    Deriv::Via {
-                        eq: 9,
-                        what: "given on every path reaching the node (first witness shown)",
-                        next: (Var::GiveLoc, g.preds(n, EdgeMask::FJ).next()?),
-                    }
+                    via(
+                        9,
+                        "given on every path reaching the node (first witness shown)",
+                        (Var::GiveLoc, g.preds(n, EdgeMask::FJ).next()?),
+                    )
                 }
             }
             Var::StealLoc => {
                 if set(Var::Steal, n) {
-                    Deriv::Via {
-                        eq: 10,
-                        what: "the node steals the item",
-                        next: (Var::Steal, n),
-                    }
+                    via(10, "the node steals the item", (Var::Steal, n))
                 } else if let Some(p) = g
                     .preds(n, EdgeMask::FJ)
                     .find(|&p| set(Var::StealLoc, p) && !set(Var::GiveLoc, p))
                 {
-                    Deriv::Via {
-                        eq: 10,
-                        what: "stolen earlier in the interval without resupply",
-                        next: (Var::StealLoc, p),
-                    }
+                    via(
+                        10,
+                        "stolen earlier in the interval without resupply",
+                        (Var::StealLoc, p),
+                    )
                 } else {
                     let p = g.preds(n, EdgeMask::S).find(|&p| set(Var::StealLoc, p))?;
-                    Deriv::Via {
-                        eq: 10,
-                        what: "stolen on a jump path (synthetic edge)",
-                        next: (Var::StealLoc, p),
-                    }
+                    via(
+                        10,
+                        "stolen on a jump path (synthetic edge)",
+                        (Var::StealLoc, p),
+                    )
                 }
             }
             Var::GivenIn(f) => {
                 if let Some(h) = g.header_of(n) {
                     if set(Var::Given(f), h) && !set(Var::Steal, h) {
-                        return Some(Deriv::Via {
-                            eq: 11,
-                            what: "inherited from the interval header (survives the body)",
-                            next: (Var::Given(f), h),
-                        });
+                        return Some(via(
+                            11,
+                            "inherited from the interval header (survives the body)",
+                            (Var::Given(f), h),
+                        ));
                     }
                 }
                 // The first carrying edge; when every edge carries, that
@@ -622,19 +623,15 @@ impl<'a> BlameEngine<'a> {
                 } else {
                     "partially available and consumed ahead (RES_out pads the other paths)"
                 };
-                Deriv::Via {
-                    eq: 11,
-                    what,
-                    next: (Var::GivenOut(f), q),
-                }
+                via(11, what, (Var::GivenOut(f), q))
             }
             Var::Given(f) => {
                 if set(Var::GivenIn(f), n) {
-                    Deriv::Via {
-                        eq: 12,
-                        what: "already available at the node's entry",
-                        next: (Var::GivenIn(f), n),
-                    }
+                    via(
+                        12,
+                        "already available at the node's entry",
+                        (Var::GivenIn(f), n),
+                    )
                 } else {
                     let (consumed, what) = match f {
                         Flavor::Eager => (
@@ -643,42 +640,34 @@ impl<'a> BlameEngine<'a> {
                         ),
                         Flavor::Lazy => (Var::Take, "consumption at the node itself"),
                     };
-                    Deriv::Via {
-                        eq: 12,
-                        what,
-                        next: (consumed, n),
-                    }
+                    via(12, what, (consumed, n))
                 }
             }
             Var::GivenOut(f) => {
                 if set(Var::Give, n) {
-                    Deriv::Via {
-                        eq: 13,
-                        what: "given at the node, not destroyed",
-                        next: (Var::Give, n),
-                    }
+                    via(13, "given at the node, not destroyed", (Var::Give, n))
                 } else {
-                    Deriv::Via {
-                        eq: 13,
-                        what: "available at the node, not destroyed",
-                        next: (Var::Given(f), n),
-                    }
+                    via(
+                        13,
+                        "available at the node, not destroyed",
+                        (Var::Given(f), n),
+                    )
                 }
             }
-            Var::ResIn(f) => Deriv::Via {
-                eq: 14,
-                what: "available at the node but not at its entry: production starts here",
-                next: (Var::Given(f), n),
-            },
+            Var::ResIn(f) => via(
+                14,
+                "available at the node but not at its entry: production starts here",
+                (Var::Given(f), n),
+            ),
             Var::ResOut(f) => {
                 let s = g
                     .succs(n, EdgeMask::FJ)
                     .find(|&s| set(Var::GivenIn(f), s))?;
-                Deriv::Via {
-                    eq: 15,
-                    what: "a successor expects availability this exit lacks: pad production",
-                    next: (Var::GivenIn(f), s),
-                }
+                via(
+                    15,
+                    "a successor expects availability this exit lacks: pad production",
+                    (Var::GivenIn(f), s),
+                )
             }
         })
     }
@@ -725,40 +714,19 @@ impl<'a> BlameEngine<'a> {
     fn derive_absent(&self, var: Var, n: NodeId, item: usize) -> Option<AbsentStep> {
         let g = self.graph;
         let set = |v: Var, m: NodeId| self.holds(v, m, item);
-        let missing = |eq: u8, what: &'static str, next: (Var, NodeId)| {
-            (Absence::Missing { eq, what }, Some(next))
-        };
         Some(match var {
-            Var::Steal => (
-                Absence::Never {
-                    eq: 1,
-                    what: "STEAL_init is empty here and nothing inside the interval steals",
-                },
-                None,
+            Var::Steal => never(
+                1,
+                "STEAL_init is empty here and nothing inside the interval steals",
             ),
-            Var::Give => (
-                Absence::Never {
-                    eq: 2,
-                    what: "GIVE_init is empty here and nothing inside the interval gives",
-                },
-                None,
+            Var::Give => never(
+                2,
+                "GIVE_init is empty here and nothing inside the interval gives",
             ),
-            Var::Block => (
-                Absence::Never {
-                    eq: 3,
-                    what: "the node neither steals, gives, nor encloses a blocker",
-                },
-                None,
-            ),
+            Var::Block => never(3, "the node neither steals, gives, nor encloses a blocker"),
             Var::TakenOut => {
                 if g.succs(n, EdgeMask::FJS).next().is_none() {
-                    (
-                        Absence::Never {
-                            eq: 4,
-                            what: "the node has no FORWARD/JUMP/SYNTHETIC successors",
-                        },
-                        None,
-                    )
+                    never(4, "the node has no FORWARD/JUMP/SYNTHETIC successors")
                 } else {
                     // Some operand of the intersection is clear.
                     let s = g.succs(n, EdgeMask::FJS).find(|&s| !set(Var::TakenIn, s))?;
@@ -771,36 +739,27 @@ impl<'a> BlameEngine<'a> {
             }
             Var::Take => {
                 if self.poisoned(n) {
-                    return Some((
-                        Absence::Never {
-                            eq: 5,
-                            what: "TAKE_init is empty and the header is poisoned: \
+                    return Some(never(
+                        5,
+                        "TAKE_init is empty and the header is poisoned: \
                                    body consumption may not hoist across it",
-                        },
-                        None,
                     ));
                 }
                 if g.succs(n, EdgeMask::E).any(|s| set(Var::TakenIn, s)) {
                     // Term 2 fires unless − STEAL(n) kills it.
-                    return Some((
-                        Absence::Blocked {
-                            eq: 5,
-                            killer: Var::Steal,
-                            at: n,
-                            what: "body consumption cannot hoist across a destroyer: − STEAL(n)",
-                        },
-                        None,
+                    return Some(blocked(
+                        5,
+                        Var::Steal,
+                        n,
+                        "body consumption cannot hoist across a destroyer: − STEAL(n)",
                     ));
                 }
                 if set(Var::TakenOut, n) && g.succs(n, EdgeMask::E).any(|s| set(Var::TakeLoc, s)) {
-                    return Some((
-                        Absence::Blocked {
-                            eq: 5,
-                            killer: Var::Block,
-                            at: n,
-                            what: "guaranteed consumption is stopped at the node: − BLOCK(n)",
-                        },
-                        None,
+                    return Some(blocked(
+                        5,
+                        Var::Block,
+                        n,
+                        "guaranteed consumption is stopped at the node: − BLOCK(n)",
                     ));
                 }
                 match g.succs(n, EdgeMask::E).next() {
@@ -809,25 +768,19 @@ impl<'a> BlameEngine<'a> {
                         "no consumption surfaces in the interval body",
                         (Var::TakenIn, s),
                     ),
-                    None => (
-                        Absence::Never {
-                            eq: 5,
-                            what: "the node does not consume (TAKE_init empty, no interval body)",
-                        },
-                        None,
+                    None => never(
+                        5,
+                        "the node does not consume (TAKE_init empty, no interval body)",
                     ),
                 }
             }
             Var::TakenIn => {
                 if set(Var::TakenOut, n) {
-                    (
-                        Absence::Blocked {
-                            eq: 6,
-                            killer: Var::Block,
-                            at: n,
-                            what: "consumption beyond the node is blocked here: − BLOCK(n)",
-                        },
-                        None,
+                    blocked(
+                        6,
+                        Var::Block,
+                        n,
+                        "consumption beyond the node is blocked here: − BLOCK(n)",
                     )
                 } else if g.succs(n, EdgeMask::FJS).next().is_some() {
                     missing(
@@ -841,35 +794,23 @@ impl<'a> BlameEngine<'a> {
             }
             Var::BlockLoc => {
                 if set(Var::Block, n) || g.succs(n, EdgeMask::F).any(|s| set(Var::BlockLoc, s)) {
-                    (
-                        Absence::Blocked {
-                            eq: 7,
-                            killer: Var::Take,
-                            at: n,
-                            what: "the node's own consumption clears the block: − TAKE(n)",
-                        },
-                        None,
+                    blocked(
+                        7,
+                        Var::Take,
+                        n,
+                        "the node's own consumption clears the block: − TAKE(n)",
                     )
                 } else {
-                    (
-                        Absence::Never {
-                            eq: 7,
-                            what: "nothing at or after the node blocks the item",
-                        },
-                        None,
-                    )
+                    never(7, "nothing at or after the node blocks the item")
                 }
             }
             Var::TakeLoc => {
                 if g.succs(n, EdgeMask::EF).any(|s| set(Var::TakeLoc, s)) {
-                    (
-                        Absence::Blocked {
-                            eq: 8,
-                            killer: Var::Block,
-                            at: n,
-                            what: "later consumption does not reach past this blocker: − BLOCK(n)",
-                        },
-                        None,
+                    blocked(
+                        8,
+                        Var::Block,
+                        n,
+                        "later consumption does not reach past this blocker: − BLOCK(n)",
                     )
                 } else {
                     missing(
@@ -880,14 +821,11 @@ impl<'a> BlameEngine<'a> {
                 }
             }
             Var::GiveLoc => {
-                let steal = (
-                    Absence::Blocked {
-                        eq: 9,
-                        killer: Var::Steal,
-                        at: n,
-                        what: "production does not survive the node: − STEAL(n)",
-                    },
-                    None,
+                let steal = blocked(
+                    9,
+                    Var::Steal,
+                    n,
+                    "production does not survive the node: − STEAL(n)",
                 );
                 if set(Var::Give, n) || set(Var::Take, n) {
                     steal
@@ -901,13 +839,7 @@ impl<'a> BlameEngine<'a> {
                     // Every operand of the intersection holds.
                     steal
                 } else {
-                    (
-                        Absence::Never {
-                            eq: 9,
-                            what: "nothing produced at or before the node in this interval",
-                        },
-                        None,
-                    )
+                    never(9, "nothing produced at or before the node in this interval")
                 }
             }
             Var::StealLoc => {
@@ -915,38 +847,26 @@ impl<'a> BlameEngine<'a> {
                     .preds(n, EdgeMask::FJ)
                     .find(|&p| set(Var::StealLoc, p) && set(Var::GiveLoc, p))
                 {
-                    (
-                        Absence::Blocked {
-                            eq: 10,
-                            killer: Var::GiveLoc,
-                            at: p,
-                            what: "an intervening production resupplies the item: − GIVE_loc(p)",
-                        },
-                        None,
+                    blocked(
+                        10,
+                        Var::GiveLoc,
+                        p,
+                        "an intervening production resupplies the item: − GIVE_loc(p)",
                     )
                 } else {
-                    (
-                        Absence::Never {
-                            eq: 10,
-                            what: "nothing at or before the node steals the item",
-                        },
-                        None,
-                    )
+                    never(10, "nothing at or before the node steals the item")
                 }
             }
             Var::GivenIn(f) => {
                 let header = g.header_of(n);
                 if let Some(h) = header {
                     if set(Var::Given(f), h) {
-                        return Some((
-                            Absence::Blocked {
-                                eq: 11,
-                                killer: Var::Steal,
-                                at: h,
-                                what: "the header's availability does not survive the loop body: \
+                        return Some(blocked(
+                            11,
+                            Var::Steal,
+                            h,
+                            "the header's availability does not survive the loop body: \
                                        − STEAL(HEADER(n))",
-                            },
-                            None,
                         ));
                     }
                 }
@@ -970,13 +890,7 @@ impl<'a> BlameEngine<'a> {
                         (Var::Given(f), h),
                     )
                 } else {
-                    (
-                        Absence::Never {
-                            eq: 11,
-                            what: "the entry node: nothing can be available before it",
-                        },
-                        None,
-                    )
+                    never(11, "the entry node: nothing can be available before it")
                 }
             }
             Var::Given(f) => match f {
@@ -993,14 +907,11 @@ impl<'a> BlameEngine<'a> {
             },
             Var::GivenOut(f) => {
                 if set(Var::Give, n) || set(Var::Given(f), n) {
-                    (
-                        Absence::Blocked {
-                            eq: 13,
-                            killer: Var::Steal,
-                            at: n,
-                            what: "availability is destroyed at the node: − STEAL(n)",
-                        },
-                        None,
+                    blocked(
+                        13,
+                        Var::Steal,
+                        n,
+                        "availability is destroyed at the node: − STEAL(n)",
                     )
                 } else {
                     missing(
@@ -1012,14 +923,11 @@ impl<'a> BlameEngine<'a> {
             }
             Var::ResIn(f) => {
                 if set(Var::Given(f), n) {
-                    (
-                        Absence::Blocked {
-                            eq: 14,
-                            killer: Var::GivenIn(f),
-                            at: n,
-                            what: "already available at entry: no production needs to start here",
-                        },
-                        None,
+                    blocked(
+                        14,
+                        Var::GivenIn(f),
+                        n,
+                        "already available at entry: no production needs to start here",
                     )
                 } else {
                     missing(
@@ -1031,14 +939,11 @@ impl<'a> BlameEngine<'a> {
             }
             Var::ResOut(f) => {
                 if g.succs(n, EdgeMask::FJ).any(|s| set(Var::GivenIn(f), s)) {
-                    (
-                        Absence::Blocked {
-                            eq: 15,
-                            killer: Var::GivenOut(f),
-                            at: n,
-                            what: "the exit already carries availability: no pad needed",
-                        },
-                        None,
+                    blocked(
+                        15,
+                        Var::GivenOut(f),
+                        n,
+                        "the exit already carries availability: no pad needed",
                     )
                 } else if let Some(s) = g.succs(n, EdgeMask::FJ).next() {
                     missing(
@@ -1047,13 +952,7 @@ impl<'a> BlameEngine<'a> {
                         (Var::GivenIn(f), s),
                     )
                 } else {
-                    (
-                        Absence::Never {
-                            eq: 15,
-                            what: "the node has no FORWARD/JUMP successors",
-                        },
-                        None,
-                    )
+                    never(15, "the node has no FORWARD/JUMP successors")
                 }
             }
         })
