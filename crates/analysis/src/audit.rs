@@ -99,7 +99,8 @@ pub fn audit_placement(
     // One solve backs both the comparison and the blame chains: the
     // scratch keeps every Figure-13 variable for the engine, the export
     // is shifted for program-order comparison.
-    let (solver_opts, mut scratch) = (SolverOptions::default(), SolverScratch::new());
+    let solver_opts = SolverOptions::default();
+    let mut scratch = SolverScratch::new();
     solve_into(graph, problem, &solver_opts, &mut scratch);
     let opt = scratch.export();
     let engine = BlameEngine::new(graph, problem, &solver_opts, &scratch);

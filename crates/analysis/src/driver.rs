@@ -225,7 +225,7 @@ pub struct StageTimings {
     /// Paths the lint layers replayed (placement zero-trip pass and
     /// plan replay together).
     pub paths_replayed: u64,
-    /// Path enumerations cut short by their `max_paths` bound (more
+    /// Path enumerations cut short by their `MAX_PATHS` bound (more
     /// paths existed).
     pub enumerations_truncated: u64,
     /// Sweeps the O1 must-availability fixpoint (`GNT004`) ran, summed

@@ -73,10 +73,10 @@ pub mod sarif;
 
 /// Path-enumeration bound of the bounded-path replays (Layer 2's
 /// zero-trip pass and Layer 3's plan replay): maximum visits per edge.
-pub const MAX_EDGE_VISITS: usize = 2;
+pub(crate) const MAX_EDGE_VISITS: usize = 2;
 /// Path-enumeration bound of the bounded-path replays: maximum number of
 /// paths.
-pub const MAX_PATHS: usize = 256;
+pub(crate) const MAX_PATHS: usize = 256;
 
 pub use audit::{audit_placement, audit_plan, AuditOptions};
 pub use batch::{

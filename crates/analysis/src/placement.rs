@@ -33,8 +33,8 @@ pub struct PlacementLintOptions {
     pub check_optimality: bool,
     /// Additionally check zero-trip execution paths strictly, reporting
     /// productions wasted there as *warnings* (the paper deliberately
-    /// accepts these under the ≥1-trip assumption, §5.2), on at most
-    /// [`MAX_PATHS`](crate::MAX_PATHS) paths.
+    /// accepts these under the ≥1-trip assumption, §5.2), on at most 256
+    /// paths.
     pub zero_trip: bool,
     /// Human-readable item names (index-aligned with the problem's
     /// universe); items without a name render as `item N`.
@@ -410,8 +410,8 @@ pub fn lint_placement_with_scratch(
 /// replay counts and the O1 fixpoint's rounds to `profile`. With
 /// `c1_c3_clean` the C1 and C3 checks are skipped: the caller vouches
 /// that [`gnt_core::check_balance`] and [`gnt_core::check_sufficiency`]
-/// (≥1-trip) already found exactly these
-/// rows clean against `problem` on `graph`.
+/// (≥1-trip) already found exactly these rows clean against `problem` on
+/// `graph`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn lint_placement_counted(
     graph: &IntervalGraph,

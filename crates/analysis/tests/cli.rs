@@ -426,7 +426,7 @@ fn explain_prints_the_family() {
 }
 
 /// `--profile` counts the bounded paths the lint layers replayed and the
-/// enumerations cut short at `max_paths` (256). Figure 1 has 18 paths
+/// enumerations cut short at `MAX_PATHS` (256). Figure 1 has 18 paths
 /// (three loops run 0, 1 or 2 times, two of them on exclusive branches),
 /// 8 of them without a zero trip: the plan replay takes those 8 by
 /// default; with `--zero-trip` it takes all 18 and the placement pass the

@@ -1740,8 +1740,8 @@ mod tests {
                 for &h in headers.iter().skip(1).step_by(2) {
                     others.poison(h);
                 }
-                let (opts, label) = (SolverOptions::default(), format!("{name}/{dir}/others"));
-                checked += check_reader_rule(&others, &opts, &label);
+                let label = format!("{name}/{dir}/others");
+                checked += check_reader_rule(&others, &SolverOptions::default(), &label);
             }
         }
         assert!(jump_in > 0, "the corpus must have jump-entered headers");
