@@ -742,7 +742,7 @@ impl<'a> BlameEngine<'a> {
                     return Some(never(
                         5,
                         "TAKE_init is empty and the header is poisoned: \
-                                   body consumption may not hoist across it",
+                         body consumption may not hoist across it",
                     ));
                 }
                 if g.succs(n, EdgeMask::E).any(|s| set(Var::TakenIn, s)) {
@@ -866,7 +866,7 @@ impl<'a> BlameEngine<'a> {
                             Var::Steal,
                             h,
                             "the header's availability does not survive the loop body: \
-                                       − STEAL(HEADER(n))",
+                             − STEAL(HEADER(n))",
                         ));
                     }
                 }
