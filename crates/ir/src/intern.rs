@@ -4,8 +4,9 @@
 //! is interned once into a process-wide [`SymbolTable`] and carried as a
 //! [`Symbol`]: a `u32` index whose equality and hashing are single
 //! integer operations. The backing strings are leaked (`&'static str`),
-//! so [`Symbol::as_str`] needs no table handle and the pretty printers
-//! stay byte-identical to the old `String`-carrying AST.
+//! so [`Symbol::as_str`] hands out a `'static` reference (it takes the
+//! table's read lock to find it) and the pretty printers stay
+//! byte-identical to the old `String`-carrying AST.
 //!
 //! The table is append-only behind an `RwLock`: interning an
 //! already-known name takes the read lock only, so parallel lint workers
@@ -173,15 +174,10 @@ pub fn intern(s: &str) -> Symbol {
 }
 
 impl Symbol {
-    /// The interned text. The backing storage is leaked, so the
-    /// reference is `'static` and needs no table handle.
+    /// The interned text, read under the table's read lock. The backing
+    /// storage is leaked, so the reference is `'static`.
     pub fn as_str(self) -> &'static str {
         TABLE.inner.read().expect("symbol table poisoned").strings[self.0 as usize]
-    }
-
-    /// The raw table index (dense, allocation order).
-    pub fn index(self) -> usize {
-        self.0 as usize
     }
 }
 
@@ -252,7 +248,10 @@ impl Ord for Symbol {
         if self.0 == other.0 {
             return std::cmp::Ordering::Equal;
         }
-        self.as_str().cmp(other.as_str())
+        // Both names under one read guard.
+        let inner = TABLE.inner.read().expect("symbol table poisoned");
+        let strings = &inner.strings;
+        strings[self.0 as usize].cmp(strings[other.0 as usize])
     }
 }
 
@@ -277,7 +276,6 @@ mod tests {
         let a = intern("alpha_test_sym");
         let b = intern("alpha_test_sym");
         assert_eq!(a, b);
-        assert_eq!(a.index(), b.index());
         assert_eq!(a.as_str(), "alpha_test_sym");
     }
 
