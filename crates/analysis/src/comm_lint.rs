@@ -14,8 +14,9 @@
 //! * a `Recv` with no open window is a **deadlock potential** — the
 //!   receive blocks on a message no one sent on this path (`GNT021`),
 //! * two concurrently open windows whose section footprints
-//!   [`DataRef::may_overlap`] with at least one write-side transfer
-//!   involved are a **communication race** (`GNT022`),
+//!   [`DataRef::may_overlap`](gnt_sections::DataRef::may_overlap) with
+//!   at least one write-side transfer involved are a **communication
+//!   race** (`GNT022`),
 //! * a `Send` of data already in flight or still locally available is
 //!   **redundant communication** (`GNT012`),
 //! * a transfer whose item is never consumed by any statement, or a

@@ -1,6 +1,6 @@
 //! SARIF 2.1.0 output for `gnt-lint --format=sarif`.
 //!
-//! Emits one run with the full [`REGISTRY`](crate::diag::REGISTRY) as the
+//! Emits one run with the full [`REGISTRY`] as the
 //! rule table and one result per diagnostic. Blame/why-not trails
 //! ([`Diagnostic::related`]) become `relatedLocations`, so code-scanning
 //! UIs render the derivation chain as clickable secondary spans. The

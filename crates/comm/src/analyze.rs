@@ -22,7 +22,7 @@ pub struct CommConfig {
     /// Arrays whose non-owned accesses require communication.
     pub distributed: Vec<String>,
     /// With strict owner-computes (`true`), local definitions do not make
-    /// data locally available for later reads (§2, [CK88]). The paper's
+    /// data locally available for later reads (§2, CK88). The paper's
     /// examples use `false`.
     pub strict_owner_computes: bool,
 }

@@ -36,7 +36,7 @@ impl fmt::Display for ItemId {
 ///
 /// Each item is stored once, in id order; the lookup maps an item's hash
 /// to the newest id with that hash, and a per-id link chains the older
-/// ids that share it. Items are hashed with a fixed [`WordHasher`], so
+/// ids that share it. Items are hashed with a fixed word hasher, so
 /// equal items hash alike in every run; ids never depend on the hash,
 /// only on the order of first interning.
 ///

@@ -3,7 +3,7 @@
 use crate::{Strategy, TestRng};
 use std::ops::Range;
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 #[derive(Clone)]
 pub struct VecStrategy<S> {
     elem: S,

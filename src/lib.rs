@@ -16,7 +16,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`ir`] | `gnt-ir` | MiniF, the Fortran-style mini language |
-//! | [`cfg`] | `gnt-cfg` | CFGs, dominators, Tarjan intervals, the interval flow graph |
+//! | [`cfg`](mod@cfg) | `gnt-cfg` | CFGs, dominators, Tarjan intervals, the interval flow graph |
 //! | [`dataflow`] | `gnt-dataflow` | bitsets, universes, generic iterative solver |
 //! | [`core`] | `gnt-core` | **the GIVE-N-TAKE framework**: equations, solver, verifiers |
 //! | [`sections`] | `gnt-sections` | symbolic array sections and value numbering |
