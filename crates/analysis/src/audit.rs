@@ -103,7 +103,7 @@ pub fn audit_placement(
     let mut scratch = SolverScratch::new();
     solve_into(graph, problem, &solver_opts, &mut scratch);
     let opt = scratch.export();
-    let engine = BlameEngine::new(graph, problem, &solver_opts, &scratch);
+    let engine = BlameEngine::new(graph, problem, &scratch);
     let mut opt_eager = opt.eager.clone();
     let mut opt_lazy = opt.lazy.clone();
     shift_off_synthetic(graph, &mut opt_eager);

@@ -422,7 +422,7 @@ fn lint_program_inner(
             gnt_core::solve_into(g, problem, &solver_opts, scratch);
             timings.solve_ns += elapsed_ns(stage);
             timings.solves += 1;
-            let engine = BlameEngine::new(g, problem, &solver_opts, scratch);
+            let engine = BlameEngine::new(g, problem, scratch);
             for d in &mut found {
                 enrich(d, &engine, &item_names);
             }

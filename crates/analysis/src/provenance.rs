@@ -298,7 +298,7 @@ pub fn run_query(
         )));
     }
     gnt_core::solve_into(graph, problem, &solver_opts, &mut scratch);
-    let engine = BlameEngine::new(graph, problem, &solver_opts, &scratch);
+    let engine = BlameEngine::new(graph, problem, &scratch);
     let node = NodeId(spec.node as u32);
     let spans = gnt_cfg::node_spans(program, &analysis.graph);
     // Reversed-graph nodes past the forward node count are synthetic and

@@ -72,7 +72,7 @@ fn validated_bits(src: &str) -> usize {
 
     let mut scratch = SolverScratch::new();
     solve_into(&analysis.graph, &analysis.read_problem, &opts, &mut scratch);
-    let engine = BlameEngine::new(&analysis.graph, &analysis.read_problem, &opts, &scratch);
+    let engine = BlameEngine::new(&analysis.graph, &analysis.read_problem, &scratch);
     total += validate_all_production_bits(
         &engine,
         &analysis.graph,
@@ -84,7 +84,7 @@ fn validated_bits(src: &str) -> usize {
     write_problem.resize_nodes(rev.num_nodes());
     let mut scratch = SolverScratch::new();
     solve_into(&rev, &write_problem, &opts, &mut scratch);
-    let engine = BlameEngine::new(&rev, &write_problem, &opts, &scratch);
+    let engine = BlameEngine::new(&rev, &write_problem, &scratch);
     total += validate_all_production_bits(&engine, &rev, write_problem.universe_size);
 
     total
@@ -137,7 +137,7 @@ fn golden_chain_for_figure_9_shape_is_stable() {
     let opts = SolverOptions::default();
     let mut scratch = SolverScratch::new();
     solve_into(&graph, &problem, &opts, &mut scratch);
-    let engine = BlameEngine::new(&graph, &problem, &opts, &scratch);
+    let engine = BlameEngine::new(&graph, &problem, &scratch);
 
     // The eager production starts at the root's entry.
     let start = graph
@@ -199,7 +199,7 @@ fn golden_chains_cover_the_figure_4_to_10_shapes() {
         let opts = SolverOptions::default();
         let mut scratch = SolverScratch::new();
         solve_into(&graph, &problem, &opts, &mut scratch);
-        let engine = BlameEngine::new(&graph, &problem, &opts, &scratch);
+        let engine = BlameEngine::new(&graph, &problem, &scratch);
 
         // Every set production bit derives to a TAKE_init root.
         let mut saw_chain = false;
@@ -252,7 +252,7 @@ fn why_not_names_the_blocking_conjunct_for_a_hoist_blocked_recv() {
     let opts = SolverOptions::default();
     let mut scratch = SolverScratch::new();
     solve_into(graph, &analysis.read_problem, &opts, &mut scratch);
-    let engine = BlameEngine::new(graph, &analysis.read_problem, &opts, &scratch);
+    let engine = BlameEngine::new(graph, &analysis.read_problem, &scratch);
 
     let item = analysis
         .universe
@@ -358,7 +358,7 @@ fn render_digest(
     let opts = SolverOptions::default();
     let mut scratch = SolverScratch::new();
     solve_into(graph, problem, &opts, &mut scratch);
-    let engine = BlameEngine::new(graph, problem, &opts, &scratch);
+    let engine = BlameEngine::new(graph, problem, &scratch);
     for var in all_vars() {
         for n in graph.nodes() {
             for (item, name) in names.iter().enumerate() {

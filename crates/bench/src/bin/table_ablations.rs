@@ -44,13 +44,9 @@ fn ablation_zero_trip() {
             &analysis.read_problem,
             &SolverOptions::default(),
         );
-        let off = solve(
-            &analysis.graph,
-            &analysis.read_problem,
-            &SolverOptions {
-                no_zero_trip_hoist: true,
-            },
-        );
+        let mut safe = analysis.graph.clone();
+        safe.poison_loop_headers();
+        let off = solve(&safe, &analysis.read_problem, &SolverOptions::default());
         println!(
             "{:>10} {:>10} {:>10}",
             kernel.name,

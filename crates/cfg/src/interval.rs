@@ -154,8 +154,8 @@ impl From<IrreducibleError> for GraphError {
 ///
 /// Built once and then read-only but for [`IntervalGraph::poison`]:
 /// every per-node list (edges, enclosing headers, `CHILDREN`, jump-in
-/// sources) is one flat array with offsets, and the structural
-/// [`fingerprint`](IntervalGraph::fingerprint) is computed at
+/// sources) is one flat array with offsets, and the structural part of
+/// the [`fingerprint`](IntervalGraph::fingerprint) is computed at
 /// construction.
 ///
 /// # Examples
@@ -195,7 +195,7 @@ pub struct IntervalGraph {
     header_last_child: Vec<(Option<NodeId>, Option<NodeId>)>,
     /// No-hoist headers (§4.1), sorted.
     poisoned: Vec<NodeId>,
-    num_loop_headers: usize,
+    /// The structural part of [`IntervalGraph::fingerprint`].
     fingerprint: u64,
     root: NodeId,
     exit: NodeId,
@@ -448,9 +448,6 @@ impl IntervalGraph {
                 .filter(|&&x| x != root)
                 .map(|&x| (enclosing.of(x.index()).first().unwrap_or(&root).index(), x)),
         );
-        let num_loop_headers = (0..n)
-            .filter(|&i| i != root.index() && !children.of(i).is_empty())
-            .count();
 
         // What a compiled schedule depends on besides poisoning: the node
         // count, each node's classified out-edges and its jump-in sources.
@@ -478,7 +475,6 @@ impl IntervalGraph {
             jump_in,
             header_last_child,
             poisoned: Vec::new(),
-            num_loop_headers,
             fingerprint,
             root,
             exit,
@@ -583,11 +579,6 @@ impl IntervalGraph {
         n != self.root && !self.children(n).is_empty()
     }
 
-    /// The number of loop headers.
-    pub fn num_loop_headers(&self) -> usize {
-        self.num_loop_headers
-    }
-
     /// `HEADER(n)`: source of the ENTRY edge into `n`, if any.
     #[inline]
     pub fn header_of(&self, n: NodeId) -> Option<NodeId> {
@@ -642,21 +633,45 @@ impl IntervalGraph {
         self.jump_in.of(h.index())
     }
 
-    /// Marks header `h` as no-hoist (used to disable zero-trip hoisting
-    /// case by case, §4.1, and by the reversal machinery).
+    /// Marks header `h` as no-hoist: the solver forces its `STEAL` to ⊤
+    /// (`STEAL_init = ⊤`, the paper's switch for zero-trip safety, §3.2
+    /// C2 and §4.1). Nothing is hoisted out of the loop and nothing
+    /// survives across it, so both placement flavors stay inside it and
+    /// balanced, and consumers after it get their own production even on
+    /// zero-trip paths. Also used by the reversal machinery (§5.3).
     pub fn poison(&mut self, h: NodeId) {
         if let Err(at) = self.poisoned.binary_search(&h) {
             self.poisoned.insert(at, h);
         }
     }
 
-    /// The structural fingerprint, computed at construction: a hash of
-    /// the node count, every node's classified out-edges and its jump-in
-    /// sources. Poisoning is not part of it ([`IntervalGraph::poisoned`]
-    /// lists that), so equal fingerprints mean equal graphs up to the
-    /// poison set, barring a 64-bit hash collision.
+    /// Poisons every loop header: no consumption is hoisted out of any
+    /// loop, as in classically safe PRE (§3.2 C2).
+    pub fn poison_loop_headers(&mut self) {
+        let mut poisoned = std::mem::take(&mut self.poisoned);
+        poisoned.extend(self.nodes().filter(|&n| self.is_loop_header(n)));
+        poisoned.sort_unstable();
+        poisoned.dedup();
+        self.poisoned = poisoned;
+    }
+
+    /// The fingerprint of everything the solver's schedule reads of the
+    /// graph: a hash of the node count, every node's classified
+    /// out-edges and its jump-in sources (computed at construction),
+    /// mixed with the poisoned nodes inside the graph (ids past it are
+    /// ignored, as the solver never reads them). Equal fingerprints mean
+    /// the same schedule, barring a 64-bit hash collision; the cost is in
+    /// the size of the poison set, not of the graph.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        // `poison()` keeps the list ascending, so the in-graph ids come
+        // first.
+        let n = self.num_nodes();
+        let inside = &self.poisoned[..self.poisoned.partition_point(|h| h.index() < n)];
+        inside
+            .iter()
+            .fold(mix(self.fingerprint, inside.len() as u64), |h, p| {
+                mix(h, u64::from(p.0))
+            })
     }
 
     /// All outgoing edges of `n` with their classes.

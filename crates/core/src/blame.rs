@@ -23,9 +23,8 @@
 //! that schedule, the backward walk strictly descends the schedule and
 //! terminates; [`check_chain`] re-validates every link independently.
 
-use crate::problem::{Flavor, PlacementProblem, SolverOptions};
+use crate::problem::{Flavor, PlacementProblem};
 use crate::scratch::SolverScratch;
-use crate::solver::effective_poison;
 use gnt_cfg::{EdgeMask, IntervalGraph, NodeId};
 use std::fmt;
 
@@ -333,7 +332,7 @@ fn missing(eq: u8, what: &'static str, next: (Var, NodeId)) -> AbsentStep {
 /// Backward provenance queries over one solved scratch.
 ///
 /// The scratch must hold a **full-universe** solve of exactly
-/// `(graph, problem, opts)` — e.g. via [`crate::solve_into`]. Queries
+/// `(graph, problem)` — e.g. via [`crate::solve_into`]. Queries
 /// read single bits of the arena; nothing is copied or re-solved.
 ///
 /// # Examples
@@ -353,7 +352,7 @@ fn missing(eq: u8, what: &'static str, next: (Var, NodeId)) -> AbsentStep {
 /// let opts = SolverOptions::default();
 /// let mut scratch = SolverScratch::new();
 /// solve_into(&g, &problem, &opts, &mut scratch);
-/// let engine = BlameEngine::new(&g, &problem, &opts, &scratch);
+/// let engine = BlameEngine::new(&g, &problem, &scratch);
 /// // Why is the eager production at ROOT? The chain bottoms out in the
 /// // loop body's TAKE_init.
 /// let chain = engine.why(Var::ResIn(Flavor::Eager), g.root(), 0).unwrap();
@@ -366,7 +365,6 @@ fn missing(eq: u8, what: &'static str, next: (Var, NodeId)) -> AbsentStep {
 pub struct BlameEngine<'a> {
     graph: &'a IntervalGraph,
     problem: &'a PlacementProblem,
-    opts: &'a SolverOptions,
     scratch: &'a SolverScratch,
 }
 
@@ -380,7 +378,6 @@ impl<'a> BlameEngine<'a> {
     pub fn new(
         graph: &'a IntervalGraph,
         problem: &'a PlacementProblem,
-        opts: &'a SolverOptions,
         scratch: &'a SolverScratch,
     ) -> BlameEngine<'a> {
         assert_eq!(
@@ -396,7 +393,6 @@ impl<'a> BlameEngine<'a> {
         BlameEngine {
             graph,
             problem,
-            opts,
             scratch,
         }
     }
@@ -409,12 +405,6 @@ impl<'a> BlameEngine<'a> {
     /// Whether `(var, n)` contains `item` in the solved arena.
     pub fn holds(&self, var: Var, n: NodeId, item: usize) -> bool {
         self.scratch.row(var, n).contains(item)
-    }
-
-    /// Mirrors the solver's poisoning rule (graph poison markers plus the
-    /// zero-trip option).
-    fn poisoned(&self, n: NodeId) -> bool {
-        effective_poison(self.graph, self.opts, n)
     }
 
     /// Eq. 11's predecessor set: FORWARD/JUMP preds plus jump-in sources.
@@ -470,7 +460,7 @@ impl<'a> BlameEngine<'a> {
         let set = |v: Var, m: NodeId| self.holds(v, m, item);
         Some(match var {
             Var::Steal => {
-                if self.poisoned(n) {
+                if self.graph.is_poisoned(n) {
                     Deriv::Root(Root::Poisoned)
                 } else if self.problem.steal_init[n.index()].contains(item) {
                     Deriv::Root(Root::StealInit)
@@ -738,7 +728,7 @@ impl<'a> BlameEngine<'a> {
                 }
             }
             Var::Take => {
-                if self.poisoned(n) {
+                if self.graph.is_poisoned(n) {
                     return Some(never(
                         5,
                         "TAKE_init is empty and the header is poisoned: \
@@ -1001,7 +991,7 @@ pub fn check_chain(engine: &BlameEngine<'_>, chain: &BlameChain) -> Result<(), S
                     Root::StealInit => {
                         step.var == Var::Steal && engine.problem.steal_init[ni].contains(item)
                     }
-                    Root::Poisoned => step.var == Var::Steal && engine.poisoned(step.node),
+                    Root::Poisoned => step.var == Var::Steal && engine.graph.is_poisoned(step.node),
                 };
                 if !ok {
                     fail(k, format!("root {root:?} not backed by the problem"))?;
@@ -1054,14 +1044,14 @@ fn check_link(
         }
         // Eq. 5 term 2: (⋃_E TAKEN_in) − STEAL, not poisoned.
         (Var::Take, Var::TakenIn) => {
-            is_succ(EdgeMask::E) && !set(Var::Steal, n) && !engine.poisoned(n)
+            is_succ(EdgeMask::E) && !set(Var::Steal, n) && !engine.graph.is_poisoned(n)
         }
         // Eq. 5 term 3: (TAKEN_out ∩ ⋃_E TAKE_loc) − BLOCK, not poisoned.
         (Var::Take, Var::TakeLoc) => {
             is_succ(EdgeMask::E)
                 && set(Var::TakenOut, n)
                 && !set(Var::Block, n)
-                && !engine.poisoned(n)
+                && !engine.graph.is_poisoned(n)
         }
         // Eq. 6: TAKE ∪ (TAKEN_out − BLOCK).
         (Var::TakenIn, Var::Take) => ante.node == n,
@@ -1131,7 +1121,7 @@ fn check_link(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::PlacementProblem;
+    use crate::problem::{PlacementProblem, SolverOptions};
     use crate::solver::solve_into;
     use gnt_cfg::{IntervalGraph, NodeKind};
 
@@ -1157,7 +1147,7 @@ mod tests {
         let opts = SolverOptions::default();
         let mut scratch = SolverScratch::new();
         solve_into(&g, &problem, &opts, &mut scratch);
-        let engine = BlameEngine::new(&g, &problem, &opts, &scratch);
+        let engine = BlameEngine::new(&g, &problem, &scratch);
 
         let chain = engine.why(Var::ResIn(Flavor::Eager), g.root(), 0).unwrap();
         let last = chain.steps.last().unwrap();
@@ -1180,7 +1170,7 @@ mod tests {
         let opts = SolverOptions::default();
         let mut scratch = SolverScratch::new();
         solve_into(&g, &problem, &opts, &mut scratch);
-        let engine = BlameEngine::new(&g, &problem, &opts, &scratch);
+        let engine = BlameEngine::new(&g, &problem, &scratch);
         assert!(engine.why(Var::Steal, g.root(), 0).is_none());
         assert!(engine.why_not(Var::Take, consumer, 0).is_none());
     }
@@ -1201,7 +1191,7 @@ mod tests {
         let opts = SolverOptions::default();
         let mut scratch = SolverScratch::new();
         solve_into(&g, &problem, &opts, &mut scratch);
-        let engine = BlameEngine::new(&g, &problem, &opts, &scratch);
+        let engine = BlameEngine::new(&g, &problem, &scratch);
 
         let wn = engine.why_not(Var::ResIn(Flavor::Lazy), header, 0).unwrap();
         assert_eq!(wn.blocking_conjunct(), Some((Var::Steal, header)), "{wn:?}");
@@ -1231,7 +1221,7 @@ mod tests {
         let opts = SolverOptions::default();
         let mut scratch = SolverScratch::new();
         solve_into(&g, &problem, &opts, &mut scratch);
-        let engine = BlameEngine::new(&g, &problem, &opts, &scratch);
+        let engine = BlameEngine::new(&g, &problem, &scratch);
         for n in g.nodes() {
             for item in 0..2 {
                 for var in [
@@ -1319,7 +1309,7 @@ mod tests {
                     row.insert(bit);
                 }
             }
-            let engine = BlameEngine::new(&g, &problem, &opts, &scratch);
+            let engine = BlameEngine::new(&g, &problem, &scratch);
             for var in all_vars() {
                 for n in g.nodes() {
                     for item in 0..items {

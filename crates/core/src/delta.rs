@@ -34,11 +34,12 @@
 //!
 //! [`solve_delta`] walks the whole schedule instead, reported via
 //! [`DeltaReport::full_replay`], when the scratch does not hold a prior
-//! full solve of the same `(graph, opts)` at the same universe width:
-//! a cold scratch, a full solve of another fingerprint in between, a
-//! changed universe width, or a changed graph or option (a CFG edit, a
-//! poisoned header, a hoisting knob). Every full solve lays this basis
-//! ([`delta_fingerprint`]), and a re-walk keeps it.
+//! full solve of the same graph at the same universe width: a cold
+//! scratch, a full solve of another fingerprint in between, a changed
+//! universe width, or a changed graph (a CFG edit, a poisoned header).
+//! Every full solve lays this basis
+//! ([`IntervalGraph::fingerprint`](gnt_cfg::IntervalGraph::fingerprint)),
+//! and a re-walk keeps it.
 //!
 //! The caller's contract is the usual incremental one: between the solve
 //! that established the scratch state and this call, `problem` may
@@ -139,12 +140,12 @@ pub struct DeltaReport {
 ///
 /// Requirements for the incremental path (checked at run time; any miss
 /// falls back to a full walk, reported via [`DeltaReport::full_replay`]):
-/// `scratch` must hold a prior full solve of the same `(graph, opts)`
-/// shape and universe width — i.e. a preceding [`crate::solve_into`] or
-/// `solve_delta` call — and `problem` may differ from the problem of that
-/// solve only in the rows marked in `delta`. Results are bit-identical
-/// to a fresh [`crate::solve_into`] either way, and a call on a warm
-/// scratch allocates nothing.
+/// `scratch` must hold a prior full solve of the same graph (structure
+/// and poison set) and universe width — i.e. a preceding
+/// [`crate::solve_into`] or `solve_delta` call — and `problem` may
+/// differ from the problem of that solve only in the rows marked in
+/// `delta`. Results are bit-identical to a fresh [`crate::solve_into`]
+/// either way, and a call on a warm scratch allocates nothing.
 ///
 /// # Panics
 ///
@@ -177,7 +178,7 @@ pub struct DeltaReport {
 pub fn solve_delta(
     graph: &IntervalGraph,
     problem: &PlacementProblem,
-    opts: &SolverOptions,
+    _opts: &SolverOptions,
     scratch: &mut SolverScratch,
     delta: &DeltaSet,
 ) -> DeltaReport {
@@ -187,7 +188,7 @@ pub fn solve_delta(
         assert!(node.index() < n, "delta node out of range");
     }
     let blocks_total = Step::count(n);
-    let incremental = scratch.delta_basis() == Some(delta_fingerprint(graph, opts))
+    let incremental = scratch.delta_basis() == Some(graph.fingerprint())
         && scratch.num_nodes() == n
         && scratch.universe_bits() == problem.universe_size;
     if incremental {
@@ -195,52 +196,18 @@ pub fn solve_delta(
         let dirty = delta.entries().iter().map(|&(_, node)| node);
         DeltaReport {
             full_replay: false,
-            blocks_run: rewalk(graph, problem, opts, scratch, dirty),
+            blocks_run: rewalk(graph, problem, scratch, dirty),
             blocks_total,
         }
     } else {
         scratch.counters.deltas_declined += 1;
-        walk(graph, problem, opts, scratch);
+        walk(graph, problem, scratch);
         DeltaReport {
             full_replay: true,
             blocks_run: blocks_total,
             blocks_total,
         }
     }
-}
-
-/// The delta basis's key for `(graph, opts)`: the graph's stored
-/// structural fingerprint ([`IntervalGraph::fingerprint`]) mixed with the
-/// effective poison set, the nodes whose `STEAL` the schedule forces to
-/// ⊤ (`effective_poison` in the solver). That set is `graph.poisoned()`,
-/// plus every loop header under `opts.no_zero_trip_hoist`; it is hashed
-/// in one canonical form, so equal fingerprints mean the same schedule,
-/// and the cost is in the size of the poison set, not of the graph.
-pub fn delta_fingerprint(graph: &IntervalGraph, opts: &SolverOptions) -> u64 {
-    let n = graph.num_nodes();
-    // `poison()` keeps this list ascending and free of repeats.
-    let poisoned = || graph.poisoned().iter().copied().filter(|h| h.index() < n);
-    // Canonical form: when the set holds every loop header, by the
-    // option or by poisoning, hash that as one flag plus the other nodes.
-    let headers = graph.num_loop_headers();
-    let poisoned_headers = poisoned().filter(|&h| graph.is_loop_header(h)).count();
-    let all_headers = headers > 0 && (opts.no_zero_trip_hoist || poisoned_headers == headers);
-    let kept = || poisoned().filter(|&h| !(all_headers && graph.is_loop_header(h)));
-    let mut h = mix(graph.fingerprint(), u64::from(all_headers));
-    h = mix(h, kept().count() as u64);
-    for x in kept() {
-        h = mix(h, u64::from(x.0));
-    }
-    h
-}
-
-/// One step of [`delta_fingerprint`]: the splitmix64 finalizer over
-/// `h ^ x`.
-fn mix(h: u64, x: u64) -> u64 {
-    let mut z = h ^ x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -73,7 +73,7 @@ pub use after::{solve_after, solve_after_into, solve_after_with_scratch, AfterSo
 pub use blame::{
     check_chain, Absence, BlameChain, BlameEngine, BlameStep, Reason, Root, Var, WhyNot, WhyNotStep,
 };
-pub use delta::{delta_fingerprint, solve_delta, DeltaKind, DeltaReport, DeltaSet};
+pub use delta::{solve_delta, DeltaKind, DeltaReport, DeltaSet};
 pub use generator::{random_problem, random_program, sized_program, GenConfig};
 pub use pressure::{measure_pressure, solve_with_pressure_limit_in_place, PressureReport};
 pub use problem::{Flavor, PlacementProblem, SolverOptions};
@@ -89,5 +89,5 @@ pub use solver::{
 };
 pub use verify::{
     check_balance, check_path, check_sufficiency, check_sufficiency_pair, enumerate_paths,
-    enumerate_paths_capped, for_each_path, path_has_zero_trip, Path, PathChecker, Violation,
+    for_each_path, path_has_zero_trip, Path, PathChecker, Violation,
 };

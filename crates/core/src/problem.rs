@@ -98,15 +98,15 @@ impl PlacementProblem {
     }
 }
 
-/// Tuning knobs for the solver.
+/// The solver's options, of which none are left. Every public `solve*`
+/// entry point still takes one, so they all share one signature shape.
+/// Zero-trip hoisting (§3.2 C2, §4.1) is switched off on the graph
+/// instead: poison one loop's header
+/// ([`IntervalGraph::poison`](gnt_cfg::IntervalGraph::poison)), or
+/// every loop header for classically safe PRE
+/// ([`IntervalGraph::poison_loop_headers`](gnt_cfg::IntervalGraph::poison_loop_headers)).
 #[derive(Clone, Debug, Default)]
-pub struct SolverOptions {
-    /// Disable zero-trip hoisting globally: no consumption is ever hoisted
-    /// out of any loop, mirroring classically "safe" PRE behaviour
-    /// (§3.2 C2). The default (`false`) follows the paper's communication
-    /// setting and hoists.
-    pub no_zero_trip_hoist: bool,
-}
+pub struct SolverOptions {}
 
 #[cfg(test)]
 mod tests {

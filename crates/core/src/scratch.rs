@@ -132,8 +132,8 @@ pub struct SolverScratch {
     /// The buffers of [`crate::solve_delta`]'s re-walk.
     pub(crate) worklist: Worklist,
     pub(crate) counters: EngineCounters,
-    /// Fingerprint of the `(graph, opts)` whose full solve the arena
-    /// currently holds, if any — the validity token for
+    /// Fingerprint of the graph whose full solve the arena currently
+    /// holds, if any — the validity token for
     /// [`crate::solve_delta`]. Set by every full walk, kept by a
     /// re-walk, and cleared by [`SolverScratch::prepare`].
     delta_basis: Option<u64>,
@@ -167,8 +167,8 @@ impl SolverScratch {
         self.slab.reset(NUM_FAMILIES * nodes + NUM_TEMPS, bits);
     }
 
-    /// The delta-validity token: the fingerprint of the `(graph, opts)`
-    /// whose full solve this arena holds, if any (see
+    /// The delta-validity token: the fingerprint of the graph whose full
+    /// solve this arena holds, if any (see
     /// [`crate::solve_delta`]).
     pub(crate) fn delta_basis(&self) -> Option<u64> {
         self.delta_basis

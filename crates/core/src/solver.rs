@@ -25,8 +25,8 @@
 //!
 //! All variables live in a [`SolverScratch`] arena (one contiguous word
 //! vector, one strided row per `(family, node)` pair). The schedule never
-//! branches on set *contents*, only on the graph and the hoisting
-//! options. It is a loop over four step functions written against the
+//! branches on set *contents*, only on the graph and its poisoned
+//! headers. It is a loop over four step functions written against the
 //! [`Kernels`] trait, which the direct backend here implements with
 //! fused word-level kernels: every full solve ([`solve`], [`solve_into`],
 //! [`solve_batch`], the AFTER solves and the pressure loop's round 0)
@@ -356,7 +356,7 @@ pub fn solve(graph: &IntervalGraph, problem: &PlacementProblem, opts: &SolverOpt
 /// after warm-up). Use this for re-solve loops; call
 /// [`SolverScratch::export`] when an owned [`Solution`] is needed. The
 /// solve lays the delta basis, so a following [`crate::solve_delta`] of
-/// the same `(graph, opts)` re-solves incrementally. Also exported as
+/// the same graph re-solves incrementally. Also exported as
 /// `solve_batch_into`.
 ///
 /// # Panics
@@ -365,30 +365,25 @@ pub fn solve(graph: &IntervalGraph, problem: &PlacementProblem, opts: &SolverOpt
 pub fn solve_into(
     graph: &IntervalGraph,
     problem: &PlacementProblem,
-    opts: &SolverOptions,
+    _opts: &SolverOptions,
     scratch: &mut SolverScratch,
 ) {
     check_coverage(graph, problem);
     scratch.counters.direct_solves += 1;
-    walk(graph, problem, opts, scratch);
+    walk(graph, problem, scratch);
 }
 
 /// A full walk of the schedule into `scratch`, laying the delta basis:
 /// the body of [`solve_into`], and what [`crate::solve_delta`] runs when
 /// it declines to re-walk.
-pub(crate) fn walk(
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    scratch: &mut SolverScratch,
-) {
+pub(crate) fn walk(graph: &IntervalGraph, problem: &PlacementProblem, scratch: &mut SolverScratch) {
     scratch.prepare(graph.num_nodes(), problem.universe_size);
     let mut direct = Direct {
         slab: &mut scratch.slab,
         problem,
     };
-    schedule(graph, opts, &mut direct);
-    scratch.set_delta_basis(Some(crate::delta::delta_fingerprint(graph, opts)));
+    schedule(graph, &mut direct);
+    scratch.set_delta_basis(Some(graph.fingerprint()));
 }
 
 /// [`solve_into`] followed by a copy of every variable into the
@@ -455,20 +450,6 @@ pub(crate) fn check_coverage(graph: &IntervalGraph, problem: &PlacementProblem) 
     );
 }
 
-/// Whether `h`'s `STEAL` is forced to ⊤: poisoned on the graph, or
-/// hoisting disabled by the solver options.
-///
-/// Headers where hoisting is disabled (zero-trip safety, §3.2 C2 /
-/// §4.1: every loop header under `no_zero_trip_hoist`, or one header at a
-/// time through [`IntervalGraph::poison`]) follow the paper's suggested
-/// mechanism and get `STEAL_init = ⊤`: nothing is hoisted out of the
-/// loop, nothing survives across it, so both placement flavors stay
-/// inside the loop and remain balanced, and downstream consumers get
-/// their own production even on zero-trip paths.
-pub(crate) fn effective_poison(graph: &IntervalGraph, opts: &SolverOptions, h: NodeId) -> bool {
-    graph.is_poisoned(h) || (opts.no_zero_trip_hoist && graph.is_loop_header(h))
-}
-
 /// The four-pass schedule of Figure 15 over arena rows, issued to `k`:
 /// a loop over the four step functions, each of which evaluates one
 /// group of equations at one node ([`Step`]). A full solve runs the loop
@@ -477,14 +458,14 @@ pub(crate) fn effective_poison(graph: &IntervalGraph, opts: &SolverOptions, h: N
 /// Kept out of line: inlined into [`solve_into`], the direct backend
 /// measured about 4 % slower at 16 items.
 #[inline(never)]
-pub(crate) fn schedule<K: Kernels>(graph: &IntervalGraph, opts: &SolverOptions, k: &mut K) {
+pub(crate) fn schedule<K: Kernels>(graph: &IntervalGraph, k: &mut K) {
     // ---- Pass 1: S2 (Eqs. 9–10) per header's children, then S1
     // (Eqs. 1–8), in REVERSEPREORDER. -------------------------------------
     for &node in graph.preorder().iter().rev() {
         for &c in graph.children(node) {
             loc_step(graph, k, node, c);
         }
-        node_step(graph, opts, k, node);
+        node_step(graph, k, node);
     }
 
     // ---- Passes 2–3: S3 (Eqs. 11–13) in PREORDER, then S4 (Eqs. 14–15),
@@ -577,14 +558,14 @@ fn loc_step<K: Kernels>(graph: &IntervalGraph, k: &mut K, h: NodeId, c: NodeId) 
 /// Eqs. 1–8 at `node`: writes its `STEAL`, `GIVE`, `BLOCK`, `TAKEN_out`,
 /// `TAKE`, `TAKEN_in`, `BLOCK_loc` and `TAKE_loc`.
 #[inline(always)]
-fn node_step<K: Kernels>(graph: &IntervalGraph, opts: &SolverOptions, k: &mut K, node: NodeId) {
+fn node_step<K: Kernels>(graph: &IntervalGraph, k: &mut K, node: NodeId) {
     let n = graph.num_nodes();
     let fam = |f: usize, i: usize| row(n, f, i);
     let (tmp0, _) = temps(n);
     let ni = node.index();
 
     // Eq. 1 / Eq. 2: fold in the interval summary via LASTCHILD.
-    let poisoned = effective_poison(graph, opts, node);
+    let poisoned = graph.is_poisoned(node);
     if poisoned {
         k.fill(fam(F_STEAL, ni));
     } else {
@@ -884,10 +865,10 @@ impl Step {
 
 /// Runs one step of [`schedule`] on `k`.
 #[inline(always)]
-fn run_step<K: Kernels>(graph: &IntervalGraph, opts: &SolverOptions, k: &mut K, step: Step) {
+fn run_step<K: Kernels>(graph: &IntervalGraph, k: &mut K, step: Step) {
     match step {
         Step::Loc(c) => loc_step(graph, k, parent(graph, c), c),
-        Step::Node(v) => node_step(graph, opts, k, v),
+        Step::Node(v) => node_step(graph, k, v),
         Step::Given(f, v) => given_step(graph, k, f, v),
         Step::Res(f, v) => res_step(graph, k, f, v),
     }
@@ -1033,7 +1014,7 @@ fn push(
 
 /// Re-runs, in schedule order, only the steps downstream of the `*_init`
 /// rows `dirty` names, on a scratch that holds a finished walk of
-/// `(graph, opts)`; returns how many steps ran. A marked `(kind, n)`
+/// `graph`; returns how many steps ran. A marked `(kind, n)`
 /// queues `node_step(n)`, which loads all three of `n`'s initial rows.
 /// Each popped step saves its output rows, re-runs on the direct backend
 /// and queues the readers of each row that changed, so the walk stops
@@ -1043,7 +1024,6 @@ fn push(
 pub(crate) fn rewalk(
     graph: &IntervalGraph,
     problem: &PlacementProblem,
-    opts: &SolverOptions,
     scratch: &mut SolverScratch,
     dirty: impl Iterator<Item = NodeId>,
 ) -> usize {
@@ -1080,7 +1060,7 @@ pub(crate) fn rewalk(
         for k in 0..count {
             snapshot[saved(k)].copy_from_slice(direct.slab.row(row(k)).words());
         }
-        run_step(graph, opts, &mut direct, step);
+        run_step(graph, &mut direct, step);
         for k in 0..count {
             if direct.slab.row(row(k)).words() == &snapshot[saved(k)] {
                 continue;
@@ -1178,18 +1158,16 @@ mod tests {
     }
 
     #[test]
-    fn no_zero_trip_hoist_keeps_production_inside_loop() {
+    fn poisoned_loop_headers_keep_production_inside_loop() {
         let src = "do i = 1, N\n  ... = x(a(i))\nenddo";
         let p = parse(src).unwrap();
-        let g = graph(src);
+        let mut g = graph(src);
+        g.poison_loop_headers();
         let consumer = stmt_node(&g, &p, "x(a(i))");
         let header = stmt_node(&g, &p, "do i");
         let mut prob = PlacementProblem::new(g.num_nodes(), 1);
         prob.take(consumer, 0);
-        let opts = SolverOptions {
-            no_zero_trip_hoist: true,
-        };
-        let sol = solve(&g, &prob, &opts);
+        let sol = solve(&g, &prob, &SolverOptions::default());
         assert!(!sol.vars.take[header.index()].contains(0));
         assert!(sol.eager.res_in[g.root().index()].is_empty());
         // Production stays inside the loop body.
@@ -1429,7 +1407,7 @@ mod tests {
             let n = g.num_nodes();
             // Each row's stamp: the index of the call that first wrote it.
             let mut trace = Trace(Vec::new());
-            schedule(g, &SolverOptions::default(), &mut trace);
+            schedule(g, &mut trace);
             let mut first_write = vec![usize::MAX; NUM_FAMILIES * n + 2];
             for (i, &[_, dst, ..]) in trace.0.iter().enumerate() {
                 first_write[dst] = first_write[dst].min(i);
@@ -1570,9 +1548,9 @@ mod tests {
             .unwrap_or(1)
     }
 
-    /// Checks the re-walk's reader rule against one full walk of `g`
-    /// under `opts`, returning how many `(writer, row, reader)`
-    /// dependencies it checked.
+    /// Checks the re-walk's reader rule against one full walk of `g`,
+    /// returning how many `(writer, row, reader)` dependencies it
+    /// checked.
     ///
     /// * The steps in key order run exactly the calls of [`schedule`], and
     ///   there are [`Step::count`] of them.
@@ -1583,7 +1561,7 @@ mod tests {
     ///   later step writes.
     /// * Every reader the rule names that runs no later than W is a read
     ///   the walk folds out ([`folded_read`]), so the re-walk may skip it.
-    fn check_reader_rule(g: &IntervalGraph, opts: &SolverOptions, label: &str) -> usize {
+    fn check_reader_rule(g: &IntervalGraph, label: &str) -> usize {
         let n = g.num_nodes();
         let mut steps: Vec<Step> = g
             .nodes()
@@ -1601,9 +1579,9 @@ mod tests {
         assert!(steps.iter().all(|&s| Step::from_id(s.id(n), n) == s));
 
         let (mut whole, mut stepped) = (Trace(Vec::new()), Trace(Vec::new()));
-        schedule(g, opts, &mut whole);
+        schedule(g, &mut whole);
         for &step in &steps {
-            run_step(g, opts, &mut stepped, step);
+            run_step(g, &mut stepped, step);
         }
         assert!(whole.0 == stepped.0, "{label}: the steps are not the walk");
 
@@ -1619,7 +1597,7 @@ mod tests {
                 written: Vec::new(),
                 reads: Vec::new(),
             };
-            run_step(g, opts, &mut watch, step);
+            run_step(g, &mut watch, step);
             let mut wrote: Vec<usize> = watch
                 .written
                 .into_iter()
@@ -1675,7 +1653,7 @@ mod tests {
     /// the re-walk's rule, over `examples/*.minif`, `sized_program(400)`
     /// and random programs with and without `goto`s, forward and
     /// reversed, with jump-entered or every other loop header poisoned,
-    /// under the default options and `no_zero_trip_hoist`, and each graph
+    /// each graph as it is and with every loop header poisoned, and each
     /// again with the other loop headers poisoned too. `GNT_STRESS`
     /// scales the random corpus.
     #[test]
@@ -1721,27 +1699,21 @@ mod tests {
             for &h in headers.iter().step_by(2) {
                 headers_poisoned.poison(h);
             }
-            let option_sets = [
-                SolverOptions::default(),
-                SolverOptions {
-                    no_zero_trip_hoist: true,
-                },
-            ];
             for (dir, g) in [
                 ("fwd", &forward),
                 ("rev", &reversed),
                 ("rev+poison", &poisoned),
                 ("fwd+poison", &headers_poisoned),
             ] {
-                for (k, opts) in option_sets.iter().enumerate() {
-                    checked += check_reader_rule(g, opts, &format!("{name}/{dir}/opts{k}"));
-                }
+                checked += check_reader_rule(g, &format!("{name}/{dir}"));
+                let mut all = g.clone();
+                all.poison_loop_headers();
+                checked += check_reader_rule(&all, &format!("{name}/{dir}/all"));
                 let mut others = g.clone();
                 for &h in headers.iter().skip(1).step_by(2) {
                     others.poison(h);
                 }
-                let label = format!("{name}/{dir}/others");
-                checked += check_reader_rule(&others, &SolverOptions::default(), &label);
+                checked += check_reader_rule(&others, &format!("{name}/{dir}/others"));
             }
         }
         assert!(jump_in > 0, "the corpus must have jump-entered headers");

@@ -185,8 +185,8 @@ fn flow_succs(
 /// reached loop executes at least one iteration, so availability at a
 /// loop exit is what survives the body, not the zero-trip bypass. Pass
 /// `false` to demand sufficiency on zero-trip paths too (the right
-/// setting for solutions computed with
-/// [`SolverOptions::no_zero_trip_hoist`](crate::SolverOptions)).
+/// setting for solutions computed with every loop header poisoned,
+/// [`IntervalGraph::poison_loop_headers`]).
 ///
 /// The dataflow runs over flat word rows and the graph's own edge
 /// lists, swept in reverse postorder to its greatest fixpoint; it
@@ -542,27 +542,18 @@ pub fn enumerate_paths(
     max_edge_visits: usize,
     max_paths: usize,
 ) -> Vec<Path> {
-    enumerate_paths_capped(graph, max_edge_visits, max_paths).0
-}
-
-/// [`enumerate_paths`], also reporting whether `max_paths` cut the
-/// enumeration short: the flag is `true` exactly when the bounded graph
-/// has more than `max_paths` paths.
-pub fn enumerate_paths_capped(
-    graph: &IntervalGraph,
-    max_edge_visits: usize,
-    max_paths: usize,
-) -> (Vec<Path>, bool) {
     let mut paths = Vec::new();
-    let truncated = for_each_path(graph, max_edge_visits, max_paths, |path| {
+    for_each_path(graph, max_edge_visits, max_paths, |path| {
         paths.push(path.clone());
     });
-    (paths, truncated)
+    paths
 }
 
-/// Calls `visit` on every path [`enumerate_paths_capped`] returns, in the
-/// same order, without keeping them: the path handed over is the
-/// search's own stack, valid for the call. Returns the truncation flag.
+/// Calls `visit` on every path [`enumerate_paths`] returns, in the same
+/// order, without keeping them: the path handed over is the search's own
+/// stack, valid for the call. Returns whether `max_paths` cut the
+/// enumeration short: `true` exactly when the bounded graph has more
+/// than `max_paths` paths.
 pub fn for_each_path(
     graph: &IntervalGraph,
     max_edge_visits: usize,

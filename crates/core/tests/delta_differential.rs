@@ -7,14 +7,13 @@
 //! solves must actually re-run fewer schedule steps than a full walk,
 //! reversed graphs with jump-in sources must go incremental too, and the
 //! decline paths (cold scratches, changed universes, other graphs or
-//! options in between) must fall back to a full walk rather than serve
+//! poison sets in between) must fall back to a full walk rather than serve
 //! stale bits.
 
 use gnt_cfg::{reversed_graph, IntervalGraph, NodeId, NodeKind};
 use gnt_core::{
-    delta_fingerprint, random_problem, random_program, sized_program, solve,
-    solve_after_with_scratch, solve_delta, solve_into, DeltaKind, DeltaSet, GenConfig,
-    PlacementProblem, SolverOptions, SolverScratch,
+    random_problem, random_program, sized_program, solve, solve_after_with_scratch, solve_delta,
+    solve_into, DeltaKind, DeltaSet, GenConfig, PlacementProblem, SolverOptions, SolverScratch,
 };
 use gnt_ir::parse;
 use proptest::prelude::*;
@@ -376,16 +375,13 @@ fn late_marking_converges_once_the_row_is_named() {
 }
 
 /// Several fingerprints visited in a pseudo-random order by
-/// `solve_delta` through one scratch: the forward graph under two
-/// hoisting settings, the reversed graph, its poisoned form and a second
+/// `solve_delta` through one scratch: the forward graph as it is and
+/// with every loop header poisoned, the reversed graph, its poisoned form and a second
 /// program. Every visit toggles one bit of its graph's problem, marks that
 /// row and must match `solve`, whether it walks in full or re-walks
 /// against the last visit.
 #[test]
 fn cycling_several_fingerprints_through_one_scratch_stays_exact() {
-    let no_hoist = SolverOptions {
-        no_zero_trip_hoist: true,
-    };
     let config = GenConfig {
         goto_prob: 0.1,
         ..Default::default()
@@ -403,16 +399,18 @@ fn cycling_several_fingerprints_through_one_scratch_stays_exact() {
                 poisoned.poison(h);
             }
         }
-        let default = SolverOptions::default();
-        // Both settings of `graph` share its problem: on a loop-free
-        // graph their fingerprints coincide, and so must their problems.
+        let mut no_hoist = graph.clone();
+        no_hoist.poison_loop_headers();
+        // Both forms of `graph` share its problem: on a loop-free graph
+        // their fingerprints coincide, and so must their problems.
         let cases = [
-            (&graph, &default, 0),
-            (&graph, &no_hoist, 0),
-            (&reversed, &default, 1),
-            (&poisoned, &default, 2),
-            (&other, &default, 3),
+            (&graph, 0),
+            (&no_hoist, 0),
+            (&reversed, 1),
+            (&poisoned, 2),
+            (&other, 3),
         ];
+        let opts = SolverOptions::default();
         let universes = [1, 64, 65, 130];
         let mut problems: Vec<PlacementProblem> = [&graph, &reversed, &poisoned, &other]
             .iter()
@@ -420,13 +418,13 @@ fn cycling_several_fingerprints_through_one_scratch_stays_exact() {
             .map(|(k, g)| random_problem(seed * 64 + k as u64, g, universes[k], 0.3))
             .collect();
         for step in 0..40u64 {
-            let (g, opts, slot) = cases[rng.below(cases.len())];
+            let (g, slot) = cases[rng.below(cases.len())];
             let mut delta = DeltaSet::new();
             mutate(&mut problems[slot], &mut delta, &mut rng, universes[slot]);
-            let report = solve_delta(g, &problems[slot], opts, &mut scratch, &delta);
+            let report = solve_delta(g, &problems[slot], &opts, &mut scratch, &delta);
             assert_eq!(
                 scratch.export(),
-                solve(g, &problems[slot], opts),
+                solve(g, &problems[slot], &opts),
                 "seed {seed}, step {step}"
             );
             visited += 1;
@@ -486,29 +484,27 @@ fn poisoned_and_reversed_graphs_resolve_exactly() {
     assert!(poisoned_cases > 0, "no reversed graph was jump-entered");
 }
 
-/// Flipping a hoisting knob between deltas changes the fingerprint, so
-/// each call after a flip walks in full under the *current* options; a
-/// delta under unchanged options re-walks.
+/// Poisoning the loop header between deltas changes the graph's
+/// fingerprint, so each call after a flip walks in full on the *current*
+/// graph; a delta on an unchanged graph re-walks.
 #[test]
-fn option_changes_invalidate_the_delta_basis() {
-    let graph = IntervalGraph::from_program(&parse("do i = 1, N\n  ... = x(a(i))\nenddo").unwrap())
+fn poisoning_invalidates_the_delta_basis() {
+    let plain = IntervalGraph::from_program(&parse("do i = 1, N\n  ... = x(a(i))\nenddo").unwrap())
         .unwrap();
-    let problem = random_problem(3, &graph, 4, 0.5);
-    let plain = SolverOptions::default();
-    let no_hoist = SolverOptions {
-        no_zero_trip_hoist: true,
-    };
+    let problem = random_problem(3, &plain, 4, 0.5);
+    let mut no_hoist = plain.clone();
+    no_hoist.poison_loop_headers();
     assert_ne!(
-        delta_fingerprint(&graph, &plain),
-        delta_fingerprint(&graph, &no_hoist),
-        "the knob poisons the header"
+        plain.fingerprint(),
+        no_hoist.fingerprint(),
+        "poisoning the header moves the fingerprint"
     );
-    let mut scratch = SolverScratch::new();
-    for (k, opts) in [&plain, &no_hoist, &plain].into_iter().enumerate() {
-        let report = solve_delta(&graph, &problem, opts, &mut scratch, &DeltaSet::new());
+    let (opts, mut scratch) = (SolverOptions::default(), SolverScratch::new());
+    for (k, graph) in [&plain, &no_hoist, &plain].into_iter().enumerate() {
+        let report = solve_delta(graph, &problem, &opts, &mut scratch, &DeltaSet::new());
         assert!(report.full_replay, "flip {k}");
-        assert_eq!(scratch.export(), solve(&graph, &problem, opts), "flip {k}");
-        let report = solve_delta(&graph, &problem, opts, &mut scratch, &DeltaSet::new());
+        assert_eq!(scratch.export(), solve(graph, &problem, &opts), "flip {k}");
+        let report = solve_delta(graph, &problem, &opts, &mut scratch, &DeltaSet::new());
         assert!(!report.full_replay, "flip {k}, again");
     }
     let c = scratch.counters();

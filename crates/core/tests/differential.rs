@@ -18,7 +18,7 @@ use proptest::prelude::*;
 /// The clone-per-equation reference solver (the pre-arena implementation).
 mod reference {
     use gnt_cfg::{EdgeMask, IntervalGraph, NodeId};
-    use gnt_core::{Flavor, PlacementProblem, SolverOptions};
+    use gnt_core::{Flavor, PlacementProblem};
     use gnt_dataflow::BitSet;
 
     pub struct RefVars {
@@ -61,11 +61,7 @@ mod reference {
         acc
     }
 
-    pub fn solve(
-        graph: &IntervalGraph,
-        problem: &PlacementProblem,
-        opts: &SolverOptions,
-    ) -> RefSolution {
+    pub fn solve(graph: &IntervalGraph, problem: &PlacementProblem) -> RefSolution {
         let n = graph.num_nodes();
         let cap = problem.universe_size;
         let empty = BitSet::new(cap);
@@ -83,11 +79,8 @@ mod reference {
             steal_loc: vec![empty.clone(); n],
         };
 
-        let user_no_hoist =
-            |h: NodeId| -> bool { opts.no_zero_trip_hoist && graph.is_loop_header(h) };
-        let poisoned = |h: NodeId| -> bool { graph.is_poisoned(h) || user_no_hoist(h) };
         let steal_init_of = |n: NodeId| -> BitSet {
-            if poisoned(n) {
+            if graph.is_poisoned(n) {
                 BitSet::full(cap)
             } else {
                 problem.steal_init[n.index()].clone()
@@ -144,7 +137,7 @@ mod reference {
 
             // Eq. 5
             let mut take = problem.take_init[ni].clone();
-            if !poisoned(node) {
+            if !graph.is_poisoned(node) {
                 let mut hoisted = BitSet::new(cap);
                 for s in graph.succs(node, EdgeMask::E) {
                     hoisted.union_with(&vars.taken_in[s.index()]);
@@ -328,7 +321,7 @@ fn run_case(seed: u64, universe: usize, density: f64, scratch: &mut SolverScratc
     let opts = SolverOptions::default();
     let label = format!("seed {seed}, universe {universe}");
 
-    let oracle = reference::solve(&graph, &problem, &opts);
+    let oracle = reference::solve(&graph, &problem);
     let sol = solve(&graph, &problem, &opts);
     assert_matches_reference(&sol, &oracle, &label);
 
@@ -373,26 +366,24 @@ fn after_and_reversed_solves_match() {
         let rg = reversed_graph(&graph).unwrap();
         let mut rp = problem.clone();
         rp.resize_nodes(rg.num_nodes());
-        let oracle = reference::solve(&rg, &rp, &seq_opts);
+        let oracle = reference::solve(&rg, &rp);
         solve_into(&rg, &rp, &seq_opts, &mut scratch);
         let sol = scratch.export();
         assert_matches_reference(&sol, &oracle, &format!("reversed, seed {seed}"));
     }
 }
 
-/// Solver options that alter control decisions (poisoning) still agree
-/// with the reference.
+/// Poisoning every loop header (zero-trip safety everywhere, a control
+/// decision) still agrees with the reference.
 #[test]
-fn no_hoist_options_stay_bit_identical() {
+fn poisoned_loop_headers_stay_bit_identical() {
     for seed in 0..60u64 {
         let program = random_program(seed, &GenConfig::default());
-        let graph = IntervalGraph::from_program(&program).unwrap();
+        let mut graph = IntervalGraph::from_program(&program).unwrap();
+        graph.poison_loop_headers();
         let problem = random_problem(seed ^ 0xbeef, &graph, 96, 0.4);
-        let opts = SolverOptions {
-            no_zero_trip_hoist: true,
-        };
-        let oracle = reference::solve(&graph, &problem, &opts);
-        let sol = solve(&graph, &problem, &opts);
+        let oracle = reference::solve(&graph, &problem);
+        let sol = solve(&graph, &problem, &SolverOptions::default());
         assert_matches_reference(&sol, &oracle, &format!("no-hoist, seed {seed}"));
     }
 }
@@ -412,7 +403,7 @@ proptest! {
         let graph = IntervalGraph::from_program(&program).unwrap();
         let problem = random_problem(pseed ^ 0x5eed, &graph, universe, f64::from(density) / 100.0);
         let opts = SolverOptions::default();
-        let oracle = reference::solve(&graph, &problem, &opts);
+        let oracle = reference::solve(&graph, &problem);
         let sol = solve(&graph, &problem, &opts);
         assert_matches_reference(&sol, &oracle, &format!("prop seed {pseed}"));
     }

@@ -1,19 +1,19 @@
 //! Reference suite for the delta-basis fingerprint
-//! ([`delta_fingerprint`]).
+//! ([`IntervalGraph::fingerprint`]).
 //!
 //! `reference_fingerprint` below is the full-graph hash the fingerprint
 //! was first computed as: FNV-1a over the node count and, per node, its
 //! classified successor edges, whether its `STEAL` is forced to ⊤ and
-//! its jump-in sources. Over random graphs in both orientations, several
-//! `poison()` sets and both [`SolverOptions`], the fingerprint under
-//! test must tell apart exactly the pairs the reference tells apart.
-//! Poisoning a header must change it, and `clone()` must keep it.
+//! its jump-in sources. Over random graphs in both orientations and
+//! several `poison()` sets, the fingerprint under test must tell apart
+//! exactly the pairs the reference tells apart. Poisoning a header must
+//! change it, and `clone()` must keep it.
 
 use gnt_cfg::{reversed_graph, EdgeClass, IntervalGraph, NodeId};
-use gnt_core::{delta_fingerprint, random_program, sized_program, GenConfig, SolverOptions};
+use gnt_core::{random_program, sized_program, GenConfig};
 use std::collections::HashMap;
 
-fn reference_fingerprint(graph: &IntervalGraph, opts: &SolverOptions) -> u64 {
+fn reference_fingerprint(graph: &IntervalGraph) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
@@ -39,9 +39,7 @@ fn reference_fingerprint(graph: &IntervalGraph, opts: &SolverOptions) -> u64 {
         for (s, c) in graph.succ_edges(node) {
             mix((u64::from(s.0) << 3) | class_tag(c));
         }
-        let poisoned =
-            graph.is_poisoned(node) || (opts.no_zero_trip_hoist && graph.is_loop_header(node));
-        mix(u64::from(poisoned));
+        mix(u64::from(graph.is_poisoned(node)));
         for &j in graph.jump_in_sources(node) {
             mix(0x1000_0000 | u64::from(j.0));
         }
@@ -101,34 +99,33 @@ fn poisonings(g: &IntervalGraph) -> Vec<IntervalGraph> {
     out
 }
 
-/// The graph under option sets, some with more nodes poisoned: the
-/// default, no zero-trip hoisting, every loop header poisoned, an id past
-/// the graph poisoned, the last header poisoned twice, poisoned out of
-/// order with the exit, and poisoned with the root under no zero-trip
-/// hoisting.
-fn option_sets(g: &IntervalGraph) -> Vec<(IntervalGraph, SolverOptions)> {
+/// The graph under more poison sets: none, every loop header by
+/// [`IntervalGraph::poison_loop_headers`] and one by one, an id past the
+/// graph, the last header poisoned twice, poisoned out of order with
+/// the exit, and poisoned with the root and then every loop header.
+fn more_poisonings(g: &IntervalGraph) -> Vec<IntervalGraph> {
     let headers: Vec<NodeId> = g.nodes().filter(|&n| g.is_loop_header(n)).collect();
-    let zero_trip = SolverOptions {
-        no_zero_trip_hoist: true,
-    };
-    let poisoned = |nodes: &[NodeId], opts: &SolverOptions| {
+    let poisoned = |nodes: &[NodeId]| {
         let mut p = g.clone();
         for &n in nodes {
             p.poison(n);
         }
-        (p, opts.clone())
+        p
     };
-    let default = SolverOptions::default();
+    let all_headers = |mut p: IntervalGraph| {
+        p.poison_loop_headers();
+        p
+    };
     let mut out = vec![
-        (g.clone(), default.clone()),
-        (g.clone(), zero_trip.clone()),
-        poisoned(&headers, &default),
-        poisoned(&[NodeId(g.num_nodes() as u32 + 7)], &default),
+        g.clone(),
+        all_headers(g.clone()),
+        poisoned(&headers),
+        poisoned(&[NodeId(g.num_nodes() as u32 + 7)]),
     ];
     if let Some(&h) = headers.last() {
-        out.push(poisoned(&[h, h], &default));
-        out.push(poisoned(&[g.exit(), h], &default));
-        out.push(poisoned(&[h, g.root()], &zero_trip));
+        out.push(poisoned(&[h, h]));
+        out.push(poisoned(&[g.exit(), h]));
+        out.push(all_headers(poisoned(&[h, g.root()])));
     }
     out
 }
@@ -141,11 +138,8 @@ fn the_fingerprint_distinguishes_exactly_what_the_reference_does() {
     let mut cases = 0usize;
     for base in base_graphs() {
         for poisoned in poisonings(&base) {
-            for (g, opts) in option_sets(&poisoned) {
-                let (r, f) = (
-                    reference_fingerprint(&g, &opts),
-                    delta_fingerprint(&g, &opts),
-                );
+            for g in more_poisonings(&poisoned) {
+                let (r, f) = (reference_fingerprint(&g), g.fingerprint());
                 assert_eq!(
                     *forward.entry(r).or_insert(f),
                     f,
@@ -171,16 +165,15 @@ fn the_fingerprint_distinguishes_exactly_what_the_reference_does() {
 
 #[test]
 fn poisoning_a_header_changes_the_fingerprint_and_clone_keeps_it() {
-    let opts = SolverOptions::default();
     for g in base_graphs() {
-        let fp = delta_fingerprint(&g, &opts);
-        assert_eq!(delta_fingerprint(&g.clone(), &opts), fp);
+        let fp = g.fingerprint();
+        assert_eq!(g.clone().fingerprint(), fp);
         for h in g.nodes().filter(|&n| g.is_loop_header(n)) {
             let mut p = g.clone();
             p.poison(h);
-            let poisoned = delta_fingerprint(&p, &opts);
+            let poisoned = p.fingerprint();
             assert_ne!(poisoned, fp, "poisoning {h} left the fingerprint");
-            assert_eq!(delta_fingerprint(&p.clone(), &opts), poisoned);
+            assert_eq!(p.clone().fingerprint(), poisoned);
         }
     }
 }

@@ -54,10 +54,10 @@ proptest! {
     #[test]
     fn no_hoist_mode_is_sufficient_everywhere((pseed, qseed, items, density) in arb_case()) {
         let program = random_program(pseed, &GenConfig::default());
-        let graph = IntervalGraph::from_program(&program).unwrap();
+        let mut graph = IntervalGraph::from_program(&program).unwrap();
+        graph.poison_loop_headers();
         let problem = random_problem(qseed, &graph, items, f64::from(density) / 100.0);
-        let opts = SolverOptions { no_zero_trip_hoist: true };
-        let sol = solve(&graph, &problem, &opts);
+        let sol = solve(&graph, &problem, &SolverOptions::default());
         prop_assert!(check_sufficiency(&graph, &problem, &sol.eager, false).is_empty());
         prop_assert!(check_sufficiency(&graph, &problem, &sol.lazy, false).is_empty());
         prop_assert!(check_balance(&graph, &problem, &sol.eager, &sol.lazy).is_empty());

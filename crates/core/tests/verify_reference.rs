@@ -39,8 +39,7 @@ mod reference {
     /// reached loop executes at least one iteration, so availability at a
     /// loop exit is what survives the body, not the zero-trip bypass. Pass
     /// `false` to demand sufficiency on zero-trip paths too (the right
-    /// setting for solutions computed with
-    /// [`SolverOptions::no_zero_trip_hoist`](crate::SolverOptions)).
+    /// setting for solutions computed with every loop header poisoned).
     pub fn check_sufficiency(
         graph: &IntervalGraph,
         problem: &PlacementProblem,
@@ -451,12 +450,11 @@ fn compare(
 fn compare_solved_and_perturbed(
     graph: &IntervalGraph,
     problem: &PlacementProblem,
-    opts: &SolverOptions,
     rng: &mut Lcg,
     label: &str,
     tally: &mut Tally,
 ) {
-    let solution = solve(graph, problem, opts);
+    let solution = solve(graph, problem, &SolverOptions::default());
     compare(graph, problem, &solution, label, tally);
     let items = problem.universe_size;
     let mut flipped = solution.clone();
@@ -517,9 +515,6 @@ fn flat_checkers_match_the_reference_on_random_programs() {
             },
         ),
     ];
-    let no_hoist = SolverOptions {
-        no_zero_trip_hoist: true,
-    };
     let mut tally = Tally::default();
     let mut rng = Lcg(0x0c1c3);
     for (name, config) in &configs {
@@ -529,14 +524,12 @@ fn flat_checkers_match_the_reference_on_random_programs() {
             };
             let items = [1usize, 7, 64, 65, 100, 130][(seed % 6) as usize];
             let problem = random_problem(seed ^ 0xc3, &graph, items, 0.25);
-            for (orient, g, p) in orientations(&graph, &problem) {
-                let opts = if seed % 3 == 0 {
-                    no_hoist.clone()
-                } else {
-                    SolverOptions::default()
-                };
+            for (orient, mut g, p) in orientations(&graph, &problem) {
+                if seed % 3 == 0 {
+                    g.poison_loop_headers();
+                }
                 let label = format!("{name}, seed {seed}, {orient}, {items} items");
-                compare_solved_and_perturbed(&g, &p, &opts, &mut rng, &label, &mut tally);
+                compare_solved_and_perturbed(&g, &p, &mut rng, &label, &mut tally);
             }
         }
     }
@@ -559,8 +552,7 @@ fn flat_checkers_match_the_reference_on_sized_programs() {
             let problem = random_problem(size as u64 + items as u64, &graph, items, 0.05);
             for (orient, g, p) in orientations(&graph, &problem) {
                 let label = format!("sized {size}, {orient}, {items} items");
-                let opts = SolverOptions::default();
-                compare_solved_and_perturbed(&g, &p, &opts, &mut rng, &label, &mut tally);
+                compare_solved_and_perturbed(&g, &p, &mut rng, &label, &mut tally);
             }
         }
     }
@@ -627,8 +619,7 @@ fn flat_checkers_match_the_reference_with_unreachable_nodes() {
             let problem = random_problem(seed, &graph, items, 0.5);
             for (orient, g, p) in orientations(&graph, &problem) {
                 let label = format!("program {k}, seed {seed}, {orient}");
-                let opts = SolverOptions::default();
-                compare_solved_and_perturbed(&g, &p, &opts, &mut rng, &label, &mut tally);
+                compare_solved_and_perturbed(&g, &p, &mut rng, &label, &mut tally);
             }
         }
     }

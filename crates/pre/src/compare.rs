@@ -7,7 +7,7 @@
 //! compared head to head on the same graphs.
 
 use crate::problem::{PrePlacement, PreProblem};
-use gnt_cfg::{IntervalGraph, NodeId};
+use gnt_cfg::IntervalGraph;
 use gnt_core::{solve, PlacementProblem, SolverOptions};
 use gnt_dataflow::BitSet;
 
@@ -15,7 +15,8 @@ use gnt_dataflow::BitSet;
 ///
 /// `safe` selects classical safety (no zero-trip hoisting — the right
 /// setting for expression motion, where executing a hoisted computation
-/// on a path that never needed it may fault); `false` uses the paper's
+/// on a path that never needed it may fault): the solve runs on a copy
+/// of `graph` with every loop header poisoned. `false` uses the paper's
 /// communication-style hoisting.
 pub fn gnt_lazy_pre(graph: &IntervalGraph, problem: &PreProblem, safe: bool) -> PrePlacement {
     let n = graph.num_nodes();
@@ -28,10 +29,16 @@ pub fn gnt_lazy_pre(graph: &IntervalGraph, problem: &PreProblem, safe: bool) -> 
         steal.subtract_with(&problem.transp[i]);
         placement_problem.steal_init[i] = steal;
     }
-    let opts = SolverOptions {
-        no_zero_trip_hoist: safe,
+    let safe_graph;
+    let graph = if safe {
+        let mut g = graph.clone();
+        g.poison_loop_headers();
+        safe_graph = g;
+        &safe_graph
+    } else {
+        graph
     };
-    let solution = solve(graph, &placement_problem, &opts);
+    let solution = solve(graph, &placement_problem, &SolverOptions::default());
     let lazy = solution.lazy;
     let mut redundant = Vec::with_capacity(n);
     for node in graph.nodes() {
@@ -43,7 +50,6 @@ pub fn gnt_lazy_pre(graph: &IntervalGraph, problem: &PreProblem, safe: bool) -> 
         r.subtract_with(&lazy.res_in[i]);
         redundant.push(r);
     }
-    let _ = NodeId(0);
     PrePlacement {
         insert_entry: lazy.res_in,
         insert_exit: lazy.res_out,

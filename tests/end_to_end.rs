@@ -123,7 +123,7 @@ fn strict_owner_computes_generates_more_communication() {
 }
 
 #[test]
-fn zero_trip_option_controls_hoisting_end_to_end() {
+fn poisoned_headers_control_hoisting_end_to_end() {
     let src = "do i = 1, N\n  ... = x(a(i))\nenddo";
     let program = give_n_take::ir::parse(src).unwrap();
     let analysis = analyze(&program, &CommConfig::distributed(&["x"])).unwrap();
@@ -132,12 +132,12 @@ fn zero_trip_option_controls_hoisting_end_to_end() {
         &analysis.read_problem,
         &SolverOptions::default(),
     );
+    let mut safe_graph = analysis.graph.clone();
+    safe_graph.poison_loop_headers();
     let safe = solve(
-        &analysis.graph,
+        &safe_graph,
         &analysis.read_problem,
-        &SolverOptions {
-            no_zero_trip_hoist: true,
-        },
+        &SolverOptions::default(),
     );
     // Hoisted: one production pair outside the loop. Safe: production
     // inside the loop, once per iteration.
