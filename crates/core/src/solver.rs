@@ -1158,7 +1158,7 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_loop_headers_keep_production_inside_loop() {
+    fn no_zero_trip_hoist_keeps_production_inside_loop() {
         let src = "do i = 1, N\n  ... = x(a(i))\nenddo";
         let p = parse(src).unwrap();
         let mut g = graph(src);

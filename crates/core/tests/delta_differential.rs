@@ -488,7 +488,7 @@ fn poisoned_and_reversed_graphs_resolve_exactly() {
 /// fingerprint, so each call after a flip walks in full on the *current*
 /// graph; a delta on an unchanged graph re-walks.
 #[test]
-fn poisoning_invalidates_the_delta_basis() {
+fn option_changes_invalidate_the_delta_basis() {
     let plain = IntervalGraph::from_program(&parse("do i = 1, N\n  ... = x(a(i))\nenddo").unwrap())
         .unwrap();
     let problem = random_problem(3, &plain, 4, 0.5);

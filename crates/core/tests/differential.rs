@@ -376,7 +376,7 @@ fn after_and_reversed_solves_match() {
 /// Poisoning every loop header (zero-trip safety everywhere, a control
 /// decision) still agrees with the reference.
 #[test]
-fn poisoned_loop_headers_stay_bit_identical() {
+fn no_hoist_options_stay_bit_identical() {
     for seed in 0..60u64 {
         let program = random_program(seed, &GenConfig::default());
         let mut graph = IntervalGraph::from_program(&program).unwrap();

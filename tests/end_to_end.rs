@@ -123,7 +123,7 @@ fn strict_owner_computes_generates_more_communication() {
 }
 
 #[test]
-fn poisoned_headers_control_hoisting_end_to_end() {
+fn zero_trip_option_controls_hoisting_end_to_end() {
     let src = "do i = 1, N\n  ... = x(a(i))\nenddo";
     let program = give_n_take::ir::parse(src).unwrap();
     let analysis = analyze(&program, &CommConfig::distributed(&["x"])).unwrap();
