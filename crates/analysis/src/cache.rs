@@ -26,7 +26,7 @@
 
 use crate::driver::{LintOptions, LintReport, ProblemSelect};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
@@ -128,7 +128,7 @@ impl PipelineCache {
     /// The cached report for `text` under `opts`, if present.
     pub fn get(&self, text: &str, opts: &LintOptions) -> Option<Arc<LintReport>> {
         let key = fingerprint(text, opts);
-        let mut inner = self.inner.lock().expect("pipeline cache poisoned");
+        let mut inner = self.lock();
         match inner.map.get(&key) {
             Some(entry) if entry.text == text => {
                 let report = Arc::clone(&entry.report);
@@ -146,7 +146,7 @@ impl PipelineCache {
     /// entry when full.
     pub fn insert(&self, text: &str, opts: &LintOptions, report: Arc<LintReport>) {
         let key = fingerprint(text, opts);
-        let mut inner = self.inner.lock().expect("pipeline cache poisoned");
+        let mut inner = self.lock();
         if inner.map.contains_key(&key) {
             return; // a racing worker already cached this source
         }
@@ -168,7 +168,7 @@ impl PipelineCache {
 
     /// Current hit/miss/occupancy counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("pipeline cache poisoned");
+        let inner = self.lock();
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -178,8 +178,15 @@ impl PipelineCache {
 
     /// Drops every entry and resets the counters.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("pipeline cache poisoned");
+        let mut inner = self.lock();
         *inner = Inner::default();
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        // No operation under the lock can panic between two writes that
+        // must agree (an eviction tolerates an `order` key the map lost),
+        // so a poisoned lock is safe to take over, as in `FreeList`.
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -218,6 +225,40 @@ mod tests {
         );
         assert!(Arc::ptr_eq(a, b));
         assert_eq!(a.diagnostics.len(), b.diagnostics.len());
+    }
+
+    /// A panic while the lock is held poisons it; every method then takes
+    /// the lock over and the cached report is still served.
+    #[test]
+    fn a_poisoned_lock_is_recovered() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let cache = PipelineCache::with_capacity(8);
+        let pool = WorkerPool::new(1);
+        let sources = vec![Source::new("a.minif", FIG1)];
+        let opts = LintOptions::default();
+        let cold = lint_batch_on_cached(&pool, &sources, &opts, Some(&cache));
+        let poisoned = catch_unwind(AssertUnwindSafe(|| {
+            let _guard = cache.inner.lock();
+            panic!("poison the pipeline cache");
+        }));
+        assert!(poisoned.is_err());
+        assert!(cache.inner.is_poisoned());
+        let warm = lint_batch_on_cached(&pool, &sources, &opts, Some(&cache));
+        let (a, b) = (
+            warm[0].result.as_ref().unwrap(),
+            cold[0].result.as_ref().unwrap(),
+        );
+        assert!(Arc::ptr_eq(a, b), "served from the cache");
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                entries: 1
+            }
+        );
+        cache.clear();
+        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]

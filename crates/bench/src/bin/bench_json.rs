@@ -71,7 +71,13 @@
 //!   `corpus_lint` workload (`gnt_benchmark/`);
 //! * `lint_batch_warm/1threads` — the same corpus served out of a warm
 //!   [`gnt_analyze::PipelineCache`]: fingerprint, text-equality guard,
-//!   and `Arc` clone per program instead of a pipeline run.
+//!   and `Arc` clone per program instead of a pipeline run;
+//! * `solve_after_reused/16items` and `solve_after_reused/256items` —
+//!   [`solve_after_with_scratch`] re-solving one AFTER problem on one
+//!   reused scratch, at `sized_program(3000)` and at the 256-item rows'
+//!   size: the reversal the scratch keeps, both solves of §5.3 and the
+//!   export. They run last, so no gated row inherits their heap
+//!   (ungated).
 //!
 //! ```sh
 //! cargo run -p gnt-bench --release --bin bench_json \
@@ -104,8 +110,8 @@ use gnt_cfg::IntervalGraph;
 use gnt_comm::{analyze, analyze_timed, generate_with_placement, CommConfig, GenerateOptions};
 use gnt_core::{
     check_balance, check_sufficiency, random_problem, random_program, sized_program, solve,
-    solve_batch, solve_delta, solve_into, DeltaSet, GenConfig, PlacementProblem, Solution,
-    SolverOptions, SolverScratch,
+    solve_after_with_scratch, solve_batch, solve_delta, solve_into, DeltaSet, GenConfig,
+    PlacementProblem, Solution, SolverOptions, SolverScratch,
 };
 use gnt_dataflow::WorkerPool;
 use gnt_ir::{Expr, ProgramBuilder};
@@ -179,6 +185,24 @@ fn like_for_like_direct(
     let nodes = graph.num_nodes();
     BenchRecord {
         bench: format!("solve_into/{}items", problem.universe_size),
+        nodes,
+        items: problem.universe_size,
+        ns_per_node: ns / nodes as f64,
+        threads: 1,
+    }
+}
+
+/// `solve_after_reused/{items}items`: the AFTER problem `problem`
+/// re-solved on one reused scratch, per node of the forward graph.
+fn after_reused(runs: usize, graph: &IntervalGraph, problem: &PlacementProblem) -> BenchRecord {
+    let opts = SolverOptions::default();
+    let mut scratch = SolverScratch::new();
+    let ns = median_ns(runs, || {
+        solve_after_with_scratch(graph, problem, &opts, &mut scratch).expect("reversible")
+    });
+    let nodes = graph.num_nodes();
+    BenchRecord {
+        bench: format!("solve_after_reused/{}items", problem.universe_size),
         nodes,
         items: problem.universe_size,
         ns_per_node: ns / nodes as f64,
@@ -615,6 +639,22 @@ fn main() -> ExitCode {
         ns / 1e6,
         corpus as f64 / (ns / 1e9)
     );
+
+    // AFTER re-solves on one scratch, at the sizes of the one-shot and
+    // the 256-item rows.
+    let graph = IntervalGraph::from_program(&sized_program(3000)).expect("reducible");
+    records.push(after_reused(
+        runs,
+        &graph,
+        &random_problem(42, &graph, 16, 0.3),
+    ));
+    let graph = IntervalGraph::from_program(&sized_program(if smoke { 400 } else { 6400 }))
+        .expect("reducible");
+    records.push(after_reused(
+        runs,
+        &graph,
+        &random_problem(43, &graph, 256, 0.3),
+    ));
 
     for r in &records {
         println!(

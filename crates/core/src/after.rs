@@ -8,6 +8,13 @@
 //! orientation: a reversed-`RES_in` is production placed *at the exit* of
 //! the original node, a reversed-`RES_out` production *at the entry*.
 //!
+//! Building the reversal costs more than cloning it, so
+//! [`solve_after_with_scratch`] keeps the last one in its
+//! [`SolverScratch`] and re-solves of an unchanged graph reuse it. The
+//! key is the graph's [`IntervalGraph::fingerprint`] plus an exact
+//! compare of its node count, ROOT, exit and node kinds. [`solve_after`]
+//! and [`solve_after_into`] keep nothing.
+//!
 //! Flavor naming follows the paper: for an AFTER problem "early" and
 //! "late" are interchanged, so the EAGER solution is the one *furthest
 //! after* the consumer (e.g. `WRITE_Recv`) and the LAZY solution the one
@@ -83,12 +90,18 @@ pub fn solve_after(
     problem: &PlacementProblem,
     opts: &SolverOptions,
 ) -> Result<AfterSolution, GraphError> {
-    solve_after_with_scratch(graph, problem, opts, &mut SolverScratch::new())
+    let reversed = reversed_graph(graph)?;
+    let mut scratch = SolverScratch::new();
+    Ok(solve_reversed(reversed, problem, opts, &mut scratch))
 }
 
 /// [`solve_after`] reusing a caller-provided scratch arena — the
 /// optimistic attempt and the poisoned fallback (and any further AFTER
-/// solves through the same scratch) share one allocation.
+/// solves through the same scratch) share one allocation. The scratch
+/// also keeps the reversal of the last graph it solved: a re-solve of
+/// the same graph clones it instead of building it again, and a
+/// different graph replaces it. §5.3's fallback poisons the clone, so
+/// the kept reversal stays unpoisoned.
 ///
 /// # Errors
 ///
@@ -99,12 +112,22 @@ pub fn solve_after_with_scratch(
     opts: &SolverOptions,
     scratch: &mut SolverScratch,
 ) -> Result<AfterSolution, GraphError> {
-    let mut reversed = reversed_graph(graph)?;
+    let reversed = scratch.reversal_of(graph)?;
+    Ok(solve_reversed(reversed, problem, opts, scratch))
+}
+
+/// [`solve_after_into`] over `reversed`, exported.
+fn solve_reversed(
+    mut reversed: IntervalGraph,
+    problem: &PlacementProblem,
+    opts: &SolverOptions,
+    scratch: &mut SolverScratch,
+) -> AfterSolution {
     solve_after_into(&mut reversed, problem, opts, scratch);
-    Ok(AfterSolution {
+    AfterSolution {
         reversed,
         solution: scratch.export(),
-    })
+    }
 }
 
 /// Solves an AFTER problem into `scratch` over `reversed`, the
@@ -391,6 +414,31 @@ mod tests {
         let mut problem = PlacementProblem::new(g.num_nodes(), 1);
         problem.take(def, 0);
         (g, problem)
+    }
+
+    /// Two AFTER solves of one graph through one scratch build its
+    /// reversal once and reuse it once; a different graph builds again.
+    /// `solve_after` keeps nothing, so it counts on no caller's scratch.
+    #[test]
+    fn reversal_counters_count_builds_and_reuses() {
+        let opts = SolverOptions::default();
+        let (g, problem) = goto_before_write();
+        let (other_program, other) = graph("x(1) = 2\nb = 1");
+        let mut other_problem = PlacementProblem::new(other.num_nodes(), 1);
+        other_problem.take(stmt_node(&other, &other_program, "x(1) = 2"), 0);
+        let mut scratch = SolverScratch::new();
+        let counts = |scratch: &SolverScratch| {
+            let c = scratch.counters();
+            (c.reversals_built, c.reversals_reused)
+        };
+        for _ in 0..2 {
+            solve_after_with_scratch(&g, &problem, &opts, &mut scratch).unwrap();
+        }
+        assert_eq!(counts(&scratch), (1, 1));
+        solve_after_with_scratch(&other, &other_problem, &opts, &mut scratch).unwrap();
+        assert_eq!(counts(&scratch), (2, 1));
+        solve_after(&g, &problem, &opts).unwrap();
+        assert_eq!(counts(&scratch), (2, 1));
     }
 
     /// The first one-bit `solve_delta` on the reversed graph right after

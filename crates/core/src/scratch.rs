@@ -8,13 +8,19 @@
 //! rows for the multi-operand meets/joins. Repeated solves of the same
 //! shape ([`crate::solve_into`], the pressure re-solve loop, ablations,
 //! proptests) reuse the allocation and touch the allocator not at all
-//! after warm-up.
+//! after warm-up. [`SolverScratch::export`] copies each family out in one
+//! bulk pass ([`BitSlab::to_bitsets`]).
+//!
+//! A scratch also keeps the reversed graph of the last AFTER problem
+//! [`crate::solve_after_with_scratch`] solved through it, so a re-solve
+//! of an unchanged graph clones the reversal instead of building it
+//! again. It keeps one reversal at most, and never a poisoned one.
 
 use crate::blame::Var;
 use crate::problem::Flavor;
 use crate::solver::{ConsumptionVars, FlavorSolution, Solution, Worklist};
 use crate::verify::ProductionRows;
-use gnt_cfg::NodeId;
+use gnt_cfg::{reversed_graph, GraphError, IntervalGraph, NodeId};
 use gnt_dataflow::{BitRef, BitSet, BitSlab};
 
 // Family indices. The 10 consumption families are shared between the two
@@ -83,6 +89,12 @@ pub struct EngineCounters {
     /// schedule: the scratch held no full solve of the same graph,
     /// options and universe width.
     pub deltas_declined: u64,
+    /// Reversed graphs [`crate::solve_after_with_scratch`] built, because
+    /// the scratch held no reversal of the graph it was given.
+    pub reversals_built: u64,
+    /// [`crate::solve_after_with_scratch`] calls that cloned the reversal
+    /// the scratch kept from the last one, instead of building it again.
+    pub reversals_reused: u64,
 }
 
 impl std::ops::Sub for EngineCounters {
@@ -93,6 +105,8 @@ impl std::ops::Sub for EngineCounters {
             direct_solves: self.direct_solves - earlier.direct_solves,
             deltas_incremental: self.deltas_incremental - earlier.deltas_incremental,
             deltas_declined: self.deltas_declined - earlier.deltas_declined,
+            reversals_built: self.reversals_built - earlier.reversals_built,
+            reversals_reused: self.reversals_reused - earlier.reversals_reused,
         }
     }
 }
@@ -105,7 +119,9 @@ impl std::ops::Sub for EngineCounters {
 /// readable in place through [`SolverScratch::row`] (zero-copy [`BitRef`]
 /// views), exported wholesale with
 /// [`SolverScratch::export`], or only the production rows with
-/// [`SolverScratch::export_productions`].
+/// [`SolverScratch::export_productions`]. AFTER solves through
+/// [`crate::solve_after_with_scratch`] also reuse the reversed graph the
+/// scratch kept from the last one, when the graph is the same.
 ///
 /// # Examples
 ///
@@ -137,6 +153,34 @@ pub struct SolverScratch {
     /// [`crate::solve_delta`]. Set by every full walk, kept by a
     /// re-walk, and cleared by [`SolverScratch::prepare`].
     delta_basis: Option<u64>,
+    /// The reversal of the last graph [`crate::solve_after_with_scratch`]
+    /// ran on, never poisoned: at most one graph per scratch.
+    reversal: Option<Reversal>,
+}
+
+/// A reversed graph and what identifies the forward graph it reverses.
+#[derive(Debug)]
+struct Reversal {
+    /// The forward graph's [`IntervalGraph::fingerprint`].
+    fingerprint: u64,
+    /// The forward graph's node count; the reversal appends its synthetic
+    /// nodes after these.
+    nodes: usize,
+    reversed: IntervalGraph,
+}
+
+impl Reversal {
+    /// Whether `reversed` reverses `graph`: the fingerprint, the node
+    /// count, ROOT and exit (swapped by the reversal) and every node's
+    /// kind, which the reversal copies and the fingerprint leaves out.
+    fn reverses(&self, graph: &IntervalGraph) -> bool {
+        let r = &self.reversed;
+        self.fingerprint == graph.fingerprint()
+            && self.nodes == graph.num_nodes()
+            && r.root() == graph.exit()
+            && r.exit() == graph.root()
+            && graph.nodes().all(|n| r.kind(n) == graph.kind(n))
+    }
 }
 
 impl Default for SolverScratch {
@@ -155,6 +199,7 @@ impl SolverScratch {
             worklist: Worklist::default(),
             counters: EngineCounters::default(),
             delta_basis: None,
+            reversal: None,
         }
     }
 
@@ -176,6 +221,30 @@ impl SolverScratch {
 
     pub(crate) fn set_delta_basis(&mut self, basis: Option<u64>) {
         self.delta_basis = basis;
+    }
+
+    /// The [`reversed_graph`] of `graph`: a clone of the one this scratch
+    /// keeps when it reverses `graph`, else a new build that replaces it.
+    /// The caller may poison its copy (§5.3's fallback); the kept one
+    /// stays as built.
+    pub(crate) fn reversal_of(
+        &mut self,
+        graph: &IntervalGraph,
+    ) -> Result<IntervalGraph, GraphError> {
+        if let Some(kept) = self.reversal.as_ref().filter(|r| r.reverses(graph)) {
+            self.counters.reversals_reused += 1;
+            return Ok(kept.reversed.clone());
+        }
+        // Drop the old reversal first, so two are never held at once.
+        self.reversal = None;
+        let reversed = reversed_graph(graph)?;
+        self.counters.reversals_built += 1;
+        self.reversal = Some(Reversal {
+            fingerprint: graph.fingerprint(),
+            nodes: graph.num_nodes(),
+            reversed: reversed.clone(),
+        });
+        Ok(reversed)
     }
 
     /// This scratch's engine counters so far.
@@ -239,22 +308,24 @@ impl SolverScratch {
     /// 4 of the 20 families [`SolverScratch::export`] copies, and all a
     /// placement is emitted and linted from.
     pub fn export_productions(&self) -> (FlavorSolution, FlavorSolution) {
-        let rows = |family: usize| -> Vec<BitSet> {
-            (0..self.nodes)
-                .map(|i| self.slab.row(self.fam(family, i)).to_bitset())
-                .collect()
-        };
         let flavor = |flavor: Flavor| {
             let off = flavor_offset(flavor);
             FlavorSolution {
                 given_in: Vec::new(),
                 given: Vec::new(),
                 given_out: Vec::new(),
-                res_in: rows(F_RES_IN + off),
-                res_out: rows(F_RES_OUT + off),
+                res_in: self.family_rows(F_RES_IN + off),
+                res_out: self.family_rows(F_RES_OUT + off),
             }
         };
         (flavor(Flavor::Eager), flavor(Flavor::Lazy))
+    }
+
+    /// Every row of `family`, node by node, copied out in one bulk pass
+    /// ([`BitSlab::to_bitsets`]).
+    fn family_rows(&self, family: usize) -> Vec<BitSet> {
+        let first = self.fam(family, 0);
+        self.slab.to_bitsets(first..first + self.nodes)
     }
 
     /// One flavor's production rows in place, for the checkers.
@@ -265,15 +336,41 @@ impl SolverScratch {
         }
     }
 
-    /// Exports the arena into an owned [`Solution`].
+    /// Exports the arena into an owned [`Solution`]: one bulk copy per
+    /// family.
     pub fn export(&self) -> Solution {
-        let mut sol = Solution::empty(self.nodes, self.bits);
-        self.write_into(&mut sol);
-        sol
+        let rows = |family: usize| self.family_rows(family);
+        let flavor = |flavor: Flavor| {
+            let off = flavor_offset(flavor);
+            FlavorSolution {
+                given_in: rows(F_GIVEN_IN + off),
+                given: rows(F_GIVEN + off),
+                given_out: rows(F_GIVEN_OUT + off),
+                res_in: rows(F_RES_IN + off),
+                res_out: rows(F_RES_OUT + off),
+            }
+        };
+        Solution {
+            vars: ConsumptionVars {
+                steal: rows(F_STEAL),
+                give: rows(F_GIVE),
+                block: rows(F_BLOCK),
+                taken_out: rows(F_TAKEN_OUT),
+                take: rows(F_TAKE),
+                taken_in: rows(F_TAKEN_IN),
+                block_loc: rows(F_BLOCK_LOC),
+                take_loc: rows(F_TAKE_LOC),
+                give_loc: rows(F_GIVE_LOC),
+                steal_loc: rows(F_STEAL_LOC),
+            },
+            eager: flavor(Flavor::Eager),
+            lazy: flavor(Flavor::Lazy),
+        }
     }
 
     /// Copies every row into `sol`, which must already be shaped for
-    /// this scratch's nodes and universe.
+    /// this scratch's nodes and universe: [`crate::solve_batch`]'s
+    /// overwrite of its reused output buffer.
     pub(crate) fn write_into(&self, sol: &mut Solution) {
         let put = |family: usize, sets: &mut [BitSet]| {
             debug_assert_eq!(sets.len(), self.nodes);
@@ -341,5 +438,70 @@ impl ProductionRows for ScratchRows<'_> {
     fn res_out(&self, i: usize) -> &[u64] {
         let s = self.scratch;
         s.slab.row(s.fam(F_RES_OUT + self.off, i)).words()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::generator::{random_problem, random_program, GenConfig};
+    use crate::problem::SolverOptions;
+    use crate::{solve_after_into, solve_into};
+
+    /// The export [`SolverScratch::export`] replaced, kept as its oracle:
+    /// an all-empty solution shaped for the scratch, then a per-set copy
+    /// of every row by [`SolverScratch::write_into`].
+    fn two_pass_export(scratch: &SolverScratch) -> Solution {
+        let empty = BitSet::new(scratch.universe_bits());
+        let sets = || vec![empty.clone(); scratch.num_nodes()];
+        let flavor = || FlavorSolution {
+            given_in: sets(),
+            given: sets(),
+            given_out: sets(),
+            res_in: sets(),
+            res_out: sets(),
+        };
+        let mut sol = Solution {
+            vars: ConsumptionVars {
+                steal: sets(),
+                give: sets(),
+                block: sets(),
+                taken_out: sets(),
+                take: sets(),
+                taken_in: sets(),
+                block_loc: sets(),
+                take_loc: sets(),
+                give_loc: sets(),
+                steal_loc: sets(),
+            },
+            eager: flavor(),
+            lazy: flavor(),
+        };
+        scratch.write_into(&mut sol);
+        sol
+    }
+
+    /// The one-pass export equals the two-pass one on forward and
+    /// reversed solves of random programs, at universe widths on both
+    /// sides of each word boundary, the empty universe included.
+    #[test]
+    fn export_matches_the_two_pass_export() {
+        let opts = SolverOptions::default();
+        let mut scratch = SolverScratch::new();
+        for seed in 0..30u64 {
+            let g =
+                IntervalGraph::from_program(&random_program(seed, &GenConfig::default())).unwrap();
+            for cap in [0, 1, 63, 64, 65, 129] {
+                let what = format!("seed {seed}, {cap} items");
+                let problem = random_problem(seed ^ cap as u64, &g, cap, 0.3);
+                solve_into(&g, &problem, &opts, &mut scratch);
+                assert_eq!(scratch.export(), two_pass_export(&scratch), "{what}");
+                let mut reversed = reversed_graph(&g).unwrap();
+                solve_after_into(&mut reversed, &problem, &opts, &mut scratch);
+                let exported = scratch.export();
+                assert_eq!(exported, two_pass_export(&scratch), "{what}, reversed");
+                assert_eq!(exported.eager.res_in.len(), reversed.num_nodes(), "{what}");
+            }
+        }
     }
 }

@@ -48,7 +48,7 @@ use std::collections::BinaryHeap;
 /// The consumption-analysis variables of §4.2–4.3 (identical for both
 /// flavors), exposed for inspection, verification, and the golden tests
 /// that reproduce the paper's §4 example values.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ConsumptionVars {
     /// Eq. 1 — production voided at `n` or within `T(n)`.
     pub steal: Vec<BitSet>,
@@ -73,7 +73,7 @@ pub struct ConsumptionVars {
 }
 
 /// The production-placement variables of §4.4–4.5 for one flavor.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlavorSolution {
     /// Eq. 11 — available at the entry of `n`.
     pub given_in: Vec<BitSet>,
@@ -96,8 +96,9 @@ impl FlavorSolution {
 }
 
 /// A complete GIVE-N-TAKE solution: both flavors plus the shared
-/// consumption analysis.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// consumption analysis. The default is the empty zero-node solution,
+/// the natural seed for the reusable output buffer of [`solve_batch`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Solution {
     /// Shared consumption variables (passes S1–S2).
     pub vars: ConsumptionVars,
@@ -113,35 +114,6 @@ impl Solution {
         match flavor {
             Flavor::Eager => &self.eager,
             Flavor::Lazy => &self.lazy,
-        }
-    }
-
-    /// An all-empty solution over `n` nodes and `cap` items, ready to be
-    /// filled by [`SolverScratch::write_into`].
-    pub(crate) fn empty(n: usize, cap: usize) -> Solution {
-        let empty = BitSet::new(cap);
-        let fs = || FlavorSolution {
-            given_in: vec![empty.clone(); n],
-            given: vec![empty.clone(); n],
-            given_out: vec![empty.clone(); n],
-            res_in: vec![empty.clone(); n],
-            res_out: vec![empty.clone(); n],
-        };
-        Solution {
-            vars: ConsumptionVars {
-                steal: vec![empty.clone(); n],
-                give: vec![empty.clone(); n],
-                block: vec![empty.clone(); n],
-                taken_out: vec![empty.clone(); n],
-                take: vec![empty.clone(); n],
-                taken_in: vec![empty.clone(); n],
-                block_loc: vec![empty.clone(); n],
-                take_loc: vec![empty.clone(); n],
-                give_loc: vec![empty.clone(); n],
-                steal_loc: vec![empty.clone(); n],
-            },
-            eager: fs(),
-            lazy: fs(),
         }
     }
 
@@ -186,14 +158,6 @@ impl Solution {
                 shape(sets);
             }
         }
-    }
-}
-
-impl Default for Solution {
-    /// An empty zero-node solution — the natural seed for the reusable
-    /// output buffer of [`solve_batch`].
-    fn default() -> Solution {
-        Solution::empty(0, 0)
     }
 }
 

@@ -97,6 +97,41 @@ impl BitSet {
         s
     }
 
+    /// Builds one set per row of `rows` rows stored back to back in
+    /// `words`, `capacity.div_ceil(64)` words a row, in one pass: the bulk
+    /// form of [`BitSet::from_word_slice`], and what
+    /// [`crate::BitSlab::to_bitsets`] exports a family of solver rows
+    /// with. For `capacity ≤ 64` each set is one inline word, so nothing
+    /// is allocated beyond the returned `Vec`. Bits beyond `capacity` in
+    /// a row's last word are cleared.
+    pub(crate) fn from_rows(capacity: usize, rows: usize, words: &[u64]) -> Vec<BitSet> {
+        let stride = capacity.div_ceil(WORD_BITS);
+        debug_assert_eq!(words.len(), rows * stride, "{rows} rows of {capacity} bits");
+        let used = capacity % WORD_BITS;
+        let mask = if used == 0 { !0 } else { (1u64 << used) - 1 };
+        match stride {
+            0 => vec![BitSet::new(0); rows],
+            1 => words
+                .iter()
+                .map(|&w| BitSet {
+                    repr: Repr::Inline(w & mask),
+                    capacity,
+                })
+                .collect(),
+            _ => words
+                .chunks_exact(stride)
+                .map(|row| {
+                    let mut heap: Box<[u64]> = row.into();
+                    heap[stride - 1] &= mask;
+                    BitSet {
+                        repr: Repr::Heap(heap),
+                        capacity,
+                    }
+                })
+                .collect(),
+        }
+    }
+
     /// The raw backing words, least-significant bit of word 0 = element 0.
     /// Bits beyond `capacity` in the last word are always zero.
     #[inline]

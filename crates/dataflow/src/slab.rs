@@ -19,6 +19,7 @@
 
 use crate::bitset::BitSet;
 use std::fmt;
+use std::ops::Range;
 
 const WORD_BITS: usize = 64;
 
@@ -226,6 +227,15 @@ impl BitSlab {
         assert_eq!(words.len(), self.stride, "window width mismatch");
         let d = self.base(dst);
         self.words[d..d + self.stride].copy_from_slice(words);
+    }
+
+    /// Copies the rows `rows` out into owned [`BitSet`]s in one pass: the
+    /// bulk form of [`BitRef::to_bitset`], with one inline word per set
+    /// for rows of at most 64 bits.
+    pub fn to_bitsets(&self, rows: Range<usize>) -> Vec<BitSet> {
+        debug_assert!(rows.end <= self.rows, "rows {rows:?} of {}", self.rows);
+        let words = &self.words[rows.start * self.stride..rows.end * self.stride];
+        BitSet::from_rows(self.bits, rows.len(), words)
     }
 
     /// Number of set bits in row `r`.
@@ -452,6 +462,50 @@ mod tests {
             assert!(slab.row(3).is_empty());
 
             assert_eq!(slab.diff_count(0, 1), a.difference(&b).len());
+        }
+    }
+
+    /// The bulk export equals a per-row `to_bitset` on every range of
+    /// rows, at capacities on both sides of each word boundary, with
+    /// untrimmed high bits (a `load` of all-ones words) cleared alike.
+    #[test]
+    fn to_bitsets_matches_per_row_to_bitset() {
+        for cap in [0, 1, 63, 64, 65, 128, 129] {
+            let rows = 7;
+            let mut slab = BitSlab::new(rows, cap);
+            let mut x = 0x9e37_79b9_7f4a_7c15_u64 ^ cap as u64;
+            for r in 0..rows {
+                for e in 0..cap {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    if x % 3 == r as u64 % 3 {
+                        slab.row_mut(r).insert(e);
+                    }
+                }
+            }
+            if cap > 0 {
+                slab.fill(1);
+                slab.load(4, &vec![!0; slab.stride()]);
+            }
+            for start in 0..=rows {
+                for end in start..=rows {
+                    let per_row: Vec<BitSet> =
+                        (start..end).map(|r| slab.row(r).to_bitset()).collect();
+                    assert_eq!(
+                        slab.to_bitsets(start..end),
+                        per_row,
+                        "cap {cap}, rows {start}..{end}"
+                    );
+                }
+            }
+            if cap > 0 {
+                assert_eq!(
+                    slab.to_bitsets(4..5)[0].len(),
+                    cap,
+                    "cap {cap}: untrimmed row"
+                );
+            }
         }
     }
 
