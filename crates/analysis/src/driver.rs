@@ -264,7 +264,7 @@ impl StageTimings {
         format!(
             "{{\"file\":\"{}\",\"parse_ns\":{},\"cfg_ns\":{},\"analyze_ns\":{},\
              \"reverse_ns\":{},\"solve_ns\":{},\"generate_ns\":{},\"criteria_ns\":{},\"lint_ns\":{},\
-             \"total_ns\":{},\"solves\":{},\"direct_solves\":{},\"deltas_incremental\":{},\"deltas_declined\":{},\
+             \"total_ns\":{},\"solves\":{},\"direct_solves\":{},\
              \"paths_replayed\":{},\"enumerations_truncated\":{},\"o1_rounds\":{},\"checks_reused\":{}}}",
             crate::diag::json_escape(file),
             self.parse_ns,
@@ -278,8 +278,6 @@ impl StageTimings {
             self.total_ns(),
             self.solves,
             self.engine.direct_solves,
-            self.engine.deltas_incremental,
-            self.engine.deltas_declined,
             self.paths_replayed,
             self.enumerations_truncated,
             self.o1_rounds,

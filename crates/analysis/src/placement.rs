@@ -19,6 +19,7 @@ use gnt_core::{
     solve_batch_with_scratch, FlavorSolution, PathChecker, PlacementProblem, ScratchPool,
     SolverOptions, SolverScratch, Violation,
 };
+use gnt_dataflow::{sweep, WordRows};
 use std::collections::BTreeSet;
 
 /// Options for [`lint_placement`].
@@ -94,37 +95,6 @@ fn node_at_position(graph: &IntervalGraph, pos: usize) -> NodeId {
     graph.preorder()[pos / 2]
 }
 
-/// Per-node or per-edge bit rows over one universe, laid out flat: row
-/// `v` is `words[v * stride..(v + 1) * stride]`.
-#[derive(Debug, PartialEq, Eq)]
-struct Rows {
-    stride: usize,
-    words: Vec<u64>,
-}
-
-impl Rows {
-    /// `rows` rows of `cap` bits, each holding `fill`'s in-range bits.
-    fn new(rows: usize, cap: usize, fill: u64) -> Rows {
-        let stride = cap.div_ceil(64);
-        let mut words = vec![fill; rows * stride];
-        if fill != 0 && !cap.is_multiple_of(64) {
-            let tail = (1u64 << (cap % 64)) - 1;
-            for row in words.chunks_mut(stride) {
-                row[stride - 1] &= tail;
-            }
-        }
-        Rows { stride, words }
-    }
-
-    fn row(&self, v: usize) -> &[u64] {
-        &self.words[v * self.stride..(v + 1) * self.stride]
-    }
-
-    fn row_mut(&mut self, v: usize) -> &mut [u64] {
-        &mut self.words[v * self.stride..(v + 1) * self.stride]
-    }
-}
-
 fn has(row: &[u64], item: usize) -> bool {
     row[item / 64] >> (item % 64) & 1 != 0
 }
@@ -161,51 +131,40 @@ fn real_in(graph: &IntervalGraph, v: usize) -> impl Iterator<Item = (usize, Edge
 /// (reach_out − STEAL)` and `reach_out` the union of the successors'
 /// `reach_in`. EXIT's one successor is the virtual CYCLE edge into ROOT,
 /// which is not real, so its `reach_out` stays ∅, the boundary.
-/// The least fixpoint, swept from ∅ in reverse preorder until no
-/// `reach_in` moves; it is unique, so the order changes only the number
-/// of sweeps. A node is recomputed only in the first sweep and after a
-/// real successor's `reach_in` moved (its CYCLE successor included), so
-/// the later sweeps skip what settled. Returns `(reach_in, reach_out)`.
-fn c2_reach(graph: &IntervalGraph, problem: &PlacementProblem) -> (Rows, Rows) {
+/// The least fixpoint, [`sweep`]ed from ∅ in reverse preorder; a node
+/// is revisited after a real successor's `reach_in` moved (its CYCLE
+/// successor included). Returns `(reach_in, reach_out)`.
+fn c2_reach(graph: &IntervalGraph, problem: &PlacementProblem) -> (WordRows, WordRows) {
     let n = graph.num_nodes();
     let cap = problem.universe_size;
     debug_assert!(real_out(graph, graph.exit().index()).next().is_none());
-    let mut reach_in = Rows::new(n, cap, 0);
-    let mut reach_out = Rows::new(n, cap, 0);
-    let mut dirty = vec![true; n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &node in graph.preorder().iter().rev() {
-            let v = node.index();
-            if !std::mem::take(&mut dirty[v]) {
-                continue;
+    let mut reach_in = WordRows::new(n, cap, 1);
+    let mut reach_out = WordRows::new(n, cap, 1);
+    let order = graph.preorder().iter().rev().map(|v| v.index());
+    sweep(order, vec![true; n], |v, dirty| {
+        let out = reach_out.row_mut(v);
+        out.fill(0);
+        for (_, s, _) in real_out(graph, v) {
+            for (o, &r) in out.iter_mut().zip(reach_in.row(s.index())) {
+                *o |= r;
             }
-            let out = reach_out.row_mut(v);
-            out.fill(0);
-            for (_, s, _) in real_out(graph, v) {
-                for (o, &r) in out.iter_mut().zip(reach_in.row(s.index())) {
-                    *o |= r;
-                }
-            }
-            let (take, steal) = (problem.take_init[v].words(), problem.steal_init[v].words());
-            let mut moved = false;
-            for k in 0..reach_in.stride {
-                let next = take[k] | (reach_out.row(v)[k] & !steal[k]);
-                let row = reach_in.row_mut(v);
-                moved |= row[k] != next;
-                row[k] = next;
-            }
-            if moved {
-                changed = true;
-                for (u, c) in graph.pred_edges(node) {
-                    if graph.is_real(node, c) {
-                        dirty[u.index()] = true;
-                    }
+        }
+        let (take, steal) = (problem.take_init[v].words(), problem.steal_init[v].words());
+        let mut moved = false;
+        for (k, (w, &o)) in reach_in.row_mut(v).iter_mut().zip(&*out).enumerate() {
+            let next = take[k] | (o & !steal[k]);
+            moved |= *w != next;
+            *w = next;
+        }
+        if moved {
+            let node = NodeId(v as u32);
+            for (u, c) in graph.pred_edges(node) {
+                if graph.is_real(node, c) {
+                    dirty.mark(u.index());
                 }
             }
         }
-    }
+    });
     (reach_in, reach_out)
 }
 
@@ -226,16 +185,14 @@ fn c2_reach(graph: &IntervalGraph, problem: &PlacementProblem) -> (Rows, Rows) {
 /// many rounds it takes, not the states. The preorder settles in a few
 /// rounds, as every non-CYCLE edge points forward in it; an order that is
 /// not a flow order (node ids) needs a number of rounds that grows with
-/// the file. After the first round a node is revisited only when the
-/// state of one of its in-edges moved, so a round skips what settled;
-/// a skipped node would have written the states it holds, so the rounds
-/// are those of a full sweep.
+/// the file. A node is revisited when one of its in-edges moved, so the
+/// rounds are those of a full [`sweep`].
 struct O1Avail<'a> {
     problem: &'a PlacementProblem,
     lazy: &'a FlavorSolution,
     graph: &'a IntervalGraph,
     /// Availability on each edge, by edge id (synthetic ones unused).
-    state: Rows,
+    state: WordRows,
     /// Sweeps run, the last one confirming that nothing changed.
     rounds: u64,
 }
@@ -253,44 +210,36 @@ impl<'a> O1Avail<'a> {
         lazy: &'a FlavorSolution,
         order: &[NodeId],
     ) -> O1Avail<'a> {
-        let cap = problem.universe_size;
         let mut o1 = O1Avail {
             problem,
             lazy,
             graph,
-            state: Rows::new(graph.num_edges(), cap, !0),
+            state: WordRows::full(graph.num_edges(), problem.universe_size, 1),
             rounds: 0,
         };
         // Optimistic fixpoint: start full, intersect downwards.
-        let mut mid = vec![0u64; o1.state.stride];
-        let mut dirty = vec![true; graph.num_nodes()];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            o1.rounds += 1;
-            for &node in order {
-                let i = node.index();
-                if !std::mem::take(&mut dirty[i]) || real_out(graph, i).next().is_none() {
-                    continue;
+        let mut mid = vec![0u64; problem.universe_size.div_ceil(64)];
+        let order = order.iter().map(|v| v.index());
+        o1.rounds = sweep(order, vec![true; graph.num_nodes()], |i, dirty| {
+            if real_out(graph, i).next().is_none() {
+                return;
+            }
+            o1.mid_meet(i, &mut mid);
+            let res_out = lazy.res_out[i].words();
+            for (e, s, c) in real_out(graph, i) {
+                let fires = exits(c);
+                let row = o1.state.row_mut(e);
+                let mut moved = false;
+                for (k, w) in row.iter_mut().enumerate() {
+                    let next = if fires { mid[k] | res_out[k] } else { mid[k] };
+                    moved |= *w != next;
+                    *w = next;
                 }
-                o1.mid_meet(i, &mut mid);
-                let res_out = lazy.res_out[i].words();
-                for (e, s, c) in real_out(graph, i) {
-                    let fires = exits(c);
-                    let row = o1.state.row_mut(e);
-                    let mut moved = false;
-                    for (k, w) in row.iter_mut().enumerate() {
-                        let next = if fires { mid[k] | res_out[k] } else { mid[k] };
-                        moved |= *w != next;
-                        *w = next;
-                    }
-                    if moved {
-                        dirty[s.index()] = true;
-                        changed = true;
-                    }
+                if moved {
+                    dirty.mark(s.index());
                 }
             }
-        }
+        });
         o1
     }
 
@@ -327,8 +276,8 @@ impl<'a> O1Avail<'a> {
     /// occurrence of it finds the item available.
     fn redundant(&self, eager: &FlavorSolution) -> Vec<(NodeId, usize)> {
         let mut found = Vec::new();
-        let stride = self.state.stride;
-        let (mut all, mut out_mid) = (vec![0u64; stride], vec![0u64; stride]);
+        let words = self.problem.universe_size.div_ceil(64);
+        let (mut all, mut out_mid) = (vec![0u64; words], vec![0u64; words]);
         for i in 0..self.graph.num_nodes() {
             let node = NodeId(i as u32);
             // RES_in fires on every non-CYCLE entry; redundant only if the

@@ -563,8 +563,8 @@ fn profile_splits_the_graph_from_the_comm_analysis() {
 /// warnings, so READ is re-derived for their trails, and WRITE is not.
 /// A `goto` out of a loop ahead of its write makes the optimistic WRITE
 /// solve fail its checks, and the poisoned fallback solve counts too.
-/// Every solve of a lint is a full walk of the schedule, so a lint counts
-/// no delta re-solve, incremental or declined.
+/// Every solve of a lint is a full walk of the schedule, so the line
+/// carries no delta re-solve counts, which would always read 0.
 #[test]
 fn profile_counts_one_solve_per_problem() {
     let fig1 = write_fixture("fig1_solves.minif", FIG1);
@@ -581,7 +581,7 @@ fn profile_counts_one_solve_per_problem() {
             "{args:?}: {line}"
         );
         for key in ["deltas_incremental", "deltas_declined"] {
-            assert_eq!(profile_field(&line, key), 0, "{args:?}: {line}");
+            assert!(!line.contains(key), "{args:?}: {line}");
         }
     }
     let goto = write_fixture(
@@ -605,8 +605,6 @@ fn profile_counts_one_solve_per_problem() {
             "total_ns",
             "solves",
             "direct_solves",
-            "deltas_incremental",
-            "deltas_declined",
             "paths_replayed",
             "enumerations_truncated",
             "o1_rounds",
@@ -616,8 +614,9 @@ fn profile_counts_one_solve_per_problem() {
     );
     assert_eq!(profile_field(&line, "solves"), 3, "{line}");
     assert_eq!(profile_field(&line, "direct_solves"), 3, "{line}");
-    assert_eq!(profile_field(&line, "deltas_incremental"), 0, "{line}");
-    assert_eq!(profile_field(&line, "deltas_declined"), 0, "{line}");
+    for key in ["deltas_incremental", "deltas_declined"] {
+        assert!(!line.contains(key), "{line}");
+    }
 }
 
 /// The WRITE solve checks its optimistic attempt against C1 and C3 when a

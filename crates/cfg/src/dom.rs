@@ -15,11 +15,16 @@ use std::fmt;
 /// Immediate-dominator tree for a [`Cfg`].
 #[derive(Clone, Debug)]
 pub struct Dominators {
-    idom: Vec<Option<NodeId>>,
-    rpo_index: Vec<usize>,
+    /// Immediate dominators by node index, [`NONE`] where unreachable.
+    idom: Vec<u32>,
+    /// Reverse-postorder indices, [`NONE`] where unreachable.
+    rpo_index: Vec<u32>,
     /// Nodes in reverse postorder.
     pub rpo: Vec<NodeId>,
 }
+
+/// The `idom` and `rpo_index` entry of an unreachable node.
+const NONE: u32 = u32::MAX;
 
 impl Dominators {
     /// Computes dominators for all nodes reachable from the entry.
@@ -62,30 +67,30 @@ impl Dominators {
         let rpo = post;
         let mut rpo_index = std::mem::take(&mut scratch.rpo_index);
         rpo_index.clear();
-        rpo_index.resize(n, usize::MAX);
+        rpo_index.resize(n, NONE);
         for (i, &node) in rpo.iter().enumerate() {
-            rpo_index[node.index()] = i;
+            rpo_index[node.index()] = i as u32;
         }
 
         let mut idom = std::mem::take(&mut scratch.idom);
         idom.clear();
-        idom.resize(n, None);
-        idom[cfg.entry().index()] = Some(cfg.entry());
+        idom.resize(n, NONE);
+        idom[cfg.entry().index()] = cfg.entry().0;
         let mut changed = true;
         while changed {
             changed = false;
             for &node in rpo.iter().skip(1) {
-                let mut new_idom: Option<NodeId> = None;
+                let mut new_idom = NONE;
                 for &p in cfg.preds(node) {
-                    if idom[p.index()].is_none() {
+                    if idom[p.index()] == NONE {
                         continue;
                     }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, &rpo_index, p, cur),
-                    });
+                    new_idom = match new_idom {
+                        NONE => p.0,
+                        cur => intersect(&idom, &rpo_index, p.0, cur),
+                    };
                 }
-                if new_idom.is_some() && idom[node.index()] != new_idom {
+                if new_idom != NONE && idom[node.index()] != new_idom {
                     idom[node.index()] = new_idom;
                     changed = true;
                 }
@@ -109,7 +114,8 @@ impl Dominators {
     /// The immediate dominator of `n` (the entry dominates itself).
     /// `None` for unreachable nodes.
     pub fn idom(&self, n: NodeId) -> Option<NodeId> {
-        self.idom[n.index()]
+        let d = self.idom[n.index()];
+        (d != NONE).then_some(NodeId(d))
     }
 
     /// `true` if `a` dominates `b` (reflexive).
@@ -119,7 +125,7 @@ impl Dominators {
             if cur == a {
                 return true;
             }
-            match self.idom[cur.index()] {
+            match self.idom(cur) {
                 Some(d) if d != cur => cur = d,
                 _ => return false,
             }
@@ -128,17 +134,21 @@ impl Dominators {
 
     /// The reverse-postorder index of `n` (`usize::MAX` if unreachable).
     pub fn rpo_index(&self, n: NodeId) -> usize {
-        self.rpo_index[n.index()]
+        match self.rpo_index[n.index()] {
+            NONE => usize::MAX,
+            i => i as usize,
+        }
     }
 }
 
-fn intersect(idom: &[Option<NodeId>], rpo_index: &[usize], mut a: NodeId, mut b: NodeId) -> NodeId {
+/// The nearest common dominator of the processed nodes `a` and `b`.
+fn intersect(idom: &[u32], rpo_index: &[u32], mut a: u32, mut b: u32) -> u32 {
     while a != b {
-        while rpo_index[a.index()] > rpo_index[b.index()] {
-            a = idom[a.index()].expect("processed node");
+        while rpo_index[a as usize] > rpo_index[b as usize] {
+            a = idom[a as usize];
         }
-        while rpo_index[b.index()] > rpo_index[a.index()] {
-            b = idom[b.index()].expect("processed node");
+        while rpo_index[b as usize] > rpo_index[a as usize] {
+            b = idom[b as usize];
         }
     }
     a

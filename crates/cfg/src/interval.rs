@@ -350,12 +350,12 @@ impl IntervalGraph {
             for (edge, slot) in items[to..].iter_mut().zip(from.clone()) {
                 *edge = (real.items[slot], classes[slot]);
             }
-            counts.push(to + from.len());
+            counts.push((to + from.len()) as u32);
         }
         synth_slots.clear();
         for &(h, dst) in synthetic.iter() {
             let at = &mut counts[h as usize];
-            items[*at] = (dst, EdgeClass::Synthetic);
+            items[*at as usize] = (dst, EdgeClass::Synthetic);
             synth_slots.push(*at);
             *at += 1;
         }
@@ -394,7 +394,7 @@ impl IntervalGraph {
             }
         }
         for (&(h, dst), &id) in synthetic.iter().zip(synth_slots.iter()) {
-            put(dst, (NodeId(h), EdgeClass::Synthetic), id);
+            put(dst, (NodeId(h), EdgeClass::Synthetic), id as usize);
         }
         ends_to_starts(&mut off);
         let preds = Flat { off, items };
@@ -410,7 +410,7 @@ impl IntervalGraph {
                 .of(i)
                 .iter()
                 .filter(|e| e.1 != EdgeClass::Cycle)
-                .count()
+                .count() as u32
         }));
         let mut ready: BinaryHeap<Reverse<u32>> = (0..n as u32)
             .filter(|&i| counts[i as usize] == 0)

@@ -32,8 +32,8 @@ pub struct CfgScratch {
     pub(crate) state: Vec<u8>,
     pub(crate) dfs: Vec<(NodeId, usize)>,
     pub(crate) rpo: Vec<NodeId>,
-    pub(crate) rpo_index: Vec<usize>,
-    pub(crate) idom: Vec<Option<NodeId>>,
+    pub(crate) rpo_index: Vec<u32>,
+    pub(crate) idom: Vec<u32>,
     // Lowering: the edges in the order the walk adds them, the stack of
     // dangling ends, and label resolution for goto patching.
     pub(crate) edges: Vec<(NodeId, NodeId)>,
@@ -44,12 +44,13 @@ pub struct CfgScratch {
     // `(source, sink)` and their slots, jump-in `(header, source)`
     // pairs, and one count per node (a fill cursor, then the preorder's
     // in-degrees). Each lives as long as the scratch, so they are kept
-    // few.
+    // few, and node indices and edge slots are `u32`, as in `NodeId`:
+    // 2^32 edge slots would take over 32 GiB in the edge table alone.
     pub(crate) classes: Vec<EdgeClass>,
     pub(crate) synthetic: Vec<(u32, NodeId)>,
-    pub(crate) synth_slots: Vec<usize>,
+    pub(crate) synth_slots: Vec<u32>,
     pub(crate) jump_ins: Vec<(u32, NodeId)>,
-    pub(crate) counts: Vec<usize>,
+    pub(crate) counts: Vec<u32>,
 }
 
 impl CfgScratch {

@@ -24,7 +24,7 @@
 use crate::problem::PlacementProblem;
 use crate::solver::FlavorSolution;
 use gnt_cfg::{IntervalGraph, NodeId};
-use gnt_dataflow::BitSet;
+use gnt_dataflow::{reverse_postorder, sweep, BitSet, WordRows};
 
 /// A violation found by a verifier.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -80,40 +80,6 @@ impl ProductionRows for FlavorSolution {
     }
 }
 
-/// Per-node bit rows over one universe, laid out flat: row `v` is
-/// `words[v * stride..(v + 1) * stride]`.
-struct Rows {
-    stride: usize,
-    words: Vec<u64>,
-}
-
-impl Rows {
-    fn new(rows: usize, stride: usize) -> Rows {
-        Rows {
-            stride,
-            words: vec![0; rows * stride],
-        }
-    }
-
-    fn row(&self, v: usize) -> &[u64] {
-        &self.words[v * self.stride..(v + 1) * self.stride]
-    }
-
-    fn row_mut(&mut self, v: usize) -> &mut [u64] {
-        &mut self.words[v * self.stride..(v + 1) * self.stride]
-    }
-}
-
-/// The mask of the valid bits of word `k` of a `cap`-bit row.
-fn word_mask(cap: usize, k: usize) -> u64 {
-    let bits = cap - 64 * k;
-    if bits >= 64 {
-        !0
-    } else {
-        (1u64 << bits) - 1
-    }
-}
-
 /// Meets `along` into `row`; whether `row` moved.
 fn meet_into(row: &mut [u64], along: &[u64]) -> bool {
     let mut moved = false;
@@ -123,30 +89,6 @@ fn meet_into(row: &mut [u64], along: &[u64]) -> bool {
         *w = met;
     }
     moved
-}
-
-/// The sweep order of the checkers' fixpoints: the nodes reachable from
-/// `entry` in reverse postorder of a depth-first search, then the others
-/// in id order. `succs(u, out)` appends `u`'s successors to `out`.
-fn sweep_order(n: usize, entry: usize, succs: impl Fn(usize, &mut Vec<usize>)) -> Vec<usize> {
-    let mut post = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    let mut next = Vec::new();
-    // `(u, true)` finishes `u` once everything it discovered has.
-    let mut stack = vec![(entry, false)];
-    while let Some((u, finish)) = stack.pop() {
-        if finish {
-            post.push(u);
-        } else if !std::mem::replace(&mut seen[u], true) {
-            stack.push((u, true));
-            next.clear();
-            succs(u, &mut next);
-            stack.extend(next.iter().filter(|&&v| !seen[v]).map(|&v| (v, false)));
-        }
-    }
-    post.reverse();
-    post.extend((0..n).filter(|&v| !seen[v]));
-    post
 }
 
 /// Calls `f(v, carried)` for each successor `v` of `u` in the flow
@@ -246,8 +188,8 @@ pub(crate) fn sufficiency<P: ProductionRows, const F: usize>(
     // header's exits moved, its RES_out moved with them. Flavor `f`
     // holds words `f * words..(f + 1) * words` of each row; the kill row
     // (STEAL) is the flavors' common one.
-    let mut gen = Rows::new(n, width);
-    let mut kill = Rows::new(n, words);
+    let mut gen = WordRows::new(n, cap, F);
+    let mut kill = WordRows::new(n, cap, 1);
     for (i, &exits_moved) in moved.iter().enumerate() {
         let (give, steal) = (&problem.give_init[i], &problem.steal_init[i]);
         for (f, placement) in placements.iter().enumerate() {
@@ -272,57 +214,40 @@ pub(crate) fn sufficiency<P: ProductionRows, const F: usize>(
     // the rest (still ⊤-seeded predecessors) after them; a node pushes
     // again only after its own entry changed.
     let entry = graph.root().index();
-    let mut avail_in = Rows::new(n, width);
-    for v in 0..n {
-        if v != entry {
-            for flavor in avail_in.row_mut(v).chunks_mut(words.max(1)) {
-                for (k, w) in flavor.iter_mut().enumerate() {
-                    *w = word_mask(cap, k);
-                }
-            }
-        }
-    }
-    let mut dirty = vec![true; n];
+    let mut avail_in = WordRows::full(n, cap, F);
+    avail_in.row_mut(entry).fill(0);
     let (mut out, mut padded) = (vec![0u64; width], vec![0u64; width]);
-    let mut changed = true;
-    let order = sweep_order(n, entry, |u, out| {
+    let order = reverse_postorder(n, entry, |u, out| {
         flow_succs(graph, &moved, u, |v, _| out.push(v))
     });
-    while changed {
-        changed = false;
-        for &u in &order {
-            if !std::mem::take(&mut dirty[u]) {
-                continue;
+    sweep(order.iter().copied(), vec![true; n], |u, dirty| {
+        let (g, kl, a) = (gen.row(u), kill.row(u), avail_in.row(u));
+        for f in 0..F {
+            for (k, &steal) in kl.iter().enumerate() {
+                let j = f * words + k;
+                out[j] = g[j] | (a[j] & !steal);
             }
-            let (g, kl, a) = (gen.row(u), kill.row(u), avail_in.row(u));
-            for f in 0..F {
-                for (k, &steal) in kl.iter().enumerate() {
-                    let j = f * words + k;
-                    out[j] = g[j] | (a[j] & !steal);
-                }
-            }
-            flow_succs(graph, &moved, u, |v, carried| {
-                let along = match carried {
-                    None => &out,
-                    Some(h) => {
-                        let flavors = padded
-                            .chunks_mut(words.max(1))
-                            .zip(out.chunks(words.max(1)));
-                        for ((p, o), placement) in flavors.zip(placements) {
-                            for ((p, &o), &r) in p.iter_mut().zip(o).zip(placement.res_out(h)) {
-                                *p = o | r;
-                            }
-                        }
-                        &padded
-                    }
-                };
-                if v != entry && meet_into(avail_in.row_mut(v), along) {
-                    dirty[v] = true;
-                    changed = true;
-                }
-            });
         }
-    }
+        flow_succs(graph, &moved, u, |v, carried| {
+            let along = match carried {
+                None => &out,
+                Some(h) => {
+                    let flavors = padded
+                        .chunks_mut(words.max(1))
+                        .zip(out.chunks(words.max(1)));
+                    for ((p, o), placement) in flavors.zip(placements) {
+                        for ((p, &o), &r) in p.iter_mut().zip(o).zip(placement.res_out(h)) {
+                            *p = o | r;
+                        }
+                    }
+                    &padded
+                }
+            };
+            if v != entry && meet_into(avail_in.row_mut(v), along) {
+                dirty.mark(v);
+            }
+        });
+    });
 
     std::array::from_fn(|f| {
         let mut violations = Vec::new();
@@ -417,16 +342,17 @@ pub(crate) fn balance<P: ProductionRows>(
     // neither. One production collapses every reachable state to the
     // produced one, so conflicts wash out exactly as in the per-item
     // lattice.
-    let mut idle = Rows::new(n, words);
-    let mut pend = Rows::new(n, words);
+    let mut idle = WordRows::new(n, cap, 1);
+    let mut pend = WordRows::new(n, cap, 1);
     // `recorded[v]`: the (node, item) violations found, deduplicated.
-    let mut recorded = Rows::new(n, words);
+    let mut recorded = WordRows::new(n, cap, 1);
 
     // Entry seeding: every item starts Idle, then the entry's own RES_in
     // fires (eager first, then lazy — a pair at one point cancels); a
     // lazy stop without an eager start there misfires.
+    let top = WordRows::full(1, cap, 1);
     for k in 0..words {
-        let (mut di, mut dp) = (word_mask(cap, k), 0);
+        let (mut di, mut dp) = (top.row(0)[k], 0);
         let (e, l) = (eager.res_in(entry)[k], lazy.res_in(entry)[k]);
         recorded.row_mut(entry)[k] = produce(&mut di, &mut dp, e, l);
         idle.row_mut(entry)[k] = di;
@@ -455,35 +381,26 @@ pub(crate) fn balance<P: ProductionRows>(
     // states only grow, so a node pushes again only after its own state
     // grew, and probing violations afterwards sees every state any sweep
     // saw. Only reachable nodes ever push.
-    let order = sweep_order(n, entry, |u, next| {
+    let order = reverse_postorder(n, entry, |u, next| {
         next.extend(out_edges(u).map(|(v, _)| v))
     });
-    let mut dirty = vec![false; n];
-    dirty[entry] = true;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &u in &order {
-            if !std::mem::take(&mut dirty[u]) {
-                continue;
+    let seeds = (0..n).map(|v| v == entry).collect();
+    sweep(order.iter().copied(), seeds, |u, dirty| {
+        for (v, class) in out_edges(u) {
+            let mut grew = false;
+            for k in 0..words {
+                let (mut di, mut dp) = (idle.row(u)[k], pend.row(u)[k]);
+                transfer(&mut di, &mut dp, u, v, class, k);
+                let (iv, pv) = (idle.row(v)[k], pend.row(v)[k]);
+                grew |= (di & !iv) | (dp & !pv) != 0;
+                idle.row_mut(v)[k] = iv | di;
+                pend.row_mut(v)[k] = pv | dp;
             }
-            for (v, class) in out_edges(u) {
-                let mut grew = false;
-                for k in 0..words {
-                    let (mut di, mut dp) = (idle.row(u)[k], pend.row(u)[k]);
-                    transfer(&mut di, &mut dp, u, v, class, k);
-                    let (iv, pv) = (idle.row(v)[k], pend.row(v)[k]);
-                    grew |= (di & !iv) | (dp & !pv) != 0;
-                    idle.row_mut(v)[k] = iv | di;
-                    pend.row_mut(v)[k] = pv | dp;
-                }
-                if grew {
-                    dirty[v] = true;
-                    changed = true;
-                }
+            if grew {
+                dirty.mark(v);
             }
         }
-    }
+    });
 
     // Violation pass over the final states: production misfires along
     // every edge, differing states met (both Idle and Pending reachable),

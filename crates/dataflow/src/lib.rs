@@ -15,7 +15,11 @@
 //! * [`Universe`] — interning of domain items ([`ItemId`]) into bitset
 //!   indices,
 //! * [`GenKillProblem`] — a generic iterative (worklist) solver for classic
-//!   gen/kill bit-vector problems over any [`FlowGraph`].
+//!   gen/kill bit-vector problems over any [`FlowGraph`], the engine of
+//!   the checkers' reference oracles,
+//! * [`sweep`] — the round-robin kernel of the placement checkers (C1,
+//!   C3, C2 reach, O1 availability): flat [`WordRows`], a
+//!   [`reverse_postorder`] and dirty-node rounds.
 //!
 //! # Examples
 //!
@@ -45,6 +49,7 @@ mod pool;
 mod scratch_pool;
 mod slab;
 mod solver;
+mod sweep;
 mod universe;
 
 pub use bitset::{BitSet, Iter};
@@ -52,4 +57,5 @@ pub use pool::{default_workers, global_pool, WorkerPool};
 pub use scratch_pool::{Checkout, FreeList, Pooled};
 pub use slab::{BitMut, BitRef, BitSlab};
 pub use solver::{Direction, FlowGraph, GenKillProblem, Meet, SimpleGraph, Solution};
+pub use sweep::{reverse_postorder, sweep, Dirty, WordRows};
 pub use universe::{ItemId, Universe};

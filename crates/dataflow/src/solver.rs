@@ -312,8 +312,8 @@ mod tests {
         let s = p.solve(&g);
         assert!(s.before[3].contains(0));
         assert!(s.before[2].contains(0));
-        assert!(!s.before[1].contains(0) || s.before[1].contains(0)); // converged
-                                                                      // entry of node 1 joins pred 0 (empty) with pred 2 (has item) → ∩ = ∅
+        // The entry of node 1 meets pred 0 (empty) with pred 2 (has the
+        // item): ∩ = ∅.
         assert!(!s.before[1].contains(0));
     }
 }
