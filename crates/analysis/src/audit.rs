@@ -19,15 +19,13 @@
 //!   `GIVE_init`, §4.4's balance) already covers every consumer.
 
 use crate::diag::Diagnostic;
+use crate::placement::{node_at_position, production_points, Optimum};
 use crate::provenance::chain_trail;
 use gnt_cfg::{IntervalGraph, NodeId};
 use gnt_comm::CommPlan;
-use gnt_core::{
-    shift_off_synthetic, solve_into, BlameEngine, Flavor, FlavorSolution, PlacementProblem,
-    SolverOptions, SolverScratch, Var,
-};
+use gnt_core::{BlameEngine, Flavor, FlavorSolution, PlacementProblem, Var};
+use gnt_dataflow::BitSet;
 use gnt_sections::DataRef;
-use std::collections::BTreeSet;
 
 /// Options for [`audit_placement`].
 #[derive(Clone, Debug)]
@@ -57,28 +55,6 @@ impl AuditOptions {
     }
 }
 
-/// A production point keyed in program order, as in the placement lints:
-/// `RES_in` before the node's statement, `RES_out` after it.
-type Point = (usize, bool);
-
-fn points(graph: &IntervalGraph, flavor: &FlavorSolution, item: usize) -> BTreeSet<Point> {
-    let mut out = BTreeSet::new();
-    for n in graph.nodes() {
-        let i = n.index();
-        if flavor.res_in[i].contains(item) {
-            out.insert((graph.preorder_index(n) * 2, false));
-        }
-        if flavor.res_out[i].contains(item) {
-            out.insert((graph.preorder_index(n) * 2 + 1, true));
-        }
-    }
-    out
-}
-
-fn node_at(graph: &IntervalGraph, pos: usize) -> NodeId {
-    graph.preorder()[pos / 2]
-}
-
 /// Audits a placement pair against the solver's optimum for the same
 /// problem, emitting `GNT031` (latency-hiding slack) and `GNT032`
 /// (balance slack). Both are silent when the placement *is* the solver
@@ -96,32 +72,30 @@ pub fn audit_placement(
         return out;
     }
 
-    // One solve backs both the comparison and the blame chains: the
-    // scratch keeps every Figure-13 variable for the engine, the export
-    // is shifted for program-order comparison.
-    let solver_opts = SolverOptions::default();
-    let mut scratch = SolverScratch::new();
-    solve_into(graph, problem, &solver_opts, &mut scratch);
-    let opt = scratch.export();
-    let engine = BlameEngine::new(graph, problem, &scratch);
-    let mut opt_eager = opt.eager.clone();
-    let mut opt_lazy = opt.lazy.clone();
-    shift_off_synthetic(graph, &mut opt_eager);
-    shift_off_synthetic(graph, &mut opt_lazy);
+    // One solve backs both the comparison and the blame chains.
+    let opt = Optimum::solve(graph, problem);
+    let engine = BlameEngine::new(graph, problem, &opt.scratch);
+    let given_eager = production_points(graph, eager, cap);
+    let given_lazy = production_points(graph, lazy, cap);
+    // One pass over the initial rows: the items a free GIVE produces
+    // somewhere, and each item's first consumer in node order.
+    let mut free_give = BitSet::new(cap);
+    let mut consumer = vec![None; cap];
+    for n in graph.nodes() {
+        free_give.union_with(&problem.give_init[n.index()]);
+        for item in problem.take_init[n.index()].iter() {
+            consumer[item].get_or_insert(n);
+        }
+    }
 
     for item in 0..cap {
-        let ge = points(graph, eager, item);
-        let gl = points(graph, lazy, item);
-        let oe = points(graph, &opt_eager, item);
-        let ol = points(graph, &opt_lazy, item);
+        let (ge, gl) = (&given_eager[item], &given_lazy[item]);
+        let (oe, ol) = (&opt.eager[item], &opt.lazy[item]);
 
         // GNT032: the optimum needs no production at all — a free GIVE
         // already covers every consumer — yet this placement transfers.
-        let free_give = graph
-            .nodes()
-            .any(|n| problem.give_init[n.index()].contains(item));
-        if oe.is_empty() && ol.is_empty() && (!ge.is_empty() || !gl.is_empty()) && free_give {
-            let &(pos, _) = ge.iter().chain(gl.iter()).next().expect("some given point");
+        let optimum_is_free = oe.is_empty() && ol.is_empty() && free_give.contains(item);
+        if let Some(&(pos, _)) = ge.first().or(gl.first()).filter(|_| optimum_is_free) {
             let mut d = Diagnostic::warning(
                 "GNT032",
                 format!(
@@ -129,13 +103,10 @@ pub fn audit_placement(
                     opts.name(item)
                 ),
             )
-            .at(node_at(graph, pos))
+            .at(node_at_position(graph, pos))
             .for_item(item)
             .note("the solver satisfies this consumption at zero cost by riding the free GIVE (\u{a7}4.4 balance)");
-            if let Some(consumer) = graph
-                .nodes()
-                .find(|n| problem.take_init[n.index()].contains(item))
-            {
+            if let Some(consumer) = consumer[item] {
                 if let Some(chain) = engine
                     .why(Var::GivenIn(Flavor::Eager), consumer, item)
                     .or_else(|| engine.why(Var::Given(Flavor::Eager), consumer, item))
@@ -150,10 +121,10 @@ pub fn audit_placement(
         // GNT031: the window between transfer start (first EAGER point)
         // and completion (first LAZY point) is ≥ k nodes narrower than
         // the optimum's — the transfer could legally start earlier.
-        let (Some(&(ge0, _)), Some(&(gl0, _))) = (ge.iter().next(), gl.iter().next()) else {
+        let (Some(&(ge0, _)), Some(&(gl0, _))) = (ge.first(), gl.first()) else {
             continue;
         };
-        let (Some(&(oe0, _)), Some(&(ol0, _))) = (oe.iter().next(), ol.iter().next()) else {
+        let (Some(&(oe0, _)), Some(&(ol0, _))) = (oe.first(), ol.first()) else {
             continue;
         };
         let given_window = gl0.saturating_sub(ge0);
@@ -168,21 +139,21 @@ pub fn audit_placement(
                     (opt_window - given_window) / 2
                 ),
             )
-            .at(node_at(graph, ge0))
+            .at(node_at_position(graph, ge0))
             .for_item(item)
             .note(format!(
                 "the solver starts it at node {} (\u{a7}1: split Send/Recv exist to overlap this window with computation)",
-                node_at(graph, oe0)
+                node_at_position(graph, oe0)
             ));
             // Chain for the optimum's start point, queried pre-shift so
             // the bit is where the solver left it.
-            if let Some(&(raw_pos, raw_out)) = points(graph, &opt.eager, item).iter().next() {
+            if let Some(&(raw_pos, raw_out)) = opt.unshifted_eager[item].first() {
                 let var = if raw_out {
                     Var::ResOut(Flavor::Eager)
                 } else {
                     Var::ResIn(Flavor::Eager)
                 };
-                if let Some(chain) = engine.why(var, node_at(graph, raw_pos), item) {
+                if let Some(chain) = engine.why(var, node_at_position(graph, raw_pos), item) {
                     d.related.extend(chain_trail(&chain, &opts.name(item)));
                 }
             }
@@ -253,7 +224,7 @@ pub fn audit_plan(plan: &CommPlan, item_names: &[String]) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
     use gnt_comm::{analyze, generate, CommConfig};
-    use gnt_core::solve;
+    use gnt_core::{shift_off_synthetic, solve, SolverOptions};
 
     fn setup(src: &str) -> (IntervalGraph, PlacementProblem) {
         let program = gnt_ir::parse(src).unwrap();
@@ -329,7 +300,7 @@ mod tests {
         problem.give(stmts[0], 0).take(stmts[2], 0);
         let sol = solve(&graph, &problem, &SolverOptions::default());
         // The optimum is empty: the free give rides all the way.
-        assert!(points(&graph, &sol.eager, 0).is_empty());
+        assert_eq!(sol.eager.num_productions(), 0);
         // Hand-built waste: produce right at the consumer anyway.
         let mut eager = sol.eager.clone();
         let mut lazy = sol.lazy.clone();

@@ -19,6 +19,7 @@ use gnt_analyze::provenance::{run_query, QuerySpec};
 use gnt_analyze::{
     explain, render_json_batch, render_sarif_batch, render_text_into, CodeFamily, REGISTRY,
 };
+use std::io::Write;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -328,61 +329,14 @@ fn render_outcomes(args: &Args, sources: &[Source], outcomes: &[LintOutcome]) ->
             eprintln!("error: {}: {e}", o.name);
         }
     }
-    match args.format {
-        OutputFormat::Json => {
-            let entries: Vec<(&[gnt_analyze::Diagnostic], &str, &str)> = outcomes
-                .iter()
-                .zip(sources.iter())
-                .filter_map(|(o, s)| {
-                    o.result
-                        .as_ref()
-                        .ok()
-                        .map(|r| (r.diagnostics.as_slice(), o.name.as_str(), s.text.as_str()))
-                })
-                .collect();
-            print!("{}", render_json_batch(&entries));
-        }
-        OutputFormat::Sarif => {
-            let entries: Vec<(&[gnt_analyze::Diagnostic], &str, &str)> = outcomes
-                .iter()
-                .zip(sources.iter())
-                .filter_map(|(o, s)| {
-                    o.result
-                        .as_ref()
-                        .ok()
-                        .map(|r| (r.diagnostics.as_slice(), o.name.as_str(), s.text.as_str()))
-                })
-                .collect();
-            print!("{}", render_sarif_batch(&entries));
-        }
-        OutputFormat::Text => {
-            // One rendering buffer for the whole batch: reset per
-            // diagnostic, never shrunk, so steady-state rendering
-            // performs no allocation.
-            let mut buf = String::new();
-            for (o, s) in outcomes.iter().zip(sources.iter()) {
-                let Ok(report) = &o.result else { continue };
-                for d in &report.diagnostics {
-                    buf.clear();
-                    render_text_into(&mut buf, d, &o.name, &s.text);
-                    println!("{buf}");
-                }
-                let errors = report
-                    .diagnostics
-                    .iter()
-                    .filter(|d| d.severity == gnt_analyze::Severity::Error)
-                    .count();
-                let warnings = report.diagnostics.len() - errors;
-                if report.diagnostics.is_empty() {
-                    println!(
-                        "{}: clean ({} communication ops placed)",
-                        o.name,
-                        report.plan.ops().count()
-                    );
-                } else {
-                    println!("{}: {errors} error(s), {warnings} warning(s)", o.name);
-                }
-            }
+    match write_reports(&mut std::io::stdout().lock(), args, sources, outcomes) {
+        Ok(()) => {}
+        // The reader stopped early (`gnt-lint … | head`): it wants no
+        // more output, and the batch's verdict stands.
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("error: cannot write the report: {e}");
+            return 2;
         }
     }
     if let (Some(path), Some(outcome)) = (&args.dot, outcomes.first()) {
@@ -395,4 +349,65 @@ fn render_outcomes(args: &Args, sources: &[Source], outcomes: &[LintOutcome]) ->
         }
     }
     u8::try_from(batch_exit_code(outcomes, &args.opts.deny)).unwrap_or(2)
+}
+
+/// Writes every outcome's report to `out` in input order, in the
+/// format `args` asks for.
+fn write_reports(
+    out: &mut impl Write,
+    args: &Args,
+    sources: &[Source],
+    outcomes: &[LintOutcome],
+) -> std::io::Result<()> {
+    match args.format {
+        OutputFormat::Json | OutputFormat::Sarif => {
+            let entries: Vec<(&[gnt_analyze::Diagnostic], &str, &str)> = outcomes
+                .iter()
+                .zip(sources.iter())
+                .filter_map(|(o, s)| {
+                    o.result
+                        .as_ref()
+                        .ok()
+                        .map(|r| (r.diagnostics.as_slice(), o.name.as_str(), s.text.as_str()))
+                })
+                .collect();
+            let report = if args.format == OutputFormat::Json {
+                render_json_batch(&entries)
+            } else {
+                render_sarif_batch(&entries)
+            };
+            out.write_all(report.as_bytes())?;
+        }
+        OutputFormat::Text => {
+            // One rendering buffer for the whole batch: reset per
+            // diagnostic, never shrunk, so steady-state rendering
+            // performs no allocation.
+            let mut buf = String::new();
+            for (o, s) in outcomes.iter().zip(sources.iter()) {
+                let Ok(report) = &o.result else { continue };
+                for d in &report.diagnostics {
+                    buf.clear();
+                    render_text_into(&mut buf, d, &o.name, &s.text);
+                    writeln!(out, "{buf}")?;
+                }
+                let errors = report
+                    .diagnostics
+                    .iter()
+                    .filter(|d| d.severity == gnt_analyze::Severity::Error)
+                    .count();
+                let warnings = report.diagnostics.len() - errors;
+                if report.diagnostics.is_empty() {
+                    writeln!(
+                        out,
+                        "{}: clean ({} communication ops placed)",
+                        o.name,
+                        report.plan.ops().count()
+                    )?;
+                } else {
+                    writeln!(out, "{}: {errors} error(s), {warnings} warning(s)", o.name)?;
+                }
+            }
+        }
+    }
+    out.flush()
 }

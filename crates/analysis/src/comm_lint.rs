@@ -28,7 +28,7 @@ use crate::driver::StageTimings;
 use crate::{MAX_EDGE_VISITS, MAX_PATHS};
 use gnt_cfg::{EdgeClass, NodeId};
 use gnt_comm::{CommOp, CommPlan, OpKind};
-use gnt_core::{for_each_path, path_has_zero_trip, Path};
+use gnt_core::{for_each_path, path_has_zero_trip, Path, PlacementProblem};
 use gnt_dataflow::{BitSet, ItemId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -426,14 +426,23 @@ pub(crate) fn lint_plan_counted(
             seen.insert(("GNT011", item.0, node.0));
         }
     }
+    // Each problem's `TAKE_init` rows, OR-ed once: the items some
+    // statement consumes.
+    let consumed_by = |problem: &PlacementProblem| {
+        let mut all = BitSet::new(problem.universe_size);
+        for row in &problem.take_init {
+            all.union_with(row);
+        }
+        all
+    };
+    let read_consumed = consumed_by(&plan.analysis.read_problem);
+    let write_consumed = consumed_by(&plan.analysis.write_problem);
     for (&(item, fam), &node) in &communicated {
-        let problem = match fam {
-            Family::Read => &plan.analysis.read_problem,
-            Family::Write => &plan.analysis.write_problem,
+        let consumed = match fam {
+            Family::Read => &read_consumed,
+            Family::Write => &write_consumed,
         };
-        let consumed =
-            (0..problem.num_nodes()).any(|i| problem.take_init[i].contains(item.index()));
-        if !consumed && seen.insert(("GNT011", item.0, node.0)) {
+        if !consumed.contains(item.index()) && seen.insert(("GNT011", item.0, node.0)) {
             out.push(
                 Diagnostic::error(
                     "GNT011",

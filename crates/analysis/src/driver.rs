@@ -410,8 +410,7 @@ fn lint_program_inner(
             item_names: item_names.clone(),
         };
         let stage = std::time::Instant::now();
-        let mut found =
-            lint_placement_counted(g, problem, eager, lazy, &popts, checked, scratch, timings);
+        let mut found = lint_placement_counted(g, problem, eager, lazy, &popts, checked, timings);
         timings.criteria_ns += elapsed_ns(stage);
         timings.checks_reused += u64::from(checked);
         if !found.is_empty() {

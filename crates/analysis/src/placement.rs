@@ -16,10 +16,10 @@ use crate::{MAX_EDGE_VISITS, MAX_PATHS};
 use gnt_cfg::{EdgeClass, IntervalGraph, NodeId};
 use gnt_core::{
     check_balance, check_sufficiency_pair, for_each_path, path_has_zero_trip, shift_off_synthetic,
-    solve_batch_with_scratch, FlavorSolution, PathChecker, PlacementProblem, ScratchPool,
-    SolverOptions, SolverScratch, Violation,
+    solve_into, FlavorSolution, PathChecker, PlacementProblem, ScratchPool, SolverOptions,
+    SolverScratch, Violation,
 };
-use gnt_dataflow::{sweep, WordRows};
+use gnt_dataflow::{sweep, Checkout, WordRows};
 use std::collections::BTreeSet;
 
 /// Options for [`lint_placement`].
@@ -69,7 +69,7 @@ type Point = (usize, bool); // (preorder position * 2 + out?, is res_out)
 /// Every item's production points in `flavor`, in program order: one
 /// sweep over the preorder visits `RES_in` before `RES_out` at each node,
 /// so each item's list comes out sorted.
-fn production_points(
+pub(crate) fn production_points(
     graph: &IntervalGraph,
     flavor: &FlavorSolution,
     cap: usize,
@@ -91,8 +91,44 @@ fn missing_from<'p>(a: &'p [Point], b: &'p [Point]) -> impl Iterator<Item = &'p 
     a.iter().filter(move |p| b.binary_search(p).is_err())
 }
 
-fn node_at_position(graph: &IntervalGraph, pos: usize) -> NodeId {
+pub(crate) fn node_at_position(graph: &IntervalGraph, pos: usize) -> NodeId {
     graph.preorder()[pos / 2]
+}
+
+/// The solver's optimum for a problem, the one both optimality checkers
+/// compare with: O2/O3/O3' here and the `GNT03x` audits
+/// ([`crate::audit::audit_placement`]).
+pub(crate) struct Optimum {
+    /// The solve, every Figure-13 variable in place, for blame chains.
+    pub(crate) scratch: Checkout<'static, SolverScratch>,
+    /// Each item's EAGER points, shifted off synthetic nodes as a plan
+    /// emits them.
+    pub(crate) eager: Vec<Vec<Point>>,
+    /// Each item's LAZY points, shifted likewise.
+    pub(crate) lazy: Vec<Vec<Point>>,
+    /// Each item's EAGER points where the solve left them, before the
+    /// shift: where its chains start.
+    pub(crate) unshifted_eager: Vec<Vec<Point>>,
+}
+
+impl Optimum {
+    /// Solves `problem` over `graph` into a pooled scratch and reads the
+    /// points off its production rows.
+    pub(crate) fn solve(graph: &IntervalGraph, problem: &PlacementProblem) -> Optimum {
+        let mut scratch = ScratchPool::global().checkout();
+        solve_into(graph, problem, &SolverOptions::default(), &mut scratch);
+        let (mut eager, mut lazy) = scratch.export_productions();
+        let cap = problem.universe_size;
+        let unshifted_eager = production_points(graph, &eager, cap);
+        shift_off_synthetic(graph, &mut eager);
+        shift_off_synthetic(graph, &mut lazy);
+        Optimum {
+            eager: production_points(graph, &eager, cap),
+            lazy: production_points(graph, &lazy, cap),
+            unshifted_eager,
+            scratch,
+        }
+    }
 }
 
 fn has(row: &[u64], item: usize) -> bool {
@@ -328,21 +364,6 @@ pub fn lint_placement(
     lazy: &FlavorSolution,
     opts: &PlacementLintOptions,
 ) -> Vec<Diagnostic> {
-    let mut scratch = ScratchPool::global().checkout();
-    lint_placement_with_scratch(graph, problem, eager, lazy, opts, &mut scratch)
-}
-
-/// [`lint_placement`] with a caller-provided solver scratch: the
-/// optimality comparison (O2/O3/O3') re-solves the same problem into it,
-/// reusing its warm arena.
-pub fn lint_placement_with_scratch(
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    eager: &FlavorSolution,
-    lazy: &FlavorSolution,
-    opts: &PlacementLintOptions,
-    scratch: &mut SolverScratch,
-) -> Vec<Diagnostic> {
     lint_placement_counted(
         graph,
         problem,
@@ -350,18 +371,16 @@ pub fn lint_placement_with_scratch(
         lazy,
         opts,
         false,
-        scratch,
         &mut StageTimings::default(),
     )
 }
 
-/// [`lint_placement_with_scratch`], adding the zero-trip pass's path
-/// replay counts and the O1 fixpoint's rounds to `profile`. With
-/// `c1_c3_clean` the C1 and C3 checks are skipped: the caller vouches
-/// that [`gnt_core::check_balance`] and [`gnt_core::check_sufficiency`]
+/// [`lint_placement`], adding the zero-trip pass's path replay counts
+/// and the O1 fixpoint's rounds to `profile`. With `c1_c3_clean` the C1
+/// and C3 checks are skipped: the caller vouches that
+/// [`gnt_core::check_balance`] and [`gnt_core::check_sufficiency`]
 /// (≥1-trip) already found exactly these rows clean against `problem` on
 /// `graph`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn lint_placement_counted(
     graph: &IntervalGraph,
     problem: &PlacementProblem,
@@ -369,7 +388,6 @@ pub(crate) fn lint_placement_counted(
     lazy: &FlavorSolution,
     opts: &PlacementLintOptions,
     c1_c3_clean: bool,
-    scratch: &mut SolverScratch,
     profile: &mut StageTimings,
 ) -> Vec<Diagnostic> {
     let mut out: Vec<Diagnostic> = Vec::new();
@@ -500,16 +518,12 @@ pub(crate) fn lint_placement_counted(
     // Optimality (O2/O3/O3') — only meaningful for placements that are
     // otherwise clean, and compared against the solver's own optimum.
     if opts.check_optimality && out.is_empty() {
-        let mut opt = solve_batch_with_scratch(graph, problem, &SolverOptions::default(), scratch);
-        shift_off_synthetic(graph, &mut opt.eager);
-        shift_off_synthetic(graph, &mut opt.lazy);
+        let opt = Optimum::solve(graph, problem);
         let given_eager = production_points(graph, eager, cap);
-        let opt_eager = production_points(graph, &opt.eager, cap);
         let given_lazy = production_points(graph, lazy, cap);
-        let opt_lazy = production_points(graph, &opt.lazy, cap);
         for item in 0..cap {
-            let (ge, oe) = (&given_eager[item], &opt_eager[item]);
-            let (gl, ol) = (&given_lazy[item], &opt_lazy[item]);
+            let (ge, oe) = (&given_eager[item], &opt.eager[item]);
+            let (gl, ol) = (&given_lazy[item], &opt.lazy[item]);
             if ge.len() > oe.len() {
                 // O2: more production points than the optimum needs. The
                 // points of an item are distinct, so the larger set

@@ -742,3 +742,27 @@ fn nesting_at_the_limit_lints_alone_and_in_a_directory() {
         }
     }
 }
+
+/// A reader that closes the pipe early (`gnt-lint … | head -c 10`) ends
+/// the report quietly: the exit code is the batch's, not a panic's.
+#[test]
+fn closed_stdout_pipe_is_not_a_panic() {
+    use std::io::Read;
+    use std::process::Stdio;
+    let fig1 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fig1.minif");
+    // Far more report than a pipe buffers, so writes outlive the reader.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gnt-lint"))
+        .args(std::iter::repeat_n(fig1, 3000))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("gnt-lint runs");
+    let mut head = [0u8; 10];
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    stdout.read_exact(&mut head).expect("some report");
+    drop(stdout);
+    let out = child.wait_with_output().expect("gnt-lint exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+}

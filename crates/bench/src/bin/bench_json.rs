@@ -7,10 +7,6 @@
 //!   universe 16, sequential) at several program sizes;
 //! * `solve_into/16items` — the direct backend on a warm scratch, no
 //!   export, at the same sizes;
-//! * `solve_batch/16items` — [`gnt_core::solve_batch`], a full solve
-//!   into a reused output buffer, at the same sizes. It replayed a
-//!   cached tape until EXP-C17 and is now the direct walk plus the copy
-//!   out;
 //! * `pressure_resolve/full` and `pressure_resolve/delta` — one
 //!   pressure-loop round (toggle a `STEAL_init` bit, re-solve) served by
 //!   a full solve (a direct walk since EXP-C17, a full tape replay
@@ -47,11 +43,9 @@
 //!   driver's Layer 2 over both problems, the WRITE C1/C3 verdict reused
 //!   when the solve's §5.3 check passed; `items` is the universe size
 //!   (ungated);
-//! * `solve/256items` and `solve_batch/256items` — a 4-word universe
-//!   solved with export into a fresh and into a reused buffer (the
-//!   EXP-C2 protocol; `solve_batch` replayed a cached tape until
-//!   EXP-C17), plus `solve_into/256items`, the direct walk on a warm
-//!   scratch without export (ungated);
+//! * `solve/256items` — a 4-word universe solved with export (the
+//!   EXP-C2 protocol), plus `solve_into/256items`, the direct walk on a
+//!   warm scratch without export (ungated);
 //! * `solve/2048items` — a 32-word universe on the same graph, with the
 //!   same ungated row `solve_into/2048items`;
 //! * `pipeline/ns_per_node` — one complete lint pipeline run (parse →
@@ -98,9 +92,9 @@
 //! different host shape.
 
 use gnt_analyze::driver::{detect_distributed, lint_source, lint_source_timed, LintOptions};
-use gnt_analyze::placement::lint_placement_with_scratch;
 use gnt_analyze::{
-    lint_batch_on, lint_batch_on_cached, PipelineCache, PlacementLintOptions, Source,
+    lint_batch_on, lint_batch_on_cached, lint_placement, PipelineCache, PlacementLintOptions,
+    Source,
 };
 use gnt_bench::{
     check_against_baseline, json_flag_from_args, median_ns, read_records_json, write_records_json,
@@ -110,8 +104,8 @@ use gnt_cfg::IntervalGraph;
 use gnt_comm::{analyze, analyze_timed, generate_with_placement, CommConfig, GenerateOptions};
 use gnt_core::{
     check_balance, check_sufficiency, random_problem, random_program, sized_program, solve,
-    solve_after_with_scratch, solve_batch, solve_delta, solve_into, DeltaSet, GenConfig,
-    PlacementProblem, Solution, SolverOptions, SolverScratch,
+    solve_after_with_scratch, solve_delta, solve_into, DeltaSet, GenConfig, PlacementProblem,
+    SolverOptions, SolverScratch,
 };
 use gnt_dataflow::WorkerPool;
 use gnt_ir::{Expr, ProgramBuilder};
@@ -275,7 +269,7 @@ fn comm_layers(runs: usize, program: &gnt_ir::Program) -> Vec<BenchRecord> {
     let graph = &plan.analysis.graph;
     let (eager, lazy) = (&placement.read_eager, &placement.read_lazy);
     let ns = median_ns(runs, || {
-        lint_placement_with_scratch(graph, &problem, eager, lazy, &lint_opts, &mut scratch)
+        lint_placement(graph, &problem, eager, lazy, &lint_opts)
     });
     records.push(BenchRecord {
         bench: "lint_layer2/ns_per_node".to_string(),
@@ -346,21 +340,6 @@ fn main() -> ExitCode {
         });
 
         records.push(like_for_like_direct(runs, &graph, &problem));
-
-        // A full solve into the reused output buffer.
-        let mut scratch = SolverScratch::new();
-        let mut out = Solution::default();
-        solve_batch(&graph, &problem, &opts, &mut scratch, &mut out);
-        let ns = median_ns(runs, || {
-            solve_batch(&graph, &problem, &opts, &mut scratch, &mut out);
-        });
-        records.push(BenchRecord {
-            bench: "solve_batch/16items".to_string(),
-            nodes,
-            items: 16,
-            ns_per_node: ns / nodes as f64,
-            threads: 1,
-        });
 
         // One pressure-loop round — toggle a STEAL_init bit at a mid-
         // program node, re-solve — served two ways over the same warm
@@ -510,19 +489,6 @@ fn main() -> ExitCode {
     let ns = median_ns(runs, || solve(&graph, &problem, &opts));
     records.push(BenchRecord {
         bench: "solve/256items".to_string(),
-        nodes,
-        items: 256,
-        ns_per_node: ns / nodes as f64,
-        threads: 1,
-    });
-    let mut scratch = SolverScratch::new();
-    let mut out = Solution::default();
-    solve_batch(&graph, &problem, &opts, &mut scratch, &mut out);
-    let ns = median_ns(runs, || {
-        solve_batch(&graph, &problem, &opts, &mut scratch, &mut out);
-    });
-    records.push(BenchRecord {
-        bench: "solve_batch/256items".to_string(),
         nodes,
         items: 256,
         ns_per_node: ns / nodes as f64,

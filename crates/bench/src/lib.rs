@@ -88,7 +88,7 @@ pub fn rule(width: usize) {
 /// the `bench_json` harness emit these).
 #[derive(Clone, Debug)]
 pub struct BenchRecord {
-    /// Benchmark identifier, e.g. `"scaling"` or `"solve_batch/256items"`.
+    /// Benchmark identifier, e.g. `"scaling"` or `"solve_into/256items"`.
     pub bench: String,
     /// Graph size the measurement was taken at.
     pub nodes: usize,
@@ -307,7 +307,7 @@ mod tests {
                 threads: 1,
             },
             BenchRecord {
-                bench: "solve_batch/256items".to_string(),
+                bench: "solve_into/256items".to_string(),
                 nodes: 9605,
                 items: 256,
                 ns_per_node: 1936.9,

@@ -84,8 +84,7 @@ pub use shift::{shift_off_synthetic, ShiftReport};
 /// points.
 pub use solver::solve_into as solve_batch_into;
 pub use solver::{
-    solve, solve_batch, solve_batch_with_scratch, solve_into, ConsumptionVars, FlavorSolution,
-    Solution,
+    solve, solve_batch_with_scratch, solve_into, ConsumptionVars, FlavorSolution, Solution,
 };
 pub use verify::{
     check_balance, check_path, check_sufficiency, check_sufficiency_pair, enumerate_paths,

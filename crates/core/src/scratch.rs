@@ -367,59 +367,6 @@ impl SolverScratch {
             lazy: flavor(Flavor::Lazy),
         }
     }
-
-    /// Copies every row into `sol`, which must already be shaped for
-    /// this scratch's nodes and universe: [`crate::solve_batch`]'s
-    /// overwrite of its reused output buffer.
-    pub(crate) fn write_into(&self, sol: &mut Solution) {
-        let put = |family: usize, sets: &mut [BitSet]| {
-            debug_assert_eq!(sets.len(), self.nodes);
-            for (i, set) in sets.iter_mut().enumerate() {
-                let row = self.slab.row(self.fam(family, i));
-                set.words_mut().copy_from_slice(row.words());
-            }
-        };
-        let ConsumptionVars {
-            steal,
-            give,
-            block,
-            taken_out,
-            take,
-            taken_in,
-            block_loc,
-            take_loc,
-            give_loc,
-            steal_loc,
-        } = &mut sol.vars;
-        put(F_STEAL, steal);
-        put(F_GIVE, give);
-        put(F_BLOCK, block);
-        put(F_TAKEN_OUT, taken_out);
-        put(F_TAKE, take);
-        put(F_TAKEN_IN, taken_in);
-        put(F_BLOCK_LOC, block_loc);
-        put(F_TAKE_LOC, take_loc);
-        put(F_GIVE_LOC, give_loc);
-        put(F_STEAL_LOC, steal_loc);
-        for (flavor, fs) in [
-            (Flavor::Eager, &mut sol.eager),
-            (Flavor::Lazy, &mut sol.lazy),
-        ] {
-            let off = flavor_offset(flavor);
-            let FlavorSolution {
-                given_in,
-                given,
-                given_out,
-                res_in,
-                res_out,
-            } = fs;
-            put(F_GIVEN_IN + off, given_in);
-            put(F_GIVEN + off, given);
-            put(F_GIVEN_OUT + off, given_out);
-            put(F_RES_IN + off, res_in);
-            put(F_RES_OUT + off, res_out);
-        }
-    }
 }
 
 /// One flavor's `RES_in`/`RES_out` rows read in place in a
@@ -450,7 +397,7 @@ mod tests {
 
     /// The export [`SolverScratch::export`] replaced, kept as its oracle:
     /// an all-empty solution shaped for the scratch, then a per-set copy
-    /// of every row by [`SolverScratch::write_into`].
+    /// of every row, read in place through [`SolverScratch::row`].
     fn two_pass_export(scratch: &SolverScratch) -> Solution {
         let empty = BitSet::new(scratch.universe_bits());
         let sets = || vec![empty.clone(); scratch.num_nodes()];
@@ -477,7 +424,51 @@ mod tests {
             eager: flavor(),
             lazy: flavor(),
         };
-        scratch.write_into(&mut sol);
+        let put = |var: Var, sets: &mut [BitSet]| {
+            for (i, set) in sets.iter_mut().enumerate() {
+                let row = scratch.row(var, NodeId(i as u32));
+                set.words_mut().copy_from_slice(row.words());
+            }
+        };
+        let ConsumptionVars {
+            steal,
+            give,
+            block,
+            taken_out,
+            take,
+            taken_in,
+            block_loc,
+            take_loc,
+            give_loc,
+            steal_loc,
+        } = &mut sol.vars;
+        put(Var::Steal, steal);
+        put(Var::Give, give);
+        put(Var::Block, block);
+        put(Var::TakenOut, taken_out);
+        put(Var::Take, take);
+        put(Var::TakenIn, taken_in);
+        put(Var::BlockLoc, block_loc);
+        put(Var::TakeLoc, take_loc);
+        put(Var::GiveLoc, give_loc);
+        put(Var::StealLoc, steal_loc);
+        for (flavor, fs) in [
+            (Flavor::Eager, &mut sol.eager),
+            (Flavor::Lazy, &mut sol.lazy),
+        ] {
+            let FlavorSolution {
+                given_in,
+                given,
+                given_out,
+                res_in,
+                res_out,
+            } = fs;
+            put(Var::GivenIn(flavor), given_in);
+            put(Var::Given(flavor), given);
+            put(Var::GivenOut(flavor), given_out);
+            put(Var::ResIn(flavor), res_in);
+            put(Var::ResOut(flavor), res_out);
+        }
         sol
     }
 

@@ -42,8 +42,8 @@ impl Pooled for SolverScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{solve, Solution};
-    use crate::{solve_batch, GenConfig, SolverOptions};
+    use crate::solver::solve;
+    use crate::{solve_into, GenConfig, SolverOptions};
     use gnt_cfg::IntervalGraph;
 
     #[test]
@@ -56,16 +56,15 @@ mod tests {
             let problem = crate::random_problem(seed, &graph, 70, 0.4);
             let expected = solve(&graph, &problem, &opts);
             let mut cold = SolverScratch::new();
-            let mut cold_out = Solution::default();
-            solve_batch(&graph, &problem, &opts, &mut cold, &mut cold_out);
+            solve_into(&graph, &problem, &opts, &mut cold);
             // The pooled scratch is warm from whatever the previous seed
             // left behind (different graph, delta basis) — the
             // fingerprint checks must make that invisible.
             let mut warm = pool.checkout();
-            let mut warm_out = Solution::default();
-            solve_batch(&graph, &problem, &opts, &mut warm, &mut warm_out);
+            solve_into(&graph, &problem, &opts, &mut warm);
+            let warm_out = warm.export();
             assert_eq!(warm_out, expected, "seed {seed}: warm vs direct");
-            assert_eq!(warm_out, cold_out, "seed {seed}: warm vs cold scratch");
+            assert_eq!(warm_out, cold.export(), "seed {seed}: warm vs cold scratch");
         }
         assert_eq!(pool.created(), 1, "one worker's traffic needs one scratch");
     }

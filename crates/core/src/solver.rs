@@ -29,10 +29,10 @@
 //! headers. It is a loop over four step functions written against the
 //! [`Kernels`] trait, which the direct backend here implements with
 //! fused word-level kernels: every full solve ([`solve`], [`solve_into`],
-//! [`solve_batch`], the AFTER solves and the pressure loop's round 0)
-//! walks it whole, and [`crate::solve_delta`] re-runs only the steps
-//! downstream of an edit ([`rewalk`]). No per-equation temporaries, no
-//! allocation inside the passes.
+//! [`solve_batch_with_scratch`], the AFTER solves and the pressure
+//! loop's round 0) walks it whole, and [`crate::solve_delta`] re-runs
+//! only the steps downstream of an edit ([`rewalk`]). No per-equation
+//! temporaries, no allocation inside the passes.
 
 use crate::problem::{Flavor, PlacementProblem, SolverOptions};
 use crate::scratch::{
@@ -96,8 +96,7 @@ impl FlavorSolution {
 }
 
 /// A complete GIVE-N-TAKE solution: both flavors plus the shared
-/// consumption analysis. The default is the empty zero-node solution,
-/// the natural seed for the reusable output buffer of [`solve_batch`].
+/// consumption analysis. The default is the empty zero-node solution.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Solution {
     /// Shared consumption variables (passes S1–S2).
@@ -114,49 +113,6 @@ impl Solution {
         match flavor {
             Flavor::Eager => &self.eager,
             Flavor::Lazy => &self.lazy,
-        }
-    }
-
-    /// Re-shapes `self` for `n` nodes × `cap` items *without zeroing* rows
-    /// whose capacity already matches: callers guarantee every word of
-    /// every row is about to be overwritten, so stale contents never
-    /// survive. This is the reuse fast path of [`solve_batch`] — a
-    /// warm output buffer costs no allocation and no clearing.
-    pub(crate) fn reshape_for_overwrite(&mut self, n: usize, cap: usize) {
-        let shape = |sets: &mut Vec<BitSet>| {
-            sets.resize_with(n, || BitSet::new(cap));
-            for s in sets.iter_mut().filter(|s| s.capacity() != cap) {
-                s.reset(cap);
-            }
-        };
-        let ConsumptionVars {
-            steal,
-            give,
-            block,
-            taken_out,
-            take,
-            taken_in,
-            block_loc,
-            take_loc,
-            give_loc,
-            steal_loc,
-        } = &mut self.vars;
-        for sets in [
-            steal, give, block, taken_out, take, taken_in, block_loc, take_loc, give_loc, steal_loc,
-        ] {
-            shape(sets);
-        }
-        for fs in [&mut self.eager, &mut self.lazy] {
-            let FlavorSolution {
-                given_in,
-                given,
-                given_out,
-                res_in,
-                res_out,
-            } = fs;
-            for sets in [given_in, given, given_out, res_in, res_out] {
-                shape(sets);
-            }
         }
     }
 }
@@ -348,46 +304,6 @@ pub(crate) fn walk(graph: &IntervalGraph, problem: &PlacementProblem, scratch: &
     };
     schedule(graph, &mut direct);
     scratch.set_delta_basis(Some(graph.fingerprint()));
-}
-
-/// [`solve_into`] followed by a copy of every variable into the
-/// caller-reused `out`: a full solve that allocates nothing once
-/// `scratch` and `out` are warm. Results are bit-identical to [`solve`].
-///
-/// # Panics
-///
-/// Panics if `problem` does not cover all nodes of `graph`.
-///
-/// # Examples
-///
-/// ```
-/// use gnt_core::{solve, solve_batch, PlacementProblem, Solution, SolverOptions, SolverScratch};
-/// use gnt_cfg::IntervalGraph;
-///
-/// let p = gnt_ir::parse("do i = 1, N\n  ... = x(a(i))\nenddo")?;
-/// let g = IntervalGraph::from_program(&p)?;
-/// let body = g.nodes().find(|&n| g.level(n) == 2).unwrap();
-/// let mut problem = PlacementProblem::new(g.num_nodes(), 256);
-/// problem.take(body, 200);
-/// let opts = SolverOptions::default();
-/// let (mut scratch, mut out) = (SolverScratch::new(), Solution::default());
-/// solve_batch(&g, &problem, &opts, &mut scratch, &mut out); // sizes scratch and out
-/// solve_batch(&g, &problem, &opts, &mut scratch, &mut out); // allocation-free
-/// assert_eq!(out, solve(&g, &problem, &opts));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn solve_batch(
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    scratch: &mut SolverScratch,
-    out: &mut Solution,
-) {
-    solve_into(graph, problem, opts, scratch);
-    // Every word of every row of `out` is overwritten below, so
-    // re-shaping skips the zeroing.
-    out.reshape_for_overwrite(graph.num_nodes(), problem.universe_size);
-    scratch.write_into(out);
 }
 
 /// [`solve_into`] followed by [`SolverScratch::export`]: [`solve`] on a
@@ -1316,15 +1232,14 @@ mod tests {
     }
 
     #[test]
-    fn output_buffer_reshapes_across_universe_sizes() {
+    fn scratch_reshapes_across_universe_sizes() {
         let g = graph(
             "do i = 1, N\n  ... = x(a(i))\n  if t(i) goto 7\n  z = 0\nenddo\n\
              if test then\n  c = 3\nelse\n  d = 4\nendif\n7 e = 5",
         );
         let opts = SolverOptions::default();
         let mut scratch = SolverScratch::new();
-        let mut out = Solution::default();
-        // Shrinking and growing the universe through the same buffer must
+        // Shrinking and growing the universe through the same scratch must
         // never leak stale high bits into a narrower solve.
         for items in [130usize, 64, 65, 63, 1, 300] {
             let mut prob = PlacementProblem::new(g.num_nodes(), items);
@@ -1334,8 +1249,8 @@ mod tests {
             for (k, n) in stmts.enumerate() {
                 prob.take(n, k % items);
             }
-            solve_batch(&g, &prob, &opts, &mut scratch, &mut out);
-            assert_eq!(out, solve(&g, &prob, &opts), "items = {items}");
+            solve_into(&g, &prob, &opts, &mut scratch);
+            assert_eq!(scratch.export(), solve(&g, &prob, &opts), "items = {items}");
         }
     }
 

@@ -10,8 +10,8 @@
 
 use gnt_cfg::{reversed_graph, IntervalGraph};
 use gnt_core::{
-    random_problem, random_program, solve, solve_after, solve_after_with_scratch, solve_batch,
-    solve_into, GenConfig, PlacementProblem, Solution, SolverOptions, SolverScratch,
+    random_problem, random_program, solve, solve_after, solve_after_with_scratch, solve_into,
+    GenConfig, PlacementProblem, Solution, SolverOptions, SolverScratch,
 };
 use proptest::prelude::*;
 
@@ -418,13 +418,6 @@ fn solve_does_not_mutate_the_problem() {
     let snapshot = problem.clone();
     let _ = solve(&graph, &problem, &SolverOptions::default());
     let mut scratch = SolverScratch::new();
-    let mut out = Solution::default();
-    solve_batch(
-        &graph,
-        &problem,
-        &SolverOptions::default(),
-        &mut scratch,
-        &mut out,
-    );
+    solve_into(&graph, &problem, &SolverOptions::default(), &mut scratch);
     assert_eq!(problem, snapshot);
 }

@@ -20,7 +20,7 @@
 //! output do not depend on interning history.
 
 use std::fmt;
-use std::sync::RwLock;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// An interned identifier: a `u32` handle into the global
 /// [`SymbolTable`].
@@ -128,15 +128,10 @@ impl SymbolTable {
     /// name is already known.
     pub fn intern(&self, s: &str) -> Symbol {
         let hash = fnv1a(s.as_bytes());
-        if let Some(i) = self
-            .inner
-            .read()
-            .expect("symbol table poisoned")
-            .lookup(hash, s)
-        {
+        if let Some(i) = self.read().lookup(hash, s) {
             return Symbol(i);
         }
-        let mut w = self.inner.write().expect("symbol table poisoned");
+        let mut w = self.write();
         if let Some(i) = w.lookup(hash, s) {
             return Symbol(i);
         }
@@ -145,25 +140,32 @@ impl SymbolTable {
 
     /// The symbol of `s` if it was interned, without interning it.
     pub fn get(&self, s: &str) -> Option<Symbol> {
-        self.inner
-            .read()
-            .expect("symbol table poisoned")
-            .lookup(fnv1a(s.as_bytes()), s)
-            .map(Symbol)
+        self.read().lookup(fnv1a(s.as_bytes()), s).map(Symbol)
     }
 
     /// Number of distinct symbols interned so far.
     pub fn len(&self) -> usize {
-        self.inner
-            .read()
-            .expect("symbol table poisoned")
-            .strings
-            .len()
+        self.read().strings.len()
     }
 
     /// `true` when nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The table under its read lock, taken over if poisoned (see
+    /// [`SymbolTable::write`]).
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The table under its write lock. The table is append-only, and
+    /// nothing in `Inner::insert` can unwind between its `push` and its
+    /// `place`, so a thread that panicked while holding this lock left
+    /// every name in the table findable: a poisoned lock is safe to take
+    /// over, as in `FreeList`.
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -177,7 +179,7 @@ impl Symbol {
     /// The interned text, read under the table's read lock. The backing
     /// storage is leaked, so the reference is `'static`.
     pub fn as_str(self) -> &'static str {
-        TABLE.inner.read().expect("symbol table poisoned").strings[self.0 as usize]
+        TABLE.read().strings[self.0 as usize]
     }
 }
 
@@ -249,7 +251,7 @@ impl Ord for Symbol {
             return std::cmp::Ordering::Equal;
         }
         // Both names under one read guard.
-        let inner = TABLE.inner.read().expect("symbol table poisoned");
+        let inner = TABLE.read();
         let strings = &inner.strings;
         strings[self.0 as usize].cmp(strings[other.0 as usize])
     }
@@ -314,6 +316,24 @@ mod tests {
             assert_eq!(*s, intern(n));
             assert_eq!(s.as_str(), n.as_str());
         }
+    }
+
+    #[test]
+    fn a_poisoned_table_keeps_working() {
+        let before = intern("poison_probe_before");
+        // A thread panics while it holds the write lock.
+        let poisoner = std::thread::spawn(|| {
+            let _guard = TABLE.inner.write();
+            panic!("poisoning the symbol table on purpose");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(TABLE.inner.is_poisoned());
+        let after = intern("poison_probe_after");
+        assert_eq!(intern("poison_probe_before"), before);
+        assert_eq!(SymbolTable::global().get("poison_probe_after"), Some(after));
+        assert_eq!(after.as_str(), "poison_probe_after");
+        assert!(before > after, "orders by contents");
+        assert!(!SymbolTable::global().is_empty());
     }
 
     #[test]
